@@ -36,13 +36,11 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .anosov import SamplingConfig, classify, ensemble_states
+from .anosov import SCHEMA_VERSION, SamplingConfig, classify, ensemble_states
 from .errors import ConfigError, MagflowError
 from .flow import integrate_orbit
 from .fourier import FourierSeries1D, FourierSeries2D
 from .geometry import AbstractProfile, ConformalTorus, ConstantCurvature
-
-SCHEMA_VERSION = 1
 
 
 def _parse_coeffs_2d(table, key):

@@ -190,6 +190,9 @@ class CurvatureProfile:
     t_max: float = math.inf
     series: Optional[FourierSeries1D] = None
     const_value: Optional[float] = None
+    # jacobi.propagator's cache: one fundamental-matrix propagator per tolerance
+    _propagators: dict = field(default_factory=dict, init=False, repr=False,
+                               compare=False)
 
     def __call__(self, t):
         return self.evaluator(t)

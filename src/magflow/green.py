@@ -7,40 +7,38 @@ slope of the stable line at time zero. The unstable slope is obtained
 from the time-reflected profile: reversing time swaps the roles of the
 two bundles and flips the slope sign.
 
-The schedule below evaluates the boundary slope on a doubling sequence of
-r values using one continuous integration of the fundamental solution
-pair, with periodic rescaling (the slope is a ratio, so joint rescaling
-is exact) to keep exponentially growing solutions inside floating-point
-range. Convergence is declared when two successive slopes differ by less
-than the tolerance; profiles whose slopes converge slower than the work
-budget allows are flagged, never extrapolated.
+The schedule below reads the boundary slope on a doubling sequence of r
+values from the profile's fundamental-matrix propagator, whose
+breakpoints are the default schedule points. Convergence is declared when
+two successive slopes differ by less than the tolerance; profiles whose
+slopes converge slower than the work budget allows are flagged, never
+extrapolated.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     ConjugatePointError,
-    IntegrationFailure,
+    InsufficientDataError,
     NumericalInconsistencyError,
 )
 from .flow import CurvatureProfile
-from .jacobi import first_zero, solve_boundary
+from .jacobi import FIRST_BREAK, first_zero, propagator, solve_boundary
+from .riccati import integrate_riccati
 
 DEFAULT_GREEN_TOL = 1e-9
-DEFAULT_R0 = 5.0
+DEFAULT_R0 = FIRST_BREAK
 DEFAULT_R_CAP = 5.0 * 2.0**31
 DEFAULT_WORK_BUDGET = 3_000_000
 JACOBI_TOL = 1e-12
 SLOPE_BOUND_SLACK = 1e-6
 MONOTONE_SLACK = 1e-10
-RESCALE_THRESHOLD = 1e100
 
 
 def boundary_slope(profile: CurvatureProfile, r: float, tol: float = JACOBI_TOL) -> float:
@@ -58,6 +56,11 @@ class GreenSide:
     r_schedule: list = field(default_factory=list)
     slopes: list = field(default_factory=list)
     nfev: int = 0
+
+    def reflected(self) -> "GreenSide":
+        """The stable side of a time-reflected profile read as the unstable
+        side of the profile itself: every slope changes sign."""
+        return replace(self, slope=-self.slope, slopes=[-s for s in self.slopes])
 
 
 @dataclass
@@ -86,15 +89,6 @@ class GreenEstimate:
     def converged(self) -> bool:
         sides = [s for s in (self.plus, self.minus) if s is not None]
         return bool(sides) and all(s.converged for s in sides)
-
-    @property
-    def r_schedule(self):
-        return (self.plus or self.minus).r_schedule
-
-    @property
-    def residuals(self):
-        side = self.plus or self.minus
-        return [abs(b - a) for a, b in zip(side.slopes, side.slopes[1:])]
 
     def to_dict(self) -> dict:
         def side_dict(s):
@@ -129,7 +123,8 @@ def _run_schedule(
 ) -> GreenSide:
     r_limit = min(r_cap, profile.t_max)
     if not math.isfinite(r0) or r_limit < r0:
-        raise ValueError("profile window too short for the slope schedule")
+        raise InsufficientDataError("profile window too short for the slope "
+                                    "schedule (ends at t = %g)" % r_limit)
 
     z = first_zero(profile, r0, step=0.01, tol=jac_tol)
     if z is not None:
@@ -138,41 +133,23 @@ def _run_schedule(
             conjugate_time=z,
         )
 
-    ev = profile.evaluator
-
-    def rhs(t, y):
-        k = -float(ev(t))
-        return [y[1], k * y[0], y[3], k * y[2]]
-
-    state = np.array([1.0, 0.0, 0.0, 1.0])
+    prop = propagator(profile, jac_tol)
     r_prev, r = 0.0, float(r0)
     rs, slopes = [], []
-    nfev = 0
     converged = False
     residual = math.inf
 
     while True:
-        sol = solve_ivp(
-            rhs, (r_prev, r), state,
-            method="DOP853", rtol=jac_tol, atol=jac_tol, dense_output=True,
-        )
-        if not sol.success:
-            raise IntegrationFailure(
-                "schedule integration failed: %s" % sol.message,
-                last_time=float(sol.t[-1]),
-            )
-        nfev += sol.nfev
         seg = np.linspace(r_prev, r, 65)[1:]
-        zs = sol.sol(seg)[2]
+        zs = prop(seg)[2]
         if np.any(zs <= 0.0):
             bad = float(seg[np.nonzero(zs <= 0.0)[0][0]])
             raise ConjugatePointError(
                 "conjugate point near t = %.6g on the schedule" % bad,
                 conjugate_time=bad,
             )
-        state = sol.y[:, -1].copy()
-        A, _dA, Z, _dZ = state
-        s = -float(A) / float(Z)
+        s = prop.slope(r)
+        nfev = prop.nfev_to(r)
         rs.append(r)
         slopes.append(s)
 
@@ -187,9 +164,6 @@ def _run_schedule(
                 converged = True
                 break
 
-        m = float(np.max(np.abs(state)))
-        if m > RESCALE_THRESHOLD:
-            state /= m
         if nfev > work_budget:
             break
         r_next = min(2.0 * r, r_limit)
@@ -230,12 +204,9 @@ def green_slope(
     if direction == "+":
         est.plus = _run_schedule(profile, tol, r0, r_cap, work_budget, jac_tol)
     else:
-        side = _run_schedule(profile.flipped(), tol, r0, r_cap, work_budget, jac_tol)
-        est.minus = GreenSide(
-            slope=-side.slope, converged=side.converged, residual=side.residual,
-            r_schedule=side.r_schedule, slopes=[-s for s in side.slopes],
-            nfev=side.nfev,
-        )
+        est.minus = _run_schedule(
+            profile.flipped(), tol, r0, r_cap, work_budget, jac_tol
+        ).reflected()
     return est
 
 
@@ -333,17 +304,9 @@ def invariance_residual(
         return abs(float(u_prop - u_shift))
 
     # double-precision fallback; accuracy degrades like exp(2 k t)
-    from scipy.integrate import solve_ivp as _ivp
-
-    ev = profile.evaluator
-
-    def rhs(s, y):
-        return [-y[0] * y[0] - float(ev(s))]
-
-    sol = _ivp(rhs, (0.0, t), [base.u_plus0], method="DOP853",
-               rtol=1e-13, atol=1e-13)
-    if not sol.success:
+    trace = integrate_riccati(profile, base.u_plus0, (0.0, t), tol=1e-13)
+    if trace.blowup_time is not None:
         raise NumericalInconsistencyError(
             "riccati propagation of the stable slope blew up before t = %g" % t
         )
-    return abs(float(sol.y[0][-1]) - shifted.u_plus0)
+    return abs(float(trace.u_samples[-1]) - shifted.u_plus0)

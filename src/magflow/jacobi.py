@@ -11,6 +11,11 @@ distinguished solutions used throughout:
 * the boundary solution for a target time r, with value one at zero and
   value zero at r.
 
+All of these, the conjugate scan and the slope schedules in ``green`` read
+one fundamental-matrix ``Propagator`` per profile and tolerance.
+``integrate_jacobi`` launches other initial data directly, because
+``A + u Z`` cancels catastrophically along the stable line.
+
 The boundary solution is computed two independent ways (a shooting
 combination of fundamental solutions, and the reduction-of-order integral
 against the unit-slope solution) and the disagreement is reported as a
@@ -19,8 +24,9 @@ first-class cross-check residual.
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,6 +35,7 @@ from scipy.optimize import brentq
 
 from .errors import (
     ConjugatePointError,
+    InsufficientDataError,
     IntegrationFailure,
     NumericalInconsistencyError,
 )
@@ -36,6 +43,8 @@ from .flow import CurvatureProfile
 
 DEFAULT_TOL = 1e-12
 CROSS_CHECK_TOL = 1e-7
+FIRST_BREAK = 5.0
+RESCALE_THRESHOLD = 1e100
 
 
 @dataclass(frozen=True)
@@ -44,9 +53,6 @@ class JacobiState:
 
     value: float
     deriv: float
-
-    def scaled(self, c: float) -> "JacobiState":
-        return JacobiState(c * self.value, c * self.deriv)
 
 
 @dataclass(frozen=True)
@@ -89,21 +95,15 @@ class JacobiTrace:
 
     def at(self, t: float) -> JacobiState:
         self._check(t)
-        if self._sol is None:
-            return JacobiState(0.0, 0.0)
         v, d = self._sol(t)
         return JacobiState(self._scale * float(v), self._scale * float(d))
 
     def values(self, ts) -> np.ndarray:
         self._check(ts)
-        if self._sol is None:
-            return np.zeros_like(np.asarray(ts, dtype=float))
         return self._scale * self._sol(ts)[0]
 
     def derivs(self, ts) -> np.ndarray:
         self._check(ts)
-        if self._sol is None:
-            return np.zeros_like(np.asarray(ts, dtype=float))
         return self._scale * self._sol(ts)[1]
 
     def to_csv(self, path, n: int = 1001):
@@ -116,6 +116,27 @@ class JacobiTrace:
             writer.writerow(["t", "J", "dJ"])
             for t, v, d in zip(ts, vals, ders):
                 writer.writerow([repr(float(t)), repr(float(v)), repr(float(d))])
+
+
+def _launch(ev: Callable, y0, t_span: tuple, tol: float):
+    """One dense DOP853 run of J'' + ev(t) J = 0 for one (value, derivative)
+    pair, or for two stacked pairs."""
+
+    def rhs(t, y):
+        k, v = -float(ev(t)), y.tolist()
+        if len(v) == 2:
+            return [v[1], k * v[0]]
+        return [v[1], k * v[0], v[3], k * v[2]]
+
+    sol = solve_ivp(
+        rhs, t_span, y0, method="DOP853", rtol=tol, atol=tol, dense_output=True
+    )
+    if not sol.success:
+        raise IntegrationFailure(
+            "jacobi integration failed: %s" % sol.message,
+            last_time=float(sol.t[-1]),
+        )
+    return sol
 
 
 def integrate_jacobi(
@@ -131,39 +152,101 @@ def integrate_jacobi(
     t0, t1 = float(t_span[0]), float(t_span[1])
     scale = math.hypot(state0.value, state0.deriv)
     if scale == 0.0:
-        return JacobiTrace(None, 0.0, t0, t1)
+        return JacobiTrace(lambda ts: np.zeros((2,) + np.shape(ts)), 0.0, t0, t1)
     y0 = [state0.value / scale, state0.deriv / scale]
-
-    ev = profile.evaluator
-
-    def rhs(t, y):
-        return [y[1], -float(ev(t)) * y[0]]
-
-    sol = solve_ivp(
-        rhs, (t0, t1), y0, method="DOP853", rtol=tol, atol=tol, dense_output=True
-    )
-    if not sol.success:
-        raise IntegrationFailure(
-            "jacobi integration failed: %s" % sol.message,
-            last_time=float(sol.t[-1]),
-        )
+    sol = _launch(profile.evaluator, y0, (t0, t1), tol)
     return JacobiTrace(sol.sol, scale, t0, t1)
+
+
+class Propagator:
+    """Dense fundamental matrix [A, A', Z, Z'] from data (1, 0, 0, 1) at zero.
+
+    Integrated segment by segment, only as far as callers ask, between the
+    fixed breakpoints 0, FIRST_BREAK * 2**k (capped at the profile's window
+    end), so every readout is a pure function of (profile, tol) whatever
+    the order of requests. An end state past RESCALE_THRESHOLD is divided
+    by a power of two before the next segment, and readouts multiply it
+    back exactly.
+    """
+
+    def __init__(self, profile: CurvatureProfile, tol: float):
+        # no reference to the profile itself, which caches the propagator
+        self.evaluator, self.t_max = profile.evaluator, profile.t_max
+        self.tol = tol
+        self.breaks = [0.0]
+        # segment k ends at breaks[k]: (dense output, end state, scale
+        # exponent, total nfev); entry 0 holds the initial data
+        self._segs = [(None, np.array([1.0, 0.0, 0.0, 1.0]), 0, 0)]
+
+    def _grow(self):
+        t0 = self.breaks[-1]
+        if t0 >= self.t_max:
+            raise InsufficientDataError("the profile window ends at t = %g" % t0)
+        _dense, y0, exp, nfev = self._segs[-1]
+        m = float(np.max(np.abs(y0)))
+        if m > RESCALE_THRESHOLD:
+            e = math.frexp(m)[1]
+            y0, exp = np.ldexp(y0, -e), exp + e
+        t1 = min(2.0 * t0 if t0 > 0.0 else FIRST_BREAK, self.t_max)
+        sol = _launch(self.evaluator, y0, (t0, t1), self.tol)
+        self._segs.append((sol.sol, sol.y[:, -1], exp, nfev + sol.nfev))
+        self.breaks.append(t1)
+
+    def segment(self, t: float) -> int:
+        """Index k of the segment (breaks[k - 1], breaks[k]] holding the time
+        t >= 0 (k = 1 at t = 0), integrating up to it first."""
+        while self.breaks[-1] < t:
+            self._grow()
+        return max(bisect.bisect_left(self.breaks, t), 1)
+
+    def __call__(self, ts) -> np.ndarray:
+        """[A, A', Z, Z'] at the time ts (shape (4,)) or times ts (shape (4, n))."""
+        t = np.atleast_1d(np.asarray(ts, dtype=float))
+        if t.min() < 0.0:
+            raise ValueError("the propagator starts at time zero")
+        last = self.segment(float(t.max()))
+        ks = np.clip(np.searchsorted(self.breaks, t), 1, last)
+        out = np.empty((4, t.size))
+        for k in np.unique(ks):
+            dense, _end, exp, _nfev = self._segs[k]
+            out[:, ks == k] = np.ldexp(dense(t[ks == k]), exp)
+        return out[:, 0] if np.ndim(ts) == 0 else out
+
+    def slope(self, r: float) -> float:
+        """-A(r)/Z(r), the boundary slope for r, read in stored scale so that
+        it stays finite where A and Z overflow."""
+        y = self._segs[self.segment(r)][0](r)
+        return -float(y[0]) / float(y[2])
+
+    def nfev_to(self, t: float) -> int:
+        """Right-hand-side evaluations spent integrating up to t."""
+        return self._segs[self.segment(t)][3]
+
+
+def propagator(profile: CurvatureProfile, tol: float = DEFAULT_TOL) -> Propagator:
+    """The profile's propagator at tolerance tol, shared by every caller."""
+    if tol not in profile._propagators:
+        profile._propagators[tol] = Propagator(profile, tol)
+    return profile._propagators[tol]
 
 
 def solve_unit_slope(
     profile: CurvatureProfile, t: float, tol: float = DEFAULT_TOL
 ) -> JacobiState:
     """The solution with value zero and slope one at time zero, read at t."""
-    if t == 0.0:
-        return JacobiState(0.0, 1.0)
-    trace = integrate_jacobi(profile, JacobiState(0.0, 1.0), (0.0, t), tol)
-    return trace.at(t)
+    if t < 0.0:
+        st = solve_unit_slope(profile.flipped(), -t, tol)
+        return JacobiState(-st.value, st.deriv)
+    _a, _da, z, dz = propagator(profile, tol)(t)
+    return JacobiState(float(z), float(dz))
 
 
 def unit_slope_trace(
     profile: CurvatureProfile, horizon: float, tol: float = DEFAULT_TOL
 ) -> JacobiTrace:
-    return integrate_jacobi(profile, JacobiState(0.0, 1.0), (0.0, horizon), tol)
+    """The unit-slope solution on [0, horizon], read from the propagator."""
+    prop = propagator(profile, tol)
+    return JacobiTrace(lambda ts: prop(ts)[2:], 1.0, 0.0, float(horizon))
 
 
 def first_zero(
@@ -180,10 +263,16 @@ def first_zero(
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    trace = unit_slope_trace(profile, horizon, tol)
+    prop = propagator(profile, tol)
     ts = np.arange(step, horizon + 0.5 * step, step)
     ts[-1] = min(ts[-1], horizon)
-    vals = trace.values(ts)
+    # scan one segment at a time, so integration stops at the breakpoint
+    # past the first zero
+    vals = np.empty(0)
+    while len(vals) < len(ts) and not np.any(vals <= 0.0):
+        end = prop.breaks[prop.segment(ts[len(vals)])]
+        chunk = ts[len(vals):int(np.searchsorted(ts, end, side="right"))]
+        vals = np.concatenate([vals, prop(chunk)[2]])
     sign_change = np.nonzero(vals <= 0.0)[0]
     if len(sign_change) == 0:
         return None
@@ -192,7 +281,7 @@ def first_zero(
         return float(ts[i])
     lo = ts[i - 1] if i > 0 else 0.5 * step
     hi = ts[i]
-    f = lambda t: float(trace.values(np.array([t]))[0])
+    f = lambda t: float(prop(t)[2])
     if f(lo) <= 0.0:
         # zero sits inside the first scan cell
         lo = 1e-8
@@ -216,27 +305,6 @@ class BoundarySolution:
     def at(self, t: float) -> JacobiState:
         v, d = self._eval(t)
         return JacobiState(float(v), float(d))
-
-
-def _fundamental_pair(profile, r, tol):
-    """Dense solutions with data (1, 0) and (0, 1) at time zero, on [0, r]."""
-
-    ev = profile.evaluator
-
-    def rhs(t, y):
-        k = -float(ev(t))
-        return [y[1], k * y[0], y[3], k * y[2]]
-
-    sol = solve_ivp(
-        rhs, (0.0, r), [1.0, 0.0, 0.0, 1.0],
-        method="DOP853", rtol=tol, atol=tol, dense_output=True,
-    )
-    if not sol.success:
-        raise IntegrationFailure(
-            "fundamental-pair integration failed: %s" % sol.message,
-            last_time=float(sol.t[-1]),
-        )
-    return sol
 
 
 def solve_boundary(
@@ -268,29 +336,23 @@ def solve_boundary(
             st = flipped.at(-t)
             return st.value, -st.deriv
 
-        return BoundarySolution(
-            r=r,
-            slope0=-flipped.slope0,
-            cross_residual=flipped.cross_residual,
-            _eval=ev_neg,
-        )
+        return replace(flipped, r=r, slope0=-flipped.slope0, _eval=ev_neg)
 
-    z = first_zero(profile, r * (1.0 + 1e-9) + 1e-12, step=min(scan_step, r / 8),
-                   tol=tol)
+    z = first_zero(profile, r, step=min(scan_step, r / 8), tol=tol)
     if z is not None and z < r * (1.0 - 1e-12):
         raise ConjugatePointError(
             "conjugate point at t = %.12g inside (0, %g)" % (z, r),
             conjugate_time=z,
         )
 
-    sol = _fundamental_pair(profile, r, tol)
-    Ar, _, Zr, _ = sol.sol(r)
+    prop = propagator(profile, tol)
+    Ar, _, Zr, _ = prop(r)
     if Zr == 0.0:
         raise ConjugatePointError("unit-slope solution vanishes at r", conjugate_time=r)
     s = -float(Ar) / float(Zr)
 
     def ev(t):
-        a, da, zz, dz = sol.sol(t)
+        a, da, zz, dz = prop(t)
         return a + s * zz, da + s * dz
 
     residual = 0.0
@@ -300,19 +362,19 @@ def solve_boundary(
         # skip probes where the unit-slope solution is huge: multiplying
         # the tiny reduction-of-order integral by it amplifies the
         # double-precision floor past the agreement bound
-        probes = [tp for tp in candidates if abs(float(sol.sol(tp)[2])) <= 1e5]
+        probes = [tp for tp in candidates if abs(float(prop(tp)[2])) <= 1e5]
         if not probes:
             probes = [candidates[0]]
 
         def inv_z_sq(u):
-            zu = float(sol.sol(u)[2])
+            zu = float(prop(u)[2])
             return 1.0 / (zu * zu)
 
         for tp in probes:
             integral, _err = quad(
                 inv_z_sq, tp, r, epsabs=1e-14, epsrel=1e-11, limit=200
             )
-            v_quad = float(sol.sol(tp)[2]) * integral
+            v_quad = float(prop(tp)[2]) * integral
             v_shoot = float(ev(tp)[0])
             residual = max(residual, abs(v_quad - v_shoot))
         if residual > CROSS_CHECK_TOL:

@@ -5,6 +5,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from magflow import (
     invariance_residual,
     solve_boundary,
 )
+from magflow import green
 from magflow.cli import run as cli_run, sweep as cli_sweep
 from families import (
     hyperbolic_profile,
@@ -48,14 +50,17 @@ def report(num, name, ok, detail=""):
     assert ok, "criterion %d (%s) failed: %s" % (num, name, detail)
 
 
-def test_criterion_01_green_slope_oracle():
+def check_criterion_01():
     worst = 0.0
     for K in (-4.0, -1.0, -0.25):
         root = math.sqrt(-K)
         est = green_both(CurvatureProfile.constant(K))
         worst = max(worst, abs(est.u_plus0 + root), abs(est.u_minus0 - root))
-    report(1, "green-slope oracle for constant profiles", worst < 1e-6,
-           "max deviation %.3g" % worst)
+    return worst < 1e-6, "max deviation %.3g" % worst
+
+
+def test_criterion_01_green_slope_oracle():
+    report(1, "green-slope oracle for constant profiles", *check_criterion_01())
 
 
 def test_criterion_02_conjugate_time_oracle():
@@ -199,7 +204,7 @@ def test_criterion_09_invariance_of_stable_slope():
            "residuals %s" % ["%.3g" % r for r in residuals])
 
 
-def test_criterion_10_flip_duality():
+def check_criterion_10():
     rng = rng_for("acceptance-flip")
     worst = 0.0
     for _ in range(10):
@@ -207,8 +212,11 @@ def test_criterion_10_flip_duality():
         stable_of_flip = green_slope(flip_profile(p), "+").u_plus0
         unstable_direct = negative_r_slope_limit(p)
         worst = max(worst, abs(stable_of_flip + unstable_direct))
-    report(10, "time-reflection duality of the slopes", worst < 1e-8,
-           "max deviation %.3g" % worst)
+    return worst < 1e-8, "max deviation %.3g" % worst
+
+
+def test_criterion_10_flip_duality():
+    report(10, "time-reflection duality of the slopes", *check_criterion_10())
 
 
 def test_criterion_11_contraction_fit():
@@ -279,3 +287,21 @@ def test_criterion_14_determinism(tmp_path):
 
     ok = strip(first) == strip(second)
     report(14, "byte-identical reports modulo timestamp", ok)
+
+
+def test_shifted_schedule_slope_fails_criteria_01_and_10(monkeypatch):
+    # The gates must reject slopes off by 1e-6. Criterion 10 (bound 1e-8)
+    # sees 100 times its bound. On criterion 01 the shift lands on the
+    # bound itself: the converged slopes are exact for constant profiles,
+    # and at K = -1 the rounding of -1 + 1e-6 puts the deviation 3e-17
+    # past it.
+    real = green._run_schedule
+
+    def shifted(*args, **kwargs):
+        side = real(*args, **kwargs)
+        return replace(side, slope=side.slope + 1e-6,
+                       slopes=[s + 1e-6 for s in side.slopes])
+
+    monkeypatch.setattr(green, "_run_schedule", shifted)
+    assert not check_criterion_01()[0]
+    assert not check_criterion_10()[0]

@@ -95,6 +95,21 @@ class TestRun:
         path = write_config(tmp_path, constant_config(tmp_path, b=0.5))
         assert main([path]) == 0
 
+    def test_window_shorter_than_schedule_is_recorded(self, tmp_path):
+        # a horizon of 4 ends the orbit profiles before the first slope
+        # schedule point at t = 5: every orbit records the typed error and
+        # the run ends normally, on the verdict chi = 0 decides
+        cfg = {
+            "model": {"kind": "torus", "phi": {}, "b": {"const": 0.05}},
+            "ensemble": {"count": 2, "seed": 0, "horizon": 4},
+            "output_dir": str(tmp_path / "out"),
+        }
+        assert main([write_config(tmp_path, cfg)]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())["report"]
+        assert report["verdict"] == "NotAnosov"
+        assert [o["error"].split(":")[0] for o in report["orbits"]] == [
+            "InsufficientDataError"] * 2
+
     def test_malformed_json_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

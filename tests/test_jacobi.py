@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,13 +6,17 @@ import pytest
 from scipy.integrate import quad
 
 from magflow import (
+    AbstractProfile,
     ConjugatePointError,
+    ConstantCurvature,
     CurvatureProfile,
     FourierSeries1D,
     JacobiState,
     QuotientVector,
+    classify,
     first_zero,
     flip_profile,
+    green_slope,
     integrate_jacobi,
     sasaki_norm,
     solve_boundary,
@@ -20,6 +25,8 @@ from magflow import (
     unit_slope_trace,
     wronskian,
 )
+from magflow import jacobi
+from magflow.anosov import growth_floor
 from families import hyperbolic_profile, oscillatory_profile, rng_for
 
 P_NEG = CurvatureProfile.constant(-1.0)
@@ -255,3 +262,43 @@ class TestSlopeIdentities:
         for _ in range(5):
             p = hyperbolic_profile(rng)
             assert abs(solve_unit_slope(p, 50.0).value) > 100.0
+
+
+class TestPropagator:
+    def test_one_launch_per_profile_in_classify(self, monkeypatch):
+        launches = []
+        real = jacobi.solve_ivp
+
+        def counting(fun, t_span, y0, **kwargs):
+            if len(y0) == 4 and t_span[0] == 0.0:  # fundamental matrix from zero
+                launches.append(t_span)
+            return real(fun, t_span, y0, **kwargs)
+
+        monkeypatch.setattr(jacobi, "solve_ivp", counting)
+        # the constant model's plus and minus profiles are one object
+        classify(ConstantCurvature(K=-1.0, b=0.5, chi=-2, area=4 * math.pi))
+        assert len(launches) == 1
+        classify(AbstractProfile(
+            kappa=FourierSeries1D(const=-1.0, sin_coeffs={1: 0.3}), k_bound=1.2
+        ))
+        assert len(launches) == 3
+
+    def test_readouts_do_not_depend_on_call_order(self):
+        def slope_side(p):
+            try:
+                return green_slope(p, "+").plus
+            except ConjugatePointError as exc:
+                return ("conjugate", exc.conjugate_time)
+
+        readouts = {
+            "first_zero": lambda p: first_zero(p, 50.0),
+            "green_slope": slope_side,
+            "growth_floor": growth_floor,
+        }
+        rng = rng_for("propagator-order")
+        for series in (hyperbolic_profile(rng).series, oscillatory_profile(rng).series):
+            results = []
+            for order in itertools.permutations(readouts):
+                p = CurvatureProfile.from_series(series)
+                results.append({name: readouts[name](p) for name in order})
+            assert all(r == results[0] for r in results[1:])
