@@ -43,33 +43,53 @@ from .fourier import FourierSeries1D, FourierSeries2D
 from .geometry import AbstractProfile, ConformalTorus, ConstantCurvature
 
 
+def _number(value, key, kind=float):
+    """value as a finite number of the given kind, or a ConfigError naming key."""
+    try:
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError("%s must be a number, got %r" % (key, value), key)
+    if not math.isfinite(out):
+        raise ConfigError("%s must be finite, got %r" % (key, value), key)
+    return out
+
+
+def _table(value, key):
+    """The JSON object under key; absent or null reads as empty."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError("%s must be an object, got %r" % (key, value), key)
+    return value
+
+
 def _parse_coeffs_2d(table, key):
     out = {}
-    for k, v in (table or {}).items():
+    for k, v in _table(table, key).items():
         try:
             m, n = (int(p) for p in k.split(","))
         except Exception:
             raise ConfigError("bad mode key %r under %s (want 'm,n')" % (k, key), key)
-        out[(m, n)] = float(v)
+        out[(m, n)] = _number(v, "%s.%s" % (key, k))
     return out
 
 
 def _parse_coeffs_1d(table, key):
     out = {}
-    for k, v in (table or {}).items():
+    for k, v in _table(table, key).items():
         try:
             j = int(k)
         except Exception:
             raise ConfigError("bad harmonic key %r under %s (want integer)" % (k, key), key)
-        out[j] = float(v)
+        out[j] = _number(v, "%s.%s" % (key, k))
     return out
 
 
 def _series_2d(spec, Lx, Ly, key):
-    spec = spec or {}
+    spec = _table(spec, key)
     return FourierSeries2D(
         Lx=Lx, Ly=Ly,
-        const=float(spec.get("const", 0.0)),
+        const=_number(spec.get("const", 0.0), key + ".const"),
         cos_coeffs=_parse_coeffs_2d(spec.get("cos"), key + ".cos"),
         sin_coeffs=_parse_coeffs_2d(spec.get("sin"), key + ".sin"),
     )
@@ -79,7 +99,7 @@ def build_model(spec: dict):
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("model.kind is required", "model.kind")
     kind = spec["kind"]
-    scale = float(spec.get("b_scale", 1.0))
+    scale = _number(spec.get("b_scale", 1.0), "model.b_scale")
     if kind == "constant":
         for k in ("K", "b", "chi", "area"):
             if k not in spec:
@@ -87,14 +107,16 @@ def build_model(spec: dict):
                                   "model." + k)
         try:
             return ConstantCurvature(
-                K=float(spec["K"]), b=scale * float(spec["b"]),
-                chi=int(spec["chi"]), area=float(spec["area"]),
+                K=_number(spec["K"], "model.K"),
+                b=scale * _number(spec["b"], "model.b"),
+                chi=_number(spec["chi"], "model.chi", int),
+                area=_number(spec["area"], "model.area"),
             )
         except ValueError as exc:
             raise ConfigError("model: %s" % exc, "model")
     if kind == "torus":
-        Lx = float(spec.get("Lx", 1.0))
-        Ly = float(spec.get("Ly", 1.0))
+        Lx = _number(spec.get("Lx", 1.0), "model.Lx")
+        Ly = _number(spec.get("Ly", 1.0), "model.Ly")
         if Lx <= 0 or Ly <= 0:
             raise ConfigError("model periods must be positive", "model.Lx")
         phi = _series_2d(spec.get("phi"), Lx, Ly, "model.phi")
@@ -115,30 +137,30 @@ def build_model(spec: dict):
             raise ConfigError("b_scale is not defined for profile models",
                               "model.b_scale")
         series = FourierSeries1D(
-            const=float(kspec.get("const", 0.0)),
-            omega=float(kspec.get("omega", 1.0)),
+            const=_number(kspec.get("const", 0.0), "model.kappa.const"),
+            omega=_number(kspec.get("omega", 1.0), "model.kappa.omega"),
             cos_coeffs=_parse_coeffs_1d(kspec.get("cos"), "model.kappa.cos"),
             sin_coeffs=_parse_coeffs_1d(kspec.get("sin"), "model.kappa.sin"),
         )
         k_bound = spec.get("k_bound")
         if k_bound is None:
             k_bound = math.sqrt(max(0.0, -series.sampled_min()) + 1e-9)
-        return AbstractProfile(kappa=series, k_bound=float(k_bound),
+        return AbstractProfile(kappa=series, k_bound=_number(k_bound, "model.k_bound"),
                                chi=spec.get("chi"), area=spec.get("area"))
     raise ConfigError("unknown model.kind %r" % kind, "model.kind")
 
 
 def build_sampling(cfg: dict) -> SamplingConfig:
-    ens = cfg.get("ensemble", {})
-    tols = cfg.get("tolerances", {})
-    ana = cfg.get("analyses", {})
+    ens = _table(cfg.get("ensemble"), "ensemble")
+    tols = _table(cfg.get("tolerances"), "tolerances")
+    ana = _table(cfg.get("analyses"), "analyses")
     sc = SamplingConfig(
-        ensemble_count=int(ens.get("count", 64)),
-        seed=int(ens.get("seed", 0)),
-        horizon=float(ens.get("horizon", 200.0)),
-        integration_tol=float(tols.get("integration", 1e-10)),
-        green_tol=float(tols.get("green", 1e-9)),
-        gap_margin=float(tols.get("gap_margin", 1e-4)),
+        ensemble_count=_number(ens.get("count", 64), "ensemble.count", int),
+        seed=_number(ens.get("seed", 0), "ensemble.seed", int),
+        horizon=_number(ens.get("horizon", 200.0), "ensemble.horizon"),
+        integration_tol=_number(tols.get("integration", 1e-10), "tolerances.integration"),
+        green_tol=_number(tols.get("green", 1e-9), "tolerances.green"),
+        gap_margin=_number(tols.get("gap_margin", 1e-4), "tolerances.gap_margin"),
         check_inequality=bool(ana.get("inequality", True)),
         check_conjugate=bool(ana.get("conjugate", True)),
         check_gaps=bool(ana.get("gaps", True)),
@@ -166,19 +188,28 @@ def validate_config(cfg: dict) -> None:
     build_sampling(cfg)
     sweep = cfg.get("sweep")
     if sweep is not None:
+        sweep = _table(sweep, "sweep")
         if "parameter" not in sweep or "grid" not in sweep:
             raise ConfigError("sweep needs 'parameter' and 'grid'", "sweep")
         grid = sweep["grid"]
         if not isinstance(grid, list) or len(grid) < 1:
             raise ConfigError("sweep.grid must be a nonempty list", "sweep.grid")
+        grid = [_number(v, "sweep.grid") for v in grid]
         diffs = [b - a for a, b in zip(grid, grid[1:])]
         if any(d <= 0 for d in diffs) and any(d >= 0 for d in diffs) and len(grid) > 1:
             if not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
                 raise ConfigError("sweep.grid must be strictly monotone", "sweep.grid")
+        for v in sweep["grid"]:
+            point = _point_config(cfg, sweep["parameter"], v)
+            build_model(point["model"])
+            build_sampling(point)
 
 
-def _set_dotted(cfg: dict, path: str, value):
-    parts = path.split(".")
+def _point_config(base_cfg: dict, path: str, value) -> dict:
+    """The run config of one sweep point: the swept key set to value."""
+    cfg = copy.deepcopy(base_cfg)
+    cfg.pop("sweep", None)
+    parts = str(path).split(".")
     node = cfg
     for p in parts[:-1]:
         if p not in node or not isinstance(node[p], dict):
@@ -186,6 +217,7 @@ def _set_dotted(cfg: dict, path: str, value):
                               "sweep.parameter")
         node = node[p]
     node[parts[-1]] = value
+    return cfg
 
 
 def _json_dump(obj, path: Path):
@@ -255,9 +287,7 @@ def run(cfg: dict, workers: int = 1, echo=None) -> int:
 
 def _sweep_point(args):
     base_cfg, param, value, workers = args
-    cfg = copy.deepcopy(base_cfg)
-    cfg.pop("sweep", None)
-    _set_dotted(cfg, param, value)
+    cfg = _point_config(base_cfg, param, value)
     model = build_model(cfg["model"])
     sampling = build_sampling(cfg)
     report = classify(model, sampling, workers=1)

@@ -179,8 +179,8 @@ class CurvatureProfile:
     ``evaluator`` accepts scalars or arrays. ``k_bound`` is a k >= 0 with
     kappa(t) > -k_bound**2 on the usable window [t_min, t_max]. Profiles
     built from exact data (constants, Fourier series) have infinite
-    windows and support shifting, reflection and high-precision
-    evaluation; spline profiles are confined to their orbit window.
+    windows and shift and reflect exactly; spline profiles are confined
+    to their orbit window.
     """
 
     evaluator: Callable
@@ -200,19 +200,6 @@ class CurvatureProfile:
     @property
     def is_constant(self) -> bool:
         return self.const_value is not None
-
-    @property
-    def supports_mp(self) -> bool:
-        return self.const_value is not None or self.series is not None
-
-    def eval_mp(self, t):
-        import mpmath as mp
-
-        if self.const_value is not None:
-            return mp.mpf(self.const_value)
-        if self.series is not None:
-            return self.series.eval_mp(t)
-        raise ValueError("profile has no extended-precision representation")
 
     def shifted(self, t0: float) -> "CurvatureProfile":
         """The profile s -> kappa(t0 + s)."""

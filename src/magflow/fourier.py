@@ -97,18 +97,6 @@ class FourierSeries1D:
             out = out + a * np.cos(w) + b * np.sin(w)
         return out
 
-    def eval_mp(self, t):
-        """Evaluate in mpmath arithmetic; ``t`` may be an mpf."""
-        import mpmath as mp
-
-        out = mp.mpf(self.const)
-        for j in set(self.cos_coeffs) | set(self.sin_coeffs):
-            a = self.cos_coeffs.get(j, 0.0)
-            b = self.sin_coeffs.get(j, 0.0)
-            w = j * mp.mpf(self.omega) * t
-            out += a * mp.cos(w) + b * mp.sin(w)
-        return out
-
     def shifted(self, t0):
         """The series t -> f(t0 + t), again as a finite Fourier series."""
         cos_out, sin_out = {}, {}

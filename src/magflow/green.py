@@ -30,7 +30,6 @@ from .errors import (
 )
 from .flow import CurvatureProfile
 from .jacobi import FIRST_BREAK, first_zero, propagator, solve_boundary
-from .riccati import integrate_riccati
 
 DEFAULT_GREEN_TOL = 1e-9
 DEFAULT_R0 = FIRST_BREAK
@@ -223,90 +222,29 @@ def green_both(profile: CurvatureProfile, tol: float = DEFAULT_GREEN_TOL,
     return est
 
 
-# ---------------------------------------------------------------------------
-# Invariance of the stable slope under the flow.
-#
-# Propagating the stable slope forward through the Riccati equation is an
-# exact identity with re-estimating it at the shifted profile, but the
-# forward propagation amplifies any input error by exp(2 * integral |u|),
-# about 3e8 over ten time units at unit hyperbolicity. Checking the
-# identity to 1e-6 at t = 10 therefore needs working precision well beyond
-# double; profiles with an exact (constant or Fourier) representation are
-# handled in mpmath arithmetic, everything else falls back to double with
-# the accuracy it can support.
-# ---------------------------------------------------------------------------
-
-
-def _mp_stable_slope(profile: CurvatureProfile, span: float, dps: int = 20) -> "object":
-    """Stable slope at time zero in mpmath arithmetic.
-
-    Integrates the Riccati equation backward from time ``span`` (as a
-    forward equation in reversed time), which contracts onto the stable
-    solution. Two different seeds must agree, otherwise the contraction
-    is too weak for the requested precision.
-    """
-    import mpmath as mp
-
-    with mp.workdps(dps):
-        T = mp.mpf(span)
-
-        def run(w0):
-            def f(tau, w):
-                return w * w + profile.eval_mp(T - tau)
-
-            w = mp.odefun(f, 0, mp.mpf(w0), tol=mp.mpf(10) ** (-dps + 2))
-            return w(T)
-
-        k = max(profile.k_bound, 0.1)
-        a = run(-k)
-        b = run(-0.5 * k)
-        if abs(a - b) > mp.mpf(10) ** (-dps + 8):
-            raise NumericalInconsistencyError(
-                "backward contraction too weak for extended-precision slope"
-            )
-        return a
-
-
-def _mp_riccati_forward(profile: CurvatureProfile, u0, t: float, dps: int = 20):
-    import mpmath as mp
-
-    with mp.workdps(dps):
-        def f(s, u):
-            return -u * u - profile.eval_mp(s)
-
-        u = mp.odefun(f, 0, u0, tol=mp.mpf(10) ** (-dps + 2))
-        return u(mp.mpf(t))
-
-
 def invariance_residual(
     profile: CurvatureProfile,
     t: float,
-    tol: float = 1e-6,
     green_tol: float = DEFAULT_GREEN_TOL,
-    dps: int = 20,
 ) -> float:
-    """|u_prop(t) - u_shift(0)|: the stable slope pushed forward through
-    the Riccati equation against the slope re-estimated at the shifted
-    profile. Requires converged slope estimates at both base points.
+    """Flow invariance of the stable and unstable lines between times 0 and t.
+
+    The fundamental matrix [A, A', Z, Z'] at t (determinant one) carries
+    the slopes of both ends into each other. The stable line of the shifted
+    profile is pulled back to time zero and compared with the stable slope
+    of the profile; the unstable line of the profile is pushed forward to
+    time t and compared with the unstable slope of the shifted profile.
+    Each direction contracts errors, so double precision suffices, and the
+    pair sees an error in either end: the pull-back alone is blind to the
+    shifted estimate. Returns the larger residual.
     """
-    base = green_slope(profile, "+", tol=green_tol)
-    shifted_profile = profile.shifted(t)
-    shifted = green_slope(shifted_profile, "+", tol=green_tol)
-    if not (base.converged and shifted.converged):
-        raise ValueError("invariance check needs converged slopes at both ends")
-
-    if profile.supports_mp:
-        k_eff = max(abs(base.u_plus0), 0.1)
-        span = min(200.0, max(22.0, 24.0 / k_eff))
-        u0 = _mp_stable_slope(profile, span, dps)
-        u_prop = _mp_riccati_forward(profile, u0, t, dps)
-        u_shift = _mp_stable_slope(shifted_profile, span, dps)
-        return abs(float(u_prop - u_shift))
-
-    # double-precision fallback; accuracy degrades like exp(2 k t)
-    trace = integrate_riccati(profile, base.u_plus0, (0.0, t), tol=1e-13)
-    if trace.blowup_time is not None:
-        raise NumericalInconsistencyError(
-            "riccati propagation of the stable slope blew up before t = %g" % t
-        )
-    return abs(float(trace.u_samples[-1]) - shifted.u_plus0)
+    base = green_both(profile, green_tol)
+    sh = green_both(profile.shifted(t), green_tol)
+    if not (base.converged and sh.converged):
+        raise InsufficientDataError(
+            "invariance check needs converged slopes at both ends")
+    a, da, z, dz = propagator(profile, JACOBI_TOL)(t)
+    w, v = sh.u_plus0, base.u_minus0
+    pulled = (a * w - da) / (dz - z * w)
+    pushed = (da + dz * v) / (a + z * v)
+    return float(max(abs(pulled - base.u_plus0), abs(pushed - sh.u_minus0)))

@@ -265,6 +265,9 @@ def first_zero(
         raise ValueError("horizon must be positive")
     prop = propagator(profile, tol)
     ts = np.arange(step, horizon + 0.5 * step, step)
+    if len(ts) == 0:
+        # a horizon shorter than half a step: scan the horizon alone
+        ts = np.array([float(horizon)])
     ts[-1] = min(ts[-1], horizon)
     # scan one segment at a time, so integration stops at the breakpoint
     # past the first zero
@@ -279,7 +282,7 @@ def first_zero(
     i = int(sign_change[0])
     if vals[i] == 0.0:
         return float(ts[i])
-    lo = ts[i - 1] if i > 0 else 0.5 * step
+    lo = ts[i - 1] if i > 0 else 0.5 * ts[0]
     hi = ts[i]
     f = lambda t: float(prop(t)[2])
     if f(lo) <= 0.0:

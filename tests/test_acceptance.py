@@ -197,11 +197,14 @@ def test_criterion_08_riccati_envelopes():
     report(8, "riccati comparison envelopes", ok, "worst excess %.3g" % worst)
 
 
-def test_criterion_09_invariance_of_stable_slope():
+def check_criterion_09():
     p = CurvatureProfile.from_series(FourierSeries1D(const=-1.0, sin_coeffs={1: 0.3}))
     residuals = [invariance_residual(p, t) for t in (1.0, math.pi, 10.0)]
-    report(9, "flow invariance of the stable slope", max(residuals) < 1e-6,
-           "residuals %s" % ["%.3g" % r for r in residuals])
+    return max(residuals) < 1e-6, "residuals %s" % ["%.3g" % r for r in residuals]
+
+
+def test_criterion_09_invariance_of_stable_slope():
+    report(9, "flow invariance of the Green slopes", *check_criterion_09())
 
 
 def check_criterion_10():
@@ -289,19 +292,41 @@ def test_criterion_14_determinism(tmp_path):
     report(14, "byte-identical reports modulo timestamp", ok)
 
 
+def shift_schedule_slopes(monkeypatch, delta):
+    real = green._run_schedule
+
+    def shifted(*args, **kwargs):
+        side = real(*args, **kwargs)
+        return replace(side, slope=side.slope + delta,
+                       slopes=[s + delta for s in side.slopes])
+
+    monkeypatch.setattr(green, "_run_schedule", shifted)
+
+
 def test_shifted_schedule_slope_fails_criteria_01_and_10(monkeypatch):
     # The gates must reject slopes off by 1e-6. Criterion 10 (bound 1e-8)
     # sees 100 times its bound. On criterion 01 the shift lands on the
     # bound itself: the converged slopes are exact for constant profiles,
     # and at K = -1 the rounding of -1 + 1e-6 puts the deviation 3e-17
     # past it.
-    real = green._run_schedule
-
-    def shifted(*args, **kwargs):
-        side = real(*args, **kwargs)
-        return replace(side, slope=side.slope + 1e-6,
-                       slopes=[s + 1e-6 for s in side.slopes])
-
-    monkeypatch.setattr(green, "_run_schedule", shifted)
+    shift_schedule_slopes(monkeypatch, 1e-6)
     assert not check_criterion_01()[0]
     assert not check_criterion_10()[0]
+
+
+def test_shifted_slopes_or_shift_fail_criterion_09(monkeypatch):
+    assert check_criterion_09()[0]
+    # Both ends move together, so the residual is the shift times one minus
+    # the contraction over [0, t]. A 1e-6 shift lands on the bound (9.97e-7
+    # at t = pi, 1e-6 + 5e-15 at t = 10), where roundoff decides; 2e-6
+    # reads 2.0e-6.
+    with monkeypatch.context() as m:
+        shift_schedule_slopes(m, 2e-6)
+        assert not check_criterion_09()[0]
+    # A shifted profile that starts 1e-5 late: the pull-back of its stable
+    # line contracts the error away, the push-forward of the unstable line
+    # does not.
+    real = CurvatureProfile.shifted
+    monkeypatch.setattr(CurvatureProfile, "shifted",
+                        lambda self, t0: real(self, t0 + 1e-5))
+    assert not check_criterion_09()[0]

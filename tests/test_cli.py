@@ -54,6 +54,23 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             validate_config(cfg)
 
+    @pytest.mark.parametrize("extra, key", [
+        ({"ensemble": {"count": "x"}}, "ensemble.count"),
+        ({"model": {"kind": "torus", "phi": {"cos": [0.1]}}}, "model.phi.cos"),
+        ({"sweep": {"parameter": "model.b", "grid": ["a", "b"]}}, "sweep.grid"),
+        # sweeping the intensity of a torus would replace its Fourier table
+        ({"model": {"kind": "torus", "b": {"const": 0.4}},
+          "sweep": {"parameter": "model.b", "grid": [0.2, 0.4]}}, "model.b"),
+        ({"model": {"kind": "constant", "K": math.nan, "b": 0.5, "chi": -2,
+                    "area": AREA}}, "model.K"),
+        ({"model": {"kind": "constant", "K": -1.0, "b": math.inf, "chi": -2,
+                    "area": AREA}}, "model.b"),
+    ])
+    def test_malformed_value_is_named(self, tmp_path, extra, key):
+        with pytest.raises(ConfigError) as exc:
+            validate_config(constant_config(tmp_path, **extra))
+        assert exc.value.key == key
+
     def test_torus_and_profile_models_build(self):
         torus = build_model({
             "kind": "torus", "Lx": 1.0, "Ly": 2.0,

@@ -94,6 +94,9 @@ class TestUnitSlope:
             math.pi / 2, abs=1e-9
         )
         assert first_zero(P_NEG, 50.0) is None
+        # horizons shorter than half a scan step
+        assert first_zero(P_NEG, 0.004) is None
+        assert first_zero(P_POS, 3.2, step=10.0) == pytest.approx(math.pi, abs=1e-9)
 
 
 class TestBoundarySolution:
