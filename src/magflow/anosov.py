@@ -346,25 +346,13 @@ def ensemble_states(model: SurfaceModel, count: int, seed: int) -> list:
     return out
 
 
-def orbit_profile_pair(model: SurfaceModel, v0: UnitTangent,
-                       cfg: SamplingConfig) -> tuple:
-    """Profiles for the forward orbit and for the reversed-intensity orbit
-    from the flipped vector; the latter is the time reflection of the
-    former and feeds the unstable-side schedule."""
-    if isinstance(model, ConstantCurvature):
-        p = curvature_profile(model)
-        return p, p
-    if isinstance(model, AbstractProfile):
-        p = curvature_profile(model)
-        return p, p.flipped()
+def _orbit_profile(model: SurfaceModel, v0: UnitTangent, cfg: SamplingConfig):
+    """Curvature profile along the orbit from v0; only chart models
+    integrate an orbit for it."""
+    if not isinstance(model, ConformalTorus):
+        return curvature_profile(model)
     orbit = integrate_orbit(model, v0, cfg.horizon, cfg.integration_tol, cfg.sample_dt)
-    plus = curvature_profile(model, orbit)
-    flipped_model = flip_intensity(model)
-    v_flip = UnitTangent(v0.x, v0.y, v0.theta + math.pi)
-    orbit_m = integrate_orbit(flipped_model, v_flip, cfg.horizon,
-                              cfg.integration_tol, cfg.sample_dt)
-    minus = curvature_profile(flipped_model, orbit_m)
-    return plus, minus
+    return curvature_profile(model, orbit)
 
 
 def analyze_orbit(model: SurfaceModel, v0: UnitTangent, orbit_id: int,
@@ -372,7 +360,7 @@ def analyze_orbit(model: SurfaceModel, v0: UnitTangent, orbit_id: int,
     """Full per-orbit pipeline: conjugate scan, gap, witness, contraction."""
     res = OrbitResult(orbit_id=orbit_id, initial=(v0.x, v0.y, v0.theta))
     try:
-        plus, minus = orbit_profile_pair(model, v0, cfg)
+        plus = _orbit_profile(model, v0, cfg)
         ts = np.linspace(0.0, min(cfg.conjugate_horizon, plus.t_max), 1001)
         kv = np.asarray(plus.evaluator(ts), dtype=float)
         res.kappa_min, res.kappa_max = float(np.min(kv)), float(np.max(kv))
@@ -385,8 +373,14 @@ def analyze_orbit(model: SurfaceModel, v0: UnitTangent, orbit_id: int,
                 return res
 
         if cfg.check_gaps:
-            # the minus profile is the time reflection of the plus one, so
+            # the minus profile, read along the reversed-intensity orbit from
+            # the flipped vector, is the time reflection of the plus one, so
             # its stable side is the unstable side at the orbit's base point
+            if isinstance(model, ConformalTorus):
+                minus = _orbit_profile(flip_intensity(model), UnitTangent(
+                    v0.x, v0.y, v0.theta + math.pi), cfg)
+            else:
+                minus = plus.flipped()
             try:
                 est = GreenEstimate(
                     k_bound=plus.k_bound,

@@ -179,6 +179,13 @@ def build_sampling(cfg: dict) -> SamplingConfig:
     return sc
 
 
+def _export_limit(cfg: dict) -> int:
+    limit = _number(cfg.get("export_orbit_limit", 8), "export_orbit_limit", int)
+    if limit < 0:
+        raise ConfigError("export_orbit_limit must be >= 0", "export_orbit_limit")
+    return limit
+
+
 def validate_config(cfg: dict) -> None:
     if not isinstance(cfg, dict):
         raise ConfigError("top-level config must be an object", "")
@@ -186,6 +193,7 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError("model section is required", "model")
     build_model(cfg["model"])
     build_sampling(cfg)
+    _export_limit(cfg)
     sweep = cfg.get("sweep")
     if sweep is not None:
         sweep = _table(sweep, "sweep")
@@ -275,7 +283,7 @@ def run(cfg: dict, workers: int = 1, echo=None) -> int:
 
     if cfg.get("export_orbits", True) and not isinstance(model, AbstractProfile):
         states = ensemble_states(model, sampling.ensemble_count, sampling.seed)
-        for i, v0 in enumerate(states[: int(cfg.get("export_orbit_limit", 8))]):
+        for i, v0 in enumerate(states[:_export_limit(cfg)]):
             trace = integrate_orbit(model, v0, sampling.horizon,
                                     sampling.integration_tol)
             trace.to_csv(outdir / ("orbit_%03d.csv" % i))

@@ -117,9 +117,10 @@ def integrate_orbit(
 
     def rhs(_t, state):
         x, y, theta = state
-        e = math.exp(-float(phi(x, y)))
+        p, px, py, _lap = phi.jet(x, y)
+        e = math.exp(-float(p))
         c, s = math.cos(theta), math.sin(theta)
-        dtheta = float(b(x, y)) + e * (float(phi.dy(x, y)) * c - float(phi.dx(x, y)) * s)
+        dtheta = float(b(x, y)) + e * (float(py) * c - float(px) * s)
         return [e * c, e * s, dtheta]
 
     sol = solve_ivp(
@@ -140,18 +141,13 @@ def integrate_orbit(
 
     xs_w = _wrap(sol.y[0], model.Lx)
     ys_w = _wrap(sol.y[1], model.Ly)
-    kappas = np.array(
-        [
-            magnetic_curvature(model, UnitTangent(xs_w[i], ys_w[i], sol.y[2][i]))
-            for i in range(len(t_eval))
-        ]
-    )
+    thetas = sol.y[2].copy()
     return OrbitTrace(
         t_samples=t_eval,
         xs=xs_w,
         ys=ys_w,
-        thetas=sol.y[2].copy(),
-        kappa_samples=kappas,
+        thetas=thetas,
+        kappa_samples=magnetic_curvature(model, UnitTangent(xs_w, ys_w, thetas)),
         step_controls={"tol": tol, "sample_dt": sample_dt, "nfev": sol.nfev},
     )
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -19,7 +20,8 @@ class FourierSeries2D:
     with w = 2*pi*(m*x/Lx + n*y/Ly).
 
     ``cos_coeffs`` and ``sin_coeffs`` map (m, n) integer pairs to real
-    amplitudes. The (0, 0) mode lives in ``const``.
+    amplitudes. The (0, 0) mode lives in ``const``. The tables are read
+    into ``modes`` at the first evaluation and must not change after it.
     """
 
     Lx: float = 1.0
@@ -28,45 +30,40 @@ class FourierSeries2D:
     cos_coeffs: dict = field(default_factory=dict)
     sin_coeffs: dict = field(default_factory=dict)
 
-    def _phases(self, x, y):
-        for (m, n) in set(self.cos_coeffs) | set(self.sin_coeffs):
+    @cached_property
+    def modes(self):
+        """(m, n, a, b) per mode, with a and b the cos and sin amplitudes."""
+        return tuple((m, n, self.cos_coeffs.get((m, n), 0.0),
+                      self.sin_coeffs.get((m, n), 0.0))
+                     for (m, n) in set(self.cos_coeffs) | set(self.sin_coeffs))
+
+    def jet(self, x, y):
+        """(f, df/dx, df/dy, laplacian f) at (x, y) from one cos/sin pass;
+        scalars and arrays alike."""
+        zero = 0.0 * (np.asarray(x) + np.asarray(y))
+        val, fx, fy, lap = self.const + zero, zero, zero, zero
+        for m, n, a, b in self.modes:
             w = 2.0 * np.pi * (m * x / self.Lx + n * y / self.Ly)
-            yield (m, n), w
+            c, s = np.cos(w), np.sin(w)
+            val = val + a * c + b * s
+            d = -a * s + b * c
+            fx = fx + 2.0 * np.pi * m / self.Lx * d
+            fy = fy + 2.0 * np.pi * n / self.Ly * d
+            w2 = (2.0 * np.pi) ** 2 * ((m / self.Lx) ** 2 + (n / self.Ly) ** 2)
+            lap = lap - w2 * (a * c + b * s)
+        return val, fx, fy, lap
 
     def __call__(self, x, y):
-        out = self.const + 0.0 * (np.asarray(x) + np.asarray(y))
-        for (m, n), w in self._phases(x, y):
-            a = self.cos_coeffs.get((m, n), 0.0)
-            b = self.sin_coeffs.get((m, n), 0.0)
-            out = out + a * np.cos(w) + b * np.sin(w)
-        return out
+        return self.jet(x, y)[0]
 
     def dx(self, x, y):
-        out = 0.0 * (np.asarray(x) + np.asarray(y))
-        for (m, n), w in self._phases(x, y):
-            a = self.cos_coeffs.get((m, n), 0.0)
-            b = self.sin_coeffs.get((m, n), 0.0)
-            wx = 2.0 * np.pi * m / self.Lx
-            out = out + wx * (-a * np.sin(w) + b * np.cos(w))
-        return out
+        return self.jet(x, y)[1]
 
     def dy(self, x, y):
-        out = 0.0 * (np.asarray(x) + np.asarray(y))
-        for (m, n), w in self._phases(x, y):
-            a = self.cos_coeffs.get((m, n), 0.0)
-            b = self.sin_coeffs.get((m, n), 0.0)
-            wy = 2.0 * np.pi * n / self.Ly
-            out = out + wy * (-a * np.sin(w) + b * np.cos(w))
-        return out
+        return self.jet(x, y)[2]
 
     def laplacian(self, x, y):
-        out = 0.0 * (np.asarray(x) + np.asarray(y))
-        for (m, n), w in self._phases(x, y):
-            a = self.cos_coeffs.get((m, n), 0.0)
-            b = self.sin_coeffs.get((m, n), 0.0)
-            w2 = (2.0 * np.pi) ** 2 * ((m / self.Lx) ** 2 + (n / self.Ly) ** 2)
-            out = out - w2 * (a * np.cos(w) + b * np.sin(w))
-        return out
+        return self.jet(x, y)[3]
 
     def cell_integral(self):
         """Exact integral over one period cell; only the mean mode survives."""
@@ -74,9 +71,7 @@ class FourierSeries2D:
 
     @property
     def max_mode(self):
-        modes = [max(abs(m), abs(n)) for (m, n) in
-                 set(self.cos_coeffs) | set(self.sin_coeffs)]
-        return max(modes, default=0)
+        return max((max(abs(m), abs(n)) for m, n, _a, _b in self.modes), default=0)
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,8 @@ class ConstantCurvature:
     area: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.K, self.b, self.area)):
+            raise ValueError("K, b and area must be finite")
         if self.area <= 0:
             raise ValueError("area must be positive")
         residual = self.K * self.area - 2.0 * math.pi * self.chi
@@ -121,7 +123,10 @@ class AbstractProfile:
 
     def validate_window(self, t0: float, t1: float, n: int = 2048):
         t = np.linspace(t0, t1, n)
-        kmin = float(np.min([self.kappa(float(s)) for s in t]))
+        samples = np.array([self.kappa(float(s)) for s in t], dtype=float)
+        if not np.all(np.isfinite(samples)):
+            raise ValueError("kappa is not finite on [%g, %g]" % (t0, t1))
+        kmin = float(np.min(samples))
         if self.k_bound**2 + kmin <= -1e-12:
             raise ValueError(
                 "declared k_bound violated on [%g, %g]: min kappa = %g" % (t0, t1, kmin)
@@ -141,7 +146,8 @@ def gaussian_curvature(model: SurfaceModel, x: float = 0.0, y: float = 0.0) -> f
     if isinstance(model, ConstantCurvature):
         return model.K
     if isinstance(model, ConformalTorus):
-        return float(-np.exp(-2.0 * model.phi(x, y)) * model.phi.laplacian(x, y))
+        p, _px, _py, lap = model.phi.jet(x, y)
+        return -np.exp(-2.0 * p) * lap
     raise UnsupportedQueryError("abstract-profile models have no pointwise geometry")
 
 
@@ -158,20 +164,18 @@ def magnetic_curvature(model: SurfaceModel, v: UnitTangent) -> float:
 
     Equals K(x) - db(iv) + b(x)^2, where iv is the quarter turn of the unit
     velocity and db(iv) is the derivative of the intensity in that
-    direction, computed exactly from Fourier data.
+    direction, computed exactly from Fourier data. On a chart model the
+    fields of v may be arrays of samples; the result is then an array.
     """
     if isinstance(model, ConstantCurvature):
         # db vanishes identically for constant intensity
         return model.K + model.b**2
     if isinstance(model, ConformalTorus):
         K = gaussian_curvature(model, v.x, v.y)
-        bval = float(model.b(v.x, v.y))
+        bval, bx, by, _lap = model.b.jet(v.x, v.y)
         # iv has chart components exp(-phi)*(-sin(theta), cos(theta))
-        scale = float(np.exp(-model.phi(v.x, v.y)))
-        db_iv = scale * (
-            -float(model.b.dx(v.x, v.y)) * math.sin(v.theta)
-            + float(model.b.dy(v.x, v.y)) * math.cos(v.theta)
-        )
+        db_iv = np.exp(-model.phi(v.x, v.y)) * (-bx * np.sin(v.theta)
+                                                 + by * np.cos(v.theta))
         return K - db_iv + bval**2
     raise UnsupportedQueryError("abstract-profile models have no pointwise geometry")
 

@@ -236,8 +236,11 @@ def invariance_residual(
     time t and compared with the unstable slope of the shifted profile.
     Each direction contracts errors, so double precision suffices, and the
     pair sees an error in either end: the pull-back alone is blind to the
-    shifted estimate. Returns the larger residual.
+    shifted estimate. Returns the larger residual. A negative t swaps the
+    roles of the two base points.
     """
+    if t < 0:
+        return invariance_residual(profile.shifted(t), -t, green_tol)
     base = green_both(profile, green_tol)
     sh = green_both(profile.shifted(t), green_tol)
     if not (base.converged and sh.converged):

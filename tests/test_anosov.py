@@ -199,6 +199,10 @@ class TestClassify:
         assert rep.verdict == "NotAnosov"
         assert rep.orbits[0].witness_sup == pytest.approx(1.0, abs=1e-6)
 
+    def test_nan_profile_is_rejected(self):
+        with pytest.raises(ValueError):
+            classify(AbstractProfile(kappa=lambda t: math.nan, k_bound=1.0))
+
     def test_report_serializes(self):
         rep = classify(ConstantCurvature(K=-1.0, b=0.5, chi=-2, area=AREA))
         d = rep.to_dict()
@@ -222,6 +226,40 @@ class TestEnsemble:
     def test_constant_model_collapses_to_one_orbit(self):
         m = ConstantCurvature(K=-1.0, b=0.5, chi=-2, area=AREA)
         assert len(ensemble_states(m, 64, seed=0)) == 1
+
+
+class TestReversedOrbit:
+    """The reversed-intensity orbit is integrated only for the gap."""
+
+    def _integrations_per_orbit(self, monkeypatch, horizon):
+        from magflow import ConformalTorus, FourierSeries2D, anosov
+
+        calls = []
+        real = anosov.integrate_orbit
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(anosov, "integrate_orbit", counted)
+        # flat torus, b = 0.5: kappa = 0.25 everywhere, conjugate time 2 pi
+        torus = ConformalTorus(phi=FourierSeries2D(), b=FourierSeries2D(const=0.5))
+        rep = classify(torus, SamplingConfig(ensemble_count=2, horizon=horizon))
+        assert len(rep.orbits) == 2
+        return rep, len(calls) / 2
+
+    def test_conjugate_point_skips_reversed_orbit(self, monkeypatch):
+        rep, per_orbit = self._integrations_per_orbit(monkeypatch, 200.0)
+        for o in rep.orbits:
+            assert o.conjugate_time == pytest.approx(2 * math.pi, abs=1e-6)
+        assert per_orbit == 1
+
+    def test_reversed_orbit_without_conjugate_point(self, monkeypatch):
+        # a window of 6 < 2 pi holds no conjugate point, so the gap stage
+        # integrates the reversed orbit (and then finds the window too short)
+        rep, per_orbit = self._integrations_per_orbit(monkeypatch, 6.0)
+        assert all(o.conjugate_time is None for o in rep.orbits)
+        assert per_orbit == 2
 
 
 class TestGrowthFloor:

@@ -65,6 +65,8 @@ class TestConfigValidation:
                     "area": AREA}}, "model.K"),
         ({"model": {"kind": "constant", "K": -1.0, "b": math.inf, "chi": -2,
                     "area": AREA}}, "model.b"),
+        ({"export_orbit_limit": "x"}, "export_orbit_limit"),
+        ({"export_orbit_limit": -1}, "export_orbit_limit"),
     ])
     def test_malformed_value_is_named(self, tmp_path, extra, key):
         with pytest.raises(ConfigError) as exc:

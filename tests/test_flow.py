@@ -68,7 +68,7 @@ class TestOrbits:
         rng = rng_for("kappa-match")
         m = random_torus(rng)
         tr = integrate_orbit(m, UnitTangent(0.4, 0.1, 1.2), 5.0)
-        for i in range(0, len(tr.t_samples), 97):
+        for i in range(len(tr.t_samples)):
             assert tr.kappa_samples[i] == pytest.approx(
                 magnetic_curvature(m, tr.state(i)), abs=1e-12
             )

@@ -63,6 +63,28 @@ class TestGaussianCurvature:
         assert gaussian_curvature(torus, 0.0, 0.0) == pytest.approx(
             3.2322194575542619, rel=1e-12
         )
+        # two modes on periods (1, 3), the (1, 2) mode with both amplitudes:
+        # phi = 0.1 cos(u) + 0.05 cos(w) + 0.02 sin(w), u = 2 pi x,
+        # w = 2 pi (x + 2 y / 3), differentiated by hand
+        phi = FourierSeries2D(Lx=1.0, Ly=3.0, cos_coeffs={(1, 0): 0.1, (1, 2): 0.05},
+                              sin_coeffs={(1, 2): 0.02})
+        x, y, tp = 0.3, 0.7, 2.0 * math.pi
+        u, w = tp * x, tp * (x + 2.0 * y / 3.0)
+        dw = -0.05 * math.sin(w) + 0.02 * math.cos(w)
+        oracle = (
+            0.1 * math.cos(u) + 0.05 * math.cos(w) + 0.02 * math.sin(w),
+            -0.1 * tp * math.sin(u) + tp * dw,
+            tp * 2.0 / 3.0 * dw,
+            -tp**2 * 0.1 * math.cos(u)
+            - tp**2 * (1.0 + 4.0 / 9.0) * (0.05 * math.cos(w) + 0.02 * math.sin(w)),
+        )
+        readers = (phi(x, y), phi.dx(x, y), phi.dy(x, y), phi.laplacian(x, y))
+        for got, jet, want in zip(readers, phi.jet(x, y), oracle):
+            assert got == jet == pytest.approx(want, rel=1e-12, abs=1e-15)
+        torus = ConformalTorus(phi=phi, b=FourierSeries2D(Lx=1.0, Ly=3.0))
+        assert gaussian_curvature(torus, x, y) == pytest.approx(
+            -math.exp(-2.0 * oracle[0]) * oracle[3], rel=1e-12
+        )
 
     def test_abstract_profile_has_no_pointwise_geometry(self):
         m = AbstractProfile(kappa=lambda t: -1.0, k_bound=1.1)
@@ -123,6 +145,9 @@ class TestGaussBonnet:
     def test_inconsistent_constant_model_rejected(self):
         with pytest.raises(ValueError):
             ConstantCurvature(K=-1.0, b=0.0, chi=-2, area=10.0)
+        # Gauss-Bonnet holds here; the infinite intensity must still be refused
+        with pytest.raises(ValueError):
+            ConstantCurvature(K=-1.0, b=math.inf, chi=-2, area=4 * math.pi)
 
     def test_unreachable_tolerance_raises(self):
         rng = rng_for("resolution")
@@ -170,5 +195,9 @@ class TestAbstractProfileModel:
 
     def test_violated_bound_rejected(self):
         m = AbstractProfile(kappa=lambda t: -4.0, k_bound=1.0)
+        with pytest.raises(ValueError):
+            m.validate_window(0.0, 10.0)
+        # a NaN sample compares false against any bound
+        m = AbstractProfile(kappa=lambda t: math.nan, k_bound=1.0)
         with pytest.raises(ValueError):
             m.validate_window(0.0, 10.0)

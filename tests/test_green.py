@@ -150,6 +150,14 @@ class TestInvariance:
         flipped = invariance_residual(flip_profile(p), 2.0)
         assert abs(fwd - flipped) < 1e-8
 
+    def test_negative_time(self):
+        # t < 0 checks the same two base points with their roles swapped
+        p = CurvatureProfile.from_series(
+            FourierSeries1D(const=-1.0, sin_coeffs={1: 0.3})
+        )
+        assert invariance_residual(p, -1.0) < 1e-6
+        assert invariance_residual(P_NEG, -5.0) < 1e-9
+
     def test_runs_without_mpmath(self):
         code = (
             "import math, sys\n"
