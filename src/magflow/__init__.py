@@ -15,6 +15,7 @@ from .errors import (
     ConjugatePointError,
     InsufficientDataError,
     IntegrationFailure,
+    InvalidProfileError,
     MagflowError,
     NumericalInconsistencyError,
     ResolutionError,

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__ as _pkg_version
 from .errors import ConjugatePointError, MagflowError
-from .flow import CurvatureProfile, OrbitTrace, curvature_profile, flip_intensity, integrate_orbit
+from .flow import CurvatureProfile, curvature_profile, flip_intensity, integrate_orbit
 from .geometry import (
     AbstractProfile,
     ConformalTorus,
@@ -42,16 +42,24 @@ from .jacobi import JacobiState, first_zero, integrate_jacobi, unit_slope_trace
 
 SCHEMA_VERSION = 1
 
+# fixed analysis windows and thresholds; the witness ones are reported in
+# AnosovReport.margins
+CONJUGATE_HORIZON = 50.0   # end of the conjugate scan and the kappa sampling
+WITNESS_WINDOW = 50.0      # bounded-field witness on [-window, window]
+WITNESS_BOUND = 1e3        # sup-norm a witness must stay below
+CONTRACTION_WINDOW = 10.0  # contraction fit on [1, window]
+CONTRACTION_FLOOR = 1e-6   # fitted rates at or below it fail the fit
+NEGATIVITY_EPS = 1e-8
 
-def first_conjugate_time(profile: CurvatureProfile, horizon: float,
-                         step: float = 0.01, refine_tol: float = 1e-9) -> Optional[float]:
+
+def first_conjugate_time(profile: CurvatureProfile, horizon: float) -> Optional[float]:
     """First time where the unit-slope solution returns to zero, or None."""
-    return first_zero(profile, horizon, step=step, refine_tol=refine_tol)
+    return first_zero(profile, horizon)
 
 
-def transversality_gap(profile: CurvatureProfile, tol: float = 1e-9, **kwargs) -> dict:
+def transversality_gap(profile: CurvatureProfile) -> dict:
     """Difference of unstable and stable slopes at time zero."""
-    est = green_both(profile, tol=tol, **kwargs)
+    est = green_both(profile)
     return {"gap": est.gap, "converged": est.converged, "estimate": est}
 
 
@@ -68,9 +76,8 @@ class Witness:
 
 def bounded_jacobi_witness(
     profile: CurvatureProfile,
-    window: float = 50.0,
+    window: float = WITNESS_WINDOW,
     tol: float = 1e-4,
-    green_tol: float = 1e-9,
     estimate=None,
 ) -> Optional[Witness]:
     """Search for a nontrivial bounded transverse field.
@@ -82,7 +89,7 @@ def bounded_jacobi_witness(
     time directions (only the stable line is bounded forward and only the
     unstable line backward), so None is returned.
     """
-    est = estimate if estimate is not None else green_both(profile, tol=green_tol)
+    est = estimate if estimate is not None else green_both(profile)
     if not est.converged:
         raise ValueError("witness search needs converged slope estimates")
     if est.gap >= tol:
@@ -115,21 +122,19 @@ class ContractionFit:
 
 def contraction_fit(
     profile: CurvatureProfile,
-    window: float = 10.0,
-    green_tol: float = 1e-9,
+    window: float = CONTRACTION_WINDOW,
     estimate=None,
-    c_floor: float = 1e-6,
 ) -> ContractionFit:
     """Fit norm(t) ~ d * exp(-c t) for the stable solution on [1, window].
 
     The norm is the Sasaki norm sqrt(J^2 + J'^2) of the solution launched
     with value one and the stable slope. A fitted rate at or below
-    ``c_floor`` is a certification failure (no usable contraction; the
-    flat case fits c ~ 0). The window should stay well below the
+    ``CONTRACTION_FLOOR`` is a certification failure (no usable contraction;
+    the flat case fits c ~ 0). The window should stay well below the
     double-precision mixing horizon ~ -log(slope error)/(2k), past which
     the unstable component contaminates the launch.
     """
-    est = estimate if estimate is not None else green_slope(profile, "+", tol=green_tol)
+    est = estimate if estimate is not None else green_slope(profile, "+")
     if est.plus is None or not est.plus.converged:
         raise ValueError("contraction fit needs a converged stable slope")
     u0 = est.u_plus0
@@ -151,7 +156,7 @@ def contraction_fit(
         c=c, d=d, fit_residual=resid,
         norm_end=float(np.hypot(*[float(v) for v in
                                   (trace.at(window).value, trace.at(window).deriv)])),
-        success=c > c_floor,
+        success=c > CONTRACTION_FLOOR,
     )
 
 
@@ -165,9 +170,11 @@ def growth_floor(profile: CurvatureProfile, window: float = 20.0) -> float:
     return float(np.min(vals / running_max))
 
 
-def sampled_kappa_extrema(model: SurfaceModel, n: int = 64) -> tuple:
+def sampled_kappa_extrema(model: SurfaceModel) -> tuple:
     """(min, max) of the curvature function over a sample of the unit
-    tangent bundle; exact for constant models."""
+    tangent bundle (a 64 x 64 chart grid times 128 angles on a torus);
+    exact for constant models."""
+    n = 64
     if isinstance(model, ConstantCurvature):
         k = model.K + model.b**2
         return k, k
@@ -191,28 +198,27 @@ def sampled_kappa_extrema(model: SurfaceModel, n: int = 64) -> tuple:
     return float(np.min(vals)), float(np.max(vals))
 
 
-def negativity_criterion(
-    model: SurfaceModel,
-    profiles: list,
-    eps: float = 1e-8,
-    horizon: float = 50.0,
-) -> dict:
+def profile_extrema(profile: CurvatureProfile) -> tuple:
+    """(min, max) of 1001 samples of the profile on [0, CONJUGATE_HORIZON]
+    (cut at the profile's window end)."""
+    ts = np.linspace(0.0, min(CONJUGATE_HORIZON, profile.t_max), 1001)
+    kv = np.asarray(profile.evaluator(ts), dtype=float)
+    return float(np.min(kv)), float(np.max(kv))
+
+
+def negativity_criterion(model: SurfaceModel, kappa_mins: list) -> dict:
     """Nonpositive-curvature criterion: with curvature <= 0 everywhere,
     hyperbolicity holds exactly when every orbit meets strictly negative
-    curvature. ``applicable`` when the sampled global max is <= eps;
-    ``passes`` when additionally every profile dips below -eps within the
-    horizon."""
+    curvature. ``kappa_mins`` holds each orbit's sampled minimum
+    (``profile_extrema``), None for an orbit without one. ``applicable``
+    when the sampled global max is <= NEGATIVITY_EPS; ``passes`` when
+    additionally there are orbits and every minimum is below
+    -NEGATIVITY_EPS."""
     _lo, hi = sampled_kappa_extrema(model)
-    applicable = hi <= eps
-    if not applicable:
-        return {"applicable": False, "passes": False}
-    for p in profiles:
-        t1 = min(horizon, p.t_max)
-        ts = np.linspace(0.0, t1, 4001)
-        vals = np.asarray(p.evaluator(ts), dtype=float)
-        if not np.any(vals < -eps):
-            return {"applicable": True, "passes": False}
-    return {"applicable": True, "passes": len(profiles) > 0}
+    applicable = hi <= NEGATIVITY_EPS
+    passes = (applicable and len(kappa_mins) > 0
+              and all(m is not None and m < -NEGATIVITY_EPS for m in kappa_mins))
+    return {"applicable": applicable, "passes": passes}
 
 
 @dataclass
@@ -222,15 +228,9 @@ class SamplingConfig:
     ensemble_count: int = 64
     seed: int = 0
     horizon: float = 200.0
-    sample_dt: float = 0.01
     integration_tol: float = 1e-10
     green_tol: float = 1e-9
     gap_margin: float = 1e-4
-    witness_window: float = 50.0
-    witness_bound: float = 1e3
-    contraction_window: float = 10.0
-    negativity_eps: float = 1e-8
-    conjugate_horizon: float = 50.0
     check_inequality: bool = True
     check_conjugate: bool = True
     check_gaps: bool = True
@@ -328,10 +328,9 @@ def ensemble_states(model: SurfaceModel, count: int, seed: int) -> list:
 
     A Halton sequence keeps runs reproducible; the seed only offsets the
     starting index."""
-    if isinstance(model, ConstantCurvature):
-        # one orbit represents all: the curvature readout is constant on SM
-        return [UnitTangent(0.0, 0.0, 0.0)]
-    if isinstance(model, AbstractProfile):
+    if isinstance(model, (ConstantCurvature, AbstractProfile)):
+        # one orbit represents all: the curvature readout is constant on SM,
+        # and a profile model has only its one notional orbit
         return [UnitTangent(0.0, 0.0, 0.0)]
     out = []
     for j in range(count):
@@ -351,7 +350,7 @@ def _orbit_profile(model: SurfaceModel, v0: UnitTangent, cfg: SamplingConfig):
     integrate an orbit for it."""
     if not isinstance(model, ConformalTorus):
         return curvature_profile(model)
-    orbit = integrate_orbit(model, v0, cfg.horizon, cfg.integration_tol, cfg.sample_dt)
+    orbit = integrate_orbit(model, v0, cfg.horizon, cfg.integration_tol)
     return curvature_profile(model, orbit)
 
 
@@ -361,13 +360,11 @@ def analyze_orbit(model: SurfaceModel, v0: UnitTangent, orbit_id: int,
     res = OrbitResult(orbit_id=orbit_id, initial=(v0.x, v0.y, v0.theta))
     try:
         plus = _orbit_profile(model, v0, cfg)
-        ts = np.linspace(0.0, min(cfg.conjugate_horizon, plus.t_max), 1001)
-        kv = np.asarray(plus.evaluator(ts), dtype=float)
-        res.kappa_min, res.kappa_max = float(np.min(kv)), float(np.max(kv))
+        res.kappa_min, res.kappa_max = profile_extrema(plus)
 
         if cfg.check_conjugate:
             res.conjugate_time = first_conjugate_time(
-                plus, min(cfg.conjugate_horizon, plus.t_max)
+                plus, min(CONJUGATE_HORIZON, plus.t_max)
             )
             if res.conjugate_time is not None:
                 return res
@@ -396,16 +393,12 @@ def analyze_orbit(model: SurfaceModel, v0: UnitTangent, orbit_id: int,
             res.growth_A = growth_floor(plus, min(20.0, plus.t_max))
 
             if res.gap_converged and res.gap < cfg.gap_margin:
-                wit = bounded_jacobi_witness(
-                    plus, cfg.witness_window, cfg.gap_margin, estimate=est
-                )
+                wit = bounded_jacobi_witness(plus, tol=cfg.gap_margin, estimate=est)
                 if wit is not None:
                     res.witness_sup = wit.sup_norm
 
             if cfg.check_contraction and res.gap_converged and res.gap >= cfg.gap_margin:
-                res.contraction = contraction_fit(
-                    plus, cfg.contraction_window, estimate=est
-                )
+                res.contraction = contraction_fit(plus, estimate=est)
     except MagflowError as exc:
         res.error = "%s: %s" % (type(exc).__name__, exc)
     return res
@@ -435,20 +428,13 @@ def classify(model: SurfaceModel, cfg: Optional[SamplingConfig] = None,
 
     negativity = None
     if cfg.check_negativity:
-        # same semantics as negativity_criterion, reusing the per-orbit
-        # curvature extrema already sampled by the pipeline
-        _lo, hi = sampled_kappa_extrema(model)
-        applicable = hi <= cfg.negativity_eps
-        mins = [r.kappa_min for r in results if r.kappa_min is not None]
-        passes = (applicable and len(mins) == len(results) and len(mins) > 0
-                  and all(m < -cfg.negativity_eps for m in mins))
-        negativity = {"applicable": applicable, "passes": passes}
+        negativity = negativity_criterion(model, [r.kappa_min for r in results])
 
     margins = {
         "gap_margin": cfg.gap_margin,
         "green_tol": cfg.green_tol,
-        "witness_window": cfg.witness_window,
-        "witness_bound": cfg.witness_bound,
+        "witness_window": WITNESS_WINDOW,
+        "witness_bound": WITNESS_BOUND,
         "ensemble_count": len(states),
         "seed": cfg.seed,
         "horizon": cfg.horizon,
@@ -482,7 +468,7 @@ def _verdict(model, chi, inequality, results, negativity, cfg, errors,
     collapsed = [
         r for r in results
         if r.gap is not None and r.gap_converged and r.gap < cfg.gap_margin
-        and r.witness_sup is not None and r.witness_sup <= cfg.witness_bound
+        and r.witness_sup is not None and r.witness_sup <= WITNESS_BOUND
     ]
     if collapsed:
         return "NotAnosov", (

@@ -37,10 +37,10 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .anosov import SCHEMA_VERSION, SamplingConfig, classify, ensemble_states
-from .errors import ConfigError, MagflowError
-from .flow import integrate_orbit
+from .errors import ConfigError, InvalidProfileError, MagflowError
+from .flow import CurvatureProfile, integrate_orbit
 from .fourier import FourierSeries1D, FourierSeries2D
-from .geometry import AbstractProfile, ConformalTorus, ConstantCurvature
+from .geometry import VALIDATION_WINDOW, AbstractProfile, ConformalTorus, ConstantCurvature
 
 
 def _number(value, key, kind=float):
@@ -52,6 +52,11 @@ def _number(value, key, kind=float):
     if not math.isfinite(out):
         raise ConfigError("%s must be finite, got %r" % (key, value), key)
     return out
+
+
+def _optional(value, key, kind):
+    """_number for an optional key: None stays None."""
+    return None if value is None else _number(value, key, kind)
 
 
 def _table(value, key):
@@ -142,11 +147,24 @@ def build_model(spec: dict):
             cos_coeffs=_parse_coeffs_1d(kspec.get("cos"), "model.kappa.cos"),
             sin_coeffs=_parse_coeffs_1d(kspec.get("sin"), "model.kappa.sin"),
         )
-        k_bound = spec.get("k_bound")
-        if k_bound is None:
-            k_bound = math.sqrt(max(0.0, -series.sampled_min()) + 1e-9)
-        return AbstractProfile(kappa=series, k_bound=_number(k_bound, "model.k_bound"),
-                               chi=spec.get("chi"), area=spec.get("area"))
+        if series.omega == 0:
+            raise ConfigError("model.kappa.omega must be nonzero", "model.kappa.omega")
+        if spec.get("k_bound") is None:
+            k_bound = CurvatureProfile.from_series(series).k_bound
+        else:
+            k_bound = _number(spec["k_bound"], "model.k_bound")
+            if k_bound < 0:
+                raise ConfigError("model.k_bound must be >= 0", "model.k_bound")
+        model = AbstractProfile(
+            kappa=series, k_bound=k_bound,
+            chi=_optional(spec.get("chi"), "model.chi", int),
+            area=_optional(spec.get("area"), "model.area", float),
+        )
+        try:
+            model.validate_window(*VALIDATION_WINDOW)
+        except InvalidProfileError as exc:
+            raise ConfigError("model.k_bound: %s" % exc, "model.k_bound")
+        return model
     raise ConfigError("unknown model.kind %r" % kind, "model.kind")
 
 
@@ -154,18 +172,20 @@ def build_sampling(cfg: dict) -> SamplingConfig:
     ens = _table(cfg.get("ensemble"), "ensemble")
     tols = _table(cfg.get("tolerances"), "tolerances")
     ana = _table(cfg.get("analyses"), "analyses")
+    d = SamplingConfig()
     sc = SamplingConfig(
-        ensemble_count=_number(ens.get("count", 64), "ensemble.count", int),
-        seed=_number(ens.get("seed", 0), "ensemble.seed", int),
-        horizon=_number(ens.get("horizon", 200.0), "ensemble.horizon"),
-        integration_tol=_number(tols.get("integration", 1e-10), "tolerances.integration"),
-        green_tol=_number(tols.get("green", 1e-9), "tolerances.green"),
-        gap_margin=_number(tols.get("gap_margin", 1e-4), "tolerances.gap_margin"),
-        check_inequality=bool(ana.get("inequality", True)),
-        check_conjugate=bool(ana.get("conjugate", True)),
-        check_gaps=bool(ana.get("gaps", True)),
-        check_contraction=bool(ana.get("contraction", True)),
-        check_negativity=bool(ana.get("negativity", True)),
+        ensemble_count=_number(ens.get("count", d.ensemble_count), "ensemble.count", int),
+        seed=_number(ens.get("seed", d.seed), "ensemble.seed", int),
+        horizon=_number(ens.get("horizon", d.horizon), "ensemble.horizon"),
+        integration_tol=_number(tols.get("integration", d.integration_tol),
+                                "tolerances.integration"),
+        green_tol=_number(tols.get("green", d.green_tol), "tolerances.green"),
+        gap_margin=_number(tols.get("gap_margin", d.gap_margin), "tolerances.gap_margin"),
+        check_inequality=bool(ana.get("inequality", d.check_inequality)),
+        check_conjugate=bool(ana.get("conjugate", d.check_conjugate)),
+        check_gaps=bool(ana.get("gaps", d.check_gaps)),
+        check_contraction=bool(ana.get("contraction", d.check_contraction)),
+        check_negativity=bool(ana.get("negativity", d.check_negativity)),
     )
     if sc.ensemble_count < 1:
         raise ConfigError("ensemble.count must be >= 1", "ensemble.count")

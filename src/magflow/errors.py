@@ -25,6 +25,11 @@ class InsufficientDataError(MagflowError):
     """Too few samples to build the requested interpolant."""
 
 
+class InvalidProfileError(MagflowError, ValueError):
+    """An abstract curvature profile has a non-finite sample or falls below
+    its declared bound."""
+
+
 class ConjugatePointError(MagflowError):
     """A boundary-value solve is singular because of a conjugate point."""
 

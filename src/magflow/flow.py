@@ -32,11 +32,14 @@ from .geometry import (
     ConstantCurvature,
     SurfaceModel,
     UnitTangent,
+    VALIDATION_WINDOW,
     magnetic_curvature,
 )
 
 DEFAULT_TOL = 1e-10
-DEFAULT_SAMPLE_DT = 0.01
+SAMPLE_DT = 0.01
+# added under the square root of every k_bound read from sampled minima
+K_MARGIN = 1e-9
 
 
 @dataclass
@@ -52,10 +55,6 @@ class OrbitTrace:
 
     def state(self, i: int) -> UnitTangent:
         return UnitTangent(float(self.xs[i]), float(self.ys[i]), float(self.thetas[i]))
-
-    @property
-    def states(self):
-        return [self.state(i) for i in range(len(self.t_samples))]
 
     def unit_speed_defect(self) -> float:
         # the (x, y, theta) parameterization is unit speed identically;
@@ -83,18 +82,17 @@ def integrate_orbit(
     v0: UnitTangent,
     horizon: float,
     tol: float = DEFAULT_TOL,
-    sample_dt: float = DEFAULT_SAMPLE_DT,
 ) -> OrbitTrace:
     """Integrate the magnetic orbit from v0 for the given time horizon.
 
     Uses an adaptive embedded Runge-Kutta pair with dense output; samples
-    are taken on a uniform grid of spacing ``sample_dt``. Torus coordinates
+    are taken on a uniform grid of spacing ``SAMPLE_DT``. Torus coordinates
     are wrapped into the fundamental cell by exact period subtraction at
     readout, so no drift accumulates in the stored samples.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    n = int(round(horizon / sample_dt))
+    n = int(round(horizon / SAMPLE_DT))
     t_eval = np.linspace(0.0, horizon, n + 1)
 
     if isinstance(model, ConstantCurvature):
@@ -107,7 +105,7 @@ def integrate_orbit(
             ys=np.full(n + 1, v0.y),
             thetas=np.full(n + 1, v0.theta),
             kappa_samples=np.full(n + 1, kappa),
-            step_controls={"tol": tol, "sample_dt": sample_dt, "degenerate": True},
+            step_controls={"tol": tol, "sample_dt": SAMPLE_DT, "degenerate": True},
         )
 
     if not isinstance(model, ConformalTorus):
@@ -148,7 +146,7 @@ def integrate_orbit(
         ys=ys_w,
         thetas=thetas,
         kappa_samples=magnetic_curvature(model, UnitTangent(xs_w, ys_w, thetas)),
-        step_controls={"tol": tol, "sample_dt": sample_dt, "nfev": sol.nfev},
+        step_controls={"tol": tol, "sample_dt": SAMPLE_DT, "nfev": sol.nfev},
     )
 
 
@@ -181,14 +179,13 @@ class CurvatureProfile:
 
     evaluator: Callable
     k_bound: float
-    provenance: str = "abstract"
     t_min: float = -math.inf
     t_max: float = math.inf
     series: Optional[FourierSeries1D] = None
     const_value: Optional[float] = None
-    # jacobi.propagator's cache: one fundamental-matrix propagator per tolerance
-    _propagators: dict = field(default_factory=dict, init=False, repr=False,
-                               compare=False)
+    # jacobi.propagator's cache: the profile's fundamental-matrix propagator
+    _propagator: Optional[object] = field(default=None, init=False, repr=False,
+                                          compare=False)
 
     def __call__(self, t):
         return self.evaluator(t)
@@ -202,17 +199,12 @@ class CurvatureProfile:
         if self.const_value is not None:
             return self
         if self.series is not None:
-            return CurvatureProfile(
-                evaluator=self.series.shifted(t0),
-                k_bound=self.k_bound,
-                provenance=self.provenance,
-                series=self.series.shifted(t0),
-            )
+            sh = self.series.shifted(t0)
+            return CurvatureProfile(evaluator=sh, k_bound=self.k_bound, series=sh)
         ev = self.evaluator
         return CurvatureProfile(
             evaluator=lambda s: ev(t0 + np.asarray(s, dtype=float)),
             k_bound=self.k_bound,
-            provenance=self.provenance,
             t_min=self.t_min - t0,
             t_max=self.t_max - t0,
         )
@@ -224,51 +216,41 @@ class CurvatureProfile:
             return self
         if self.series is not None:
             refl = self.series.reflected()
-            return CurvatureProfile(
-                evaluator=refl,
-                k_bound=self.k_bound,
-                provenance=self.provenance,
-                series=refl,
-            )
+            return CurvatureProfile(evaluator=refl, k_bound=self.k_bound, series=refl)
         ev = self.evaluator
         return CurvatureProfile(
             evaluator=lambda s: ev(-np.asarray(s, dtype=float)),
             k_bound=self.k_bound,
-            provenance=self.provenance,
             t_min=-self.t_max,
             t_max=-self.t_min,
         )
 
     @staticmethod
-    def constant(value: float, k_margin: float = 1e-9) -> "CurvatureProfile":
-        k = math.sqrt(max(0.0, -value) + k_margin)
+    def constant(value: float) -> "CurvatureProfile":
         return CurvatureProfile(
             evaluator=lambda t: value + 0.0 * np.asarray(t, dtype=float),
-            k_bound=k,
-            provenance="constant",
+            k_bound=_k_bound(value),
             const_value=value,
         )
 
     @staticmethod
-    def from_series(series: FourierSeries1D, k_bound: Optional[float] = None,
-                    provenance: str = "abstract") -> "CurvatureProfile":
-        if k_bound is None:
-            k_bound = math.sqrt(max(0.0, -series.sampled_min()) + 1e-9)
+    def from_series(series: FourierSeries1D) -> "CurvatureProfile":
         return CurvatureProfile(
-            evaluator=series, k_bound=k_bound, provenance=provenance, series=series
+            evaluator=series, k_bound=_k_bound(series.sampled_min()), series=series
         )
 
     @staticmethod
-    def from_callable(fn: Callable, k_bound: float, provenance: str = "abstract",
-                      t_min: float = -math.inf, t_max: float = math.inf) -> "CurvatureProfile":
-        return CurvatureProfile(
-            evaluator=fn, k_bound=k_bound, provenance=provenance,
-            t_min=t_min, t_max=t_max,
-        )
+    def from_callable(fn: Callable, k_bound: float) -> "CurvatureProfile":
+        return CurvatureProfile(evaluator=fn, k_bound=k_bound)
 
 
-def curvature_profile(model: SurfaceModel, orbit: Optional[OrbitTrace] = None,
-                      provenance: str = "orbit") -> CurvatureProfile:
+def _k_bound(kmin: float) -> float:
+    """A k with kappa > -k**2 for a curvature whose (sampled) minimum is kmin."""
+    return math.sqrt(max(0.0, -kmin) + K_MARGIN)
+
+
+def curvature_profile(model: SurfaceModel,
+                      orbit: Optional[OrbitTrace] = None) -> CurvatureProfile:
     """Build the curvature evaluator along an orbit.
 
     Constant models give a constant profile. Orbit traces are interpolated
@@ -279,24 +261,20 @@ def curvature_profile(model: SurfaceModel, orbit: Optional[OrbitTrace] = None,
     if isinstance(model, ConstantCurvature):
         return CurvatureProfile.constant(model.K + model.b**2)
     if isinstance(model, AbstractProfile):
-        model.validate_window(0.0, 100.0)
+        model.validate_window(*VALIDATION_WINDOW)
         return CurvatureProfile.from_callable(
             lambda t: np.vectorize(model.kappa, otypes=[float])(t)
             if np.ndim(t) else float(model.kappa(float(t))),
             k_bound=model.k_bound,
-            provenance="abstract",
         )
     if orbit is None:
         raise ValueError("chart models need an orbit trace")
     if len(orbit.t_samples) < 4:
         raise InsufficientDataError("need at least 4 samples for a cubic spline")
     spline = CubicSpline(orbit.t_samples, orbit.kappa_samples)
-    kmin = float(np.min(orbit.kappa_samples))
-    k = math.sqrt(max(0.0, -kmin) + 1e-9)
     return CurvatureProfile(
         evaluator=spline,
-        k_bound=k,
-        provenance=provenance,
+        k_bound=_k_bound(float(np.min(orbit.kappa_samples))),
         t_min=float(orbit.t_samples[0]),
         t_max=float(orbit.t_samples[-1]),
     )

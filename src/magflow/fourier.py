@@ -65,10 +65,6 @@ class FourierSeries2D:
     def laplacian(self, x, y):
         return self.jet(x, y)[3]
 
-    def cell_integral(self):
-        """Exact integral over one period cell; only the mean mode survives."""
-        return self.const * self.Lx * self.Ly
-
     @property
     def max_mode(self):
         return max((max(abs(m), abs(n)) for m, n, _a, _b in self.modes), default=0)
@@ -109,10 +105,10 @@ class FourierSeries1D:
         sin_out = {j: -b for j, b in self.sin_coeffs.items()}
         return FourierSeries1D(self.const, self.omega, dict(self.cos_coeffs), sin_out)
 
-    def sampled_min(self, n=4096):
-        """Minimum over one period on a dense grid (period = 2*pi/omega)."""
+    def sampled_min(self):
+        """Minimum over one period on a grid of 4096 points (period = 2*pi/omega)."""
         if not self.cos_coeffs and not self.sin_coeffs:
             return float(self.const)
         period = 2.0 * np.pi / self.omega
-        t = np.linspace(0.0, period, n, endpoint=False)
+        t = np.linspace(0.0, period, 4096, endpoint=False)
         return float(np.min(self(t)))

@@ -27,10 +27,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ResolutionError, UnsupportedQueryError
+from .errors import InvalidProfileError, ResolutionError, UnsupportedQueryError
 from .fourier import FourierSeries2D
 
 GAUSS_BONNET_TOL = 1e-9
+# the window on which an abstract profile's samples are checked before use
+VALIDATION_WINDOW = (0.0, 100.0)
 
 
 @dataclass(frozen=True)
@@ -121,14 +123,16 @@ class AbstractProfile:
         if self.k_bound < 0:
             raise ValueError("k_bound must be nonnegative")
 
-    def validate_window(self, t0: float, t1: float, n: int = 2048):
-        t = np.linspace(t0, t1, n)
+    def validate_window(self, t0: float, t1: float):
+        """Minimum of 2048 samples of kappa on [t0, t1]; raises
+        InvalidProfileError on a non-finite sample or a violated bound."""
+        t = np.linspace(t0, t1, 2048)
         samples = np.array([self.kappa(float(s)) for s in t], dtype=float)
         if not np.all(np.isfinite(samples)):
-            raise ValueError("kappa is not finite on [%g, %g]" % (t0, t1))
+            raise InvalidProfileError("kappa is not finite on [%g, %g]" % (t0, t1))
         kmin = float(np.min(samples))
         if self.k_bound**2 + kmin <= -1e-12:
-            raise ValueError(
+            raise InvalidProfileError(
                 "declared k_bound violated on [%g, %g]: min kappa = %g" % (t0, t1, kmin)
             )
         return kmin
@@ -148,14 +152,6 @@ def gaussian_curvature(model: SurfaceModel, x: float = 0.0, y: float = 0.0) -> f
     if isinstance(model, ConformalTorus):
         p, _px, _py, lap = model.phi.jet(x, y)
         return -np.exp(-2.0 * p) * lap
-    raise UnsupportedQueryError("abstract-profile models have no pointwise geometry")
-
-
-def magnetic_intensity(model: SurfaceModel, x: float = 0.0, y: float = 0.0) -> float:
-    if isinstance(model, ConstantCurvature):
-        return model.b
-    if isinstance(model, ConformalTorus):
-        return float(model.b(x, y))
     raise UnsupportedQueryError("abstract-profile models have no pointwise geometry")
 
 
@@ -214,7 +210,7 @@ def total_area(model: SurfaceModel, tol: float = 1e-8) -> float:
     raise UnsupportedQueryError("abstract-profile model carries no area metadata")
 
 
-def gauss_bonnet_residual(model: SurfaceModel, tol: float = 1e-8) -> float:
+def gauss_bonnet_residual(model: SurfaceModel) -> float:
     """|integral of K over the surface - 2*pi*chi|.
 
     Closed form for the constant model; tensor trapezoid quadrature with
@@ -226,7 +222,7 @@ def gauss_bonnet_residual(model: SurfaceModel, tol: float = 1e-8) -> float:
     if isinstance(model, ConstantCurvature):
         return abs(model.K * model.area - 2.0 * math.pi * model.chi)
     if isinstance(model, ConformalTorus):
-        total = _refined_integral(model, lambda X, Y: -model.phi.laplacian(X, Y), tol)
+        total = _refined_integral(model, lambda X, Y: -model.phi.laplacian(X, Y))
         return abs(total - 2.0 * math.pi * model.chi)
     raise UnsupportedQueryError("abstract-profile models have no pointwise geometry")
 
@@ -246,7 +242,7 @@ class InequalityResult:
     lambda_sq_max: Optional[float] = None
 
 
-def integral_inequality_check(model: SurfaceModel, tol: float = 1e-8) -> InequalityResult:
+def integral_inequality_check(model: SurfaceModel) -> InequalityResult:
     """Necessary condition for hyperbolicity: the surface-averaged squared
     intensity must be strictly less than -2*pi*chi. Fails for chi >= 0."""
     if isinstance(model, ConstantCurvature):
@@ -254,7 +250,7 @@ def integral_inequality_check(model: SurfaceModel, tol: float = 1e-8) -> Inequal
         chi = model.chi
     elif isinstance(model, ConformalTorus):
         lhs = _refined_integral(
-            model, lambda X, Y: model.b(X, Y) ** 2 * np.exp(2.0 * model.phi(X, Y)), tol
+            model, lambda X, Y: model.b(X, Y) ** 2 * np.exp(2.0 * model.phi(X, Y))
         )
         chi = 0
     else:

@@ -35,14 +35,13 @@ DEFAULT_GREEN_TOL = 1e-9
 DEFAULT_R0 = FIRST_BREAK
 DEFAULT_R_CAP = 5.0 * 2.0**31
 DEFAULT_WORK_BUDGET = 3_000_000
-JACOBI_TOL = 1e-12
 SLOPE_BOUND_SLACK = 1e-6
 MONOTONE_SLACK = 1e-10
 
 
-def boundary_slope(profile: CurvatureProfile, r: float, tol: float = JACOBI_TOL) -> float:
+def boundary_slope(profile: CurvatureProfile, r: float) -> float:
     """Derivative at time zero of the boundary solution for target r."""
-    return solve_boundary(profile, r, tol=tol, cross_check=False).slope0
+    return solve_boundary(profile, r, cross_check=False).slope0
 
 
 @dataclass
@@ -112,28 +111,21 @@ class GreenEstimate:
         }
 
 
-def _run_schedule(
-    profile: CurvatureProfile,
-    tol: float,
-    r0: float,
-    r_cap: float,
-    work_budget: int,
-    jac_tol: float,
-) -> GreenSide:
-    r_limit = min(r_cap, profile.t_max)
-    if not math.isfinite(r0) or r_limit < r0:
+def _run_schedule(profile: CurvatureProfile, tol: float) -> GreenSide:
+    r_limit = min(DEFAULT_R_CAP, profile.t_max)
+    if r_limit < DEFAULT_R0:
         raise InsufficientDataError("profile window too short for the slope "
                                     "schedule (ends at t = %g)" % r_limit)
 
-    z = first_zero(profile, r0, step=0.01, tol=jac_tol)
+    z = first_zero(profile, DEFAULT_R0)
     if z is not None:
         raise ConjugatePointError(
             "conjugate point at t = %.12g blocks the slope schedule" % z,
             conjugate_time=z,
         )
 
-    prop = propagator(profile, jac_tol)
-    r_prev, r = 0.0, float(r0)
+    prop = propagator(profile)
+    r_prev, r = 0.0, DEFAULT_R0
     rs, slopes = [], []
     converged = False
     residual = math.inf
@@ -163,7 +155,7 @@ def _run_schedule(
                 converged = True
                 break
 
-        if nfev > work_budget:
+        if nfev > DEFAULT_WORK_BUDGET:
             break
         r_next = min(2.0 * r, r_limit)
         if r_next <= r * (1.0 + 1e-12):
@@ -182,15 +174,8 @@ def _run_schedule(
     return side
 
 
-def green_slope(
-    profile: CurvatureProfile,
-    direction: str = "+",
-    tol: float = DEFAULT_GREEN_TOL,
-    r0: float = DEFAULT_R0,
-    r_cap: float = DEFAULT_R_CAP,
-    work_budget: int = DEFAULT_WORK_BUDGET,
-    jac_tol: float = JACOBI_TOL,
-) -> GreenEstimate:
+def green_slope(profile: CurvatureProfile, direction: str = "+",
+                tol: float = DEFAULT_GREEN_TOL) -> GreenEstimate:
     """Estimate the stable ('+') or unstable ('-') slope at time zero.
 
     The unstable side always goes through the time reflection and reuses
@@ -201,19 +186,17 @@ def green_slope(
         raise ValueError("direction must be '+' or '-'")
     est = GreenEstimate(k_bound=profile.k_bound)
     if direction == "+":
-        est.plus = _run_schedule(profile, tol, r0, r_cap, work_budget, jac_tol)
+        est.plus = _run_schedule(profile, tol)
     else:
-        est.minus = _run_schedule(
-            profile.flipped(), tol, r0, r_cap, work_budget, jac_tol
-        ).reflected()
+        est.minus = _run_schedule(profile.flipped(), tol).reflected()
     return est
 
 
-def green_both(profile: CurvatureProfile, tol: float = DEFAULT_GREEN_TOL,
-               **kwargs) -> GreenEstimate:
-    """Both slopes; raises if the converged estimates violate gap >= 0."""
-    plus = green_slope(profile, "+", tol, **kwargs)
-    minus = green_slope(profile, "-", tol, **kwargs)
+def green_both(profile: CurvatureProfile) -> GreenEstimate:
+    """Both slopes at DEFAULT_GREEN_TOL; raises if the converged estimates
+    violate gap >= 0."""
+    plus = green_slope(profile, "+")
+    minus = green_slope(profile, "-")
     est = GreenEstimate(k_bound=profile.k_bound, plus=plus.plus, minus=minus.minus)
     if est.converged and est.gap < -1e-8:
         raise NumericalInconsistencyError(
@@ -222,11 +205,7 @@ def green_both(profile: CurvatureProfile, tol: float = DEFAULT_GREEN_TOL,
     return est
 
 
-def invariance_residual(
-    profile: CurvatureProfile,
-    t: float,
-    green_tol: float = DEFAULT_GREEN_TOL,
-) -> float:
+def invariance_residual(profile: CurvatureProfile, t: float) -> float:
     """Flow invariance of the stable and unstable lines between times 0 and t.
 
     The fundamental matrix [A, A', Z, Z'] at t (determinant one) carries
@@ -240,13 +219,13 @@ def invariance_residual(
     roles of the two base points.
     """
     if t < 0:
-        return invariance_residual(profile.shifted(t), -t, green_tol)
-    base = green_both(profile, green_tol)
-    sh = green_both(profile.shifted(t), green_tol)
+        return invariance_residual(profile.shifted(t), -t)
+    base = green_both(profile)
+    sh = green_both(profile.shifted(t))
     if not (base.converged and sh.converged):
         raise InsufficientDataError(
             "invariance check needs converged slopes at both ends")
-    a, da, z, dz = propagator(profile, JACOBI_TOL)(t)
+    a, da, z, dz = propagator(profile)(t)
     w, v = sh.u_plus0, base.u_minus0
     pulled = (a * w - da) / (dz - z * w)
     pushed = (da + dz * v) / (a + z * v)

@@ -12,7 +12,8 @@ distinguished solutions used throughout:
   value zero at r.
 
 All of these, the conjugate scan and the slope schedules in ``green`` read
-one fundamental-matrix ``Propagator`` per profile and tolerance.
+one fundamental-matrix ``Propagator`` per profile. Every integration here
+runs at the one tolerance ``JACOBI_TOL``.
 ``integrate_jacobi`` launches other initial data directly, because
 ``A + u Z`` cancels catastrophically along the stable line.
 
@@ -41,7 +42,7 @@ from .errors import (
 )
 from .flow import CurvatureProfile
 
-DEFAULT_TOL = 1e-12
+JACOBI_TOL = 1e-12
 CROSS_CHECK_TOL = 1e-7
 FIRST_BREAK = 5.0
 RESCALE_THRESHOLD = 1e100
@@ -118,7 +119,7 @@ class JacobiTrace:
                 writer.writerow([repr(float(t)), repr(float(v)), repr(float(d))])
 
 
-def _launch(ev: Callable, y0, t_span: tuple, tol: float):
+def _launch(ev: Callable, y0, t_span: tuple):
     """One dense DOP853 run of J'' + ev(t) J = 0 for one (value, derivative)
     pair, or for two stacked pairs."""
 
@@ -129,7 +130,8 @@ def _launch(ev: Callable, y0, t_span: tuple, tol: float):
         return [v[1], k * v[0], v[3], k * v[2]]
 
     sol = solve_ivp(
-        rhs, t_span, y0, method="DOP853", rtol=tol, atol=tol, dense_output=True
+        rhs, t_span, y0, method="DOP853", rtol=JACOBI_TOL, atol=JACOBI_TOL,
+        dense_output=True,
     )
     if not sol.success:
         raise IntegrationFailure(
@@ -139,12 +141,8 @@ def _launch(ev: Callable, y0, t_span: tuple, tol: float):
     return sol
 
 
-def integrate_jacobi(
-    profile: CurvatureProfile,
-    state0: JacobiState,
-    t_span: tuple,
-    tol: float = DEFAULT_TOL,
-) -> JacobiTrace:
+def integrate_jacobi(profile: CurvatureProfile, state0: JacobiState,
+                     t_span: tuple) -> JacobiTrace:
     """Integrate J'' + kappa(t) J = 0 with dense output over t_span.
 
     The span may run forward or backward in time.
@@ -154,7 +152,7 @@ def integrate_jacobi(
     if scale == 0.0:
         return JacobiTrace(lambda ts: np.zeros((2,) + np.shape(ts)), 0.0, t0, t1)
     y0 = [state0.value / scale, state0.deriv / scale]
-    sol = _launch(profile.evaluator, y0, (t0, t1), tol)
+    sol = _launch(profile.evaluator, y0, (t0, t1))
     return JacobiTrace(sol.sol, scale, t0, t1)
 
 
@@ -163,16 +161,15 @@ class Propagator:
 
     Integrated segment by segment, only as far as callers ask, between the
     fixed breakpoints 0, FIRST_BREAK * 2**k (capped at the profile's window
-    end), so every readout is a pure function of (profile, tol) whatever
+    end), so every readout is a pure function of the profile whatever
     the order of requests. An end state past RESCALE_THRESHOLD is divided
     by a power of two before the next segment, and readouts multiply it
     back exactly.
     """
 
-    def __init__(self, profile: CurvatureProfile, tol: float):
+    def __init__(self, profile: CurvatureProfile):
         # no reference to the profile itself, which caches the propagator
         self.evaluator, self.t_max = profile.evaluator, profile.t_max
-        self.tol = tol
         self.breaks = [0.0]
         # segment k ends at breaks[k]: (dense output, end state, scale
         # exponent, total nfev); entry 0 holds the initial data
@@ -188,7 +185,7 @@ class Propagator:
             e = math.frexp(m)[1]
             y0, exp = np.ldexp(y0, -e), exp + e
         t1 = min(2.0 * t0 if t0 > 0.0 else FIRST_BREAK, self.t_max)
-        sol = _launch(self.evaluator, y0, (t0, t1), self.tol)
+        sol = _launch(self.evaluator, y0, (t0, t1))
         self._segs.append((sol.sol, sol.y[:, -1], exp, nfev + sol.nfev))
         self.breaks.append(t1)
 
@@ -223,47 +220,40 @@ class Propagator:
         return self._segs[self.segment(t)][3]
 
 
-def propagator(profile: CurvatureProfile, tol: float = DEFAULT_TOL) -> Propagator:
-    """The profile's propagator at tolerance tol, shared by every caller."""
-    if tol not in profile._propagators:
-        profile._propagators[tol] = Propagator(profile, tol)
-    return profile._propagators[tol]
+def propagator(profile: CurvatureProfile) -> Propagator:
+    """The profile's propagator, built at the first request and shared by
+    every caller."""
+    if profile._propagator is None:
+        # the profile is frozen; its cache slot is not a compared field
+        object.__setattr__(profile, "_propagator", Propagator(profile))
+    return profile._propagator
 
 
-def solve_unit_slope(
-    profile: CurvatureProfile, t: float, tol: float = DEFAULT_TOL
-) -> JacobiState:
+def solve_unit_slope(profile: CurvatureProfile, t: float) -> JacobiState:
     """The solution with value zero and slope one at time zero, read at t."""
     if t < 0.0:
-        st = solve_unit_slope(profile.flipped(), -t, tol)
+        st = solve_unit_slope(profile.flipped(), -t)
         return JacobiState(-st.value, st.deriv)
-    _a, _da, z, dz = propagator(profile, tol)(t)
+    _a, _da, z, dz = propagator(profile)(t)
     return JacobiState(float(z), float(dz))
 
 
-def unit_slope_trace(
-    profile: CurvatureProfile, horizon: float, tol: float = DEFAULT_TOL
-) -> JacobiTrace:
+def unit_slope_trace(profile: CurvatureProfile, horizon: float) -> JacobiTrace:
     """The unit-slope solution on [0, horizon], read from the propagator."""
-    prop = propagator(profile, tol)
+    prop = propagator(profile)
     return JacobiTrace(lambda ts: prop(ts)[2:], 1.0, 0.0, float(horizon))
 
 
-def first_zero(
-    profile: CurvatureProfile,
-    horizon: float,
-    step: float = 0.01,
-    refine_tol: float = 1e-9,
-    tol: float = DEFAULT_TOL,
-) -> Optional[float]:
+def first_zero(profile: CurvatureProfile, horizon: float,
+               step: float = 0.01) -> Optional[float]:
     """First positive zero of the unit-slope solution on (0, horizon].
 
     Scans a uniform grid for sign changes, then refines the bracket by
-    bisection. Returns None when the solution keeps its sign.
+    bisection to 1e-9. Returns None when the solution keeps its sign.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    prop = propagator(profile, tol)
+    prop = propagator(profile)
     ts = np.arange(step, horizon + 0.5 * step, step)
     if len(ts) == 0:
         # a horizon shorter than half a step: scan the horizon alone
@@ -288,7 +278,7 @@ def first_zero(
     if f(lo) <= 0.0:
         # zero sits inside the first scan cell
         lo = 1e-8
-    return float(brentq(f, lo, hi, xtol=refine_tol))
+    return float(brentq(f, lo, hi, xtol=1e-9))
 
 
 @dataclass
@@ -310,13 +300,8 @@ class BoundarySolution:
         return JacobiState(float(v), float(d))
 
 
-def solve_boundary(
-    profile: CurvatureProfile,
-    r: float,
-    tol: float = DEFAULT_TOL,
-    cross_check: bool = True,
-    scan_step: float = 0.01,
-) -> BoundarySolution:
+def solve_boundary(profile: CurvatureProfile, r: float,
+                   cross_check: bool = True) -> BoundarySolution:
     """Solve the two-point problem J(0) = 1, J(r) = 0.
 
     Requires the unit-slope solution to have no zero strictly between 0
@@ -333,7 +318,7 @@ def solve_boundary(
     if r == 0.0:
         raise ValueError("the boundary time r must be nonzero")
     if r < 0.0:
-        flipped = solve_boundary(profile.flipped(), -r, tol, cross_check, scan_step)
+        flipped = solve_boundary(profile.flipped(), -r, cross_check)
 
         def ev_neg(t):
             st = flipped.at(-t)
@@ -341,14 +326,14 @@ def solve_boundary(
 
         return replace(flipped, r=r, slope0=-flipped.slope0, _eval=ev_neg)
 
-    z = first_zero(profile, r, step=min(scan_step, r / 8), tol=tol)
+    z = first_zero(profile, r, step=min(0.01, r / 8))
     if z is not None and z < r * (1.0 - 1e-12):
         raise ConjugatePointError(
             "conjugate point at t = %.12g inside (0, %g)" % (z, r),
             conjugate_time=z,
         )
 
-    prop = propagator(profile, tol)
+    prop = propagator(profile)
     Ar, _, Zr, _ = prop(r)
     if Zr == 0.0:
         raise ConjugatePointError("unit-slope solution vanishes at r", conjugate_time=r)

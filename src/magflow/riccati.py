@@ -20,7 +20,8 @@ from .errors import IntegrationFailure
 from .flow import CurvatureProfile
 
 BLOWUP_MAGNITUDE = 1e7
-BRACKET_WIDTH = 1e-8
+RICCATI_TOL = 1e-12
+N_SAMPLES = 2001
 
 
 @dataclass
@@ -35,7 +36,6 @@ class RiccatiTrace:
     t_samples: np.ndarray
     u_samples: np.ndarray
     blowup_time: Optional[float]
-    k_used: float
 
     def to_csv(self, path):
         import csv
@@ -47,14 +47,9 @@ class RiccatiTrace:
                 writer.writerow([repr(float(t)), repr(float(u))])
 
 
-def integrate_riccati(
-    profile: CurvatureProfile,
-    u0: float,
-    t_span: tuple,
-    tol: float = 1e-12,
-    n_samples: int = 2001,
-) -> RiccatiTrace:
-    """Integrate the Riccati equation from u(t0) = u0 over t_span.
+def integrate_riccati(profile: CurvatureProfile, u0: float, t_span: tuple) -> RiccatiTrace:
+    """Integrate the Riccati equation from u(t0) = u0 over t_span and sample
+    it at N_SAMPLES uniform times.
 
     Blow-up is not an error: the integration stops at a large-magnitude
     threshold and the pole time is recovered from the 1/(t - t*)
@@ -72,7 +67,7 @@ def integrate_riccati(
     hit_threshold.terminal = True
 
     sol = solve_ivp(
-        rhs, (t0, t1), [u0], method="DOP853", rtol=tol, atol=tol,
+        rhs, (t0, t1), [u0], method="DOP853", rtol=RICCATI_TOL, atol=RICCATI_TOL,
         dense_output=True, events=hit_threshold,
     )
     if not sol.success and sol.status != 1:
@@ -92,11 +87,8 @@ def integrate_riccati(
         blowup = te + direction / abs(ue)
         t_end = te
 
-    ts = np.linspace(t0, t_end, n_samples)
-    us = sol.sol(ts)[0]
-    return RiccatiTrace(
-        t_samples=ts, u_samples=us, blowup_time=blowup, k_used=profile.k_bound
-    )
+    ts = np.linspace(t0, t_end, N_SAMPLES)
+    return RiccatiTrace(t_samples=ts, u_samples=sol.sol(ts)[0], blowup_time=blowup)
 
 
 def comparison_envelope(k: float, t: float) -> dict:

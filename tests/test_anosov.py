@@ -129,33 +129,35 @@ class TestSturmSign:
 
 
 class TestNegativity:
-    def test_negative_constant(self):
-        m = ConstantCurvature(K=-1.0, b=0.0, chi=-2, area=AREA)
+    @staticmethod
+    def _criterion(m):
         from magflow import curvature_profile
+        from magflow.anosov import profile_extrema
 
-        r = negativity_criterion(m, [curvature_profile(m)])
+        return negativity_criterion(m, [profile_extrema(curvature_profile(m))[0]])
+
+    def test_negative_constant(self):
+        r = self._criterion(ConstantCurvature(K=-1.0, b=0.0, chi=-2, area=AREA))
         assert r["applicable"] and r["passes"]
 
     def test_flat_fails(self):
-        m = ConstantCurvature(K=-1.0, b=1.0, chi=-2, area=AREA)
-        from magflow import curvature_profile
-
-        r = negativity_criterion(m, [curvature_profile(m)])
+        r = self._criterion(ConstantCurvature(K=-1.0, b=1.0, chi=-2, area=AREA))
         assert r["applicable"] and not r["passes"]
 
     def test_half_wave_passes(self):
         m = AbstractProfile(kappa=lambda t: -max(0.0, math.sin(t)) ** 2, k_bound=1.0)
-        from magflow import curvature_profile
-
-        r = negativity_criterion(m, [curvature_profile(m)])
+        r = self._criterion(m)
         assert r["applicable"] and r["passes"]
 
     def test_positive_curvature_not_applicable(self):
-        m = ConstantCurvature(K=1.0, b=0.0, chi=2, area=AREA)
-        from magflow import curvature_profile
-
-        r = negativity_criterion(m, [curvature_profile(m)])
+        r = self._criterion(ConstantCurvature(K=1.0, b=0.0, chi=2, area=AREA))
         assert not r["applicable"]
+
+    def test_orbit_without_minimum_fails(self):
+        m = ConstantCurvature(K=-1.0, b=0.0, chi=-2, area=AREA)
+        assert negativity_criterion(m, [-1.0, None]) == {
+            "applicable": True, "passes": False}
+        assert not negativity_criterion(m, [])["passes"]
 
 
 class TestClassify:
@@ -199,9 +201,19 @@ class TestClassify:
         assert rep.verdict == "NotAnosov"
         assert rep.orbits[0].witness_sup == pytest.approx(1.0, abs=1e-6)
 
+    @staticmethod
+    def _assert_recorded(kappa):
+        rep = classify(AbstractProfile(kappa=kappa, k_bound=1.0))
+        assert rep.verdict == "Inconclusive"
+        assert rep.orbits[0].error.startswith("InvalidProfileError: ")
+        assert rep.reason == rep.orbits[0].error
+
     def test_nan_profile_is_rejected(self):
-        with pytest.raises(ValueError):
-            classify(AbstractProfile(kappa=lambda t: math.nan, k_bound=1.0))
+        # the typed error is recorded on the orbit, not raised
+        self._assert_recorded(lambda t: math.nan)
+
+    def test_violated_bound_is_recorded(self):
+        self._assert_recorded(lambda t: -4.0)
 
     def test_report_serializes(self):
         rep = classify(ConstantCurvature(K=-1.0, b=0.5, chi=-2, area=AREA))

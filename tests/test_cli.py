@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
-from magflow import ConfigError
-from magflow.cli import build_model, main, run, sweep, validate_config
+from magflow import ConfigError, SamplingConfig
+from magflow.cli import build_model, build_sampling, main, run, sweep, validate_config
 
 AREA = 4 * math.pi
 
@@ -67,11 +68,35 @@ class TestConfigValidation:
                     "area": AREA}}, "model.b"),
         ({"export_orbit_limit": "x"}, "export_orbit_limit"),
         ({"export_orbit_limit": -1}, "export_orbit_limit"),
+        ({"model": {"kind": "profile", "kappa": {"const": -1.0},
+                    "k_bound": -1}}, "model.k_bound"),
+        # min kappa = -1.5 lies below -k_bound**2 = -0.25
+        ({"model": {"kind": "profile", "kappa": {"const": -1.0, "sin": {"1": 0.5}},
+                    "k_bound": 0.5}}, "model.k_bound"),
+        ({"model": {"kind": "profile", "kappa": {"const": -1.0},
+                    "chi": "x"}}, "model.chi"),
+        ({"model": {"kind": "profile", "kappa": {"const": -1.0},
+                    "area": "y"}}, "model.area"),
+        ({"model": {"kind": "profile", "kappa": {"const": -1.0, "omega": 0,
+                                                 "sin": {"1": 0.3}}}}, "model.kappa.omega"),
     ])
     def test_malformed_value_is_named(self, tmp_path, extra, key):
         with pytest.raises(ConfigError) as exc:
             validate_config(constant_config(tmp_path, **extra))
         assert exc.value.key == key
+
+    def test_every_sampling_field_has_a_key(self, tmp_path):
+        # every SamplingConfig field is reachable from the config file
+        cfg = constant_config(
+            tmp_path,
+            ensemble={"count": 3, "seed": 7, "horizon": 50.0},
+            tolerances={"integration": 1e-9, "green": 1e-8, "gap_margin": 1e-3},
+            analyses={"inequality": False, "conjugate": False, "gaps": False,
+                      "contraction": False, "negativity": False},
+        )
+        built, default = build_sampling(cfg), SamplingConfig()
+        for f in dataclasses.fields(SamplingConfig):
+            assert getattr(built, f.name) != getattr(default, f.name), f.name
 
     def test_torus_and_profile_models_build(self):
         torus = build_model({

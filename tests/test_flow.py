@@ -135,7 +135,7 @@ class TestCurvatureProfiles:
     def test_insufficient_samples_rejected(self):
         rng = rng_for("short")
         m = random_torus(rng)
-        tr = integrate_orbit(m, UnitTangent(), 0.02, sample_dt=0.01)
+        tr = integrate_orbit(m, UnitTangent(), 0.02)
         with pytest.raises(InsufficientDataError):
             curvature_profile(m, tr)
 
