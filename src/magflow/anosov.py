@@ -76,7 +76,6 @@ class Witness:
 
 def bounded_jacobi_witness(
     profile: CurvatureProfile,
-    window: float = WITNESS_WINDOW,
     tol: float = 1e-4,
     estimate=None,
 ) -> Optional[Witness]:
@@ -84,8 +83,8 @@ def bounded_jacobi_witness(
 
     When the transversality gap falls below ``tol`` the stable and
     unstable lines coincide to working accuracy, and integrating the
-    stable direction across [-window, window] exhibits the bounded field
-    directly. With a healthy gap no direction can stay bounded in both
+    stable direction across [-WITNESS_WINDOW, WITNESS_WINDOW] exhibits the
+    bounded field directly. With a healthy gap no direction can stay bounded in both
     time directions (only the stable line is bounded forward and only the
     unstable line backward), so None is returned.
     """
@@ -94,6 +93,7 @@ def bounded_jacobi_witness(
         raise ValueError("witness search needs converged slope estimates")
     if est.gap >= tol:
         return None
+    window = WITNESS_WINDOW
     trace_f = integrate_jacobi(profile, JacobiState(1.0, est.u_plus0), (0.0, window))
     trace_b = integrate_jacobi(profile, JacobiState(1.0, est.u_plus0), (0.0, -window))
     ts_f = np.linspace(0.0, window, 501)

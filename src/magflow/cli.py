@@ -37,7 +37,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .anosov import SCHEMA_VERSION, SamplingConfig, classify, ensemble_states
-from .errors import ConfigError, InvalidProfileError, MagflowError
+from .errors import ConfigError, MagflowError
 from .flow import CurvatureProfile, integrate_orbit
 from .fourier import FourierSeries1D, FourierSeries2D
 from .geometry import VALIDATION_WINDOW, AbstractProfile, ConformalTorus, ConstantCurvature
@@ -147,22 +147,19 @@ def build_model(spec: dict):
             cos_coeffs=_parse_coeffs_1d(kspec.get("cos"), "model.kappa.cos"),
             sin_coeffs=_parse_coeffs_1d(kspec.get("sin"), "model.kappa.sin"),
         )
-        if series.omega == 0:
-            raise ConfigError("model.kappa.omega must be nonzero", "model.kappa.omega")
+        if series.omega == 0 and (series.cos_coeffs or series.sin_coeffs):
+            raise ConfigError("model.kappa.omega must be nonzero for a series "
+                              "with harmonics", "model.kappa.omega")
         if spec.get("k_bound") is None:
             k_bound = CurvatureProfile.from_series(series).k_bound
         else:
             k_bound = _number(spec["k_bound"], "model.k_bound")
-            if k_bound < 0:
-                raise ConfigError("model.k_bound must be >= 0", "model.k_bound")
-        model = AbstractProfile(
-            kappa=series, k_bound=k_bound,
-            chi=_optional(spec.get("chi"), "model.chi", int),
-            area=_optional(spec.get("area"), "model.area", float),
-        )
+        chi = _optional(spec.get("chi"), "model.chi", int)
+        area = _optional(spec.get("area"), "model.area", float)
         try:
+            model = AbstractProfile(kappa=series, k_bound=k_bound, chi=chi, area=area)
             model.validate_window(*VALIDATION_WINDOW)
-        except InvalidProfileError as exc:
+        except ValueError as exc:
             raise ConfigError("model.k_bound: %s" % exc, "model.k_bound")
         return model
     raise ConfigError("unknown model.kind %r" % kind, "model.kind")
@@ -206,14 +203,18 @@ def _export_limit(cfg: dict) -> int:
     return limit
 
 
-def validate_config(cfg: dict) -> None:
+def validate_config(cfg: dict):
+    """Check the whole config, sweep points included. Returns what it
+    built: the base (model, sampling) and, per sweep grid value, a
+    (value, model, sampling) triple (an empty list without a sweep)."""
     if not isinstance(cfg, dict):
         raise ConfigError("top-level config must be an object", "")
     if "model" not in cfg:
         raise ConfigError("model section is required", "model")
-    build_model(cfg["model"])
-    build_sampling(cfg)
+    model = build_model(cfg["model"])
+    sampling = build_sampling(cfg)
     _export_limit(cfg)
+    points = []
     sweep = cfg.get("sweep")
     if sweep is not None:
         sweep = _table(sweep, "sweep")
@@ -229,8 +230,8 @@ def validate_config(cfg: dict) -> None:
                 raise ConfigError("sweep.grid must be strictly monotone", "sweep.grid")
         for v in sweep["grid"]:
             point = _point_config(cfg, sweep["parameter"], v)
-            build_model(point["model"])
-            build_sampling(point)
+            points.append((v, build_model(point["model"]), build_sampling(point)))
+    return model, sampling, points
 
 
 def _point_config(base_cfg: dict, path: str, value) -> dict:
@@ -262,9 +263,7 @@ def _write_summary(path: Path, lines):
 def run(cfg: dict, workers: int = 1, echo=None) -> int:
     """Single classification run; writes report.json, summary.txt and
     per-orbit CSV series into the output directory."""
-    validate_config(cfg)
-    model = build_model(cfg["model"])
-    sampling = build_sampling(cfg)
+    model, sampling, _ = validate_config(cfg)
     outdir = Path(cfg.get("output_dir", "out"))
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -314,10 +313,7 @@ def run(cfg: dict, workers: int = 1, echo=None) -> int:
 
 
 def _sweep_point(args):
-    base_cfg, param, value, workers = args
-    cfg = _point_config(base_cfg, param, value)
-    model = build_model(cfg["model"])
-    sampling = build_sampling(cfg)
+    value, model, sampling = args
     report = classify(model, sampling, workers=1)
     gaps = [o.gap for o in report.orbits if o.gap is not None]
     cs = [o.contraction.c for o in report.orbits if o.contraction is not None]
@@ -335,15 +331,14 @@ def _sweep_point(args):
 def sweep(cfg: dict, workers: int = 1, echo=None) -> int:
     """Classification per grid value of the swept parameter; one CSV row
     per point in grid order."""
-    validate_config(cfg)
+    _, _, jobs = validate_config(cfg)
     spec = cfg.get("sweep")
     if spec is None:
         raise ConfigError("sweep section missing", "sweep")
-    param, grid = spec["parameter"], spec["grid"]
+    param = spec["parameter"]
     outdir = Path(cfg.get("output_dir", "out"))
     outdir.mkdir(parents=True, exist_ok=True)
 
-    jobs = [(cfg, param, v, 1) for v in grid]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -262,8 +262,8 @@ def curvature_profile(model: SurfaceModel,
         return CurvatureProfile.constant(model.K + model.b**2)
     if isinstance(model, AbstractProfile):
         model.validate_window(*VALIDATION_WINDOW)
-        return CurvatureProfile.from_callable(
-            lambda t: np.vectorize(model.kappa, otypes=[float])(t)
+        return CurvatureProfile(
+            evaluator=lambda t: np.vectorize(model.kappa, otypes=[float])(t)
             if np.ndim(t) else float(model.kappa(float(t))),
             k_bound=model.k_bound,
         )

@@ -32,9 +32,9 @@ from .flow import CurvatureProfile
 from .jacobi import FIRST_BREAK, first_zero, propagator, solve_boundary
 
 DEFAULT_GREEN_TOL = 1e-9
-DEFAULT_R0 = FIRST_BREAK
-DEFAULT_R_CAP = 5.0 * 2.0**31
-DEFAULT_WORK_BUDGET = 3_000_000
+R0 = FIRST_BREAK
+R_CAP = 5.0 * 2.0**31
+WORK_BUDGET = 3_000_000
 SLOPE_BOUND_SLACK = 1e-6
 MONOTONE_SLACK = 1e-10
 
@@ -112,12 +112,12 @@ class GreenEstimate:
 
 
 def _run_schedule(profile: CurvatureProfile, tol: float) -> GreenSide:
-    r_limit = min(DEFAULT_R_CAP, profile.t_max)
-    if r_limit < DEFAULT_R0:
+    r_limit = min(R_CAP, profile.t_max)
+    if r_limit < R0:
         raise InsufficientDataError("profile window too short for the slope "
                                     "schedule (ends at t = %g)" % r_limit)
 
-    z = first_zero(profile, DEFAULT_R0)
+    z = first_zero(profile, R0)
     if z is not None:
         raise ConjugatePointError(
             "conjugate point at t = %.12g blocks the slope schedule" % z,
@@ -125,7 +125,7 @@ def _run_schedule(profile: CurvatureProfile, tol: float) -> GreenSide:
         )
 
     prop = propagator(profile)
-    r_prev, r = 0.0, DEFAULT_R0
+    r_prev, r = 0.0, R0
     rs, slopes = [], []
     converged = False
     residual = math.inf
@@ -155,7 +155,7 @@ def _run_schedule(profile: CurvatureProfile, tol: float) -> GreenSide:
                 converged = True
                 break
 
-        if nfev > DEFAULT_WORK_BUDGET:
+        if nfev > WORK_BUDGET:
             break
         r_next = min(2.0 * r, r_limit)
         if r_next <= r * (1.0 + 1e-12):

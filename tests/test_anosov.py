@@ -66,13 +66,13 @@ class TestGap:
 
 class TestWitness:
     def test_flat_witness_is_constant_field(self):
-        w = bounded_jacobi_witness(P_ZERO, window=50.0, tol=1e-4)
+        w = bounded_jacobi_witness(P_ZERO, tol=1e-4)
         assert w is not None
         assert w.sup_norm == pytest.approx(1.0, abs=1e-6)
         assert np.max(np.abs(w.values - 1.0)) < 1e-6
 
     def test_hyperbolic_has_no_witness(self):
-        assert bounded_jacobi_witness(P_NEG, window=50.0, tol=1e-4) is None
+        assert bounded_jacobi_witness(P_NEG, tol=1e-4) is None
 
     def test_horocycle_boundary_model(self):
         # constant curvature -1 with unit intensity: curvature along
@@ -80,7 +80,7 @@ class TestWitness:
         m = ConstantCurvature(K=-1.0, b=1.0, chi=-2, area=AREA)
         from magflow import curvature_profile
 
-        w = bounded_jacobi_witness(curvature_profile(m), window=50.0, tol=1e-4)
+        w = bounded_jacobi_witness(curvature_profile(m), tol=1e-4)
         assert w is not None
         assert w.sup_norm == pytest.approx(1.0, abs=1e-6)
 

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from magflow import ConfigError, SamplingConfig
+from magflow import AbstractProfile, ConfigError, SamplingConfig
 from magflow.cli import build_model, build_sampling, main, run, sweep, validate_config
 
 AREA = 4 * math.pi
@@ -111,6 +111,10 @@ class TestConfigValidation:
             "kappa": {"const": -1.0, "omega": 1.0, "sin": {"1": 0.3}},
         })
         assert prof.k_bound == pytest.approx(math.sqrt(1.3), abs=1e-3)
+        # omega only scales the harmonics: a constant series needs none
+        prof = build_model({"kind": "profile", "kappa": {"const": -1.0, "omega": 0}})
+        assert prof.kappa(3.0) == -1.0
+        assert prof.k_bound == pytest.approx(1.0, abs=1e-6)
 
 
 class TestRun:
@@ -220,6 +224,32 @@ class TestSweep:
         assert row[1] == report["report"]["verdict"]
         gap_run = report["report"]["orbits"][0]["gap"]
         assert float(row[2]) == pytest.approx(gap_run, abs=1e-12)
+
+    def test_profile_run_samples_its_window_once_per_build(self, tmp_path, monkeypatch):
+        # the config check builds the model once and run reuses it; the
+        # only other window check is the one classify makes
+        calls = []
+        real = AbstractProfile.validate_window
+        monkeypatch.setattr(AbstractProfile, "validate_window",
+                            lambda self, *w: calls.append(w) or real(self, *w))
+        cfg = {
+            "model": {"kind": "profile", "kappa": {"const": -1.0, "sin": {"1": 0.3}}},
+            "output_dir": str(tmp_path / "out"),
+        }
+        assert run(cfg) == 0
+        assert len(calls) == 2
+
+    def test_parallel_points_match_serial(self, tmp_path):
+        cfg = {
+            "model": {"kind": "profile", "kappa": {"const": -1.0, "sin": {"1": 0.3}}},
+            "sweep": {"parameter": "model.kappa.const", "grid": [-1.0, -0.5]},
+            "output_dir": str(tmp_path / "serial"),
+        }
+        assert sweep(cfg) == 0
+        cfg["output_dir"] = str(tmp_path / "parallel")
+        assert sweep(cfg, workers=2) == 0
+        assert ((tmp_path / "serial" / "sweep.csv").read_text()
+                == (tmp_path / "parallel" / "sweep.csv").read_text())
 
     def test_dispatch_through_main(self, tmp_path):
         cfg = constant_config(tmp_path, sweep={"parameter": "model.b",
