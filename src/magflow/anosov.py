@@ -5,12 +5,15 @@ Verdict logic over a sampled orbit ensemble:
 * ``NotAnosov`` as soon as a structural obstruction is confirmed: Euler
   characteristic >= 0, failure of the strict averaged-intensity
   inequality, a conjugate point on any sampled orbit, or a collapsed
-  transversality gap confirmed by a bounded transverse field.
+  transversality gap (within UNRESOLVED_GAP_TOLS * green_tol of zero)
+  confirmed by a bounded transverse field.
 * ``NumericallyAnosov`` only when every sampled orbit has a converged
   transversality gap above the margin, the stable contraction fit
   succeeds everywhere, and the integral inequality passes (or does not
   apply for profile-only models).
-* ``Inconclusive`` otherwise, carrying the reason.
+* ``Inconclusive`` otherwise, carrying the reason: a recorded error on
+  an orbit or in the inequality quadrature, a schedule that did not
+  converge, or a gap resolved from zero but below the margin.
 
 The output is a numerical certificate over finitely many orbits with
 explicit margins, never a proof: the per-point quantifier over the whole
@@ -36,6 +39,7 @@ from .geometry import (
     SurfaceModel,
     UnitTangent,
     integral_inequality_check,
+    sample_kappa,
 )
 from .green import GreenEstimate, green_both, green_slope
 from .jacobi import JacobiState, first_zero, integrate_jacobi, unit_slope_trace
@@ -50,6 +54,9 @@ WITNESS_BOUND = 1e3        # sup-norm a witness must stay below
 CONTRACTION_WINDOW = 10.0  # contraction fit on [1, window]
 CONTRACTION_FLOOR = 1e-6   # fitted rates at or below it fail the fit
 NEGATIVITY_EPS = 1e-8
+# a witness refutes only a gap within this many green_tol of zero; a larger
+# gap is resolved from zero, and below the margin it is Inconclusive
+UNRESOLVED_GAP_TOLS = 10.0
 
 
 def first_conjugate_time(profile: CurvatureProfile, horizon: float) -> Optional[float]:
@@ -193,8 +200,7 @@ def sampled_kappa_extrema(model: SurfaceModel) -> tuple:
             lo = min(lo, float(np.min(vals)))
             hi = max(hi, float(np.max(vals)))
         return lo, hi
-    ts = np.linspace(0.0, 100.0, 4096)
-    vals = np.array([model.kappa(float(t)) for t in ts])
+    vals = sample_kappa(model, np.linspace(0.0, 100.0, 4096))
     return float(np.min(vals)), float(np.max(vals))
 
 
@@ -412,11 +418,17 @@ def classify(model: SurfaceModel, cfg: Optional[SamplingConfig] = None,
     inequality = None
     chi = getattr(model, "chi", None)
     if cfg.check_inequality and not isinstance(model, AbstractProfile):
-        r = integral_inequality_check(model)
-        inequality = {
-            "lhs": r.lhs, "rhs": r.rhs, "passes": r.passes,
-            "lambda_sq_max": r.lambda_sq_max,
-        }
+        try:
+            r = integral_inequality_check(model)
+            inequality = {
+                "lhs": r.lhs, "rhs": r.rhs, "passes": r.passes,
+                "lambda_sq_max": r.lambda_sq_max,
+            }
+        except MagflowError as exc:
+            inequality = {
+                "lhs": None, "rhs": None, "passes": None, "lambda_sq_max": None,
+                "error": "%s: %s" % (type(exc).__name__, exc),
+            }
 
     states = ensemble_states(model, cfg.ensemble_count, cfg.seed)
     jobs = list(enumerate(states))
@@ -458,7 +470,8 @@ def _verdict(model, chi, inequality, results, negativity, cfg, errors,
              non_converged):
     if chi is not None and chi >= 0:
         return "NotAnosov", "euler characteristic >= 0"
-    if inequality is not None and not inequality["passes"]:
+    ineq_error = inequality.get("error") if inequality is not None else None
+    if inequality is not None and ineq_error is None and not inequality["passes"]:
         return "NotAnosov", "integral inequality fails (lhs >= rhs)"
     conj = [r for r in results if r.conjugate_time is not None]
     if conj:
@@ -468,6 +481,7 @@ def _verdict(model, chi, inequality, results, negativity, cfg, errors,
     collapsed = [
         r for r in results
         if r.gap is not None and r.gap_converged and r.gap < cfg.gap_margin
+        and r.gap <= UNRESOLVED_GAP_TOLS * cfg.green_tol
         and r.witness_sup is not None and r.witness_sup <= WITNESS_BOUND
     ]
     if collapsed:
@@ -476,6 +490,8 @@ def _verdict(model, chi, inequality, results, negativity, cfg, errors,
             "(sup = %.6g) on orbit %d"
             % (collapsed[0].gap, collapsed[0].witness_sup, collapsed[0].orbit_id)
         )
+    if ineq_error is not None:
+        return "Inconclusive", "integral inequality: %s" % ineq_error
     if errors:
         return "Inconclusive", errors[0].error
     if non_converged:

@@ -44,13 +44,19 @@ from .geometry import VALIDATION_WINDOW, AbstractProfile, ConformalTorus, Consta
 
 
 def _number(value, key, kind=float):
-    """value as a finite number of the given kind, or a ConfigError naming key."""
+    """value as a finite number of the given kind (float or int), or a
+    ConfigError naming key; an int must be integral (2.0 is, 2.7 is not)."""
     try:
-        out = kind(value)
+        out = float(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError("%s must be a number, got %r" % (key, value), key)
     if not math.isfinite(out):
         raise ConfigError("%s must be finite, got %r" % (key, value), key)
+    if kind is int:
+        if not out.is_integer():
+            raise ConfigError("%s must be an integer, got %r" % (key, value), key)
+        # an int stays exact past 2**53
+        return value if type(value) is int else int(out)
     return out
 
 
@@ -281,7 +287,9 @@ def run(cfg: dict, workers: int = 1, echo=None) -> int:
         "verdict: %s" % report.verdict,
         "reason:  %s" % report.reason,
     ]
-    if report.inequality is not None:
+    if report.inequality is not None and "error" in report.inequality:
+        lines.append("integral inequality: %s" % report.inequality["error"])
+    elif report.inequality is not None:
         lines.append(
             "integral inequality: lhs = %.12g, rhs = %.12g, passes = %s"
             % (report.inequality["lhs"], report.inequality["rhs"],

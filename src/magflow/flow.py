@@ -256,12 +256,16 @@ def curvature_profile(model: SurfaceModel,
     Constant models give a constant profile. Orbit traces are interpolated
     with a cubic spline through the sampled curvature (O(h^4) between
     samples, exact at the samples). Abstract-profile models pass the user
-    evaluator through after validating the declared bound.
+    evaluator through after validating the declared bound; a Fourier
+    series stays one, so the profile shifts and reflects exactly.
     """
     if isinstance(model, ConstantCurvature):
         return CurvatureProfile.constant(model.K + model.b**2)
     if isinstance(model, AbstractProfile):
         model.validate_window(*VALIDATION_WINDOW)
+        if isinstance(model.kappa, FourierSeries1D):
+            return CurvatureProfile(evaluator=model.kappa, k_bound=model.k_bound,
+                                    series=model.kappa)
         return CurvatureProfile(
             evaluator=lambda t: np.vectorize(model.kappa, otypes=[float])(t)
             if np.ndim(t) else float(model.kappa(float(t))),

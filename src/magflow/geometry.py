@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidProfileError, ResolutionError, UnsupportedQueryError
-from .fourier import FourierSeries2D
+from .fourier import FourierSeries1D, FourierSeries2D
 
 GAUSS_BONNET_TOL = 1e-9
 # the window on which an abstract profile's samples are checked before use
@@ -126,8 +126,7 @@ class AbstractProfile:
     def validate_window(self, t0: float, t1: float):
         """Minimum of 2048 samples of kappa on [t0, t1]; raises
         InvalidProfileError on a non-finite sample or a violated bound."""
-        t = np.linspace(t0, t1, 2048)
-        samples = np.array([self.kappa(float(s)) for s in t], dtype=float)
+        samples = sample_kappa(self, np.linspace(t0, t1, 2048))
         if not np.all(np.isfinite(samples)):
             raise InvalidProfileError("kappa is not finite on [%g, %g]" % (t0, t1))
         kmin = float(np.min(samples))
@@ -136,6 +135,14 @@ class AbstractProfile:
                 "declared k_bound violated on [%g, %g]: min kappa = %g" % (t0, t1, kmin)
             )
         return kmin
+
+
+def sample_kappa(model: AbstractProfile, ts: np.ndarray) -> np.ndarray:
+    """kappa of an abstract profile at the times ts: one array call for a
+    Fourier series, one call per time for any other callable."""
+    if isinstance(model.kappa, FourierSeries1D):
+        return np.asarray(model.kappa(ts), dtype=float)
+    return np.array([model.kappa(float(t)) for t in ts], dtype=float)
 
 
 SurfaceModel = ConstantCurvature | ConformalTorus | AbstractProfile

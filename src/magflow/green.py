@@ -13,6 +13,12 @@ breakpoints are the default schedule points. Convergence is declared when
 two successive slopes differ by less than the tolerance; profiles whose
 slopes converge slower than the work budget allows are flagged, never
 extrapolated.
+
+The work budget counts right-hand-side evaluations (``GreenSide.nfev``,
+``Propagator.nfev_to``). A periodic profile (constant or Fourier) spends
+one period's evaluations, whatever r, so ``WORK_BUDGET`` bounds only
+spline and callable profiles; for periodic ones ``R_CAP`` bounds the
+schedule, at a cost of O(log r) matrix products per read.
 """
 
 from __future__ import annotations
@@ -46,7 +52,9 @@ def boundary_slope(profile: CurvatureProfile, r: float) -> float:
 
 @dataclass
 class GreenSide:
-    """One-sided slope estimate with its schedule diagnostics."""
+    """One-sided slope estimate with its schedule diagnostics. ``nfev``
+    counts the propagator's right-hand-side evaluations up to the last r,
+    one period's for a periodic profile."""
 
     slope: float
     converged: bool

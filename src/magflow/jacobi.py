@@ -12,8 +12,11 @@ distinguished solutions used throughout:
   value zero at r.
 
 All of these, the conjugate scan and the slope schedules in ``green`` read
-one fundamental-matrix ``Propagator`` per profile. Every integration here
-runs at the one tolerance ``JACOBI_TOL``.
+one fundamental-matrix ``Propagator`` per profile. A constant or Fourier
+profile is periodic, and its propagator integrates one period and reads
+every later time from the monodromy; spline and callable profiles are
+integrated as far as callers ask. Every integration here runs at the one
+tolerance ``JACOBI_TOL``.
 ``integrate_jacobi`` launches other initial data directly, because
 ``A + u Z`` cancels catastrophically along the stable line.
 
@@ -156,6 +159,32 @@ def integrate_jacobi(profile: CurvatureProfile, state0: JacobiState,
     return JacobiTrace(sol.sol, scale, t0, t1)
 
 
+def exact_period(profile: CurvatureProfile) -> Optional[float]:
+    """A period T with kappa(t + T) = kappa(t) for every t, or None.
+
+    A Fourier series with harmonics has T = 2*pi/|omega|; a constant has
+    every T, and FIRST_BREAK is taken. Spline and callable profiles have
+    none.
+    """
+    s = profile.series
+    if s is not None and s.omega != 0.0 and (s.cos_coeffs or s.sin_coeffs):
+        return 2.0 * math.pi / abs(s.omega)
+    if profile.is_constant or s is not None:
+        return FIRST_BREAK
+    return None
+
+
+def _compose(p, q):
+    """The product of two fundamental matrices, each given as ([A, A', Z, Z']
+    mantissa, binary exponent), with the mantissa renormalised."""
+    (a1, da1, z1, dz1), e1 = p
+    (a2, da2, z2, dz2), e2 = q
+    y = (a1 * a2 + z1 * da2, da1 * a2 + dz1 * da2,
+         a1 * z2 + z1 * dz2, da1 * z2 + dz1 * dz2)
+    f = math.frexp(max(abs(v) for v in y))[1]
+    return tuple(math.ldexp(v, -f) for v in y), e1 + e2 + f
+
+
 class Propagator:
     """Dense fundamental matrix [A, A', Z, Z'] from data (1, 0, 0, 1) at zero.
 
@@ -165,26 +194,50 @@ class Propagator:
     the order of requests. An end state past RESCALE_THRESHOLD is divided
     by a power of two before the next segment, and readouts multiply it
     back exactly.
+
+    A profile with an exact period T (``exact_period``) is integrated over
+    [0, T] only, and the last segment of the period runs on to T whenever
+    the doubling would stop short of T / 2 before it (so periods up to
+    2 * FIRST_BREAK take one launch). Every later time t = k T + tau reads
+    F(tau) M**k with the monodromy M = F(T), since F(t + T) = F(t) M for a
+    periodic profile (Floquet). The powers M**k come from binary squaring
+    and are kept as a mantissa matrix and a binary exponent.
     """
 
     def __init__(self, profile: CurvatureProfile):
         # no reference to the profile itself, which caches the propagator
-        self.evaluator, self.t_max = profile.evaluator, profile.t_max
+        self.evaluator = profile.evaluator
+        self.period = exact_period(profile)
+        self.t_end = profile.t_max if self.period is None else self.period
         self.breaks = [0.0]
         # segment k ends at breaks[k]: (dense output, end state, scale
-        # exponent, total nfev); entry 0 holds the initial data
+        # exponent, total nfev); entry 0 holds the initial data, and a
+        # periodic profile's last entry, with no dense output, covers
+        # (T, inf) from the monodromy
         self._segs = [(None, np.array([1.0, 0.0, 0.0, 1.0]), 0, 0)]
+        # M**(2**j) and M**k, each as (mantissa, exponent)
+        self._squares = []
+        self._powers = {}
 
     def _grow(self):
         t0 = self.breaks[-1]
-        if t0 >= self.t_max:
-            raise InsufficientDataError("the profile window ends at t = %g" % t0)
         _dense, y0, exp, nfev = self._segs[-1]
+        if t0 >= self.t_end:
+            if self.period is None:
+                raise InsufficientDataError("the profile window ends at t = %g" % t0)
+            f = math.frexp(float(np.max(np.abs(y0))))[1]
+            self._squares.append((tuple(np.ldexp(y0, -f).tolist()), exp + f))
+            self._segs.append((None, None, None, nfev))
+            self.breaks.append(math.inf)
+            return
         m = float(np.max(np.abs(y0)))
         if m > RESCALE_THRESHOLD:
             e = math.frexp(m)[1]
             y0, exp = np.ldexp(y0, -e), exp + e
-        t1 = min(2.0 * t0 if t0 > 0.0 else FIRST_BREAK, self.t_max)
+        t1 = 2.0 * t0 if t0 > 0.0 else FIRST_BREAK
+        if self.period is not None and 2.0 * t1 > self.period:
+            t1 = self.period
+        t1 = min(t1, self.t_end)
         sol = _launch(self.evaluator, y0, (t0, t1))
         self._segs.append((sol.sol, sol.y[:, -1], exp, nfev + sol.nfev))
         self.breaks.append(t1)
@@ -196,27 +249,63 @@ class Propagator:
             self._grow()
         return max(bisect.bisect_left(self.breaks, t), 1)
 
+    def _power(self, k: int):
+        """M**k as (mantissa, exponent): the squares M**(2**j) of the set bits
+        of k multiplied in increasing j, so the result depends on k alone."""
+        if k not in self._powers:
+            out = ((1.0, 0.0, 0.0, 1.0), 0)
+            j = 0
+            while k >> j:
+                if j == len(self._squares):
+                    self._squares.append(_compose(self._squares[-1], self._squares[-1]))
+                if (k >> j) & 1:
+                    out = _compose(out, self._squares[j])
+                j += 1
+            self._powers[k] = out
+        return self._powers[k]
+
+    def _stored(self, t: np.ndarray):
+        """[A, A', Z, Z'] at the times t >= 0 as stored values, shape (4, n),
+        and the binary exponents that scale them, shape (n,)."""
+        last = self.segment(float(t.max()))
+        ks = np.clip(np.searchsorted(self.breaks, t), 1, last)
+        y, e = np.empty((4, t.size)), np.zeros(t.size, dtype=int)
+        for k in np.unique(ks):
+            sel = ks == k
+            dense, _end, exp, _nfev = self._segs[k]
+            if dense is not None:
+                y[:, sel], e[sel] = dense(t[sel]), exp
+                continue
+            # t = n T + tau past the period: F(tau) M**n
+            n = np.floor(t[sel] / self.period)
+            tau = np.clip(t[sel] - n * self.period, 0.0, self.period)
+            (a, da, z, dz), e_tau = self._stored(tau)
+            ns, inv = np.unique(n, return_inverse=True)
+            powers = [self._power(int(v)) for v in ns]
+            pa, pda, pz, pdz = np.array([p[0] for p in powers])[inv].T
+            y[:, sel] = (a * pa + z * pda, da * pa + dz * pda,
+                         a * pz + z * pdz, da * pz + dz * pdz)
+            e[sel] = e_tau + np.array([p[1] for p in powers])[inv]
+        return y, e
+
     def __call__(self, ts) -> np.ndarray:
         """[A, A', Z, Z'] at the time ts (shape (4,)) or times ts (shape (4, n))."""
         t = np.atleast_1d(np.asarray(ts, dtype=float))
         if t.min() < 0.0:
             raise ValueError("the propagator starts at time zero")
-        last = self.segment(float(t.max()))
-        ks = np.clip(np.searchsorted(self.breaks, t), 1, last)
-        out = np.empty((4, t.size))
-        for k in np.unique(ks):
-            dense, _end, exp, _nfev = self._segs[k]
-            out[:, ks == k] = np.ldexp(dense(t[ks == k]), exp)
+        y, e = self._stored(t)
+        out = np.ldexp(y, e)
         return out[:, 0] if np.ndim(ts) == 0 else out
 
     def slope(self, r: float) -> float:
         """-A(r)/Z(r), the boundary slope for r, read in stored scale so that
         it stays finite where A and Z overflow."""
-        y = self._segs[self.segment(r)][0](r)
-        return -float(y[0]) / float(y[2])
+        y, _e = self._stored(np.array([float(r)]))
+        return -float(y[0, 0]) / float(y[2, 0])
 
     def nfev_to(self, t: float) -> int:
-        """Right-hand-side evaluations spent integrating up to t."""
+        """Right-hand-side evaluations spent integrating up to t. A periodic
+        profile spends at most one period's, whatever t."""
         return self._segs[self.segment(t)][3]
 
 

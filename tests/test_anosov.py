@@ -196,6 +196,15 @@ class TestClassify:
         assert rep.verdict == "NumericallyAnosov"
         assert rep.negativity == {"applicable": True, "passes": True}
 
+    def test_nearly_flat_profile_is_not_refuted(self):
+        # kappa = -1e-12 is hyperbolic; its converged gap 2e-6 is resolved
+        # from zero but below the 1e-4 margin
+        rep = classify(AbstractProfile(kappa=FourierSeries1D(const=-1e-12),
+                                       k_bound=1.0))
+        o = rep.orbits[0]
+        assert o.gap_converged and o.gap == pytest.approx(2e-6, rel=1e-3)
+        assert rep.verdict == "Inconclusive" and "margin" in rep.reason
+
     def test_flat_profile_model(self):
         rep = classify(AbstractProfile(kappa=lambda t: 0.0, k_bound=0.5))
         assert rep.verdict == "NotAnosov"
@@ -332,6 +341,27 @@ class TestVerdictLogic:
                                 gap_converged=True, witness_sup=1.0)
         v, reason = self._verdict([collapsed])
         assert v == "NotAnosov" and "witness" in reason
+
+    def test_resolved_gap_below_margin_is_inconclusive(self):
+        from magflow.anosov import OrbitResult
+
+        # 2e-6 is 2000 green_tol from zero: resolved, so no witness refutes it
+        narrow = OrbitResult(orbit_id=0, initial=(0, 0, 0), gap=2e-6,
+                             gap_converged=True, witness_sup=1.0)
+        v, reason = self._verdict([narrow])
+        assert v == "Inconclusive" and "margin" in reason
+
+    def test_inequality_error_blocks_certification(self):
+        v, reason = self._verdict(
+            [self._good_orbit()],
+            inequality={"lhs": None, "rhs": None, "passes": None,
+                        "lambda_sq_max": None, "error": "ResolutionError: grid"})
+        assert v == "Inconclusive" and "ResolutionError" in reason
+        v, _ = self._verdict(
+            [self._good_orbit()], chi=0,
+            inequality={"lhs": None, "rhs": None, "passes": None,
+                        "lambda_sq_max": None, "error": "ResolutionError: grid"})
+        assert v == "NotAnosov"
 
     def test_non_converged_is_inconclusive(self):
         from magflow.anosov import OrbitResult

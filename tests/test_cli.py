@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from magflow import AbstractProfile, ConfigError, SamplingConfig
@@ -79,11 +80,28 @@ class TestConfigValidation:
                     "area": "y"}}, "model.area"),
         ({"model": {"kind": "profile", "kappa": {"const": -1.0, "omega": 0,
                                                  "sin": {"1": 0.3}}}}, "model.kappa.omega"),
+        # integers must be integral, not truncated
+        ({"ensemble": {"count": 2.7}}, "ensemble.count"),
+        ({"ensemble": {"seed": 1.5}}, "ensemble.seed"),
+        ({"model": {"kind": "constant", "K": -1.0, "b": 0.5, "chi": -2.5,
+                    "area": AREA}}, "model.chi"),
+        ({"model": {"kind": "profile", "kappa": {"const": -1.0},
+                    "chi": -2.5}}, "model.chi"),
+        ({"export_orbit_limit": 0.5}, "export_orbit_limit"),
     ])
     def test_malformed_value_is_named(self, tmp_path, extra, key):
         with pytest.raises(ConfigError) as exc:
             validate_config(constant_config(tmp_path, **extra))
         assert exc.value.key == key
+
+    def test_integral_floats_are_integers(self, tmp_path):
+        cfg = constant_config(tmp_path, ensemble={"count": 2.0, "seed": 3.0})
+        model, sampling, _ = validate_config(cfg)
+        assert (sampling.ensemble_count, sampling.seed) == (2, 3)
+        assert type(sampling.ensemble_count) is int and type(sampling.seed) is int
+        big = build_sampling({"ensemble": {"seed": 2**60 + 1}})
+        assert big.seed == 2**60 + 1
+        assert build_model(dict(constant_config(tmp_path)["model"], chi=-2.0)).chi == -2
 
     def test_every_sampling_field_has_a_key(self, tmp_path):
         # every SamplingConfig field is reachable from the config file
@@ -157,6 +175,26 @@ class TestRun:
         assert report["verdict"] == "NotAnosov"
         assert [o["error"].split(":")[0] for o in report["orbits"]] == [
             "InsufficientDataError"] * 2
+
+    def test_failed_inequality_quadrature_still_writes_the_report(self, tmp_path):
+        # phi = 30 cos(2 pi x) puts exp(60) into the inequality integrand,
+        # past what the quadrature resolves; chi = 0 decides the verdict
+        cfg = {
+            "model": {"kind": "torus", "phi": {"cos": {"1,0": 30}},
+                      "b": {"const": 0.5}},
+            "ensemble": {"count": 1, "seed": 0, "horizon": 1.0},
+            "export_orbits": False,
+            "output_dir": str(tmp_path / "out"),
+        }
+        with np.errstate(all="ignore"):
+            assert main([write_config(tmp_path, cfg)]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())["report"]
+        assert report["verdict"] == "NotAnosov"
+        assert report["reason"] == "euler characteristic >= 0"
+        assert report["inequality"]["error"].startswith("ResolutionError: ")
+        assert report["inequality"]["passes"] is None
+        summary = (tmp_path / "out" / "summary.txt").read_text()
+        assert "integral inequality: ResolutionError" in summary
 
     def test_malformed_json_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -187,3 +187,29 @@ class TestInvariance:
         with pytest.raises(InsufficientDataError):
             invariance_residual(spline(-10.0), 1.0)
         assert invariance_residual(spline(-40.0), 1.0) < 1e-6
+
+
+class TestFloquetOracle:
+    def test_slopes_are_the_monodromy_eigen_slopes(self):
+        # Hill's equation: over one period T the stable and unstable lines
+        # are the eigenlines of the monodromy M = [[A, Z], [A', Z']](T), so
+        # the slopes solve Z u^2 + (A - Z') u - A' = 0; the stable root has
+        # multiplier |A + Z u| < 1. M comes from one direct launch.
+        from magflow import jacobi
+
+        rng = rng_for("floquet-oracle")
+        for _ in range(20):
+            p = hyperbolic_profile(rng)
+            period = 2 * math.pi / p.series.omega
+            sol = jacobi._launch(p.evaluator, [1.0, 0.0, 0.0, 1.0], (0.0, period))
+            a, da, z, dz = sol.y[:, -1]
+            b = a - dz
+            q = -0.5 * (b + math.copysign(math.sqrt(b * b + 4 * z * da), b))
+            roots = (q / z, -da / q)
+            stable = min(roots, key=lambda u: abs(a + z * u))
+            unstable = max(roots, key=lambda u: abs(a + z * u))
+            assert abs(a + z * stable) < 1.0 < abs(a + z * unstable)
+            est = green_both(p)
+            assert est.converged
+            assert est.u_plus0 == pytest.approx(stable, abs=1e-10)
+            assert est.u_minus0 == pytest.approx(unstable, abs=1e-10)

@@ -14,6 +14,7 @@ from magflow import (
     JacobiState,
     QuotientVector,
     classify,
+    curvature_profile,
     first_zero,
     flip_profile,
     green_slope,
@@ -305,3 +306,71 @@ class TestPropagator:
                 p = CurvatureProfile.from_series(series)
                 results.append({name: readouts[name](p) for name in order})
             assert all(r == results[0] for r in results[1:])
+
+
+def _direct(p, ts):
+    """[A, A', Z, Z'] at ts from one direct launch from the identity."""
+    return jacobi._launch(p.evaluator, [1.0, 0.0, 0.0, 1.0], (0.0, float(ts[-1]))).sol(ts)
+
+
+class TestPeriodicPropagator:
+    def test_route_follows_the_profile(self):
+        series = FourierSeries1D(const=-1.0, omega=0.8, sin_coeffs={1: 0.3})
+        assert jacobi.propagator(CurvatureProfile.from_series(series)).period \
+            == pytest.approx(2 * math.pi / 0.8, rel=1e-15)
+        assert jacobi.propagator(CurvatureProfile.constant(-1.0)).period == jacobi.FIRST_BREAK
+        # an abstract profile keeps its series, and with it the exact
+        # reflection and the periodic route
+        prof = curvature_profile(AbstractProfile(kappa=series, k_bound=1.2))
+        assert prof.series == series and prof.flipped().series == series.reflected()
+        assert jacobi.propagator(prof.flipped()).period is not None
+        callable_prof = curvature_profile(AbstractProfile(kappa=series.__call__,
+                                                          k_bound=1.2))
+        assert jacobi.propagator(callable_prof).period is None
+
+    @pytest.mark.parametrize("family", [oscillatory_profile, hyperbolic_profile])
+    def test_matches_direct_launch(self, family):
+        rng = rng_for("periodic-direct-" + family.__name__)
+        ts = np.linspace(0.0, 60.0, 1201)
+        for _ in range(4):
+            p = family(rng)
+            got, ref = jacobi.propagator(p)(ts), _direct(p, ts)
+            scale = np.max(np.abs(ref), axis=0)
+            assert np.max(np.abs(got - ref) / scale) < 1e-9
+
+    def test_wronskian_is_one(self):
+        rng = rng_for("periodic-wronskian")
+        ts = np.linspace(0.0, 50.0, 2001)
+        for _ in range(5):
+            a, da, z, dz = jacobi.propagator(oscillatory_profile(rng))(ts)
+            assert np.max(np.abs(a * dz - z * da - 1.0)) < 1e-9
+
+    def test_constant_closed_forms(self):
+        ts = np.linspace(0.0, 200.0, 4001)
+        a, da, z, dz = jacobi.propagator(CurvatureProfile.constant(-1.0))(ts)
+        for got, exact in ((a, np.cosh(ts)), (da, np.sinh(ts)),
+                           (z, np.sinh(ts)), (dz, np.cosh(ts))):
+            np.testing.assert_allclose(got, exact, rtol=1e-9, atol=1e-12)
+        prop = jacobi.propagator(CurvatureProfile.constant(-1.0))
+        for r in (50.0, 1e3, 1e6, 5.0 * 2**31):
+            assert prop.slope(r) == pytest.approx(-1.0, abs=1e-13)
+        ts = np.array([0.0, 2.5, 5.0, 7.5, 123.4, 1e6])
+        a, da, z, dz = jacobi.propagator(P_ZERO)(ts)
+        np.testing.assert_allclose(a, 1.0, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(da, 0.0, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(z, ts, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(dz, 1.0, rtol=0, atol=1e-13)
+
+    def test_readouts_do_not_depend_on_request_order(self):
+        rng = rng_for("periodic-order")
+        ts = np.concatenate([np.linspace(0.0, 80.0, 333), [150.0, 300.0]])
+        for series in (hyperbolic_profile(rng).series, oscillatory_profile(rng).series):
+            one = jacobi.propagator(CurvatureProfile.from_series(series))
+            first = one(ts)
+            other = jacobi.propagator(CurvatureProfile.from_series(series))
+            # the far end first, then every time singly from the back
+            other(ts[-1])
+            second = np.array([other(t) for t in ts[::-1]])[::-1].T
+            assert np.array_equal(first, second)
+            assert [one.slope(r) for r in (5.0, 40.0, 1e4)] \
+                == [other.slope(r) for r in (1e4, 40.0, 5.0)][::-1]
