@@ -31,7 +31,13 @@ import numpy as np
 
 from . import __version__ as _pkg_version
 from .errors import ConjugatePointError, MagflowError
-from .flow import CurvatureProfile, curvature_profile, flip_intensity, integrate_orbit
+from .flow import (
+    CurvatureProfile,
+    OrbitTrace,
+    curvature_profile,
+    flip_intensity,
+    integrate_orbit,
+)
 from .geometry import (
     AbstractProfile,
     ConformalTorus,
@@ -260,6 +266,8 @@ class OrbitResult:
     kappa_max: Optional[float] = None
     growth_A: Optional[float] = None
     error: Optional[str] = None
+    # the plus orbit, kept only for export and never serialized
+    trace: Optional[OrbitTrace] = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         d = {
@@ -351,21 +359,28 @@ def ensemble_states(model: SurfaceModel, count: int, seed: int) -> list:
     return out
 
 
-def _orbit_profile(model: SurfaceModel, v0: UnitTangent, cfg: SamplingConfig):
+def _orbit_profile(model: SurfaceModel, v0: UnitTangent, cfg: SamplingConfig,
+                   keep: Optional[OrbitResult]):
     """Curvature profile along the orbit from v0; only chart models
-    integrate an orbit for it."""
-    if not isinstance(model, ConformalTorus):
-        return curvature_profile(model)
-    orbit = integrate_orbit(model, v0, cfg.horizon, cfg.integration_tol)
+    integrate an orbit for it. With ``keep`` the orbit trace is stored on
+    that result; a constant model's is integrate_orbit's degenerate trace,
+    which needs no ODE."""
+    orbit = None
+    if isinstance(model, ConformalTorus) or (
+            keep is not None and isinstance(model, ConstantCurvature)):
+        orbit = integrate_orbit(model, v0, cfg.horizon, cfg.integration_tol)
+    if keep is not None:
+        keep.trace = orbit
     return curvature_profile(model, orbit)
 
 
 def analyze_orbit(model: SurfaceModel, v0: UnitTangent, orbit_id: int,
-                  cfg: SamplingConfig) -> OrbitResult:
-    """Full per-orbit pipeline: conjugate scan, gap, witness, contraction."""
+                  cfg: SamplingConfig, keep_trace: bool) -> OrbitResult:
+    """Full per-orbit pipeline: conjugate scan, gap, witness, contraction.
+    With ``keep_trace`` the result carries the plus orbit's trace."""
     res = OrbitResult(orbit_id=orbit_id, initial=(v0.x, v0.y, v0.theta))
     try:
-        plus = _orbit_profile(model, v0, cfg)
+        plus = _orbit_profile(model, v0, cfg, res if keep_trace else None)
         res.kappa_min, res.kappa_max = profile_extrema(plus)
 
         if cfg.check_conjugate:
@@ -381,7 +396,7 @@ def analyze_orbit(model: SurfaceModel, v0: UnitTangent, orbit_id: int,
             # its stable side is the unstable side at the orbit's base point
             if isinstance(model, ConformalTorus):
                 minus = _orbit_profile(flip_intensity(model), UnitTangent(
-                    v0.x, v0.y, v0.theta + math.pi), cfg)
+                    v0.x, v0.y, v0.theta + math.pi), cfg, None)
             else:
                 minus = plus.flipped()
             try:
@@ -411,8 +426,9 @@ def analyze_orbit(model: SurfaceModel, v0: UnitTangent, orbit_id: int,
 
 
 def classify(model: SurfaceModel, cfg: Optional[SamplingConfig] = None,
-             workers: int = 1) -> AnosovReport:
-    """Run the full certification pipeline and aggregate the verdict."""
+             workers: int = 1, keep_traces: int = 0) -> AnosovReport:
+    """Run the full certification pipeline and aggregate the verdict. The
+    orbits with id below ``keep_traces`` keep their ``OrbitResult.trace``."""
     cfg = cfg or SamplingConfig()
 
     inequality = None
@@ -431,11 +447,11 @@ def classify(model: SurfaceModel, cfg: Optional[SamplingConfig] = None,
             }
 
     states = ensemble_states(model, cfg.ensemble_count, cfg.seed)
-    jobs = list(enumerate(states))
+    jobs = [(model, v0, i, cfg, i < keep_traces) for i, v0 in enumerate(states)]
     if workers > 1 and len(jobs) > 1:
-        results = _parallel_orbits(model, jobs, cfg, workers)
+        results = _parallel_orbits(jobs, workers)
     else:
-        results = [analyze_orbit(model, v0, i, cfg) for i, v0 in jobs]
+        results = [analyze_orbit(*job) for job in jobs]
     results.sort(key=lambda r: r.orbit_id)
 
     negativity = None
@@ -478,7 +494,10 @@ def _verdict(model, chi, inequality, results, negativity, cfg, errors,
         return "NotAnosov", "conjugate point at t = %.9g on orbit %d" % (
             conj[0].conjugate_time, conj[0].orbit_id,
         )
-    collapsed = [
+    # a constant model with K + b**2 < 0 is hyperbolic in closed form; its
+    # schedule resolves a tiny gap only to about 1/r, so no witness refutes it
+    hyperbolic = isinstance(model, ConstantCurvature) and model.K + model.b**2 < 0
+    collapsed = [] if hyperbolic else [
         r for r in results
         if r.gap is not None and r.gap_converged and r.gap < cfg.gap_margin
         and r.gap <= UNRESOLVED_GAP_TOLS * cfg.green_tol
@@ -522,19 +541,17 @@ def _verdict(model, chi, inequality, results, negativity, cfg, errors,
     )
 
 
-def _parallel_orbits(model, jobs, cfg, workers):
+def _parallel_orbits(jobs, workers):
     import pickle
     from concurrent.futures import ProcessPoolExecutor
 
     try:
-        pickle.dumps((model, cfg))
+        pickle.dumps(jobs[0])
     except Exception:
-        return [analyze_orbit(model, v0, i, cfg) for i, v0 in jobs]
-    args = [(model, v0, i, cfg) for i, v0 in jobs]
+        return [analyze_orbit(*job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_orbit_job, args))
+        return list(pool.map(_orbit_job, jobs))
 
 
-def _orbit_job(args):
-    model, v0, i, cfg = args
-    return analyze_orbit(model, v0, i, cfg)
+def _orbit_job(job):
+    return analyze_orbit(*job)

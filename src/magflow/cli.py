@@ -36,9 +36,9 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .anosov import SCHEMA_VERSION, SamplingConfig, classify, ensemble_states
+from .anosov import SCHEMA_VERSION, SamplingConfig, classify
 from .errors import ConfigError, MagflowError
-from .flow import CurvatureProfile, integrate_orbit
+from .flow import CurvatureProfile
 from .fourier import FourierSeries1D, FourierSeries2D
 from .geometry import VALIDATION_WINDOW, AbstractProfile, ConformalTorus, ConstantCurvature
 
@@ -268,12 +268,15 @@ def _write_summary(path: Path, lines):
 
 def run(cfg: dict, workers: int = 1, echo=None) -> int:
     """Single classification run; writes report.json, summary.txt and
-    per-orbit CSV series into the output directory."""
+    per-orbit CSV series into the output directory. The CSVs are the
+    traces classify integrated, for the first export_orbit_limit orbits."""
     model, sampling, _ = validate_config(cfg)
     outdir = Path(cfg.get("output_dir", "out"))
     outdir.mkdir(parents=True, exist_ok=True)
 
-    report = classify(model, sampling, workers=workers)
+    # a profile model has no orbit, so it keeps no trace
+    keep = _export_limit(cfg) if cfg.get("export_orbits", True) else 0
+    report = classify(model, sampling, workers=workers, keep_traces=keep)
 
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -308,12 +311,11 @@ def run(cfg: dict, workers: int = 1, echo=None) -> int:
             lines.append("orbit %d: error %s" % (o.orbit_id, o.error))
     _write_summary(outdir / "summary.txt", lines)
 
-    if cfg.get("export_orbits", True) and not isinstance(model, AbstractProfile):
-        states = ensemble_states(model, sampling.ensemble_count, sampling.seed)
-        for i, v0 in enumerate(states[:_export_limit(cfg)]):
-            trace = integrate_orbit(model, v0, sampling.horizon,
-                                    sampling.integration_tol)
-            trace.to_csv(outdir / ("orbit_%03d.csv" % i))
+    # an orbit whose integration failed has no trace and no CSV
+    for o in report.orbits:
+        if o.trace is not None:
+            o.trace.to_csv(outdir / ("orbit_%03d.csv" % o.orbit_id))
+            o.trace = None
 
     if echo:
         echo("verdict: %s (%s)" % (report.verdict, report.reason))

@@ -15,7 +15,6 @@ correction of the conformal metric folded into the frame angle.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -38,6 +37,10 @@ from .geometry import (
 
 DEFAULT_TOL = 1e-10
 SAMPLE_DT = 0.01
+# right-hand-side evaluations one orbit integration may spend: the RK45 step
+# shrinks like 1/|b|, so a strong field would otherwise run without end. A
+# horizon-200 orbit of the benchmark torus takes at most ~32,000.
+ORBIT_NFEV_BUDGET = 500_000
 # added under the square root of every k_bound read from sampled minima
 K_MARGIN = 1e-9
 
@@ -63,14 +66,15 @@ class OrbitTrace:
         return float(np.max(np.abs(c * c + s * s - 1.0)))
 
     def to_csv(self, path):
+        # the bytes csv.writer gives (no float repr needs quoting), formatted
+        # in blocks of rows so the Python floats never hold a whole column
+        cols = (self.t_samples, self.xs, self.ys, self.thetas, self.kappa_samples)
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "x", "y", "theta", "kappa"])
-            for i, t in enumerate(self.t_samples):
-                writer.writerow(
-                    [repr(float(t)), repr(float(self.xs[i])), repr(float(self.ys[i])),
-                     repr(float(self.thetas[i])), repr(float(self.kappa_samples[i]))]
-                )
+            fh.write("t,x,y,theta,kappa\r\n")
+            for i in range(0, len(self.t_samples), 2048):
+                block = [map(repr, np.asarray(c[i:i + 2048], dtype=float).tolist())
+                         for c in cols]
+                fh.writelines(",".join(row) + "\r\n" for row in zip(*block))
 
 
 def _wrap(u, period):
@@ -88,7 +92,9 @@ def integrate_orbit(
     Uses an adaptive embedded Runge-Kutta pair with dense output; samples
     are taken on a uniform grid of spacing ``SAMPLE_DT``. Torus coordinates
     are wrapped into the fundamental cell by exact period subtraction at
-    readout, so no drift accumulates in the stored samples.
+    readout, so no drift accumulates in the stored samples. Past
+    ``ORBIT_NFEV_BUDGET`` right-hand-side evaluations the integration stops
+    with an ``IntegrationFailure``.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -112,8 +118,15 @@ def integrate_orbit(
         raise ValueError("orbit integration needs a chart model")
 
     phi, b = model.phi, model.b
+    budget, nfev = ORBIT_NFEV_BUDGET, 0
 
-    def rhs(_t, state):
+    def rhs(t, state):
+        nonlocal nfev
+        nfev += 1
+        if nfev > budget:
+            raise IntegrationFailure(
+                "orbit integration exceeded %d right-hand-side evaluations at "
+                "t = %.6g" % (budget, t), last_time=float(t))
         x, y, theta = state
         p, px, py, _lap = phi.jet(x, y)
         e = math.exp(-float(p))

@@ -205,6 +205,14 @@ class TestClassify:
         assert o.gap_converged and o.gap == pytest.approx(2e-6, rel=1e-3)
         assert rep.verdict == "Inconclusive" and "margin" in rep.reason
 
+    def test_nearly_flat_constant_model_is_not_refuted(self):
+        # K + b**2 = -1e-300 < 0 is hyperbolic in closed form, though the
+        # schedule resolves its gap only as far as a flat profile's
+        rep = classify(ConstantCurvature(K=-1e-300, b=0.0, chi=-2,
+                                         area=4 * math.pi * 1e300))
+        assert rep.orbits[0].witness_sup is not None
+        assert rep.verdict == "Inconclusive" and "margin" in rep.reason
+
     def test_flat_profile_model(self):
         rep = classify(AbstractProfile(kappa=lambda t: 0.0, k_bound=0.5))
         assert rep.verdict == "NotAnosov"

@@ -1,11 +1,13 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from magflow import AbstractProfile, ConfigError, SamplingConfig
+from magflow import AbstractProfile, ConfigError, SamplingConfig, anosov, cli, flow
+from magflow.anosov import ensemble_states
 from magflow.cli import build_model, build_sampling, main, run, sweep, validate_config
 
 AREA = 4 * math.pi
@@ -19,6 +21,23 @@ def constant_config(tmp_path, b=0.5, **extra):
     }
     cfg.update(extra)
     return cfg
+
+
+def torus_config(tmp_path, name="out", **extra):
+    # every orbit meets a conjugate point before t = 6, so each integrates
+    # only its plus orbit
+    cfg = {
+        "model": {"kind": "torus", "phi": {"cos": {"1,0": 0.05}},
+                  "b": {"const": 0.6, "sin": {"0,1": 0.2}}},
+        "ensemble": {"count": 3, "seed": 11, "horizon": 30.0},
+        "output_dir": str(tmp_path / name),
+    }
+    cfg.update(extra)
+    return cfg
+
+
+def orbit_csvs(outdir):
+    return sorted(p.name for p in outdir.glob("orbit_*.csv"))
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -231,6 +250,84 @@ class TestRun:
 
         assert strip(first) == strip(second)
         assert first.count("generated_at") == 1
+
+
+class TestExport:
+    def test_each_orbit_is_integrated_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = flow.integrate_orbit
+
+        def counted(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        for module in (anosov, cli):
+            if hasattr(module, "integrate_orbit"):
+                monkeypatch.setattr(module, "integrate_orbit", counted)
+        assert run(torus_config(tmp_path)) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())["report"]
+        assert all(o["conjugate_time"] is not None for o in report["orbits"])
+        assert len(calls) == 3
+        assert orbit_csvs(tmp_path / "out") == [
+            "orbit_000.csv", "orbit_001.csv", "orbit_002.csv"]
+
+    def test_csvs_match_a_direct_integration(self, tmp_path):
+        for cfg in (torus_config(tmp_path, "torus"),
+                    constant_config(tmp_path)):
+            assert run(cfg) == 0
+            outdir = Path(cfg["output_dir"])
+            model, sampling, _ = validate_config(cfg)
+            states = ensemble_states(model, sampling.ensemble_count, sampling.seed)
+            assert len(orbit_csvs(outdir)) == len(states)
+            for i, v0 in enumerate(states):
+                direct = tmp_path / "direct.csv"
+                flow.integrate_orbit(model, v0, sampling.horizon,
+                                     sampling.integration_tol).to_csv(direct)
+                assert (outdir / ("orbit_%03d.csv" % i)).read_bytes() == direct.read_bytes()
+
+    def test_export_limit_bounds_the_kept_traces(self, tmp_path, monkeypatch):
+        reports, kept = [], []
+        real = cli.classify
+
+        def spy(*args, **kwargs):
+            report = real(*args, **kwargs)
+            reports.append(report)
+            kept.append([o.trace is not None for o in report.orbits])
+            return report
+
+        monkeypatch.setattr(cli, "classify", spy)
+        assert run(torus_config(tmp_path, export_orbit_limit=1)) == 0
+        assert kept == [[True, False, False]]
+        assert orbit_csvs(tmp_path / "out") == ["orbit_000.csv"]
+        # written traces are dropped
+        assert all(o.trace is None for o in reports[0].orbits)
+
+    def test_parallel_export_matches_serial(self, tmp_path):
+        assert run(torus_config(tmp_path, "serial")) == 0
+        assert run(torus_config(tmp_path, "parallel"), workers=2) == 0
+        names = orbit_csvs(tmp_path / "serial")
+        assert len(names) == 3 and orbit_csvs(tmp_path / "parallel") == names
+        for name in names:
+            assert ((tmp_path / "serial" / name).read_bytes()
+                    == (tmp_path / "parallel" / name).read_bytes())
+
+    def test_report_has_no_trace(self, tmp_path):
+        assert run(torus_config(tmp_path)) == 0
+        orbits = json.loads((tmp_path / "out" / "report.json").read_text())[
+            "report"]["orbits"]
+        assert len(orbits) == 3 and not any("trace" in o for o in orbits)
+
+    def test_orbit_over_budget_has_no_csv(self, tmp_path, monkeypatch):
+        # the overrun is recorded on each orbit, the report is written and
+        # chi = 0 decides the verdict
+        monkeypatch.setattr(flow, "ORBIT_NFEV_BUDGET", 100)
+        assert main([write_config(tmp_path, torus_config(tmp_path))]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())["report"]
+        assert report["reason"] == "euler characteristic >= 0"
+        assert [o["error"].split(":")[0] for o in report["orbits"]] == [
+            "IntegrationFailure"] * 3
+        assert orbit_csvs(tmp_path / "out") == []
+        assert (tmp_path / "out" / "summary.txt").exists()
 
 
 class TestSweep:

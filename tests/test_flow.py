@@ -1,8 +1,10 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 
+from magflow import flow
 from magflow import (
     AbstractProfile,
     ConformalTorus,
@@ -11,6 +13,7 @@ from magflow import (
     FourierSeries1D,
     FourierSeries2D,
     InsufficientDataError,
+    IntegrationFailure,
     UnitTangent,
     curvature_profile,
     flip_intensity,
@@ -98,11 +101,28 @@ class TestOrbits:
             integrate_orbit(flat_torus(), UnitTangent(), -1.0)
 
     def test_csv_export(self, tmp_path):
-        tr = integrate_orbit(flat_torus(1.0), UnitTangent(), 1.0)
+        # 5001 rows: more than two blocks of the writer
+        tr = integrate_orbit(flat_torus(1.0), UnitTangent(), 50.0)
+        tr.kappa_samples[:5] = [math.nan, math.inf, -math.inf, -0.0, 5e-324]
         path = tmp_path / "orbit.csv"
         tr.to_csv(path)
         header = path.read_text().splitlines()[0]
         assert header == "t,x,y,theta,kappa"
+        # the bytes of csv.writer with repr'd floats
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t", "x", "y", "theta", "kappa"])
+            for row in zip(tr.t_samples, tr.xs, tr.ys, tr.thetas, tr.kappa_samples):
+                writer.writerow([repr(float(v)) for v in row])
+        assert path.read_bytes() == ref.read_bytes()
+
+    def test_work_budget_stops_the_integration(self, monkeypatch):
+        monkeypatch.setattr(flow, "ORBIT_NFEV_BUDGET", 200)
+        with pytest.raises(IntegrationFailure) as exc:
+            integrate_orbit(flat_torus(1.0), UnitTangent(), 200.0)
+        assert 0.0 < exc.value.last_time < 200.0
+        assert "200 right-hand-side evaluations" in str(exc.value)
 
 
 class TestCurvatureProfiles:
