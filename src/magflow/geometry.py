@@ -88,6 +88,11 @@ class ConformalTorus:
     b: FourierSeries2D = field(default_factory=FourierSeries2D)
 
     def __post_init__(self):
+        for s in (self.phi, self.b):
+            data = (s.Lx, s.Ly, s.const, *s.cos_coeffs.values(), *s.sin_coeffs.values())
+            if not all(math.isfinite(v) for v in data):
+                raise ValueError("phi and b must have finite periods, constants "
+                                 "and amplitudes")
         if self.phi.Lx != self.b.Lx or self.phi.Ly != self.b.Ly:
             raise ValueError("phi and b must share the same periods")
 

@@ -49,6 +49,11 @@ JACOBI_TOL = 1e-12
 CROSS_CHECK_TOL = 1e-7
 FIRST_BREAK = 5.0
 RESCALE_THRESHOLD = 1e100
+# right-hand-side evaluations one launch may spend: a spline profile read
+# along a strong-field orbit makes the DOP853 step shrink like 1/sqrt(|kappa|).
+# The largest launch in the tests, demos and benchmark takes 52,706 (the
+# phi = 30 cos(2 pi x) torus of the quadrature-failure test); this is 19x that.
+JACOBI_NFEV_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -124,9 +129,17 @@ class JacobiTrace:
 
 def _launch(ev: Callable, y0, t_span: tuple):
     """One dense DOP853 run of J'' + ev(t) J = 0 for one (value, derivative)
-    pair, or for two stacked pairs."""
+    pair, or for two stacked pairs. Past ``JACOBI_NFEV_BUDGET``
+    right-hand-side evaluations it stops with an ``IntegrationFailure``."""
+    budget, nfev = JACOBI_NFEV_BUDGET, 0
 
     def rhs(t, y):
+        nonlocal nfev
+        nfev += 1
+        if nfev > budget:
+            raise IntegrationFailure(
+                "jacobi integration exceeded %d right-hand-side evaluations at "
+                "t = %.6g" % (budget, t), last_time=float(t))
         k, v = -float(ev(t)), y.tolist()
         if len(v) == 2:
             return [v[1], k * v[0]]

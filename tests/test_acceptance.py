@@ -18,6 +18,7 @@ from magflow import (
     FourierSeries2D,
     ConformalTorus,
     JacobiState,
+    NumericalInconsistencyError,
     UnitTangent,
     classify,
     contraction_fit,
@@ -162,7 +163,7 @@ def test_criterion_07_slope_monotonicity_and_barrier():
     report(7, "slope monotonicity in r with negative-time barrier", ok)
 
 
-def test_criterion_08_riccati_envelopes():
+def check_criterion_08():
     rng = rng_for("acceptance-envelope")
     ok = True
     worst = 0.0
@@ -194,7 +195,11 @@ def test_criterion_08_riccati_envelopes():
             band = float(np.max(np.abs(tr.u_samples))) - k
             ok &= tr.blowup_time is None and band <= 1e-6
             worst = max(worst, band)
-    report(8, "riccati comparison envelopes", ok, "worst excess %.3g" % worst)
+    return ok, "worst excess %.3g" % worst
+
+
+def test_criterion_08_riccati_envelopes():
+    report(8, "riccati comparison envelopes", *check_criterion_08())
 
 
 def check_criterion_09():
@@ -213,8 +218,10 @@ def check_criterion_10():
     for _ in range(10):
         p = hyperbolic_profile(rng)
         stable_of_flip = green_slope(flip_profile(p), "+").u_plus0
+        unstable = green_slope(p, "-").u_minus0
         unstable_direct = negative_r_slope_limit(p)
-        worst = max(worst, abs(stable_of_flip + unstable_direct))
+        worst = max(worst, abs(stable_of_flip + unstable_direct),
+                    abs(unstable - unstable_direct))
     return worst < 1e-8, "max deviation %.3g" % worst
 
 
@@ -330,3 +337,15 @@ def test_shifted_slopes_or_shift_fail_criterion_09(monkeypatch):
     monkeypatch.setattr(CurvatureProfile, "shifted",
                         lambda self, t0: real(self, t0 + 1e-5))
     assert not check_criterion_09()[0]
+
+
+def test_unflipped_unstable_route_fails_criteria_08_and_10(monkeypatch):
+    # The unstable slope is the stable slope of the time-reflected profile
+    # with its sign changed. Without the sign change it lands near minus
+    # itself: criterion 10 reads the wrong sign, and criterion 08 stops at
+    # green_both's guard, since the unstable slope now lies below the
+    # stable one.
+    monkeypatch.setattr(green.GreenSide, "reflected", lambda self: self)
+    assert not check_criterion_10()[0]
+    with pytest.raises(NumericalInconsistencyError, match="negative transversality gap"):
+        check_criterion_08()

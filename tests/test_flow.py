@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from magflow import flow
 from magflow import (
@@ -123,6 +124,126 @@ class TestOrbits:
             integrate_orbit(flat_torus(1.0), UnitTangent(), 200.0)
         assert 0.0 < exc.value.last_time < 200.0
         assert "200 right-hand-side evaluations" in str(exc.value)
+
+
+def bench_torus():
+    # the benchmark's torus (demo 05)
+    return ConformalTorus(phi=FourierSeries2D(cos_coeffs={(1, 0): 0.05}),
+                          b=FourierSeries2D(const=0.6, sin_coeffs={(0, 1): 0.2}))
+
+
+def jet_rhs(model):
+    # the orbit equations from the array evaluator, as scipy's RHS
+    phi, b = model.phi, model.b
+
+    def rhs(t, state):
+        x, y, theta = state
+        p, px, py, _lap = phi.jet(x, y)
+        e = math.exp(-float(p))
+        c, s = math.cos(theta), math.sin(theta)
+        return [e * c, e * s, float(b(x, y)) + e * (float(py) * c - float(px) * s)]
+
+    return rhs
+
+
+class TestRK45:
+    def test_matches_scipy_rk45(self):
+        m, v0 = bench_torus(), UnitTangent(0.31, 0.47, 1.3)
+        tr = integrate_orbit(m, v0, 20.0)
+        sol = solve_ivp(jet_rhs(m), (0.0, 20.0), [v0.x, v0.y, v0.theta],
+                        method="RK45", rtol=flow.DEFAULT_TOL,
+                        atol=flow.DEFAULT_TOL, t_eval=tr.t_samples)
+        assert sol.success
+        for ours, ref, L in ((tr.xs, sol.y[0], m.Lx), (tr.ys, sol.y[1], m.Ly)):
+            d = np.abs(ours - ref) % L
+            assert np.max(np.minimum(d, L - d)) < 1e-9
+        assert np.max(np.abs(tr.thetas - sol.y[2])) < 1e-9
+        sc = tr.step_controls
+        assert abs(sc["nfev"] - sol.nfev) <= 0.02 * sol.nfev
+        # the first-step probe, then six evaluations per attempted step
+        assert sc["nfev"] == 2 + 6 * (sc["accepted_steps"] + sc["rejected_steps"])
+
+    def test_step_control_matches_scipy_with_rejections(self):
+        # the Arenstorf orbit (Hairer, Norsett and Wanner, sec. II.0) rejects
+        # 35 of 167 steps at tol 1e-6, so the rejection path and the no-growth
+        # rule after a rejection are exercised; the orbit is periodic, not
+        # chaotic, so roundoff stays small
+        mu = 0.012277471
+
+        def f(y):
+            y1, y2, v1, v2 = y
+            d1 = ((y1 + mu) ** 2 + y2 ** 2) ** 1.5
+            d2 = ((y1 - 1 + mu) ** 2 + y2 ** 2) ** 1.5
+            return (v1, v2,
+                    y1 + 2 * v2 - (1 - mu) * (y1 + mu) / d1 - mu * (y1 - 1 + mu) / d2,
+                    y2 - 2 * v1 - (1 - mu) * y2 / d1 - mu * y2 / d2)
+
+        y0 = (0.994, 0.0, 0.0, -2.00158510637908252240537862224)
+        T = 17.0652165601579625
+        ts = np.linspace(0.0, T, 101)
+        ys, stats = flow._rk45(f, y0, T, ts, 1e-6)
+        sol = solve_ivp(lambda t, y: f(y.tolist()), (0.0, T), y0, method="RK45",
+                        rtol=1e-6, atol=1e-6, t_eval=ts)
+        assert stats["rejected_steps"] > 20
+        assert abs(stats["nfev"] - sol.nfev) <= 0.01 * sol.nfev
+        assert np.max(np.abs(ys - sol.y)) < 1e-7
+
+    def test_scalar_rhs_matches_array_jet(self):
+        # two modes in phi and in b, on a rectangular cell
+        phi = FourierSeries2D(Lx=1.3, Ly=0.7, const=0.2,
+                              cos_coeffs={(1, 0): 0.05, (2, -1): 0.03},
+                              sin_coeffs={(2, -1): -0.04})
+        b = FourierSeries2D(Lx=1.3, Ly=0.7, const=0.6,
+                            sin_coeffs={(0, 1): 0.2}, cos_coeffs={(1, -1): 0.1})
+        m = ConformalTorus(phi=phi, b=b)
+        rhs, ref = flow._torus_rhs(m), jet_rhs(m)
+        rng = np.random.default_rng(5)
+        pts = rng.uniform(0.0, 1.0, (200, 3)) * (1.3, 0.7, 2 * math.pi)
+        for x, y, theta in pts.tolist():
+            for series, n in ((phi, 3), (b, 1)):
+                got = flow._scalar_jet(series.const, flow._scalar_modes(series), x, y)
+                want = series.jet(x, y)
+                assert np.max(np.abs(np.subtract(got[:n], want[:n]))) < 1e-14
+            np.testing.assert_allclose(rhs([x, y, theta]), ref(0.0, [x, y, theta]),
+                                       rtol=0, atol=1e-14)
+
+    def test_step_underflow_raises(self):
+        # y' = y**2 from y(0) = 1 blows up at t = 1: the step falls below
+        # 10 ulp(t) just before it
+        with pytest.raises(IntegrationFailure) as exc:
+            flow._rk45(lambda y: [y[0] * y[0]], (1.0,), 2.0, np.array([0.0, 2.0]),
+                       1e-10)
+        assert "step size" in str(exc.value)
+        assert exc.value.last_time == pytest.approx(1.0, abs=1e-9)
+
+    def test_non_finite_error_stops_at_once(self):
+        calls = []
+
+        def f(y):
+            calls.append(y)
+            return [math.nan]
+
+        with pytest.raises(IntegrationFailure) as exc:
+            flow._rk45(f, (1.0,), 2.0, np.array([0.0, 2.0]), 1e-10)
+        assert "non-finite" in str(exc.value)
+        assert exc.value.last_time == 0.0
+        # the first-step probe and one attempted step
+        assert len(calls) == 8
+
+    def test_flow_does_not_use_solve_ivp(self):
+        assert not hasattr(flow, "solve_ivp")
+
+    @pytest.mark.parametrize("field, series", [
+        ("b", FourierSeries2D(const=math.nan)),
+        ("b", FourierSeries2D(sin_coeffs={(0, 1): math.inf})),
+        ("phi", FourierSeries2D(cos_coeffs={(1, 0): -math.inf})),
+        ("phi", FourierSeries2D(Lx=math.inf, Ly=1.0)),
+    ])
+    def test_non_finite_torus_is_rejected(self, field, series):
+        other = FourierSeries2D(Lx=series.Lx)
+        kw = {field: series, ("phi" if field == "b" else "b"): other}
+        with pytest.raises(ValueError, match="finite"):
+            ConformalTorus(**kw)
 
 
 class TestCurvatureProfiles:

@@ -7,12 +7,16 @@ from scipy.integrate import quad
 
 from magflow import (
     AbstractProfile,
+    ConformalTorus,
     ConjugatePointError,
     ConstantCurvature,
     CurvatureProfile,
     FourierSeries1D,
+    FourierSeries2D,
+    IntegrationFailure,
     JacobiState,
     QuotientVector,
+    SamplingConfig,
     classify,
     curvature_profile,
     first_zero,
@@ -374,3 +378,23 @@ class TestPeriodicPropagator:
             assert np.array_equal(first, second)
             assert [one.slope(r) for r in (5.0, 40.0, 1e4)] \
                 == [other.slope(r) for r in (1e4, 40.0, 5.0)][::-1]
+
+
+class TestWorkBudget:
+    def test_launch_stops_past_the_budget(self, monkeypatch):
+        monkeypatch.setattr(jacobi, "JACOBI_NFEV_BUDGET", 300)
+        with pytest.raises(IntegrationFailure) as exc:
+            integrate_jacobi(CurvatureProfile.constant(-1.0), JacobiState(1.0, 0.0),
+                             (0.0, 50.0))
+        assert "300 right-hand-side evaluations" in str(exc.value)
+        assert 0.0 < exc.value.last_time < 50.0
+
+    def test_overrun_is_recorded_on_the_orbit(self, monkeypatch):
+        # b = 2000: kappa ~ 4e6 along the orbit, and the conjugate scan's
+        # first launch alone would take 778,697 evaluations
+        monkeypatch.setattr(jacobi, "JACOBI_NFEV_BUDGET", 20_000)
+        torus = ConformalTorus(phi=FourierSeries2D(), b=FourierSeries2D(const=2000.0))
+        rep = classify(torus, SamplingConfig(ensemble_count=1, horizon=5.0))
+        assert rep.verdict == "NotAnosov"  # chi = 0 decides the verdict
+        assert rep.orbits[0].error.startswith(
+            "IntegrationFailure: jacobi integration exceeded 20000 ")
