@@ -26,8 +26,8 @@ print("converged: u+ = %+.10f, u- = %+.10f, gap = %.10f"
 print()
 
 print("half-wave curvature -max(0, sin t)^2: flat half the time, still hyperbolic")
-hw = CurvatureProfile.from_callable(
-    lambda t: -np.maximum(0.0, np.sin(np.asarray(t, dtype=float))) ** 2,
+hw = CurvatureProfile(
+    evaluator=lambda t: -np.maximum(0.0, np.sin(np.asarray(t, dtype=float))) ** 2,
     k_bound=1.0,
 )
 side = green_slope(hw, "+").plus

@@ -48,7 +48,6 @@ from .jacobi import (
     JacobiTrace,
     QuotientVector,
     first_zero,
-    flip_profile,
     integrate_jacobi,
     sasaki_norm,
     solve_boundary,
@@ -61,7 +60,6 @@ from .riccati import RiccatiTrace, comparison_envelope, integrate_riccati
 from .green import (
     GreenEstimate,
     GreenSide,
-    boundary_slope,
     green_both,
     green_slope,
     invariance_residual,
@@ -72,9 +70,7 @@ from .anosov import (
     bounded_jacobi_witness,
     classify,
     contraction_fit,
-    first_conjugate_time,
     negativity_criterion,
-    transversality_gap,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -65,17 +65,6 @@ NEGATIVITY_EPS = 1e-8
 UNRESOLVED_GAP_TOLS = 10.0
 
 
-def first_conjugate_time(profile: CurvatureProfile, horizon: float) -> Optional[float]:
-    """First time where the unit-slope solution returns to zero, or None."""
-    return first_zero(profile, horizon)
-
-
-def transversality_gap(profile: CurvatureProfile) -> dict:
-    """Difference of unstable and stable slopes at time zero."""
-    est = green_both(profile)
-    return {"gap": est.gap, "converged": est.converged, "estimate": est}
-
-
 @dataclass
 class Witness:
     """A candidate nontrivial bounded transverse field."""
@@ -133,12 +122,9 @@ class ContractionFit:
     success: bool
 
 
-def contraction_fit(
-    profile: CurvatureProfile,
-    window: float = CONTRACTION_WINDOW,
-    estimate=None,
-) -> ContractionFit:
-    """Fit norm(t) ~ d * exp(-c t) for the stable solution on [1, window].
+def contraction_fit(profile: CurvatureProfile, estimate=None) -> ContractionFit:
+    """Fit norm(t) ~ d * exp(-c t) for the stable solution on
+    [1, CONTRACTION_WINDOW].
 
     The norm is the Sasaki norm sqrt(J^2 + J'^2) of the solution launched
     with value one and the stable slope. A fitted rate at or below
@@ -150,7 +136,7 @@ def contraction_fit(
     est = estimate if estimate is not None else green_slope(profile, "+")
     if est.plus is None or not est.plus.converged:
         raise ValueError("contraction fit needs a converged stable slope")
-    u0 = est.u_plus0
+    u0, window = est.u_plus0, CONTRACTION_WINDOW
     trace = integrate_jacobi(profile, JacobiState(1.0, u0), (0.0, window))
     ts = np.linspace(1.0, window, 181)
     norms = np.hypot(trace.values(ts), trace.derivs(ts))
@@ -384,7 +370,7 @@ def analyze_orbit(model: SurfaceModel, v0: UnitTangent, orbit_id: int,
         res.kappa_min, res.kappa_max = profile_extrema(plus)
 
         if cfg.check_conjugate:
-            res.conjugate_time = first_conjugate_time(
+            res.conjugate_time = first_zero(
                 plus, min(CONJUGATE_HORIZON, plus.t_max)
             )
             if res.conjugate_time is not None:

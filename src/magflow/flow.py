@@ -390,10 +390,6 @@ class CurvatureProfile:
             evaluator=series, k_bound=_k_bound(series.sampled_min()), series=series
         )
 
-    @staticmethod
-    def from_callable(fn: Callable, k_bound: float) -> "CurvatureProfile":
-        return CurvatureProfile(evaluator=fn, k_bound=k_bound)
-
 
 def _k_bound(kmin: float) -> float:
     """A k with kappa > -k**2 for a curvature whose (sampled) minimum is kmin."""

@@ -31,6 +31,8 @@ from .errors import InvalidProfileError, ResolutionError, UnsupportedQueryError
 from .fourier import FourierSeries1D, FourierSeries2D
 
 GAUSS_BONNET_TOL = 1e-9
+# grid-doubling tolerance of total_area's quadrature
+AREA_TOL = 1e-8
 # the window on which an abstract profile's samples are checked before use
 VALIDATION_WINDOW = (0.0, 100.0)
 
@@ -212,11 +214,12 @@ def _refined_integral(model: ConformalTorus, values, tol=1e-8, n0=128, nmax=2048
     )
 
 
-def total_area(model: SurfaceModel, tol: float = 1e-8) -> float:
+def total_area(model: SurfaceModel) -> float:
     if isinstance(model, ConstantCurvature):
         return model.area
     if isinstance(model, ConformalTorus):
-        return _refined_integral(model, lambda X, Y: np.exp(2.0 * model.phi(X, Y)), tol)
+        return _refined_integral(model, lambda X, Y: np.exp(2.0 * model.phi(X, Y)),
+                                 AREA_TOL)
     if model.area is not None:
         return model.area
     raise UnsupportedQueryError("abstract-profile model carries no area metadata")

@@ -35,7 +35,7 @@ from .errors import (
     NumericalInconsistencyError,
 )
 from .flow import CurvatureProfile
-from .jacobi import FIRST_BREAK, first_zero, propagator, solve_boundary
+from .jacobi import FIRST_BREAK, first_zero, propagator
 
 DEFAULT_GREEN_TOL = 1e-9
 R0 = FIRST_BREAK
@@ -43,11 +43,6 @@ R_CAP = 5.0 * 2.0**31
 WORK_BUDGET = 3_000_000
 SLOPE_BOUND_SLACK = 1e-6
 MONOTONE_SLACK = 1e-10
-
-
-def boundary_slope(profile: CurvatureProfile, r: float) -> float:
-    """Derivative at time zero of the boundary solution for target r."""
-    return solve_boundary(profile, r, cross_check=False).slope0
 
 
 @dataclass
@@ -233,8 +228,10 @@ def invariance_residual(profile: CurvatureProfile, t: float) -> float:
     if not (base.converged and sh.converged):
         raise InsufficientDataError(
             "invariance check needs converged slopes at both ends")
-    a, da, z, dz = propagator(profile)(t)
-    w, v = sh.u_plus0, base.u_minus0
+    prop = propagator(profile)
+    a, da, z, dz = prop(t)
+    w = sh.u_plus0
     pulled = (a * w - da) / (dz - z * w)
-    pushed = (da + dz * v) / (a + z * v)
+    j, dj = prop.carry(t, base.u_minus0)
+    pushed = dj[0] / j[0]
     return float(max(abs(pulled - base.u_plus0), abs(pushed - sh.u_minus0)))

@@ -11,14 +11,14 @@ distinguished solutions used throughout:
 * the boundary solution for a target time r, with value one at zero and
   value zero at r.
 
-All of these, the conjugate scan and the slope schedules in ``green`` read
-one fundamental-matrix ``Propagator`` per profile. A constant or Fourier
-profile is periodic, and its propagator integrates one period and reads
-every later time from the monodromy; spline and callable profiles are
-integrated as far as callers ask. Every integration here runs at the one
-tolerance ``JACOBI_TOL``.
-``integrate_jacobi`` launches other initial data directly, because
-``A + u Z`` cancels catastrophically along the stable line.
+All of these, the conjugate scan, the slope schedules in ``green`` and the
+Riccati solutions in ``riccati`` read one fundamental-matrix ``Propagator``
+per profile. A constant or Fourier profile is periodic, and its
+propagator integrates one period and reads every later time from the
+monodromy; spline and callable profiles are integrated as far as callers
+ask. Every integration here runs at the one tolerance ``JACOBI_TOL``.
+``integrate_jacobi`` launches other initial data directly, because the
+value ``A + u Z`` cancels catastrophically along the stable line.
 
 The boundary solution is computed two independent ways (a shooting
 combination of fundamental solutions, and the reduction-of-order integral
@@ -54,6 +54,8 @@ RESCALE_THRESHOLD = 1e100
 # The largest launch in the tests, demos and benchmark takes 52,706 (the
 # phi = 30 cos(2 pi x) torus of the quadrature-failure test); this is 19x that.
 JACOBI_NFEV_BUDGET = 1_000_000
+TRACE_CSV_SAMPLES = 1001  # rows JacobiTrace.to_csv writes
+SCAN_STEP = 0.01          # grid of the conjugate and blow-up scans
 
 
 @dataclass(frozen=True)
@@ -115,10 +117,10 @@ class JacobiTrace:
         self._check(ts)
         return self._scale * self._sol(ts)[1]
 
-    def to_csv(self, path, n: int = 1001):
+    def to_csv(self, path):
         import csv
 
-        ts = np.linspace(self.t0, self.t1, n)
+        ts = np.linspace(self.t0, self.t1, TRACE_CSV_SAMPLES)
         vals, ders = self.values(ts), self.derivs(ts)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -316,6 +318,15 @@ class Propagator:
         y, _e = self._stored(np.array([float(r)]))
         return -float(y[0, 0]) / float(y[2, 0])
 
+    def carry(self, ts, u0: float) -> tuple:
+        """(J, J') at the times ts >= 0 for the solution J = A + u0 Z with
+        slope u0 at time zero, both divided by one power of two per time
+        (stored scale). So the sign of J and the slope
+        J'/J = (A' + Z' u0) / (A + Z u0), the Moebius image of u0, stay
+        exact where A and Z overflow."""
+        (a, da, z, dz), _e = self._stored(np.atleast_1d(np.asarray(ts, dtype=float)))
+        return a + z * u0, da + dz * u0
+
     def nfev_to(self, t: float) -> int:
         """Right-hand-side evaluations spent integrating up to t. A periodic
         profile spends at most one period's, whatever t."""
@@ -346,41 +357,53 @@ def unit_slope_trace(profile: CurvatureProfile, horizon: float) -> JacobiTrace:
     return JacobiTrace(lambda ts: prop(ts)[2:], 1.0, 0.0, float(horizon))
 
 
-def first_zero(profile: CurvatureProfile, horizon: float,
-               step: float = 0.01) -> Optional[float]:
-    """First positive zero of the unit-slope solution on (0, horizon].
+def _first_root(prop: Propagator, f: Callable, horizon: float,
+                step: float) -> tuple:
+    """First zero on (0, horizon] of a function that is positive just after
+    time zero, with the last scan time before it (0.0 in the first cell),
+    or (None, horizon) when it keeps its sign.
 
-    Scans a uniform grid for sign changes, then refines the bracket by
-    bisection to 1e-9. Returns None when the solution keeps its sign.
+    ``f`` reads the propagator ``prop`` at an array of times. The scan
+    reads a uniform grid one propagator segment at a time, so integration
+    stops at the breakpoint past the first zero, and bisection refines a
+    sign change to 1e-9.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    prop = propagator(profile)
     ts = np.arange(step, horizon + 0.5 * step, step)
     if len(ts) == 0:
         # a horizon shorter than half a step: scan the horizon alone
         ts = np.array([float(horizon)])
     ts[-1] = min(ts[-1], horizon)
-    # scan one segment at a time, so integration stops at the breakpoint
-    # past the first zero
     vals = np.empty(0)
     while len(vals) < len(ts) and not np.any(vals <= 0.0):
         end = prop.breaks[prop.segment(ts[len(vals)])]
         chunk = ts[len(vals):int(np.searchsorted(ts, end, side="right"))]
-        vals = np.concatenate([vals, prop(chunk)[2]])
+        vals = np.concatenate([vals, f(chunk)])
     sign_change = np.nonzero(vals <= 0.0)[0]
     if len(sign_change) == 0:
-        return None
+        return None, float(horizon)
     i = int(sign_change[0])
+    before = float(ts[i - 1]) if i > 0 else 0.0
     if vals[i] == 0.0:
-        return float(ts[i])
-    lo = ts[i - 1] if i > 0 else 0.5 * ts[0]
+        return float(ts[i]), before
+    lo = before if i > 0 else 0.5 * ts[0]
     hi = ts[i]
-    f = lambda t: float(prop(t)[2])
-    if f(lo) <= 0.0:
-        # zero sits inside the first scan cell
-        lo = 1e-8
-    return float(brentq(f, lo, hi, xtol=1e-9))
+    g = lambda t: float(f(np.array([t]))[0])
+    if g(lo) <= 0.0:
+        # zero sits inside the first scan cell: bracket it from 1e-8, or
+        # from zero where f is positive there (the unit-slope solution
+        # vanishes at zero itself)
+        lo = 1e-8 if g(1e-8) > 0.0 else 0.0
+    return float(brentq(g, lo, hi, xtol=1e-9)), before
+
+
+def first_zero(profile: CurvatureProfile, horizon: float,
+               step: float = SCAN_STEP) -> Optional[float]:
+    """First positive zero of the unit-slope solution on (0, horizon], or
+    None when the solution keeps its sign (``_first_root``)."""
+    if horizon <= 0:
+        raise ValueError("horizon must be positive")
+    prop = propagator(profile)
+    return _first_root(prop, lambda ts: prop(ts)[2], horizon, step)[0]
 
 
 @dataclass
@@ -478,11 +501,11 @@ def solve_boundary(profile: CurvatureProfile, r: float,
 def tangential_component(
     b_along_orbit: Callable[[float], float],
     perp: JacobiTrace,
-    JT0: float = 0.0,
 ) -> Callable[[float], float]:
-    """The along-flow component slaved to the transverse one.
+    """The along-flow component slaved to the transverse one, less its value
+    at time zero.
 
-    Returns t -> JT0 + integral_0^t b(s) * J(s) ds, evaluated by adaptive
+    Returns t -> integral_0^t b(s) * J(s) ds, evaluated by adaptive
     quadrature over the dense transverse trace. Queries must stay inside
     the trace span.
     """
@@ -494,11 +517,7 @@ def tangential_component(
             return float(b_along_orbit(s)) * float(perp.values(np.array([s]))[0])
 
         val, _err = quad(integrand, 0.0, t, epsabs=1e-12, epsrel=1e-10, limit=200)
-        return JT0 + val
+        return val
 
     return jt
 
-
-def flip_profile(profile: CurvatureProfile) -> CurvatureProfile:
-    """Curvature seen by the time-reversed field: t -> kappa(-t)."""
-    return profile.flipped()

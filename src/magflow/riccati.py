@@ -5,6 +5,11 @@ this equation, which is what makes it the workhorse for slope bounds:
 with kappa > -k^2, every solution alive on the positive half-line is
 pinched between -k and k*coth(k t), and every globally defined solution
 satisfies |u| <= k.
+
+A solution is read from the profile's Jacobi propagator rather than
+integrated: u = J'/J for the Jacobi solution J = A + u0 Z with slope u0,
+so u(t) = (A' + Z' u0) / (A + Z u0), the Moebius image of u0 under the
+fundamental matrix. It blows up exactly where J has its first zero.
 """
 
 from __future__ import annotations
@@ -14,13 +19,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .errors import IntegrationFailure
 from .flow import CurvatureProfile
+from .jacobi import SCAN_STEP, _first_root, propagator
 
-BLOWUP_MAGNITUDE = 1e7
-RICCATI_TOL = 1e-12
 N_SAMPLES = 2001
 
 
@@ -28,9 +30,10 @@ N_SAMPLES = 2001
 class RiccatiTrace:
     """Sampled Riccati solution, with the blow-up time if one occurred.
 
-    When ``blowup_time`` is set the samples cover only the interval up to
-    the terminal threshold crossing; the reported time carries a bracket
-    of width ~1e-8 obtained from the pole asymptotics of the last step.
+    The blow-up time is the first zero of the Jacobi solution A + Z u0,
+    refined to 1e-9. When it is set, the samples cover the span only up to
+    the last conjugate-scan time before it, less than ``SCAN_STEP`` short
+    of the pole.
     """
 
     t_samples: np.ndarray
@@ -48,47 +51,33 @@ class RiccatiTrace:
 
 
 def integrate_riccati(profile: CurvatureProfile, u0: float, t_span: tuple) -> RiccatiTrace:
-    """Integrate the Riccati equation from u(t0) = u0 over t_span and sample
-    it at N_SAMPLES uniform times.
+    """The solution with u(t0) = u0 over t_span, sampled at N_SAMPLES uniform
+    times, read from a propagator.
 
-    Blow-up is not an error: the integration stops at a large-magnitude
-    threshold and the pole time is recovered from the 1/(t - t*)
-    asymptotics, which brackets it far tighter than the requested 1e-8.
+    A span from t0 != 0 reads ``profile.shifted(t0)``; a backward span
+    reads the flipped profile in the time s = t0 - t, where the slope is
+    -u. Blow-up is not an error: it is the first zero of A + Z u0, found
+    by the conjugate scan of ``jacobi.first_zero``, and the read stops
+    there. Reading past a spline profile's window raises
+    ``InsufficientDataError``.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
-    ev = profile.evaluator
-
-    def rhs(t, y):
-        return [-y[0] * y[0] - float(ev(t))]
-
-    def hit_threshold(t, y):
-        return abs(y[0]) - BLOWUP_MAGNITUDE
-
-    hit_threshold.terminal = True
-
-    sol = solve_ivp(
-        rhs, (t0, t1), [u0], method="DOP853", rtol=RICCATI_TOL, atol=RICCATI_TOL,
-        dense_output=True, events=hit_threshold,
+    sign = 1.0 if t1 >= t0 else -1.0
+    # from t0 = 0 the profile's cached propagator serves
+    local = profile.shifted(t0) if t0 != 0.0 else profile
+    if sign < 0.0:
+        local = local.flipped()
+    prop = propagator(local)
+    v0 = sign * u0
+    pole, s_end = _first_root(prop, lambda ss: prop.carry(ss, v0)[0],
+                              abs(t1 - t0), SCAN_STEP)
+    ss = np.linspace(0.0, s_end, N_SAMPLES)
+    j, dj = prop.carry(ss, v0)
+    return RiccatiTrace(
+        t_samples=t0 + sign * ss,
+        u_samples=sign * (dj / j),
+        blowup_time=None if pole is None else t0 + sign * pole,
     )
-    if not sol.success and sol.status != 1:
-        raise IntegrationFailure(
-            "riccati integration failed: %s" % sol.message,
-            last_time=float(sol.t[-1]),
-        )
-
-    blowup = None
-    t_end = float(sol.t[-1])
-    if sol.status == 1 and len(sol.t_events[0]) > 0:
-        te = float(sol.t_events[0][0])
-        ue = float(sol.sol(te)[0])
-        # near the pole u ~ -1/(t - t*) + O(kappa * (t - t*)), so the
-        # correction at |u| = 1e7 is far below the reported bracket
-        direction = 1.0 if t1 >= t0 else -1.0
-        blowup = te + direction / abs(ue)
-        t_end = te
-
-    ts = np.linspace(t0, t_end, N_SAMPLES)
-    return RiccatiTrace(t_samples=ts, u_samples=sol.sol(ts)[0], blowup_time=blowup)
 
 
 def comparison_envelope(k: float, t: float) -> dict:

@@ -22,8 +22,7 @@ from magflow import (
     UnitTangent,
     classify,
     contraction_fit,
-    first_conjugate_time,
-    flip_profile,
+    first_zero,
     green_both,
     green_slope,
     integral_inequality_check,
@@ -66,10 +65,10 @@ def test_criterion_01_green_slope_oracle():
 
 def test_criterion_02_conjugate_time_oracle():
     errs = [
-        abs(first_conjugate_time(CurvatureProfile.constant(1.0), 10.0) - math.pi),
-        abs(first_conjugate_time(CurvatureProfile.constant(4.0), 10.0) - math.pi / 2),
+        abs(first_zero(CurvatureProfile.constant(1.0), 10.0) - math.pi),
+        abs(first_zero(CurvatureProfile.constant(4.0), 10.0) - math.pi / 2),
     ]
-    none_ok = first_conjugate_time(CurvatureProfile.constant(-1.0), 50.0) is None
+    none_ok = first_zero(CurvatureProfile.constant(-1.0), 50.0) is None
     report(2, "first-conjugate-time oracle", max(errs) < 1e-6 and none_ok,
            "max err %.3g, hyperbolic none=%s" % (max(errs), none_ok))
 
@@ -217,7 +216,7 @@ def check_criterion_10():
     worst = 0.0
     for _ in range(10):
         p = hyperbolic_profile(rng)
-        stable_of_flip = green_slope(flip_profile(p), "+").u_plus0
+        stable_of_flip = green_slope(p.flipped(), "+").u_plus0
         unstable = green_slope(p, "-").u_minus0
         unstable_direct = negative_r_slope_limit(p)
         worst = max(worst, abs(stable_of_flip + unstable_direct),
@@ -230,7 +229,7 @@ def test_criterion_10_flip_duality():
 
 
 def test_criterion_11_contraction_fit():
-    fit = contraction_fit(CurvatureProfile.constant(-1.0), window=10.0)
+    fit = contraction_fit(CurvatureProfile.constant(-1.0))
     c_ok = abs(fit.c - 1.0) < 0.05
     norm_ok = abs(fit.norm_end - math.sqrt(2) * math.exp(-10.0)) \
         < 0.05 * math.sqrt(2) * math.exp(-10.0)

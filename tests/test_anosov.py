@@ -13,10 +13,10 @@ from magflow import (
     bounded_jacobi_witness,
     classify,
     contraction_fit,
-    first_conjugate_time,
+    first_zero,
+    green_both,
     integrate_jacobi,
     negativity_criterion,
-    transversality_gap,
 )
 from magflow.anosov import ensemble_states, growth_floor
 from families import hyperbolic_profile, random_torus, rng_for
@@ -28,40 +28,40 @@ AREA = 4 * math.pi
 
 def half_wave_profile():
     """Nonpositive curvature vanishing on alternate half-periods."""
-    return CurvatureProfile.from_callable(
-        lambda t: -np.maximum(0.0, np.sin(np.asarray(t, dtype=float))) ** 2,
+    return CurvatureProfile(
+        evaluator=lambda t: -np.maximum(0.0, np.sin(np.asarray(t, dtype=float))) ** 2,
         k_bound=1.0,
     )
 
 
 class TestConjugateScan:
     def test_positive_constant(self):
-        assert first_conjugate_time(CurvatureProfile.constant(1.0), 10.0) == pytest.approx(
+        assert first_zero(CurvatureProfile.constant(1.0), 10.0) == pytest.approx(
             math.pi, abs=1e-6
         )
-        assert first_conjugate_time(CurvatureProfile.constant(4.0), 10.0) == pytest.approx(
+        assert first_zero(CurvatureProfile.constant(4.0), 10.0) == pytest.approx(
             math.pi / 2, abs=1e-6
         )
 
     def test_hyperbolic_has_none(self):
-        assert first_conjugate_time(P_NEG, 50.0) is None
+        assert first_zero(P_NEG, 50.0) is None
 
 
 class TestGap:
     def test_constant_hyperbolic(self):
-        r = transversality_gap(P_NEG)
-        assert r["converged"]
-        assert r["gap"] == pytest.approx(2.0, abs=1e-8)
+        r = green_both(P_NEG)
+        assert r.converged
+        assert r.gap == pytest.approx(2.0, abs=1e-8)
 
     def test_flat(self):
-        r = transversality_gap(P_ZERO)
-        assert r["converged"]
-        assert 0.0 <= r["gap"] < 1e-8
+        r = green_both(P_ZERO)
+        assert r.converged
+        assert 0.0 <= r.gap < 1e-8
 
     def test_half_wave(self):
-        r = transversality_gap(half_wave_profile())
-        assert r["converged"]
-        assert r["gap"] > 1e-3
+        r = green_both(half_wave_profile())
+        assert r.converged
+        assert r.gap > 1e-3
 
 
 class TestWitness:
@@ -87,8 +87,8 @@ class TestWitness:
     def test_equivalence_with_gap(self):
         # healthy gap: every direction between the slopes grows past any
         # bound in one of the two time directions
-        est_gap = transversality_gap(P_NEG)
-        assert est_gap["gap"] > 1e-4
+        est_gap = green_both(P_NEG)
+        assert est_gap.gap > 1e-4
         mid = 0.0
         tr_f = integrate_jacobi(P_NEG, JacobiState(1.0, mid), (0.0, 20.0))
         tr_b = integrate_jacobi(P_NEG, JacobiState(1.0, mid), (0.0, -20.0))
@@ -99,18 +99,18 @@ class TestWitness:
 
 class TestContraction:
     def test_unit_hyperbolic(self):
-        fit = contraction_fit(P_NEG, window=10.0)
+        fit = contraction_fit(P_NEG)
         assert fit.success
         assert fit.c == pytest.approx(1.0, rel=0.05)
         assert fit.norm_end == pytest.approx(math.sqrt(2) * math.exp(-10.0), rel=0.05)
         assert fit.d == pytest.approx(math.sqrt(2), rel=0.05)
 
     def test_strong_hyperbolic(self):
-        fit = contraction_fit(CurvatureProfile.constant(-4.0), window=10.0)
+        fit = contraction_fit(CurvatureProfile.constant(-4.0))
         assert fit.c == pytest.approx(2.0, rel=0.05)
 
     def test_flat_fit_fails(self):
-        fit = contraction_fit(P_ZERO, window=10.0)
+        fit = contraction_fit(P_ZERO)
         assert not fit.success
         assert abs(fit.c) < 1e-3
 
@@ -121,7 +121,7 @@ class TestSturmSign:
         # solution changes sign (separation of zeros)
         for K in (1.0, 4.0):
             p = CurvatureProfile.constant(K)
-            T = first_conjugate_time(p, 10.0)
+            T = first_zero(p, 10.0)
             for slope in (-1.0, 0.0, 2.0):
                 tr = integrate_jacobi(p, JacobiState(1.0, slope), (0.0, T))
                 vals = tr.values(np.linspace(0.0, T, 400))

@@ -18,6 +18,7 @@ from magflow import (
     rotate_i,
     total_area,
 )
+from magflow import geometry
 from families import random_torus, rng_for
 
 
@@ -149,10 +150,11 @@ class TestGaussBonnet:
         with pytest.raises(ValueError):
             ConstantCurvature(K=-1.0, b=math.inf, chi=-2, area=4 * math.pi)
 
-    def test_unreachable_tolerance_raises(self):
+    def test_unreachable_tolerance_raises(self, monkeypatch):
+        monkeypatch.setattr(geometry, "AREA_TOL", 0.0)
         rng = rng_for("resolution")
         with pytest.raises(ResolutionError):
-            total_area(random_torus(rng), tol=0.0)
+            total_area(random_torus(rng))
 
 
 class TestIntegralInequality:

@@ -20,7 +20,6 @@ from magflow import (
     classify,
     curvature_profile,
     first_zero,
-    flip_profile,
     green_slope,
     integrate_jacobi,
     sasaki_norm,
@@ -74,10 +73,11 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             tr.at(3.0)
 
-    def test_csv_export(self, tmp_path):
+    def test_csv_export(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(jacobi, "TRACE_CSV_SAMPLES", 21)
         tr = integrate_jacobi(P_NEG, JacobiState(1.0, -1.0), (0.0, 2.0))
         path = tmp_path / "trace.csv"
-        tr.to_csv(path, n=21)
+        tr.to_csv(path)
         lines = path.read_text().splitlines()
         assert lines[0] == "t,J,dJ"
         assert len(lines) == 22
@@ -187,17 +187,17 @@ class TestWronskian:
 class TestTangential:
     def test_zero_intensity(self):
         tr = integrate_jacobi(P_ZERO, JacobiState(1.0, 0.0), (0.0, 5.0))
-        jt = tangential_component(lambda s: 0.0, tr, JT0=0.7)
-        assert jt(3.0) == pytest.approx(0.7, abs=1e-12)
+        jt = tangential_component(lambda s: 0.0, tr)
+        assert 0.7 + jt(3.0) == pytest.approx(0.7, abs=1e-12)
 
     def test_constant_field(self):
         tr = integrate_jacobi(P_ZERO, JacobiState(1.0, 0.0), (0.0, 5.0))
-        jt = tangential_component(lambda s: 1.0, tr, JT0=0.5)
-        assert jt(4.0) == pytest.approx(4.5, rel=1e-10)
+        jt = tangential_component(lambda s: 1.0, tr)
+        assert 0.5 + jt(4.0) == pytest.approx(4.5, rel=1e-10)
 
     def test_sine_field(self):
         tr = integrate_jacobi(P_POS, JacobiState(0.0, 1.0), (0.0, 5.0))
-        jt = tangential_component(lambda s: 1.0, tr, JT0=0.0)
+        jt = tangential_component(lambda s: 1.0, tr)
         for t in (0.5, 2.0, 4.5):
             assert jt(t) == pytest.approx(1.0 - math.cos(t), rel=1e-9, abs=1e-10)
 
@@ -212,14 +212,14 @@ class TestFlip:
     def test_even_profile_fixed(self):
         p = CurvatureProfile.from_series(FourierSeries1D(const=0.0, cos_coeffs={1: 1.0}))
         ts = np.linspace(-10, 10, 101)
-        np.testing.assert_allclose(flip_profile(p).evaluator(ts), p.evaluator(ts),
+        np.testing.assert_allclose(p.flipped().evaluator(ts), p.evaluator(ts),
                                    atol=1e-15)
 
     def test_sine_profile_reflects(self):
         p = CurvatureProfile.from_series(FourierSeries1D(const=-1.0, sin_coeffs={1: 0.3}))
         ts = np.linspace(-10, 10, 101)
         np.testing.assert_allclose(
-            flip_profile(p).evaluator(ts), -1.0 - 0.3 * np.sin(ts), atol=1e-14
+            p.flipped().evaluator(ts), -1.0 - 0.3 * np.sin(ts), atol=1e-14
         )
 
     def test_double_flip_is_identity(self):
@@ -227,7 +227,7 @@ class TestFlip:
         p = hyperbolic_profile(rng)
         ts = np.linspace(-20, 20, 201)
         np.testing.assert_allclose(
-            flip_profile(flip_profile(p)).evaluator(ts), p.evaluator(ts), atol=1e-14
+            p.flipped().flipped().evaluator(ts), p.evaluator(ts), atol=1e-14
         )
 
 

@@ -3,17 +3,22 @@ import math
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
+from scipy.optimize import brentq
 
 from magflow import (
     CurvatureProfile,
+    InsufficientDataError,
     JacobiState,
+    UnitTangent,
     comparison_envelope,
+    curvature_profile,
     green_slope,
     integrate_jacobi,
+    integrate_orbit,
     integrate_riccati,
 )
 from magflow.riccati import riccati_residual
-from families import hyperbolic_profile, rng_for
+from families import hyperbolic_profile, oscillatory_profile, random_torus, rng_for
 
 P_NEG = CurvatureProfile.constant(-1.0)
 P_POS = CurvatureProfile.constant(1.0)
@@ -134,3 +139,87 @@ class TestLogDerivativeLink:
         du = CubicSpline(ts, u)(ts[5:-5], 1)
         resid = du + u[5:-5] ** 2 + np.asarray(p.evaluator(ts[5:-5]))
         assert np.max(np.abs(resid)) < 1e-6
+
+
+
+def launch_error(profile, tr, u0, span):
+    """Largest deviation of the samples from J'/J of a direct Jacobi launch
+    from (1, u0), relative to max(1, |u|), where |u| < 1e3."""
+    jt = integrate_jacobi(profile, JacobiState(1.0, u0), span)
+    ref = jt.derivs(tr.t_samples) / jt.values(tr.t_samples)
+    keep = np.abs(ref) < 1e3
+    dev = np.abs(tr.u_samples[keep] - ref[keep])
+    return float(np.max(dev / np.maximum(1.0, np.abs(ref[keep]))))
+
+
+def launch_zero(profile, u0, span):
+    """First zero of a direct Jacobi launch from (1, u0) over span."""
+    jt = integrate_jacobi(profile, JacobiState(1.0, u0), span)
+    ts = np.linspace(span[0], span[1], 20001)
+    i = int(np.nonzero(jt.values(ts) <= 0.0)[0][0])
+    return brentq(lambda t: float(jt.values(np.array([t]))[0]), ts[i - 1], ts[i],
+                  xtol=1e-13)
+
+
+class TestPropagatorReadout:
+    """The readout against a direct launch of the linear equation."""
+
+    @pytest.mark.parametrize("family", [hyperbolic_profile, oscillatory_profile])
+    @pytest.mark.parametrize("span", [(0.0, 20.0), (0.0, -20.0)])
+    def test_samples_equal_launched_log_derivative(self, family, span):
+        rng = rng_for("readout-" + family.__name__)
+        for _ in range(4):
+            p = family(rng)
+            for u0 in (-0.5 * p.k_bound, 0.0, 0.7, 2.0 * p.k_bound):
+                tr = integrate_riccati(p, u0, span)
+                assert launch_error(p, tr, u0, span) < 1e-8
+
+    def test_blowup_is_first_zero_of_launch(self):
+        rng = rng_for("readout-blowup")
+        for _ in range(4):
+            p = oscillatory_profile(rng)
+            for u0, span in ((0.3, (0.0, 20.0)), (-0.4, (0.0, -20.0))):
+                tr = integrate_riccati(p, u0, span)
+                zero = launch_zero(p, u0, span)
+                assert tr.blowup_time == pytest.approx(zero, abs=1e-8)
+                # the samples stop short of the pole
+                assert np.all(np.abs(tr.t_samples) < abs(zero))
+
+    def test_pole_inside_first_scan_cell(self):
+        # u' = -u^2 from u0 < 0: pole at 1/|u0|, short of the first scan time
+        for u0 in (-1e3, -1e9):
+            tr = integrate_riccati(P_ZERO, u0, (0.0, 5.0))
+            assert tr.blowup_time == pytest.approx(1.0 / abs(u0), rel=1e-9)
+            assert tr.t_samples[-1] == 0.0 and tr.u_samples[-1] == u0
+
+    def test_spline_profile_reads_segmented_propagator(self):
+        # the curvature along a torus orbit is a cubic spline on the orbit
+        # window, integrated in propagator segments [0, 5], [5, 10], ...
+        # DOP853 follows the spline to about 1e-7 only (its third derivative
+        # jumps at every knot), and 1/J amplifies that near a pole
+        rng = rng_for("readout-spline")
+        model = random_torus(rng)
+        orbit = integrate_orbit(model, UnitTangent(0.1, 0.2, 0.5), 25.0)
+        p = curvature_profile(model, orbit)
+        assert p.series is None and p.t_max == 25.0
+        for u0, span in ((0.2, (0.0, 20.0)), (0.0, (3.0, 24.0)),
+                         (-0.3, (20.0, 2.0))):
+            tr = integrate_riccati(p, u0, span)
+            assert launch_error(p, tr, u0, span) < 1e-5
+            assert tr.blowup_time == pytest.approx(launch_zero(p, u0, span),
+                                                   abs=1e-7)
+        # spans read past the window [0, 25], where the spline would
+        # extrapolate
+        for span in ((24.0, 26.0), (20.0, 30.0), (1.0, -1.0), (0.0, -1.0)):
+            with pytest.raises(InsufficientDataError):
+                integrate_riccati(p, 0.0, span)
+
+    def test_span_from_t0_reads_shifted_profile(self):
+        rng = rng_for("readout-shift")
+        p = hyperbolic_profile(rng)
+        for span, local in (((1.0, 11.0), (0.0, 10.0)), ((1.0, -9.0), (0.0, -10.0))):
+            tr = integrate_riccati(p, 0.4, span)
+            ref = integrate_riccati(p.shifted(1.0), 0.4, local)
+            np.testing.assert_array_equal(tr.u_samples, ref.u_samples)
+            np.testing.assert_allclose(tr.t_samples, 1.0 + ref.t_samples,
+                                       rtol=0, atol=1e-14)
