@@ -47,7 +47,7 @@ from .geometry import (
     integral_inequality_check,
     sample_kappa,
 )
-from .green import GreenEstimate, green_both, green_slope
+from .green import GreenEstimate, green_slope
 from .jacobi import JacobiState, first_zero, integrate_jacobi, unit_slope_trace
 
 SCHEMA_VERSION = 1
@@ -78,33 +78,36 @@ class Witness:
 
 def bounded_jacobi_witness(
     profile: CurvatureProfile,
-    tol: float = 1e-4,
-    estimate=None,
+    minus: CurvatureProfile,
+    tol: float,
+    estimate: GreenEstimate,
 ) -> Optional[Witness]:
     """Search for a nontrivial bounded transverse field.
 
-    When the transversality gap falls below ``tol`` the stable and
-    unstable lines coincide to working accuracy, and integrating the
-    stable direction across [-WITNESS_WINDOW, WITNESS_WINDOW] exhibits the
-    bounded field directly. With a healthy gap no direction can stay bounded in both
-    time directions (only the stable line is bounded forward and only the
+    When the transversality gap of ``estimate`` falls below ``tol`` the
+    stable and unstable lines coincide to working accuracy, and the stable
+    direction integrated across [-WITNESS_WINDOW, WITNESS_WINDOW] exhibits
+    the bounded field directly. The backward half is read forward along
+    ``minus``, the time reflection of ``profile`` (the curvature along the
+    reversed-intensity orbit for a chart model), where the slope changes
+    sign. With a healthy gap no direction can stay bounded in both time
+    directions (only the stable line is bounded forward and only the
     unstable line backward), so None is returned.
     """
-    est = estimate if estimate is not None else green_both(profile)
-    if not est.converged:
+    if not estimate.converged:
         raise ValueError("witness search needs converged slope estimates")
-    if est.gap >= tol:
+    if estimate.gap >= tol:
         return None
-    window = WITNESS_WINDOW
-    trace_f = integrate_jacobi(profile, JacobiState(1.0, est.u_plus0), (0.0, window))
-    trace_b = integrate_jacobi(profile, JacobiState(1.0, est.u_plus0), (0.0, -window))
+    window, u0 = WITNESS_WINDOW, estimate.u_plus0
+    trace_f = integrate_jacobi(profile, JacobiState(1.0, u0), (0.0, window))
+    trace_b = integrate_jacobi(minus, JacobiState(1.0, -u0), (0.0, window))
     ts_f = np.linspace(0.0, window, 501)
     ts_b = np.linspace(-window, 0.0, 501)
-    vals = np.concatenate([trace_b.values(ts_b), trace_f.values(ts_f)])
+    vals = np.concatenate([trace_b.values(-ts_b), trace_f.values(ts_f)])
     ts = np.concatenate([ts_b, ts_f])
     return Witness(
         sup_norm=float(np.max(np.abs(vals))),
-        slope_used=est.u_plus0,
+        slope_used=u0,
         window=window,
         t_samples=ts,
         values=vals,
@@ -122,39 +125,38 @@ class ContractionFit:
     success: bool
 
 
-def contraction_fit(profile: CurvatureProfile, estimate=None) -> ContractionFit:
-    """Fit norm(t) ~ d * exp(-c t) for the stable solution on
-    [1, CONTRACTION_WINDOW].
+def contraction_fit(profile: CurvatureProfile,
+                    estimate: GreenEstimate) -> ContractionFit:
+    """Fit norm(t) ~ d * exp(-c t) for the stable solution on [W / 10, W].
 
     The norm is the Sasaki norm sqrt(J^2 + J'^2) of the solution launched
-    with value one and the stable slope. A fitted rate at or below
-    ``CONTRACTION_FLOOR`` is a certification failure (no usable contraction;
-    the flat case fits c ~ 0). The window should stay well below the
-    double-precision mixing horizon ~ -log(slope error)/(2k), past which
-    the unstable component contaminates the launch.
+    with value one and the stable slope u+ of ``estimate``. A fitted rate at
+    or below ``CONTRACTION_FLOOR`` is a certification failure (no usable
+    contraction; the flat case fits c ~ 0). The window end
+    W = CONTRACTION_WINDOW / max(1, |u+|) stays below the double-precision
+    mixing horizon ~ -log(slope error)/(2k), past which the unstable
+    component contaminates the launch; for a constant profile k = |u+|.
     """
-    est = estimate if estimate is not None else green_slope(profile, "+")
-    if est.plus is None or not est.plus.converged:
+    if estimate.plus is None or not estimate.plus.converged:
         raise ValueError("contraction fit needs a converged stable slope")
-    u0, window = est.u_plus0, CONTRACTION_WINDOW
+    u0 = estimate.u_plus0
+    window = CONTRACTION_WINDOW / max(1.0, abs(u0))
     trace = integrate_jacobi(profile, JacobiState(1.0, u0), (0.0, window))
-    ts = np.linspace(1.0, window, 181)
-    norms = np.hypot(trace.values(ts), trace.derivs(ts))
-    logn = np.log(norms)
+    ts = np.linspace(window / 10.0, window, 181)
+    ts_all = np.linspace(0.0, window, 201)
+    # one read of the dense output for the fit and the bound
+    norms = np.hypot(*trace.states(np.concatenate([ts, ts_all])))
+    logn, norms_all = np.log(norms[:ts.size]), norms[ts.size:]
     slope, intercept = np.polyfit(ts, logn, 1)
     c = -float(slope)
     resid = float(np.sqrt(np.mean((logn - (intercept + slope * ts)) ** 2)))
-    ts_all = np.linspace(0.0, window, 201)
-    norms_all = np.hypot(trace.values(ts_all), trace.derivs(ts_all))
     if c > 0:
         d = float(np.max(norms_all * np.exp(c * ts_all)))
         d = max(d, 1.0)
     else:
         d = float(np.max(norms_all))
     return ContractionFit(
-        c=c, d=d, fit_residual=resid,
-        norm_end=float(np.hypot(*[float(v) for v in
-                                  (trace.at(window).value, trace.at(window).deriv)])),
+        c=c, d=d, fit_residual=resid, norm_end=float(norms_all[-1]),
         success=c > CONTRACTION_FLOOR,
     )
 
@@ -171,27 +173,23 @@ def growth_floor(profile: CurvatureProfile, window: float = 20.0) -> float:
 
 def sampled_kappa_extrema(model: SurfaceModel) -> tuple:
     """(min, max) of the curvature function over a sample of the unit
-    tangent bundle (a 64 x 64 chart grid times 128 angles on a torus);
-    exact for constant models."""
-    n = 64
+    tangent bundle; exact for constant models. On a torus it is sampled on
+    a 64 x 64 chart grid and taken exactly over the angle: kappa is
+    K + b**2 - exp(-phi) (-b_x sin(theta) + b_y cos(theta)), whose extrema
+    over theta are K + b**2 -+ exp(-phi) |grad b|."""
     if isinstance(model, ConstantCurvature):
         k = model.K + model.b**2
         return k, k
     if isinstance(model, ConformalTorus):
+        n = 64
         xs = np.linspace(0.0, model.Lx, n, endpoint=False)
         ys = np.linspace(0.0, model.Ly, n, endpoint=False)
         X, Y = np.meshgrid(xs, ys, indexing="ij")
-        K = -np.exp(-2.0 * model.phi(X, Y)) * model.phi.laplacian(X, Y)
-        bval = model.b(X, Y) + 0.0 * X
-        scale = np.exp(-model.phi(X, Y))
-        bx, by = model.b.dx(X, Y) + 0.0 * X, model.b.dy(X, Y) + 0.0 * X
-        base = K + bval**2
-        lo, hi = math.inf, -math.inf
-        for th in np.linspace(0.0, 2.0 * math.pi, 2 * n, endpoint=False):
-            vals = base - scale * (-bx * math.sin(th) + by * math.cos(th))
-            lo = min(lo, float(np.min(vals)))
-            hi = max(hi, float(np.max(vals)))
-        return lo, hi
+        p, _px, _py, lap = model.phi.jet(X, Y)
+        bval, bx, by, _lap = model.b.jet(X, Y)
+        base = -np.exp(-2.0 * p) * lap + bval**2
+        spread = np.exp(-p) * np.hypot(bx, by)
+        return float(np.min(base - spread)), float(np.max(base + spread))
     vals = sample_kappa(model, np.linspace(0.0, 100.0, 4096))
     return float(np.min(vals)), float(np.max(vals))
 
@@ -229,11 +227,6 @@ class SamplingConfig:
     integration_tol: float = 1e-10
     green_tol: float = 1e-9
     gap_margin: float = 1e-4
-    check_inequality: bool = True
-    check_conjugate: bool = True
-    check_gaps: bool = True
-    check_contraction: bool = True
-    check_negativity: bool = True
 
 
 @dataclass
@@ -369,43 +362,38 @@ def analyze_orbit(model: SurfaceModel, v0: UnitTangent, orbit_id: int,
         plus = _orbit_profile(model, v0, cfg, res if keep_trace else None)
         res.kappa_min, res.kappa_max = profile_extrema(plus)
 
-        if cfg.check_conjugate:
-            res.conjugate_time = first_zero(
-                plus, min(CONJUGATE_HORIZON, plus.t_max)
+        res.conjugate_time = first_zero(plus, min(CONJUGATE_HORIZON, plus.t_max))
+        if res.conjugate_time is not None:
+            return res
+
+        # the minus profile, read along the reversed-intensity orbit from the
+        # flipped vector, is the time reflection of the plus one, so its
+        # stable side is the unstable side at the orbit's base point
+        if isinstance(model, ConformalTorus):
+            minus = _orbit_profile(flip_intensity(model), UnitTangent(
+                v0.x, v0.y, v0.theta + math.pi), cfg, None)
+        else:
+            minus = plus.flipped()
+        try:
+            est = GreenEstimate(
+                k_bound=plus.k_bound,
+                plus=green_slope(plus, "+", tol=cfg.green_tol).plus,
+                minus=green_slope(minus, "+", tol=cfg.green_tol).plus.reflected(),
             )
-            if res.conjugate_time is not None:
-                return res
+        except ConjugatePointError as exc:
+            res.conjugate_time = exc.conjugate_time
+            return res
+        res.u_plus, res.u_minus, res.gap = est.u_plus0, est.u_minus0, est.gap
+        res.gap_converged = est.converged
+        res.gap_residuals = (est.plus.residual, est.minus.residual)
+        res.growth_A = growth_floor(plus, min(20.0, plus.t_max))
 
-        if cfg.check_gaps:
-            # the minus profile, read along the reversed-intensity orbit from
-            # the flipped vector, is the time reflection of the plus one, so
-            # its stable side is the unstable side at the orbit's base point
-            if isinstance(model, ConformalTorus):
-                minus = _orbit_profile(flip_intensity(model), UnitTangent(
-                    v0.x, v0.y, v0.theta + math.pi), cfg, None)
-            else:
-                minus = plus.flipped()
-            try:
-                est = GreenEstimate(
-                    k_bound=plus.k_bound,
-                    plus=green_slope(plus, "+", tol=cfg.green_tol).plus,
-                    minus=green_slope(minus, "+", tol=cfg.green_tol).plus.reflected(),
-                )
-            except ConjugatePointError as exc:
-                res.conjugate_time = exc.conjugate_time
-                return res
-            res.u_plus, res.u_minus, res.gap = est.u_plus0, est.u_minus0, est.gap
-            res.gap_converged = est.converged
-            res.gap_residuals = (est.plus.residual, est.minus.residual)
-            res.growth_A = growth_floor(plus, min(20.0, plus.t_max))
-
-            if res.gap_converged and res.gap < cfg.gap_margin:
-                wit = bounded_jacobi_witness(plus, tol=cfg.gap_margin, estimate=est)
-                if wit is not None:
-                    res.witness_sup = wit.sup_norm
-
-            if cfg.check_contraction and res.gap_converged and res.gap >= cfg.gap_margin:
-                res.contraction = contraction_fit(plus, estimate=est)
+        if res.gap_converged and res.gap < cfg.gap_margin:
+            wit = bounded_jacobi_witness(plus, minus, cfg.gap_margin, est)
+            if wit is not None:
+                res.witness_sup = wit.sup_norm
+        elif res.gap_converged:
+            res.contraction = contraction_fit(plus, est)
     except MagflowError as exc:
         res.error = "%s: %s" % (type(exc).__name__, exc)
     return res
@@ -419,7 +407,7 @@ def classify(model: SurfaceModel, cfg: Optional[SamplingConfig] = None,
 
     inequality = None
     chi = getattr(model, "chi", None)
-    if cfg.check_inequality and not isinstance(model, AbstractProfile):
+    if not isinstance(model, AbstractProfile):
         try:
             r = integral_inequality_check(model)
             inequality = {
@@ -440,9 +428,7 @@ def classify(model: SurfaceModel, cfg: Optional[SamplingConfig] = None,
         results = [analyze_orbit(*job) for job in jobs]
     results.sort(key=lambda r: r.orbit_id)
 
-    negativity = None
-    if cfg.check_negativity:
-        negativity = negativity_criterion(model, [r.kappa_min for r in results])
+    negativity = negativity_criterion(model, [r.kappa_min for r in results])
 
     margins = {
         "gap_margin": cfg.gap_margin,
@@ -513,14 +499,10 @@ def _verdict(model, chi, inequality, results, negativity, cfg, errors,
         bad = [r.orbit_id for r in results
                if r.gap is None or not r.gap_converged or r.gap <= cfg.gap_margin]
         return "Inconclusive", "gap margin not established on orbits %s" % bad[:8]
-    if cfg.check_contraction:
-        contraction_ok = all(
-            r.contraction is not None and r.contraction.success for r in results
-        )
-        if not contraction_ok:
-            bad = [r.orbit_id for r in results
-                   if r.contraction is None or not r.contraction.success]
-            return "Inconclusive", "contraction fit failed on orbits %s" % bad[:8]
+    bad = [r.orbit_id for r in results
+           if r.contraction is None or not r.contraction.success]
+    if bad:
+        return "Inconclusive", "contraction fit failed on orbits %s" % bad[:8]
     return "NumericallyAnosov", (
         "all %d sampled orbits: converged gap > %g, stable contraction confirmed"
         % (len(results), cfg.gap_margin)
@@ -528,13 +510,8 @@ def _verdict(model, chi, inequality, results, negativity, cfg, errors,
 
 
 def _parallel_orbits(jobs, workers):
-    import pickle
     from concurrent.futures import ProcessPoolExecutor
 
-    try:
-        pickle.dumps(jobs[0])
-    except Exception:
-        return [analyze_orbit(*job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_orbit_job, jobs))
 

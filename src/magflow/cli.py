@@ -8,8 +8,6 @@ A run is declared in a JSON file::
       "ensemble": {"count": 64, "seed": 0, "horizon": 200.0},
       "tolerances": {"integration": 1e-10, "green": 1e-9,
                      "gap_margin": 1e-4},
-      "analyses": {"inequality": true, "conjugate": true, "gaps": true,
-                   "contraction": true, "negativity": true},
       "output_dir": "out"
     }
 
@@ -21,7 +19,8 @@ optional ``b_scale`` multiplying the intensity.
 
 Adding a ``sweep`` section {"parameter": "model.b", "grid": [...]} turns
 the run into a sweep: one classification per grid value, aggregated into
-``sweep.csv``. Exit status: 0 when a verdict was reached (either way),
+``sweep.csv``. Every classification runs the whole certificate; a config
+with an ``analyses`` section is refused with a ConfigError. Exit status: 0 when a verdict was reached (either way),
 2 when Inconclusive, 1 on configuration or I/O errors.
 """
 
@@ -174,7 +173,9 @@ def build_model(spec: dict):
 def build_sampling(cfg: dict) -> SamplingConfig:
     ens = _table(cfg.get("ensemble"), "ensemble")
     tols = _table(cfg.get("tolerances"), "tolerances")
-    ana = _table(cfg.get("analyses"), "analyses")
+    if "analyses" in cfg:
+        raise ConfigError("analyses is not a config section: every "
+                          "classification runs the whole certificate", "analyses")
     d = SamplingConfig()
     sc = SamplingConfig(
         ensemble_count=_number(ens.get("count", d.ensemble_count), "ensemble.count", int),
@@ -184,11 +185,6 @@ def build_sampling(cfg: dict) -> SamplingConfig:
                                 "tolerances.integration"),
         green_tol=_number(tols.get("green", d.green_tol), "tolerances.green"),
         gap_margin=_number(tols.get("gap_margin", d.gap_margin), "tolerances.gap_margin"),
-        check_inequality=bool(ana.get("inequality", d.check_inequality)),
-        check_conjugate=bool(ana.get("conjugate", d.check_conjugate)),
-        check_gaps=bool(ana.get("gaps", d.check_gaps)),
-        check_contraction=bool(ana.get("contraction", d.check_contraction)),
-        check_negativity=bool(ana.get("negativity", d.check_negativity)),
     )
     if sc.ensemble_count < 1:
         raise ConfigError("ensemble.count must be >= 1", "ensemble.count")

@@ -345,6 +345,15 @@ class CurvatureProfile:
     def is_constant(self) -> bool:
         return self.const_value is not None
 
+    def check_span(self, t0: float, t1: float):
+        """Raise ``InsufficientDataError`` naming the window end that the
+        span between t0 and t1 (either order) crosses."""
+        if max(t0, t1) > self.t_max:
+            raise InsufficientDataError("the profile window ends at t = %g" % self.t_max)
+        if min(t0, t1) < self.t_min:
+            raise InsufficientDataError("the profile window starts at t = %g"
+                                        % self.t_min)
+
     def shifted(self, t0: float) -> "CurvatureProfile":
         """The profile s -> kappa(t0 + s)."""
         if self.const_value is not None:

@@ -31,8 +31,13 @@ from .errors import InvalidProfileError, ResolutionError, UnsupportedQueryError
 from .fourier import FourierSeries1D, FourierSeries2D
 
 GAUSS_BONNET_TOL = 1e-9
-# grid-doubling tolerance of total_area's quadrature
-AREA_TOL = 1e-8
+# the torus quadrature of the area, the Gauss-Bonnet residual and the
+# inequality: tensor trapezoid from QUADRATURE_N0 points a side (or more for
+# high modes), doubled until two grids agree within QUADRATURE_TOL, and a
+# ResolutionError past QUADRATURE_NMAX
+QUADRATURE_TOL = 1e-8
+QUADRATURE_N0 = 128
+QUADRATURE_NMAX = 2048
 # the window on which an abstract profile's samples are checked before use
 VALIDATION_WINDOW = (0.0, 100.0)
 
@@ -155,7 +160,7 @@ def sample_kappa(model: AbstractProfile, ts: np.ndarray) -> np.ndarray:
 SurfaceModel = ConstantCurvature | ConformalTorus | AbstractProfile
 
 
-def gaussian_curvature(model: SurfaceModel, x: float = 0.0, y: float = 0.0) -> float:
+def gaussian_curvature(model: SurfaceModel, x: float, y: float) -> float:
     """Gaussian curvature at a chart point.
 
     For the conformal torus this is -exp(-2*phi)*laplacian(phi), evaluated
@@ -200,26 +205,24 @@ def _torus_grid_integral(model: ConformalTorus, values: Callable, n: int) -> flo
     return float(np.sum(F) * (model.Lx / n) * (model.Ly / n))
 
 
-def _refined_integral(model: ConformalTorus, values, tol=1e-8, n0=128, nmax=2048):
-    n = max(n0, 4 * model.phi.max_mode + 4, 4 * model.b.max_mode + 4)
+def _refined_integral(model: ConformalTorus, values) -> float:
+    n = max(QUADRATURE_N0, 4 * model.phi.max_mode + 4, 4 * model.b.max_mode + 4)
     prev = _torus_grid_integral(model, values, n)
-    while n < nmax:
+    while n < QUADRATURE_NMAX:
         n *= 2
         cur = _torus_grid_integral(model, values, n)
-        if abs(cur - prev) < tol:
+        if abs(cur - prev) < QUADRATURE_TOL:
             return cur
         prev = cur
-    raise ResolutionError(
-        "quadrature did not reach tolerance %g by grid side %d" % (tol, nmax)
-    )
+    raise ResolutionError("quadrature did not reach tolerance %g by grid side %d"
+                          % (QUADRATURE_TOL, QUADRATURE_NMAX))
 
 
 def total_area(model: SurfaceModel) -> float:
     if isinstance(model, ConstantCurvature):
         return model.area
     if isinstance(model, ConformalTorus):
-        return _refined_integral(model, lambda X, Y: np.exp(2.0 * model.phi(X, Y)),
-                                 AREA_TOL)
+        return _refined_integral(model, lambda X, Y: np.exp(2.0 * model.phi(X, Y)))
     if model.area is not None:
         return model.area
     raise UnsupportedQueryError("abstract-profile model carries no area metadata")

@@ -72,6 +72,12 @@ class GreenEstimate:
     plus: Optional[GreenSide] = None
     minus: Optional[GreenSide] = None
 
+    def __post_init__(self):
+        if self.converged and self.gap is not None and self.gap < -1e-8:
+            raise NumericalInconsistencyError(
+                "negative transversality gap %g on a converged estimate" % self.gap
+            )
+
     @property
     def u_plus0(self) -> Optional[float]:
         return self.plus.slope if self.plus is not None else None
@@ -187,25 +193,17 @@ def green_slope(profile: CurvatureProfile, direction: str = "+",
     """
     if direction not in ("+", "-"):
         raise ValueError("direction must be '+' or '-'")
-    est = GreenEstimate(k_bound=profile.k_bound)
     if direction == "+":
-        est.plus = _run_schedule(profile, tol)
-    else:
-        est.minus = _run_schedule(profile.flipped(), tol).reflected()
-    return est
+        return GreenEstimate(profile.k_bound, plus=_run_schedule(profile, tol))
+    return GreenEstimate(profile.k_bound,
+                         minus=_run_schedule(profile.flipped(), tol).reflected())
 
 
 def green_both(profile: CurvatureProfile) -> GreenEstimate:
-    """Both slopes at DEFAULT_GREEN_TOL; raises if the converged estimates
-    violate gap >= 0."""
-    plus = green_slope(profile, "+")
-    minus = green_slope(profile, "-")
-    est = GreenEstimate(k_bound=profile.k_bound, plus=plus.plus, minus=minus.minus)
-    if est.converged and est.gap < -1e-8:
-        raise NumericalInconsistencyError(
-            "negative transversality gap %g on a converged estimate" % est.gap
-        )
-    return est
+    """Both slopes at DEFAULT_GREEN_TOL; a converged pair with a negative
+    gap raises (``GreenEstimate``)."""
+    return GreenEstimate(profile.k_bound, plus=green_slope(profile, "+").plus,
+                         minus=green_slope(profile, "-").minus)
 
 
 def invariance_residual(profile: CurvatureProfile, t: float) -> float:
@@ -229,9 +227,7 @@ def invariance_residual(profile: CurvatureProfile, t: float) -> float:
         raise InsufficientDataError(
             "invariance check needs converged slopes at both ends")
     prop = propagator(profile)
-    a, da, z, dz = prop(t)
-    w = sh.u_plus0
-    pulled = (a * w - da) / (dz - z * w)
+    pulled = prop.pull_back(t, sh.u_plus0)
     j, dj = prop.carry(t, base.u_minus0)
     pushed = dj[0] / j[0]
     return float(max(abs(pulled - base.u_plus0), abs(pushed - sh.u_minus0)))

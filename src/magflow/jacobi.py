@@ -105,23 +105,25 @@ class JacobiTrace:
             raise ValueError("query time outside the integrated span")
 
     def at(self, t: float) -> JacobiState:
-        self._check(t)
-        v, d = self._sol(t)
-        return JacobiState(self._scale * float(v), self._scale * float(d))
+        v, d = self.states(t)
+        return JacobiState(float(v), float(d))
+
+    def states(self, ts) -> np.ndarray:
+        """(J, J') at the times ts from one read of the dense output."""
+        self._check(ts)
+        return self._scale * self._sol(ts)
 
     def values(self, ts) -> np.ndarray:
-        self._check(ts)
-        return self._scale * self._sol(ts)[0]
+        return self.states(ts)[0]
 
     def derivs(self, ts) -> np.ndarray:
-        self._check(ts)
-        return self._scale * self._sol(ts)[1]
+        return self.states(ts)[1]
 
     def to_csv(self, path):
         import csv
 
         ts = np.linspace(self.t0, self.t1, TRACE_CSV_SAMPLES)
-        vals, ders = self.values(ts), self.derivs(ts)
+        vals, ders = self.states(ts)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "J", "dJ"])
@@ -163,9 +165,11 @@ def integrate_jacobi(profile: CurvatureProfile, state0: JacobiState,
                      t_span: tuple) -> JacobiTrace:
     """Integrate J'' + kappa(t) J = 0 with dense output over t_span.
 
-    The span may run forward or backward in time.
+    The span may run forward or backward in time. A span leaving the
+    profile's window raises ``InsufficientDataError``.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
+    profile.check_span(t0, t1)
     scale = math.hypot(state0.value, state0.deriv)
     if scale == 0.0:
         return JacobiTrace(lambda ts: np.zeros((2,) + np.shape(ts)), 0.0, t0, t1)
@@ -326,6 +330,13 @@ class Propagator:
         exact where A and Z overflow."""
         (a, da, z, dz), _e = self._stored(np.atleast_1d(np.asarray(ts, dtype=float)))
         return a + z * u0, da + dz * u0
+
+    def pull_back(self, t: float, w: float) -> float:
+        """The slope at time zero of the solution with slope w at time t >= 0:
+        the inverse Moebius map (A w - A') / (Z' - Z w), read in stored scale
+        like ``carry``."""
+        (a, da, z, dz), _e = self._stored(np.array([float(t)]))
+        return float((a[0] * w - da[0]) / (dz[0] - z[0] * w))
 
     def nfev_to(self, t: float) -> int:
         """Right-hand-side evaluations spent integrating up to t. A periodic

@@ -62,6 +62,7 @@ def integrate_riccati(profile: CurvatureProfile, u0: float, t_span: tuple) -> Ri
     ``InsufficientDataError``.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
+    profile.check_span(t0, t1)
     sign = 1.0 if t1 >= t0 else -1.0
     # from t0 = 0 the profile's cached propagator serves
     local = profile.shifted(t0) if t0 != 0.0 else profile

@@ -229,7 +229,8 @@ def test_criterion_10_flip_duality():
 
 
 def test_criterion_11_contraction_fit():
-    fit = contraction_fit(CurvatureProfile.constant(-1.0))
+    p = CurvatureProfile.constant(-1.0)
+    fit = contraction_fit(p, green_slope(p, "+"))
     c_ok = abs(fit.c - 1.0) < 0.05
     norm_ok = abs(fit.norm_end - math.sqrt(2) * math.exp(-10.0)) \
         < 0.05 * math.sqrt(2) * math.exp(-10.0)

@@ -8,6 +8,7 @@ from magflow import (
     ConstantCurvature,
     CurvatureProfile,
     FourierSeries1D,
+    InsufficientDataError,
     JacobiState,
     SamplingConfig,
     bounded_jacobi_witness,
@@ -15,10 +16,12 @@ from magflow import (
     contraction_fit,
     first_zero,
     green_both,
+    green_slope,
     integrate_jacobi,
     negativity_criterion,
 )
-from magflow.anosov import ensemble_states, growth_floor
+from magflow import anosov, green
+from magflow.anosov import WITNESS_WINDOW, ensemble_states, growth_floor
 from families import hyperbolic_profile, random_torus, rng_for
 
 P_NEG = CurvatureProfile.constant(-1.0)
@@ -64,15 +67,23 @@ class TestGap:
         assert r.gap > 1e-3
 
 
+def _witness(p):
+    return bounded_jacobi_witness(p, p.flipped(), 1e-4, green_both(p))
+
+
+def _fit(p):
+    return contraction_fit(p, green_slope(p, "+"))
+
+
 class TestWitness:
     def test_flat_witness_is_constant_field(self):
-        w = bounded_jacobi_witness(P_ZERO, tol=1e-4)
+        w = _witness(P_ZERO)
         assert w is not None
         assert w.sup_norm == pytest.approx(1.0, abs=1e-6)
         assert np.max(np.abs(w.values - 1.0)) < 1e-6
 
     def test_hyperbolic_has_no_witness(self):
-        assert bounded_jacobi_witness(P_NEG, tol=1e-4) is None
+        assert _witness(P_NEG) is None
 
     def test_horocycle_boundary_model(self):
         # constant curvature -1 with unit intensity: curvature along
@@ -80,9 +91,21 @@ class TestWitness:
         m = ConstantCurvature(K=-1.0, b=1.0, chi=-2, area=AREA)
         from magflow import curvature_profile
 
-        w = bounded_jacobi_witness(curvature_profile(m), tol=1e-4)
+        w = _witness(curvature_profile(m))
         assert w is not None
         assert w.sup_norm == pytest.approx(1.0, abs=1e-6)
+
+    def test_backward_half_reads_the_minus_profile(self):
+        # a chart model's profiles cover [0, horizon] only: the backward half
+        # is read forward along the minus profile, never before t = 0
+        flat = CurvatureProfile(evaluator=lambda t: 0.0 * np.asarray(t), k_bound=0.5,
+                                t_min=0.0, t_max=WITNESS_WINDOW)
+        est = green_both(P_ZERO)
+        w = bounded_jacobi_witness(flat, flat, 1e-4, est)
+        assert w.sup_norm == pytest.approx(1.0, abs=1e-6)
+        assert np.max(np.abs(w.values - 1.0)) < 1e-6
+        with pytest.raises(InsufficientDataError, match="window ends"):
+            bounded_jacobi_witness(flat, flat.flipped(), 1e-4, est)
 
     def test_equivalence_with_gap(self):
         # healthy gap: every direction between the slopes grows past any
@@ -99,20 +122,40 @@ class TestWitness:
 
 class TestContraction:
     def test_unit_hyperbolic(self):
-        fit = contraction_fit(P_NEG)
+        fit = _fit(P_NEG)
         assert fit.success
         assert fit.c == pytest.approx(1.0, rel=0.05)
         assert fit.norm_end == pytest.approx(math.sqrt(2) * math.exp(-10.0), rel=0.05)
         assert fit.d == pytest.approx(math.sqrt(2), rel=0.05)
 
     def test_strong_hyperbolic(self):
-        fit = contraction_fit(CurvatureProfile.constant(-4.0))
+        fit = _fit(CurvatureProfile.constant(-4.0))
         assert fit.c == pytest.approx(2.0, rel=0.05)
 
     def test_flat_fit_fails(self):
-        fit = contraction_fit(P_ZERO)
+        fit = _fit(P_ZERO)
         assert not fit.success
         assert abs(fit.c) < 1e-3
+
+    @pytest.mark.parametrize("K", [-1.0, -9.0, -12.0, -25.0, -100.0, -1e4])
+    def test_window_ends_before_mixing(self, K):
+        # the window [W / 10, W] with W = 10 / max(1, |u+|) ends before the
+        # unstable component of the launch takes over
+        fit = _fit(CurvatureProfile.constant(K))
+        assert fit.success
+        assert fit.c == pytest.approx(math.sqrt(-K), rel=1e-4)
+
+    @pytest.mark.parametrize("K", [-9.0, -12.0, -25.0, -100.0])
+    def test_strongly_hyperbolic_models_certify(self, K):
+        rep = classify(ConstantCurvature(K=K, b=0.0, chi=-2, area=-4 * math.pi / K))
+        assert rep.verdict == "NumericallyAnosov"
+        assert rep.orbits[0].contraction.c == pytest.approx(math.sqrt(-K), rel=1e-4)
+
+    def test_strongly_hyperbolic_profile_certifies(self):
+        series = FourierSeries1D(const=-25.0, sin_coeffs={1: 0.3})
+        rep = classify(AbstractProfile(kappa=series, k_bound=math.sqrt(25.3)))
+        assert rep.verdict == "NumericallyAnosov"
+        assert rep.orbits[0].contraction.c == pytest.approx(5.0, rel=0.01)
 
 
 class TestSturmSign:
@@ -153,6 +196,25 @@ class TestNegativity:
         r = self._criterion(ConstantCurvature(K=1.0, b=0.0, chi=2, area=AREA))
         assert not r["applicable"]
 
+    def test_torus_extrema_are_exact_over_the_angle(self):
+        # the closed form bounds a dense sample of angles on the same chart
+        # grid and is attained to the angular sampling error
+        from magflow import UnitTangent, magnetic_curvature
+        from magflow.anosov import sampled_kappa_extrema
+
+        rng = rng_for("kappa-extrema")
+        for _ in range(3):
+            m = random_torus(rng)
+            lo, hi = sampled_kappa_extrema(m)
+            g = np.linspace(0.0, 1.0, 64, endpoint=False)
+            X, Y, TH = np.meshgrid(g * m.Lx, g * m.Ly,
+                                   np.linspace(0.0, 2 * math.pi, 360, endpoint=False),
+                                   indexing="ij")
+            k = magnetic_curvature(m, UnitTangent(X, Y, TH))
+            tol = 1e-4 * (hi - lo)
+            assert lo <= k.min() + 1e-12 and k.min() - lo < tol
+            assert hi >= k.max() - 1e-12 and hi - k.max() < tol
+
     def test_orbit_without_minimum_fails(self):
         m = ConstantCurvature(K=-1.0, b=0.0, chi=-2, area=AREA)
         assert negativity_criterion(m, [-1.0, None]) == {
@@ -174,9 +236,10 @@ class TestClassify:
         assert not rep.inequality["passes"]
 
     def test_conjugate_contrapositive(self):
-        # force the verdict through the conjugate scan alone
-        cfg = SamplingConfig(check_inequality=False)
-        rep = classify(ConstantCurvature(K=-1.0, b=1.2, chi=-2, area=AREA), cfg)
+        # the verdict through the conjugate scan alone: a profile model has no
+        # integral inequality, and kappa = 0.44 is K + b**2 of K = -1, b = 1.2
+        rep = classify(AbstractProfile(kappa=FourierSeries1D(const=0.44), k_bound=0.0))
+        assert rep.inequality is None
         assert rep.verdict == "NotAnosov"
         assert "conjugate" in rep.reason
         assert rep.orbits[0].conjugate_time == pytest.approx(
@@ -212,6 +275,21 @@ class TestClassify:
                                          area=4 * math.pi * 1e300))
         assert rep.orbits[0].witness_sup is not None
         assert rep.verdict == "Inconclusive" and "margin" in rep.reason
+
+    def test_negative_gap_is_recorded_without_witness(self, monkeypatch):
+        # without the sign change of the reflected side the unstable slope
+        # lies below the stable one: the estimate itself refuses the pair
+        monkeypatch.setattr(green.GreenSide, "reflected", lambda self: self)
+        witnesses = []
+        monkeypatch.setattr(anosov, "bounded_jacobi_witness",
+                            lambda *args: witnesses.append(args))
+        series = FourierSeries1D(const=-1.0, sin_coeffs={1: 0.3})
+        rep = classify(AbstractProfile(kappa=series, k_bound=math.sqrt(1.3)))
+        o = rep.orbits[0]
+        assert o.error.startswith("NumericalInconsistencyError: negative "
+                                  "transversality gap")
+        assert o.gap is None and o.witness_sup is None and not witnesses
+        assert rep.verdict == "Inconclusive" and rep.reason == o.error
 
     def test_flat_profile_model(self):
         rep = classify(AbstractProfile(kappa=lambda t: 0.0, k_bound=0.5))

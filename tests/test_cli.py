@@ -107,6 +107,10 @@ class TestConfigValidation:
         ({"model": {"kind": "profile", "kappa": {"const": -1.0},
                     "chi": -2.5}}, "model.chi"),
         ({"export_orbit_limit": 0.5}, "export_orbit_limit"),
+        # the certificate has no parts to switch off, so no run differs
+        # silently from its config
+        ({"analyses": {"contraction": False}}, "analyses"),
+        ({"analyses": {}}, "analyses"),
     ])
     def test_malformed_value_is_named(self, tmp_path, extra, key):
         with pytest.raises(ConfigError) as exc:
@@ -128,8 +132,6 @@ class TestConfigValidation:
             tmp_path,
             ensemble={"count": 3, "seed": 7, "horizon": 50.0},
             tolerances={"integration": 1e-9, "green": 1e-8, "gap_margin": 1e-3},
-            analyses={"inequality": False, "conjugate": False, "gaps": False,
-                      "contraction": False, "negativity": False},
         )
         built, default = build_sampling(cfg), SamplingConfig()
         for f in dataclasses.fields(SamplingConfig):

@@ -151,7 +151,7 @@ class TestGaussBonnet:
             ConstantCurvature(K=-1.0, b=math.inf, chi=-2, area=4 * math.pi)
 
     def test_unreachable_tolerance_raises(self, monkeypatch):
-        monkeypatch.setattr(geometry, "AREA_TOL", 0.0)
+        monkeypatch.setattr(geometry, "QUADRATURE_TOL", 0.0)
         rng = rng_for("resolution")
         with pytest.raises(ResolutionError):
             total_area(random_torus(rng))

@@ -142,6 +142,14 @@ class TestInvariance:
         assert invariance_residual(p, 1.0) < 1e-6
         assert invariance_residual(p, math.pi) < 1e-6
 
+    def test_long_times_stay_finite(self):
+        # A and Z overflow past t ~ 700; both maps read the stored scale
+        p = CurvatureProfile.from_series(
+            FourierSeries1D(const=-1.0, sin_coeffs={1: 0.3})
+        )
+        for t in (1000.0, 1e4):
+            assert invariance_residual(p, t) < 1e-6
+
     def test_flip_consistency(self):
         p = CurvatureProfile.from_series(
             FourierSeries1D(const=-1.0, sin_coeffs={1: 0.3})

@@ -214,6 +214,26 @@ class TestPropagatorReadout:
             with pytest.raises(InsufficientDataError):
                 integrate_riccati(p, 0.0, span)
 
+    def test_read_past_window_names_its_end(self):
+        # the window end is named in the caller's time, not in that of the
+        # shifted or flipped profile the read goes through
+        model = random_torus(rng_for("readout-spline"))
+        orbit = integrate_orbit(model, UnitTangent(0.1, 0.2, 0.5), 25.0)
+        p = curvature_profile(model, orbit)
+        for span, end in (((24.0, 26.0), "ends at t = 25$"),
+                          ((20.0, 30.0), "ends at t = 25$"),
+                          ((1.0, -1.0), "starts at t = 0$")):
+            with pytest.raises(InsufficientDataError, match=end):
+                integrate_riccati(p, 0.0, span)
+        # a direct launch is confined to the window too: the spline would
+        # extrapolate far outside the curvature the orbit sees
+        assert p.evaluator(-2.0) < 10 * float(np.min(orbit.kappa_samples))
+        for span, end in (((0.0, -2.0), "starts at t = 0$"),
+                          ((10.0, 26.0), "ends at t = 25$")):
+            with pytest.raises(InsufficientDataError, match=end):
+                integrate_jacobi(p, JacobiState(1.0, 0.0), span)
+        assert integrate_jacobi(p, JacobiState(1.0, 0.0), (25.0, 0.0)).t1 == 0.0
+
     def test_span_from_t0_reads_shifted_profile(self):
         rng = rng_for("readout-shift")
         p = hyperbolic_profile(rng)
