@@ -57,7 +57,7 @@ SCHEMA_VERSION = 1
 CONJUGATE_HORIZON = 50.0   # end of the conjugate scan and the kappa sampling
 WITNESS_WINDOW = 50.0      # bounded-field witness on [-window, window]
 WITNESS_BOUND = 1e3        # sup-norm a witness must stay below
-CONTRACTION_WINDOW = 10.0  # contraction fit on [1, window]
+CONTRACTION_WINDOW = 10.0  # fit on [W / 10, W], W = this / max(1, |u+|)
 CONTRACTION_FLOOR = 1e-6   # fitted rates at or below it fail the fit
 NEGATIVITY_EPS = 1e-8
 # a witness refutes only a gap within this many green_tol of zero; a larger
@@ -132,10 +132,11 @@ def contraction_fit(profile: CurvatureProfile,
     The norm is the Sasaki norm sqrt(J^2 + J'^2) of the solution launched
     with value one and the stable slope u+ of ``estimate``. A fitted rate at
     or below ``CONTRACTION_FLOOR`` is a certification failure (no usable
-    contraction; the flat case fits c ~ 0). The window end
-    W = CONTRACTION_WINDOW / max(1, |u+|) stays below the double-precision
-    mixing horizon ~ -log(slope error)/(2k), past which the unstable
-    component contaminates the launch; for a constant profile k = |u+|.
+    contraction; the flat case fits c ~ 0). On a constant profile the
+    window end W = CONTRACTION_WINDOW / max(1, |u+|) stays below the
+    double-precision mixing horizon ~ -log(slope error)/(2|u+|), past which
+    the unstable component contaminates the launch; a varying profile that
+    turns more hyperbolic after t = 0 can reach that horizon before W.
     """
     if estimate.plus is None or not estimate.plus.converged:
         raise ValueError("contraction fit needs a converged stable slope")
@@ -161,7 +162,7 @@ def contraction_fit(profile: CurvatureProfile,
     )
 
 
-def growth_floor(profile: CurvatureProfile, window: float = 20.0) -> float:
+def growth_floor(profile: CurvatureProfile, window: float) -> float:
     """Empirical lower constant A for |Z(t)| >= A |Z(s)|, 1 <= s <= t,
     computed from the unit-slope solution Z on [1, window]."""
     trace = unit_slope_trace(profile, window)
@@ -445,8 +446,8 @@ def classify(model: SurfaceModel, cfg: Optional[SamplingConfig] = None,
                      if r.conjugate_time is None and r.gap is not None
                      and not r.gap_converged]
 
-    verdict, reason = _verdict(model, chi, inequality, results, negativity,
-                               cfg, errors, non_converged)
+    verdict, reason = _verdict(model, chi, inequality, results, cfg, errors,
+                               non_converged)
     return AnosovReport(
         verdict=verdict, reason=reason, inequality=inequality,
         negativity=negativity, orbits=results, margins=margins,
@@ -454,8 +455,7 @@ def classify(model: SurfaceModel, cfg: Optional[SamplingConfig] = None,
     )
 
 
-def _verdict(model, chi, inequality, results, negativity, cfg, errors,
-             non_converged):
+def _verdict(model, chi, inequality, results, cfg, errors, non_converged):
     if chi is not None and chi >= 0:
         return "NotAnosov", "euler characteristic >= 0"
     ineq_error = inequality.get("error") if inequality is not None else None

@@ -19,9 +19,10 @@ optional ``b_scale`` multiplying the intensity.
 
 Adding a ``sweep`` section {"parameter": "model.b", "grid": [...]} turns
 the run into a sweep: one classification per grid value, aggregated into
-``sweep.csv``. Every classification runs the whole certificate; a config
-with an ``analyses`` section is refused with a ConfigError. Exit status: 0 when a verdict was reached (either way),
-2 when Inconclusive, 1 on configuration or I/O errors.
+``sweep.csv``. Every classification runs the whole certificate; a
+top-level key outside ``CONFIG_KEYS`` (``analyses``, say) is a ConfigError.
+Exit status: 0 when a verdict was reached (either way), 2 when
+Inconclusive, 1 on configuration or I/O errors.
 """
 
 from __future__ import annotations
@@ -40,6 +41,9 @@ from .errors import ConfigError, MagflowError
 from .flow import CurvatureProfile
 from .fourier import FourierSeries1D, FourierSeries2D
 from .geometry import VALIDATION_WINDOW, AbstractProfile, ConformalTorus, ConstantCurvature
+
+CONFIG_KEYS = ("model", "ensemble", "tolerances", "sweep", "output_dir",
+               "export_orbits", "export_orbit_limit")
 
 
 def _number(value, key, kind=float):
@@ -173,9 +177,6 @@ def build_model(spec: dict):
 def build_sampling(cfg: dict) -> SamplingConfig:
     ens = _table(cfg.get("ensemble"), "ensemble")
     tols = _table(cfg.get("tolerances"), "tolerances")
-    if "analyses" in cfg:
-        raise ConfigError("analyses is not a config section: every "
-                          "classification runs the whole certificate", "analyses")
     d = SamplingConfig()
     sc = SamplingConfig(
         ensemble_count=_number(ens.get("count", d.ensemble_count), "ensemble.count", int),
@@ -211,6 +212,9 @@ def validate_config(cfg: dict):
     (value, model, sampling) triple (an empty list without a sweep)."""
     if not isinstance(cfg, dict):
         raise ConfigError("top-level config must be an object", "")
+    for key in cfg:
+        if key not in CONFIG_KEYS:
+            raise ConfigError("unknown config key %r" % key, key)
     if "model" not in cfg:
         raise ConfigError("model section is required", "model")
     model = build_model(cfg["model"])

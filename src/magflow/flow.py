@@ -406,7 +406,7 @@ def _k_bound(kmin: float) -> float:
 
 
 def curvature_profile(model: SurfaceModel,
-                      orbit: Optional[OrbitTrace] = None) -> CurvatureProfile:
+                      orbit: Optional[OrbitTrace]) -> CurvatureProfile:
     """Build the curvature evaluator along an orbit.
 
     Constant models give a constant profile. Orbit traces are interpolated

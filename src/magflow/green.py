@@ -183,7 +183,7 @@ def _run_schedule(profile: CurvatureProfile, tol: float) -> GreenSide:
     return side
 
 
-def green_slope(profile: CurvatureProfile, direction: str = "+",
+def green_slope(profile: CurvatureProfile, direction: str,
                 tol: float = DEFAULT_GREEN_TOL) -> GreenEstimate:
     """Estimate the stable ('+') or unstable ('-') slope at time zero.
 

@@ -437,7 +437,7 @@ class BoundarySolution:
 
 
 def solve_boundary(profile: CurvatureProfile, r: float,
-                   cross_check: bool = True) -> BoundarySolution:
+                   cross_check: bool) -> BoundarySolution:
     """Solve the two-point problem J(0) = 1, J(r) = 0.
 
     Requires the unit-slope solution to have no zero strictly between 0

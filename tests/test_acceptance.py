@@ -140,7 +140,7 @@ def test_criterion_06_boundary_solution_cross_check():
     worst = 0.0
     for p in _criterion6_profiles():
         for r in (5.0, 10.0, 20.0):
-            worst = max(worst, solve_boundary(p, r).cross_residual)
+            worst = max(worst, solve_boundary(p, r, cross_check=True).cross_residual)
     report(6, "reduction-of-order vs shooting cross-check", worst < 1e-8,
            "max residual %.3g" % worst)
 

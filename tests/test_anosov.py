@@ -91,7 +91,7 @@ class TestWitness:
         m = ConstantCurvature(K=-1.0, b=1.0, chi=-2, area=AREA)
         from magflow import curvature_profile
 
-        w = _witness(curvature_profile(m))
+        w = _witness(curvature_profile(m, None))
         assert w is not None
         assert w.sup_norm == pytest.approx(1.0, abs=1e-6)
 
@@ -177,7 +177,7 @@ class TestNegativity:
         from magflow import curvature_profile
         from magflow.anosov import profile_extrema
 
-        return negativity_criterion(m, [profile_extrema(curvature_profile(m))[0]])
+        return negativity_criterion(m, [profile_extrema(curvature_profile(m, None))[0]])
 
     def test_negative_constant(self):
         r = self._criterion(ConstantCurvature(K=-1.0, b=0.0, chi=-2, area=AREA))
@@ -374,7 +374,7 @@ class TestGrowthFloor:
         rng = rng_for("floor")
         for _ in range(3):
             p = hyperbolic_profile(rng)
-            assert growth_floor(p) > 1e-6
+            assert growth_floor(p, 20.0) > 1e-6
 
 
 class TestVerdictLogic:
@@ -384,7 +384,7 @@ class TestVerdictLogic:
         from magflow.anosov import _verdict
 
         cfg = cfg or SamplingConfig()
-        return _verdict(None, chi, inequality, results, None, cfg,
+        return _verdict(None, chi, inequality, results, cfg,
                         [r for r in results if r.error],
                         [r.orbit_id for r in results
                          if r.conjugate_time is None and r.gap is not None

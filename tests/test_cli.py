@@ -111,6 +111,8 @@ class TestConfigValidation:
         # silently from its config
         ({"analyses": {"contraction": False}}, "analyses"),
         ({"analyses": {}}, "analyses"),
+        # an unknown top-level key is named, so a typo is not ignored
+        ({"tolerance": {"green": 1e-8}}, "tolerance"),
     ])
     def test_malformed_value_is_named(self, tmp_path, extra, key):
         with pytest.raises(ConfigError) as exc:

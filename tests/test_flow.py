@@ -249,7 +249,7 @@ class TestRK45:
 class TestCurvatureProfiles:
     def test_constant_model_profile(self):
         m = ConstantCurvature(K=-1.0, b=0.5, chi=-2, area=4 * math.pi)
-        p = curvature_profile(m)
+        p = curvature_profile(m, None)
         assert float(p.evaluator(3.7)) == pytest.approx(-0.75, abs=1e-15)
         assert p.is_constant
 
@@ -261,7 +261,7 @@ class TestCurvatureProfiles:
     def test_abstract_passthrough(self):
         m = AbstractProfile(kappa=lambda t: -1.0 + 0.3 * math.sin(t),
                             k_bound=math.sqrt(1.3))
-        p = curvature_profile(m)
+        p = curvature_profile(m, None)
         assert float(p.evaluator(1.5)) == pytest.approx(-1.0 + 0.3 * math.sin(1.5))
         assert p.k_bound >= math.sqrt(1.3) - 1e-12
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import magflow
 
-INVENTORY = 25
+INVENTORY = 21
 
 
 def knob_inventory(package_dir: Path) -> int:

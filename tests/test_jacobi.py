@@ -106,13 +106,13 @@ class TestUnitSlope:
 
 class TestBoundarySolution:
     def test_flat_line(self):
-        bs = solve_boundary(P_ZERO, 2.0)
+        bs = solve_boundary(P_ZERO, 2.0, cross_check=True)
         assert bs.at(1.0).value == pytest.approx(0.5, abs=1e-11)
         assert bs.at(0.0).value == pytest.approx(1.0, abs=1e-12)
         assert bs.at(2.0).value == pytest.approx(0.0, abs=1e-9)
 
     def test_hyperbolic_closed_form(self):
-        bs = solve_boundary(P_NEG, 1.0)
+        bs = solve_boundary(P_NEG, 1.0, cross_check=True)
         assert bs.at(0.5).value == pytest.approx(
             math.sinh(0.5) / math.sinh(1.0), rel=1e-10
         )
@@ -122,12 +122,12 @@ class TestBoundarySolution:
         for _ in range(5):
             p = hyperbolic_profile(rng)
             r = 3.0 + 10.0 * rng.random()
-            bs = solve_boundary(p, r)
+            bs = solve_boundary(p, r, cross_check=True)
             assert abs(bs.at(0.0).value - 1.0) < 1e-9
             assert abs(bs.at(r).value) < 1e-9
 
     def test_negative_r_branch(self):
-        bs = solve_boundary(P_NEG, -1.0)
+        bs = solve_boundary(P_NEG, -1.0, cross_check=True)
         assert bs.slope0 == pytest.approx(1.0 / math.tanh(1.0), rel=1e-10)
         assert bs.at(-1.0).value == pytest.approx(0.0, abs=1e-9)
         assert bs.at(-0.5).value == pytest.approx(
@@ -136,17 +136,17 @@ class TestBoundarySolution:
 
     def test_conjugate_point_detected(self):
         with pytest.raises(ConjugatePointError):
-            solve_boundary(P_POS, 4.0)
+            solve_boundary(P_POS, 4.0, cross_check=True)
 
     def test_cross_check_agrees(self):
         rng = rng_for("cross")
         for _ in range(5):
             p = hyperbolic_profile(rng)
-            assert solve_boundary(p, 10.0).cross_residual < 1e-8
+            assert solve_boundary(p, 10.0, cross_check=True).cross_residual < 1e-8
 
     def test_zero_r_rejected(self):
         with pytest.raises(ValueError):
-            solve_boundary(P_NEG, 0.0)
+            solve_boundary(P_NEG, 0.0, cross_check=True)
 
 
 class TestWronskian:
@@ -301,7 +301,7 @@ class TestPropagator:
         readouts = {
             "first_zero": lambda p: first_zero(p, 50.0),
             "green_slope": slope_side,
-            "growth_floor": growth_floor,
+            "growth_floor": lambda p: growth_floor(p, 20.0),
         }
         rng = rng_for("propagator-order")
         for series in (hyperbolic_profile(rng).series, oscillatory_profile(rng).series):
@@ -325,11 +325,11 @@ class TestPeriodicPropagator:
         assert jacobi.propagator(CurvatureProfile.constant(-1.0)).period == jacobi.FIRST_BREAK
         # an abstract profile keeps its series, and with it the exact
         # reflection and the periodic route
-        prof = curvature_profile(AbstractProfile(kappa=series, k_bound=1.2))
+        prof = curvature_profile(AbstractProfile(kappa=series, k_bound=1.2), None)
         assert prof.series == series and prof.flipped().series == series.reflected()
         assert jacobi.propagator(prof.flipped()).period is not None
         callable_prof = curvature_profile(AbstractProfile(kappa=series.__call__,
-                                                          k_bound=1.2))
+                                                          k_bound=1.2), None)
         assert jacobi.propagator(callable_prof).period is None
 
     @pytest.mark.parametrize("family", [oscillatory_profile, hyperbolic_profile])
