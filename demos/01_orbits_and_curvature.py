@@ -13,7 +13,6 @@ from magflow import (
     ConformalTorus,
     FourierSeries2D,
     UnitTangent,
-    curvature_profile,
     integrate_orbit,
 )
 
@@ -29,8 +28,8 @@ print()
 
 for i, theta0 in enumerate((0.0, 1.3, 2.6)):
     v0 = UnitTangent(0.1 * i, 0.2, theta0)
-    orbit = integrate_orbit(torus, v0, horizon=40.0, tol=1e-10)
-    profile = curvature_profile(torus, orbit)
+    # the curvature profile along the orbit and the orbit trace it was read from
+    profile, orbit = torus.profile(v0, horizon=40.0, tol=1e-10, keep=True)
     kappa = orbit.kappa_samples
     print(
         "orbit %d  theta0=%.1f  curvature along orbit: min %+.4f  mean %+.4f  "

@@ -27,21 +27,10 @@ from .geometry import (
     ConformalTorus,
     ConstantCurvature,
     InequalityResult,
-    UnitTangent,
-    gauss_bonnet_residual,
-    gaussian_curvature,
-    integral_inequality_check,
-    magnetic_curvature,
+    SurfaceModel,
     rotate_i,
-    total_area,
 )
-from .flow import (
-    CurvatureProfile,
-    OrbitTrace,
-    curvature_profile,
-    flip_intensity,
-    integrate_orbit,
-)
+from .flow import CurvatureProfile, OrbitTrace, UnitTangent, integrate_orbit
 from .jacobi import (
     BoundarySolution,
     JacobiState,

@@ -23,32 +23,17 @@ the exactness of constant models where one orbit profile represents all.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import __version__ as _pkg_version
 from .errors import ConjugatePointError, MagflowError
-from .flow import (
-    CurvatureProfile,
-    OrbitTrace,
-    curvature_profile,
-    flip_intensity,
-    integrate_orbit,
-)
-from .geometry import (
-    AbstractProfile,
-    ConformalTorus,
-    ConstantCurvature,
-    SurfaceModel,
-    UnitTangent,
-    integral_inequality_check,
-    sample_kappa,
-)
+from .flow import CurvatureProfile, OrbitTrace, UnitTangent
+from .geometry import SurfaceModel
 from .green import GreenEstimate, green_slope
-from .jacobi import JacobiState, first_zero, integrate_jacobi, unit_slope_trace
+from .jacobi import JacobiState, first_zero, integrate_jacobi, propagator
 
 SCHEMA_VERSION = 1
 
@@ -164,35 +149,23 @@ def contraction_fit(profile: CurvatureProfile,
 
 def growth_floor(profile: CurvatureProfile, window: float) -> float:
     """Empirical lower constant A for |Z(t)| >= A |Z(s)|, 1 <= s <= t,
-    computed from the unit-slope solution Z on [1, window]."""
-    trace = unit_slope_trace(profile, window)
+    computed from the unit-slope solution Z on [1, window].
+
+    Z is read in the propagator's stored scale, as ``Propagator.carry``
+    reads it, and each |Z| is split into a mantissa m in [0.5, 1) and a
+    binary exponent f. The running maximum is taken in (f, m) order and
+    each ratio as m / m_max * 2**(f - f_max), so the ratios are those of
+    the unscaled values bit for bit, and stay finite where Z overflows.
+    """
     ts = np.linspace(1.0, window, 400)
-    vals = np.abs(trace.values(ts))
-    running_max = np.maximum.accumulate(vals)
-    return float(np.min(vals / running_max))
-
-
-def sampled_kappa_extrema(model: SurfaceModel) -> tuple:
-    """(min, max) of the curvature function over a sample of the unit
-    tangent bundle; exact for constant models. On a torus it is sampled on
-    a 64 x 64 chart grid and taken exactly over the angle: kappa is
-    K + b**2 - exp(-phi) (-b_x sin(theta) + b_y cos(theta)), whose extrema
-    over theta are K + b**2 -+ exp(-phi) |grad b|."""
-    if isinstance(model, ConstantCurvature):
-        k = model.K + model.b**2
-        return k, k
-    if isinstance(model, ConformalTorus):
-        n = 64
-        xs = np.linspace(0.0, model.Lx, n, endpoint=False)
-        ys = np.linspace(0.0, model.Ly, n, endpoint=False)
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        p, _px, _py, lap = model.phi.jet(X, Y)
-        bval, bx, by, _lap = model.b.jet(X, Y)
-        base = -np.exp(-2.0 * p) * lap + bval**2
-        spread = np.exp(-p) * np.hypot(bx, by)
-        return float(np.min(base - spread)), float(np.max(base + spread))
-    vals = sample_kappa(model, np.linspace(0.0, 100.0, 4096))
-    return float(np.min(vals)), float(np.max(vals))
+    (_a, _da, z, _dz), e = propagator(profile)._stored(ts)
+    m, f = np.frexp(np.abs(z))
+    f = np.where(m > 0.0, f + e, np.iinfo(int).min // 2)
+    order = np.lexsort((m, f))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    top = order[np.maximum.accumulate(rank)]
+    return float(np.min(np.ldexp(m / m[top], f - f[top])))
 
 
 def profile_extrema(profile: CurvatureProfile) -> tuple:
@@ -211,7 +184,7 @@ def negativity_criterion(model: SurfaceModel, kappa_mins: list) -> dict:
     when the sampled global max is <= NEGATIVITY_EPS; ``passes`` when
     additionally there are orbits and every minimum is below
     -NEGATIVITY_EPS."""
-    _lo, hi = sampled_kappa_extrema(model)
+    _lo, hi = model.kappa_extrema()
     applicable = hi <= NEGATIVITY_EPS
     passes = (applicable and len(kappa_mins) > 0
               and all(m is not None and m < -NEGATIVITY_EPS for m in kappa_mins))
@@ -307,74 +280,25 @@ class AnosovReport:
         }
 
 
-def _halton(index: int, base: int) -> float:
-    f, r = 1.0, 0.0
-    i = index
-    while i > 0:
-        f /= base
-        r += f * (i % base)
-        i //= base
-    return r
-
-
-def ensemble_states(model: SurfaceModel, count: int, seed: int) -> list:
-    """Low-discrepancy initial conditions over chart x angle.
-
-    A Halton sequence keeps runs reproducible; the seed only offsets the
-    starting index."""
-    if isinstance(model, (ConstantCurvature, AbstractProfile)):
-        # one orbit represents all: the curvature readout is constant on SM,
-        # and a profile model has only its one notional orbit
-        return [UnitTangent(0.0, 0.0, 0.0)]
-    out = []
-    for j in range(count):
-        i = seed + j + 1
-        out.append(
-            UnitTangent(
-                _halton(i, 2) * model.Lx,
-                _halton(i, 3) * model.Ly,
-                _halton(i, 5) * 2.0 * math.pi,
-            )
-        )
-    return out
-
-
-def _orbit_profile(model: SurfaceModel, v0: UnitTangent, cfg: SamplingConfig,
-                   keep: Optional[OrbitResult]):
-    """Curvature profile along the orbit from v0; only chart models
-    integrate an orbit for it. With ``keep`` the orbit trace is stored on
-    that result; a constant model's is integrate_orbit's degenerate trace,
-    which needs no ODE."""
-    orbit = None
-    if isinstance(model, ConformalTorus) or (
-            keep is not None and isinstance(model, ConstantCurvature)):
-        orbit = integrate_orbit(model, v0, cfg.horizon, cfg.integration_tol)
-    if keep is not None:
-        keep.trace = orbit
-    return curvature_profile(model, orbit)
-
-
 def analyze_orbit(model: SurfaceModel, v0: UnitTangent, orbit_id: int,
                   cfg: SamplingConfig, keep_trace: bool) -> OrbitResult:
     """Full per-orbit pipeline: conjugate scan, gap, witness, contraction.
     With ``keep_trace`` the result carries the plus orbit's trace."""
     res = OrbitResult(orbit_id=orbit_id, initial=(v0.x, v0.y, v0.theta))
     try:
-        plus = _orbit_profile(model, v0, cfg, res if keep_trace else None)
+        plus, trace = model.profile(v0, cfg.horizon, cfg.integration_tol,
+                                    keep_trace)
+        if keep_trace:
+            res.trace = trace
         res.kappa_min, res.kappa_max = profile_extrema(plus)
 
         res.conjugate_time = first_zero(plus, min(CONJUGATE_HORIZON, plus.t_max))
         if res.conjugate_time is not None:
             return res
 
-        # the minus profile, read along the reversed-intensity orbit from the
-        # flipped vector, is the time reflection of the plus one, so its
+        # the minus profile is the time reflection of the plus one, so its
         # stable side is the unstable side at the orbit's base point
-        if isinstance(model, ConformalTorus):
-            minus = _orbit_profile(flip_intensity(model), UnitTangent(
-                v0.x, v0.y, v0.theta + math.pi), cfg, None)
-        else:
-            minus = plus.flipped()
+        minus = model.minus_profile(v0, plus, cfg.horizon, cfg.integration_tol)
         try:
             est = GreenEstimate(
                 k_bound=plus.k_bound,
@@ -406,22 +330,16 @@ def classify(model: SurfaceModel, cfg: Optional[SamplingConfig] = None,
     orbits with id below ``keep_traces`` keep their ``OrbitResult.trace``."""
     cfg = cfg or SamplingConfig()
 
-    inequality = None
-    chi = getattr(model, "chi", None)
-    if not isinstance(model, AbstractProfile):
-        try:
-            r = integral_inequality_check(model)
-            inequality = {
-                "lhs": r.lhs, "rhs": r.rhs, "passes": r.passes,
-                "lambda_sq_max": r.lambda_sq_max,
-            }
-        except MagflowError as exc:
-            inequality = {
-                "lhs": None, "rhs": None, "passes": None, "lambda_sq_max": None,
-                "error": "%s: %s" % (type(exc).__name__, exc),
-            }
+    try:
+        r = model.inequality()
+        inequality = None if r is None else asdict(r)
+    except MagflowError as exc:
+        inequality = {
+            "lhs": None, "rhs": None, "passes": None, "lambda_sq_max": None,
+            "error": "%s: %s" % (type(exc).__name__, exc),
+        }
 
-    states = ensemble_states(model, cfg.ensemble_count, cfg.seed)
+    states = model.ensemble(cfg.ensemble_count, cfg.seed)
     jobs = [(model, v0, i, cfg, i < keep_traces) for i, v0 in enumerate(states)]
     if workers > 1 and len(jobs) > 1:
         results = _parallel_orbits(jobs, workers)
@@ -446,8 +364,8 @@ def classify(model: SurfaceModel, cfg: Optional[SamplingConfig] = None,
                      if r.conjugate_time is None and r.gap is not None
                      and not r.gap_converged]
 
-    verdict, reason = _verdict(model, chi, inequality, results, cfg, errors,
-                               non_converged)
+    verdict, reason = _verdict(model.chi, model.closed_form_hyperbolic, inequality,
+                               results, cfg, errors, non_converged)
     return AnosovReport(
         verdict=verdict, reason=reason, inequality=inequality,
         negativity=negativity, orbits=results, margins=margins,
@@ -455,7 +373,8 @@ def classify(model: SurfaceModel, cfg: Optional[SamplingConfig] = None,
     )
 
 
-def _verdict(model, chi, inequality, results, cfg, errors, non_converged):
+def _verdict(chi, closed_form_hyperbolic, inequality, results, cfg, errors,
+             non_converged):
     if chi is not None and chi >= 0:
         return "NotAnosov", "euler characteristic >= 0"
     ineq_error = inequality.get("error") if inequality is not None else None
@@ -466,10 +385,7 @@ def _verdict(model, chi, inequality, results, cfg, errors, non_converged):
         return "NotAnosov", "conjugate point at t = %.9g on orbit %d" % (
             conj[0].conjugate_time, conj[0].orbit_id,
         )
-    # a constant model with K + b**2 < 0 is hyperbolic in closed form; its
-    # schedule resolves a tiny gap only to about 1/r, so no witness refutes it
-    hyperbolic = isinstance(model, ConstantCurvature) and model.K + model.b**2 < 0
-    collapsed = [] if hyperbolic else [
+    collapsed = [] if closed_form_hyperbolic else [
         r for r in results
         if r.gap is not None and r.gap_converged and r.gap < cfg.gap_margin
         and r.gap <= UNRESOLVED_GAP_TOLS * cfg.green_tol

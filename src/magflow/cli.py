@@ -19,8 +19,11 @@ optional ``b_scale`` multiplying the intensity.
 
 Adding a ``sweep`` section {"parameter": "model.b", "grid": [...]} turns
 the run into a sweep: one classification per grid value, aggregated into
-``sweep.csv``. Every classification runs the whole certificate; a
-top-level key outside ``CONFIG_KEYS`` (``analyses``, say) is a ConfigError.
+``sweep.csv``. Every classification runs the whole certificate. A key
+outside ``CONFIG_KEYS`` at the top level (``analyses``, say), outside
+``SECTION_KEYS`` in a section or outside its kind's ``MODEL_KEYS`` (and
+``b_scale``) in the model is a ConfigError naming it, and so is a
+mistyped sweep parameter.
 Exit status: 0 when a verdict was reached (either way), 2 when
 Inconclusive, 1 on configuration or I/O errors.
 """
@@ -37,13 +40,24 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .anosov import SCHEMA_VERSION, SamplingConfig, classify
-from .errors import ConfigError, MagflowError
+from .errors import ConfigError, MagflowError, NumericalInconsistencyError
 from .flow import CurvatureProfile
 from .fourier import FourierSeries1D, FourierSeries2D
 from .geometry import VALIDATION_WINDOW, AbstractProfile, ConformalTorus, ConstantCurvature
 
 CONFIG_KEYS = ("model", "ensemble", "tolerances", "sweep", "output_dir",
                "export_orbits", "export_orbit_limit")
+# the keys inside each section; a model takes its kind's keys and b_scale
+SECTION_KEYS = {
+    "ensemble": ("count", "seed", "horizon"),
+    "tolerances": ("integration", "green", "gap_margin"),
+    "sweep": ("parameter", "grid"),
+}
+MODEL_KEYS = {
+    "constant": ("K", "b", "chi", "area"),
+    "torus": ("Lx", "Ly", "phi", "b"),
+    "profile": ("kappa", "k_bound", "chi", "area"),
+}
 
 
 def _number(value, key, kind=float):
@@ -68,18 +82,23 @@ def _optional(value, key, kind):
     return None if value is None else _number(value, key, kind)
 
 
-def _table(value, key):
-    """The JSON object under key; absent or null reads as empty."""
+def _table(value, key, allowed):
+    """The JSON object under key; absent or null reads as empty. Unless
+    ``allowed`` is None, a key outside it is a ConfigError naming key.name."""
     if value is None:
         return {}
     if not isinstance(value, dict):
         raise ConfigError("%s must be an object, got %r" % (key, value), key)
+    for name in value:
+        if allowed is not None and name not in allowed:
+            full = "%s.%s" % (key, name) if key else name
+            raise ConfigError("unknown config key %r" % full, full)
     return value
 
 
 def _parse_coeffs_2d(table, key):
     out = {}
-    for k, v in _table(table, key).items():
+    for k, v in _table(table, key, None).items():
         try:
             m, n = (int(p) for p in k.split(","))
         except Exception:
@@ -90,7 +109,7 @@ def _parse_coeffs_2d(table, key):
 
 def _parse_coeffs_1d(table, key):
     out = {}
-    for k, v in _table(table, key).items():
+    for k, v in _table(table, key, None).items():
         try:
             j = int(k)
         except Exception:
@@ -100,7 +119,7 @@ def _parse_coeffs_1d(table, key):
 
 
 def _series_2d(spec, Lx, Ly, key):
-    spec = _table(spec, key)
+    spec = _table(spec, key, ("const", "cos", "sin"))
     return FourierSeries2D(
         Lx=Lx, Ly=Ly,
         const=_number(spec.get("const", 0.0), key + ".const"),
@@ -113,6 +132,10 @@ def build_model(spec: dict):
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("model.kind is required", "model.kind")
     kind = spec["kind"]
+    # tuple membership compares by ==, so an unhashable kind reads as unknown
+    if kind not in tuple(MODEL_KEYS):
+        raise ConfigError("unknown model.kind %r" % kind, "model.kind")
+    _table(spec, "model", ("kind", "b_scale") + MODEL_KEYS[kind])
     scale = _number(spec.get("b_scale", 1.0), "model.b_scale")
     if kind == "constant":
         for k in ("K", "b", "chi", "area"):
@@ -142,41 +165,40 @@ def build_model(spec: dict):
                 sin_coeffs={k: scale * v for k, v in b.sin_coeffs.items()},
             )
         return ConformalTorus(phi=phi, b=b)
-    if kind == "profile":
-        kspec = spec.get("kappa")
-        if not isinstance(kspec, dict):
-            raise ConfigError("model.kappa table is required for profile models",
-                              "model.kappa")
-        if scale != 1.0:
-            raise ConfigError("b_scale is not defined for profile models",
-                              "model.b_scale")
-        series = FourierSeries1D(
-            const=_number(kspec.get("const", 0.0), "model.kappa.const"),
-            omega=_number(kspec.get("omega", 1.0), "model.kappa.omega"),
-            cos_coeffs=_parse_coeffs_1d(kspec.get("cos"), "model.kappa.cos"),
-            sin_coeffs=_parse_coeffs_1d(kspec.get("sin"), "model.kappa.sin"),
-        )
-        if series.omega == 0 and (series.cos_coeffs or series.sin_coeffs):
-            raise ConfigError("model.kappa.omega must be nonzero for a series "
-                              "with harmonics", "model.kappa.omega")
-        if spec.get("k_bound") is None:
-            k_bound = CurvatureProfile.from_series(series).k_bound
-        else:
-            k_bound = _number(spec["k_bound"], "model.k_bound")
-        chi = _optional(spec.get("chi"), "model.chi", int)
-        area = _optional(spec.get("area"), "model.area", float)
-        try:
-            model = AbstractProfile(kappa=series, k_bound=k_bound, chi=chi, area=area)
-            model.validate_window(*VALIDATION_WINDOW)
-        except ValueError as exc:
-            raise ConfigError("model.k_bound: %s" % exc, "model.k_bound")
-        return model
-    raise ConfigError("unknown model.kind %r" % kind, "model.kind")
+    kspec = spec.get("kappa")
+    if not isinstance(kspec, dict):
+        raise ConfigError("model.kappa table is required for profile models",
+                          "model.kappa")
+    _table(kspec, "model.kappa", ("const", "omega", "cos", "sin"))
+    if scale != 1.0:
+        raise ConfigError("b_scale is not defined for profile models",
+                          "model.b_scale")
+    series = FourierSeries1D(
+        const=_number(kspec.get("const", 0.0), "model.kappa.const"),
+        omega=_number(kspec.get("omega", 1.0), "model.kappa.omega"),
+        cos_coeffs=_parse_coeffs_1d(kspec.get("cos"), "model.kappa.cos"),
+        sin_coeffs=_parse_coeffs_1d(kspec.get("sin"), "model.kappa.sin"),
+    )
+    if series.omega == 0 and (series.cos_coeffs or series.sin_coeffs):
+        raise ConfigError("model.kappa.omega must be nonzero for a series "
+                          "with harmonics", "model.kappa.omega")
+    if spec.get("k_bound") is None:
+        k_bound = CurvatureProfile.from_series(series).k_bound
+    else:
+        k_bound = _number(spec["k_bound"], "model.k_bound")
+    chi = _optional(spec.get("chi"), "model.chi", int)
+    area = _optional(spec.get("area"), "model.area", float)
+    try:
+        model = AbstractProfile(kappa=series, k_bound=k_bound, chi=chi, area=area)
+        model.validate_window(*VALIDATION_WINDOW)
+    except ValueError as exc:
+        raise ConfigError("model.k_bound: %s" % exc, "model.k_bound")
+    return model
 
 
 def build_sampling(cfg: dict) -> SamplingConfig:
-    ens = _table(cfg.get("ensemble"), "ensemble")
-    tols = _table(cfg.get("tolerances"), "tolerances")
+    ens = _table(cfg.get("ensemble"), "ensemble", SECTION_KEYS["ensemble"])
+    tols = _table(cfg.get("tolerances"), "tolerances", SECTION_KEYS["tolerances"])
     d = SamplingConfig()
     sc = SamplingConfig(
         ensemble_count=_number(ens.get("count", d.ensemble_count), "ensemble.count", int),
@@ -206,24 +228,28 @@ def _export_limit(cfg: dict) -> int:
     return limit
 
 
+def _build(cfg: dict) -> tuple:
+    """(model, sampling) of a run config, with its top-level keys and
+    export limit checked; the sweep section is not read here."""
+    if "model" not in _table(cfg, "", CONFIG_KEYS):
+        raise ConfigError("model section is required", "model")
+    model, sampling = build_model(cfg["model"]), build_sampling(cfg)
+    _export_limit(cfg)
+    return model, sampling
+
+
 def validate_config(cfg: dict):
     """Check the whole config, sweep points included. Returns what it
     built: the base (model, sampling) and, per sweep grid value, a
-    (value, model, sampling) triple (an empty list without a sweep)."""
+    (value, model, sampling) triple (an empty list without a sweep). A
+    mistyped sweep parameter is an unknown key of its point's config."""
     if not isinstance(cfg, dict):
         raise ConfigError("top-level config must be an object", "")
-    for key in cfg:
-        if key not in CONFIG_KEYS:
-            raise ConfigError("unknown config key %r" % key, key)
-    if "model" not in cfg:
-        raise ConfigError("model section is required", "model")
-    model = build_model(cfg["model"])
-    sampling = build_sampling(cfg)
-    _export_limit(cfg)
+    model, sampling = _build(cfg)
     points = []
     sweep = cfg.get("sweep")
     if sweep is not None:
-        sweep = _table(sweep, "sweep")
+        sweep = _table(sweep, "sweep", SECTION_KEYS["sweep"])
         if "parameter" not in sweep or "grid" not in sweep:
             raise ConfigError("sweep needs 'parameter' and 'grid'", "sweep")
         grid = sweep["grid"]
@@ -231,12 +257,10 @@ def validate_config(cfg: dict):
             raise ConfigError("sweep.grid must be a nonempty list", "sweep.grid")
         grid = [_number(v, "sweep.grid") for v in grid]
         diffs = [b - a for a, b in zip(grid, grid[1:])]
-        if any(d <= 0 for d in diffs) and any(d >= 0 for d in diffs) and len(grid) > 1:
-            if not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
-                raise ConfigError("sweep.grid must be strictly monotone", "sweep.grid")
+        if any(d <= 0 for d in diffs) and any(d >= 0 for d in diffs):
+            raise ConfigError("sweep.grid must be strictly monotone", "sweep.grid")
         for v in sweep["grid"]:
-            point = _point_config(cfg, sweep["parameter"], v)
-            points.append((v, build_model(point["model"]), build_sampling(point)))
+            points.append((v, *_build(_point_config(cfg, sweep["parameter"], v))))
     return model, sampling, points
 
 
@@ -256,9 +280,14 @@ def _point_config(base_cfg: dict, path: str, value) -> dict:
 
 
 def _json_dump(obj, path: Path):
+    """Write obj as JSON; a non-finite float is refused before the file is
+    opened, so no invalid JSON is ever written."""
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalInconsistencyError("%s: %s" % (path.name, exc)) from exc
     with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_summary(path: Path, lines):

@@ -1,16 +1,13 @@
-"""Magnetic orbit integration and curvature profiles along orbits.
+"""Unit tangent vectors, orbit integration and curvature profiles.
 
-The equation of motion in the conformal chart, for state (x, y, theta)
-with velocity exp(-phi)*(cos(theta), sin(theta)):
-
-    x'     = exp(-phi) * cos(theta)
-    y'     = exp(-phi) * sin(theta)
-    theta' = b(x, y) + exp(-phi) * (phi_y * cos(theta) - phi_x * sin(theta))
-
-The angle parameterization keeps the metric speed at one by construction,
-so no renormalization step is ever needed. The magnetic term contributes
-the constant-rate turning b; the remaining terms are the Christoffel
-correction of the conformal metric folded into the frame angle.
+A unit tangent vector is stored as (x, y, theta): a point in a chart of
+the surface and the frame angle of the velocity there. A surface model
+(``geometry.SurfaceModel``) supplies its orbit equations as a right-hand
+side on that triple and its deck step, which brings a state back into the
+fundamental domain; ``integrate_orbit`` runs them through one
+Dormand-Prince loop, whatever the surface. A ``CurvatureProfile`` is the
+curvature kappa read along one orbit as a function of time, which is all
+the Jacobi layer sees of the surface.
 """
 
 from __future__ import annotations
@@ -24,15 +21,6 @@ from scipy.interpolate import CubicSpline
 
 from .errors import InsufficientDataError, IntegrationFailure
 from .fourier import FourierSeries1D
-from .geometry import (
-    AbstractProfile,
-    ConformalTorus,
-    ConstantCurvature,
-    SurfaceModel,
-    UnitTangent,
-    VALIDATION_WINDOW,
-    magnetic_curvature,
-)
 
 DEFAULT_TOL = 1e-10
 SAMPLE_DT = 0.01
@@ -42,6 +30,16 @@ SAMPLE_DT = 0.01
 ORBIT_NFEV_BUDGET = 500_000
 # added under the square root of every k_bound read from sampled minima
 K_MARGIN = 1e-9
+
+
+@dataclass(frozen=True)
+class UnitTangent:
+    """A unit tangent vector (x, y, theta) in a chart; the fields may be
+    arrays of samples."""
+
+    x: float = 0.0
+    y: float = 0.0
+    theta: float = 0.0
 
 
 @dataclass
@@ -74,10 +72,6 @@ class OrbitTrace:
                 block = [map(repr, np.asarray(c[i:i + 2048], dtype=float).tolist())
                          for c in cols]
                 fh.writelines(",".join(row) + "\r\n" for row in zip(*block))
-
-
-def _wrap(u, period):
-    return u - period * np.floor(u / period)
 
 
 # The Dormand-Prince 5(4) pair (J. Comput. Appl. Math. 6 (1980) 19) with the
@@ -213,108 +207,32 @@ def _rk45(f: Callable, y0, t_end: float, t_eval: np.ndarray, tol: float):
     return ys, {"nfev": nfev, "accepted_steps": accepted, "rejected_steps": rejected}
 
 
-def _scalar_modes(series) -> tuple:
-    """The modes of a FourierSeries2D as (2 pi m / Lx, 2 pi n / Ly, a, b)
-    float tuples, for evaluation with ``math`` on scalars."""
-    return tuple((2.0 * math.pi * m / series.Lx, 2.0 * math.pi * n / series.Ly,
-                  float(a), float(b)) for m, n, a, b in series.modes)
+def integrate_orbit(model, v0: UnitTangent, horizon: float,
+                   tol: float = DEFAULT_TOL) -> OrbitTrace:
+    """Integrate the magnetic orbit of a surface model from v0 for the given
+    time horizon.
 
-
-def _scalar_jet(const: float, modes: tuple, x: float, y: float):
-    """(f, df/dx, df/dy) at the point (x, y) from ``_scalar_modes``."""
-    f, fx, fy = const, 0.0, 0.0
-    for kx, ky, a, b in modes:
-        w = kx * x + ky * y
-        c, s = math.cos(w), math.sin(w)
-        f += a * c + b * s
-        d = b * c - a * s
-        fx += kx * d
-        fy += ky * d
-    return f, fx, fy
-
-
-def _torus_rhs(model: ConformalTorus) -> Callable:
-    """The orbit equations of a torus on a list (x, y, theta) of floats."""
-    p0, pm = float(model.phi.const), _scalar_modes(model.phi)
-    b0, bm = float(model.b.const), _scalar_modes(model.b)
-    exp, cos, sin = math.exp, math.cos, math.sin
-
-    def rhs(state):
-        x, y, theta = state
-        p, px, py = _scalar_jet(p0, pm, x, y)
-        e = exp(-p)
-        c, s = cos(theta), sin(theta)
-        return (e * c, e * s, _scalar_jet(b0, bm, x, y)[0] + e * (py * c - px * s))
-
-    return rhs
-
-
-def integrate_orbit(
-    model: SurfaceModel,
-    v0: UnitTangent,
-    horizon: float,
-    tol: float = DEFAULT_TOL,
-) -> OrbitTrace:
-    """Integrate the magnetic orbit from v0 for the given time horizon.
-
-    Uses the adaptive Dormand-Prince 5(4) pair of ``_rk45`` at rtol = atol
-    = tol; samples are read from its dense output on a uniform grid of
-    spacing ``SAMPLE_DT``. Torus coordinates are wrapped into the
-    fundamental cell by exact period subtraction at readout, so no drift
-    accumulates in the stored samples. Past ``ORBIT_NFEV_BUDGET``
-    right-hand-side evaluations the integration stops with an
-    ``IntegrationFailure``.
+    Runs the adaptive Dormand-Prince 5(4) pair of ``_rk45`` on the model's
+    ``rhs()`` at rtol = atol = tol; samples are read from its dense output on
+    a uniform grid of spacing ``SAMPLE_DT`` and brought into the fundamental
+    domain by the model's ``reduce`` at readout, so no drift accumulates in
+    the stored samples. Past ``ORBIT_NFEV_BUDGET`` right-hand-side
+    evaluations the integration stops with an ``IntegrationFailure``.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    n = int(round(horizon / SAMPLE_DT))
-    t_eval = np.linspace(0.0, horizon, n + 1)
-
-    if isinstance(model, ConstantCurvature):
-        # no chart motion is defined for the constant model; the curvature
-        # readout is the same at every sample
-        kappa = model.K + model.b**2
-        return OrbitTrace(
-            t_samples=t_eval,
-            xs=np.full(n + 1, v0.x),
-            ys=np.full(n + 1, v0.y),
-            thetas=np.full(n + 1, v0.theta),
-            kappa_samples=np.full(n + 1, kappa),
-            step_controls={"tol": tol, "sample_dt": SAMPLE_DT, "degenerate": True},
-        )
-
-    if not isinstance(model, ConformalTorus):
-        raise ValueError("orbit integration needs a chart model")
-
-    samples, stats = _rk45(_torus_rhs(model), (v0.x, v0.y, v0.theta), horizon,
+    t_eval = np.linspace(0.0, horizon, int(round(horizon / SAMPLE_DT)) + 1)
+    samples, stats = _rk45(model.rhs(), (v0.x, v0.y, v0.theta), horizon,
                            t_eval, tol)
-    xs_w = _wrap(samples[0], model.Lx)
-    ys_w = _wrap(samples[1], model.Ly)
-    thetas = samples[2].copy()
+    v = model.reduce(UnitTangent(*samples))
     return OrbitTrace(
         t_samples=t_eval,
-        xs=xs_w,
-        ys=ys_w,
-        thetas=thetas,
-        kappa_samples=magnetic_curvature(model, UnitTangent(xs_w, ys_w, thetas)),
+        xs=v.x,
+        ys=v.y,
+        thetas=v.theta,
+        kappa_samples=model.magnetic_curvature(v),
         step_controls={"tol": tol, "sample_dt": SAMPLE_DT, **stats},
     )
-
-
-def flip_intensity(model: SurfaceModel) -> SurfaceModel:
-    """The companion system with the sign of the intensity reversed."""
-    if isinstance(model, ConstantCurvature):
-        return ConstantCurvature(model.K, -model.b, model.chi, model.area)
-    if isinstance(model, ConformalTorus):
-        neg_b = type(model.b)(
-            Lx=model.b.Lx,
-            Ly=model.b.Ly,
-            const=-model.b.const,
-            cos_coeffs={k: -v for k, v in model.b.cos_coeffs.items()},
-            sin_coeffs={k: -v for k, v in model.b.sin_coeffs.items()},
-        )
-        return ConformalTorus(model.phi, neg_b)
-    raise ValueError("abstract-profile models carry no intensity field")
 
 
 @dataclass(frozen=True)
@@ -399,42 +317,20 @@ class CurvatureProfile:
             evaluator=series, k_bound=_k_bound(series.sampled_min()), series=series
         )
 
+    @staticmethod
+    def from_orbit(orbit: OrbitTrace) -> "CurvatureProfile":
+        """A cubic spline through the orbit's curvature samples (O(h^4)
+        between samples, exact at them), confined to the orbit window."""
+        if len(orbit.t_samples) < 4:
+            raise InsufficientDataError("need at least 4 samples for a cubic spline")
+        return CurvatureProfile(
+            evaluator=CubicSpline(orbit.t_samples, orbit.kappa_samples),
+            k_bound=_k_bound(float(np.min(orbit.kappa_samples))),
+            t_min=float(orbit.t_samples[0]),
+            t_max=float(orbit.t_samples[-1]),
+        )
+
 
 def _k_bound(kmin: float) -> float:
     """A k with kappa > -k**2 for a curvature whose (sampled) minimum is kmin."""
     return math.sqrt(max(0.0, -kmin) + K_MARGIN)
-
-
-def curvature_profile(model: SurfaceModel,
-                      orbit: Optional[OrbitTrace]) -> CurvatureProfile:
-    """Build the curvature evaluator along an orbit.
-
-    Constant models give a constant profile. Orbit traces are interpolated
-    with a cubic spline through the sampled curvature (O(h^4) between
-    samples, exact at the samples). Abstract-profile models pass the user
-    evaluator through after validating the declared bound; a Fourier
-    series stays one, so the profile shifts and reflects exactly.
-    """
-    if isinstance(model, ConstantCurvature):
-        return CurvatureProfile.constant(model.K + model.b**2)
-    if isinstance(model, AbstractProfile):
-        model.validate_window(*VALIDATION_WINDOW)
-        if isinstance(model.kappa, FourierSeries1D):
-            return CurvatureProfile(evaluator=model.kappa, k_bound=model.k_bound,
-                                    series=model.kappa)
-        return CurvatureProfile(
-            evaluator=lambda t: np.vectorize(model.kappa, otypes=[float])(t)
-            if np.ndim(t) else float(model.kappa(float(t))),
-            k_bound=model.k_bound,
-        )
-    if orbit is None:
-        raise ValueError("chart models need an orbit trace")
-    if len(orbit.t_samples) < 4:
-        raise InsufficientDataError("need at least 4 samples for a cubic spline")
-    spline = CubicSpline(orbit.t_samples, orbit.kappa_samples)
-    return CurvatureProfile(
-        evaluator=spline,
-        k_bound=_k_bound(float(np.min(orbit.kappa_samples))),
-        t_min=float(orbit.t_samples[0]),
-        t_max=float(orbit.t_samples[-1]),
-    )

@@ -1,12 +1,13 @@
-"""Surface models, the quarter-turn complex structure, and curvature.
-
-Three model kinds are supported:
+"""Surface models: ``SurfaceModel``, the one interface the certifier reads
+of a surface, and its three implementations. Any class with the members
+of ``SurfaceModel`` can be classified; no module decides by the class of a
+model.
 
 * ``ConstantCurvature`` - a closed oriented surface described only by its
   constant Gaussian curvature, constant magnetic intensity, Euler
   characteristic and area. Genus >= 2 surfaces enter this way; all the
   dynamics downstream depend only on the curvature seen along orbits, so
-  no fundamental-domain geometry is needed.
+  no fundamental-domain geometry is needed, and one orbit stands for all.
 * ``ConformalTorus`` - a flat-chart torus with metric exp(2*phi)*(dx^2+dy^2),
   where phi and the magnetic intensity b are finite Fourier series. All
   derivatives of the data are exact.
@@ -16,18 +17,27 @@ Three model kinds are supported:
 Chart convention for the torus: a unit tangent vector is stored as
 (x, y, theta) with theta the Euclidean frame angle, so the velocity in
 coordinates is exp(-phi)*(cos(theta), sin(theta)). That parameterization
-has unit metric norm identically.
+has unit metric norm identically, and the equations of motion read
+
+    x'     = exp(-phi) * cos(theta)
+    y'     = exp(-phi) * sin(theta)
+    theta' = b(x, y) + exp(-phi) * (phi_y * cos(theta) - phi_x * sin(theta))
+
+The magnetic term contributes the constant-rate turning b; the remaining
+terms are the Christoffel correction of the conformal metric folded into
+the frame angle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Protocol
 
 import numpy as np
 
 from .errors import InvalidProfileError, ResolutionError, UnsupportedQueryError
+from .flow import CurvatureProfile, UnitTangent, integrate_orbit
 from .fourier import FourierSeries1D, FourierSeries2D
 
 GAUSS_BONNET_TOL = 1e-9
@@ -42,15 +52,6 @@ QUADRATURE_NMAX = 2048
 VALIDATION_WINDOW = (0.0, 100.0)
 
 
-@dataclass(frozen=True)
-class UnitTangent:
-    """A unit tangent vector (x, y, theta) in the conformal chart."""
-
-    x: float = 0.0
-    y: float = 0.0
-    theta: float = 0.0
-
-
 def rotate_i(v: UnitTangent) -> UnitTangent:
     """Rotate the velocity by +pi/2 in the surface orientation.
 
@@ -61,11 +62,74 @@ def rotate_i(v: UnitTangent) -> UnitTangent:
 
 
 @dataclass(frozen=True)
+class InequalityResult:
+    """Outcome of the averaged-intensity necessary condition.
+
+    ``lhs`` is the integral of b^2 over the surface, ``rhs`` is -2*pi*chi.
+    ``passes`` requires the strict inequality lhs < rhs. When lhs > 0 the
+    admissible scaling window lambda^2 < rhs/lhs is reported too.
+    """
+
+    lhs: float
+    rhs: float
+    passes: bool
+    lambda_sq_max: Optional[float] = None
+
+    @staticmethod
+    def of(lhs: float, chi: int) -> "InequalityResult":
+        rhs = -2.0 * math.pi * chi + 0.0
+        return InequalityResult(lhs=lhs, rhs=rhs, passes=lhs < rhs,
+                                lambda_sq_max=rhs / lhs if lhs > 0 else None)
+
+
+class SurfaceModel(Protocol):
+    """What the certifier (``anosov.classify``) and ``flow.integrate_orbit``
+    ask of a surface. Implementations must be picklable for parallel runs."""
+
+    chi: Optional[int]  # Euler characteristic; None when unknown
+    # True when the flow is hyperbolic in closed form, so that no witness
+    # of a tiny sampled gap may refute it
+    closed_form_hyperbolic: bool
+
+    def rhs(self) -> Callable:
+        """The orbit equations: a function of a list (x, y, theta) of floats
+        returning the three derivatives, built once per orbit."""
+
+    def reduce(self, v: UnitTangent) -> UnitTangent:
+        """The deck step: v (arrays of samples) in the fundamental domain."""
+
+    def magnetic_curvature(self, v: UnitTangent):
+        """kappa at v, on scalars or on arrays of samples."""
+
+    def inequality(self) -> Optional[InequalityResult]:
+        """The averaged-intensity inequality; None where it does not apply."""
+
+    def kappa_extrema(self) -> tuple:
+        """(min, max) of kappa over a sample of the unit tangent bundle."""
+
+    def ensemble(self, count: int, seed: int) -> list:
+        """Start vectors of the sampled orbits (``UnitTangent``)."""
+
+    def profile(self, v0: UnitTangent, horizon: float, tol: float,
+                keep: bool) -> tuple:
+        """(the curvature profile along the orbit from v0, its ``OrbitTrace``
+        or None); ``keep`` asks for a trace even where the profile needs
+        none."""
+
+    def minus_profile(self, v0: UnitTangent, plus: CurvatureProfile,
+                      horizon: float, tol: float) -> CurvatureProfile:
+        """The time reflection of ``plus``: the curvature along the
+        reversed-intensity orbit from the flipped vector."""
+
+
+@dataclass(frozen=True)
 class ConstantCurvature:
     """Closed oriented surface with constant curvature and intensity.
 
     The Gauss-Bonnet identity K*area = 2*pi*chi must hold, which pins the
-    area once (K, chi) are chosen.
+    area once (K, chi) are chosen. The orbit equations are the zero field:
+    the model has no chart, and the curvature readout is K + b**2 on all of
+    the unit tangent bundle.
     """
 
     K: float
@@ -84,6 +148,99 @@ class ConstantCurvature:
                 "inconsistent constant model: K*area - 2*pi*chi = %g" % residual
             )
 
+    @property
+    def closed_form_hyperbolic(self) -> bool:
+        # the schedule resolves a tiny gap only to about 1/r, so no witness
+        # may refute K + b**2 < 0
+        return self.K + self.b**2 < 0
+
+    def rhs(self) -> Callable:
+        return lambda state: (0.0, 0.0, 0.0)
+
+    def reduce(self, v: UnitTangent) -> UnitTangent:
+        return v
+
+    def gaussian_curvature(self, x, y) -> float:
+        return self.K
+
+    def magnetic_curvature(self, v: UnitTangent):
+        # db vanishes identically for constant intensity
+        return self.K + self.b**2 + 0.0 * np.asarray(v.theta, dtype=float)
+
+    def gauss_bonnet_residual(self) -> float:
+        return abs(self.K * self.area - 2.0 * math.pi * self.chi)
+
+    def inequality(self) -> InequalityResult:
+        return InequalityResult.of(self.b**2 * self.area, self.chi)
+
+    def kappa_extrema(self) -> tuple:
+        k = self.K + self.b**2
+        return k, k
+
+    def ensemble(self, count: int, seed: int) -> list:
+        # one orbit represents all: the curvature readout is constant on SM
+        return [UnitTangent(0.0, 0.0, 0.0)]
+
+    def profile(self, v0, horizon, tol, keep) -> tuple:
+        trace = integrate_orbit(self, v0, horizon, tol) if keep else None
+        return CurvatureProfile.constant(self.K + self.b**2), trace
+
+    def minus_profile(self, v0, plus, horizon, tol) -> CurvatureProfile:
+        return plus.flipped()
+
+
+def _scalar_modes(series) -> tuple:
+    """The modes of a FourierSeries2D as (2 pi m / Lx, 2 pi n / Ly, a, b)
+    float tuples, for evaluation with ``math`` on scalars."""
+    return tuple((2.0 * math.pi * m / series.Lx, 2.0 * math.pi * n / series.Ly,
+                  float(a), float(b)) for m, n, a, b in series.modes)
+
+
+def _scalar_jet(const: float, modes: tuple, x: float, y: float):
+    """(f, df/dx, df/dy) at the point (x, y) from ``_scalar_modes``."""
+    f, fx, fy = const, 0.0, 0.0
+    for kx, ky, a, b in modes:
+        w = kx * x + ky * y
+        c, s = math.cos(w), math.sin(w)
+        f += a * c + b * s
+        d = b * c - a * s
+        fx += kx * d
+        fy += ky * d
+    return f, fx, fy
+
+
+def _torus_grid_integral(model: "ConformalTorus", values: Callable, n: int) -> float:
+    """Tensor trapezoid on one period cell; spectrally accurate for the
+    periodic integrands used here."""
+    xs = np.linspace(0.0, model.Lx, n, endpoint=False)
+    ys = np.linspace(0.0, model.Ly, n, endpoint=False)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    F = values(X, Y)
+    return float(np.sum(F) * (model.Lx / n) * (model.Ly / n))
+
+
+def _refined_integral(model: "ConformalTorus", values) -> float:
+    n = max(QUADRATURE_N0, 4 * model.phi.max_mode + 4, 4 * model.b.max_mode + 4)
+    prev = _torus_grid_integral(model, values, n)
+    while n < QUADRATURE_NMAX:
+        n *= 2
+        cur = _torus_grid_integral(model, values, n)
+        if abs(cur - prev) < QUADRATURE_TOL:
+            return cur
+        prev = cur
+    raise ResolutionError("quadrature did not reach tolerance %g by grid side %d"
+                          % (QUADRATURE_TOL, QUADRATURE_NMAX))
+
+
+def _halton(index: int, base: int) -> float:
+    f, r = 1.0, 0.0
+    i = index
+    while i > 0:
+        f /= base
+        r += f * (i % base)
+        i //= base
+    return r
+
 
 @dataclass(frozen=True)
 class ConformalTorus:
@@ -93,6 +250,7 @@ class ConformalTorus:
 
     phi: FourierSeries2D = field(default_factory=FourierSeries2D)
     b: FourierSeries2D = field(default_factory=FourierSeries2D)
+    closed_form_hyperbolic = False
 
     def __post_init__(self):
         for s in (self.phi, self.b):
@@ -115,6 +273,94 @@ class ConformalTorus:
     def chi(self):
         return 0
 
+    def rhs(self) -> Callable:
+        """The orbit equations on a list (x, y, theta) of floats, evaluating
+        phi and b with ``math`` from mode tables read once here."""
+        p0, pm = float(self.phi.const), _scalar_modes(self.phi)
+        b0, bm = float(self.b.const), _scalar_modes(self.b)
+        exp, cos, sin = math.exp, math.cos, math.sin
+
+        def rhs(state):
+            x, y, theta = state
+            p, px, py = _scalar_jet(p0, pm, x, y)
+            e = exp(-p)
+            c, s = cos(theta), sin(theta)
+            return (e * c, e * s, _scalar_jet(b0, bm, x, y)[0] + e * (py * c - px * s))
+
+        return rhs
+
+    def reduce(self, v: UnitTangent) -> UnitTangent:
+        """Exact period subtraction into the fundamental cell."""
+        return UnitTangent(v.x - self.Lx * np.floor(v.x / self.Lx),
+                           v.y - self.Ly * np.floor(v.y / self.Ly), v.theta)
+
+    def gaussian_curvature(self, x, y):
+        """-exp(-2*phi)*laplacian(phi), exact from the Fourier coefficients."""
+        p, _px, _py, lap = self.phi.jet(x, y)
+        return -np.exp(-2.0 * p) * lap
+
+    def magnetic_curvature(self, v: UnitTangent):
+        """K(x) - db(iv) + b(x)^2, where iv is the quarter turn of the unit
+        velocity and db(iv) the derivative of the intensity along it, exact
+        from the Fourier data; the fields of v may be arrays of samples."""
+        p, _px, _py, lap = self.phi.jet(v.x, v.y)
+        bval, bx, by, _lap = self.b.jet(v.x, v.y)
+        # iv has chart components exp(-phi)*(-sin(theta), cos(theta))
+        db_iv = np.exp(-p) * (-bx * np.sin(v.theta) + by * np.cos(v.theta))
+        return -np.exp(-2.0 * p) * lap - db_iv + bval**2
+
+    @property
+    def area(self) -> float:
+        return _refined_integral(self, lambda X, Y: np.exp(2.0 * self.phi(X, Y)))
+
+    def gauss_bonnet_residual(self) -> float:
+        """|integral of K - 2*pi*chi|. K*exp(2*phi) = -laplacian(phi), whose
+        cell integral vanishes identically, so this is pure quadrature error."""
+        return abs(_refined_integral(self, lambda X, Y: -self.phi.laplacian(X, Y)))
+
+    def inequality(self) -> InequalityResult:
+        return InequalityResult.of(
+            _refined_integral(self, lambda X, Y: self.b(X, Y) ** 2 * np.exp(2.0 * self.phi(X, Y))),
+            0)
+
+    def kappa_extrema(self) -> tuple:
+        """kappa on a 64 x 64 chart grid, taken exactly over the angle: kappa
+        is K + b**2 - exp(-phi) (-b_x sin(theta) + b_y cos(theta)), whose
+        extrema over theta are K + b**2 -+ exp(-phi) |grad b|."""
+        n = 64
+        xs = np.linspace(0.0, self.Lx, n, endpoint=False)
+        ys = np.linspace(0.0, self.Ly, n, endpoint=False)
+        X, Y = np.meshgrid(xs, ys, indexing="ij")
+        p, _px, _py, lap = self.phi.jet(X, Y)
+        bval, bx, by, _lap = self.b.jet(X, Y)
+        base = -np.exp(-2.0 * p) * lap + bval**2
+        spread = np.exp(-p) * np.hypot(bx, by)
+        return float(np.min(base - spread)), float(np.max(base + spread))
+
+    def ensemble(self, count: int, seed: int) -> list:
+        """Halton points over chart x angle; the seed only offsets the
+        starting index, so runs are reproducible."""
+        return [UnitTangent(_halton(i, 2) * self.Lx, _halton(i, 3) * self.Ly,
+                            _halton(i, 5) * 2.0 * math.pi)
+                for i in range(seed + 1, seed + count + 1)]
+
+    def flipped(self) -> "ConformalTorus":
+        """The companion system with the sign of the intensity reversed."""
+        b = self.b
+        return ConformalTorus(self.phi, FourierSeries2D(
+            Lx=b.Lx, Ly=b.Ly, const=-b.const,
+            cos_coeffs={k: -v for k, v in b.cos_coeffs.items()},
+            sin_coeffs={k: -v for k, v in b.sin_coeffs.items()},
+        ))
+
+    def profile(self, v0, horizon, tol, keep) -> tuple:
+        trace = integrate_orbit(self, v0, horizon, tol)
+        return CurvatureProfile.from_orbit(trace), trace
+
+    def minus_profile(self, v0, plus, horizon, tol) -> CurvatureProfile:
+        flipped = UnitTangent(v0.x, v0.y, v0.theta + math.pi)
+        return self.flipped().profile(flipped, horizon, tol, False)[0]
+
 
 @dataclass(frozen=True)
 class AbstractProfile:
@@ -123,22 +369,38 @@ class AbstractProfile:
     ``kappa`` is a callable t -> curvature; ``k_bound`` is a declared k > 0
     with kappa(t) > -k_bound**2. The declaration is trusted after a sample
     validation on any queried window; no certified global minimum is
-    computed. chi and area are optional metadata.
+    computed. chi and area are optional metadata. The model has no orbit
+    equations and no intensity field, so the integral inequality does not
+    apply.
     """
 
     kappa: Callable[[float], float]
     k_bound: float
     chi: Optional[int] = None
     area: Optional[float] = None
+    closed_form_hyperbolic = False
 
     def __post_init__(self):
         if self.k_bound < 0:
             raise ValueError("k_bound must be nonnegative")
 
+    def curvature(self) -> CurvatureProfile:
+        """kappa as a curvature profile. A Fourier series stays one, so the
+        profile shifts and reflects exactly and is read in one array call;
+        any other callable is called once per time."""
+        kappa = self.kappa
+        if isinstance(kappa, FourierSeries1D):
+            return CurvatureProfile(evaluator=kappa, k_bound=self.k_bound, series=kappa)
+        return CurvatureProfile(
+            evaluator=lambda t: np.vectorize(kappa, otypes=[float])(t)
+            if np.ndim(t) else float(kappa(float(t))),
+            k_bound=self.k_bound,
+        )
+
     def validate_window(self, t0: float, t1: float):
         """Minimum of 2048 samples of kappa on [t0, t1]; raises
         InvalidProfileError on a non-finite sample or a violated bound."""
-        samples = sample_kappa(self, np.linspace(t0, t1, 2048))
+        samples = self.curvature()(np.linspace(t0, t1, 2048))
         if not np.all(np.isfinite(samples)):
             raise InvalidProfileError("kappa is not finite on [%g, %g]" % (t0, t1))
         kmin = float(np.min(samples))
@@ -148,133 +410,28 @@ class AbstractProfile:
             )
         return kmin
 
+    def _no_geometry(self, *args):
+        raise UnsupportedQueryError("abstract-profile models have no pointwise "
+                                    "geometry and no orbit equations")
 
-def sample_kappa(model: AbstractProfile, ts: np.ndarray) -> np.ndarray:
-    """kappa of an abstract profile at the times ts: one array call for a
-    Fourier series, one call per time for any other callable."""
-    if isinstance(model.kappa, FourierSeries1D):
-        return np.asarray(model.kappa(ts), dtype=float)
-    return np.array([model.kappa(float(t)) for t in ts], dtype=float)
+    rhs = reduce = gaussian_curvature = magnetic_curvature = _no_geometry
+    gauss_bonnet_residual = _no_geometry
 
+    def inequality(self) -> None:
+        return None
 
-SurfaceModel = ConstantCurvature | ConformalTorus | AbstractProfile
+    def kappa_extrema(self) -> tuple:
+        """(min, max) of 4096 samples of kappa on [0, 100]."""
+        vals = self.curvature()(np.linspace(0.0, 100.0, 4096))
+        return float(np.min(vals)), float(np.max(vals))
 
+    def ensemble(self, count: int, seed: int) -> list:
+        # a profile model has only its one notional orbit
+        return [UnitTangent(0.0, 0.0, 0.0)]
 
-def gaussian_curvature(model: SurfaceModel, x: float, y: float) -> float:
-    """Gaussian curvature at a chart point.
+    def profile(self, v0, horizon, tol, keep) -> tuple:
+        self.validate_window(*VALIDATION_WINDOW)
+        return self.curvature(), None
 
-    For the conformal torus this is -exp(-2*phi)*laplacian(phi), evaluated
-    exactly from the Fourier coefficients.
-    """
-    if isinstance(model, ConstantCurvature):
-        return model.K
-    if isinstance(model, ConformalTorus):
-        p, _px, _py, lap = model.phi.jet(x, y)
-        return -np.exp(-2.0 * p) * lap
-    raise UnsupportedQueryError("abstract-profile models have no pointwise geometry")
-
-
-def magnetic_curvature(model: SurfaceModel, v: UnitTangent) -> float:
-    """Curvature coefficient of the transverse linearization at v.
-
-    Equals K(x) - db(iv) + b(x)^2, where iv is the quarter turn of the unit
-    velocity and db(iv) is the derivative of the intensity in that
-    direction, computed exactly from Fourier data. On a chart model the
-    fields of v may be arrays of samples; the result is then an array.
-    """
-    if isinstance(model, ConstantCurvature):
-        # db vanishes identically for constant intensity
-        return model.K + model.b**2
-    if isinstance(model, ConformalTorus):
-        K = gaussian_curvature(model, v.x, v.y)
-        bval, bx, by, _lap = model.b.jet(v.x, v.y)
-        # iv has chart components exp(-phi)*(-sin(theta), cos(theta))
-        db_iv = np.exp(-model.phi(v.x, v.y)) * (-bx * np.sin(v.theta)
-                                                 + by * np.cos(v.theta))
-        return K - db_iv + bval**2
-    raise UnsupportedQueryError("abstract-profile models have no pointwise geometry")
-
-
-def _torus_grid_integral(model: ConformalTorus, values: Callable, n: int) -> float:
-    """Tensor trapezoid on one period cell; spectrally accurate for the
-    periodic integrands used here."""
-    xs = np.linspace(0.0, model.Lx, n, endpoint=False)
-    ys = np.linspace(0.0, model.Ly, n, endpoint=False)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    F = values(X, Y)
-    return float(np.sum(F) * (model.Lx / n) * (model.Ly / n))
-
-
-def _refined_integral(model: ConformalTorus, values) -> float:
-    n = max(QUADRATURE_N0, 4 * model.phi.max_mode + 4, 4 * model.b.max_mode + 4)
-    prev = _torus_grid_integral(model, values, n)
-    while n < QUADRATURE_NMAX:
-        n *= 2
-        cur = _torus_grid_integral(model, values, n)
-        if abs(cur - prev) < QUADRATURE_TOL:
-            return cur
-        prev = cur
-    raise ResolutionError("quadrature did not reach tolerance %g by grid side %d"
-                          % (QUADRATURE_TOL, QUADRATURE_NMAX))
-
-
-def total_area(model: SurfaceModel) -> float:
-    if isinstance(model, ConstantCurvature):
-        return model.area
-    if isinstance(model, ConformalTorus):
-        return _refined_integral(model, lambda X, Y: np.exp(2.0 * model.phi(X, Y)))
-    if model.area is not None:
-        return model.area
-    raise UnsupportedQueryError("abstract-profile model carries no area metadata")
-
-
-def gauss_bonnet_residual(model: SurfaceModel) -> float:
-    """|integral of K over the surface - 2*pi*chi|.
-
-    Closed form for the constant model; tensor trapezoid quadrature with
-    grid doubling for the torus. For the torus the area form is
-    exp(2*phi) dx dy and K*exp(2*phi) = -laplacian(phi), whose cell
-    integral vanishes identically, so the residual measures pure
-    quadrature error.
-    """
-    if isinstance(model, ConstantCurvature):
-        return abs(model.K * model.area - 2.0 * math.pi * model.chi)
-    if isinstance(model, ConformalTorus):
-        total = _refined_integral(model, lambda X, Y: -model.phi.laplacian(X, Y))
-        return abs(total - 2.0 * math.pi * model.chi)
-    raise UnsupportedQueryError("abstract-profile models have no pointwise geometry")
-
-
-@dataclass(frozen=True)
-class InequalityResult:
-    """Outcome of the averaged-intensity necessary condition.
-
-    ``lhs`` is the integral of b^2 over the surface, ``rhs`` is -2*pi*chi.
-    ``passes`` requires the strict inequality lhs < rhs. When lhs > 0 the
-    admissible scaling window lambda^2 < rhs/lhs is reported too.
-    """
-
-    lhs: float
-    rhs: float
-    passes: bool
-    lambda_sq_max: Optional[float] = None
-
-
-def integral_inequality_check(model: SurfaceModel) -> InequalityResult:
-    """Necessary condition for hyperbolicity: the surface-averaged squared
-    intensity must be strictly less than -2*pi*chi. Fails for chi >= 0."""
-    if isinstance(model, ConstantCurvature):
-        lhs = model.b**2 * model.area
-        chi = model.chi
-    elif isinstance(model, ConformalTorus):
-        lhs = _refined_integral(
-            model, lambda X, Y: model.b(X, Y) ** 2 * np.exp(2.0 * model.phi(X, Y))
-        )
-        chi = 0
-    else:
-        if model.chi is None:
-            raise UnsupportedQueryError("abstract-profile model carries no chi metadata")
-        raise UnsupportedQueryError("abstract-profile models have no intensity field")
-    rhs = -2.0 * math.pi * chi + 0.0
-    lam2 = rhs / lhs if lhs > 0 else None
-    return InequalityResult(lhs=lhs, rhs=rhs, passes=lhs < rhs, lambda_sq_max=lam2)
+    def minus_profile(self, v0, plus, horizon, tol) -> CurvatureProfile:
+        return plus.flipped()

@@ -141,7 +141,7 @@ def _run_schedule(profile: CurvatureProfile, tol: float) -> GreenSide:
 
     while True:
         seg = np.linspace(r_prev, r, 65)[1:]
-        zs = prop(seg)[2]
+        zs = prop._stored(seg)[0][2]
         if np.any(zs <= 0.0):
             bad = float(seg[np.nonzero(zs <= 0.0)[0][0]])
             raise ConjugatePointError(

@@ -374,10 +374,12 @@ def _first_root(prop: Propagator, f: Callable, horizon: float,
     time zero, with the last scan time before it (0.0 in the first cell),
     or (None, horizon) when it keeps its sign.
 
-    ``f`` reads the propagator ``prop`` at an array of times. The scan
-    reads a uniform grid one propagator segment at a time, so integration
-    stops at the breakpoint past the first zero, and bisection refines a
-    sign change to 1e-9.
+    ``f`` reads the propagator ``prop`` at an array of times and returns the
+    values as mantissas and the binary exponents that scale them. The scan
+    reads the signs of the mantissas on a uniform grid, one propagator
+    segment at a time, so integration stops at the breakpoint past the
+    first zero and nothing overflows; bisection refines a sign change to
+    1e-9 on the scaled values.
     """
     ts = np.arange(step, horizon + 0.5 * step, step)
     if len(ts) == 0:
@@ -388,7 +390,7 @@ def _first_root(prop: Propagator, f: Callable, horizon: float,
     while len(vals) < len(ts) and not np.any(vals <= 0.0):
         end = prop.breaks[prop.segment(ts[len(vals)])]
         chunk = ts[len(vals):int(np.searchsorted(ts, end, side="right"))]
-        vals = np.concatenate([vals, f(chunk)])
+        vals = np.concatenate([vals, f(chunk)[0]])
     sign_change = np.nonzero(vals <= 0.0)[0]
     if len(sign_change) == 0:
         return None, float(horizon)
@@ -398,7 +400,7 @@ def _first_root(prop: Propagator, f: Callable, horizon: float,
         return float(ts[i]), before
     lo = before if i > 0 else 0.5 * ts[0]
     hi = ts[i]
-    g = lambda t: float(f(np.array([t]))[0])
+    g = lambda t: float(np.ldexp(*f(np.array([t])))[0])
     if g(lo) <= 0.0:
         # zero sits inside the first scan cell: bracket it from 1e-8, or
         # from zero where f is positive there (the unit-slope solution
@@ -414,7 +416,12 @@ def first_zero(profile: CurvatureProfile, horizon: float,
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     prop = propagator(profile)
-    return _first_root(prop, lambda ts: prop(ts)[2], horizon, step)[0]
+
+    def z(ts):
+        y, e = prop._stored(ts)
+        return y[2], e
+
+    return _first_root(prop, z, horizon, step)[0]
 
 
 @dataclass

@@ -70,7 +70,8 @@ def integrate_riccati(profile: CurvatureProfile, u0: float, t_span: tuple) -> Ri
         local = local.flipped()
     prop = propagator(local)
     v0 = sign * u0
-    pole, s_end = _first_root(prop, lambda ss: prop.carry(ss, v0)[0],
+    # J in stored scale, scanned and bisected as it is
+    pole, s_end = _first_root(prop, lambda ss: (prop.carry(ss, v0)[0], 0),
                               abs(t1 - t0), SCAN_STEP)
     ss = np.linspace(0.0, s_end, N_SAMPLES)
     j, dj = prop.carry(ss, v0)

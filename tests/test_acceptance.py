@@ -25,7 +25,6 @@ from magflow import (
     first_zero,
     green_both,
     green_slope,
-    integral_inequality_check,
     integrate_jacobi,
     integrate_orbit,
     integrate_riccati,
@@ -102,13 +101,10 @@ def test_criterion_03_horocycle_boundary_sweep(tmp_path):
 def test_criterion_04_integral_inequality():
     ok = True
     for b in (0.25, 0.5, 0.95, 1.0, 1.05, 1.5):
-        r = integral_inequality_check(
-            ConstantCurvature(K=-1.0, b=b, chi=-2, area=AREA)
-        )
+        r = ConstantCurvature(K=-1.0, b=b, chi=-2, area=AREA).inequality()
         ok &= r.lhs == b * b * AREA and r.rhs == AREA and r.passes == (b * b < 1.0)
-    r_torus = integral_inequality_check(
-        ConformalTorus(phi=FourierSeries2D(), b=FourierSeries2D(const=0.5))
-    )
+    r_torus = ConformalTorus(phi=FourierSeries2D(),
+                             b=FourierSeries2D(const=0.5)).inequality()
     ok &= not r_torus.passes
     report(4, "averaged-intensity inequality", ok)
 

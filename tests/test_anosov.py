@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,12 +6,14 @@ import pytest
 
 from magflow import (
     AbstractProfile,
+    ConformalTorus,
     ConstantCurvature,
     CurvatureProfile,
     FourierSeries1D,
     InsufficientDataError,
     JacobiState,
     SamplingConfig,
+    UnitTangent,
     bounded_jacobi_witness,
     classify,
     contraction_fit,
@@ -18,11 +21,13 @@ from magflow import (
     green_both,
     green_slope,
     integrate_jacobi,
+    integrate_orbit,
     negativity_criterion,
+    unit_slope_trace,
 )
 from magflow import anosov, green
-from magflow.anosov import WITNESS_WINDOW, ensemble_states, growth_floor
-from families import hyperbolic_profile, random_torus, rng_for
+from magflow.anosov import WITNESS_WINDOW, growth_floor
+from families import hyperbolic_profile, oscillatory_profile, random_torus, rng_for
 
 P_NEG = CurvatureProfile.constant(-1.0)
 P_ZERO = CurvatureProfile.constant(0.0)
@@ -89,9 +94,7 @@ class TestWitness:
         # constant curvature -1 with unit intensity: curvature along
         # orbits is identically zero, the constant field is the witness
         m = ConstantCurvature(K=-1.0, b=1.0, chi=-2, area=AREA)
-        from magflow import curvature_profile
-
-        w = _witness(curvature_profile(m, None))
+        w = _witness(m.profile(UnitTangent(), 1.0, 1e-10, False)[0])
         assert w is not None
         assert w.sup_norm == pytest.approx(1.0, abs=1e-6)
 
@@ -174,10 +177,10 @@ class TestSturmSign:
 class TestNegativity:
     @staticmethod
     def _criterion(m):
-        from magflow import curvature_profile
         from magflow.anosov import profile_extrema
 
-        return negativity_criterion(m, [profile_extrema(curvature_profile(m, None))[0]])
+        plus = m.profile(UnitTangent(), 1.0, 1e-10, False)[0]
+        return negativity_criterion(m, [profile_extrema(plus)[0]])
 
     def test_negative_constant(self):
         r = self._criterion(ConstantCurvature(K=-1.0, b=0.0, chi=-2, area=AREA))
@@ -199,18 +202,15 @@ class TestNegativity:
     def test_torus_extrema_are_exact_over_the_angle(self):
         # the closed form bounds a dense sample of angles on the same chart
         # grid and is attained to the angular sampling error
-        from magflow import UnitTangent, magnetic_curvature
-        from magflow.anosov import sampled_kappa_extrema
-
         rng = rng_for("kappa-extrema")
         for _ in range(3):
             m = random_torus(rng)
-            lo, hi = sampled_kappa_extrema(m)
+            lo, hi = m.kappa_extrema()
             g = np.linspace(0.0, 1.0, 64, endpoint=False)
             X, Y, TH = np.meshgrid(g * m.Lx, g * m.Ly,
                                    np.linspace(0.0, 2 * math.pi, 360, endpoint=False),
                                    indexing="ij")
-            k = magnetic_curvature(m, UnitTangent(X, Y, TH))
+            k = m.magnetic_curvature(UnitTangent(X, Y, TH))
             tol = 1e-4 * (hi - lo)
             assert lo <= k.min() + 1e-12 and k.min() - lo < tol
             assert hi >= k.max() - 1e-12 and hi - k.max() < tol
@@ -322,33 +322,33 @@ class TestEnsemble:
     def test_halton_determinism_and_ranges(self):
         rng = rng_for("ensemble")
         m = random_torus(rng)
-        a = ensemble_states(m, 16, seed=3)
-        b = ensemble_states(m, 16, seed=3)
+        a = m.ensemble(16, seed=3)
+        b = m.ensemble(16, seed=3)
         assert [(v.x, v.y, v.theta) for v in a] == [(v.x, v.y, v.theta) for v in b]
         assert all(0 <= v.x < 1 and 0 <= v.y < 1 and 0 <= v.theta < 2 * math.pi
                    for v in a)
-        shifted = ensemble_states(m, 16, seed=4)
+        shifted = m.ensemble(16, seed=4)
         assert (a[1].x, a[1].y) == (shifted[0].x, shifted[0].y)
 
     def test_constant_model_collapses_to_one_orbit(self):
         m = ConstantCurvature(K=-1.0, b=0.5, chi=-2, area=AREA)
-        assert len(ensemble_states(m, 64, seed=0)) == 1
+        assert len(m.ensemble(64, seed=0)) == 1
 
 
 class TestReversedOrbit:
     """The reversed-intensity orbit is integrated only for the gap."""
 
     def _integrations_per_orbit(self, monkeypatch, horizon):
-        from magflow import ConformalTorus, FourierSeries2D, anosov
+        from magflow import ConformalTorus, FourierSeries2D, geometry
 
         calls = []
-        real = anosov.integrate_orbit
+        real = geometry.integrate_orbit
 
         def counted(*args, **kwargs):
             calls.append(args[1])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(anosov, "integrate_orbit", counted)
+        monkeypatch.setattr(geometry, "integrate_orbit", counted)
         # flat torus, b = 0.5: kappa = 0.25 everywhere, conjugate time 2 pi
         torus = ConformalTorus(phi=FourierSeries2D(), b=FourierSeries2D(const=0.5))
         rep = classify(torus, SamplingConfig(ensemble_count=2, horizon=horizon))
@@ -376,6 +376,25 @@ class TestGrowthFloor:
             p = hyperbolic_profile(rng)
             assert growth_floor(p, 20.0) > 1e-6
 
+    def test_stored_scale_gives_the_unscaled_ratios(self):
+        # constant and Fourier profiles read t > T from the monodromy powers,
+        # whose binary exponents differ from time to time; an oscillatory
+        # profile moves the running maximum
+        rng = rng_for("floor-stored")
+        ts = np.linspace(1.0, 20.0, 400)
+        for p in (CurvatureProfile.constant(-0.75), hyperbolic_profile(rng),
+                  oscillatory_profile(rng), oscillatory_profile(rng)):
+            vals = np.abs(unit_slope_trace(p, 20.0).values(ts))
+            assert growth_floor(p, 20.0) == float(np.min(vals / np.maximum.accumulate(vals)))
+
+    def test_overflowing_solution_gives_a_finite_floor(self):
+        # K = -1e4: Z = sinh(100 t) / 100 overflows double precision past
+        # t ~ 7; it grows monotonically, so the floor is one
+        rep = classify(ConstantCurvature(K=-1e4, b=0.0, chi=-2, area=4 * math.pi / 1e4))
+        assert rep.verdict == "NumericallyAnosov"
+        assert rep.orbits[0].growth_A == 1.0
+        json.dumps(rep.to_dict(), allow_nan=False)
+
 
 class TestVerdictLogic:
     """Aggregation invariants, exercised on synthetic orbit records."""
@@ -384,7 +403,7 @@ class TestVerdictLogic:
         from magflow.anosov import _verdict
 
         cfg = cfg or SamplingConfig()
-        return _verdict(None, chi, inequality, results, cfg,
+        return _verdict(chi, False, inequality, results, cfg,
                         [r for r in results if r.error],
                         [r.orbit_id for r in results
                          if r.conjugate_time is None and r.gap is not None
@@ -470,3 +489,55 @@ class TestVerdictLogic:
         o.contraction.success = False
         v, reason = self._verdict([o])
         assert v == "Inconclusive" and "contraction" in reason
+
+
+class DelegatingSurface:
+    """A surface model outside the package, with no magflow base class:
+    every member of the ``SurfaceModel`` protocol reads a wrapped model."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.chi = inner.chi
+        self.closed_form_hyperbolic = inner.closed_form_hyperbolic
+
+    def rhs(self):
+        return self.inner.rhs()
+
+    def reduce(self, v):
+        return self.inner.reduce(v)
+
+    def magnetic_curvature(self, v):
+        return self.inner.magnetic_curvature(v)
+
+    def inequality(self):
+        return self.inner.inequality()
+
+    def kappa_extrema(self):
+        return self.inner.kappa_extrema()
+
+    def ensemble(self, count, seed):
+        return self.inner.ensemble(count, seed)
+
+    def profile(self, v0, horizon, tol, keep):
+        # the trace is integrated from this model's own members
+        trace = integrate_orbit(self, v0, horizon, tol) if keep else None
+        return self.inner.profile(v0, horizon, tol, False)[0], trace
+
+    def minus_profile(self, v0, plus, horizon, tol):
+        return self.inner.minus_profile(v0, plus, horizon, tol)
+
+
+class TestSurfaceProtocol:
+    @pytest.mark.parametrize("b", [0.5, 1.0, 1.5])
+    def test_a_fourth_surface_classifies_like_the_model_it_wraps(self, b):
+        # b = 0.5 certifies, b = 1 is refuted by a witness and b = 1.5 by a
+        # conjugate point
+        inner = ConstantCurvature(K=-1.0, b=b, chi=-2, area=AREA)
+        outer = DelegatingSurface(inner)
+        assert not isinstance(outer, (ConstantCurvature, ConformalTorus, AbstractProfile))
+        cfg = SamplingConfig(horizon=30.0)
+        got, want = classify(outer, cfg, keep_traces=1), classify(inner, cfg, keep_traces=1)
+        assert got.to_dict() == want.to_dict()
+        for name in ("t_samples", "xs", "ys", "thetas", "kappa_samples"):
+            np.testing.assert_array_equal(getattr(got.orbits[0].trace, name),
+                                          getattr(want.orbits[0].trace, name))

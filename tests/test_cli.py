@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from magflow import AbstractProfile, ConfigError, SamplingConfig, anosov, cli, flow
-from magflow.anosov import ensemble_states
+from magflow import (AbstractProfile, ConfigError, NumericalInconsistencyError,
+                     SamplingConfig, anosov, cli, flow, geometry)
 from magflow.cli import build_model, build_sampling, main, run, sweep, validate_config
 
 AREA = 4 * math.pi
@@ -113,11 +113,47 @@ class TestConfigValidation:
         ({"analyses": {}}, "analyses"),
         # an unknown top-level key is named, so a typo is not ignored
         ({"tolerance": {"green": 1e-8}}, "tolerance"),
+        # and so is one inside a section
+        ({"ensemble": {"count": 4, "cuont": 8}}, "ensemble.cuont"),
+        ({"tolerances": {"gren": 1e-8}}, "tolerances.gren"),
+        ({"sweep": {"parameter": "model.b", "grid": [0.2], "step": 0.1}}, "sweep.step"),
+        ({"model": {"kind": "constant", "K": -1.0, "b": 0.5, "chi": -2,
+                    "area": AREA, "k": 1.0}}, "model.k"),
+        ({"model": {"kind": "torus", "phii": {"cos": {"1,0": 0.1}}}}, "model.phii"),
+        ({"model": {"kind": "torus", "phi": {"coss": {"1,0": 0.1}}}}, "model.phi.coss"),
+        # a typo of k_bound would fall back to the sampled bound
+        ({"model": {"kind": "profile", "kappa": {"const": -1.0},
+                    "k_bond": 1.5}}, "model.k_bond"),
+        ({"model": {"kind": "profile", "kappa": {"const": -1.0, "omgea": 2.0}}},
+         "model.kappa.omgea"),
+        # a mistyped sweep parameter would run the base model at every point
+        ({"sweep": {"parameter": "model.bb", "grid": [0.2, 0.4]}}, "model.bb"),
+        ({"sweep": {"parameter": "horizon", "grid": [10.0, 20.0]}}, "horizon"),
     ])
     def test_malformed_value_is_named(self, tmp_path, extra, key):
         with pytest.raises(ConfigError) as exc:
             validate_config(constant_config(tmp_path, **extra))
         assert exc.value.key == key
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "constant", "K": -1.0, "b": 0.5, "chi": -2, "area": AREA},
+        {"kind": "torus", "b": {"const": 0.5}},
+        {"kind": "profile", "kappa": {"const": -1.0}},
+    ])
+    def test_b_scale_is_a_key_of_every_kind(self, spec):
+        build_model(dict(spec, b_scale=1.0))
+
+    @pytest.mark.parametrize("grid, monotone", [
+        ([0.5], True), ([0.2, 0.4], True), ([0.4, 0.2], True),
+        ([0.2, 0.2], False), ([0.2, 0.4, 0.4], False), ([0.4, 0.2, 0.3], False),
+    ])
+    def test_grid_must_be_strictly_monotone(self, tmp_path, grid, monotone):
+        cfg = constant_config(tmp_path, sweep={"parameter": "model.b", "grid": grid})
+        if monotone:
+            assert len(validate_config(cfg)[2]) == len(grid)
+        else:
+            with pytest.raises(ConfigError, match="strictly monotone"):
+                validate_config(cfg)
 
     def test_integral_floats_are_integers(self, tmp_path):
         cfg = constant_config(tmp_path, ensemble={"count": 2.0, "seed": 3.0})
@@ -232,6 +268,12 @@ class TestRun:
         assert main([path]) == 1
         assert "model.area" in capsys.readouterr().err
 
+    def test_non_finite_report_is_a_typed_error(self, tmp_path):
+        path = tmp_path / "report.json"
+        with pytest.raises(NumericalInconsistencyError, match="report.json"):
+            cli._json_dump({"growth_A": math.nan}, path)
+        assert not path.exists()
+
     def test_missing_file_exits_one(self, tmp_path):
         assert main([str(tmp_path / "absent.json")]) == 1
 
@@ -265,7 +307,7 @@ class TestExport:
             calls.append(args[1])
             return real(*args)
 
-        for module in (anosov, cli):
+        for module in (geometry, anosov, cli):
             if hasattr(module, "integrate_orbit"):
                 monkeypatch.setattr(module, "integrate_orbit", counted)
         assert run(torus_config(tmp_path)) == 0
@@ -281,7 +323,7 @@ class TestExport:
             assert run(cfg) == 0
             outdir = Path(cfg["output_dir"])
             model, sampling, _ = validate_config(cfg)
-            states = ensemble_states(model, sampling.ensemble_count, sampling.seed)
+            states = model.ensemble(sampling.ensemble_count, sampling.seed)
             assert len(orbit_csvs(outdir)) == len(states)
             for i, v0 in enumerate(states):
                 direct = tmp_path / "direct.csv"

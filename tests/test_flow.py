@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from magflow import flow
+from magflow import flow, geometry
 from magflow import (
     AbstractProfile,
     ConformalTorus,
@@ -16,10 +16,7 @@ from magflow import (
     InsufficientDataError,
     IntegrationFailure,
     UnitTangent,
-    curvature_profile,
-    flip_intensity,
     integrate_orbit,
-    magnetic_curvature,
 )
 from families import random_torus, rng_for
 
@@ -74,7 +71,7 @@ class TestOrbits:
         tr = integrate_orbit(m, UnitTangent(0.4, 0.1, 1.2), 5.0)
         for i in range(len(tr.t_samples)):
             assert tr.kappa_samples[i] == pytest.approx(
-                magnetic_curvature(m, tr.state(i)), abs=1e-12
+                m.magnetic_curvature(tr.state(i)), abs=1e-12
             )
 
     def test_reversibility_through_intensity_flip(self):
@@ -87,7 +84,7 @@ class TestOrbits:
         tr = integrate_orbit(m, v0, T, tol=1e-12)
         end = tr.state(len(tr.t_samples) - 1)
         back = integrate_orbit(
-            flip_intensity(m), UnitTangent(end.x, end.y, end.theta + math.pi),
+            m.flipped(), UnitTangent(end.x, end.y, end.theta + math.pi),
             T, tol=1e-12,
         )
         fin = back.state(len(back.t_samples) - 1)
@@ -196,12 +193,12 @@ class TestRK45:
         b = FourierSeries2D(Lx=1.3, Ly=0.7, const=0.6,
                             sin_coeffs={(0, 1): 0.2}, cos_coeffs={(1, -1): 0.1})
         m = ConformalTorus(phi=phi, b=b)
-        rhs, ref = flow._torus_rhs(m), jet_rhs(m)
+        rhs, ref = m.rhs(), jet_rhs(m)
         rng = np.random.default_rng(5)
         pts = rng.uniform(0.0, 1.0, (200, 3)) * (1.3, 0.7, 2 * math.pi)
         for x, y, theta in pts.tolist():
             for series, n in ((phi, 3), (b, 1)):
-                got = flow._scalar_jet(series.const, flow._scalar_modes(series), x, y)
+                got = geometry._scalar_jet(series.const, geometry._scalar_modes(series), x, y)
                 want = series.jet(x, y)
                 assert np.max(np.abs(np.subtract(got[:n], want[:n]))) < 1e-14
             np.testing.assert_allclose(rhs([x, y, theta]), ref(0.0, [x, y, theta]),
@@ -249,36 +246,33 @@ class TestRK45:
 class TestCurvatureProfiles:
     def test_constant_model_profile(self):
         m = ConstantCurvature(K=-1.0, b=0.5, chi=-2, area=4 * math.pi)
-        p = curvature_profile(m, None)
+        p = m.profile(UnitTangent(), 1.0, flow.DEFAULT_TOL, False)[0]
         assert float(p.evaluator(3.7)) == pytest.approx(-0.75, abs=1e-15)
         assert p.is_constant
 
     def test_flat_circle_profile(self):
-        p = curvature_profile(flat_torus(1.0),
-                              integrate_orbit(flat_torus(1.0), UnitTangent(), 5.0))
+        p, _ = flat_torus(1.0).profile(UnitTangent(), 5.0, flow.DEFAULT_TOL, False)
         assert float(p.evaluator(2.3)) == pytest.approx(1.0, abs=1e-10)
 
     def test_abstract_passthrough(self):
         m = AbstractProfile(kappa=lambda t: -1.0 + 0.3 * math.sin(t),
                             k_bound=math.sqrt(1.3))
-        p = curvature_profile(m, None)
+        p = m.profile(UnitTangent(), 1.0, flow.DEFAULT_TOL, False)[0]
         assert float(p.evaluator(1.5)) == pytest.approx(-1.0 + 0.3 * math.sin(1.5))
         assert p.k_bound >= math.sqrt(1.3) - 1e-12
 
     def test_spline_reproduces_samples(self):
         rng = rng_for("fidelity")
         m = random_torus(rng)
-        tr = integrate_orbit(m, UnitTangent(0.3, 0.6, 2.0), 8.0)
-        p = curvature_profile(m, tr)
+        p, tr = m.profile(UnitTangent(0.3, 0.6, 2.0), 8.0, flow.DEFAULT_TOL, True)
         vals = p.evaluator(tr.t_samples)
         assert np.max(np.abs(vals - tr.kappa_samples)) < 1e-13
 
     def test_insufficient_samples_rejected(self):
         rng = rng_for("short")
         m = random_torus(rng)
-        tr = integrate_orbit(m, UnitTangent(), 0.02)
         with pytest.raises(InsufficientDataError):
-            curvature_profile(m, tr)
+            m.profile(UnitTangent(), 0.02, flow.DEFAULT_TOL, False)
 
     def test_profile_shift_and_flip(self):
         series = FourierSeries1D(const=-1.0, omega=1.0, sin_coeffs={1: 0.3})

@@ -11,12 +11,7 @@ from magflow import (
     ResolutionError,
     UnitTangent,
     UnsupportedQueryError,
-    gauss_bonnet_residual,
-    gaussian_curvature,
-    integral_inequality_check,
-    magnetic_curvature,
     rotate_i,
-    total_area,
 )
 from magflow import geometry
 from families import random_torus, rng_for
@@ -50,10 +45,10 @@ class TestRotation:
 class TestGaussianCurvature:
     def test_constant(self):
         m = ConstantCurvature(K=-1.0, b=0.0, chi=-2, area=4 * math.pi)
-        assert gaussian_curvature(m, 0.3, 0.9) == -1.0
+        assert m.gaussian_curvature(0.3, 0.9) == -1.0
 
     def test_flat(self):
-        assert gaussian_curvature(flat_torus(), 0.1, 0.7) == 0.0
+        assert flat_torus().gaussian_curvature(0.1, 0.7) == 0.0
 
     def test_single_mode_against_symbolic_oracle(self):
         # phi = 0.1*cos(2 pi x); K(0,0) = -exp(-0.2) * lap(phi)(0,0)
@@ -61,7 +56,7 @@ class TestGaussianCurvature:
         torus = ConformalTorus(
             phi=FourierSeries2D(cos_coeffs={(1, 0): 0.1}), b=FourierSeries2D()
         )
-        assert gaussian_curvature(torus, 0.0, 0.0) == pytest.approx(
+        assert torus.gaussian_curvature(0.0, 0.0) == pytest.approx(
             3.2322194575542619, rel=1e-12
         )
         # two modes on periods (1, 3), the (1, 2) mode with both amplitudes:
@@ -83,29 +78,29 @@ class TestGaussianCurvature:
         for got, jet, want in zip(readers, phi.jet(x, y), oracle):
             assert got == jet == pytest.approx(want, rel=1e-12, abs=1e-15)
         torus = ConformalTorus(phi=phi, b=FourierSeries2D(Lx=1.0, Ly=3.0))
-        assert gaussian_curvature(torus, x, y) == pytest.approx(
+        assert torus.gaussian_curvature(x, y) == pytest.approx(
             -math.exp(-2.0 * oracle[0]) * oracle[3], rel=1e-12
         )
 
     def test_abstract_profile_has_no_pointwise_geometry(self):
         m = AbstractProfile(kappa=lambda t: -1.0, k_bound=1.1)
         with pytest.raises(UnsupportedQueryError):
-            gaussian_curvature(m, 0.0, 0.0)
+            m.gaussian_curvature(0.0, 0.0)
         with pytest.raises(UnsupportedQueryError):
-            magnetic_curvature(m, UnitTangent())
+            m.magnetic_curvature(UnitTangent())
 
 
 class TestMagneticCurvature:
     def test_constant_hyperbolic_boundary_is_flat(self):
         m = ConstantCurvature(K=-1.0, b=1.0, chi=-2, area=4 * math.pi)
         for th in (0.0, 1.0, 2.5):
-            assert magnetic_curvature(m, UnitTangent(0, 0, th)) == 0.0
+            assert m.magnetic_curvature(UnitTangent(0, 0, th)) == 0.0
 
     def test_sine_intensity_at_origin(self):
         # b = sin(2 pi x); at the origin b = 0 and grad b = (2 pi, 0)
         torus = flat_torus(FourierSeries2D(sin_coeffs={(1, 0): 1.0}))
-        assert magnetic_curvature(torus, UnitTangent(0, 0, 0.0)) == pytest.approx(0.0, abs=1e-14)
-        assert magnetic_curvature(torus, UnitTangent(0, 0, math.pi / 2)) == pytest.approx(
+        assert torus.magnetic_curvature(UnitTangent(0, 0, 0.0)) == pytest.approx(0.0, abs=1e-14)
+        assert torus.magnetic_curvature(UnitTangent(0, 0, math.pi / 2)) == pytest.approx(
             2 * math.pi, rel=1e-12
         )
 
@@ -125,23 +120,23 @@ class TestMagneticCurvature:
         for _ in range(25):
             v = UnitTangent(rng.random(), rng.random(), 2 * math.pi * rng.random())
             v_neg = UnitTangent(v.x, v.y, v.theta + math.pi)
-            assert magnetic_curvature(m, v) == pytest.approx(
-                magnetic_curvature(m_neg, v_neg), rel=1e-12, abs=1e-12
+            assert m.magnetic_curvature(v) == pytest.approx(
+                m_neg.magnetic_curvature(v_neg), rel=1e-12, abs=1e-12
             )
 
 
 class TestGaussBonnet:
     def test_constant_exact(self):
         m = ConstantCurvature(K=-1.0, b=0.0, chi=-2, area=4 * math.pi)
-        assert gauss_bonnet_residual(m) == pytest.approx(0.0, abs=1e-12)
+        assert m.gauss_bonnet_residual() == pytest.approx(0.0, abs=1e-12)
 
     def test_flat_exact(self):
-        assert gauss_bonnet_residual(flat_torus()) == 0.0
+        assert flat_torus().gauss_bonnet_residual() == 0.0
 
     def test_random_tori(self):
         rng = rng_for("gauss-bonnet")
         for _ in range(5):
-            assert gauss_bonnet_residual(random_torus(rng)) < 1e-6
+            assert random_torus(rng).gauss_bonnet_residual() < 1e-6
 
     def test_inconsistent_constant_model_rejected(self):
         with pytest.raises(ValueError):
@@ -154,13 +149,13 @@ class TestGaussBonnet:
         monkeypatch.setattr(geometry, "QUADRATURE_TOL", 0.0)
         rng = rng_for("resolution")
         with pytest.raises(ResolutionError):
-            total_area(random_torus(rng))
+            random_torus(rng).area
 
 
 class TestIntegralInequality:
     def test_constant_passing(self):
         m = ConstantCurvature(K=-1.0, b=0.5, chi=-2, area=4 * math.pi)
-        r = integral_inequality_check(m)
+        r = m.inequality()
         assert r.lhs == pytest.approx(math.pi, rel=1e-15)
         assert r.rhs == pytest.approx(4 * math.pi, rel=1e-15)
         assert r.passes
@@ -168,26 +163,26 @@ class TestIntegralInequality:
 
     def test_constant_failing(self):
         m = ConstantCurvature(K=-1.0, b=1.5, chi=-2, area=4 * math.pi)
-        r = integral_inequality_check(m)
+        r = m.inequality()
         assert r.lhs == pytest.approx(9 * math.pi, rel=1e-15)
         assert not r.passes
 
     def test_equality_fails_strictness(self):
         m = ConstantCurvature(K=-1.0, b=1.0, chi=-2, area=4 * math.pi)
-        r = integral_inequality_check(m)
+        r = m.inequality()
         assert r.lhs == r.rhs
         assert not r.passes
 
     def test_torus_always_fails(self):
         rng = rng_for("torus-ineq")
         for b_const in (0.0, 0.3, 1.0):
-            r = integral_inequality_check(random_torus(rng, b_const=b_const))
+            r = random_torus(rng, b_const=b_const).inequality()
             assert r.rhs == 0.0
             assert not r.passes
 
     def test_nonnegative_chi_never_passes(self):
         m = ConstantCurvature(K=1.0, b=0.0, chi=2, area=4 * math.pi)
-        assert not integral_inequality_check(m).passes
+        assert not m.inequality().passes
 
 
 class TestAbstractProfileModel:

@@ -1,9 +1,10 @@
-"""The knob inventory of ROADMAP aim 2, counted from the source.
+"""Structural counts of ROADMAP aim 2, read from the source.
 
-The inventory is, over every ``def`` in ``src/magflow/*.py``, the
+The knob inventory is, over every ``def`` in ``src/magflow/*.py``, the
 parameters with a default plus any ``**kwargs``, plus the fields of
 ``SamplingConfig``. A new default changes the count, and with it the
-figure ROADMAP records.
+figure ROADMAP records. The model-class dispatches in the modules that
+consume surface models are pinned at zero.
 """
 
 import ast
@@ -29,3 +30,10 @@ def knob_inventory(package_dir: Path) -> int:
 
 def test_knob_inventory():
     assert knob_inventory(Path(magflow.__file__).parent) == INVENTORY
+
+
+def test_no_module_decides_by_the_class_of_a_model():
+    # every per-kind answer is a method of the model (geometry.SurfaceModel)
+    package = Path(magflow.__file__).parent
+    for name in ("geometry", "flow", "anosov"):
+        assert (package / (name + ".py")).read_text().count("isinstance(model") == 0

@@ -17,8 +17,8 @@ from magflow import (
     JacobiState,
     QuotientVector,
     SamplingConfig,
+    UnitTangent,
     classify,
-    curvature_profile,
     first_zero,
     green_slope,
     integrate_jacobi,
@@ -325,11 +325,12 @@ class TestPeriodicPropagator:
         assert jacobi.propagator(CurvatureProfile.constant(-1.0)).period == jacobi.FIRST_BREAK
         # an abstract profile keeps its series, and with it the exact
         # reflection and the periodic route
-        prof = curvature_profile(AbstractProfile(kappa=series, k_bound=1.2), None)
+        prof = AbstractProfile(kappa=series, k_bound=1.2).profile(
+            UnitTangent(), 1.0, 1e-10, False)[0]
         assert prof.series == series and prof.flipped().series == series.reflected()
         assert jacobi.propagator(prof.flipped()).period is not None
-        callable_prof = curvature_profile(AbstractProfile(kappa=series.__call__,
-                                                          k_bound=1.2), None)
+        callable_prof = AbstractProfile(kappa=series.__call__, k_bound=1.2).profile(
+            UnitTangent(), 1.0, 1e-10, False)[0]
         assert jacobi.propagator(callable_prof).period is None
 
     @pytest.mark.parametrize("family", [oscillatory_profile, hyperbolic_profile])

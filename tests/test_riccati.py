@@ -11,10 +11,8 @@ from magflow import (
     JacobiState,
     UnitTangent,
     comparison_envelope,
-    curvature_profile,
     green_slope,
     integrate_jacobi,
-    integrate_orbit,
     integrate_riccati,
 )
 from magflow.riccati import riccati_residual
@@ -199,8 +197,7 @@ class TestPropagatorReadout:
         # jumps at every knot), and 1/J amplifies that near a pole
         rng = rng_for("readout-spline")
         model = random_torus(rng)
-        orbit = integrate_orbit(model, UnitTangent(0.1, 0.2, 0.5), 25.0)
-        p = curvature_profile(model, orbit)
+        p, orbit = model.profile(UnitTangent(0.1, 0.2, 0.5), 25.0, 1e-10, True)
         assert p.series is None and p.t_max == 25.0
         for u0, span in ((0.2, (0.0, 20.0)), (0.0, (3.0, 24.0)),
                          (-0.3, (20.0, 2.0))):
@@ -218,8 +215,7 @@ class TestPropagatorReadout:
         # the window end is named in the caller's time, not in that of the
         # shifted or flipped profile the read goes through
         model = random_torus(rng_for("readout-spline"))
-        orbit = integrate_orbit(model, UnitTangent(0.1, 0.2, 0.5), 25.0)
-        p = curvature_profile(model, orbit)
+        p, orbit = model.profile(UnitTangent(0.1, 0.2, 0.5), 25.0, 1e-10, True)
         for span, end in (((24.0, 26.0), "ends at t = 25$"),
                           ((20.0, 30.0), "ends at t = 25$"),
                           ((1.0, -1.0), "starts at t = 0$")):
