@@ -14,8 +14,9 @@ A run is declared in a JSON file::
 Model kinds: ``constant`` (K, b, chi, area), ``torus`` (Lx, Ly, phi, b as
 Fourier tables {"const": c, "cos": {"m,n": amp}, "sin": {...}}), and
 ``profile`` (kappa as a 1D Fourier table {"const": c, "omega": w,
-"cos": {"j": amp}, "sin": {...}} plus k_bound). Every model accepts an
-optional ``b_scale`` multiplying the intensity.
+"cos": {"j": amp}, "sin": {...}} plus k_bound, by default from the lower
+bound c - sum |amp|). Every model accepts an optional ``b_scale``
+multiplying the intensity.
 
 Adding a ``sweep`` section {"parameter": "model.b", "grid": [...]} turns
 the run into a sweep: one classification per grid value, aggregated into
@@ -41,7 +42,7 @@ from pathlib import Path
 
 from .anosov import SCHEMA_VERSION, SamplingConfig, classify
 from .errors import ConfigError, MagflowError, NumericalInconsistencyError
-from .flow import CurvatureProfile
+from .flow import _k_bound
 from .fourier import FourierSeries1D, FourierSeries2D
 from .geometry import VALIDATION_WINDOW, AbstractProfile, ConformalTorus, ConstantCurvature
 
@@ -183,7 +184,9 @@ def build_model(spec: dict):
         raise ConfigError("model.kappa.omega must be nonzero for a series "
                           "with harmonics", "model.kappa.omega")
     if spec.get("k_bound") is None:
-        k_bound = CurvatureProfile.from_series(series).k_bound
+        # const - sum |a_j| bounds the series below on every window
+        amps = [*series.cos_coeffs.values(), *series.sin_coeffs.values()]
+        k_bound = _k_bound(series.const - sum(abs(a) for a in amps))
     else:
         k_bound = _number(spec["k_bound"], "model.k_bound")
     chi = _optional(spec.get("chi"), "model.chi", int)

@@ -14,7 +14,7 @@ two successive slopes differ by less than the tolerance; profiles whose
 slopes converge slower than the work budget allows are flagged, never
 extrapolated.
 
-The work budget counts right-hand-side evaluations (``GreenSide.nfev``,
+The work budget counts curvature evaluations (``GreenSide.nfev``,
 ``Propagator.nfev_to``). A periodic profile (constant or Fourier) spends
 one period's evaluations, whatever r, so ``WORK_BUDGET`` bounds only
 spline and callable profiles; for periodic ones ``R_CAP`` bounds the
@@ -48,7 +48,7 @@ MONOTONE_SLACK = 1e-10
 @dataclass
 class GreenSide:
     """One-sided slope estimate with its schedule diagnostics. ``nfev``
-    counts the propagator's right-hand-side evaluations up to the last r,
+    counts the propagator's curvature evaluations up to the last r,
     one period's for a periodic profile."""
 
     slope: float

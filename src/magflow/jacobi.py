@@ -16,9 +16,14 @@ Riccati solutions in ``riccati`` read one fundamental-matrix ``Propagator``
 per profile. A constant or Fourier profile is periodic, and its
 propagator integrates one period and reads every later time from the
 monodromy; spline and callable profiles are integrated as far as callers
-ask. Every integration here runs at the one tolerance ``JACOBI_TOL``.
-``integrate_jacobi`` launches other initial data directly, because the
-value ``A + u Z`` cancels catastrophically along the stable line.
+ask. ``integrate_jacobi`` launches other initial data directly, because
+the value ``A + u Z`` cancels catastrophically along the stable line.
+
+Every launch (``_launch``) runs magflow's own DOP853 loop at the one
+tolerance ``JACOBI_TOL``: the Dormand-Prince 8(5,3) tableau and the step
+control are scipy's, the curvature is read in one array call per step
+attempt, and the dense output is kept as arrays. Results agree with
+scipy's DOP853 solver at roundoff level, not bitwise.
 
 The boundary solution is computed two independent ways (a shooting
 combination of fundamental solutions, and the reduction-of-order integral
@@ -30,11 +35,14 @@ from __future__ import annotations
 
 import bisect
 import math
+from array import array
 from dataclasses import dataclass, replace
+from operator import mul
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import quad
+from scipy.integrate._ivp import dop853_coefficients as _dop853
 from scipy.optimize import brentq
 
 from .errors import (
@@ -43,16 +51,18 @@ from .errors import (
     IntegrationFailure,
     NumericalInconsistencyError,
 )
-from .flow import CurvatureProfile
+from .flow import _MAX_FACTOR, _MIN_FACTOR, _SAFETY, CurvatureProfile, _rms
 
 JACOBI_TOL = 1e-12
 CROSS_CHECK_TOL = 1e-7
 FIRST_BREAK = 5.0
 RESCALE_THRESHOLD = 1e100
-# right-hand-side evaluations one launch may spend: a spline profile read
-# along a strong-field orbit makes the DOP853 step shrink like 1/sqrt(|kappa|).
-# The largest launch in the tests, demos and benchmark takes 52,706 (the
-# phi = 30 cos(2 pi x) torus of the quadrature-failure test); this is 19x that.
+# curvature points one launch may evaluate (its nfev, 14 per step attempt
+# plus 2 for the first step): a spline profile read along a strong-field
+# orbit makes the DOP853 step shrink like 1/sqrt(|kappa|). The largest launch
+# in the tests, demos and benchmark evaluates 38,110 (the kappa = -1e4
+# constant profile of the contraction and growth-floor tests); this is 26x
+# that.
 JACOBI_NFEV_BUDGET = 1_000_000
 TRACE_CSV_SAMPLES = 1001  # rows JacobiTrace.to_csv writes
 SCAN_STEP = 0.01          # grid of the conjugate and blow-up scans
@@ -131,34 +141,173 @@ class JacobiTrace:
                 writer.writerow([repr(float(t)), repr(float(v)), repr(float(d))])
 
 
-def _launch(ev: Callable, y0, t_span: tuple):
-    """One dense DOP853 run of J'' + ev(t) J = 0 for one (value, derivative)
-    pair, or for two stacked pairs. Past ``JACOBI_NFEV_BUDGET``
-    right-hand-side evaluations it stops with an ``IntegrationFailure``."""
-    budget, nfev = JACOBI_NFEV_BUDGET, 0
+# The Dormand-Prince 8(5,3) pair with its 7th-order dense output (Hairer,
+# Norsett and Wanner, Solving ODEs I, sec. II.5-II.6), read from the module
+# scipy's DOP853 reads. Row s of A weights stages 0..s-1 for stage s; stage
+# 12 is the derivative at the step end, and stages 13-15 feed the dense
+# output only. One step attempt reads the curvature at the nodes of stages
+# 1-11 and 13-15; stage 11 sits at c = 1, so stage 12 reuses its value.
+_A = [row[:s] for s, row in enumerate(_dop853.A.tolist())]
+_B, _E3, _E5 = _dop853.B.tolist(), _dop853.E3.tolist(), _dop853.E5.tolist()
+_NODES = _dop853.C[[*range(1, 12), 13, 14, 15]]
+_ERROR_EXPONENT = -1 / 8
 
-    def rhs(t, y):
-        nonlocal nfev
-        nfev += 1
-        if nfev > budget:
-            raise IntegrationFailure(
-                "jacobi integration exceeded %d right-hand-side evaluations at "
-                "t = %.6g" % (budget, t), last_time=float(t))
-        k, v = -float(ev(t)), y.tolist()
-        if len(v) == 2:
-            return [v[1], k * v[0]]
-        return [v[1], k * v[0], v[3], k * v[2]]
 
-    sol = solve_ivp(
-        rhs, t_span, y0, method="DOP853", rtol=JACOBI_TOL, atol=JACOBI_TOL,
-        dense_output=True,
-    )
-    if not sol.success:
-        raise IntegrationFailure(
-            "jacobi integration failed: %s" % sol.message,
-            last_time=float(sol.t[-1]),
-        )
-    return sol
+def _rate(k, v):
+    """y' for J'' + k J = 0 on the stacked pairs y = (A, A', Z, Z'): a list,
+    or an array of shape (4, m) with k of shape (m,)."""
+    return [v[1], -k * v[0], v[3], -k * v[2]]
+
+
+@dataclass(frozen=True)
+class _Run:
+    """One ``_launch``: the step ends ``t`` in integration order, the states
+    ``y`` there (shape (n, steps + 1)), the dense-output coefficients ``F``
+    of every step (shape (7, n, steps)) and ``nfev``, the curvature points
+    evaluated."""
+
+    t: np.ndarray
+    y: np.ndarray
+    F: np.ndarray
+    nfev: int
+
+    def sol(self, ts) -> np.ndarray:
+        """The state at the time ts (shape (n,)) or times ts (shape (n, m)).
+
+        Each time is read from the step that ends at or after it in the
+        direction of integration, by Horner's rule in x and 1 - x on the
+        step's coefficients, as scipy's ``Dop853DenseOutput`` does; a time
+        on a step end reads that end state."""
+        tq = np.atleast_1d(np.asarray(ts, dtype=float))
+        if self.F.shape[2] == 0:  # an empty span holds its initial state
+            out = np.repeat(self.y, tq.size, axis=1)
+        else:
+            d = 1.0 if self.t[-1] >= self.t[0] else -1.0
+            i = np.minimum(np.searchsorted(d * self.t[1:], d * tq), self.F.shape[2] - 1)
+            t0, t1 = self.t[i], self.t[i + 1]
+            x = (tq - t0) / (t1 - t0)
+            powers = (x, 1.0 - x)
+            out = self.F[6][:, i] * x
+            for j in range(5, -1, -1):
+                out += self.F[j][:, i]
+                out *= powers[j % 2]
+            out = np.where(tq == t1, self.y[:, i + 1], out + self.y[:, i])
+        return out[:, 0] if np.ndim(ts) == 0 else out
+
+
+def _launch(ev: Callable, y0, t_span: tuple) -> _Run:
+    """One dense DOP853 run of J'' + ev(t) J = 0 over t_span (either
+    direction) for one (value, derivative) pair, or for two stacked pairs.
+
+    The step control is scipy's DOP853 at rtol = atol = JACOBI_TOL: the
+    first step from ``select_initial_step``, the combined 5th/3rd-order
+    error norm, step factors 0.9 * err**(-1/8) clipped to [0.2, 10] and no
+    growth right after a rejection. The stage sums run on Python floats,
+    and the dense output of the accepted steps is formed in one array pass
+    at the end, so the results agree with scipy's to roundoff, not bitwise.
+    kappa does not depend on the state, so each step attempt reads ``ev``
+    once, at the 14 nodes of its stages. Raises ``IntegrationFailure`` when
+    the step falls below 10 ulp(t), at the first non-finite error estimate,
+    or before an attempt would take the curvature points past
+    ``JACOBI_NFEV_BUDGET``.
+    """
+    n, tol, budget = len(y0), JACOBI_TOL, JACOBI_NFEV_BUDGET
+    t, t_end = float(t_span[0]), float(t_span[1])
+    d = -1.0 if t_end < t else 1.0
+    # the sums run on the 4-vector; a single pair is padded with a zero
+    # pair, which stays zero and adds nothing to the error sums
+    y = [float(v) for v in y0] + [0.0] * (4 - n)
+    f = _rate(float(ev(t)), y)
+    if t == t_end:
+        return _Run(np.array([t]), np.array([y[:n]]).T, np.empty((7, n, 0)), 1)
+    # select_initial_step, for an error estimator of order 7
+    scale = [tol + abs(v) * tol for v in y[:n]]
+    d0 = _rms([v / sc for v, sc in zip(y, scale)])
+    d1 = _rms([k / sc for k, sc in zip(f, scale)])
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, abs(t_end - t))
+    f1 = _rate(float(ev(t + h0 * d)), [v + h0 * d * k for v, k in zip(y, f)])
+    d2 = _rms([(a - k) / sc for a, k, sc in zip(f1, f, scale)]) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    h_abs = min(100 * h0, h1, abs(t_end - t))
+    # per accepted step: its end time and end state, and the stage
+    # derivatives and dense-output curvatures as packed doubles
+    nfev, ts, ys, ks_all, kx = 2, [t], array("d", y), array("d"), array("d")
+
+    while d * (t - t_end) < 0:
+        min_step = 10 * abs(math.nextafter(t, d * math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        a, da, z, dz = y
+        while True:
+            if h_abs < min_step:
+                raise IntegrationFailure(
+                    "jacobi integration failed: the step size fell below the "
+                    "spacing of floats at t = %.6g" % t, last_time=t)
+            if nfev + len(_NODES) > budget:
+                raise IntegrationFailure(
+                    "jacobi integration exceeded %d right-hand-side evaluations at "
+                    "t = %.6g" % (budget, t), last_time=t)
+            t_new = t + h_abs * d
+            if d * (t_new - t_end) > 0:
+                t_new = t_end
+            h = t_new - t
+            h_abs = abs(h)
+            kv = np.asarray(ev(t + h * _NODES), dtype=float).tolist()
+            nfev += len(_NODES)
+            # the stage derivatives of each component, stage by stage
+            ks = ka, kda, kz, kdz = [f[0]], [f[1]], [f[2]], [f[3]]
+            for row, k in zip(_A[1:12], kv):
+                stage_a = a + sum(map(mul, row, ka)) * h
+                stage_z = z + sum(map(mul, row, kz)) * h
+                ka.append(da + sum(map(mul, row, kda)) * h)
+                kda.append(-k * stage_a)
+                kz.append(dz + sum(map(mul, row, kdz)) * h)
+                kdz.append(-k * stage_z)
+            y_new = [v + h * sum(map(mul, _B, c)) for v, c in zip(y, ks)]
+            f_new = _rate(kv[10], y_new)
+            e5 = e3 = 0.0
+            for v, w, c, r in zip(y, y_new, ks, f_new):
+                c.append(r)
+                sc = tol + max(abs(v), abs(w)) * tol
+                p, q = sum(map(mul, _E5, c)) / sc, sum(map(mul, _E3, c)) / sc
+                e5, e3 = e5 + p * p, e3 + q * q
+            err = (0.0 if e5 == 0 and e3 == 0
+                   else abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * n))
+            if err < 1:
+                factor = (_MAX_FACTOR if err == 0
+                          else min(_MAX_FACTOR, _SAFETY * err ** _ERROR_EXPONENT))
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            if not math.isfinite(err):
+                raise IntegrationFailure(
+                    "jacobi integration failed: non-finite error estimate at "
+                    "t = %.6g" % t, last_time=t)
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
+            rejected = True
+        for c in ks:
+            ks_all.extend(c)
+        kx.extend(kv[11:])
+        t, y, f = t_new, y_new, f_new
+        ts.append(t)
+        ys.extend(y)
+
+    # the dense output of every accepted step in one array pass: stages
+    # 13-15, then scipy's coefficients (dy, h f_old - dy,
+    # 2 dy - h (f_old + f_new), h D K)
+    ts, y = np.array(ts), np.frombuffer(ys).reshape(-1, 4).T  # y: (4, steps + 1)
+    h = np.diff(ts)  # each step's t_new - t, as the loop took it
+    k = list(np.frombuffer(ks_all).reshape(-1, 4, 13).transpose(2, 1, 0))
+    for s, kappa in zip((13, 14, 15), np.frombuffer(kx).reshape(-1, 3).T):
+        stage = y[:, :-1] + h * np.tensordot(_dop853.A[s, :s], k, 1)
+        k.append(np.array(_rate(kappa, stage)))
+    dy = y[:, 1:] - y[:, :-1]
+    F = np.concatenate([[dy, h * k[0] - dy, 2 * dy - h * (k[12] + k[0])],
+                        h * np.tensordot(_dop853.D, k, 1)])
+    return _Run(ts, y[:n], F[:, :n], nfev)
 
 
 def integrate_jacobi(profile: CurvatureProfile, state0: JacobiState,
@@ -339,7 +488,7 @@ class Propagator:
         return float((a[0] * w - da[0]) / (dz[0] - z[0] * w))
 
     def nfev_to(self, t: float) -> int:
-        """Right-hand-side evaluations spent integrating up to t. A periodic
+        """Curvature points evaluated integrating up to t. A periodic
         profile spends at most one period's, whatever t."""
         return self._segs[self.segment(t)][3]
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from magflow import (AbstractProfile, ConfigError, NumericalInconsistencyError,
-                     SamplingConfig, anosov, cli, flow, geometry)
+                     SamplingConfig, anosov, classify, cli, flow, geometry)
 from magflow.cli import build_model, build_sampling, main, run, sweep, validate_config
 
 AREA = 4 * math.pi
@@ -192,6 +192,17 @@ class TestConfigValidation:
         prof = build_model({"kind": "profile", "kappa": {"const": -1.0, "omega": 0}})
         assert prof.kappa(3.0) == -1.0
         assert prof.k_bound == pytest.approx(1.0, abs=1e-6)
+
+    def test_profile_without_k_bound_passes_its_own_check(self):
+        # the bound comes from const - sum |amplitudes| = -1.1; the minimum
+        # of 4096 samples over one period sat 2e-8 above the one the
+        # 2048-point check on [0, 100] finds, past the 1e-9 margin
+        prof = build_model({
+            "kind": "profile",
+            "kappa": {"const": -0.8, "omega": 0.7, "cos": {"1": 0.2}, "sin": {"2": 0.1}},
+        })
+        assert prof.k_bound == pytest.approx(math.sqrt(1.1), abs=1e-9)
+        assert classify(prof).verdict == "NumericallyAnosov"
 
 
 class TestRun:

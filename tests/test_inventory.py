@@ -4,7 +4,7 @@ The knob inventory is, over every ``def`` in ``src/magflow/*.py``, the
 parameters with a default plus any ``**kwargs``, plus the fields of
 ``SamplingConfig``. A new default changes the count, and with it the
 figure ROADMAP records. The model-class dispatches in the modules that
-consume surface models are pinned at zero.
+consume surface models and the ``solve_ivp`` call sites are pinned at zero.
 """
 
 import ast
@@ -37,3 +37,9 @@ def test_no_module_decides_by_the_class_of_a_model():
     package = Path(magflow.__file__).parent
     for name in ("geometry", "flow", "anosov"):
         assert (package / (name + ".py")).read_text().count("isinstance(model") == 0
+
+
+def test_no_module_calls_solve_ivp():
+    # orbits run in flow._rk45, Jacobi launches in jacobi._launch
+    for path in Path(magflow.__file__).parent.glob("*.py"):
+        assert "solve_ivp" not in path.read_text(), path.name

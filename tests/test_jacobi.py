@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
 from magflow import (
     AbstractProfile,
@@ -31,7 +31,7 @@ from magflow import (
 )
 from magflow import jacobi
 from magflow.anosov import growth_floor
-from families import hyperbolic_profile, oscillatory_profile, rng_for
+from families import hyperbolic_profile, oscillatory_profile, random_torus, rng_for
 
 P_NEG = CurvatureProfile.constant(-1.0)
 P_POS = CurvatureProfile.constant(1.0)
@@ -275,14 +275,14 @@ class TestSlopeIdentities:
 class TestPropagator:
     def test_one_launch_per_profile_in_classify(self, monkeypatch):
         launches = []
-        real = jacobi.solve_ivp
+        real = jacobi._launch
 
-        def counting(fun, t_span, y0, **kwargs):
+        def counting(ev, y0, t_span):
             if len(y0) == 4 and t_span[0] == 0.0:  # fundamental matrix from zero
                 launches.append(t_span)
-            return real(fun, t_span, y0, **kwargs)
+            return real(ev, y0, t_span)
 
-        monkeypatch.setattr(jacobi, "solve_ivp", counting)
+        monkeypatch.setattr(jacobi, "_launch", counting)
         # the constant model's plus and minus profiles are one object
         classify(ConstantCurvature(K=-1.0, b=0.5, chi=-2, area=4 * math.pi))
         assert len(launches) == 1
@@ -381,6 +381,92 @@ class TestPeriodicPropagator:
                 == [other.slope(r) for r in (1e4, 40.0, 5.0)][::-1]
 
 
+def _oracle(ev, y0, span):
+    """scipy's DOP853 on J'' + ev(t) J = 0, one RHS call per stage."""
+    def rhs(t, y):
+        k = float(ev(t))
+        return [w for j in range(0, len(y), 2) for w in (y[j + 1], -k * y[j])]
+
+    return solve_ivp(rhs, span, y0, method="DOP853", rtol=1e-12, atol=1e-12,
+                     dense_output=True)
+
+
+def _launch_cases():
+    """Fourier draws of both families and a torus spline profile, each with
+    one and two pairs, forward and backward."""
+    rng = rng_for("launch-oracle")
+    profiles = [family(rng) for family in (hyperbolic_profile, oscillatory_profile)
+                for _ in range(2)]
+    profiles.append(random_torus(rng).profile(UnitTangent(0.1, 0.2, 0.5), 12.0,
+                                              1e-10, False)[0])
+    for p in profiles:
+        for y0 in ([1.0, -0.4], [1.0, 0.0, 0.0, 1.0]):
+            for span in ((1.0, 11.5), (11.0, 0.5)):
+                yield p, y0, span
+
+
+class TestLaunch:
+    def test_matches_scipy_dop853(self):
+        for p, y0, span in _launch_cases():
+            run, ref = jacobi._launch(p.evaluator, y0, span), _oracle(p.evaluator, y0, span)
+            # scipy evaluates the RHS 15 times per accepted step and 12 per
+            # rejected one, the loop reads the curvature at 14 points per attempt
+            assert abs(run.nfev - ref.nfev) <= 0.1 * ref.nfev
+            if p.series is None:
+                continue  # the spline profile: test_spline_profile_accuracy
+            ts = np.linspace(*span, 997)
+            want = ref.sol(ts)
+            assert np.max(np.abs(run.sol(ts) - want) / np.maximum(1.0, np.abs(want))) < 1e-10
+
+    def test_spline_profile_accuracy(self):
+        # The third derivative of a spline jumps at every knot, so DOP853 at
+        # 1e-12 rejects nearly half its attempts there, and a roundoff-level
+        # difference from scipy's sums flips some accept decision: the step
+        # sequences part, and the two runs differ by their own error. Both
+        # are held to a reference that restarts at every knot, where the
+        # curvature is one cubic.
+        for p, y0, span in _launch_cases():
+            if p.series is not None:
+                continue
+            knots = p.evaluator.x
+            inner = knots[(knots > min(span)) & (knots < max(span))]
+            ends = [span[0], *(inner if span[1] > span[0] else inner[::-1]), span[1]]
+            states = [np.array(y0)]
+            for t0, t1 in zip(ends[:-1], ends[1:]):
+                states.append(_oracle(p.evaluator, states[-1], (t0, t1)).y[:, -1])
+            want = np.array(states[::50]).T
+            for run in (jacobi._launch(p.evaluator, y0, span),
+                        _oracle(p.evaluator, y0, span)):
+                got = run.sol(np.array(ends[::50]))
+                assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) < 1e-6
+
+    def test_read_shapes_and_step_ends(self):
+        for p, y0, span in _launch_cases():
+            run = jacobi._launch(p.evaluator, y0, span)
+            n = len(y0)
+            assert run.sol(span[1]).shape == (n,)
+            assert run.sol(np.linspace(*span, 7)).shape == (n, 7)
+            assert run.t[0] == span[0] and run.t[-1] == span[1]
+            assert np.array_equal(run.y[:, 0], y0)
+            assert np.array_equal(run.sol(run.t), run.y)
+            assert np.array_equal(run.sol(run.t[-1]), run.y[:, -1])
+
+    def test_nan_curvature_fails_in_the_first_attempt(self):
+        calls = []
+
+        def ev(t):
+            calls.append(np.size(t))
+            return np.full(np.shape(t), np.nan)
+
+        for y0, span in (([1.0, 0.0], (0.0, 5.0)), ([1.0, 0.0, 0.0, 1.0], (3.0, -2.0))):
+            calls.clear()
+            with pytest.raises(IntegrationFailure) as exc:
+                jacobi._launch(ev, y0, span)
+            assert exc.value.last_time == span[0]
+            # the two first-step reads and one step attempt
+            assert calls == [1, 1, len(jacobi._NODES)]
+
+
 class TestWorkBudget:
     def test_launch_stops_past_the_budget(self, monkeypatch):
         monkeypatch.setattr(jacobi, "JACOBI_NFEV_BUDGET", 300)
@@ -392,7 +478,7 @@ class TestWorkBudget:
 
     def test_overrun_is_recorded_on_the_orbit(self, monkeypatch):
         # b = 2000: kappa ~ 4e6 along the orbit, and the conjugate scan's
-        # first launch alone would take 778,697 evaluations
+        # first launch alone would evaluate the curvature at 726,784 points
         monkeypatch.setattr(jacobi, "JACOBI_NFEV_BUDGET", 20_000)
         torus = ConformalTorus(phi=FourierSeries2D(), b=FourierSeries2D(const=2000.0))
         rep = classify(torus, SamplingConfig(ensemble_count=1, horizon=5.0))
