@@ -13,6 +13,7 @@ from magflow import (
     ConformalTorus,
     FourierSeries2D,
     UnitTangent,
+    flow,
     integrate_orbit,
 )
 
@@ -41,4 +42,5 @@ for i, theta0 in enumerate((0.0, 1.3, 2.6)):
 print()
 print("wrote orbit_demo_*.csv (columns t, x, y, theta, kappa)")
 print("unit-speed parameterization is structural: defect =",
-      integrate_orbit(torus, UnitTangent(), 5.0).unit_speed_defect())
+      integrate_orbit(torus, UnitTangent(), 5.0, flow.DEFAULT_TOL)
+      .unit_speed_defect())

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__ as _pkg_version
 from .errors import ConjugatePointError, MagflowError
-from .flow import CurvatureProfile, OrbitTrace, UnitTangent
+from .flow import DEFAULT_TOL, CurvatureProfile, OrbitTrace, UnitTangent
 from .geometry import SurfaceModel
 from .green import GreenEstimate, green_slope
 from .jacobi import JacobiState, first_zero, integrate_jacobi, propagator
@@ -198,7 +198,7 @@ class SamplingConfig:
     ensemble_count: int = 64
     seed: int = 0
     horizon: float = 200.0
-    integration_tol: float = 1e-10
+    integration_tol: float = DEFAULT_TOL
     green_tol: float = 1e-9
     gap_margin: float = 1e-4
 

@@ -24,7 +24,9 @@ the run into a sweep: one classification per grid value, aggregated into
 outside ``CONFIG_KEYS`` at the top level (``analyses``, say), outside
 ``SECTION_KEYS`` in a section or outside its kind's ``MODEL_KEYS`` (and
 ``b_scale``) in the model is a ConfigError naming it, and so is a
-mistyped sweep parameter.
+mistyped sweep parameter. So is a top level that is not an object (key
+``""``), an ``output_dir`` that is not a string and an ``export_orbits``
+that is not a boolean.
 Exit status: 0 when a verdict was reached (either way), 2 when
 Inconclusive, 1 on configuration or I/O errors.
 """
@@ -224,20 +226,34 @@ def build_sampling(cfg: dict) -> SamplingConfig:
     return sc
 
 
-def _export_limit(cfg: dict) -> int:
+def _output_dir(cfg: dict) -> Path:
+    out = cfg.get("output_dir", "out")
+    if not isinstance(out, str):
+        raise ConfigError("output_dir must be a string, got %r" % (out,), "output_dir")
+    return Path(out)
+
+
+def _exports(cfg: dict) -> int:
+    """The orbit traces a run exports: export_orbit_limit of them, or none
+    when export_orbits is false."""
+    export = cfg.get("export_orbits", True)
+    if not isinstance(export, bool):
+        raise ConfigError("export_orbits must be true or false, got %r" % (export,),
+                          "export_orbits")
     limit = _number(cfg.get("export_orbit_limit", 8), "export_orbit_limit", int)
     if limit < 0:
         raise ConfigError("export_orbit_limit must be >= 0", "export_orbit_limit")
-    return limit
+    return limit if export else 0
 
 
 def _build(cfg: dict) -> tuple:
-    """(model, sampling) of a run config, with its top-level keys and
-    export limit checked; the sweep section is not read here."""
+    """(model, sampling) of a run config, with its top-level keys, output
+    directory and exports checked; the sweep section is not read here."""
     if "model" not in _table(cfg, "", CONFIG_KEYS):
         raise ConfigError("model section is required", "model")
     model, sampling = build_model(cfg["model"]), build_sampling(cfg)
-    _export_limit(cfg)
+    _output_dir(cfg)
+    _exports(cfg)
     return model, sampling
 
 
@@ -303,12 +319,11 @@ def run(cfg: dict, workers: int = 1, echo=None) -> int:
     per-orbit CSV series into the output directory. The CSVs are the
     traces classify integrated, for the first export_orbit_limit orbits."""
     model, sampling, _ = validate_config(cfg)
-    outdir = Path(cfg.get("output_dir", "out"))
+    outdir = _output_dir(cfg)
     outdir.mkdir(parents=True, exist_ok=True)
 
     # a profile model has no orbit, so it keeps no trace
-    keep = _export_limit(cfg) if cfg.get("export_orbits", True) else 0
-    report = classify(model, sampling, workers=workers, keep_traces=keep)
+    report = classify(model, sampling, workers=workers, keep_traces=_exports(cfg))
 
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -378,7 +393,7 @@ def sweep(cfg: dict, workers: int = 1, echo=None) -> int:
     if spec is None:
         raise ConfigError("sweep section missing", "sweep")
     param = spec["parameter"]
-    outdir = Path(cfg.get("output_dir", "out"))
+    outdir = _output_dir(cfg)
     outdir.mkdir(parents=True, exist_ok=True)
 
     if workers > 1:
@@ -427,9 +442,12 @@ def main(argv=None) -> int:
         print("error: cannot read config %s: %s" % (args.config, exc),
               file=sys.stderr)
         return 1
-    if args.output_dir:
-        cfg["output_dir"] = args.output_dir
     try:
+        if not isinstance(cfg, dict):
+            raise ConfigError("top-level config must be an object", "")
+        if args.output_dir:
+            _output_dir(cfg)  # the file's own value must be valid too
+            cfg["output_dir"] = args.output_dir
         if cfg.get("sweep") is not None:
             return sweep(cfg, workers=args.workers, echo=echo)
         return run(cfg, workers=args.workers, echo=echo)

@@ -14,7 +14,8 @@ class ResolutionError(MagflowError):
 
 
 class IntegrationFailure(MagflowError):
-    """Adaptive step control underflowed; carries the last good time."""
+    """Adaptive step control gave up (step underflow, non-finite error
+    estimate or work budget); carries the last good time."""
 
     def __init__(self, message, last_time=None):
         super().__init__(message)

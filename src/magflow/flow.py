@@ -103,11 +103,93 @@ _P = np.array([
     [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
     [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-_ERROR_EXPONENT = -1 / 5
 
 
 def _rms(v) -> float:
     return math.sqrt(sum(x * x for x in v)) / math.sqrt(len(v))
+
+
+# One step control for both Dormand-Prince loops, the orbits' (_rk45) and
+# the Jacobi launches' (jacobi._launch). It is scipy's, which apart from the
+# order of the error estimator does not depend on the tableau (Hairer,
+# Norsett and Wanner, Solving ODEs I, sec. II.4).
+
+def _first_step(rate: Callable, t: float, y: list, f: list, n: int, span: float,
+                order: int, tol: float) -> float:
+    """scipy's ``select_initial_step`` for y' = rate(t, y) at rtol = atol =
+    tol, from the state y with derivative f at t, over the signed span
+    t_end - t and for an error estimator of the given order; the norms run
+    over the first n components of y. Evaluates ``rate`` once."""
+    d = -1.0 if span < 0 else 1.0
+    scale = [tol + abs(v) * tol for v in y[:n]]
+    d0 = _rms([v / sc for v, sc in zip(y, scale)])
+    d1 = _rms([k / sc for k, sc in zip(f, scale)])
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, abs(span))
+    f1 = rate(t + h0 * d, [v + h0 * d * k for v, k in zip(y, f)])
+    d2 = _rms([(a - k) / sc for a, k, sc in zip(f1, f, scale)]) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / (order + 1))
+    return min(100 * h0, h1, abs(span))
+
+
+def _march(attempt: Callable, keep: Callable, t: float, t_end: float, y: list,
+           f: list, h_abs: float, nfev: int, cost: int, budget: int, order: int,
+           what: str) -> tuple:
+    """Step from the state y (derivative f) at t to t_end, in either
+    direction, starting with the step size h_abs.
+
+    ``attempt(t, y, f, h)`` takes one step of signed size h and returns
+    (y_new, f_new, err, stages), err being the error norm against the
+    tolerance; each attempt costs ``cost`` evaluations. ``keep(t_new,
+    y_new, stages)`` stores an accepted step. A step is accepted at
+    err < 1, and the next one is scaled by 0.9 * err**(-1/(order + 1))
+    clipped to [0.2, 10], with no growth right after a rejection. Raises
+    ``IntegrationFailure``, its message beginning with ``what``, when the
+    step falls below 10 float spacings of t, at the first non-finite error
+    estimate, or before an attempt would take the evaluations past
+    ``budget``. Returns the evaluations spent, nfev included, and the
+    number of rejected attempts.
+    """
+    d = -1.0 if t_end < t else 1.0
+    exponent, rejected = -1 / (order + 1), 0
+    while d * (t - t_end) < 0:
+        min_step = 10 * abs(math.nextafter(t, d * math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        after_rejection = False
+        while True:
+            if h_abs < min_step:
+                raise IntegrationFailure(
+                    "%s integration failed: the step size fell below the "
+                    "spacing of floats at t = %.6g" % (what, t), last_time=t)
+            if nfev + cost > budget:
+                raise IntegrationFailure(
+                    "%s integration exceeded %d right-hand-side evaluations at "
+                    "t = %.6g" % (what, budget, t), last_time=t)
+            t_new = t + h_abs * d
+            if d * (t_new - t_end) > 0:
+                t_new = t_end
+            h = t_new - t
+            h_abs = abs(h)
+            y_new, f_new, err, stages = attempt(t, y, f, h)
+            nfev += cost
+            if err < 1:
+                factor = (_MAX_FACTOR if err == 0
+                          else min(_MAX_FACTOR, _SAFETY * err ** exponent))
+                h_abs *= min(1, factor) if after_rejection else factor
+                break
+            if not math.isfinite(err):
+                raise IntegrationFailure(
+                    "%s integration failed: non-finite error estimate at "
+                    "t = %.6g" % (what, t), last_time=t)
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** exponent)
+            after_rejection = True
+            rejected += 1
+        keep(t_new, y_new, stages)
+        t, y, f = t_new, y_new, f_new
+    return nfev, rejected
 
 
 def _rk45(f: Callable, y0, t_end: float, t_eval: np.ndarray, tol: float):
@@ -115,86 +197,44 @@ def _rk45(f: Callable, y0, t_end: float, t_eval: np.ndarray, tol: float):
     and read it at the increasing times ``t_eval`` in [0, t_end].
 
     ``f`` maps a list of floats to a sequence of floats. The step control is
-    scipy's RK45 with rtol = atol = tol (Hairer, Norsett and Wanner, Solving
-    ODEs I, sec. II.4): the first step from ``select_initial_step``, the RMS
-    error norm scaled by tol + tol * max(|y|, |y_new|), and step factors
-    0.9 * err**(-1/5) clipped to [0.2, 10], with no growth right after a
-    rejection. The stage sums run on Python floats, so the results agree
-    with scipy's to roundoff, not bitwise. Raises ``IntegrationFailure``
-    when the step falls below 10 ulp(t), when the error estimate is not
-    finite, or before an attempt would take the right-hand-side evaluations
-    past ``ORBIT_NFEV_BUDGET``. Returns the samples, shape (len(y0),
+    scipy's RK45 with rtol = atol = tol, run by ``_first_step`` and
+    ``_march`` for an error estimator of order 4; the error norm is the RMS
+    norm scaled by tol + tol * max(|y|, |y_new|). The stage sums run on
+    Python floats, so the results agree with scipy's to roundoff, not
+    bitwise. Fails as ``_march`` does, the budget being
+    ``ORBIT_NFEV_BUDGET``. Returns the samples, shape (len(y0),
     len(t_eval)), and the step statistics.
     """
-    budget = ORBIT_NFEV_BUDGET
     y = [float(v) for v in y0]
     k1 = f(y)
-    # select_initial_step
-    scale = [tol + abs(v) * tol for v in y]
-    d0 = _rms([v / sc for v, sc in zip(y, scale)])
-    d1 = _rms([k / sc for k, sc in zip(k1, scale)])
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, t_end)
-    f1 = f([v + h0 * k for v, k in zip(y, k1)])
-    d2 = _rms([(a - k) / sc for a, k, sc in zip(f1, k1, scale)]) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-    h_abs = min(100 * h0, h1, t_end)
-    nfev, accepted, rejected = 2, 0, 0
+    h_abs = _first_step(lambda t, v: f(v), 0.0, y, k1, len(y), t_end, 4, tol)
 
-    t, ends, steps = 0.0, [], []
-    while t < t_end:
-        min_step = 10 * math.ulp(t)
-        h_abs = max(h_abs, min_step)
-        after_rejection = False
-        while True:
-            if h_abs < min_step:
-                raise IntegrationFailure(
-                    "orbit integration failed: the step size fell below the "
-                    "spacing of floats at t = %.6g" % t, last_time=t)
-            if nfev + 6 > budget:
-                raise IntegrationFailure(
-                    "orbit integration would exceed %d right-hand-side "
-                    "evaluations at t = %.6g" % (budget, t), last_time=t)
-            t_new = min(t + h_abs, t_end)
-            h = t_new - t
-            h_abs = h
-            k2 = f([v + (_A21 * a) * h for v, a in zip(y, k1)])
-            k3 = f([v + (_A31 * a + _A32 * b) * h for v, a, b in zip(y, k1, k2)])
-            k4 = f([v + (_A41 * a + _A42 * b + _A43 * c) * h
-                    for v, a, b, c in zip(y, k1, k2, k3)])
-            k5 = f([v + (_A51 * a + _A52 * b + _A53 * c + _A54 * d) * h
-                    for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
-            k6 = f([v + (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e) * h
-                    for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
-            y_new = [v + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
-                     for v, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)]
-            k7 = f(y_new)
-            nfev += 6
-            err = _rms([(_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * k)
-                        * h / (tol + max(abs(v), abs(w)) * tol)
-                        for v, w, a, c, d, e, g, k
-                        in zip(y, y_new, k1, k3, k4, k5, k6, k7)])
-            if err < 1:
-                factor = (_MAX_FACTOR if err == 0
-                          else min(_MAX_FACTOR, _SAFETY * err ** _ERROR_EXPONENT))
-                if after_rejection:
-                    factor = min(1, factor)
-                h_abs *= factor
-                break
-            if not math.isfinite(err):
-                raise IntegrationFailure(
-                    "orbit integration failed: non-finite error estimate at "
-                    "t = %.6g" % t, last_time=t)
-            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
-            after_rejection = True
-            rejected += 1
+    def attempt(t, y, k1, h):
+        k2 = f([v + (_A21 * a) * h for v, a in zip(y, k1)])
+        k3 = f([v + (_A31 * a + _A32 * b) * h for v, a, b in zip(y, k1, k2)])
+        k4 = f([v + (_A41 * a + _A42 * b + _A43 * c) * h
+                for v, a, b, c in zip(y, k1, k2, k3)])
+        k5 = f([v + (_A51 * a + _A52 * b + _A53 * c + _A54 * d) * h
+                for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
+        k6 = f([v + (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e) * h
+                for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+        y_new = [v + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
+                 for v, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)]
+        k7 = f(y_new)
+        err = _rms([(_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * k)
+                    * h / (tol + max(abs(v), abs(w)) * tol)
+                    for v, w, a, c, d, e, g, k
+                    in zip(y, y_new, k1, k3, k4, k5, k6, k7)])
+        return y_new, k7, err, (t, h, y, (k1, k3, k4, k5, k6, k7))
+
+    ends, steps = [], []
+
+    def keep(t_new, y_new, step):
         ends.append(t_new)
-        steps.append((t, h, y, (k1, k3, k4, k5, k6, k7)))
-        accepted += 1
-        t, y, k1 = t_new, y_new, k7
+        steps.append(step)
+
+    nfev, rejected = _march(attempt, keep, 0.0, t_end, y, k1, h_abs, 2, 6,
+                            ORBIT_NFEV_BUDGET, 4, "orbit")
 
     # each sample is read from the dense output of the first step that ends
     # at or after it
@@ -204,11 +244,12 @@ def _rk45(f: Callable, y0, t_end: float, t_eval: np.ndarray, tol: float):
     hs = hs[idx]
     p = np.cumprod(np.tile((t_eval - t0[idx]) / hs, (4, 1)), axis=0)  # x, ..., x**4
     ys = hs * sum(q[r][:, idx] * p[r] for r in range(4)) + y_old[idx].T
-    return ys, {"nfev": nfev, "accepted_steps": accepted, "rejected_steps": rejected}
+    return ys, {"nfev": nfev, "accepted_steps": len(steps),
+                "rejected_steps": rejected}
 
 
 def integrate_orbit(model, v0: UnitTangent, horizon: float,
-                   tol: float = DEFAULT_TOL) -> OrbitTrace:
+                   tol: float) -> OrbitTrace:
     """Integrate the magnetic orbit of a surface model from v0 for the given
     time horizon.
 

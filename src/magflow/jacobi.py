@@ -20,10 +20,11 @@ ask. ``integrate_jacobi`` launches other initial data directly, because
 the value ``A + u Z`` cancels catastrophically along the stable line.
 
 Every launch (``_launch``) runs magflow's own DOP853 loop at the one
-tolerance ``JACOBI_TOL``: the Dormand-Prince 8(5,3) tableau and the step
-control are scipy's, the curvature is read in one array call per step
-attempt, and the dense output is kept as arrays. Results agree with
-scipy's DOP853 solver at roundoff level, not bitwise.
+tolerance ``JACOBI_TOL``: the Dormand-Prince 8(5,3) tableau is scipy's,
+the step control is the one ``flow`` shares with the orbit loop, the
+curvature is read in one array call per step attempt, and the dense
+output is kept as arrays. Results agree with scipy's DOP853 solver at
+roundoff level, not bitwise.
 
 The boundary solution is computed two independent ways (a shooting
 combination of fundamental solutions, and the reduction-of-order integral
@@ -48,10 +49,9 @@ from scipy.optimize import brentq
 from .errors import (
     ConjugatePointError,
     InsufficientDataError,
-    IntegrationFailure,
     NumericalInconsistencyError,
 )
-from .flow import _MAX_FACTOR, _MIN_FACTOR, _SAFETY, CurvatureProfile, _rms
+from .flow import CurvatureProfile, _first_step, _march
 
 JACOBI_TOL = 1e-12
 CROSS_CHECK_TOL = 1e-7
@@ -150,7 +150,6 @@ class JacobiTrace:
 _A = [row[:s] for s, row in enumerate(_dop853.A.tolist())]
 _B, _E3, _E5 = _dop853.B.tolist(), _dop853.E3.tolist(), _dop853.E5.tolist()
 _NODES = _dop853.C[[*range(1, 12), 13, 14, 15]]
-_ERROR_EXPONENT = -1 / 8
 
 
 def _rate(k, v):
@@ -199,101 +198,65 @@ def _launch(ev: Callable, y0, t_span: tuple) -> _Run:
     """One dense DOP853 run of J'' + ev(t) J = 0 over t_span (either
     direction) for one (value, derivative) pair, or for two stacked pairs.
 
-    The step control is scipy's DOP853 at rtol = atol = JACOBI_TOL: the
-    first step from ``select_initial_step``, the combined 5th/3rd-order
-    error norm, step factors 0.9 * err**(-1/8) clipped to [0.2, 10] and no
-    growth right after a rejection. The stage sums run on Python floats,
-    and the dense output of the accepted steps is formed in one array pass
-    at the end, so the results agree with scipy's to roundoff, not bitwise.
-    kappa does not depend on the state, so each step attempt reads ``ev``
-    once, at the 14 nodes of its stages. Raises ``IntegrationFailure`` when
-    the step falls below 10 ulp(t), at the first non-finite error estimate,
-    or before an attempt would take the curvature points past
-    ``JACOBI_NFEV_BUDGET``.
+    The step control is scipy's DOP853 at rtol = atol = JACOBI_TOL, run by
+    ``flow._first_step`` and ``flow._march`` for an error estimator of order
+    7; the error norm is the combined 5th/3rd-order one. The stage sums run
+    on Python floats, and the dense output of the accepted steps is formed
+    in one array pass at the end, so the results agree with scipy's to
+    roundoff, not bitwise. kappa does not depend on the state, so each step
+    attempt reads ``ev`` once, at the 14 nodes of its stages. Fails as
+    ``flow._march`` does, the budget being ``JACOBI_NFEV_BUDGET`` curvature
+    points.
     """
-    n, tol, budget = len(y0), JACOBI_TOL, JACOBI_NFEV_BUDGET
+    n, tol = len(y0), JACOBI_TOL
     t, t_end = float(t_span[0]), float(t_span[1])
-    d = -1.0 if t_end < t else 1.0
     # the sums run on the 4-vector; a single pair is padded with a zero
     # pair, which stays zero and adds nothing to the error sums
     y = [float(v) for v in y0] + [0.0] * (4 - n)
     f = _rate(float(ev(t)), y)
     if t == t_end:
         return _Run(np.array([t]), np.array([y[:n]]).T, np.empty((7, n, 0)), 1)
-    # select_initial_step, for an error estimator of order 7
-    scale = [tol + abs(v) * tol for v in y[:n]]
-    d0 = _rms([v / sc for v, sc in zip(y, scale)])
-    d1 = _rms([k / sc for k, sc in zip(f, scale)])
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, abs(t_end - t))
-    f1 = _rate(float(ev(t + h0 * d)), [v + h0 * d * k for v, k in zip(y, f)])
-    d2 = _rms([(a - k) / sc for a, k, sc in zip(f1, f, scale)]) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-    h_abs = min(100 * h0, h1, abs(t_end - t))
+    h_abs = _first_step(lambda s, v: _rate(float(ev(s)), v), t, y, f, n,
+                        t_end - t, 7, tol)
+
+    def attempt(t, y, f, h):
+        a, da, z, dz = y
+        kv = np.asarray(ev(t + h * _NODES), dtype=float).tolist()
+        # the stage derivatives of each component, stage by stage
+        ks = ka, kda, kz, kdz = [f[0]], [f[1]], [f[2]], [f[3]]
+        for row, k in zip(_A[1:12], kv):
+            stage_a = a + sum(map(mul, row, ka)) * h
+            stage_z = z + sum(map(mul, row, kz)) * h
+            ka.append(da + sum(map(mul, row, kda)) * h)
+            kda.append(-k * stage_a)
+            kz.append(dz + sum(map(mul, row, kdz)) * h)
+            kdz.append(-k * stage_z)
+        y_new = [v + h * sum(map(mul, _B, c)) for v, c in zip(y, ks)]
+        f_new = _rate(kv[10], y_new)
+        e5 = e3 = 0.0
+        for v, w, c, r in zip(y, y_new, ks, f_new):
+            c.append(r)
+            sc = tol + max(abs(v), abs(w)) * tol
+            p, q = sum(map(mul, _E5, c)) / sc, sum(map(mul, _E3, c)) / sc
+            e5, e3 = e5 + p * p, e3 + q * q
+        err = (0.0 if e5 == 0 and e3 == 0
+               else abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * n))
+        return y_new, f_new, err, (ks, kv[11:])
+
     # per accepted step: its end time and end state, and the stage
     # derivatives and dense-output curvatures as packed doubles
-    nfev, ts, ys, ks_all, kx = 2, [t], array("d", y), array("d"), array("d")
+    ts, ys, ks_all, kx = [t], array("d", y), array("d"), array("d")
 
-    while d * (t - t_end) < 0:
-        min_step = 10 * abs(math.nextafter(t, d * math.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        a, da, z, dz = y
-        while True:
-            if h_abs < min_step:
-                raise IntegrationFailure(
-                    "jacobi integration failed: the step size fell below the "
-                    "spacing of floats at t = %.6g" % t, last_time=t)
-            if nfev + len(_NODES) > budget:
-                raise IntegrationFailure(
-                    "jacobi integration exceeded %d right-hand-side evaluations at "
-                    "t = %.6g" % (budget, t), last_time=t)
-            t_new = t + h_abs * d
-            if d * (t_new - t_end) > 0:
-                t_new = t_end
-            h = t_new - t
-            h_abs = abs(h)
-            kv = np.asarray(ev(t + h * _NODES), dtype=float).tolist()
-            nfev += len(_NODES)
-            # the stage derivatives of each component, stage by stage
-            ks = ka, kda, kz, kdz = [f[0]], [f[1]], [f[2]], [f[3]]
-            for row, k in zip(_A[1:12], kv):
-                stage_a = a + sum(map(mul, row, ka)) * h
-                stage_z = z + sum(map(mul, row, kz)) * h
-                ka.append(da + sum(map(mul, row, kda)) * h)
-                kda.append(-k * stage_a)
-                kz.append(dz + sum(map(mul, row, kdz)) * h)
-                kdz.append(-k * stage_z)
-            y_new = [v + h * sum(map(mul, _B, c)) for v, c in zip(y, ks)]
-            f_new = _rate(kv[10], y_new)
-            e5 = e3 = 0.0
-            for v, w, c, r in zip(y, y_new, ks, f_new):
-                c.append(r)
-                sc = tol + max(abs(v), abs(w)) * tol
-                p, q = sum(map(mul, _E5, c)) / sc, sum(map(mul, _E3, c)) / sc
-                e5, e3 = e5 + p * p, e3 + q * q
-            err = (0.0 if e5 == 0 and e3 == 0
-                   else abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * n))
-            if err < 1:
-                factor = (_MAX_FACTOR if err == 0
-                          else min(_MAX_FACTOR, _SAFETY * err ** _ERROR_EXPONENT))
-                h_abs *= min(1, factor) if rejected else factor
-                break
-            if not math.isfinite(err):
-                raise IntegrationFailure(
-                    "jacobi integration failed: non-finite error estimate at "
-                    "t = %.6g" % t, last_time=t)
-            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
-            rejected = True
+    def keep(t_new, y_new, stages):
+        ks, kv_dense = stages
         for c in ks:
             ks_all.extend(c)
-        kx.extend(kv[11:])
-        t, y, f = t_new, y_new, f_new
-        ts.append(t)
-        ys.extend(y)
+        kx.extend(kv_dense)
+        ts.append(t_new)
+        ys.extend(y_new)
+
+    nfev, _rejected = _march(attempt, keep, t, t_end, y, f, h_abs, 2, len(_NODES),
+                             JACOBI_NFEV_BUDGET, 7, "jacobi")
 
     # the dense output of every accepted step in one array pass: stages
     # 13-15, then scipy's coefficients (dy, h f_old - dy,

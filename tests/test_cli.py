@@ -279,6 +279,31 @@ class TestRun:
         assert main([path]) == 1
         assert "model.area" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override", [False, True], ids=["as-written", "override"])
+    @pytest.mark.parametrize("malformed, key, words", [
+        (lambda tmp: [1, 2], "", "top-level config must be an object"),
+        (lambda tmp: "x", "", "top-level config must be an object"),
+        (lambda tmp: None, "", "top-level config must be an object"),
+        (lambda tmp: constant_config(tmp, output_dir=5), "output_dir",
+         "output_dir must be a string, got 5"),
+        (lambda tmp: constant_config(tmp, export_orbits="false"), "export_orbits",
+         "export_orbits must be true or false, got 'false'"),
+    ], ids=["list", "string", "null", "output_dir", "export_orbits"])
+    def test_malformed_config_names_its_key(self, tmp_path, capsys, malformed, key,
+                                            words, override):
+        # a config file's own output_dir is checked even when --output-dir
+        # replaces it
+        cfg = malformed(tmp_path)
+        argv = [write_config(tmp_path, cfg)]
+        if override:
+            argv += ["--output-dir", str(tmp_path / "elsewhere")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "config error: %s\n" % words
+        assert not list(tmp_path.rglob("report.json"))
+        with pytest.raises(ConfigError) as exc:
+            validate_config(cfg)
+        assert exc.value.key == key
+
     def test_non_finite_report_is_a_typed_error(self, tmp_path):
         path = tmp_path / "report.json"
         with pytest.raises(NumericalInconsistencyError, match="report.json"):

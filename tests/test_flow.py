@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from magflow import flow, geometry
+from magflow import flow, geometry, jacobi
 from magflow import (
     AbstractProfile,
     ConformalTorus,
@@ -55,7 +55,7 @@ class TestOrbits:
 
     def test_constant_model_degenerate_trace(self):
         m = ConstantCurvature(K=-1.0, b=0.5, chi=-2, area=4 * math.pi)
-        tr = integrate_orbit(m, UnitTangent(0, 0, 0.3), 3.0)
+        tr = integrate_orbit(m, UnitTangent(0, 0, 0.3), 3.0, flow.DEFAULT_TOL)
         assert np.all(tr.kappa_samples == -0.75)
         assert np.all(tr.thetas == 0.3)
 
@@ -68,7 +68,7 @@ class TestOrbits:
     def test_kappa_samples_match_pointwise_curvature(self):
         rng = rng_for("kappa-match")
         m = random_torus(rng)
-        tr = integrate_orbit(m, UnitTangent(0.4, 0.1, 1.2), 5.0)
+        tr = integrate_orbit(m, UnitTangent(0.4, 0.1, 1.2), 5.0, flow.DEFAULT_TOL)
         for i in range(len(tr.t_samples)):
             assert tr.kappa_samples[i] == pytest.approx(
                 m.magnetic_curvature(tr.state(i)), abs=1e-12
@@ -96,11 +96,11 @@ class TestOrbits:
 
     def test_horizon_must_be_positive(self):
         with pytest.raises(ValueError):
-            integrate_orbit(flat_torus(), UnitTangent(), -1.0)
+            integrate_orbit(flat_torus(), UnitTangent(), -1.0, flow.DEFAULT_TOL)
 
     def test_csv_export(self, tmp_path):
         # 5001 rows: more than two blocks of the writer
-        tr = integrate_orbit(flat_torus(1.0), UnitTangent(), 50.0)
+        tr = integrate_orbit(flat_torus(1.0), UnitTangent(), 50.0, flow.DEFAULT_TOL)
         tr.kappa_samples[:5] = [math.nan, math.inf, -math.inf, -0.0, 5e-324]
         path = tmp_path / "orbit.csv"
         tr.to_csv(path)
@@ -118,9 +118,67 @@ class TestOrbits:
     def test_work_budget_stops_the_integration(self, monkeypatch):
         monkeypatch.setattr(flow, "ORBIT_NFEV_BUDGET", 200)
         with pytest.raises(IntegrationFailure) as exc:
-            integrate_orbit(flat_torus(1.0), UnitTangent(), 200.0)
+            integrate_orbit(flat_torus(1.0), UnitTangent(), 200.0, flow.DEFAULT_TOL)
         assert 0.0 < exc.value.last_time < 200.0
         assert "200 right-hand-side evaluations" in str(exc.value)
+
+
+def _blow_up():
+    # y' = y**2 from y(0) = 1 blows up at t = 1
+    flow._rk45(lambda y: [y[0] * y[0]], (1.0,), 2.0, np.array([0.0, 2.0]), 1e-10)
+
+
+def _stiff_launch(d):
+    # kappa = 1e4 needs steps near 0.01, and floats near 2**50 are 0.25
+    # (above) and 0.125 (below) apart
+    t0 = 2.0 ** 50
+    jacobi._launch(CurvatureProfile.constant(1e4).evaluator, [1.0, 0.0],
+                   (t0, t0 + 100.0 * d))
+
+
+def _nan_orbit():
+    flow._rk45(lambda y: [math.nan], (1.0,), 2.0, np.array([0.0, 2.0]), 1e-10)
+
+
+def _nan_launch():
+    jacobi._launch(lambda t: np.full(np.shape(t), np.nan), [1.0, 0.0, 0.0, 1.0],
+                   (3.0, -2.0))
+
+
+def _long_orbit(monkeypatch):
+    monkeypatch.setattr(flow, "ORBIT_NFEV_BUDGET", 200)
+    integrate_orbit(flat_torus(1.0), UnitTangent(), 200.0, flow.DEFAULT_TOL)
+
+
+def _long_launch(monkeypatch):
+    monkeypatch.setattr(jacobi, "JACOBI_NFEV_BUDGET", 300)
+    jacobi._launch(CurvatureProfile.constant(-1.0).evaluator, [1.0, 0.0], (0.0, 50.0))
+
+
+UNDERFLOW = "failed: the step size fell below the spacing of floats"
+NON_FINITE = "failed: non-finite error estimate"
+
+
+class TestFailureRules:
+    """Both Dormand-Prince loops fail through the one controller
+    (flow._march): the same three rules, in the same words."""
+
+    @pytest.mark.parametrize("what, failing, rule, first, last", [
+        ("orbit", lambda mp: _blow_up(), UNDERFLOW, 1.0 - 1e-9, 1.0),
+        ("jacobi", lambda mp: _stiff_launch(1.0), UNDERFLOW, 2.0 ** 50, 2.0 ** 50),
+        ("jacobi", lambda mp: _stiff_launch(-1.0), UNDERFLOW, 2.0 ** 50, 2.0 ** 50),
+        ("orbit", lambda mp: _nan_orbit(), NON_FINITE, 0.0, 0.0),
+        ("jacobi", lambda mp: _nan_launch(), NON_FINITE, 3.0, 3.0),
+        ("orbit", _long_orbit, "exceeded 200 right-hand-side evaluations", 1e-9, 200.0),
+        ("jacobi", _long_launch, "exceeded 300 right-hand-side evaluations", 1e-9, 50.0),
+    ], ids=["orbit-underflow", "jacobi-underflow-forward", "jacobi-underflow-backward",
+            "orbit-non-finite", "jacobi-non-finite", "orbit-budget", "jacobi-budget"])
+    def test_wording_and_last_time(self, monkeypatch, what, failing, rule, first, last):
+        with pytest.raises(IntegrationFailure) as exc:
+            failing(monkeypatch)
+        t = exc.value.last_time
+        assert first <= t <= last
+        assert str(exc.value) == "%s integration %s at t = %.6g" % (what, rule, t)
 
 
 def bench_torus():
@@ -146,7 +204,7 @@ def jet_rhs(model):
 class TestRK45:
     def test_matches_scipy_rk45(self):
         m, v0 = bench_torus(), UnitTangent(0.31, 0.47, 1.3)
-        tr = integrate_orbit(m, v0, 20.0)
+        tr = integrate_orbit(m, v0, 20.0, flow.DEFAULT_TOL)
         sol = solve_ivp(jet_rhs(m), (0.0, 20.0), [v0.x, v0.y, v0.theta],
                         method="RK45", rtol=flow.DEFAULT_TOL,
                         atol=flow.DEFAULT_TOL, t_eval=tr.t_samples)

@@ -4,7 +4,8 @@ The knob inventory is, over every ``def`` in ``src/magflow/*.py``, the
 parameters with a default plus any ``**kwargs``, plus the fields of
 ``SamplingConfig``. A new default changes the count, and with it the
 figure ROADMAP records. The model-class dispatches in the modules that
-consume surface models and the ``solve_ivp`` call sites are pinned at zero.
+consume surface models and the ``solve_ivp`` call sites are pinned at zero,
+and the step control of the two Dormand-Prince loops at one copy.
 """
 
 import ast
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import magflow
 
-INVENTORY = 21
+INVENTORY = 20
 
 
 def knob_inventory(package_dir: Path) -> int:
@@ -43,3 +44,17 @@ def test_no_module_calls_solve_ivp():
     # orbits run in flow._rk45, Jacobi launches in jacobi._launch
     for path in Path(magflow.__file__).parent.glob("*.py"):
         assert "solve_ivp" not in path.read_text(), path.name
+
+
+def test_one_step_controller():
+    # flow._first_step and flow._march serve both flow._rk45 and
+    # jacobi._launch: one first-step choice, one raise per failure rule
+    package = Path(magflow.__file__).parent
+    texts = [path.read_text() for path in package.glob("*.py")]
+    assert sum(text.count("0.01 * d0 / d1") for text in texts) == 1
+    assert sum((package / name).read_text().count("raise IntegrationFailure(")
+               for name in ("flow.py", "jacobi.py")) == 3
+    jacobi = (package / "jacobi.py").read_text()
+    for name in ("_SAFETY", "_MIN_FACTOR", "_MAX_FACTOR", "_rms", "_ERROR_EXPONENT"):
+        assert name not in jacobi
+    assert "_ERROR_EXPONENT" not in (package / "flow.py").read_text()
