@@ -65,7 +65,10 @@ MODEL_KEYS = {
 
 def _number(value, key, kind=float):
     """value as a finite number of the given kind (float or int), or a
-    ConfigError naming key; an int must be integral (2.0 is, 2.7 is not)."""
+    ConfigError naming key; an int must be integral (2.0 is, 2.7 is not).
+    A JSON boolean or string is no number, although float() reads it."""
+    if isinstance(value, (bool, str)):
+        raise ConfigError("%s must be a number, got %r" % (key, value), key)
     try:
         out = float(value)
     except (TypeError, ValueError, OverflowError):

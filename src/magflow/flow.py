@@ -304,6 +304,22 @@ class CurvatureProfile:
     def is_constant(self) -> bool:
         return self.const_value is not None
 
+    @property
+    def kappa_ceiling(self) -> float:
+        """A certified K+ with kappa(t) <= K+ for every t: the constant
+        itself, or const + sum_j hypot(a_j, b_j) for a Fourier series. Each
+        harmonic a cos + b sin reaches hypot(a, b), so the bound is exact
+        per harmonic, and shifting or reflecting the series keeps it.
+        Samples certify no bound, so spline and callable profiles have inf.
+        """
+        if self.const_value is not None:
+            return self.const_value
+        s = self.series
+        if s is None:
+            return math.inf
+        return s.const + sum(math.hypot(s.cos_coeffs.get(j, 0.0), s.sin_coeffs.get(j, 0.0))
+                             for j in set(s.cos_coeffs) | set(s.sin_coeffs))
+
     def check_span(self, t0: float, t1: float):
         """Raise ``InsufficientDataError`` naming the window end that the
         span between t0 and t1 (either order) crosses."""

@@ -15,10 +15,11 @@ slopes converge slower than the work budget allows are flagged, never
 extrapolated.
 
 The work budget counts curvature evaluations (``GreenSide.nfev``,
-``Propagator.nfev_to``). A periodic profile (constant or Fourier) spends
-one period's evaluations, whatever r, so ``WORK_BUDGET`` bounds only
-spline and callable profiles; for periodic ones ``R_CAP`` bounds the
-schedule, at a cost of O(log r) matrix products per read.
+``Propagator.nfev_to``). A Fourier profile spends one period's
+evaluations, whatever r, and a constant one, read in closed form, none;
+so ``WORK_BUDGET`` bounds only spline and callable profiles. For Fourier
+and constant ones ``R_CAP`` bounds the schedule, at a cost of O(log r)
+matrix products per read for a Fourier profile.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ MONOTONE_SLACK = 1e-10
 class GreenSide:
     """One-sided slope estimate with its schedule diagnostics. ``nfev``
     counts the propagator's curvature evaluations up to the last r,
-    one period's for a periodic profile."""
+    one period's for a Fourier profile and none for a constant one."""
 
     slope: float
     converged: bool

@@ -13,11 +13,14 @@ distinguished solutions used throughout:
 
 All of these, the conjugate scan, the slope schedules in ``green`` and the
 Riccati solutions in ``riccati`` read one fundamental-matrix ``Propagator``
-per profile. A constant or Fourier profile is periodic, and its
-propagator integrates one period and reads every later time from the
-monodromy; spline and callable profiles are integrated as far as callers
-ask. ``integrate_jacobi`` launches other initial data directly, because
-the value ``A + u Z`` cancels catastrophically along the stable line.
+per profile. A constant profile's propagator is read in closed form, with
+no launch. A Fourier profile is periodic, and its propagator integrates
+one period and reads every later time from the monodromy; spline and
+callable profiles are integrated as far as callers ask.
+``integrate_jacobi`` launches other initial data directly, or reads a
+constant profile's closed form, because the value ``A + u Z`` cancels
+catastrophically along the stable line. The conjugate scan is skipped
+where the Sturm comparison theorem excludes a zero (``first_zero``).
 
 Every launch (``_launch``) runs magflow's own DOP853 loop at the one
 tolerance ``JACOBI_TOL``: the Dormand-Prince 8(5,3) tableau is scipy's,
@@ -60,12 +63,15 @@ RESCALE_THRESHOLD = 1e100
 # curvature points one launch may evaluate (its nfev, 14 per step attempt
 # plus 2 for the first step): a spline profile read along a strong-field
 # orbit makes the DOP853 step shrink like 1/sqrt(|kappa|). The largest launch
-# in the tests, demos and benchmark evaluates 38,110 (the kappa = -1e4
-# constant profile of the contraction and growth-floor tests); this is 26x
-# that.
+# in the tests, demos and benchmark evaluates 23,928 (one pair over [25, 0]
+# on a torus spline profile, in the Riccati window test; constant profiles
+# launch nothing); this is 42x that.
 JACOBI_NFEV_BUDGET = 1_000_000
 TRACE_CSV_SAMPLES = 1001  # rows JacobiTrace.to_csv writes
 SCAN_STEP = 0.01          # grid of the conjugate and blow-up scans
+# lam t past which a constant profile's propagator reads cosh = sinh =
+# exp(lam t) / 2 in stored scale; cosh overflows past 710
+HYPERBOLIC_SWITCH = 700.0
 
 
 @dataclass(frozen=True)
@@ -273,12 +279,84 @@ def _launch(ev: Callable, y0, t_span: tuple) -> _Run:
     return _Run(ts, y[:n], F[:, :n], nfev)
 
 
+def _constant_matrix(k: float, t: np.ndarray) -> tuple:
+    """[A, A', Z, Z'] of J'' + k J = 0 from (1, 0, 0, 1) at zero, read at the
+    times t >= 0 in stored scale: the values, shape (4, n), are the
+    mantissas and the binary exponents, shape (n,), scale them.
+
+    For k = w**2 > 0 it is (cos, -w sin, sin / w, cos)(w t), and for k = 0
+    (1, 0, t, 1), all with exponent 0. For k = -lam**2 < 0 it is (cosh,
+    lam sinh, sinh / lam, cosh)(lam t) while lam t <= HYPERBOLIC_SWITCH;
+    past it cosh = sinh = exp(lam t) / 2 to double precision, and both read
+    as exp(lam t - e log 2) / 2 with the exponent e = floor(lam t / log 2),
+    so the ratios of A, A', Z and Z' stay exact however far t goes.
+    """
+    e = np.zeros(t.size, dtype=np.int64)
+    if k > 0.0:
+        w = math.sqrt(k)
+        c, s = np.cos(w * t), np.sin(w * t)
+        return np.array([c, -w * s, s / w, c]), e
+    if k == 0.0:
+        one = np.ones_like(t)
+        return np.array([one, 0.0 * t, t, one]), e
+    lam = math.sqrt(-k)
+    x = lam * t
+    far = x > HYPERBOLIC_SWITCH
+    e[far] = np.floor(x[far] / math.log(2.0))
+    near = np.where(far, 0.0, x)
+    half = 0.5 * np.exp(np.where(far, x - e * math.log(2.0), 0.0))
+    ch = np.where(far, half, np.cosh(near))
+    sh = np.where(far, half, np.sinh(near))
+    return np.array([ch, lam * sh, sh / lam, ch]), e
+
+
+def _constant_solution(k: float, y0: list, t0: float) -> Callable:
+    """ts -> (J, J') at the times ts for J'' + k J = 0 with (J, J') = y0 at
+    t0, in closed form; the shape of ``_Run.sol``.
+
+    For k = -lam**2 < 0 the solution is c+ e^(lam tau) + c- e^(-lam tau) with
+    tau = t - t0 and c+- = (J0 +- J0' / lam) / 2. It is read as
+    J0 e^(-lam |tau|) + 2 c sinh(lam |tau|), with c = c+ forward and c-
+    backward: the line that decays in the direction of reading (c = 0) then
+    reads its exponential alone, with no cancellation, and a tiny lam reads
+    J0 + J0' tau.
+    """
+    j0, d0 = y0
+    if k > 0.0:
+        w = math.sqrt(k)
+
+        def sol(ts):
+            x = w * (np.asarray(ts, dtype=float) - t0)
+            c, s = np.cos(x), np.sin(x)
+            return np.array([j0 * c + (d0 / w) * s, d0 * c - (j0 * w) * s])
+    elif k == 0.0:
+
+        def sol(ts):
+            tau = np.asarray(ts, dtype=float) - t0
+            return np.array([j0 + d0 * tau, d0 + 0.0 * tau])
+    else:
+        lam = math.sqrt(-k)
+
+        def sol(ts):
+            tau = np.asarray(ts, dtype=float) - t0
+            sign = np.where(tau < 0.0, -1.0, 1.0)
+            c = 0.5 * (j0 + sign * (d0 / lam))  # c+ forward, c- backward
+            x = lam * np.abs(tau)
+            decay = np.exp(-x)
+            return np.array([j0 * decay + 2.0 * c * np.sinh(x),
+                             sign * lam * (2.0 * c * np.cosh(x) - j0 * decay)])
+    return sol
+
+
 def integrate_jacobi(profile: CurvatureProfile, state0: JacobiState,
                      t_span: tuple) -> JacobiTrace:
     """Integrate J'' + kappa(t) J = 0 with dense output over t_span.
 
     The span may run forward or backward in time. A span leaving the
-    profile's window raises ``InsufficientDataError``.
+    profile's window raises ``InsufficientDataError``. A constant profile
+    is read in closed form (``_constant_solution``), with no launch; a value
+    past the double range then reads inf, where a launch would stop with an
+    ``IntegrationFailure``.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     profile.check_span(t0, t1)
@@ -286,23 +364,26 @@ def integrate_jacobi(profile: CurvatureProfile, state0: JacobiState,
     if scale == 0.0:
         return JacobiTrace(lambda ts: np.zeros((2,) + np.shape(ts)), 0.0, t0, t1)
     y0 = [state0.value / scale, state0.deriv / scale]
-    sol = _launch(profile.evaluator, y0, (t0, t1))
-    return JacobiTrace(sol.sol, scale, t0, t1)
+    if profile.const_value is not None:
+        return JacobiTrace(_constant_solution(profile.const_value, y0, t0), scale,
+                           t0, t1)
+    return JacobiTrace(_launch(profile.evaluator, y0, (t0, t1)).sol, scale, t0, t1)
 
 
 def exact_period(profile: CurvatureProfile) -> Optional[float]:
     """A period T with kappa(t + T) = kappa(t) for every t, or None.
 
-    A Fourier series with harmonics has T = 2*pi/|omega|; a constant has
+    A Fourier series with harmonics has T = 2*pi/|omega|; one without has
     every T, and FIRST_BREAK is taken. Spline and callable profiles have
-    none.
+    none, and constant profiles need none: their propagator is read in
+    closed form.
     """
     s = profile.series
-    if s is not None and s.omega != 0.0 and (s.cos_coeffs or s.sin_coeffs):
+    if s is None:
+        return None
+    if s.omega != 0.0 and (s.cos_coeffs or s.sin_coeffs):
         return 2.0 * math.pi / abs(s.omega)
-    if profile.is_constant or s is not None:
-        return FIRST_BREAK
-    return None
+    return FIRST_BREAK
 
 
 def _compose(p, q):
@@ -319,7 +400,9 @@ def _compose(p, q):
 class Propagator:
     """Dense fundamental matrix [A, A', Z, Z'] from data (1, 0, 0, 1) at zero.
 
-    Integrated segment by segment, only as far as callers ask, between the
+    A constant profile reads it in closed form (``_constant_matrix``): one
+    segment covers every t >= 0, and ``nfev_to`` is 0. Any other profile is
+    integrated segment by segment, only as far as callers ask, between the
     fixed breakpoints 0, FIRST_BREAK * 2**k (capped at the profile's window
     end), so every readout is a pure function of the profile whatever
     the order of requests. An end state past RESCALE_THRESHOLD is divided
@@ -338,6 +421,7 @@ class Propagator:
     def __init__(self, profile: CurvatureProfile):
         # no reference to the profile itself, which caches the propagator
         self.evaluator = profile.evaluator
+        self.const = profile.const_value
         self.period = exact_period(profile)
         self.t_end = profile.t_max if self.period is None else self.period
         self.breaks = [0.0]
@@ -346,6 +430,10 @@ class Propagator:
         # periodic profile's last entry, with no dense output, covers
         # (T, inf) from the monodromy
         self._segs = [(None, np.array([1.0, 0.0, 0.0, 1.0]), 0, 0)]
+        if self.const is not None:
+            # one segment, read in closed form, covers every t >= 0
+            self.breaks.append(math.inf)
+            self._segs.append((None, None, None, 0))
         # M**(2**j) and M**k, each as (mantissa, exponent)
         self._squares = []
         self._powers = {}
@@ -398,6 +486,8 @@ class Propagator:
     def _stored(self, t: np.ndarray):
         """[A, A', Z, Z'] at the times t >= 0 as stored values, shape (4, n),
         and the binary exponents that scale them, shape (n,)."""
+        if self.const is not None:
+            return _constant_matrix(self.const, t)
         last = self.segment(float(t.max()))
         ks = np.clip(np.searchsorted(self.breaks, t), 1, last)
         y, e = np.empty((4, t.size)), np.zeros(t.size, dtype=int)
@@ -452,7 +542,8 @@ class Propagator:
 
     def nfev_to(self, t: float) -> int:
         """Curvature points evaluated integrating up to t. A periodic
-        profile spends at most one period's, whatever t."""
+        profile spends at most one period's, whatever t, and a constant
+        one none."""
         return self._segs[self.segment(t)][3]
 
 
@@ -488,16 +579,14 @@ def _first_root(prop: Propagator, f: Callable, horizon: float,
 
     ``f`` reads the propagator ``prop`` at an array of times and returns the
     values as mantissas and the binary exponents that scale them. The scan
-    reads the signs of the mantissas on a uniform grid, one propagator
-    segment at a time, so integration stops at the breakpoint past the
-    first zero and nothing overflows; bisection refines a sign change to
-    1e-9 on the scaled values.
+    reads the signs of the mantissas at the multiples of ``step`` below the
+    horizon and at the horizon itself, one propagator segment at a time, so
+    integration stops at the breakpoint past the first zero and nothing
+    overflows; bisection refines a sign change to 1e-9 on the scaled
+    values.
     """
-    ts = np.arange(step, horizon + 0.5 * step, step)
-    if len(ts) == 0:
-        # a horizon shorter than half a step: scan the horizon alone
-        ts = np.array([float(horizon)])
-    ts[-1] = min(ts[-1], horizon)
+    ts = np.arange(step, horizon, step)
+    ts = np.append(ts[ts < horizon], float(horizon))
     vals = np.empty(0)
     while len(vals) < len(ts) and not np.any(vals <= 0.0):
         end = prop.breaks[prop.segment(ts[len(vals)])]
@@ -524,16 +613,34 @@ def _first_root(prop: Propagator, f: Callable, horizon: float,
 def first_zero(profile: CurvatureProfile, horizon: float,
                step: float = SCAN_STEP) -> Optional[float]:
     """First positive zero of the unit-slope solution on (0, horizon], or
-    None when the solution keeps its sign (``_first_root``)."""
+    None when the solution keeps its sign (``_first_root``).
+
+    Where kappa <= K+ everywhere, the Sturm comparison theorem puts the
+    first zero at or past pi / sqrt(K+) (Hartman, Ordinary Differential
+    Equations, ch. XI). So a profile with K+ * horizon**2 < pi**2, K+ being
+    its ``kappa_ceiling``, has none, and the propagator is not read;
+    otherwise the scan steps by ``_scan_step``."""
     if horizon <= 0:
         raise ValueError("horizon must be positive")
+    if profile.kappa_ceiling * horizon**2 < math.pi**2:
+        return None
     prop = propagator(profile)
 
     def z(ts):
         y, e = prop._stored(ts)
         return y[2], e
 
-    return _first_root(prop, z, horizon, step)[0]
+    return _first_root(prop, z, horizon, _scan_step(profile, step))[0]
+
+
+def _scan_step(profile: CurvatureProfile, step: float) -> float:
+    """step, capped at pi / (2 sqrt(K+)) for a profile whose ``kappa_ceiling``
+    K+ is finite and positive: the zeros of any solution lie at least
+    pi / sqrt(K+) apart (Sturm), so no scan cell holds two of them."""
+    k_plus = profile.kappa_ceiling
+    if 0.0 < k_plus < math.inf:
+        return min(step, 0.5 * math.pi / math.sqrt(k_plus))
+    return step
 
 
 @dataclass

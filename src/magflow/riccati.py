@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .flow import CurvatureProfile
-from .jacobi import SCAN_STEP, _first_root, propagator
+from .jacobi import SCAN_STEP, _first_root, _scan_step, propagator
 
 N_SAMPLES = 2001
 
@@ -32,8 +32,9 @@ class RiccatiTrace:
 
     The blow-up time is the first zero of the Jacobi solution A + Z u0,
     refined to 1e-9. When it is set, the samples cover the span only up to
-    the last conjugate-scan time before it, less than ``SCAN_STEP`` short
-    of the pole.
+    the last conjugate-scan time before it, less than one scan step
+    (``SCAN_STEP``, or ``jacobi._scan_step`` on a strong field) short of
+    the pole.
     """
 
     t_samples: np.ndarray
@@ -72,7 +73,7 @@ def integrate_riccati(profile: CurvatureProfile, u0: float, t_span: tuple) -> Ri
     v0 = sign * u0
     # J in stored scale, scanned and bisected as it is
     pole, s_end = _first_root(prop, lambda ss: (prop.carry(ss, v0)[0], 0),
-                              abs(t1 - t0), SCAN_STEP)
+                              abs(t1 - t0), _scan_step(local, SCAN_STEP))
     ss = np.linspace(0.0, s_end, N_SAMPLES)
     j, dj = prop.carry(ss, v0)
     return RiccatiTrace(

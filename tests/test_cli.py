@@ -288,7 +288,15 @@ class TestRun:
          "output_dir must be a string, got 5"),
         (lambda tmp: constant_config(tmp, export_orbits="false"), "export_orbits",
          "export_orbits must be true or false, got 'false'"),
-    ], ids=["list", "string", "null", "output_dir", "export_orbits"])
+        # float() reads a boolean and a numeric string
+        (lambda tmp: constant_config(tmp, b=True), "model.b",
+         "model.b must be a number, got True"),
+        (lambda tmp: constant_config(tmp, ensemble={"count": True}), "ensemble.count",
+         "ensemble.count must be a number, got True"),
+        (lambda tmp: constant_config(tmp, ensemble={"horizon": "20"}), "ensemble.horizon",
+         "ensemble.horizon must be a number, got '20'"),
+    ], ids=["list", "string", "null", "output_dir", "export_orbits", "bool_b",
+            "bool_count", "string_horizon"])
     def test_malformed_config_names_its_key(self, tmp_path, capsys, malformed, key,
                                             words, override):
         # a config file's own output_dir is checked even when --output-dir

@@ -22,6 +22,7 @@ from magflow import (
     first_zero,
     green_slope,
     integrate_jacobi,
+    integrate_riccati,
     sasaki_norm,
     solve_boundary,
     solve_unit_slope,
@@ -30,7 +31,8 @@ from magflow import (
     wronskian,
 )
 from magflow import jacobi
-from magflow.anosov import growth_floor
+from magflow.anosov import contraction_fit, growth_floor
+from magflow.green import green_both
 from families import hyperbolic_profile, oscillatory_profile, random_torus, rng_for
 
 P_NEG = CurvatureProfile.constant(-1.0)
@@ -102,6 +104,14 @@ class TestUnitSlope:
         # horizons shorter than half a scan step
         assert first_zero(P_NEG, 0.004) is None
         assert first_zero(P_POS, 3.2, step=10.0) == pytest.approx(math.pi, abs=1e-9)
+        # the same on a callable profile, whose scan step is not capped
+        pos = CurvatureProfile(evaluator=lambda t: 1.0 + 0.0 * np.asarray(t), k_bound=0.0)
+        assert first_zero(pos, 0.004) is None
+        assert first_zero(pos, 3.2, step=10.0) == pytest.approx(math.pi, abs=1e-9)
+        # a zero less than half a step before the horizon
+        assert first_zero(P_POS, 3.144) == pytest.approx(math.pi, abs=1e-9)
+        with pytest.raises(ConjugatePointError):
+            solve_boundary(P_POS, 3.144, cross_check=False)
 
 
 class TestBoundarySolution:
@@ -283,13 +293,13 @@ class TestPropagator:
             return real(ev, y0, t_span)
 
         monkeypatch.setattr(jacobi, "_launch", counting)
-        # the constant model's plus and minus profiles are one object
+        # the constant model's propagator is read in closed form
         classify(ConstantCurvature(K=-1.0, b=0.5, chi=-2, area=4 * math.pi))
-        assert len(launches) == 1
+        assert len(launches) == 0
         classify(AbstractProfile(
             kappa=FourierSeries1D(const=-1.0, sin_coeffs={1: 0.3}), k_bound=1.2
         ))
-        assert len(launches) == 3
+        assert len(launches) == 2
 
     def test_readouts_do_not_depend_on_call_order(self):
         def slope_side(p):
@@ -322,7 +332,10 @@ class TestPeriodicPropagator:
         series = FourierSeries1D(const=-1.0, omega=0.8, sin_coeffs={1: 0.3})
         assert jacobi.propagator(CurvatureProfile.from_series(series)).period \
             == pytest.approx(2 * math.pi / 0.8, rel=1e-15)
-        assert jacobi.propagator(CurvatureProfile.constant(-1.0)).period == jacobi.FIRST_BREAK
+        # a constant is read in closed form, with no launch at any time
+        const = jacobi.propagator(CurvatureProfile.constant(-1.0))
+        assert const.period is None
+        assert [const.nfev_to(t) for t in (0.0, 5.0, 1e6)] == [0, 0, 0]
         # an abstract profile keeps its series, and with it the exact
         # reflection and the periodic route
         prof = AbstractProfile(kappa=series, k_bound=1.2).profile(
@@ -379,6 +392,153 @@ class TestPeriodicPropagator:
             assert np.array_equal(first, second)
             assert [one.slope(r) for r in (5.0, 40.0, 1e4)] \
                 == [other.slope(r) for r in (1e4, 40.0, 5.0)][::-1]
+
+
+CLOSED_FORM_KS = (4.0, 0.0, -1.0, -1e-300, -1e4)
+
+
+def _chained(ev, ts):
+    """[A, A', Z, Z'] at the increasing times ts >= 0 in stored scale, from
+    launches from the identity at zero over segments of length 2, each
+    started from the last end state divided by a power of two."""
+    y, e = np.empty((4, ts.size)), np.zeros(ts.size, dtype=np.int64)
+    t0, y0, exp = 0.0, np.array([1.0, 0.0, 0.0, 1.0]), 0
+    while t0 < ts[-1]:
+        t1 = min(t0 + 2.0, float(ts[-1]))
+        run = jacobi._launch(ev, y0, (t0, t1))
+        sel = (ts >= t0) & (ts <= t1)
+        y[:, sel], e[sel] = run.sol(ts[sel]), exp
+        f = math.frexp(float(np.max(np.abs(run.y[:, -1]))))[1]
+        y0, exp, t0 = np.ldexp(run.y[:, -1], -f), exp + f, t1
+    return y, e
+
+
+class TestConstantClosedForm:
+    @pytest.mark.parametrize("k", CLOSED_FORM_KS)
+    def test_matches_direct_launch(self, k):
+        # a launch drifts by about 1e-13 per unit of sqrt(-k) t, so K = -1e4
+        # is compared on [0, 7.5], which crosses the switch at 700
+        p = CurvatureProfile.constant(k)
+        ts = np.linspace(0.0, 7.5 if k == -1e4 else 60.0, 1201)
+        y, e = jacobi.propagator(p)._stored(ts)
+        ref, ref_e = _chained(p.evaluator, ts)
+        got = np.ldexp(y, e - ref_e)
+        assert np.max(np.abs(got - ref) / np.max(np.abs(ref), axis=0)) < 1e-10
+        # the Wronskian A Z' - Z A' = 1, on columns divided by a power of two
+        f = np.frexp(np.max(np.abs(y), axis=0))[1]
+        a, da, z, dz = np.ldexp(y, -f)
+        w = a * dz - z * da
+        assert np.all(np.abs(w - np.ldexp(1.0, -2 * (e + f)))
+                      <= 4e-16 * (np.abs(a * dz) + np.abs(z * da)))
+
+    @pytest.mark.parametrize("k", [-1.0, -1e4])
+    def test_stored_scale_past_the_switch(self, k):
+        lam = math.sqrt(-k)
+        prop = jacobi.propagator(CurvatureProfile.constant(k))
+        rs = np.array([50.0, 1e3, 1e6, 5.0 * 2**31])
+        (a, da, z, dz), e = prop._stored(rs)
+        assert np.all(np.isfinite([a, da, z, dz])) and np.all(z > 0.0)
+        assert np.array_equal(a, dz)
+        np.testing.assert_allclose(da / a, lam, rtol=1e-15)
+        np.testing.assert_allclose(a / z, lam, rtol=1e-15)
+        for r in rs:
+            assert prop.slope(r) == pytest.approx(-lam, rel=1e-15)
+            # the stable slope attracts every other one backward
+            assert prop.pull_back(r, 0.0) == pytest.approx(-lam, rel=1e-15)
+            j, dj = prop.carry(r, 0.0)
+            assert dj[0] / j[0] == pytest.approx(lam, rel=1e-15)
+        # no jump at the switch: the far read continues cosh and sinh
+        ts = np.array([699.0, 700.0, 701.0]) / lam
+        y, e = prop._stored(ts)
+        step = np.ldexp(y[:, 1:], e[1:] - e[:-1]) / y[:, :-1]
+        np.testing.assert_allclose(step, math.e, rtol=1e-12)
+
+    def test_growth_floor_of_an_overflowing_solution(self):
+        assert growth_floor(CurvatureProfile.constant(-1e4), 20.0) == 1.0
+
+    @pytest.mark.parametrize("k", CLOSED_FORM_KS)
+    def test_integrate_matches_launch(self, k, monkeypatch):
+        unit = 1.0 / max(1.0, math.sqrt(abs(k)))
+        p = CurvatureProfile.constant(k)
+        cases = [(state, span)
+                 for state in (JacobiState(0.3, -0.8), JacobiState(1.0, 0.5),
+                               JacobiState(0.0, 1.0))
+                 for span in ((unit, 6.0 * unit), (6.0 * unit, -2.0 * unit))]
+        refs = []
+        for state, span in cases:
+            norm = math.hypot(state.value, state.deriv)
+            run = jacobi._launch(p.evaluator, [state.value / norm, state.deriv / norm], span)
+            refs.append(norm * run.sol(np.linspace(*span, 101)))
+        monkeypatch.setattr(jacobi, "_launch", None)  # the closed form launches nothing
+        for (state, span), ref in zip(cases, refs):
+            got = integrate_jacobi(p, state, span).states(np.linspace(*span, 101))
+            assert np.max(np.abs(got - ref) / np.max(np.abs(ref), axis=0)) < 1e-10
+
+    def test_stable_line_has_no_cancellation(self):
+        p = CurvatureProfile.constant(-1e4)
+        assert contraction_fit(p, green_both(p)).c == pytest.approx(100.0, rel=1e-12)
+
+
+class TestSturmSkip:
+    @staticmethod
+    def _counted(monkeypatch):
+        launches = []
+        real = jacobi._launch
+
+        def counting(ev, y0, t_span):
+            launches.append(t_span)
+            return real(ev, y0, t_span)
+
+        monkeypatch.setattr(jacobi, "_launch", counting)
+        return launches
+
+    def test_ceilings(self):
+        series = FourierSeries1D(const=-1.0, omega=0.7, cos_coeffs={1: 0.3, 2: 0.1},
+                                 sin_coeffs={1: 0.4})
+        p = CurvatureProfile.from_series(series)
+        assert p.kappa_ceiling == pytest.approx(-1.0 + 0.5 + 0.1, rel=1e-15)
+        for q in (p.shifted(1.3), p.flipped()):
+            assert q.kappa_ceiling == pytest.approx(p.kappa_ceiling, rel=1e-15)
+        ts = np.linspace(0.0, 2 * math.pi / 0.7, 10_001)
+        assert np.max(p(ts)) <= p.kappa_ceiling
+        assert CurvatureProfile.constant(0.25).kappa_ceiling == 0.25
+        torus = random_torus(rng_for("ceiling")).profile(
+            UnitTangent(0.1, 0.2, 0.5), 2.0, 1e-10, False)[0]
+        assert torus.kappa_ceiling == math.inf
+
+    def test_certified_profile_skips_the_scan(self, monkeypatch):
+        launches = self._counted(monkeypatch)
+        # K+ = -1 + 0.3 < 0: no zero at any horizon
+        p = CurvatureProfile.from_series(FourierSeries1D(const=-1.0, sin_coeffs={1: 0.3}))
+        assert first_zero(p, 50.0) is None
+        # K+ = 0.02 and K+ * 20**2 = 8 < pi**2
+        q = CurvatureProfile.from_series(FourierSeries1D(const=-0.5, cos_coeffs={1: 0.52}))
+        assert first_zero(q, 20.0) is None
+        assert launches == []
+
+    def test_uncertified_profile_scans(self, monkeypatch):
+        launches = self._counted(monkeypatch)
+        # negative mean, but kappa ~ 1.3 around t = 0 gives a zero near 2.8
+        p = CurvatureProfile.from_series(
+            FourierSeries1D(const=-0.2, omega=0.2, cos_coeffs={1: 1.5}))
+        t = first_zero(p, 50.0)
+        assert launches and 2.0 < t < 3.5
+        assert abs(_direct(p, np.array([t]))[2, 0]) < 1e-9
+        # K+ = 0.2 > (pi / 50)**2, and the solution keeps its sign
+        launches.clear()
+        q = CurvatureProfile.from_series(FourierSeries1D(const=-1.0, cos_coeffs={1: 1.2}))
+        assert first_zero(q, 50.0) is None
+        assert launches
+
+    def test_strong_field_scans_find_the_first_zero(self):
+        # kappa = 2.5e7: zeros every pi / 5000 ~ 6.3e-4, finer than SCAN_STEP;
+        # the step capped at half that spacing holds one zero per cell
+        k = 5000.0**2 - 1.0
+        p = CurvatureProfile.constant(k)
+        assert first_zero(p, 50.0) == pytest.approx(math.pi / math.sqrt(k), rel=1e-12)
+        # the Riccati pole of u(0) = 0 is the first zero of cos(sqrt(k) t)
+        pole = integrate_riccati(p, 0.0, (0.0, 1.0)).blowup_time
+        assert pole == pytest.approx(0.5 * math.pi / math.sqrt(k), rel=1e-12)
 
 
 def _oracle(ev, y0, span):
@@ -470,9 +630,10 @@ class TestLaunch:
 class TestWorkBudget:
     def test_launch_stops_past_the_budget(self, monkeypatch):
         monkeypatch.setattr(jacobi, "JACOBI_NFEV_BUDGET", 300)
+        hyperbolic = CurvatureProfile.from_series(
+            FourierSeries1D(const=-1.0, sin_coeffs={1: 0.3}))
         with pytest.raises(IntegrationFailure) as exc:
-            integrate_jacobi(CurvatureProfile.constant(-1.0), JacobiState(1.0, 0.0),
-                             (0.0, 50.0))
+            integrate_jacobi(hyperbolic, JacobiState(1.0, 0.0), (0.0, 50.0))
         assert "300 right-hand-side evaluations" in str(exc.value)
         assert 0.0 < exc.value.last_time < 50.0
 
