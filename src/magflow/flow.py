@@ -193,39 +193,56 @@ def _march(attempt: Callable, keep: Callable, t: float, t_end: float, y: list,
 
 
 def _rk45(f: Callable, y0, t_end: float, t_eval: np.ndarray, tol: float):
-    """Integrate the autonomous system y' = f(y) from y0 at time 0 to t_end
-    and read it at the increasing times ``t_eval`` in [0, t_end].
+    """Integrate the autonomous system (x, y, theta)' = f(x, y, theta) from
+    y0 at time 0 to t_end and read it at the increasing times ``t_eval`` in
+    [0, t_end].
 
-    ``f`` maps a list of floats to a sequence of floats. The step control is
+    ``f`` maps three floats to a 3-tuple of floats. The step control is
     scipy's RK45 with rtol = atol = tol, run by ``_first_step`` and
     ``_march`` for an error estimator of order 4; the error norm is the RMS
-    norm scaled by tol + tol * max(|y|, |y_new|). The stage sums run on
-    Python floats, so the results agree with scipy's to roundoff, not
-    bitwise. Fails as ``_march`` does, the budget being
-    ``ORBIT_NFEV_BUDGET``. Returns the samples, shape (len(y0),
-    len(t_eval)), and the step statistics.
+    norm scaled by tol + tol * max(|y|, |y_new|). The stage sums, the update
+    and the error estimate are written out per component on Python floats,
+    so the results agree with scipy's to roundoff, not bitwise. Fails as
+    ``_march`` does, the budget being ``ORBIT_NFEV_BUDGET``. Returns the
+    samples, shape (3, len(t_eval)), and the step statistics.
     """
     y = [float(v) for v in y0]
-    k1 = f(y)
-    h_abs = _first_step(lambda t, v: f(v), 0.0, y, k1, len(y), t_end, 4, tol)
+    k1 = f(*y)
+    h_abs = _first_step(lambda t, v: f(*v), 0.0, y, k1, 3, t_end, 4, tol)
 
-    def attempt(t, y, k1, h):
-        k2 = f([v + (_A21 * a) * h for v, a in zip(y, k1)])
-        k3 = f([v + (_A31 * a + _A32 * b) * h for v, a, b in zip(y, k1, k2)])
-        k4 = f([v + (_A41 * a + _A42 * b + _A43 * c) * h
-                for v, a, b, c in zip(y, k1, k2, k3)])
-        k5 = f([v + (_A51 * a + _A52 * b + _A53 * c + _A54 * d) * h
-                for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
-        k6 = f([v + (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e) * h
-                for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
-        y_new = [v + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
-                 for v, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)]
-        k7 = f(y_new)
-        err = _rms([(_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * k)
-                    * h / (tol + max(abs(v), abs(w)) * tol)
-                    for v, w, a, c, d, e, g, k
-                    in zip(y, y_new, k1, k3, k4, k5, k6, k7)])
-        return y_new, k7, err, (t, h, y, (k1, k3, k4, k5, k6, k7))
+    def attempt(t, state, k1, h):
+        # (u_j, v_j, w_j) is the slope of stage j; each component's sum keeps
+        # the operation order and association of the stage-vector form, so
+        # the steps are bitwise those of a loop over the components
+        x, y, th = state
+        u1, v1, w1 = k1
+        u2, v2, w2 = f(x + (_A21 * u1) * h, y + (_A21 * v1) * h,
+                       th + (_A21 * w1) * h)
+        k3 = u3, v3, w3 = f(x + (_A31 * u1 + _A32 * u2) * h,
+                            y + (_A31 * v1 + _A32 * v2) * h,
+                            th + (_A31 * w1 + _A32 * w2) * h)
+        k4 = u4, v4, w4 = f(x + (_A41 * u1 + _A42 * u2 + _A43 * u3) * h,
+                            y + (_A41 * v1 + _A42 * v2 + _A43 * v3) * h,
+                            th + (_A41 * w1 + _A42 * w2 + _A43 * w3) * h)
+        k5 = u5, v5, w5 = f(x + (_A51 * u1 + _A52 * u2 + _A53 * u3 + _A54 * u4) * h,
+                            y + (_A51 * v1 + _A52 * v2 + _A53 * v3 + _A54 * v4) * h,
+                            th + (_A51 * w1 + _A52 * w2 + _A53 * w3 + _A54 * w4) * h)
+        k6 = u6, v6, w6 = f(
+            x + (_A61 * u1 + _A62 * u2 + _A63 * u3 + _A64 * u4 + _A65 * u5) * h,
+            y + (_A61 * v1 + _A62 * v2 + _A63 * v3 + _A64 * v4 + _A65 * v5) * h,
+            th + (_A61 * w1 + _A62 * w2 + _A63 * w3 + _A64 * w4 + _A65 * w5) * h)
+        xn = x + h * (_B1 * u1 + _B3 * u3 + _B4 * u4 + _B5 * u5 + _B6 * u6)
+        yn = y + h * (_B1 * v1 + _B3 * v3 + _B4 * v4 + _B5 * v5 + _B6 * v6)
+        thn = th + h * (_B1 * w1 + _B3 * w3 + _B4 * w4 + _B5 * w5 + _B6 * w6)
+        k7 = u7, v7, w7 = f(xn, yn, thn)
+        err = _rms((
+            (_E1 * u1 + _E3 * u3 + _E4 * u4 + _E5 * u5 + _E6 * u6 + _E7 * u7)
+            * h / (tol + max(abs(x), abs(xn)) * tol),
+            (_E1 * v1 + _E3 * v3 + _E4 * v4 + _E5 * v5 + _E6 * v6 + _E7 * v7)
+            * h / (tol + max(abs(y), abs(yn)) * tol),
+            (_E1 * w1 + _E3 * w3 + _E4 * w4 + _E5 * w5 + _E6 * w6 + _E7 * w7)
+            * h / (tol + max(abs(th), abs(thn)) * tol)))
+        return (xn, yn, thn), k7, err, (t, h, state, (k1, k3, k4, k5, k6, k7))
 
     ends, steps = [], []
 
@@ -258,10 +275,12 @@ def integrate_orbit(model, v0: UnitTangent, horizon: float,
     a uniform grid of spacing ``SAMPLE_DT`` and brought into the fundamental
     domain by the model's ``reduce`` at readout, so no drift accumulates in
     the stored samples. Past ``ORBIT_NFEV_BUDGET`` right-hand-side
-    evaluations the integration stops with an ``IntegrationFailure``.
+    evaluations the integration stops with an ``IntegrationFailure``. A
+    horizon or tolerance that is not positive and finite is a ``ValueError``.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    for name, value in (("horizon", horizon), ("tol", tol)):
+        if not 0 < value < math.inf:
+            raise ValueError("%s must be positive and finite, got %r" % (name, value))
     t_eval = np.linspace(0.0, horizon, int(round(horizon / SAMPLE_DT)) + 1)
     samples, stats = _rk45(model.rhs(), (v0.x, v0.y, v0.theta), horizon,
                            t_eval, tol)

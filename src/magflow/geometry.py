@@ -92,8 +92,8 @@ class SurfaceModel(Protocol):
     closed_form_hyperbolic: bool
 
     def rhs(self) -> Callable:
-        """The orbit equations: a function of a list (x, y, theta) of floats
-        returning the three derivatives, built once per orbit."""
+        """The orbit equations: a function of three floats (x, y, theta)
+        returning the three derivatives as a tuple, built once per orbit."""
 
     def reduce(self, v: UnitTangent) -> UnitTangent:
         """The deck step: v (arrays of samples) in the fundamental domain."""
@@ -155,7 +155,7 @@ class ConstantCurvature:
         return self.K + self.b**2 < 0
 
     def rhs(self) -> Callable:
-        return lambda state: (0.0, 0.0, 0.0)
+        return lambda x, y, theta: (0.0, 0.0, 0.0)
 
     def reduce(self, v: UnitTangent) -> UnitTangent:
         return v
@@ -194,19 +194,6 @@ def _scalar_modes(series) -> tuple:
     float tuples, for evaluation with ``math`` on scalars."""
     return tuple((2.0 * math.pi * m / series.Lx, 2.0 * math.pi * n / series.Ly,
                   float(a), float(b)) for m, n, a, b in series.modes)
-
-
-def _scalar_jet(const: float, modes: tuple, x: float, y: float):
-    """(f, df/dx, df/dy) at the point (x, y) from ``_scalar_modes``."""
-    f, fx, fy = const, 0.0, 0.0
-    for kx, ky, a, b in modes:
-        w = kx * x + ky * y
-        c, s = math.cos(w), math.sin(w)
-        f += a * c + b * s
-        d = b * c - a * s
-        fx += kx * d
-        fy += ky * d
-    return f, fx, fy
 
 
 def _torus_grid_integral(model: "ConformalTorus", values: Callable, n: int) -> float:
@@ -274,18 +261,29 @@ class ConformalTorus:
         return 0
 
     def rhs(self) -> Callable:
-        """The orbit equations on a list (x, y, theta) of floats, evaluating
-        phi and b with ``math`` from mode tables read once here."""
+        """The orbit equations on three floats (x, y, theta), returning the
+        three derivatives. phi's value and gradient and b's value are summed
+        in one pass each with ``math``, from mode tables read once here."""
         p0, pm = float(self.phi.const), _scalar_modes(self.phi)
         b0, bm = float(self.b.const), _scalar_modes(self.b)
         exp, cos, sin = math.exp, math.cos, math.sin
 
-        def rhs(state):
-            x, y, theta = state
-            p, px, py = _scalar_jet(p0, pm, x, y)
+        def rhs(x, y, theta):
+            p, px, py = p0, 0.0, 0.0
+            for kx, ky, a, b in pm:
+                w = kx * x + ky * y
+                c, s = cos(w), sin(w)
+                p += a * c + b * s
+                d = b * c - a * s
+                px += kx * d
+                py += ky * d
+            bv = b0
+            for kx, ky, a, b in bm:
+                w = kx * x + ky * y
+                bv += a * cos(w) + b * sin(w)
             e = exp(-p)
             c, s = cos(theta), sin(theta)
-            return (e * c, e * s, _scalar_jet(b0, bm, x, y)[0] + e * (py * c - px * s))
+            return (e * c, e * s, bv + e * (py * c - px * s))
 
         return rhs
 

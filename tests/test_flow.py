@@ -3,9 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, solve_ivp
 
-from magflow import flow, geometry, jacobi
+from magflow import flow, jacobi
 from magflow import (
     AbstractProfile,
     ConformalTorus,
@@ -15,7 +15,9 @@ from magflow import (
     FourierSeries2D,
     InsufficientDataError,
     IntegrationFailure,
+    SamplingConfig,
     UnitTangent,
+    classify,
     integrate_orbit,
 )
 from families import random_torus, rng_for
@@ -98,6 +100,25 @@ class TestOrbits:
         with pytest.raises(ValueError):
             integrate_orbit(flat_torus(), UnitTangent(), -1.0, flow.DEFAULT_TOL)
 
+    @pytest.mark.parametrize("name, horizon, tol", [
+        ("horizon", 0.0, flow.DEFAULT_TOL),
+        ("horizon", math.nan, flow.DEFAULT_TOL),
+        ("horizon", math.inf, flow.DEFAULT_TOL),
+        ("tol", 1.0, 0.0),
+        ("tol", 1.0, -1e-10),
+        ("tol", 1.0, math.nan),
+        ("tol", 1.0, math.inf),
+    ])
+    def test_horizon_and_tol_must_be_positive_and_finite(self, name, horizon, tol):
+        # unchecked, each ends in a raw error from the sample grid or the
+        # error norm, or (tol < 0) runs with |tol|
+        match = "%s must be positive and finite" % name
+        with pytest.raises(ValueError, match=match):
+            integrate_orbit(flat_torus(), UnitTangent(), horizon, tol)
+        with pytest.raises(ValueError, match=match):
+            classify(flat_torus(), SamplingConfig(ensemble_count=1, horizon=horizon,
+                                                  integration_tol=tol))
+
     def test_csv_export(self, tmp_path):
         # 5001 rows: more than two blocks of the writer
         tr = integrate_orbit(flat_torus(1.0), UnitTangent(), 50.0, flow.DEFAULT_TOL)
@@ -124,8 +145,9 @@ class TestOrbits:
 
 
 def _blow_up():
-    # y' = y**2 from y(0) = 1 blows up at t = 1
-    flow._rk45(lambda y: [y[0] * y[0]], (1.0,), 2.0, np.array([0.0, 2.0]), 1e-10)
+    # x' = x**2 from x(0) = 1 blows up at t = 1
+    flow._rk45(lambda x, y, theta: (x * x, 0.0, 0.0), (1.0, 0.0, 0.0), 2.0,
+               np.array([0.0, 2.0]), 1e-10)
 
 
 def _stiff_launch(d):
@@ -137,7 +159,8 @@ def _stiff_launch(d):
 
 
 def _nan_orbit():
-    flow._rk45(lambda y: [math.nan], (1.0,), 2.0, np.array([0.0, 2.0]), 1e-10)
+    flow._rk45(lambda x, y, theta: (math.nan, 0.0, 0.0), (1.0, 0.0, 0.0), 2.0,
+               np.array([0.0, 2.0]), 1e-10)
 
 
 def _nan_launch():
@@ -187,6 +210,16 @@ def bench_torus():
                           b=FourierSeries2D(const=0.6, sin_coeffs={(0, 1): 0.2}))
 
 
+def rect_torus():
+    # two modes in phi and in b, on a rectangular cell
+    phi = FourierSeries2D(Lx=1.3, Ly=0.7, const=0.2,
+                          cos_coeffs={(1, 0): 0.05, (2, -1): 0.03},
+                          sin_coeffs={(2, -1): -0.04})
+    b = FourierSeries2D(Lx=1.3, Ly=0.7, const=0.6,
+                        sin_coeffs={(0, 1): 0.2}, cos_coeffs={(1, -1): 0.1})
+    return ConformalTorus(phi=phi, b=b)
+
+
 def jet_rhs(model):
     # the orbit equations from the array evaluator, as scipy's RHS
     phi, b = model.phi, model.b
@@ -219,67 +252,50 @@ class TestRK45:
         assert sc["nfev"] == 2 + 6 * (sc["accepted_steps"] + sc["rejected_steps"])
 
     def test_step_control_matches_scipy_with_rejections(self):
-        # the Arenstorf orbit (Hairer, Norsett and Wanner, sec. II.0) rejects
-        # 35 of 167 steps at tol 1e-6, so the rejection path and the no-growth
-        # rule after a rejection are exercised; the orbit is periodic, not
-        # chaotic, so roundoff stays small
-        mu = 0.012277471
+        # Euler's equations of a free rigid body with moments of inertia
+        # 0.5, 2 and 3 (the EULR problem of Hairer, Norsett and Wanner,
+        # sec. II.10, without its forcing) reject 33 steps at tol 1e-6, so the
+        # rejection path and the no-growth rule after a rejection are
+        # exercised; the motion is periodic, not chaotic, so roundoff stays
+        # small
+        def f(y1, y2, y3):
+            return (-2.0 * y2 * y3, 1.25 * y1 * y3, -0.5 * y1 * y2)
 
-        def f(y):
-            y1, y2, v1, v2 = y
-            d1 = ((y1 + mu) ** 2 + y2 ** 2) ** 1.5
-            d2 = ((y1 - 1 + mu) ** 2 + y2 ** 2) ** 1.5
-            return (v1, v2,
-                    y1 + 2 * v2 - (1 - mu) * (y1 + mu) / d1 - mu * (y1 - 1 + mu) / d2,
-                    y2 - 2 * v1 - (1 - mu) * y2 / d1 - mu * y2 / d2)
-
-        y0 = (0.994, 0.0, 0.0, -2.00158510637908252240537862224)
-        T = 17.0652165601579625
+        y0, T = (0.0, 1.0, 1.0), 20.0
         ts = np.linspace(0.0, T, 101)
         ys, stats = flow._rk45(f, y0, T, ts, 1e-6)
-        sol = solve_ivp(lambda t, y: f(y.tolist()), (0.0, T), y0, method="RK45",
+        sol = solve_ivp(lambda t, y: f(*y), (0.0, T), y0, method="RK45",
                         rtol=1e-6, atol=1e-6, t_eval=ts)
         assert stats["rejected_steps"] > 20
         assert abs(stats["nfev"] - sol.nfev) <= 0.01 * sol.nfev
         assert np.max(np.abs(ys - sol.y)) < 1e-7
 
     def test_scalar_rhs_matches_array_jet(self):
-        # two modes in phi and in b, on a rectangular cell
-        phi = FourierSeries2D(Lx=1.3, Ly=0.7, const=0.2,
-                              cos_coeffs={(1, 0): 0.05, (2, -1): 0.03},
-                              sin_coeffs={(2, -1): -0.04})
-        b = FourierSeries2D(Lx=1.3, Ly=0.7, const=0.6,
-                            sin_coeffs={(0, 1): 0.2}, cos_coeffs={(1, -1): 0.1})
-        m = ConformalTorus(phi=phi, b=b)
+        m = rect_torus()
         rhs, ref = m.rhs(), jet_rhs(m)
         rng = np.random.default_rng(5)
         pts = rng.uniform(0.0, 1.0, (200, 3)) * (1.3, 0.7, 2 * math.pi)
         for x, y, theta in pts.tolist():
-            for series, n in ((phi, 3), (b, 1)):
-                got = geometry._scalar_jet(series.const, geometry._scalar_modes(series), x, y)
-                want = series.jet(x, y)
-                assert np.max(np.abs(np.subtract(got[:n], want[:n]))) < 1e-14
-            np.testing.assert_allclose(rhs([x, y, theta]), ref(0.0, [x, y, theta]),
+            np.testing.assert_allclose(rhs(x, y, theta), ref(0.0, [x, y, theta]),
                                        rtol=0, atol=1e-14)
 
     def test_step_underflow_raises(self):
-        # y' = y**2 from y(0) = 1 blows up at t = 1: the step falls below
+        # x' = x**2 from x(0) = 1 blows up at t = 1: the step falls below
         # 10 ulp(t) just before it
         with pytest.raises(IntegrationFailure) as exc:
-            flow._rk45(lambda y: [y[0] * y[0]], (1.0,), 2.0, np.array([0.0, 2.0]),
-                       1e-10)
+            _blow_up()
         assert "step size" in str(exc.value)
-        assert exc.value.last_time == pytest.approx(1.0, abs=1e-9)
+        assert 1.0 - 1e-9 <= exc.value.last_time <= 1.0
 
     def test_non_finite_error_stops_at_once(self):
         calls = []
 
-        def f(y):
-            calls.append(y)
-            return [math.nan]
+        def f(x, y, theta):
+            calls.append((x, y, theta))
+            return (math.nan, 0.0, 0.0)
 
         with pytest.raises(IntegrationFailure) as exc:
-            flow._rk45(f, (1.0,), 2.0, np.array([0.0, 2.0]), 1e-10)
+            flow._rk45(f, (1.0, 0.0, 0.0), 2.0, np.array([0.0, 2.0]), 1e-10)
         assert "non-finite" in str(exc.value)
         assert exc.value.last_time == 0.0
         # the first-step probe and one attempted step
@@ -299,6 +315,89 @@ class TestRK45:
         kw = {field: series, ("phi" if field == "b" else "b"): other}
         with pytest.raises(ValueError, match="finite"):
             ConformalTorus(**kw)
+
+
+# scipy's RK45 tableau, an independent copy of flow's
+_A = RK45.A.tolist()
+A21 = _A[1][0]
+A31, A32 = _A[2][:2]
+A41, A42, A43 = _A[3][:3]
+A51, A52, A53, A54 = _A[4][:4]
+A61, A62, A63, A64, A65 = _A[5]
+B1, _, B3, B4, B5, B6 = RK45.B.tolist()
+E1, _, E3, E4, E5, E6, E7 = RK45.E.tolist()
+P = RK45.P[[0, 2, 3, 4, 5, 6]]
+
+
+def list_rk45(f, y0, t_end, t_eval, tol):
+    """The orbit loop in its generic form: every stage sum, the update and
+    the error estimate a list comprehension over the components, driven by
+    flow._first_step and flow._march and read out from the same dense
+    output."""
+    def g(y):
+        return f(*y)
+
+    y = [float(v) for v in y0]
+    k1 = g(y)
+    h_abs = flow._first_step(lambda t, v: g(v), 0.0, y, k1, len(y), t_end, 4, tol)
+
+    def attempt(t, y, k1, h):
+        k2 = g([v + (A21 * a) * h for v, a in zip(y, k1)])
+        k3 = g([v + (A31 * a + A32 * b) * h for v, a, b in zip(y, k1, k2)])
+        k4 = g([v + (A41 * a + A42 * b + A43 * c) * h
+                for v, a, b, c in zip(y, k1, k2, k3)])
+        k5 = g([v + (A51 * a + A52 * b + A53 * c + A54 * d) * h
+                for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
+        k6 = g([v + (A61 * a + A62 * b + A63 * c + A64 * d + A65 * e) * h
+                for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+        y_new = [v + h * (B1 * a + B3 * c + B4 * d + B5 * e + B6 * q)
+                 for v, a, c, d, e, q in zip(y, k1, k3, k4, k5, k6)]
+        k7 = g(y_new)
+        err = flow._rms([(E1 * a + E3 * c + E4 * d + E5 * e + E6 * q + E7 * k)
+                         * h / (tol + max(abs(v), abs(w)) * tol)
+                         for v, w, a, c, d, e, q, k
+                         in zip(y, y_new, k1, k3, k4, k5, k6, k7)])
+        return y_new, k7, err, (t, h, y, (k1, k3, k4, k5, k6, k7))
+
+    ends, steps = [], []
+
+    def keep(t_new, y_new, step):
+        ends.append(t_new)
+        steps.append(step)
+
+    nfev, rejected = flow._march(attempt, keep, 0.0, t_end, y, k1, h_abs, 2, 6,
+                                 flow.ORBIT_NFEV_BUDGET, 4, "orbit")
+    idx = np.searchsorted(ends, t_eval, side="left")
+    t0, hs, y_old, ks = (np.array(c) for c in zip(*steps))
+    q = np.einsum("ksj,sr->rjk", ks, P)
+    hs = hs[idx]
+    p = np.cumprod(np.tile((t_eval - t0[idx]) / hs, (4, 1)), axis=0)
+    ys = hs * sum(q[r][:, idx] * p[r] for r in range(4)) + y_old[idx].T
+    return ys, {"nfev": nfev, "accepted_steps": len(steps),
+                "rejected_steps": rejected}
+
+
+class TestUnrolledStages:
+    """flow._rk45 writes the stages out per component of (x, y, theta) in
+    the order and association of the generic form, so its orbits are
+    bitwise those of list_rk45."""
+
+    @pytest.mark.parametrize("model, starts, horizon, tol", [
+        (bench_torus(), bench_torus().ensemble(2, 0), 50.0, flow.DEFAULT_TOL),
+        (rect_torus(), [UnitTangent(0.4, 0.1, 1.2)], 50.0, flow.DEFAULT_TOL),
+        # criterion 13's flat chart
+        (flat_torus(1.0), [UnitTangent(0.1, 0.8, 0.3)], 20 * math.pi, 1e-11),
+    ], ids=["bench", "rectangular", "flat"])
+    def test_orbits_match_the_list_form_bitwise(self, monkeypatch, model, starts,
+                                                horizon, tol):
+        for v0 in starts:
+            got = integrate_orbit(model, v0, horizon, tol)
+            with monkeypatch.context() as mp:
+                mp.setattr(flow, "_rk45", list_rk45)
+                want = integrate_orbit(model, v0, horizon, tol)
+            for name in ("t_samples", "xs", "ys", "thetas", "kappa_samples"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            assert got.step_controls == want.step_controls
 
 
 class TestCurvatureProfiles:
