@@ -28,22 +28,15 @@ from .geometry import (
     ConstantCurvature,
     InequalityResult,
     SurfaceModel,
-    rotate_i,
 )
 from .flow import CurvatureProfile, OrbitTrace, UnitTangent, integrate_orbit
 from .jacobi import (
     BoundarySolution,
     JacobiState,
     JacobiTrace,
-    QuotientVector,
     first_zero,
     integrate_jacobi,
-    sasaki_norm,
     solve_boundary,
-    solve_unit_slope,
-    tangential_component,
-    unit_slope_trace,
-    wronskian,
 )
 from .riccati import RiccatiTrace, comparison_envelope, integrate_riccati
 from .green import (

@@ -23,6 +23,8 @@ the exactness of constant models where one orbit profile represents all.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -202,6 +204,19 @@ class SamplingConfig:
     green_tol: float = 1e-9
     gap_margin: float = 1e-4
 
+    def __post_init__(self):
+        """Reject a config no classification can honour with one
+        ValueError whose message leads with the field: an ensemble_count
+        that is not an integer >= 1, or a horizon or tolerance that is not
+        a finite positive number."""
+        count = self.ensemble_count
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+            raise ValueError("ensemble_count must be an integer >= 1, got %r" % (count,))
+        for name in ("horizon", "integration_tol", "green_tol", "gap_margin"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+                raise ValueError("%s must be positive and finite, got %r" % (name, value))
+
 
 @dataclass
 class OrbitResult:
@@ -301,7 +316,6 @@ def analyze_orbit(model: SurfaceModel, v0: UnitTangent, orbit_id: int,
         minus = model.minus_profile(v0, plus, cfg.horizon, cfg.integration_tol)
         try:
             est = GreenEstimate(
-                k_bound=plus.k_bound,
                 plus=green_slope(plus, "+", tol=cfg.green_tol).plus,
                 minus=green_slope(minus, "+", tol=cfg.green_tol).plus.reflected(),
             )

@@ -14,8 +14,9 @@ A run is declared in a JSON file::
 Model kinds: ``constant`` (K, b, chi, area), ``torus`` (Lx, Ly, phi, b as
 Fourier tables {"const": c, "cos": {"m,n": amp}, "sin": {...}}), and
 ``profile`` (kappa as a 1D Fourier table {"const": c, "omega": w,
-"cos": {"j": amp}, "sin": {...}} plus k_bound, by default from the lower
-bound c - sum |amp|). Every model accepts an optional ``b_scale``
+"cos": {"j": amp}, "sin": {...}} plus k_bound, by default
+``CurvatureProfile.from_series``'s, read from the certified lower bound
+c - sum_j hypot(cos_j, sin_j)). Every model accepts an optional ``b_scale``
 multiplying the intensity.
 
 Adding a ``sweep`` section {"parameter": "model.b", "grid": [...]} turns
@@ -25,8 +26,9 @@ outside ``CONFIG_KEYS`` at the top level (``analyses``, say), outside
 ``SECTION_KEYS`` in a section or outside its kind's ``MODEL_KEYS`` (and
 ``b_scale``) in the model is a ConfigError naming it, and so is a
 mistyped sweep parameter. So is a top level that is not an object (key
-``""``), an ``output_dir`` that is not a string and an ``export_orbits``
-that is not a boolean.
+``""``), an ``output_dir`` that is not a string, an ``export_orbits``
+that is not a boolean, and a value ``SamplingConfig`` rejects (a horizon
+or tolerance that is not positive, an ensemble count below one).
 Exit status: 0 when a verdict was reached (either way), 2 when
 Inconclusive, 1 on configuration or I/O errors.
 """
@@ -44,7 +46,7 @@ from pathlib import Path
 
 from .anosov import SCHEMA_VERSION, SamplingConfig, classify
 from .errors import ConfigError, MagflowError, NumericalInconsistencyError
-from .flow import _k_bound
+from .flow import CurvatureProfile
 from .fourier import FourierSeries1D, FourierSeries2D
 from .geometry import VALIDATION_WINDOW, AbstractProfile, ConformalTorus, ConstantCurvature
 
@@ -55,6 +57,14 @@ SECTION_KEYS = {
     "ensemble": ("count", "seed", "horizon"),
     "tolerances": ("integration", "green", "gap_margin"),
     "sweep": ("parameter", "grid"),
+}
+# the config key of each SamplingConfig field that SamplingConfig checks
+SAMPLING_KEYS = {
+    "ensemble_count": "ensemble.count",
+    "horizon": "ensemble.horizon",
+    "integration_tol": "tolerances.integration",
+    "green_tol": "tolerances.green",
+    "gap_margin": "tolerances.gap_margin",
 }
 MODEL_KEYS = {
     "constant": ("K", "b", "chi", "area"),
@@ -165,11 +175,7 @@ def build_model(spec: dict):
         phi = _series_2d(spec.get("phi"), Lx, Ly, "model.phi")
         b = _series_2d(spec.get("b"), Lx, Ly, "model.b")
         if scale != 1.0:
-            b = FourierSeries2D(
-                Lx=Lx, Ly=Ly, const=scale * b.const,
-                cos_coeffs={k: scale * v for k, v in b.cos_coeffs.items()},
-                sin_coeffs={k: scale * v for k, v in b.sin_coeffs.items()},
-            )
+            b = b.scaled(scale)
         return ConformalTorus(phi=phi, b=b)
     kspec = spec.get("kappa")
     if not isinstance(kspec, dict):
@@ -189,9 +195,7 @@ def build_model(spec: dict):
         raise ConfigError("model.kappa.omega must be nonzero for a series "
                           "with harmonics", "model.kappa.omega")
     if spec.get("k_bound") is None:
-        # const - sum |a_j| bounds the series below on every window
-        amps = [*series.cos_coeffs.values(), *series.sin_coeffs.values()]
-        k_bound = _k_bound(series.const - sum(abs(a) for a in amps))
+        k_bound = CurvatureProfile.from_series(series).k_bound
     else:
         k_bound = _number(spec["k_bound"], "model.k_bound")
     chi = _optional(spec.get("chi"), "model.chi", int)
@@ -205,28 +209,27 @@ def build_model(spec: dict):
 
 
 def build_sampling(cfg: dict) -> SamplingConfig:
+    """The run's SamplingConfig. SamplingConfig checks the values itself;
+    its ValueError, which leads with the field, becomes a ConfigError
+    naming that field's key."""
     ens = _table(cfg.get("ensemble"), "ensemble", SECTION_KEYS["ensemble"])
     tols = _table(cfg.get("tolerances"), "tolerances", SECTION_KEYS["tolerances"])
     d = SamplingConfig()
-    sc = SamplingConfig(
-        ensemble_count=_number(ens.get("count", d.ensemble_count), "ensemble.count", int),
-        seed=_number(ens.get("seed", d.seed), "ensemble.seed", int),
-        horizon=_number(ens.get("horizon", d.horizon), "ensemble.horizon"),
-        integration_tol=_number(tols.get("integration", d.integration_tol),
-                                "tolerances.integration"),
-        green_tol=_number(tols.get("green", d.green_tol), "tolerances.green"),
-        gap_margin=_number(tols.get("gap_margin", d.gap_margin), "tolerances.gap_margin"),
-    )
-    if sc.ensemble_count < 1:
-        raise ConfigError("ensemble.count must be >= 1", "ensemble.count")
-    if sc.horizon <= 0:
-        raise ConfigError("ensemble.horizon must be positive", "ensemble.horizon")
-    for name, val in (("integration", sc.integration_tol), ("green", sc.green_tol),
-                      ("gap_margin", sc.gap_margin)):
-        if val <= 0:
-            raise ConfigError("tolerances.%s must be strictly positive" % name,
-                              "tolerances." + name)
-    return sc
+    try:
+        return SamplingConfig(
+            ensemble_count=_number(ens.get("count", d.ensemble_count), "ensemble.count",
+                                   int),
+            seed=_number(ens.get("seed", d.seed), "ensemble.seed", int),
+            horizon=_number(ens.get("horizon", d.horizon), "ensemble.horizon"),
+            integration_tol=_number(tols.get("integration", d.integration_tol),
+                                    "tolerances.integration"),
+            green_tol=_number(tols.get("green", d.green_tol), "tolerances.green"),
+            gap_margin=_number(tols.get("gap_margin", d.gap_margin),
+                               "tolerances.gap_margin"),
+        )
+    except ValueError as exc:
+        key = SAMPLING_KEYS[str(exc).split()[0]]
+        raise ConfigError("%s: %s" % (key, exc), key) from None
 
 
 def _output_dir(cfg: dict) -> Path:

@@ -28,7 +28,7 @@ SAMPLE_DT = 0.01
 # shrinks like 1/|b|, so a strong field would otherwise run without end. A
 # horizon-200 orbit of the benchmark torus takes at most ~32,000.
 ORBIT_NFEV_BUDGET = 500_000
-# added under the square root of every k_bound read from sampled minima
+# added under the square root of every k_bound read from a minimum
 K_MARGIN = 1e-9
 
 
@@ -320,24 +320,16 @@ class CurvatureProfile:
         return self.evaluator(t)
 
     @property
-    def is_constant(self) -> bool:
-        return self.const_value is not None
-
-    @property
     def kappa_ceiling(self) -> float:
         """A certified K+ with kappa(t) <= K+ for every t: the constant
-        itself, or const + sum_j hypot(a_j, b_j) for a Fourier series. Each
-        harmonic a cos + b sin reaches hypot(a, b), so the bound is exact
-        per harmonic, and shifting or reflecting the series keeps it.
-        Samples certify no bound, so spline and callable profiles have inf.
+        itself, or the upper of a Fourier series' ``bounds``. Samples
+        certify no bound, so spline and callable profiles have inf.
         """
         if self.const_value is not None:
             return self.const_value
-        s = self.series
-        if s is None:
+        if self.series is None:
             return math.inf
-        return s.const + sum(math.hypot(s.cos_coeffs.get(j, 0.0), s.sin_coeffs.get(j, 0.0))
-                             for j in set(s.cos_coeffs) | set(s.sin_coeffs))
+        return self.series.bounds[1]
 
     def check_span(self, t0: float, t1: float):
         """Raise ``InsufficientDataError`` naming the window end that the
@@ -389,8 +381,10 @@ class CurvatureProfile:
 
     @staticmethod
     def from_series(series: FourierSeries1D) -> "CurvatureProfile":
+        """The series as a profile, its k_bound read from the lower of its
+        certified ``bounds``."""
         return CurvatureProfile(
-            evaluator=series, k_bound=_k_bound(series.sampled_min()), series=series
+            evaluator=series, k_bound=_k_bound(series.bounds[0]), series=series
         )
 
     @staticmethod

@@ -56,14 +56,16 @@ class FourierSeries2D:
     def __call__(self, x, y):
         return self.jet(x, y)[0]
 
-    def dx(self, x, y):
-        return self.jet(x, y)[1]
-
-    def dy(self, x, y):
-        return self.jet(x, y)[2]
-
     def laplacian(self, x, y):
         return self.jet(x, y)[3]
+
+    def scaled(self, c: float) -> "FourierSeries2D":
+        """The series c * f, every amplitude multiplied by c."""
+        return FourierSeries2D(
+            Lx=self.Lx, Ly=self.Ly, const=c * self.const,
+            cos_coeffs={k: c * v for k, v in self.cos_coeffs.items()},
+            sin_coeffs={k: c * v for k, v in self.sin_coeffs.items()},
+        )
 
     @property
     def max_mode(self):
@@ -72,28 +74,44 @@ class FourierSeries2D:
 
 @dataclass(frozen=True)
 class FourierSeries1D:
-    """f(t) = const + sum over j>=1 of a_j*cos(j*omega*t) + b_j*sin(j*omega*t)."""
+    """f(t) = const + sum over j>=1 of a_j*cos(j*omega*t) + b_j*sin(j*omega*t).
+
+    The tables are read into ``harmonics`` at the first evaluation and
+    must not change after it.
+    """
 
     const: float = 0.0
     omega: float = 1.0
     cos_coeffs: dict = field(default_factory=dict)
     sin_coeffs: dict = field(default_factory=dict)
 
+    @cached_property
+    def harmonics(self):
+        """(j, a, b) per harmonic, with a and b the cos and sin amplitudes."""
+        return tuple((j, self.cos_coeffs.get(j, 0.0), self.sin_coeffs.get(j, 0.0))
+                     for j in set(self.cos_coeffs) | set(self.sin_coeffs))
+
+    @property
+    def bounds(self) -> tuple:
+        """A certified (lower, upper) pair with lower <= f(t) <= upper for
+        every t: const -/+ sum_j hypot(a_j, b_j). Each harmonic
+        a cos + b sin reaches exactly -/+ hypot(a, b), so the pair is exact
+        per harmonic, and shifting or reflecting the series keeps it."""
+        spread = sum(math.hypot(a, b) for _j, a, b in self.harmonics)
+        return self.const - spread, self.const + spread
+
     def __call__(self, t):
-        out = self.const + 0.0 * np.asarray(t, dtype=float)
-        for j in set(self.cos_coeffs) | set(self.sin_coeffs):
-            a = self.cos_coeffs.get(j, 0.0)
-            b = self.sin_coeffs.get(j, 0.0)
-            w = j * self.omega * np.asarray(t, dtype=float)
+        t = np.asarray(t, dtype=float)
+        out = self.const + 0.0 * t
+        for j, a, b in self.harmonics:
+            w = j * self.omega * t
             out = out + a * np.cos(w) + b * np.sin(w)
         return out
 
     def shifted(self, t0):
         """The series t -> f(t0 + t), again as a finite Fourier series."""
         cos_out, sin_out = {}, {}
-        for j in set(self.cos_coeffs) | set(self.sin_coeffs):
-            a = self.cos_coeffs.get(j, 0.0)
-            b = self.sin_coeffs.get(j, 0.0)
+        for j, a, b in self.harmonics:
             c, s = math.cos(j * self.omega * t0), math.sin(j * self.omega * t0)
             # cos(w + jw0) and sin(w + jw0) expanded
             cos_out[j] = a * c + b * s
@@ -104,11 +122,3 @@ class FourierSeries1D:
         """The series t -> f(-t)."""
         sin_out = {j: -b for j, b in self.sin_coeffs.items()}
         return FourierSeries1D(self.const, self.omega, dict(self.cos_coeffs), sin_out)
-
-    def sampled_min(self):
-        """Minimum over one period on a grid of 4096 points (period = 2*pi/omega)."""
-        if not self.cos_coeffs and not self.sin_coeffs:
-            return float(self.const)
-        period = 2.0 * np.pi / self.omega
-        t = np.linspace(0.0, period, 4096, endpoint=False)
-        return float(np.min(self(t)))

@@ -52,15 +52,6 @@ QUADRATURE_NMAX = 2048
 VALIDATION_WINDOW = (0.0, 100.0)
 
 
-def rotate_i(v: UnitTangent) -> UnitTangent:
-    """Rotate the velocity by +pi/2 in the surface orientation.
-
-    In a conformal chart this is the Euclidean quarter turn of the frame
-    angle, which preserves the metric norm exactly.
-    """
-    return UnitTangent(v.x, v.y, v.theta + 0.5 * math.pi)
-
-
 @dataclass(frozen=True)
 class InequalityResult:
     """Outcome of the averaged-intensity necessary condition.
@@ -344,12 +335,7 @@ class ConformalTorus:
 
     def flipped(self) -> "ConformalTorus":
         """The companion system with the sign of the intensity reversed."""
-        b = self.b
-        return ConformalTorus(self.phi, FourierSeries2D(
-            Lx=b.Lx, Ly=b.Ly, const=-b.const,
-            cos_coeffs={k: -v for k, v in b.cos_coeffs.items()},
-            sin_coeffs={k: -v for k, v in b.sin_coeffs.items()},
-        ))
+        return ConformalTorus(self.phi, self.b.scaled(-1.0))
 
     def profile(self, v0, horizon, tol, keep) -> tuple:
         trace = integrate_orbit(self, v0, horizon, tol)

@@ -69,7 +69,6 @@ class GreenSide:
 class GreenEstimate:
     """Stable/unstable slope estimates at time zero."""
 
-    k_bound: float
     plus: Optional[GreenSide] = None
     minus: Optional[GreenSide] = None
 
@@ -97,28 +96,6 @@ class GreenEstimate:
     def converged(self) -> bool:
         sides = [s for s in (self.plus, self.minus) if s is not None]
         return bool(sides) and all(s.converged for s in sides)
-
-    def to_dict(self) -> dict:
-        def side_dict(s):
-            if s is None:
-                return None
-            return {
-                "slope": s.slope,
-                "converged": s.converged,
-                "residual": s.residual,
-                "r_last": s.r_schedule[-1] if s.r_schedule else None,
-                "n_schedule": len(s.r_schedule),
-            }
-
-        return {
-            "u_plus0": self.u_plus0,
-            "u_minus0": self.u_minus0,
-            "gap": self.gap,
-            "converged": self.converged,
-            "k_bound": self.k_bound,
-            "plus": side_dict(self.plus),
-            "minus": side_dict(self.minus),
-        }
 
 
 def _run_schedule(profile: CurvatureProfile, tol: float) -> GreenSide:
@@ -195,15 +172,14 @@ def green_slope(profile: CurvatureProfile, direction: str,
     if direction not in ("+", "-"):
         raise ValueError("direction must be '+' or '-'")
     if direction == "+":
-        return GreenEstimate(profile.k_bound, plus=_run_schedule(profile, tol))
-    return GreenEstimate(profile.k_bound,
-                         minus=_run_schedule(profile.flipped(), tol).reflected())
+        return GreenEstimate(plus=_run_schedule(profile, tol))
+    return GreenEstimate(minus=_run_schedule(profile.flipped(), tol).reflected())
 
 
 def green_both(profile: CurvatureProfile) -> GreenEstimate:
     """Both slopes at DEFAULT_GREEN_TOL; a converged pair with a negative
     gap raises (``GreenEstimate``)."""
-    return GreenEstimate(profile.k_bound, plus=green_slope(profile, "+").plus,
+    return GreenEstimate(plus=green_slope(profile, "+").plus,
                          minus=green_slope(profile, "-").minus)
 
 

@@ -67,7 +67,6 @@ RESCALE_THRESHOLD = 1e100
 # on a torus spline profile, in the Riccati window test; constant profiles
 # launch nothing); this is 42x that.
 JACOBI_NFEV_BUDGET = 1_000_000
-TRACE_CSV_SAMPLES = 1001  # rows JacobiTrace.to_csv writes
 SCAN_STEP = 0.01          # grid of the conjugate and blow-up scans
 # lam t past which a constant profile's propagator reads cosh = sinh =
 # exp(lam t) / 2 in stored scale; cosh overflows past 710
@@ -80,25 +79,6 @@ class JacobiState:
 
     value: float
     deriv: float
-
-
-@dataclass(frozen=True)
-class QuotientVector:
-    """A transverse variation encoded by its Jacobi data at time zero."""
-
-    jperp0: float
-    djperp0: float
-
-
-def sasaki_norm(xi: QuotientVector) -> float:
-    """Norm induced by the Sasaki metric: the Euclidean length of the
-    (value, derivative) pair."""
-    return math.hypot(xi.jperp0, xi.djperp0)
-
-
-def wronskian(a: JacobiState, b: JacobiState) -> float:
-    """a'b - b'a; constant in time for solutions of the same profile."""
-    return a.deriv * b.value - b.deriv * a.value
 
 
 class JacobiTrace:
@@ -134,17 +114,6 @@ class JacobiTrace:
 
     def derivs(self, ts) -> np.ndarray:
         return self.states(ts)[1]
-
-    def to_csv(self, path):
-        import csv
-
-        ts = np.linspace(self.t0, self.t1, TRACE_CSV_SAMPLES)
-        vals, ders = self.states(ts)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "J", "dJ"])
-            for t, v, d in zip(ts, vals, ders):
-                writer.writerow([repr(float(t)), repr(float(v)), repr(float(d))])
 
 
 # The Dormand-Prince 8(5,3) pair with its 7th-order dense output (Hairer,
@@ -556,21 +525,6 @@ def propagator(profile: CurvatureProfile) -> Propagator:
     return profile._propagator
 
 
-def solve_unit_slope(profile: CurvatureProfile, t: float) -> JacobiState:
-    """The solution with value zero and slope one at time zero, read at t."""
-    if t < 0.0:
-        st = solve_unit_slope(profile.flipped(), -t)
-        return JacobiState(-st.value, st.deriv)
-    _a, _da, z, dz = propagator(profile)(t)
-    return JacobiState(float(z), float(dz))
-
-
-def unit_slope_trace(profile: CurvatureProfile, horizon: float) -> JacobiTrace:
-    """The unit-slope solution on [0, horizon], read from the propagator."""
-    prop = propagator(profile)
-    return JacobiTrace(lambda ts: prop(ts)[2:], 1.0, 0.0, float(horizon))
-
-
 def _first_root(prop: Propagator, f: Callable, horizon: float,
                 step: float) -> tuple:
     """First zero on (0, horizon] of a function that is positive just after
@@ -733,28 +687,3 @@ def solve_boundary(profile: CurvatureProfile, r: float,
             )
 
     return BoundarySolution(r=r, slope0=s, cross_residual=residual, _eval=ev)
-
-
-def tangential_component(
-    b_along_orbit: Callable[[float], float],
-    perp: JacobiTrace,
-) -> Callable[[float], float]:
-    """The along-flow component slaved to the transverse one, less its value
-    at time zero.
-
-    Returns t -> integral_0^t b(s) * J(s) ds, evaluated by adaptive
-    quadrature over the dense transverse trace. Queries must stay inside
-    the trace span.
-    """
-
-    def jt(t: float) -> float:
-        perp._check(t)
-
-        def integrand(s):
-            return float(b_along_orbit(s)) * float(perp.values(np.array([s]))[0])
-
-        val, _err = quad(integrand, 0.0, t, epsabs=1e-12, epsrel=1e-10, limit=200)
-        return val
-
-    return jt
-

@@ -41,15 +41,6 @@ class RiccatiTrace:
     u_samples: np.ndarray
     blowup_time: Optional[float]
 
-    def to_csv(self, path):
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "u"])
-            for t, u in zip(self.t_samples, self.u_samples):
-                writer.writerow([repr(float(t)), repr(float(u))])
-
 
 def integrate_riccati(profile: CurvatureProfile, u0: float, t_span: tuple) -> RiccatiTrace:
     """The solution with u(t0) = u0 over t_span, sampled at N_SAMPLES uniform
@@ -91,18 +82,3 @@ def comparison_envelope(k: float, t: float) -> dict:
     if t <= 0:
         raise ValueError("the envelope is defined on the open positive half-line")
     return {"lower": -k, "upper": k / math.tanh(k * t)}
-
-
-def riccati_residual(profile: CurvatureProfile, trace: RiccatiTrace) -> float:
-    """Max defect |u' + u^2 + kappa| at interior collocation points,
-    with u' taken from a spline through the samples."""
-    from scipy.interpolate import CubicSpline
-
-    ts, us = trace.t_samples, trace.u_samples
-    if ts[0] > ts[-1]:
-        ts, us = ts[::-1], us[::-1]
-    spline = CubicSpline(ts, us)
-    interior = ts[2:-2]
-    du = spline(interior, 1)
-    kap = np.asarray(profile.evaluator(interior), dtype=float)
-    return float(np.max(np.abs(du + spline(interior) ** 2 + kap)))

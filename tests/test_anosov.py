@@ -23,9 +23,8 @@ from magflow import (
     integrate_jacobi,
     integrate_orbit,
     negativity_criterion,
-    unit_slope_trace,
 )
-from magflow import anosov, green
+from magflow import anosov, green, jacobi
 from magflow.anosov import WITNESS_WINDOW, growth_floor
 from families import hyperbolic_profile, oscillatory_profile, random_torus, rng_for
 
@@ -317,6 +316,25 @@ class TestClassify:
         assert d["orbits"][0]["gap"] is not None
         assert "tool_versions" in d
 
+    @pytest.mark.parametrize("model", [
+        ConstantCurvature(K=-1.0, b=0.5, chi=-2, area=AREA),
+        AbstractProfile(kappa=FourierSeries1D(const=-1.0, sin_coeffs={1: 0.3}),
+                        k_bound=math.sqrt(1.3)),
+    ], ids=["constant", "profile"])
+    @pytest.mark.parametrize("name, value", [
+        ("horizon", math.nan),
+        ("ensemble_count", 0),
+        ("integration_tol", 0.0),
+        ("gap_margin", -1.0),
+        ("green_tol", 0.0),
+    ])
+    def test_invalid_sampling_config_is_named(self, model, name, value):
+        # unchecked, the first four reported NumericallyAnosov (the model
+        # has no orbit equations to reject them) and green_tol = 0
+        # Inconclusive, none naming the field
+        with pytest.raises(ValueError, match="^%s " % name):
+            classify(model, SamplingConfig(**{name: value}))
+
 
 class TestEnsemble:
     def test_halton_determinism_and_ranges(self):
@@ -384,7 +402,7 @@ class TestGrowthFloor:
         ts = np.linspace(1.0, 20.0, 400)
         for p in (CurvatureProfile.constant(-0.75), hyperbolic_profile(rng),
                   oscillatory_profile(rng), oscillatory_profile(rng)):
-            vals = np.abs(unit_slope_trace(p, 20.0).values(ts))
+            vals = np.abs(jacobi.propagator(p)(ts)[2])
             assert growth_floor(p, 20.0) == float(np.min(vals / np.maximum.accumulate(vals)))
 
     def test_overflowing_solution_gives_a_finite_floor(self):

@@ -129,6 +129,11 @@ class TestConfigValidation:
         # a mistyped sweep parameter would run the base model at every point
         ({"sweep": {"parameter": "model.bb", "grid": [0.2, 0.4]}}, "model.bb"),
         ({"sweep": {"parameter": "horizon", "grid": [10.0, 20.0]}}, "horizon"),
+        # values SamplingConfig refuses, named by their config keys
+        ({"ensemble": {"count": 0}}, "ensemble.count"),
+        ({"ensemble": {"horizon": -1.0}}, "ensemble.horizon"),
+        ({"tolerances": {"integration": 0}}, "tolerances.integration"),
+        ({"tolerances": {"gap_margin": -1e-4}}, "tolerances.gap_margin"),
     ])
     def test_malformed_value_is_named(self, tmp_path, extra, key):
         with pytest.raises(ConfigError) as exc:

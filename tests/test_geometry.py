@@ -11,7 +11,6 @@ from magflow import (
     ResolutionError,
     UnitTangent,
     UnsupportedQueryError,
-    rotate_i,
 )
 from magflow import geometry
 from families import random_torus, rng_for
@@ -19,27 +18,6 @@ from families import random_torus, rng_for
 
 def flat_torus(b_series=None):
     return ConformalTorus(phi=FourierSeries2D(), b=b_series or FourierSeries2D())
-
-
-class TestRotation:
-    def test_quarter_turn(self):
-        v = rotate_i(UnitTangent(0.0, 0.0, 0.0))
-        assert v.theta == pytest.approx(math.pi / 2)
-
-    def test_double_turn_is_minus_identity(self):
-        v = rotate_i(rotate_i(UnitTangent(0.3, 0.4, 1.1)))
-        assert v.theta == pytest.approx(1.1 + math.pi)
-
-    def test_metric_orthogonality_and_norms(self):
-        # conformal metric: <v, iv>_g = exp(2 phi) * (Euclidean dot) = 0,
-        # and the theta parameterization has unit norm by construction
-        rng = rng_for("rotate")
-        for _ in range(20):
-            th = 2 * math.pi * rng.random()
-            v = UnitTangent(rng.random(), rng.random(), th)
-            iv = rotate_i(v)
-            dot = math.cos(v.theta) * math.cos(iv.theta) + math.sin(v.theta) * math.sin(iv.theta)
-            assert abs(dot) < 1e-15
 
 
 class TestGaussianCurvature:
@@ -74,13 +52,24 @@ class TestGaussianCurvature:
             -tp**2 * 0.1 * math.cos(u)
             - tp**2 * (1.0 + 4.0 / 9.0) * (0.05 * math.cos(w) + 0.02 * math.sin(w)),
         )
-        readers = (phi(x, y), phi.dx(x, y), phi.dy(x, y), phi.laplacian(x, y))
-        for got, jet, want in zip(readers, phi.jet(x, y), oracle):
-            assert got == jet == pytest.approx(want, rel=1e-12, abs=1e-15)
+        jet = phi.jet(x, y)
+        for got, want in zip(jet, oracle):
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+        assert (phi(x, y), phi.laplacian(x, y)) == (jet[0], jet[3])
         torus = ConformalTorus(phi=phi, b=FourierSeries2D(Lx=1.0, Ly=3.0))
         assert torus.gaussian_curvature(x, y) == pytest.approx(
             -math.exp(-2.0 * oracle[0]) * oracle[3], rel=1e-12
         )
+
+    def test_scaled_series(self):
+        b = FourierSeries2D(Lx=2.0, Ly=3.0, const=0.4, cos_coeffs={(1, 0): 0.3},
+                            sin_coeffs={(0, 1): -0.2, (1, 1): 0.1})
+        assert b.scaled(2.0) == FourierSeries2D(
+            Lx=2.0, Ly=3.0, const=0.8, cos_coeffs={(1, 0): 0.6},
+            sin_coeffs={(0, 1): -0.4, (1, 1): 0.2})
+        flipped = ConformalTorus(phi=FourierSeries2D(Lx=2.0, Ly=3.0), b=b).flipped().b
+        assert flipped.modes == tuple((m, n, -a, -c) for m, n, a, c in b.modes)
+        assert flipped.const == -b.const
 
     def test_abstract_profile_has_no_pointwise_geometry(self):
         m = AbstractProfile(kappa=lambda t: -1.0, k_bound=1.1)

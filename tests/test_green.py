@@ -86,10 +86,6 @@ class TestGreenSlope:
         with pytest.raises(ConjugatePointError):
             green_slope(CurvatureProfile.constant(1.0), "+")
 
-    def test_estimate_serialization(self):
-        d = green_both(P_NEG).to_dict()
-        assert set(d) >= {"u_plus0", "u_minus0", "gap", "converged", "k_bound"}
-
     def test_direction_validation(self):
         with pytest.raises(ValueError):
             green_slope(P_NEG, "x")

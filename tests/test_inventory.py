@@ -5,13 +5,18 @@ parameters with a default plus any ``**kwargs``, plus the fields of
 ``SamplingConfig``. A new default changes the count, and with it the
 figure ROADMAP records. The model-class dispatches in the modules that
 consume surface models and the ``solve_ivp`` call sites are pinned at zero,
-and the step control of the two Dormand-Prince loops at one copy.
+and the step control of the two Dormand-Prince loops at one copy. Every
+export has a caller in the program: the package, the demos, the benchmark
+or the acceptance criteria.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import magflow
+
+ROOT = Path(__file__).resolve().parents[1]
 
 INVENTORY = 20
 
@@ -58,3 +63,34 @@ def test_one_step_controller():
     for name in ("_SAFETY", "_MIN_FACTOR", "_MAX_FACTOR", "_rms", "_ERROR_EXPONENT"):
         assert name not in jacobi
     assert "_ERROR_EXPONENT" not in (package / "flow.py").read_text()
+
+
+def _names_used(tree) -> set:
+    """The names a module reads (as a name or an attribute), each counted
+    only outside a def or class of that name."""
+    used = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        elif isinstance(node, ast.Name) and node.id not in inside:
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in inside:
+            used.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return used
+
+
+def test_every_export_has_a_program_caller():
+    # unit tests alone do not keep a name in the package
+    package = Path(magflow.__file__).parent
+    paths = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    paths += [*(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py"),
+              ROOT / "tests" / "test_acceptance.py"]
+    used = set().union(*(_names_used(ast.parse(p.read_text())) for p in paths))
+    exports = [name for name in magflow.__all__
+               if not inspect.ismodule(getattr(magflow, name))]
+    assert [name for name in exports if name not in used] == []

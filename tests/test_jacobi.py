@@ -15,7 +15,6 @@ from magflow import (
     FourierSeries2D,
     IntegrationFailure,
     JacobiState,
-    QuotientVector,
     SamplingConfig,
     UnitTangent,
     classify,
@@ -23,12 +22,7 @@ from magflow import (
     green_slope,
     integrate_jacobi,
     integrate_riccati,
-    sasaki_norm,
     solve_boundary,
-    solve_unit_slope,
-    tangential_component,
-    unit_slope_trace,
-    wronskian,
 )
 from magflow import jacobi
 from magflow.anosov import contraction_fit, growth_floor
@@ -75,25 +69,17 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             tr.at(3.0)
 
-    def test_csv_export(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(jacobi, "TRACE_CSV_SAMPLES", 21)
-        tr = integrate_jacobi(P_NEG, JacobiState(1.0, -1.0), (0.0, 2.0))
-        path = tmp_path / "trace.csv"
-        tr.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,J,dJ"
-        assert len(lines) == 22
-
 
 class TestUnitSlope:
+    # the unit-slope solution Z is the third component of the propagator
     def test_flat(self):
-        assert solve_unit_slope(P_ZERO, 3.0).value == pytest.approx(3.0, rel=1e-12)
+        assert jacobi.propagator(P_ZERO)(3.0)[2] == pytest.approx(3.0, rel=1e-12)
 
     def test_hyperbolic(self):
-        assert solve_unit_slope(P_NEG, 1.0).value == pytest.approx(math.sinh(1), rel=1e-11)
+        assert jacobi.propagator(P_NEG)(1.0)[2] == pytest.approx(math.sinh(1), rel=1e-11)
 
     def test_conjugate_zero(self):
-        assert solve_unit_slope(P_POS, math.pi).value == pytest.approx(0.0, abs=1e-11)
+        assert jacobi.propagator(P_POS)(math.pi)[2] == pytest.approx(0.0, abs=1e-11)
 
     def test_first_zero_detection(self):
         assert first_zero(P_POS, 10.0) == pytest.approx(math.pi, abs=1e-9)
@@ -160,12 +146,6 @@ class TestBoundarySolution:
 
 
 class TestWronskian:
-    def test_examples(self):
-        assert wronskian(JacobiState(0, 1), JacobiState(1, 0.7)) == 1.0
-        a = JacobiState(0.4, -1.2)
-        assert wronskian(a, a) == 0.0
-        assert wronskian(JacobiState(3, 4), JacobiState(1, 2)) == pytest.approx(-2.0)
-
     def test_conservation_bounded_solutions(self):
         rng = rng_for("wronskian")
         for _ in range(5):
@@ -194,30 +174,6 @@ class TestWronskian:
         assert np.max(np.abs(W - W[0]) / scale) < 1e-10
 
 
-class TestTangential:
-    def test_zero_intensity(self):
-        tr = integrate_jacobi(P_ZERO, JacobiState(1.0, 0.0), (0.0, 5.0))
-        jt = tangential_component(lambda s: 0.0, tr)
-        assert 0.7 + jt(3.0) == pytest.approx(0.7, abs=1e-12)
-
-    def test_constant_field(self):
-        tr = integrate_jacobi(P_ZERO, JacobiState(1.0, 0.0), (0.0, 5.0))
-        jt = tangential_component(lambda s: 1.0, tr)
-        assert 0.5 + jt(4.0) == pytest.approx(4.5, rel=1e-10)
-
-    def test_sine_field(self):
-        tr = integrate_jacobi(P_POS, JacobiState(0.0, 1.0), (0.0, 5.0))
-        jt = tangential_component(lambda s: 1.0, tr)
-        for t in (0.5, 2.0, 4.5):
-            assert jt(t) == pytest.approx(1.0 - math.cos(t), rel=1e-9, abs=1e-10)
-
-    def test_query_outside_trace(self):
-        tr = integrate_jacobi(P_ZERO, JacobiState(1.0, 0.0), (0.0, 2.0))
-        jt = tangential_component(lambda s: 1.0, tr)
-        with pytest.raises(ValueError):
-            jt(3.0)
-
-
 class TestFlip:
     def test_even_profile_fixed(self):
         p = CurvatureProfile.from_series(FourierSeries1D(const=0.0, cos_coeffs={1: 1.0}))
@@ -241,13 +197,6 @@ class TestFlip:
         )
 
 
-class TestSasaki:
-    def test_examples(self):
-        assert sasaki_norm(QuotientVector(3.0, 4.0)) == 5.0
-        assert sasaki_norm(QuotientVector(0.0, 0.0)) == 0.0
-        assert sasaki_norm(QuotientVector(1.0, 0.0)) == 1.0
-
-
 class TestSlopeIdentities:
     def test_slope_difference_equals_inverse_square_integral(self):
         # slope(r) - slope(s) = integral_s^r du / Z(u)^2 for s < r
@@ -256,10 +205,10 @@ class TestSlopeIdentities:
         s_val, r_val = 4.0, 9.0
         slope_s = solve_boundary(p, s_val, cross_check=False).slope0
         slope_r = solve_boundary(p, r_val, cross_check=False).slope0
-        tr = unit_slope_trace(p, r_val + 0.1)
+        prop = jacobi.propagator(p)
 
         integral, _ = quad(
-            lambda u: 1.0 / float(tr.values(np.array([u]))[0]) ** 2,
+            lambda u: 1.0 / float(prop(u)[2]) ** 2,
             s_val, r_val, epsabs=1e-13, epsrel=1e-11,
         )
         assert slope_r - slope_s == pytest.approx(integral, rel=1e-9, abs=1e-10)
@@ -279,7 +228,7 @@ class TestSlopeIdentities:
         rng = rng_for("growth")
         for _ in range(5):
             p = hyperbolic_profile(rng)
-            assert abs(solve_unit_slope(p, 50.0).value) > 100.0
+            assert abs(jacobi.propagator(p)(50.0)[2]) > 100.0
 
 
 class TestPropagator:
