@@ -116,14 +116,15 @@ def contraction_fit(profile: CurvatureProfile,
                     estimate: GreenEstimate) -> ContractionFit:
     """Fit norm(t) ~ d * exp(-c t) for the stable solution on [W / 10, W].
 
-    The norm is the Sasaki norm sqrt(J^2 + J'^2) of the solution launched
-    with value one and the stable slope u+ of ``estimate``. A fitted rate at
-    or below ``CONTRACTION_FLOOR`` is a certification failure (no usable
+    The norm is the Sasaki norm sqrt(J^2 + J'^2) of the solution with
+    value one and the stable slope u+ of ``estimate``, read from the
+    profile's propagator (``integrate_jacobi``). A fitted rate at or below
+    ``CONTRACTION_FLOOR`` is a certification failure (no usable
     contraction; the flat case fits c ~ 0). On a constant profile the
     window end W = CONTRACTION_WINDOW / max(1, |u+|) stays below the
     double-precision mixing horizon ~ -log(slope error)/(2|u+|), past which
-    the unstable component contaminates the launch; a varying profile that
-    turns more hyperbolic after t = 0 can reach that horizon before W.
+    the unstable component contaminates the solution; a varying profile
+    that turns more hyperbolic after t = 0 can reach that horizon before W.
     """
     if estimate.plus is None or not estimate.plus.converged:
         raise ValueError("contraction fit needs a converged stable slope")

@@ -23,7 +23,9 @@ class IntegrationFailure(MagflowError):
 
 
 class InsufficientDataError(MagflowError):
-    """Too few samples to build the requested interpolant."""
+    """The data does not cover the request: too few samples for a spline, a
+    read past a profile's window or the double range, a window too short
+    for the slope schedule, or unconverged slopes for the invariance check."""
 
 
 class InvalidProfileError(MagflowError, ValueError):

@@ -114,14 +114,14 @@ def _rms(v) -> float:
 # order of the error estimator does not depend on the tableau (Hairer,
 # Norsett and Wanner, Solving ODEs I, sec. II.4).
 
-def _first_step(rate: Callable, t: float, y: list, f: list, n: int, span: float,
+def _first_step(rate: Callable, t: float, y: list, f: list, span: float,
                 order: int, tol: float) -> float:
     """scipy's ``select_initial_step`` for y' = rate(t, y) at rtol = atol =
     tol, from the state y with derivative f at t, over the signed span
     t_end - t and for an error estimator of the given order; the norms run
-    over the first n components of y. Evaluates ``rate`` once."""
+    over every component of y. Evaluates ``rate`` once."""
     d = -1.0 if span < 0 else 1.0
-    scale = [tol + abs(v) * tol for v in y[:n]]
+    scale = [tol + abs(v) * tol for v in y]
     d0 = _rms([v / sc for v, sc in zip(y, scale)])
     d1 = _rms([k / sc for k, sc in zip(f, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
@@ -208,7 +208,7 @@ def _rk45(f: Callable, y0, t_end: float, t_eval: np.ndarray, tol: float):
     """
     y = [float(v) for v in y0]
     k1 = f(*y)
-    h_abs = _first_step(lambda t, v: f(*v), 0.0, y, k1, 3, t_end, 4, tol)
+    h_abs = _first_step(lambda t, v: f(*v), 0.0, y, k1, t_end, 4, tol)
 
     def attempt(t, state, k1, h):
         # (u_j, v_j, w_j) is the slope of stage j; each component's sum keeps

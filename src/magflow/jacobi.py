@@ -11,23 +11,25 @@ distinguished solutions used throughout:
 * the boundary solution for a target time r, with value one at zero and
   value zero at r.
 
-All of these, the conjugate scan, the slope schedules in ``green`` and the
-Riccati solutions in ``riccati`` read one fundamental-matrix ``Propagator``
-per profile. A constant profile's propagator is read in closed form, with
-no launch. A Fourier profile is periodic, and its propagator integrates
-one period and reads every later time from the monodromy; spline and
-callable profiles are integrated as far as callers ask.
-``integrate_jacobi`` launches other initial data directly, or reads a
-constant profile's closed form, because the value ``A + u Z`` cancels
-catastrophically along the stable line. The conjugate scan is skipped
-where the Sturm comparison theorem excludes a zero (``first_zero``).
+All of these, the conjugate scan, the slope schedules in ``green``, the
+Riccati solutions in ``riccati`` and every solution with given data
+(``integrate_jacobi``) read one fundamental-matrix ``Propagator`` per
+profile, so each profile is integrated once. A constant profile's
+propagator is read in closed form, with no launch; a solution with given
+data on a constant kappa < 0 reads its own closed form, because on the
+stable line the read ``A + u Z`` of the matrix cancels catastrophically.
+A Fourier profile is periodic, and its propagator
+integrates one period and reads every later time from the monodromy;
+spline and callable profiles are integrated as far as callers ask. The
+conjugate scan is skipped where the Sturm comparison theorem excludes a
+zero (``first_zero``).
 
-Every launch (``_launch``) runs magflow's own DOP853 loop at the one
-tolerance ``JACOBI_TOL``: the Dormand-Prince 8(5,3) tableau is scipy's,
-the step control is the one ``flow`` shares with the orbit loop, the
-curvature is read in one array call per step attempt, and the dense
-output is kept as arrays. Results agree with scipy's DOP853 solver at
-roundoff level, not bitwise.
+Every launch (``_launch``, called by ``Propagator`` alone) runs magflow's
+own DOP853 loop on [A, A', Z, Z'] at the one tolerance ``JACOBI_TOL``:
+the Dormand-Prince 8(5,3) tableau is scipy's, the step control is the one
+``flow`` shares with the orbit loop, the curvature is read in one array
+call per step attempt, and the dense output is kept as arrays. Results
+agree with scipy's DOP853 solver at roundoff level, not bitwise.
 
 The boundary solution is computed two independent ways (a shooting
 combination of fundamental solutions, and the reduction-of-order integral
@@ -63,9 +65,10 @@ RESCALE_THRESHOLD = 1e100
 # curvature points one launch may evaluate (its nfev, 14 per step attempt
 # plus 2 for the first step): a spline profile read along a strong-field
 # orbit makes the DOP853 step shrink like 1/sqrt(|kappa|). The largest launch
-# in the tests, demos and benchmark evaluates 23,928 (one pair over [25, 0]
-# on a torus spline profile, in the Riccati window test; constant profiles
-# launch nothing); this is 42x that.
+# in the tests, demos and benchmark evaluates 18,160 (a Riccati test's
+# reference launch over [3, 24] on a torus spline profile; the largest
+# propagator segment, [0, 5] on a torus spline profile, evaluates 9,270);
+# this is 55x that.
 JACOBI_NFEV_BUDGET = 1_000_000
 SCAN_STEP = 0.01          # grid of the conjugate and blow-up scans
 # lam t past which a constant profile's propagator reads cosh = sinh =
@@ -84,30 +87,41 @@ class JacobiState:
 class JacobiTrace:
     """Dense solution of the Jacobi equation on one time span.
 
-    Initial data is normalized before integrating and the scale is
-    reapplied at readout, so rescaling the input rescales the output
-    exactly up to roundoff.
+    ``sol`` reads (J, dJ/ds) in the span's local time s = sign (t - t0)
+    (``_local_time``). Initial data is normalized before reading and the
+    scale is reapplied at readout, so rescaling the input rescales the
+    output exactly up to roundoff.
     """
 
-    def __init__(self, sol, scale: float, t0: float, t1: float):
+    def __init__(self, sol, scale: float, sign: float, t0: float, t1: float):
         self._sol = sol
         self._scale = scale
+        self._sign = sign
         self.t0 = t0
         self.t1 = t1
-
-    def _check(self, t):
-        lo, hi = min(self.t0, self.t1), max(self.t0, self.t1)
-        if np.any(np.asarray(t) < lo - 1e-12) or np.any(np.asarray(t) > hi + 1e-12):
-            raise ValueError("query time outside the integrated span")
 
     def at(self, t: float) -> JacobiState:
         v, d = self.states(t)
         return JacobiState(float(v), float(d))
 
     def states(self, ts) -> np.ndarray:
-        """(J, J') at the times ts from one read of the dense output."""
-        self._check(ts)
-        return self._scale * self._sol(ts)
+        """(J, J') at the times ts from one read of the solution. Raises
+        ``InsufficientDataError`` naming the first of the times, in the
+        direction of the span, where J or J' is past the double range. A
+        time less than 1e-12 outside the span reads the span's end."""
+        s = self._sign * (np.asarray(ts, dtype=float) - self.t0)
+        length = abs(self.t1 - self.t0)
+        if np.any(s < -1e-12) or np.any(s > length + 1e-12):
+            raise ValueError("query time outside the integrated span")
+        s = np.clip(s, 0.0, length)
+        with np.errstate(over="ignore", invalid="ignore"):
+            j, dj = self._scale * self._sol(s)
+        out = ~(np.isfinite(j) & np.isfinite(dj))
+        if np.any(out):
+            first = float(np.min(np.atleast_1d(s)[np.atleast_1d(out)]))
+            raise InsufficientDataError("the Jacobi solution is past the double "
+                                        "range at t = %g" % (self.t0 + self._sign * first))
+        return np.array([j, self._sign * dj])
 
     def values(self, ts) -> np.ndarray:
         return self.states(ts)[0]
@@ -136,8 +150,8 @@ def _rate(k, v):
 @dataclass(frozen=True)
 class _Run:
     """One ``_launch``: the step ends ``t`` in integration order, the states
-    ``y`` there (shape (n, steps + 1)), the dense-output coefficients ``F``
-    of every step (shape (7, n, steps)) and ``nfev``, the curvature points
+    ``y`` there (shape (4, steps + 1)), the dense-output coefficients ``F``
+    of every step (shape (7, 4, steps)) and ``nfev``, the curvature points
     evaluated."""
 
     t: np.ndarray
@@ -146,32 +160,30 @@ class _Run:
     nfev: int
 
     def sol(self, ts) -> np.ndarray:
-        """The state at the time ts (shape (n,)) or times ts (shape (n, m)).
+        """The state at the time ts (shape (4,)) or times ts (shape (4, m)).
 
         Each time is read from the step that ends at or after it in the
         direction of integration, by Horner's rule in x and 1 - x on the
         step's coefficients, as scipy's ``Dop853DenseOutput`` does; a time
         on a step end reads that end state."""
         tq = np.atleast_1d(np.asarray(ts, dtype=float))
-        if self.F.shape[2] == 0:  # an empty span holds its initial state
-            out = np.repeat(self.y, tq.size, axis=1)
-        else:
-            d = 1.0 if self.t[-1] >= self.t[0] else -1.0
-            i = np.minimum(np.searchsorted(d * self.t[1:], d * tq), self.F.shape[2] - 1)
-            t0, t1 = self.t[i], self.t[i + 1]
-            x = (tq - t0) / (t1 - t0)
-            powers = (x, 1.0 - x)
-            out = self.F[6][:, i] * x
-            for j in range(5, -1, -1):
-                out += self.F[j][:, i]
-                out *= powers[j % 2]
-            out = np.where(tq == t1, self.y[:, i + 1], out + self.y[:, i])
+        d = 1.0 if self.t[-1] >= self.t[0] else -1.0
+        i = np.minimum(np.searchsorted(d * self.t[1:], d * tq), self.F.shape[2] - 1)
+        t0, t1 = self.t[i], self.t[i + 1]
+        x = (tq - t0) / (t1 - t0)
+        powers = (x, 1.0 - x)
+        out = self.F[6][:, i] * x
+        for j in range(5, -1, -1):
+            out += self.F[j][:, i]
+            out *= powers[j % 2]
+        out = np.where(tq == t1, self.y[:, i + 1], out + self.y[:, i])
         return out[:, 0] if np.ndim(ts) == 0 else out
 
 
 def _launch(ev: Callable, y0, t_span: tuple) -> _Run:
-    """One dense DOP853 run of J'' + ev(t) J = 0 over t_span (either
-    direction) for one (value, derivative) pair, or for two stacked pairs.
+    """One dense DOP853 run of J'' + ev(t) J = 0 over the non-empty t_span
+    (either direction) for the two stacked pairs y0 = [A, A', Z, Z'];
+    ``Propagator._grow`` is its one caller.
 
     The step control is scipy's DOP853 at rtol = atol = JACOBI_TOL, run by
     ``flow._first_step`` and ``flow._march`` for an error estimator of order
@@ -183,16 +195,11 @@ def _launch(ev: Callable, y0, t_span: tuple) -> _Run:
     ``flow._march`` does, the budget being ``JACOBI_NFEV_BUDGET`` curvature
     points.
     """
-    n, tol = len(y0), JACOBI_TOL
+    tol = JACOBI_TOL
     t, t_end = float(t_span[0]), float(t_span[1])
-    # the sums run on the 4-vector; a single pair is padded with a zero
-    # pair, which stays zero and adds nothing to the error sums
-    y = [float(v) for v in y0] + [0.0] * (4 - n)
+    y = [float(v) for v in y0]
     f = _rate(float(ev(t)), y)
-    if t == t_end:
-        return _Run(np.array([t]), np.array([y[:n]]).T, np.empty((7, n, 0)), 1)
-    h_abs = _first_step(lambda s, v: _rate(float(ev(s)), v), t, y, f, n,
-                        t_end - t, 7, tol)
+    h_abs = _first_step(lambda s, v: _rate(float(ev(s)), v), t, y, f, t_end - t, 7, tol)
 
     def attempt(t, y, f, h):
         a, da, z, dz = y
@@ -215,7 +222,7 @@ def _launch(ev: Callable, y0, t_span: tuple) -> _Run:
             p, q = sum(map(mul, _E5, c)) / sc, sum(map(mul, _E3, c)) / sc
             e5, e3 = e5 + p * p, e3 + q * q
         err = (0.0 if e5 == 0 and e3 == 0
-               else abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * n))
+               else abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * 4))
         return y_new, f_new, err, (ks, kv[11:])
 
     # per accepted step: its end time and end state, and the stage
@@ -245,7 +252,7 @@ def _launch(ev: Callable, y0, t_span: tuple) -> _Run:
     dy = y[:, 1:] - y[:, :-1]
     F = np.concatenate([[dy, h * k[0] - dy, 2 * dy - h * (k[12] + k[0])],
                         h * np.tensordot(_dop853.D, k, 1)])
-    return _Run(ts, y[:n], F[:, :n], nfev)
+    return _Run(ts, y, F, nfev)
 
 
 def _constant_matrix(k: float, t: np.ndarray) -> tuple:
@@ -279,64 +286,70 @@ def _constant_matrix(k: float, t: np.ndarray) -> tuple:
     return np.array([ch, lam * sh, sh / lam, ch]), e
 
 
-def _constant_solution(k: float, y0: list, t0: float) -> Callable:
-    """ts -> (J, J') at the times ts for J'' + k J = 0 with (J, J') = y0 at
-    t0, in closed form; the shape of ``_Run.sol``.
+def _constant_solution(k: float, j0: float, d0: float) -> Callable:
+    """ss -> (J, J') at the times ss >= 0 for J'' + k J = 0 with k = -lam**2
+    < 0 and (J, J') = (j0, d0) at zero, in closed form.
 
-    For k = -lam**2 < 0 the solution is c+ e^(lam tau) + c- e^(-lam tau) with
-    tau = t - t0 and c+- = (J0 +- J0' / lam) / 2. It is read as
-    J0 e^(-lam |tau|) + 2 c sinh(lam |tau|), with c = c+ forward and c-
-    backward: the line that decays in the direction of reading (c = 0) then
-    reads its exponential alone, with no cancellation, and a tiny lam reads
-    J0 + J0' tau.
+    The solution is c+ e^(lam s) + c- e^(-lam s) with c+- = (j0 +- d0 / lam)
+    / 2. It is read as j0 e^(-lam s) + 2 c+ sinh(lam s): the stable line
+    (c+ = 0) then reads its decaying exponential alone, with no
+    cancellation, and a tiny lam reads j0 + d0 s.
     """
-    j0, d0 = y0
-    if k > 0.0:
-        w = math.sqrt(k)
+    lam = math.sqrt(-k)
+    c = 0.5 * (j0 + d0 / lam)
 
-        def sol(ts):
-            x = w * (np.asarray(ts, dtype=float) - t0)
-            c, s = np.cos(x), np.sin(x)
-            return np.array([j0 * c + (d0 / w) * s, d0 * c - (j0 * w) * s])
-    elif k == 0.0:
-
-        def sol(ts):
-            tau = np.asarray(ts, dtype=float) - t0
-            return np.array([j0 + d0 * tau, d0 + 0.0 * tau])
-    else:
-        lam = math.sqrt(-k)
-
-        def sol(ts):
-            tau = np.asarray(ts, dtype=float) - t0
-            sign = np.where(tau < 0.0, -1.0, 1.0)
-            c = 0.5 * (j0 + sign * (d0 / lam))  # c+ forward, c- backward
-            x = lam * np.abs(tau)
-            decay = np.exp(-x)
-            return np.array([j0 * decay + 2.0 * c * np.sinh(x),
-                             sign * lam * (2.0 * c * np.cosh(x) - j0 * decay)])
+    def sol(ss):
+        x = lam * np.asarray(ss, dtype=float)
+        decay = np.exp(-x)
+        if c == 0.0:  # no growing part, even where sinh overflows
+            return np.array([j0 * decay, -lam * (j0 * decay)])
+        return np.array([j0 * decay + 2.0 * c * np.sinh(x),
+                         lam * (2.0 * c * np.cosh(x) - j0 * decay)])
     return sol
+
+
+def _local_time(profile: CurvatureProfile, t0: float, t1: float) -> tuple:
+    """(local, sign): the profile in the local time s = sign (t - t0), in
+    which the span from t0 to t1 runs forward from zero, with sign = -1 for
+    a backward span, where derivatives and slopes change sign. From t0 = 0
+    forward it is the profile itself, with its cached propagator. A span
+    leaving the profile's window raises ``InsufficientDataError``."""
+    profile.check_span(t0, t1)
+    sign = 1.0 if t1 >= t0 else -1.0
+    local = profile.shifted(t0) if t0 != 0.0 else profile
+    return (local if sign > 0.0 else local.flipped()), sign
 
 
 def integrate_jacobi(profile: CurvatureProfile, state0: JacobiState,
                      t_span: tuple) -> JacobiTrace:
-    """Integrate J'' + kappa(t) J = 0 with dense output over t_span.
+    """The solution of J'' + kappa(t) J = 0 with (J, J') = state0 at
+    t_span[0], read densely over t_span, forward or backward.
 
-    The span may run forward or backward in time. A span leaving the
-    profile's window raises ``InsufficientDataError``. A constant profile
-    is read in closed form (``_constant_solution``), with no launch; a value
-    past the double range then reads inf, where a launch would stop with an
-    ``IntegrationFailure``.
+    It is read in the local time of ``_local_time`` from the data (v, d) =
+    (J, sign J') at t0, as J = v A + d Z from the local profile's
+    propagator, with no launch of its own; a constant kappa < 0 reads the
+    closed form ``_constant_solution``, since on its stable line that sum
+    cancels catastrophically. A span leaving the profile's window raises
+    ``InsufficientDataError``, and so does a read past the double range
+    (``JacobiTrace.states``).
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
-    profile.check_span(t0, t1)
+    local, sign = _local_time(profile, t0, t1)
     scale = math.hypot(state0.value, state0.deriv)
-    if scale == 0.0:
-        return JacobiTrace(lambda ts: np.zeros((2,) + np.shape(ts)), 0.0, t0, t1)
-    y0 = [state0.value / scale, state0.deriv / scale]
-    if profile.const_value is not None:
-        return JacobiTrace(_constant_solution(profile.const_value, y0, t0), scale,
-                           t0, t1)
-    return JacobiTrace(_launch(profile.evaluator, y0, (t0, t1)).sol, scale, t0, t1)
+    if scale == 0.0 or t1 == t0:  # zero data, or a point span: the data alone
+        y0 = np.array([state0.value, state0.deriv])
+        return JacobiTrace(lambda ss: np.multiply.outer(y0, np.ones(np.shape(ss))),
+                           1.0, 1.0, t0, t1)
+    v, d = state0.value / scale, sign * (state0.deriv / scale)
+    if local.const_value is not None and local.const_value < 0.0:
+        sol = _constant_solution(local.const_value, v, d)
+    else:
+        prop = propagator(local)
+
+        def sol(ss):
+            a, da, z, dz = prop(ss)
+            return np.array([v * a + d * z, v * da + d * dz])
+    return JacobiTrace(sol, scale, sign, t0, t1)
 
 
 def exact_period(profile: CurvatureProfile) -> Optional[float]:
@@ -433,7 +446,7 @@ class Propagator:
     def segment(self, t: float) -> int:
         """Index k of the segment (breaks[k - 1], breaks[k]] holding the time
         t >= 0 (k = 1 at t = 0), integrating up to it first."""
-        while self.breaks[-1] < t:
+        while len(self.breaks) == 1 or self.breaks[-1] < t:
             self._grow()
         return max(bisect.bisect_left(self.breaks, t), 1)
 
@@ -536,8 +549,8 @@ def _first_root(prop: Propagator, f: Callable, horizon: float,
     reads the signs of the mantissas at the multiples of ``step`` below the
     horizon and at the horizon itself, one propagator segment at a time, so
     integration stops at the breakpoint past the first zero and nothing
-    overflows; bisection refines a sign change to 1e-9 on the scaled
-    values.
+    overflows; bisection refines a sign change on the scaled values to
+    1e-12 of the bracket's upper end, a relative tolerance.
     """
     ts = np.arange(step, horizon, step)
     ts = np.append(ts[ts < horizon], float(horizon))
@@ -561,7 +574,7 @@ def _first_root(prop: Propagator, f: Callable, horizon: float,
         # from zero where f is positive there (the unit-slope solution
         # vanishes at zero itself)
         lo = 1e-8 if g(1e-8) > 0.0 else 0.0
-    return float(brentq(g, lo, hi, xtol=1e-9)), before
+    return float(brentq(g, lo, hi, xtol=1e-12 * hi)), before
 
 
 def first_zero(profile: CurvatureProfile, horizon: float,
@@ -609,11 +622,6 @@ class BoundarySolution:
     r: float
     slope0: float
     cross_residual: float
-    _eval: Callable
-
-    def at(self, t: float) -> JacobiState:
-        v, d = self._eval(t)
-        return JacobiState(float(v), float(d))
 
 
 def solve_boundary(profile: CurvatureProfile, r: float,
@@ -635,12 +643,7 @@ def solve_boundary(profile: CurvatureProfile, r: float,
         raise ValueError("the boundary time r must be nonzero")
     if r < 0.0:
         flipped = solve_boundary(profile.flipped(), -r, cross_check)
-
-        def ev_neg(t):
-            st = flipped.at(-t)
-            return st.value, -st.deriv
-
-        return replace(flipped, r=r, slope0=-flipped.slope0, _eval=ev_neg)
+        return replace(flipped, r=r, slope0=-flipped.slope0)
 
     z = first_zero(profile, r, step=min(0.01, r / 8))
     if z is not None and z < r * (1.0 - 1e-12):
@@ -654,10 +657,6 @@ def solve_boundary(profile: CurvatureProfile, r: float,
     if Zr == 0.0:
         raise ConjugatePointError("unit-slope solution vanishes at r", conjugate_time=r)
     s = -float(Ar) / float(Zr)
-
-    def ev(t):
-        a, da, zz, dz = prop(t)
-        return a + s * zz, da + s * dz
 
     residual = 0.0
     if cross_check:
@@ -678,12 +677,13 @@ def solve_boundary(profile: CurvatureProfile, r: float,
             integral, _err = quad(
                 inv_z_sq, tp, r, epsabs=1e-14, epsrel=1e-11, limit=200
             )
-            v_quad = float(prop(tp)[2]) * integral
-            v_shoot = float(ev(tp)[0])
+            a, _da, z_tp, _dz = prop(tp)
+            v_quad = float(z_tp) * integral
+            v_shoot = float(a + s * z_tp)
             residual = max(residual, abs(v_quad - v_shoot))
         if residual > CROSS_CHECK_TOL:
             raise NumericalInconsistencyError(
                 "boundary solve routes disagree by %g at r = %g" % (residual, r)
             )
 
-    return BoundarySolution(r=r, slope0=s, cross_residual=residual, _eval=ev)
+    return BoundarySolution(r=r, slope0=s, cross_residual=residual)

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .flow import CurvatureProfile
-from .jacobi import SCAN_STEP, _first_root, _scan_step, propagator
+from .jacobi import SCAN_STEP, _first_root, _local_time, _scan_step, propagator
 
 N_SAMPLES = 2001
 
@@ -31,10 +31,10 @@ class RiccatiTrace:
     """Sampled Riccati solution, with the blow-up time if one occurred.
 
     The blow-up time is the first zero of the Jacobi solution A + Z u0,
-    refined to 1e-9. When it is set, the samples cover the span only up to
-    the last conjugate-scan time before it, less than one scan step
-    (``SCAN_STEP``, or ``jacobi._scan_step`` on a strong field) short of
-    the pole.
+    refined to 1e-12 relative. When it is set, the samples cover the span
+    only up to the last conjugate-scan time before it, less than one scan
+    step (``SCAN_STEP``, or ``jacobi._scan_step`` on a strong field) short
+    of the pole.
     """
 
     t_samples: np.ndarray
@@ -46,20 +46,14 @@ def integrate_riccati(profile: CurvatureProfile, u0: float, t_span: tuple) -> Ri
     """The solution with u(t0) = u0 over t_span, sampled at N_SAMPLES uniform
     times, read from a propagator.
 
-    A span from t0 != 0 reads ``profile.shifted(t0)``; a backward span
-    reads the flipped profile in the time s = t0 - t, where the slope is
-    -u. Blow-up is not an error: it is the first zero of A + Z u0, found
-    by the conjugate scan of ``jacobi.first_zero``, and the read stops
-    there. Reading past a spline profile's window raises
-    ``InsufficientDataError``.
+    The span is read in the local time s = sign (t - t0) of
+    ``jacobi._local_time``, where the slope is sign u. Blow-up is not an
+    error: it is the first zero of A + Z u0, found by the conjugate scan of
+    ``jacobi.first_zero``, and the read stops there. Reading past a spline
+    profile's window raises ``InsufficientDataError``.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
-    profile.check_span(t0, t1)
-    sign = 1.0 if t1 >= t0 else -1.0
-    # from t0 = 0 the profile's cached propagator serves
-    local = profile.shifted(t0) if t0 != 0.0 else profile
-    if sign < 0.0:
-        local = local.flipped()
+    local, sign = _local_time(profile, t0, t1)
     prop = propagator(local)
     v0 = sign * u0
     # J in stored scale, scanned and bisected as it is

@@ -154,7 +154,7 @@ def _stiff_launch(d):
     # kappa = 1e4 needs steps near 0.01, and floats near 2**50 are 0.25
     # (above) and 0.125 (below) apart
     t0 = 2.0 ** 50
-    jacobi._launch(CurvatureProfile.constant(1e4).evaluator, [1.0, 0.0],
+    jacobi._launch(CurvatureProfile.constant(1e4).evaluator, [1.0, 0.0, 0.0, 1.0],
                    (t0, t0 + 100.0 * d))
 
 
@@ -175,7 +175,8 @@ def _long_orbit(monkeypatch):
 
 def _long_launch(monkeypatch):
     monkeypatch.setattr(jacobi, "JACOBI_NFEV_BUDGET", 300)
-    jacobi._launch(CurvatureProfile.constant(-1.0).evaluator, [1.0, 0.0], (0.0, 50.0))
+    jacobi._launch(CurvatureProfile.constant(-1.0).evaluator, [1.0, 0.0, 0.0, 1.0],
+                   (0.0, 50.0))
 
 
 UNDERFLOW = "failed: the step size fell below the spacing of floats"
@@ -339,7 +340,7 @@ def list_rk45(f, y0, t_end, t_eval, tol):
 
     y = [float(v) for v in y0]
     k1 = g(y)
-    h_abs = flow._first_step(lambda t, v: g(v), 0.0, y, k1, len(y), t_end, 4, tol)
+    h_abs = flow._first_step(lambda t, v: g(v), 0.0, y, k1, t_end, 4, tol)
 
     def attempt(t, y, k1, h):
         k2 = g([v + (A21 * a) * h for v, a in zip(y, k1)])

@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from magflow import (
     CurvatureProfile,
     FourierSeries1D,
     FourierSeries2D,
+    InsufficientDataError,
     IntegrationFailure,
     JacobiState,
     SamplingConfig,
@@ -68,6 +71,32 @@ class TestIntegrate:
         tr = integrate_jacobi(P_NEG, JacobiState(1.0, 0.0), (0.0, 2.0))
         with pytest.raises(ValueError):
             tr.at(3.0)
+        # less than 1e-12 outside, a propagator read gives the span's end
+        p = oscillatory_profile(rng_for("slack"))
+        tr = integrate_jacobi(p, JacobiState(1.0, 0.0), (0.0, 2.0))
+        assert tr.at(-1e-13) == tr.at(0.0) and tr.at(2.0 + 1e-13) == tr.at(2.0)
+
+    def test_read_past_the_double_range_is_typed(self):
+        # cosh overflows past t = 710; the periodic profile grows as fast
+        periodic = CurvatureProfile.from_series(
+            FourierSeries1D(const=-1.0, sin_coeffs={1: 0.3}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in (P_NEG, periodic):
+                tr = integrate_jacobi(p, JacobiState(1.0, 0.0), (0.0, 1000.0))
+                with pytest.raises(InsufficientDataError,
+                                   match="past the double range at t = 1000$"):
+                    tr.at(1000.0)
+            # the exact stable line decays where sinh overflows
+            st = integrate_jacobi(P_NEG, JacobiState(1.0, -1.0), (0.0, 1000.0)).at(720.0)
+            assert (st.value, st.deriv) == pytest.approx(
+                (math.exp(-720.0), -math.exp(-720.0)), rel=1e-6)
+            # an array read names its first time past the range, in the
+            # direction of the span
+            for end, first in ((1000.0, "800"), (-1000.0, "-800")):
+                tr = integrate_jacobi(P_NEG, JacobiState(1.0, 0.0), (0.0, end))
+                with pytest.raises(InsufficientDataError, match="at t = %s$" % first):
+                    tr.states(np.linspace(0.0, end, 11))
 
 
 class TestUnitSlope:
@@ -99,17 +128,29 @@ class TestUnitSlope:
         with pytest.raises(ConjugatePointError):
             solve_boundary(P_POS, 3.144, cross_check=False)
 
+    def test_first_zero_is_refined_relative_to_the_bracket(self):
+        for k in (100.0**2 - 1.0, 5000.0**2):
+            assert first_zero(CurvatureProfile.constant(k), 1.0) == pytest.approx(
+                math.pi / math.sqrt(k), rel=1e-12, abs=0.0)
+
+
+def _solution(p, bs):
+    """The boundary solution bs on p: the Jacobi solution with value one and
+    slope bs.slope0 at zero, read over [0, bs.r]."""
+    return integrate_jacobi(p, JacobiState(1.0, bs.slope0), (0.0, bs.r))
+
 
 class TestBoundarySolution:
     def test_flat_line(self):
         bs = solve_boundary(P_ZERO, 2.0, cross_check=True)
-        assert bs.at(1.0).value == pytest.approx(0.5, abs=1e-11)
-        assert bs.at(0.0).value == pytest.approx(1.0, abs=1e-12)
-        assert bs.at(2.0).value == pytest.approx(0.0, abs=1e-9)
+        sol = _solution(P_ZERO, bs)
+        assert sol.at(1.0).value == pytest.approx(0.5, abs=1e-11)
+        assert sol.at(0.0).value == pytest.approx(1.0, abs=1e-12)
+        assert sol.at(2.0).value == pytest.approx(0.0, abs=1e-9)
 
     def test_hyperbolic_closed_form(self):
         bs = solve_boundary(P_NEG, 1.0, cross_check=True)
-        assert bs.at(0.5).value == pytest.approx(
+        assert _solution(P_NEG, bs).at(0.5).value == pytest.approx(
             math.sinh(0.5) / math.sinh(1.0), rel=1e-10
         )
 
@@ -118,15 +159,16 @@ class TestBoundarySolution:
         for _ in range(5):
             p = hyperbolic_profile(rng)
             r = 3.0 + 10.0 * rng.random()
-            bs = solve_boundary(p, r, cross_check=True)
-            assert abs(bs.at(0.0).value - 1.0) < 1e-9
-            assert abs(bs.at(r).value) < 1e-9
+            sol = _solution(p, solve_boundary(p, r, cross_check=True))
+            assert abs(sol.at(0.0).value - 1.0) < 1e-9
+            assert abs(sol.at(r).value) < 1e-9
 
     def test_negative_r_branch(self):
         bs = solve_boundary(P_NEG, -1.0, cross_check=True)
         assert bs.slope0 == pytest.approx(1.0 / math.tanh(1.0), rel=1e-10)
-        assert bs.at(-1.0).value == pytest.approx(0.0, abs=1e-9)
-        assert bs.at(-0.5).value == pytest.approx(
+        sol = _solution(P_NEG, bs)
+        assert sol.at(-1.0).value == pytest.approx(0.0, abs=1e-9)
+        assert sol.at(-0.5).value == pytest.approx(
             math.sinh(0.5) / math.sinh(1.0), rel=1e-9
         )
 
@@ -249,6 +291,37 @@ class TestPropagator:
             kappa=FourierSeries1D(const=-1.0, sin_coeffs={1: 0.3}), k_bound=1.2
         ))
         assert len(launches) == 2
+
+    def test_every_launch_grows_a_propagator(self, monkeypatch):
+        # one Jacobi integration per profile: the contraction fit and the
+        # witness read the propagators the scan and the schedules grew
+        callers = []
+        real = jacobi._launch
+
+        def counting(ev, y0, t_span):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(ev, y0, t_span)
+
+        monkeypatch.setattr(jacobi, "_launch", counting)
+        sine = classify(AbstractProfile(
+            kappa=FourierSeries1D(const=-1.0, sin_coeffs={1: 0.3}), k_bound=1.2))
+        assert sine.orbits[0].contraction.success
+        assert len(callers) == 2
+        half_wave = classify(AbstractProfile(
+            kappa=lambda t: -max(0.0, math.sin(t)) ** 2, k_bound=1.0))
+        assert half_wave.orbits[0].contraction is not None
+        flat = classify(AbstractProfile(kappa=lambda t: 0.0, k_bound=0.5))
+        assert flat.orbits[0].witness_sup is not None
+        assert set(callers) == {"_grow"}
+
+    def test_first_read_at_time_zero(self):
+        # a fresh propagator grows its first segment for a read at zero alone
+        series = FourierSeries1D(const=-1.0, sin_coeffs={1: 0.3})
+        prop = jacobi.propagator(CurvatureProfile.from_series(series))
+        assert np.array_equal(prop(0.0), [1.0, 0.0, 0.0, 1.0])
+        st = integrate_jacobi(CurvatureProfile.from_series(series),
+                              JacobiState(0.3, -0.8), (0.0, 5.0)).at(0.0)
+        assert (st.value, st.deriv) == pytest.approx((0.3, -0.8), rel=1e-15)
 
     def test_readouts_do_not_depend_on_call_order(self):
         def slope_side(p):
@@ -416,8 +489,9 @@ class TestConstantClosedForm:
         refs = []
         for state, span in cases:
             norm = math.hypot(state.value, state.deriv)
-            run = jacobi._launch(p.evaluator, [state.value / norm, state.deriv / norm], span)
-            refs.append(norm * run.sol(np.linspace(*span, 101)))
+            run = jacobi._launch(p.evaluator,
+                                 [state.value / norm, state.deriv / norm, 0.0, 0.0], span)
+            refs.append(norm * run.sol(np.linspace(*span, 101))[:2])
         monkeypatch.setattr(jacobi, "_launch", None)  # the closed form launches nothing
         for (state, span), ref in zip(cases, refs):
             got = integrate_jacobi(p, state, span).states(np.linspace(*span, 101))
@@ -502,14 +576,15 @@ def _oracle(ev, y0, span):
 
 def _launch_cases():
     """Fourier draws of both families and a torus spline profile, each with
-    one and two pairs, forward and backward."""
+    one pair alongside a zero pair and with the identity, forward and
+    backward."""
     rng = rng_for("launch-oracle")
     profiles = [family(rng) for family in (hyperbolic_profile, oscillatory_profile)
                 for _ in range(2)]
     profiles.append(random_torus(rng).profile(UnitTangent(0.1, 0.2, 0.5), 12.0,
                                               1e-10, False)[0])
     for p in profiles:
-        for y0 in ([1.0, -0.4], [1.0, 0.0, 0.0, 1.0]):
+        for y0 in ([1.0, -0.4, 0.0, 0.0], [1.0, 0.0, 0.0, 1.0]):
             for span in ((1.0, 11.5), (11.0, 0.5)):
                 yield p, y0, span
 
@@ -552,9 +627,8 @@ class TestLaunch:
     def test_read_shapes_and_step_ends(self):
         for p, y0, span in _launch_cases():
             run = jacobi._launch(p.evaluator, y0, span)
-            n = len(y0)
-            assert run.sol(span[1]).shape == (n,)
-            assert run.sol(np.linspace(*span, 7)).shape == (n, 7)
+            assert run.sol(span[1]).shape == (4,)
+            assert run.sol(np.linspace(*span, 7)).shape == (4, 7)
             assert run.t[0] == span[0] and run.t[-1] == span[1]
             assert np.array_equal(run.y[:, 0], y0)
             assert np.array_equal(run.sol(run.t), run.y)
@@ -567,7 +641,8 @@ class TestLaunch:
             calls.append(np.size(t))
             return np.full(np.shape(t), np.nan)
 
-        for y0, span in (([1.0, 0.0], (0.0, 5.0)), ([1.0, 0.0, 0.0, 1.0], (3.0, -2.0))):
+        for y0, span in (([1.0, 0.0, 0.0, 0.0], (0.0, 5.0)),
+                         ([1.0, 0.0, 0.0, 1.0], (3.0, -2.0))):
             calls.clear()
             with pytest.raises(IntegrationFailure) as exc:
                 jacobi._launch(ev, y0, span)
@@ -579,10 +654,12 @@ class TestLaunch:
 class TestWorkBudget:
     def test_launch_stops_past_the_budget(self, monkeypatch):
         monkeypatch.setattr(jacobi, "JACOBI_NFEV_BUDGET", 300)
-        hyperbolic = CurvatureProfile.from_series(
-            FourierSeries1D(const=-1.0, sin_coeffs={1: 0.3}))
+        # the series as a plain callable has no period, so the propagator
+        # launches the doubling segments up to 50 rather than one period
+        hyperbolic = CurvatureProfile(
+            evaluator=FourierSeries1D(const=-1.0, sin_coeffs={1: 0.3}), k_bound=1.2)
         with pytest.raises(IntegrationFailure) as exc:
-            integrate_jacobi(hyperbolic, JacobiState(1.0, 0.0), (0.0, 50.0))
+            integrate_jacobi(hyperbolic, JacobiState(1.0, 0.0), (0.0, 50.0)).at(50.0)
         assert "300 right-hand-side evaluations" in str(exc.value)
         assert 0.0 < exc.value.last_time < 50.0
 

@@ -15,6 +15,7 @@ from magflow import (
     integrate_jacobi,
     integrate_riccati,
 )
+from magflow import jacobi
 from families import hyperbolic_profile, oscillatory_profile, random_torus, rng_for
 
 P_NEG = CurvatureProfile.constant(-1.0)
@@ -146,11 +147,17 @@ class TestLogDerivativeLink:
 
 
 
+def launch(profile, u0, span):
+    """A direct Jacobi launch from (1, u0) at span[0] over span, alongside a
+    zero pair: independent of the propagator the readout goes through."""
+    return jacobi._launch(profile.evaluator, [1.0, u0, 0.0, 0.0], span)
+
+
 def launch_error(profile, tr, u0, span):
     """Largest deviation of the samples from J'/J of a direct Jacobi launch
     from (1, u0), relative to max(1, |u|), where |u| < 1e3."""
-    jt = integrate_jacobi(profile, JacobiState(1.0, u0), span)
-    ref = jt.derivs(tr.t_samples) / jt.values(tr.t_samples)
+    j, dj = launch(profile, u0, span).sol(tr.t_samples)[:2]
+    ref = dj / j
     keep = np.abs(ref) < 1e3
     dev = np.abs(tr.u_samples[keep] - ref[keep])
     return float(np.max(dev / np.maximum(1.0, np.abs(ref[keep]))))
@@ -158,11 +165,10 @@ def launch_error(profile, tr, u0, span):
 
 def launch_zero(profile, u0, span):
     """First zero of a direct Jacobi launch from (1, u0) over span."""
-    jt = integrate_jacobi(profile, JacobiState(1.0, u0), span)
+    run = launch(profile, u0, span)
     ts = np.linspace(span[0], span[1], 20001)
-    i = int(np.nonzero(jt.values(ts) <= 0.0)[0][0])
-    return brentq(lambda t: float(jt.values(np.array([t]))[0]), ts[i - 1], ts[i],
-                  xtol=1e-13)
+    i = int(np.nonzero(run.sol(ts)[0] <= 0.0)[0][0])
+    return brentq(lambda t: float(run.sol(t)[0]), ts[i - 1], ts[i], xtol=1e-13)
 
 
 class TestPropagatorReadout:
@@ -227,7 +233,7 @@ class TestPropagatorReadout:
                           ((1.0, -1.0), "starts at t = 0$")):
             with pytest.raises(InsufficientDataError, match=end):
                 integrate_riccati(p, 0.0, span)
-        # a direct launch is confined to the window too: the spline would
+        # integrate_jacobi is confined to the window too: the spline would
         # extrapolate far outside the curvature the orbit sees
         assert p.evaluator(-2.0) < 10 * float(np.min(orbit.kappa_samples))
         for span, end in (((0.0, -2.0), "starts at t = 0$"),
@@ -235,6 +241,9 @@ class TestPropagatorReadout:
             with pytest.raises(InsufficientDataError, match=end):
                 integrate_jacobi(p, JacobiState(1.0, 0.0), span)
         assert integrate_jacobi(p, JacobiState(1.0, 0.0), (25.0, 0.0)).t1 == 0.0
+        # a point span on the window end reads its data
+        assert integrate_jacobi(p, JacobiState(1.0, 0.5), (25.0, 25.0)).at(25.0) \
+            == JacobiState(1.0, 0.5)
 
     def test_span_from_t0_reads_shifted_profile(self):
         rng = rng_for("readout-shift")
