@@ -9,7 +9,9 @@ conjugate points appear. The necessary integral inequality
 b^2 * area < -2 pi chi fails from b = 1 on as well.
 """
 
+import logging
 import math
+import sys
 
 from magflow.cli import sweep
 
@@ -22,7 +24,9 @@ config = {
     "output_dir": "sweep_demo",
 }
 
-sweep(config, echo=print)
+# the sweep logs one line per grid point to the "magflow" logger
+logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stdout)
+sweep(config)
 
 print()
 print("closed form for comparison: gap(b) = 2*sqrt(1 - b^2)")

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -239,29 +239,15 @@ class OrbitResult:
     trace: Optional[OrbitTrace] = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
-        d = {
-            "orbit_id": self.orbit_id,
-            "initial": list(self.initial),
-            "conjugate_time": self.conjugate_time,
-            "u_plus": self.u_plus,
-            "u_minus": self.u_minus,
-            "gap": self.gap,
-            "gap_converged": self.gap_converged,
-            "witness_sup": self.witness_sup,
-            "kappa_min": self.kappa_min,
-            "kappa_max": self.kappa_max,
-            "growth_A": self.growth_A,
-            "error": self.error,
-        }
+        """The report entry: every field but ``trace`` and
+        ``gap_residuals``, and the contraction fit without ``norm_end``.
+        Not ``asdict``, which would deep-copy the trace arrays."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)
+             if f.name not in ("trace", "gap_residuals")}
+        d["initial"] = list(self.initial)
         if self.contraction is not None:
-            d["contraction"] = {
-                "c": self.contraction.c,
-                "d": self.contraction.d,
-                "fit_residual": self.contraction.fit_residual,
-                "success": self.contraction.success,
-            }
-        else:
-            d["contraction"] = None
+            d["contraction"] = {f.name: getattr(self.contraction, f.name)
+                                for f in fields(ContractionFit) if f.name != "norm_end"}
         return d
 
 
@@ -276,24 +262,16 @@ class AnosovReport:
     non_converged: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        import numpy as _np
+        """Every field, each orbit as its ``OrbitResult.to_dict``, plus the
+        schema version and the tool versions."""
         import scipy as _sp
 
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "verdict": self.verdict,
-            "reason": self.reason,
-            "inequality": self.inequality,
-            "negativity": self.negativity,
-            "orbits": [o.to_dict() for o in self.orbits],
-            "margins": self.margins,
-            "non_converged": self.non_converged,
-            "tool_versions": {
-                "magflow": _pkg_version,
-                "numpy": _np.__version__,
-                "scipy": _sp.__version__,
-            },
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["orbits"] = [o.to_dict() for o in self.orbits]
+        d["schema_version"] = SCHEMA_VERSION
+        d["tool_versions"] = {"magflow": _pkg_version, "numpy": np.__version__,
+                              "scipy": _sp.__version__}
+        return d
 
 
 def analyze_orbit(model: SurfaceModel, v0: UnitTangent, orbit_id: int,
@@ -356,11 +334,7 @@ def classify(model: SurfaceModel, cfg: Optional[SamplingConfig] = None,
 
     states = model.ensemble(cfg.ensemble_count, cfg.seed)
     jobs = [(model, v0, i, cfg, i < keep_traces) for i, v0 in enumerate(states)]
-    if workers > 1 and len(jobs) > 1:
-        results = _parallel_orbits(jobs, workers)
-    else:
-        results = [analyze_orbit(*job) for job in jobs]
-    results.sort(key=lambda r: r.orbit_id)
+    results = _map_jobs(analyze_orbit, jobs, workers)
 
     negativity = negativity_criterion(model, [r.kappa_min for r in results])
 
@@ -422,13 +396,9 @@ def _verdict(chi, closed_form_hyperbolic, inequality, results, cfg, errors,
         )
     if not results:
         return "Inconclusive", "empty orbit ensemble"
-    gaps_ok = all(
-        r.gap is not None and r.gap_converged and r.gap > cfg.gap_margin
-        for r in results
-    )
-    if not gaps_ok:
-        bad = [r.orbit_id for r in results
-               if r.gap is None or not r.gap_converged or r.gap <= cfg.gap_margin]
+    bad = [r.orbit_id for r in results
+           if not (r.gap is not None and r.gap_converged and r.gap > cfg.gap_margin)]
+    if bad:
         return "Inconclusive", "gap margin not established on orbits %s" % bad[:8]
     bad = [r.orbit_id for r in results
            if r.contraction is None or not r.contraction.success]
@@ -440,12 +410,13 @@ def _verdict(chi, closed_form_hyperbolic, inequality, results, cfg, errors,
     )
 
 
-def _parallel_orbits(jobs, workers):
-    from concurrent.futures import ProcessPoolExecutor
+def _map_jobs(fn, jobs, workers):
+    """[fn(*job) for job in jobs], in that order: in a pool of ``workers``
+    processes when there are more than one of each, else in this process.
+    ``classify`` maps its orbits and ``cli.sweep`` its grid points."""
+    if workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_orbit_job, jobs))
-
-
-def _orbit_job(job):
-    return analyze_orbit(*job)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, *zip(*jobs)))
+    return [fn(*job) for job in jobs]

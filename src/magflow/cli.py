@@ -29,8 +29,10 @@ mistyped sweep parameter. So is a top level that is not an object (key
 ``""``), an ``output_dir`` that is not a string, an ``export_orbits``
 that is not a boolean, and a value ``SamplingConfig`` rejects (a horizon
 or tolerance that is not positive, an ensemble count below one).
-Exit status: 0 when a verdict was reached (either way), 2 when
-Inconclusive, 1 on configuration or I/O errors.
+The verdict of a run and the summary lines of a sweep go to the
+``magflow`` logger at INFO; ``-v`` prints them on stdout. Exit status: 0
+when a verdict was reached (either way), 2 when Inconclusive, 1 on
+configuration or I/O errors.
 """
 
 from __future__ import annotations
@@ -39,12 +41,13 @@ import argparse
 import copy
 import csv
 import json
+import logging
 import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .anosov import SCHEMA_VERSION, SamplingConfig, classify
+from .anosov import SCHEMA_VERSION, SamplingConfig, _map_jobs, classify
 from .errors import ConfigError, MagflowError, NumericalInconsistencyError
 from .flow import CurvatureProfile
 from .fourier import FourierSeries1D, FourierSeries2D
@@ -52,25 +55,25 @@ from .geometry import VALIDATION_WINDOW, AbstractProfile, ConformalTorus, Consta
 
 CONFIG_KEYS = ("model", "ensemble", "tolerances", "sweep", "output_dir",
                "export_orbits", "export_orbit_limit")
-# the keys inside each section; a model takes its kind's keys and b_scale
-SECTION_KEYS = {
-    "ensemble": ("count", "seed", "horizon"),
-    "tolerances": ("integration", "green", "gap_margin"),
-    "sweep": ("parameter", "grid"),
-}
-# the config key of each SamplingConfig field that SamplingConfig checks
+# the config key and kind of number of each SamplingConfig field
 SAMPLING_KEYS = {
-    "ensemble_count": "ensemble.count",
-    "horizon": "ensemble.horizon",
-    "integration_tol": "tolerances.integration",
-    "green_tol": "tolerances.green",
-    "gap_margin": "tolerances.gap_margin",
+    "ensemble_count": ("ensemble.count", int),
+    "seed": ("ensemble.seed", int),
+    "horizon": ("ensemble.horizon", float),
+    "integration_tol": ("tolerances.integration", float),
+    "green_tol": ("tolerances.green", float),
+    "gap_margin": ("tolerances.gap_margin", float),
 }
+# the keys inside each section; a model takes its kind's keys and b_scale
+SECTION_KEYS = {"sweep": ("parameter", "grid")}
+for _section, _name in (key.split(".") for key, _kind in SAMPLING_KEYS.values()):
+    SECTION_KEYS[_section] = SECTION_KEYS.get(_section, ()) + (_name,)
 MODEL_KEYS = {
     "constant": ("K", "b", "chi", "area"),
     "torus": ("Lx", "Ly", "phi", "b"),
     "profile": ("kappa", "k_bound", "chi", "area"),
 }
+log = logging.getLogger("magflow")
 
 
 def _number(value, key, kind=float):
@@ -112,25 +115,19 @@ def _table(value, key, allowed):
     return value
 
 
-def _parse_coeffs_2d(table, key):
+def _parse_coeffs(table, key, dims):
+    """{mode: amplitude} of a Fourier table whose keys read as integers j
+    (dims 1) or as pairs 'm,n' (dims 2)."""
+    noun, want = ("harmonic", "integer") if dims == 1 else ("mode", "'m,n'")
     out = {}
     for k, v in _table(table, key, None).items():
         try:
-            m, n = (int(p) for p in k.split(","))
-        except Exception:
-            raise ConfigError("bad mode key %r under %s (want 'm,n')" % (k, key), key)
-        out[(m, n)] = _number(v, "%s.%s" % (key, k))
-    return out
-
-
-def _parse_coeffs_1d(table, key):
-    out = {}
-    for k, v in _table(table, key, None).items():
-        try:
-            j = int(k)
-        except Exception:
-            raise ConfigError("bad harmonic key %r under %s (want integer)" % (k, key), key)
-        out[j] = _number(v, "%s.%s" % (key, k))
+            mode = tuple(int(p) for p in str(k).split(","))
+        except ValueError:
+            mode = ()
+        if len(mode) != dims:
+            raise ConfigError("bad %s key %r under %s (want %s)" % (noun, k, key, want), key)
+        out[mode if dims == 2 else mode[0]] = _number(v, "%s.%s" % (key, k))
     return out
 
 
@@ -139,8 +136,8 @@ def _series_2d(spec, Lx, Ly, key):
     return FourierSeries2D(
         Lx=Lx, Ly=Ly,
         const=_number(spec.get("const", 0.0), key + ".const"),
-        cos_coeffs=_parse_coeffs_2d(spec.get("cos"), key + ".cos"),
-        sin_coeffs=_parse_coeffs_2d(spec.get("sin"), key + ".sin"),
+        cos_coeffs=_parse_coeffs(spec.get("cos"), key + ".cos", 2),
+        sin_coeffs=_parse_coeffs(spec.get("sin"), key + ".sin", 2),
     )
 
 
@@ -188,8 +185,8 @@ def build_model(spec: dict):
     series = FourierSeries1D(
         const=_number(kspec.get("const", 0.0), "model.kappa.const"),
         omega=_number(kspec.get("omega", 1.0), "model.kappa.omega"),
-        cos_coeffs=_parse_coeffs_1d(kspec.get("cos"), "model.kappa.cos"),
-        sin_coeffs=_parse_coeffs_1d(kspec.get("sin"), "model.kappa.sin"),
+        cos_coeffs=_parse_coeffs(kspec.get("cos"), "model.kappa.cos", 1),
+        sin_coeffs=_parse_coeffs(kspec.get("sin"), "model.kappa.sin", 1),
     )
     if series.omega == 0 and (series.cos_coeffs or series.sin_coeffs):
         raise ConfigError("model.kappa.omega must be nonzero for a series "
@@ -209,26 +206,21 @@ def build_model(spec: dict):
 
 
 def build_sampling(cfg: dict) -> SamplingConfig:
-    """The run's SamplingConfig. SamplingConfig checks the values itself;
-    its ValueError, which leads with the field, becomes a ConfigError
-    naming that field's key."""
-    ens = _table(cfg.get("ensemble"), "ensemble", SECTION_KEYS["ensemble"])
-    tols = _table(cfg.get("tolerances"), "tolerances", SECTION_KEYS["tolerances"])
-    d = SamplingConfig()
+    """The run's SamplingConfig, each field read from its key in
+    SAMPLING_KEYS. SamplingConfig checks the values itself; its ValueError,
+    which leads with the field, becomes a ConfigError naming that field's
+    key."""
+    sections = {name: _table(cfg.get(name), name, SECTION_KEYS[name])
+                for name in ("ensemble", "tolerances")}
+    values = {}
+    for field, (key, kind) in SAMPLING_KEYS.items():
+        section, name = key.split(".")
+        if name in sections[section]:
+            values[field] = _number(sections[section][name], key, kind)
     try:
-        return SamplingConfig(
-            ensemble_count=_number(ens.get("count", d.ensemble_count), "ensemble.count",
-                                   int),
-            seed=_number(ens.get("seed", d.seed), "ensemble.seed", int),
-            horizon=_number(ens.get("horizon", d.horizon), "ensemble.horizon"),
-            integration_tol=_number(tols.get("integration", d.integration_tol),
-                                    "tolerances.integration"),
-            green_tol=_number(tols.get("green", d.green_tol), "tolerances.green"),
-            gap_margin=_number(tols.get("gap_margin", d.gap_margin),
-                               "tolerances.gap_margin"),
-        )
+        return SamplingConfig(**values)
     except ValueError as exc:
-        key = SAMPLING_KEYS[str(exc).split()[0]]
+        key = SAMPLING_KEYS[str(exc).split()[0]][0]
         raise ConfigError("%s: %s" % (key, exc), key) from None
 
 
@@ -320,10 +312,11 @@ def _write_summary(path: Path, lines):
         fh.write("\n".join(lines) + "\n")
 
 
-def run(cfg: dict, workers: int = 1, echo=None) -> int:
+def run(cfg: dict, workers: int = 1) -> int:
     """Single classification run; writes report.json, summary.txt and
     per-orbit CSV series into the output directory. The CSVs are the
-    traces classify integrated, for the first export_orbit_limit orbits."""
+    traces classify integrated, for the first export_orbit_limit orbits.
+    The verdict goes to the ``magflow`` logger at INFO."""
     model, sampling, _ = validate_config(cfg)
     outdir = _output_dir(cfg)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -370,13 +363,11 @@ def run(cfg: dict, workers: int = 1, echo=None) -> int:
             o.trace.to_csv(outdir / ("orbit_%03d.csv" % o.orbit_id))
             o.trace = None
 
-    if echo:
-        echo("verdict: %s (%s)" % (report.verdict, report.reason))
+    log.info("verdict: %s (%s)", report.verdict, report.reason)
     return 0 if report.verdict in ("NumericallyAnosov", "NotAnosov") else 2
 
 
-def _sweep_point(args):
-    value, model, sampling = args
+def _sweep_point(value, model, sampling):
     report = classify(model, sampling, workers=1)
     gaps = [o.gap for o in report.orbits if o.gap is not None]
     cs = [o.contraction.c for o in report.orbits if o.contraction is not None]
@@ -391,9 +382,10 @@ def _sweep_point(args):
     }
 
 
-def sweep(cfg: dict, workers: int = 1, echo=None) -> int:
+def sweep(cfg: dict, workers: int = 1) -> int:
     """Classification per grid value of the swept parameter; one CSV row
-    per point in grid order."""
+    per point in grid order, and one summary line per point to the
+    ``magflow`` logger at INFO."""
     _, _, jobs = validate_config(cfg)
     spec = cfg.get("sweep")
     if spec is None:
@@ -402,13 +394,7 @@ def sweep(cfg: dict, workers: int = 1, echo=None) -> int:
     outdir = _output_dir(cfg)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_point, jobs))
-    else:
-        rows = [_sweep_point(j) for j in jobs]
+    rows = _map_jobs(_sweep_point, jobs, workers)
 
     fields = ["parameter", "verdict", "min_gap", "fitted_c",
               "inequality_lhs", "inequality_rhs"]
@@ -421,9 +407,8 @@ def sweep(cfg: dict, workers: int = 1, echo=None) -> int:
 
     lines = ["%s = %r -> %s" % (param, r["parameter"], r["verdict"]) for r in rows]
     _write_summary(outdir / "summary.txt", lines)
-    if echo:
-        for ln in lines:
-            echo(ln)
+    for ln in lines:
+        log.info(ln)
     return 0
 
 
@@ -440,7 +425,6 @@ def main(argv=None) -> int:
     parser.add_argument("-v", "--verbose", action="store_true")
     args = parser.parse_args(argv)
 
-    echo = print if args.verbose else None
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)
@@ -448,6 +432,11 @@ def main(argv=None) -> int:
         print("error: cannot read config %s: %s" % (args.config, exc),
               file=sys.stderr)
         return 1
+    # -v prints the logger's INFO records on stdout for this call alone
+    handler, level = logging.StreamHandler(sys.stdout), log.level
+    if args.verbose:
+        log.addHandler(handler)
+        log.setLevel(logging.INFO)
     try:
         if not isinstance(cfg, dict):
             raise ConfigError("top-level config must be an object", "")
@@ -455,8 +444,8 @@ def main(argv=None) -> int:
             _output_dir(cfg)  # the file's own value must be valid too
             cfg["output_dir"] = args.output_dir
         if cfg.get("sweep") is not None:
-            return sweep(cfg, workers=args.workers, echo=echo)
-        return run(cfg, workers=args.workers, echo=echo)
+            return sweep(cfg, workers=args.workers)
+        return run(cfg, workers=args.workers)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 1
@@ -466,6 +455,9 @@ def main(argv=None) -> int:
     except MagflowError as exc:
         print("run failed: %s" % exc, file=sys.stderr)
         return 2
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

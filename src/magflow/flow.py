@@ -301,9 +301,9 @@ class CurvatureProfile:
 
     ``evaluator`` accepts scalars or arrays. ``k_bound`` is a k >= 0 with
     kappa(t) > -k_bound**2 on the usable window [t_min, t_max]. Profiles
-    built from exact data (constants, Fourier series) have infinite
-    windows and shift and reflect exactly; spline profiles are confined
-    to their orbit window.
+    built from a Fourier series (a constant is one without harmonics) have
+    infinite windows and shift and reflect exactly; spline profiles are
+    confined to their orbit window.
     """
 
     evaluator: Callable
@@ -311,7 +311,6 @@ class CurvatureProfile:
     t_min: float = -math.inf
     t_max: float = math.inf
     series: Optional[FourierSeries1D] = None
-    const_value: Optional[float] = None
     # jacobi.propagator's cache: the profile's fundamental-matrix propagator
     _propagator: Optional[object] = field(default=None, init=False, repr=False,
                                           compare=False)
@@ -320,13 +319,18 @@ class CurvatureProfile:
         return self.evaluator(t)
 
     @property
+    def const_value(self) -> Optional[float]:
+        """The constant of a Fourier series without harmonics, else None."""
+        if self.series is None or self.series.harmonics:
+            return None
+        return self.series.const
+
+    @property
     def kappa_ceiling(self) -> float:
-        """A certified K+ with kappa(t) <= K+ for every t: the constant
-        itself, or the upper of a Fourier series' ``bounds``. Samples
+        """A certified K+ with kappa(t) <= K+ for every t: the upper of a
+        Fourier series' ``bounds`` (a constant's own value). Samples
         certify no bound, so spline and callable profiles have inf.
         """
-        if self.const_value is not None:
-            return self.const_value
         if self.series is None:
             return math.inf
         return self.series.bounds[1]
@@ -342,8 +346,6 @@ class CurvatureProfile:
 
     def shifted(self, t0: float) -> "CurvatureProfile":
         """The profile s -> kappa(t0 + s)."""
-        if self.const_value is not None:
-            return self
         if self.series is not None:
             sh = self.series.shifted(t0)
             return CurvatureProfile(evaluator=sh, k_bound=self.k_bound, series=sh)
@@ -358,8 +360,6 @@ class CurvatureProfile:
     def flipped(self) -> "CurvatureProfile":
         """The profile s -> kappa(-s), the curvature seen by the
         time-reversed field along the reversed-intensity orbit."""
-        if self.const_value is not None:
-            return self
         if self.series is not None:
             refl = self.series.reflected()
             return CurvatureProfile(evaluator=refl, k_bound=self.k_bound, series=refl)
@@ -373,11 +373,7 @@ class CurvatureProfile:
 
     @staticmethod
     def constant(value: float) -> "CurvatureProfile":
-        return CurvatureProfile(
-            evaluator=lambda t: value + 0.0 * np.asarray(t, dtype=float),
-            k_bound=_k_bound(value),
-            const_value=value,
-        )
+        return CurvatureProfile.from_series(FourierSeries1D(const=value))
 
     @staticmethod
     def from_series(series: FourierSeries1D) -> "CurvatureProfile":

@@ -14,15 +14,16 @@ distinguished solutions used throughout:
 All of these, the conjugate scan, the slope schedules in ``green``, the
 Riccati solutions in ``riccati`` and every solution with given data
 (``integrate_jacobi``) read one fundamental-matrix ``Propagator`` per
-profile, so each profile is integrated once. A constant profile's
-propagator is read in closed form, with no launch; a solution with given
-data on a constant kappa < 0 reads its own closed form, because on the
-stable line the read ``A + u Z`` of the matrix cancels catastrophically.
-A Fourier profile is periodic, and its propagator
-integrates one period and reads every later time from the monodromy;
-spline and callable profiles are integrated as far as callers ask. The
-conjugate scan is skipped where the Sturm comparison theorem excludes a
-zero (``first_zero``).
+profile, so each profile is integrated once. A constant profile (a
+Fourier series without harmonics) has its propagator read in closed
+form, with no launch; a solution with given data on a constant kappa < 0
+reads its own closed form, because on the stable line the read
+``A + u Z`` of the matrix cancels catastrophically. A Fourier profile
+with harmonics is periodic, and its propagator integrates one period and
+reads every later time from the monodromy; spline and callable profiles
+are integrated as far as callers ask. One zero scan (``_first_root``)
+finds the conjugate point and the Riccati pole; it is skipped where the
+Sturm comparison theorem excludes a zero (``first_zero``).
 
 Every launch (``_launch``, called by ``Propagator`` alone) runs magflow's
 own DOP853 loop on [A, A', Z, Z'] at the one tolerance ``JACOBI_TOL``:
@@ -355,17 +356,14 @@ def integrate_jacobi(profile: CurvatureProfile, state0: JacobiState,
 def exact_period(profile: CurvatureProfile) -> Optional[float]:
     """A period T with kappa(t + T) = kappa(t) for every t, or None.
 
-    A Fourier series with harmonics has T = 2*pi/|omega|; one without has
-    every T, and FIRST_BREAK is taken. Spline and callable profiles have
-    none, and constant profiles need none: their propagator is read in
-    closed form.
+    A Fourier series with harmonics has T = 2*pi/|omega|. Spline and
+    callable profiles have none, and constant profiles (series without
+    harmonics) need none: their propagator is read in closed form.
     """
     s = profile.series
-    if s is None:
+    if s is None or s.omega == 0.0 or not s.harmonics:
         return None
-    if s.omega != 0.0 and (s.cos_coeffs or s.sin_coeffs):
-        return 2.0 * math.pi / abs(s.omega)
-    return FIRST_BREAK
+    return 2.0 * math.pi / abs(s.omega)
 
 
 def _compose(p, q):
@@ -506,14 +504,14 @@ class Propagator:
         y, _e = self._stored(np.array([float(r)]))
         return -float(y[0, 0]) / float(y[2, 0])
 
-    def carry(self, ts, u0: float) -> tuple:
-        """(J, J') at the times ts >= 0 for the solution J = A + u0 Z with
-        slope u0 at time zero, both divided by one power of two per time
-        (stored scale). So the sign of J and the slope
-        J'/J = (A' + Z' u0) / (A + Z u0), the Moebius image of u0, stay
-        exact where A and Z overflow."""
-        (a, da, z, dz), _e = self._stored(np.atleast_1d(np.asarray(ts, dtype=float)))
-        return a + z * u0, da + dz * u0
+    def carry(self, ts, v: float, d: float) -> tuple:
+        """(J, J', e) at the times ts >= 0 for the solution J = v A + d Z
+        with data (v, d) at time zero, in stored scale: J * 2**e and
+        J' * 2**e are the solution and its derivative. So the sign of J and
+        the slope J'/J (for v = 1 the Moebius image (A' + Z' d) / (A + Z d)
+        of d) stay exact where A and Z overflow."""
+        (a, da, z, dz), e = self._stored(np.atleast_1d(np.asarray(ts, dtype=float)))
+        return v * a + d * z, v * da + d * dz, e
 
     def pull_back(self, t: float, w: float) -> float:
         """The slope at time zero of the solution with slope w at time t >= 0:
@@ -538,27 +536,31 @@ def propagator(profile: CurvatureProfile) -> Propagator:
     return profile._propagator
 
 
-def _first_root(prop: Propagator, f: Callable, horizon: float,
+def _first_root(prop: Propagator, v: float, d: float, horizon: float,
                 step: float) -> tuple:
-    """First zero on (0, horizon] of a function that is positive just after
-    time zero, with the last scan time before it (0.0 in the first cell),
-    or (None, horizon) when it keeps its sign.
+    """First zero on (0, horizon] of the solution J = v A + d Z of the
+    propagator ``prop``, positive just after time zero, with the last scan
+    time before it (0.0 in the first cell), or (None, horizon) when it keeps
+    its sign.
 
-    ``f`` reads the propagator ``prop`` at an array of times and returns the
-    values as mantissas and the binary exponents that scale them. The scan
-    reads the signs of the mantissas at the multiples of ``step`` below the
-    horizon and at the horizon itself, one propagator segment at a time, so
-    integration stops at the breakpoint past the first zero and nothing
-    overflows; bisection refines a sign change on the scaled values to
-    1e-12 of the bracket's upper end, a relative tolerance.
+    J is read in stored scale (``Propagator._stored``). The scan reads its
+    signs at the multiples of ``step`` below the horizon and at the horizon
+    itself, one propagator segment at a time, so integration stops at the
+    breakpoint past the first zero and nothing overflows; bisection refines
+    a sign change to 1e-12 of the bracket's upper end, a relative tolerance,
+    on J rescaled by the one power of two the scan read at that end.
     """
+    def j(ts):
+        (a, _da, z, _dz), e = prop._stored(ts)
+        return v * a + d * z, e
+
     ts = np.arange(step, horizon, step)
     ts = np.append(ts[ts < horizon], float(horizon))
-    vals = np.empty(0)
+    vals, exps = np.empty(0), np.empty(0, dtype=int)
     while len(vals) < len(ts) and not np.any(vals <= 0.0):
         end = prop.breaks[prop.segment(ts[len(vals)])]
-        chunk = ts[len(vals):int(np.searchsorted(ts, end, side="right"))]
-        vals = np.concatenate([vals, f(chunk)[0]])
+        y, e = j(ts[len(vals):int(np.searchsorted(ts, end, side="right"))])
+        vals, exps = np.concatenate([vals, y]), np.concatenate([exps, e])
     sign_change = np.nonzero(vals <= 0.0)[0]
     if len(sign_change) == 0:
         return None, float(horizon)
@@ -568,10 +570,14 @@ def _first_root(prop: Propagator, f: Callable, horizon: float,
         return float(ts[i]), before
     lo = before if i > 0 else 0.5 * ts[0]
     hi = ts[i]
-    g = lambda t: float(np.ldexp(*f(np.array([t])))[0])
+
+    def g(t):
+        y, e = j(np.array([t]))
+        return math.ldexp(float(y[0]), int(e[0] - exps[i]))
+
     if g(lo) <= 0.0:
         # zero sits inside the first scan cell: bracket it from 1e-8, or
-        # from zero where f is positive there (the unit-slope solution
+        # from zero where J is positive there (the unit-slope solution
         # vanishes at zero itself)
         lo = 1e-8 if g(1e-8) > 0.0 else 0.0
     return float(brentq(g, lo, hi, xtol=1e-12 * hi)), before
@@ -579,7 +585,7 @@ def _first_root(prop: Propagator, f: Callable, horizon: float,
 
 def first_zero(profile: CurvatureProfile, horizon: float,
                step: float = SCAN_STEP) -> Optional[float]:
-    """First positive zero of the unit-slope solution on (0, horizon], or
+    """First positive zero of the unit-slope solution Z on (0, horizon], or
     None when the solution keeps its sign (``_first_root``).
 
     Where kappa <= K+ everywhere, the Sturm comparison theorem puts the
@@ -591,13 +597,8 @@ def first_zero(profile: CurvatureProfile, horizon: float,
         raise ValueError("horizon must be positive")
     if profile.kappa_ceiling * horizon**2 < math.pi**2:
         return None
-    prop = propagator(profile)
-
-    def z(ts):
-        y, e = prop._stored(ts)
-        return y[2], e
-
-    return _first_root(prop, z, horizon, _scan_step(profile, step))[0]
+    return _first_root(propagator(profile), 0.0, 1.0, horizon,
+                       _scan_step(profile, step))[0]
 
 
 def _scan_step(profile: CurvatureProfile, step: float) -> float:
@@ -653,35 +654,39 @@ def solve_boundary(profile: CurvatureProfile, r: float,
         )
 
     prop = propagator(profile)
-    Ar, _, Zr, _ = prop(r)
-    if Zr == 0.0:
-        raise ConjugatePointError("unit-slope solution vanishes at r", conjugate_time=r)
-    s = -float(Ar) / float(Zr)
+    try:
+        s = prop.slope(r)
+    except ZeroDivisionError:
+        raise ConjugatePointError("unit-slope solution vanishes at r",
+                                  conjugate_time=r) from None
 
     residual = 0.0
     if cross_check:
+        def inv_z_sq(u):
+            # from the mantissa and exponent of Z(u), where Z may overflow
+            (_a, _da, z, _dz), e = prop._stored(np.array([float(u)]))
+            m, f = math.frexp(float(z[0]))
+            return math.ldexp(1.0 / (m * m), -2 * (f + int(e[0])))
+
         t_lo = min(0.1, r / 10.0)
         candidates = np.linspace(max(t_lo, 0.05 * r), 0.9 * r, 9)
-        # skip probes where the unit-slope solution is huge: multiplying
-        # the tiny reduction-of-order integral by it amplifies the
-        # double-precision floor past the agreement bound
-        probes = [tp for tp in candidates if abs(float(prop(tp)[2])) <= 1e5]
+        # skip probes where the unit-slope solution is huge (|Z| > 1e5):
+        # multiplying the tiny reduction-of-order integral by it amplifies
+        # the double-precision floor past the agreement bound
+        probes = [tp for tp in candidates if inv_z_sq(tp) >= 1e-10]
         if not probes:
             probes = [candidates[0]]
 
-        def inv_z_sq(u):
-            zu = float(prop(u)[2])
-            return 1.0 / (zu * zu)
-
+        diffs = []
         for tp in probes:
             integral, _err = quad(
                 inv_z_sq, tp, r, epsabs=1e-14, epsrel=1e-11, limit=200
             )
             a, _da, z_tp, _dz = prop(tp)
-            v_quad = float(z_tp) * integral
-            v_shoot = float(a + s * z_tp)
-            residual = max(residual, abs(v_quad - v_shoot))
-        if residual > CROSS_CHECK_TOL:
+            diffs.append(abs(float(z_tp) * integral - float(a + s * z_tp)))
+        # a NaN disagreement fails the check too
+        residual = float(np.max(diffs))
+        if not residual <= CROSS_CHECK_TOL:
             raise NumericalInconsistencyError(
                 "boundary solve routes disagree by %g at r = %g" % (residual, r)
             )

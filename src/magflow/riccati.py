@@ -9,7 +9,8 @@ satisfies |u| <= k.
 A solution is read from the profile's Jacobi propagator rather than
 integrated: u = J'/J for the Jacobi solution J = A + u0 Z with slope u0,
 so u(t) = (A' + Z' u0) / (A + Z u0), the Moebius image of u0 under the
-fundamental matrix. It blows up exactly where J has its first zero.
+fundamental matrix. It blows up exactly where J has its first zero,
+found by the zero scan the conjugate scan runs (``jacobi._first_root``).
 """
 
 from __future__ import annotations
@@ -48,19 +49,21 @@ def integrate_riccati(profile: CurvatureProfile, u0: float, t_span: tuple) -> Ri
 
     The span is read in the local time s = sign (t - t0) of
     ``jacobi._local_time``, where the slope is sign u. Blow-up is not an
-    error: it is the first zero of A + Z u0, found by the conjugate scan of
-    ``jacobi.first_zero``, and the read stops there. Reading past a spline
-    profile's window raises ``InsufficientDataError``.
+    error: it is the first zero of A + Z u0, found by the zero scan
+    ``jacobi._first_root`` that ``jacobi.first_zero`` runs, and the read
+    stops there. A point span returns its data alone, with no scan, even on
+    a window end. Reading past a spline profile's window raises
+    ``InsufficientDataError``.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     local, sign = _local_time(profile, t0, t1)
+    if t1 == t0:
+        return RiccatiTrace(np.full(N_SAMPLES, t0), np.full(N_SAMPLES, float(u0)), None)
     prop = propagator(local)
     v0 = sign * u0
-    # J in stored scale, scanned and bisected as it is
-    pole, s_end = _first_root(prop, lambda ss: (prop.carry(ss, v0)[0], 0),
-                              abs(t1 - t0), _scan_step(local, SCAN_STEP))
+    pole, s_end = _first_root(prop, 1.0, v0, abs(t1 - t0), _scan_step(local, SCAN_STEP))
     ss = np.linspace(0.0, s_end, N_SAMPLES)
-    j, dj = prop.carry(ss, v0)
+    j, dj, _e = prop.carry(ss, 1.0, v0)
     return RiccatiTrace(
         t_samples=t0 + sign * ss,
         u_samples=sign * (dj / j),

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import logging
 import math
 from pathlib import Path
 
@@ -270,6 +271,38 @@ class TestRun:
         assert report["inequality"]["passes"] is None
         summary = (tmp_path / "out" / "summary.txt").read_text()
         assert "integral inequality: ResolutionError" in summary
+
+    def test_harmonic_free_profile_reads_the_closed_form(self, tmp_path):
+        # a constant written as a Fourier series is the constant profile,
+        # read in closed form rather than integrated
+        cfg = {"model": {"kind": "profile", "kappa": {"const": -0.7}},
+               "ensemble": {"count": 1}, "output_dir": str(tmp_path / "out")}
+        assert run(cfg) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())["report"]
+        assert report["verdict"] == "NumericallyAnosov"
+        assert report["orbits"][0]["u_plus"] == -math.sqrt(0.7)
+        assert report["orbits"][0]["u_minus"] == math.sqrt(0.7)
+
+    def test_verbose_prints_the_verdict_on_stdout(self, tmp_path, capsys):
+        path = write_config(tmp_path, constant_config(tmp_path, b=0.5))
+        assert main([path]) == 0
+        assert capsys.readouterr().out == ""
+        assert main([path, "-v"]) == 0
+        assert capsys.readouterr().out == (
+            "verdict: NumericallyAnosov (all 1 sampled orbits: converged gap > "
+            "0.0001, stable contraction confirmed)\n")
+
+    def test_verbose_leaves_the_logger_as_it_found_it(self, tmp_path, capsys):
+        log = logging.getLogger("magflow")
+        handlers, level = list(log.handlers), log.level
+        cfg = constant_config(tmp_path, b=0.5, sweep={"parameter": "model.b",
+                                                      "grid": [0.5, 1.2]})
+        path = write_config(tmp_path, cfg)
+        for _ in range(2):
+            assert main([path, "-v"]) == 0
+            assert (log.handlers, log.level) == (handlers, level)
+            assert capsys.readouterr().out == ("model.b = 0.5 -> NumericallyAnosov\n"
+                                               "model.b = 1.2 -> NotAnosov\n")
 
     def test_malformed_json_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

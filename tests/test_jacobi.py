@@ -18,6 +18,7 @@ from magflow import (
     InsufficientDataError,
     IntegrationFailure,
     JacobiState,
+    NumericalInconsistencyError,
     SamplingConfig,
     UnitTangent,
     classify,
@@ -181,6 +182,41 @@ class TestBoundarySolution:
         for _ in range(5):
             p = hyperbolic_profile(rng)
             assert solve_boundary(p, 10.0, cross_check=True).cross_residual < 1e-8
+
+    @pytest.mark.parametrize("cross_check", [False, True])
+    @pytest.mark.parametrize("r", [800.0, 2000.0])
+    def test_slope_where_the_solution_overflows(self, r, cross_check):
+        # A(r) and Z(r) are past the double range; their ratio is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert solve_boundary(P_NEG, r, cross_check=cross_check).slope0 == -1.0
+
+    def test_periodic_slope_where_the_solution_overflows(self):
+        p = CurvatureProfile.from_series(FourierSeries1D(const=-1.0, sin_coeffs={1: 0.3}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            slope = solve_boundary(p, 2000.0, cross_check=False).slope0
+        assert math.isfinite(slope)
+        assert slope == jacobi.propagator(p).slope(2000.0)
+
+    def test_nan_disagreement_fails_the_cross_check(self, monkeypatch):
+        monkeypatch.setattr(jacobi, "quad", lambda *args, **kwargs: (math.nan, 0.0))
+        with pytest.raises(NumericalInconsistencyError, match="disagree by nan"):
+            solve_boundary(P_NEG, 1.0, cross_check=True)
+
+    def test_zero_at_r_is_a_conjugate_point(self, monkeypatch):
+        stored = jacobi.Propagator._stored
+
+        def zero_z(self, t):
+            y, e = stored(self, t)
+            y = y.copy()
+            y[2] = 0.0
+            return y, e
+
+        monkeypatch.setattr(jacobi.Propagator, "_stored", zero_z)
+        with pytest.raises(ConjugatePointError, match="vanishes at r") as exc:
+            solve_boundary(P_NEG, 3.0, cross_check=False)
+        assert exc.value.conjugate_time == 3.0
 
     def test_zero_r_rejected(self):
         with pytest.raises(ValueError):
@@ -368,6 +404,22 @@ class TestPeriodicPropagator:
             UnitTangent(), 1.0, 1e-10, False)[0]
         assert jacobi.propagator(callable_prof).period is None
 
+    def test_harmonic_free_series_is_the_constant(self):
+        # a constant is a Fourier series without harmonics, wherever it
+        # comes from: its propagator is the closed form, with no launch
+        series = FourierSeries1D(const=-0.7)
+        const = jacobi.propagator(CurvatureProfile.constant(-0.7))
+        ts = np.linspace(0.0, 2000.0, 4001)
+        for p in (CurvatureProfile.from_series(series),
+                  AbstractProfile(kappa=series, k_bound=1.0).profile(
+                      UnitTangent(), 1.0, 1e-10, False)[0]):
+            assert p.const_value == -0.7
+            prop = jacobi.propagator(p)
+            assert prop.nfev_to(10.0) == 0
+            for got, want in zip(prop._stored(ts), const._stored(ts)):
+                assert np.array_equal(got, want)
+            assert prop(ts[:400]).tobytes() == const(ts[:400]).tobytes()
+
     @pytest.mark.parametrize("family", [oscillatory_profile, hyperbolic_profile])
     def test_matches_direct_launch(self, family):
         rng = rng_for("periodic-direct-" + family.__name__)
@@ -467,7 +519,7 @@ class TestConstantClosedForm:
             assert prop.slope(r) == pytest.approx(-lam, rel=1e-15)
             # the stable slope attracts every other one backward
             assert prop.pull_back(r, 0.0) == pytest.approx(-lam, rel=1e-15)
-            j, dj = prop.carry(r, 0.0)
+            j, dj, _e = prop.carry(r, 1.0, 0.0)
             assert dj[0] / j[0] == pytest.approx(lam, rel=1e-15)
         # no jump at the switch: the far read continues cosh and sinh
         ts = np.array([699.0, 700.0, 701.0]) / lam

@@ -15,7 +15,7 @@ from magflow import (
     integrate_jacobi,
     integrate_riccati,
 )
-from magflow import jacobi
+from magflow import jacobi, riccati
 from families import hyperbolic_profile, oscillatory_profile, random_torus, rng_for
 
 P_NEG = CurvatureProfile.constant(-1.0)
@@ -244,6 +244,15 @@ class TestPropagatorReadout:
         # a point span on the window end reads its data
         assert integrate_jacobi(p, JacobiState(1.0, 0.5), (25.0, 25.0)).at(25.0) \
             == JacobiState(1.0, 0.5)
+
+    def test_point_span_on_the_window_end(self):
+        # a point span returns its data, with no scan past the window end
+        model = random_torus(rng_for("readout-spline"))
+        p, _ = model.profile(UnitTangent(0.1, 0.2, 0.5), 25.0, 1e-10, False)
+        tr = integrate_riccati(p, 0.3, (25.0, 25.0))
+        assert tr.blowup_time is None
+        assert np.array_equal(tr.t_samples, np.full(riccati.N_SAMPLES, 25.0))
+        assert np.array_equal(tr.u_samples, np.full(riccati.N_SAMPLES, 0.3))
 
     def test_span_from_t0_reads_shifted_profile(self):
         rng = rng_for("readout-shift")
