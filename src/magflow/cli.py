@@ -55,19 +55,20 @@ from .geometry import VALIDATION_WINDOW, AbstractProfile, ConformalTorus, Consta
 
 CONFIG_KEYS = ("model", "ensemble", "tolerances", "sweep", "output_dir",
                "export_orbits", "export_orbit_limit")
-# the config key and kind of number of each SamplingConfig field
+# the config section, key and kind of number of each SamplingConfig field
 SAMPLING_KEYS = {
-    "ensemble_count": ("ensemble.count", int),
-    "seed": ("ensemble.seed", int),
-    "horizon": ("ensemble.horizon", float),
-    "integration_tol": ("tolerances.integration", float),
-    "green_tol": ("tolerances.green", float),
-    "gap_margin": ("tolerances.gap_margin", float),
+    "ensemble_count": ("ensemble", "count", int),
+    "seed": ("ensemble", "seed", int),
+    "horizon": ("ensemble", "horizon", float),
+    "integration_tol": ("tolerances", "integration", float),
+    "green_tol": ("tolerances", "green", float),
+    "gap_margin": ("tolerances", "gap_margin", float),
 }
 # the keys inside each section; a model takes its kind's keys and b_scale
-SECTION_KEYS = {"sweep": ("parameter", "grid")}
-for _section, _name in (key.split(".") for key, _kind in SAMPLING_KEYS.values()):
-    SECTION_KEYS[_section] = SECTION_KEYS.get(_section, ()) + (_name,)
+SECTION_KEYS = {section: tuple(name for s, name, _kind in SAMPLING_KEYS.values()
+                               if s == section)
+                for section in ("ensemble", "tolerances")}
+SECTION_KEYS["sweep"] = ("parameter", "grid")
 MODEL_KEYS = {
     "constant": ("K", "b", "chi", "area"),
     "torus": ("Lx", "Ly", "phi", "b"),
@@ -115,19 +116,24 @@ def _table(value, key, allowed):
     return value
 
 
-def _parse_coeffs(table, key, dims):
-    """{mode: amplitude} of a Fourier table whose keys read as integers j
-    (dims 1) or as pairs 'm,n' (dims 2)."""
-    noun, want = ("harmonic", "integer") if dims == 1 else ("mode", "'m,n'")
+def _mode_2d(k):
+    """A 2D Fourier table key 'm,n' as the pair (m, n)."""
+    m, n = (int(p) for p in str(k).split(","))
+    return m, n
+
+
+def _parse_coeffs(table, key, read_mode, noun, want):
+    """{mode: amplitude} of a Fourier table, each table key read by
+    ``read_mode``; a key it cannot read is a ConfigError naming the
+    ``noun`` and the form it should have (``want``)."""
     out = {}
     for k, v in _table(table, key, None).items():
         try:
-            mode = tuple(int(p) for p in str(k).split(","))
-        except ValueError:
-            mode = ()
-        if len(mode) != dims:
-            raise ConfigError("bad %s key %r under %s (want %s)" % (noun, k, key, want), key)
-        out[mode if dims == 2 else mode[0]] = _number(v, "%s.%s" % (key, k))
+            mode = read_mode(k)
+        except (TypeError, ValueError):
+            raise ConfigError("bad %s key %r under %s (want %s)" % (noun, k, key, want),
+                              key) from None
+        out[mode] = _number(v, "%s.%s" % (key, k))
     return out
 
 
@@ -136,8 +142,8 @@ def _series_2d(spec, Lx, Ly, key):
     return FourierSeries2D(
         Lx=Lx, Ly=Ly,
         const=_number(spec.get("const", 0.0), key + ".const"),
-        cos_coeffs=_parse_coeffs(spec.get("cos"), key + ".cos", 2),
-        sin_coeffs=_parse_coeffs(spec.get("sin"), key + ".sin", 2),
+        cos_coeffs=_parse_coeffs(spec.get("cos"), key + ".cos", _mode_2d, "mode", "'m,n'"),
+        sin_coeffs=_parse_coeffs(spec.get("sin"), key + ".sin", _mode_2d, "mode", "'m,n'"),
     )
 
 
@@ -185,8 +191,10 @@ def build_model(spec: dict):
     series = FourierSeries1D(
         const=_number(kspec.get("const", 0.0), "model.kappa.const"),
         omega=_number(kspec.get("omega", 1.0), "model.kappa.omega"),
-        cos_coeffs=_parse_coeffs(kspec.get("cos"), "model.kappa.cos", 1),
-        sin_coeffs=_parse_coeffs(kspec.get("sin"), "model.kappa.sin", 1),
+        cos_coeffs=_parse_coeffs(kspec.get("cos"), "model.kappa.cos", int,
+                                 "harmonic", "integer"),
+        sin_coeffs=_parse_coeffs(kspec.get("sin"), "model.kappa.sin", int,
+                                 "harmonic", "integer"),
     )
     if series.omega == 0 and (series.cos_coeffs or series.sin_coeffs):
         raise ConfigError("model.kappa.omega must be nonzero for a series "
@@ -213,14 +221,14 @@ def build_sampling(cfg: dict) -> SamplingConfig:
     sections = {name: _table(cfg.get(name), name, SECTION_KEYS[name])
                 for name in ("ensemble", "tolerances")}
     values = {}
-    for field, (key, kind) in SAMPLING_KEYS.items():
-        section, name = key.split(".")
+    for field, (section, name, kind) in SAMPLING_KEYS.items():
         if name in sections[section]:
-            values[field] = _number(sections[section][name], key, kind)
+            values[field] = _number(sections[section][name],
+                                    "%s.%s" % (section, name), kind)
     try:
         return SamplingConfig(**values)
     except ValueError as exc:
-        key = SAMPLING_KEYS[str(exc).split()[0]][0]
+        key = "%s.%s" % SAMPLING_KEYS[str(exc).split()[0]][:2]
         raise ConfigError("%s: %s" % (key, exc), key) from None
 
 

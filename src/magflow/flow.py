@@ -301,9 +301,9 @@ class CurvatureProfile:
 
     ``evaluator`` accepts scalars or arrays. ``k_bound`` is a k >= 0 with
     kappa(t) > -k_bound**2 on the usable window [t_min, t_max]. Profiles
-    built from a Fourier series (a constant is one without harmonics) have
-    infinite windows and shift and reflect exactly; spline profiles are
-    confined to their orbit window.
+    built from a Fourier series (a constant is one without harmonics, or
+    with omega = 0) have infinite windows and shift and reflect exactly;
+    spline profiles are confined to their orbit window.
     """
 
     evaluator: Callable
@@ -320,10 +320,12 @@ class CurvatureProfile:
 
     @property
     def const_value(self) -> Optional[float]:
-        """The constant of a Fourier series without harmonics, else None."""
-        if self.series is None or self.series.harmonics:
+        """The value of a constant Fourier series, else None: one without
+        harmonics, or with omega = 0, where it is const + sum_j a_j."""
+        s = self.series
+        if s is None or (s.harmonics and s.omega != 0.0):
             return None
-        return self.series.const
+        return float(s(0.0))
 
     @property
     def kappa_ceiling(self) -> float:

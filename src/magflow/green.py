@@ -205,6 +205,6 @@ def invariance_residual(profile: CurvatureProfile, t: float) -> float:
             "invariance check needs converged slopes at both ends")
     prop = propagator(profile)
     pulled = prop.pull_back(t, sh.u_plus0)
-    j, dj, _e = prop.carry(t, 1.0, base.u_minus0)
+    j, dj = prop.carry(t, base.u_minus0)
     pushed = dj[0] / j[0]
     return float(max(abs(pulled - base.u_plus0), abs(pushed - sh.u_minus0)))

@@ -15,11 +15,11 @@ All of these, the conjugate scan, the slope schedules in ``green``, the
 Riccati solutions in ``riccati`` and every solution with given data
 (``integrate_jacobi``) read one fundamental-matrix ``Propagator`` per
 profile, so each profile is integrated once. A constant profile (a
-Fourier series without harmonics) has its propagator read in closed
-form, with no launch; a solution with given data on a constant kappa < 0
-reads its own closed form, because on the stable line the read
-``A + u Z`` of the matrix cancels catastrophically. A Fourier profile
-with harmonics is periodic, and its propagator integrates one period and
+Fourier series without harmonics, or with omega = 0) has its propagator
+read in closed form, with no launch; a solution with given data on a
+constant kappa < 0 reads its own closed form, because on the stable line
+the read ``A + u Z`` of the matrix cancels catastrophically. Any other
+Fourier profile is periodic, and its propagator integrates one period and
 reads every later time from the monodromy; spline and callable profiles
 are integrated as far as callers ask. One zero scan (``_first_root``)
 finds the conjugate point and the Riccati pole; it is skipped where the
@@ -353,19 +353,6 @@ def integrate_jacobi(profile: CurvatureProfile, state0: JacobiState,
     return JacobiTrace(sol, scale, sign, t0, t1)
 
 
-def exact_period(profile: CurvatureProfile) -> Optional[float]:
-    """A period T with kappa(t + T) = kappa(t) for every t, or None.
-
-    A Fourier series with harmonics has T = 2*pi/|omega|. Spline and
-    callable profiles have none, and constant profiles (series without
-    harmonics) need none: their propagator is read in closed form.
-    """
-    s = profile.series
-    if s is None or s.omega == 0.0 or not s.harmonics:
-        return None
-    return 2.0 * math.pi / abs(s.omega)
-
-
 def _compose(p, q):
     """The product of two fundamental matrices, each given as ([A, A', Z, Z']
     mantissa, binary exponent), with the mantissa renormalised."""
@@ -389,7 +376,8 @@ class Propagator:
     by a power of two before the next segment, and readouts multiply it
     back exactly.
 
-    A profile with an exact period T (``exact_period``) is integrated over
+    A Fourier profile that is not constant has the exact period
+    T = 2*pi/|omega| (kappa(t + T) = kappa(t)) and is integrated over
     [0, T] only, and the last segment of the period runs on to T whenever
     the doubling would stop short of T / 2 before it (so periods up to
     2 * FIRST_BREAK take one launch). Every later time t = k T + tau reads
@@ -402,7 +390,9 @@ class Propagator:
         # no reference to the profile itself, which caches the propagator
         self.evaluator = profile.evaluator
         self.const = profile.const_value
-        self.period = exact_period(profile)
+        s = profile.series
+        self.period = (2.0 * math.pi / abs(s.omega)
+                       if s is not None and self.const is None else None)
         self.t_end = profile.t_max if self.period is None else self.period
         self.breaks = [0.0]
         # segment k ends at breaks[k]: (dense output, end state, scale
@@ -504,14 +494,14 @@ class Propagator:
         y, _e = self._stored(np.array([float(r)]))
         return -float(y[0, 0]) / float(y[2, 0])
 
-    def carry(self, ts, v: float, d: float) -> tuple:
-        """(J, J', e) at the times ts >= 0 for the solution J = v A + d Z
-        with data (v, d) at time zero, in stored scale: J * 2**e and
-        J' * 2**e are the solution and its derivative. So the sign of J and
-        the slope J'/J (for v = 1 the Moebius image (A' + Z' d) / (A + Z d)
-        of d) stay exact where A and Z overflow."""
-        (a, da, z, dz), e = self._stored(np.atleast_1d(np.asarray(ts, dtype=float)))
-        return v * a + d * z, v * da + d * dz, e
+    def carry(self, ts, u0: float) -> tuple:
+        """(J, J') at the times ts >= 0 for the solution J = A + u0 Z with
+        slope u0 at time zero, both divided by one power of two per time
+        (stored scale). So the sign of J and the slope
+        J'/J = (A' + Z' u0) / (A + Z u0), the Moebius image of u0, stay
+        exact where A and Z overflow."""
+        (a, da, z, dz), _e = self._stored(np.atleast_1d(np.asarray(ts, dtype=float)))
+        return a + z * u0, da + dz * u0
 
     def pull_back(self, t: float, w: float) -> float:
         """The slope at time zero of the solution with slope w at time t >= 0:

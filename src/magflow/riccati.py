@@ -63,7 +63,7 @@ def integrate_riccati(profile: CurvatureProfile, u0: float, t_span: tuple) -> Ri
     v0 = sign * u0
     pole, s_end = _first_root(prop, 1.0, v0, abs(t1 - t0), _scan_step(local, SCAN_STEP))
     ss = np.linspace(0.0, s_end, N_SAMPLES)
-    j, dj, _e = prop.carry(ss, 1.0, v0)
+    j, dj = prop.carry(ss, v0)
     return RiccatiTrace(
         t_samples=t0 + sign * ss,
         u_samples=sign * (dj / j),

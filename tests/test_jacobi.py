@@ -405,14 +405,18 @@ class TestPeriodicPropagator:
         assert jacobi.propagator(callable_prof).period is None
 
     def test_harmonic_free_series_is_the_constant(self):
-        # a constant is a Fourier series without harmonics, wherever it
-        # comes from: its propagator is the closed form, with no launch
+        # a constant is a Fourier series without harmonics, or with
+        # omega = 0 (const + sum_j a_j), wherever it comes from: its
+        # propagator is the closed form, with no launch
         series = FourierSeries1D(const=-0.7)
+        zero_freq = FourierSeries1D(const=-1.0, omega=0.0, cos_coeffs={1: 0.3},
+                                    sin_coeffs={2: 0.5})
         const = jacobi.propagator(CurvatureProfile.constant(-0.7))
         ts = np.linspace(0.0, 2000.0, 4001)
         for p in (CurvatureProfile.from_series(series),
                   AbstractProfile(kappa=series, k_bound=1.0).profile(
-                      UnitTangent(), 1.0, 1e-10, False)[0]):
+                      UnitTangent(), 1.0, 1e-10, False)[0],
+                  CurvatureProfile.from_series(zero_freq)):
             assert p.const_value == -0.7
             prop = jacobi.propagator(p)
             assert prop.nfev_to(10.0) == 0
@@ -519,7 +523,7 @@ class TestConstantClosedForm:
             assert prop.slope(r) == pytest.approx(-lam, rel=1e-15)
             # the stable slope attracts every other one backward
             assert prop.pull_back(r, 0.0) == pytest.approx(-lam, rel=1e-15)
-            j, dj, _e = prop.carry(r, 1.0, 0.0)
+            j, dj = prop.carry(r, 0.0)
             assert dj[0] / j[0] == pytest.approx(lam, rel=1e-15)
         # no jump at the switch: the far read continues cosh and sinh
         ts = np.array([699.0, 700.0, 701.0]) / lam
