@@ -400,5 +400,13 @@ class CurvatureProfile:
 
 
 def _k_bound(kmin: float) -> float:
-    """A k with kappa > -k**2 for a curvature whose (sampled) minimum is kmin."""
-    return math.sqrt(max(0.0, -kmin) + K_MARGIN)
+    """A k >= 0 with k * k >= -kmin for a curvature whose (sampled) minimum
+    is kmin: sqrt(-kmin + K_MARGIN), which puts -k**2 K_MARGIN below kmin
+    while the margin is above the spacing of floats there. Past |kmin| ~ 4e6
+    the sum can drop the margin and the root square to less than -kmin; k
+    is then stepped up one float at a time until k * k >= -kmin. A root
+    that covers kmin already is kept as it is."""
+    k = math.sqrt(max(0.0, -kmin) + K_MARGIN)
+    while k * k < -kmin:
+        k = math.nextafter(k, math.inf)
+    return k

@@ -371,13 +371,16 @@ class AbstractProfile:
     def curvature(self) -> CurvatureProfile:
         """kappa as a curvature profile. A Fourier series stays one, so the
         profile shifts and reflects exactly and is read in one array call;
-        any other callable is called once per time."""
+        any other callable is called once per time, on the Python numbers
+        of ``np.ravel(t).tolist()``, and its values are read as a float
+        array of t's shape (0-d for a scalar t), bitwise what
+        ``np.vectorize(kappa, otypes=[float])`` reads."""
         kappa = self.kappa
         if isinstance(kappa, FourierSeries1D):
             return CurvatureProfile(evaluator=kappa, k_bound=self.k_bound, series=kappa)
         return CurvatureProfile(
-            evaluator=lambda t: np.vectorize(kappa, otypes=[float])(t)
-            if np.ndim(t) else float(kappa(float(t))),
+            evaluator=lambda t: np.array([kappa(s) for s in np.ravel(t).tolist()],
+                                         dtype=float).reshape(np.shape(t)),
             k_bound=self.k_bound,
         )
 

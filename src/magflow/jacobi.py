@@ -29,8 +29,10 @@ Every launch (``_launch``, called by ``Propagator`` alone) runs magflow's
 own DOP853 loop on [A, A', Z, Z'] at the one tolerance ``JACOBI_TOL``:
 the Dormand-Prince 8(5,3) tableau is scipy's, the step control is the one
 ``flow`` shares with the orbit loop, the curvature is read in one array
-call per step attempt, and the dense output is kept as arrays. Results
-agree with scipy's DOP853 solver at roundoff level, not bitwise.
+call per step attempt, the stage sums of one pair (J, J') are written out
+over the tableau's nonzero weights (``_pair``, run on (A, A') and on
+(Z, Z')), and the dense output is kept as arrays. Results agree with
+scipy's DOP853 solver at roundoff level, not bitwise.
 
 The boundary solution is computed two independent ways (a shooting
 combination of fundamental solutions, and the reduction-of-order integral
@@ -44,7 +46,7 @@ import bisect
 import math
 from array import array
 from dataclasses import dataclass, replace
-from operator import mul
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -137,9 +139,22 @@ class JacobiTrace:
 # 12 is the derivative at the step end, and stages 13-15 feed the dense
 # output only. One step attempt reads the curvature at the nodes of stages
 # 1-11 and 13-15; stage 11 sits at c = 1, so stage 12 reuses its value.
-_A = [row[:s] for s, row in enumerate(_dop853.A.tolist())]
-_B, _E3, _E5 = _dop853.B.tolist(), _dop853.E3.tolist(), _dop853.E5.tolist()
+# ``_pair`` reads the nonzero weights alone: _A<s>_<i> of rows 1-11 of A
+# (column 1 of rows 3-11 and column 2 of rows 5-11 are zero), and _B<i>,
+# _E5_<i> and _E3_<i> of B, E5 and E3, which weight none of stages 1-4 and,
+# for E5 and E3, not stage 12.
 _NODES = _dop853.C[[*range(1, 12), 13, 14, 15]]
+((_A1_0,), (_A2_0, _A2_1), (_A3_0, _A3_2), (_A4_0, _A4_2, _A4_3),
+ (_A5_0, _A5_3, _A5_4), (_A6_0, _A6_3, _A6_4, _A6_5),
+ (_A7_0, _A7_3, _A7_4, _A7_5, _A7_6), (_A8_0, _A8_3, _A8_4, _A8_5, _A8_6, _A8_7),
+ (_A9_0, _A9_3, _A9_4, _A9_5, _A9_6, _A9_7, _A9_8),
+ (_A10_0, _A10_3, _A10_4, _A10_5, _A10_6, _A10_7, _A10_8, _A10_9),
+ (_A11_0, _A11_3, _A11_4, _A11_5, _A11_6, _A11_7, _A11_8, _A11_9, _A11_10)) = [
+    [w for w in row[:s] if w != 0.0] for s, row in enumerate(_dop853.A.tolist()[1:12], 1)]
+((_B0, _B5, _B6, _B7, _B8, _B9, _B10, _B11),
+ (_E5_0, _E5_5, _E5_6, _E5_7, _E5_8, _E5_9, _E5_10, _E5_11),
+ (_E3_0, _E3_5, _E3_6, _E3_7, _E3_8, _E3_9, _E3_10, _E3_11)) = [
+    [w for w in v.tolist() if w != 0.0] for v in (_dop853.B, _dop853.E5, _dop853.E3)]
 
 
 def _rate(k, v):
@@ -181,6 +196,94 @@ class _Run:
         return out[:, 0] if np.ndim(ts) == 0 else out
 
 
+def _pair(j, dj, p0, q0, h, kv, e5, e3):
+    """One DOP853 step attempt of signed size h for one pair (J, J') of
+    J'' + kappa J = 0, from (j, dj) with derivatives (p0, q0) = (J', J''),
+    kappa being kv at ``_NODES``.
+
+    Returns J and J' at the step end, the stage slopes (p0, ..., p12) of J
+    and (q0, ..., q12) of J' (stage 12 being the derivative at the step
+    end), and e5 and e3 with the pair's squared 5th- and 3rd-order error
+    terms added, J's first. Each sum adds its products left to right over
+    the nonzero weights, as the list form's dot products over the full rows
+    did (``sum(map(mul, row, stages))`` up to Python 3.11). The zero weights
+    add only zeros, which can change a sum in the sign of a zero total
+    alone; every sum is added to a state or squared, and no state is -0.0
+    from initial data without one (x + y is -0.0 only where both are). So
+    the step is bitwise that of the list form.
+    """
+    k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, _k13, _k14, _k15 = kv
+    p1 = dj + (_A1_0 * q0) * h
+    q1 = -k1 * (j + (_A1_0 * p0) * h)
+    p2 = dj + (_A2_0 * q0 + _A2_1 * q1) * h
+    q2 = -k2 * (j + (_A2_0 * p0 + _A2_1 * p1) * h)
+    p3 = dj + (_A3_0 * q0 + _A3_2 * q2) * h
+    q3 = -k3 * (j + (_A3_0 * p0 + _A3_2 * p2) * h)
+    p4 = dj + (_A4_0 * q0 + _A4_2 * q2 + _A4_3 * q3) * h
+    q4 = -k4 * (j + (_A4_0 * p0 + _A4_2 * p2 + _A4_3 * p3) * h)
+    p5 = dj + (_A5_0 * q0 + _A5_3 * q3 + _A5_4 * q4) * h
+    q5 = -k5 * (j + (_A5_0 * p0 + _A5_3 * p3 + _A5_4 * p4) * h)
+    p6 = dj + (_A6_0 * q0 + _A6_3 * q3 + _A6_4 * q4 + _A6_5 * q5) * h
+    q6 = -k6 * (j + (_A6_0 * p0 + _A6_3 * p3 + _A6_4 * p4 + _A6_5 * p5) * h)
+    p7 = dj + (_A7_0 * q0 + _A7_3 * q3 + _A7_4 * q4 + _A7_5 * q5 + _A7_6 * q6) * h
+    q7 = -k7 * (j + (_A7_0 * p0 + _A7_3 * p3 + _A7_4 * p4 + _A7_5 * p5
+                     + _A7_6 * p6) * h)
+    p8 = dj + (_A8_0 * q0 + _A8_3 * q3 + _A8_4 * q4 + _A8_5 * q5 + _A8_6 * q6
+               + _A8_7 * q7) * h
+    q8 = -k8 * (j + (_A8_0 * p0 + _A8_3 * p3 + _A8_4 * p4 + _A8_5 * p5
+                     + _A8_6 * p6 + _A8_7 * p7) * h)
+    p9 = dj + (_A9_0 * q0 + _A9_3 * q3 + _A9_4 * q4 + _A9_5 * q5 + _A9_6 * q6
+               + _A9_7 * q7 + _A9_8 * q8) * h
+    q9 = -k9 * (j + (_A9_0 * p0 + _A9_3 * p3 + _A9_4 * p4 + _A9_5 * p5
+                     + _A9_6 * p6 + _A9_7 * p7 + _A9_8 * p8) * h)
+    p10 = dj + (_A10_0 * q0 + _A10_3 * q3 + _A10_4 * q4 + _A10_5 * q5
+                + _A10_6 * q6 + _A10_7 * q7 + _A10_8 * q8 + _A10_9 * q9) * h
+    q10 = -k10 * (j + (_A10_0 * p0 + _A10_3 * p3 + _A10_4 * p4 + _A10_5 * p5
+                       + _A10_6 * p6 + _A10_7 * p7 + _A10_8 * p8
+                       + _A10_9 * p9) * h)
+    p11 = dj + (_A11_0 * q0 + _A11_3 * q3 + _A11_4 * q4 + _A11_5 * q5
+                + _A11_6 * q6 + _A11_7 * q7 + _A11_8 * q8 + _A11_9 * q9
+                + _A11_10 * q10) * h
+    q11 = -k11 * (j + (_A11_0 * p0 + _A11_3 * p3 + _A11_4 * p4 + _A11_5 * p5
+                       + _A11_6 * p6 + _A11_7 * p7 + _A11_8 * p8 + _A11_9 * p9
+                       + _A11_10 * p10) * h)
+    j_new = j + h * (_B0 * p0 + _B5 * p5 + _B6 * p6 + _B7 * p7 + _B8 * p8
+                     + _B9 * p9 + _B10 * p10 + _B11 * p11)
+    dj_new = dj + h * (_B0 * q0 + _B5 * q5 + _B6 * q6 + _B7 * q7 + _B8 * q8
+                       + _B9 * q9 + _B10 * q10 + _B11 * q11)
+    sc = JACOBI_TOL + max(abs(j), abs(j_new)) * JACOBI_TOL
+    u = (_E5_0 * p0 + _E5_5 * p5 + _E5_6 * p6 + _E5_7 * p7 + _E5_8 * p8
+         + _E5_9 * p9 + _E5_10 * p10 + _E5_11 * p11) / sc
+    w = (_E3_0 * p0 + _E3_5 * p5 + _E3_6 * p6 + _E3_7 * p7 + _E3_8 * p8
+         + _E3_9 * p9 + _E3_10 * p10 + _E3_11 * p11) / sc
+    e5, e3 = e5 + u * u, e3 + w * w
+    sc = JACOBI_TOL + max(abs(dj), abs(dj_new)) * JACOBI_TOL
+    u = (_E5_0 * q0 + _E5_5 * q5 + _E5_6 * q6 + _E5_7 * q7 + _E5_8 * q8
+         + _E5_9 * q9 + _E5_10 * q10 + _E5_11 * q11) / sc
+    w = (_E3_0 * q0 + _E3_5 * q5 + _E3_6 * q6 + _E3_7 * q7 + _E3_8 * q8
+         + _E3_9 * q9 + _E3_10 * q10 + _E3_11 * q11) / sc
+    return (j_new, dj_new,
+            (p0, p1, p2, p3, p4, p5, p6, p7, p8, p9, p10, p11, dj_new),
+            (q0, q1, q2, q3, q4, q5, q6, q7, q8, q9, q10, q11, -k11 * j_new),
+            e5 + u * u, e3 + w * w)
+
+
+def _attempt(ev: Callable, t: float, y, f, h: float) -> tuple:
+    """One DOP853 step attempt of signed size h from the state y = [A, A',
+    Z, Z'] with derivative f at t, for ``flow._march``: (y_new, f_new, err,
+    stages), stages being the 13 stage slopes of each component and the
+    curvature at the three dense-output nodes. kappa does not depend on the
+    state, so the attempt reads ``ev`` once, at the 14 nodes of its stages,
+    and runs ``_pair`` on (A, A') and then on (Z, Z'); err is the combined
+    5th/3rd-order error norm."""
+    kv = np.asarray(ev(t + h * _NODES), dtype=float).tolist()
+    a, da, ka, kda, e5, e3 = _pair(y[0], y[1], f[0], f[1], h, kv, 0.0, 0.0)
+    z, dz, kz, kdz, e5, e3 = _pair(y[2], y[3], f[2], f[3], h, kv, e5, e3)
+    err = (0.0 if e5 == 0 and e3 == 0
+           else abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * 4))
+    return [a, da, z, dz], [da, kda[12], dz, kdz[12]], err, ((ka, kda, kz, kdz), kv[11:])
+
+
 def _launch(ev: Callable, y0, t_span: tuple) -> _Run:
     """One dense DOP853 run of J'' + ev(t) J = 0 over the non-empty t_span
     (either direction) for the two stacked pairs y0 = [A, A', Z, Z'];
@@ -188,43 +291,17 @@ def _launch(ev: Callable, y0, t_span: tuple) -> _Run:
 
     The step control is scipy's DOP853 at rtol = atol = JACOBI_TOL, run by
     ``flow._first_step`` and ``flow._march`` for an error estimator of order
-    7; the error norm is the combined 5th/3rd-order one. The stage sums run
-    on Python floats, and the dense output of the accepted steps is formed
-    in one array pass at the end, so the results agree with scipy's to
-    roundoff, not bitwise. kappa does not depend on the state, so each step
-    attempt reads ``ev`` once, at the 14 nodes of its stages. Fails as
-    ``flow._march`` does, the budget being ``JACOBI_NFEV_BUDGET`` curvature
-    points.
+    7, with ``_attempt`` taking the steps. The stage sums are written out
+    per pair on Python floats (``_pair``), and the dense output of the
+    accepted steps is formed in one array pass at the end, so the results
+    agree with scipy's to roundoff, not bitwise. Fails as ``flow._march``
+    does, the budget being ``JACOBI_NFEV_BUDGET`` curvature points.
     """
-    tol = JACOBI_TOL
     t, t_end = float(t_span[0]), float(t_span[1])
     y = [float(v) for v in y0]
     f = _rate(float(ev(t)), y)
-    h_abs = _first_step(lambda s, v: _rate(float(ev(s)), v), t, y, f, t_end - t, 7, tol)
-
-    def attempt(t, y, f, h):
-        a, da, z, dz = y
-        kv = np.asarray(ev(t + h * _NODES), dtype=float).tolist()
-        # the stage derivatives of each component, stage by stage
-        ks = ka, kda, kz, kdz = [f[0]], [f[1]], [f[2]], [f[3]]
-        for row, k in zip(_A[1:12], kv):
-            stage_a = a + sum(map(mul, row, ka)) * h
-            stage_z = z + sum(map(mul, row, kz)) * h
-            ka.append(da + sum(map(mul, row, kda)) * h)
-            kda.append(-k * stage_a)
-            kz.append(dz + sum(map(mul, row, kdz)) * h)
-            kdz.append(-k * stage_z)
-        y_new = [v + h * sum(map(mul, _B, c)) for v, c in zip(y, ks)]
-        f_new = _rate(kv[10], y_new)
-        e5 = e3 = 0.0
-        for v, w, c, r in zip(y, y_new, ks, f_new):
-            c.append(r)
-            sc = tol + max(abs(v), abs(w)) * tol
-            p, q = sum(map(mul, _E5, c)) / sc, sum(map(mul, _E3, c)) / sc
-            e5, e3 = e5 + p * p, e3 + q * q
-        err = (0.0 if e5 == 0 and e3 == 0
-               else abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * 4))
-        return y_new, f_new, err, (ks, kv[11:])
+    h_abs = _first_step(lambda s, v: _rate(float(ev(s)), v), t, y, f, t_end - t, 7,
+                        JACOBI_TOL)
 
     # per accepted step: its end time and end state, and the stage
     # derivatives and dense-output curvatures as packed doubles
@@ -238,8 +315,8 @@ def _launch(ev: Callable, y0, t_span: tuple) -> _Run:
         ts.append(t_new)
         ys.extend(y_new)
 
-    nfev, _rejected = _march(attempt, keep, t, t_end, y, f, h_abs, 2, len(_NODES),
-                             JACOBI_NFEV_BUDGET, 7, "jacobi")
+    nfev, _rejected = _march(partial(_attempt, ev), keep, t, t_end, y, f, h_abs, 2,
+                             len(_NODES), JACOBI_NFEV_BUDGET, 7, "jacobi")
 
     # the dense output of every accepted step in one array pass: stages
     # 13-15, then scipy's coefficients (dy, h f_old - dy,
@@ -665,7 +742,10 @@ def solve_boundary(profile: CurvatureProfile, r: float,
         # the double-precision floor past the agreement bound
         probes = [tp for tp in candidates if inv_z_sq(tp) >= 1e-10]
         if not probes:
-            probes = [candidates[0]]
+            # |Z| passes 1e5 before the first candidate: probe on a geometric
+            # grid below it, down to t_lo, where |Z| is still small
+            below = np.geomspace(t_lo, candidates[0], 9)[:-1]
+            probes = [tp for tp in below if inv_z_sq(tp) >= 1e-10] or [t_lo]
 
         diffs = []
         for tp in probes:

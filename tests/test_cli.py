@@ -210,6 +210,13 @@ class TestConfigValidation:
         assert prof.k_bound == pytest.approx(math.sqrt(1.1), abs=1e-9)
         assert classify(prof).verdict == "NumericallyAnosov"
 
+    def test_default_k_bound_of_a_large_negative_const(self):
+        # K_MARGIN is below the spacing of floats at 8e8, so sqrt(-kmin +
+        # K_MARGIN) squared fell short of -kmin and failed its own check
+        prof = build_model({"kind": "profile",
+                            "kappa": {"const": -806384158.3129885, "sin": {"1": 0.3}}})
+        assert prof.k_bound**2 >= 806384158.3129885 + 0.3
+
 
 class TestRun:
     def test_anosov_run(self, tmp_path):

@@ -441,6 +441,24 @@ class TestCurvatureProfiles:
         AbstractProfile(kappa=series, k_bound=k).validate_window(0.0, 100.0)
         assert k**2 >= -np.min(series(np.linspace(0.0, 100.0, 10_001)))
 
+    def test_k_bound_covers_the_minimum_past_the_margin(self):
+        # past |kmin| ~ 4e6 the margin drops out of -kmin + K_MARGIN: k steps
+        # up to the first float with k * k >= -kmin, and a k that covers the
+        # minimum already is the square root itself
+        rng = np.random.default_rng(7)
+        stepped = 0
+        for kmin in [-0.0, -1.0, -1.1, -4.2e6, -8.06384158e8 - 0.3,
+                     *(-np.exp(rng.uniform(-5.0, 45.0, 2000))).tolist()]:
+            k = flow._k_bound(kmin)
+            root = math.sqrt(-kmin + flow.K_MARGIN)
+            assert k * k >= -kmin
+            if root * root >= -kmin:
+                assert k == root
+            else:
+                stepped += 1
+                assert math.nextafter(k, 0.0) * math.nextafter(k, 0.0) < -kmin
+        assert stepped > 0
+
     def test_profile_shift_and_flip(self):
         series = FourierSeries1D(const=-1.0, omega=1.0, sin_coeffs={1: 0.3})
         p = CurvatureProfile.from_series(series)

@@ -94,3 +94,20 @@ def test_every_export_has_a_program_caller():
     exports = [name for name in magflow.__all__
                if not inspect.ismodule(getattr(magflow, name))]
     assert [name for name in exports if name not in used] == []
+
+
+
+def _is_call(node, name: str) -> bool:
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+
+
+def test_no_vectorize_and_no_list_form_stage_sums():
+    # callable profiles are read by one list comprehension
+    # (AbstractProfile.curvature), and jacobi._pair writes the DOP853 stage
+    # sums out; read from the syntax tree, since docstrings name both
+    package = Path(magflow.__file__).parent
+    for path in package.glob("*.py"):
+        assert "vectorize" not in _names_used(ast.parse(path.read_text())), path.name
+    jacobi = ast.parse((package / "jacobi.py").read_text())
+    assert [node for node in ast.walk(jacobi) if _is_call(node, "sum")
+            and node.args and _is_call(node.args[0], "map")] == []

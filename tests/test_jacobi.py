@@ -2,10 +2,13 @@ import itertools
 import math
 import sys
 import warnings
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as _dop853
 
 from magflow import (
     AbstractProfile,
@@ -198,6 +201,14 @@ class TestBoundarySolution:
             slope = solve_boundary(p, 2000.0, cross_check=False).slope0
         assert math.isfinite(slope)
         assert slope == jacobi.propagator(p).slope(2000.0)
+
+    def test_cross_check_where_every_candidate_probe_is_large(self):
+        # |Z| passes 1e5 near t = 12, below the first candidate probe 0.05 r =
+        # 100, where A + s Z cancels catastrophically: the probes sit below it
+        p = CurvatureProfile.from_series(FourierSeries1D(const=-1.0, sin_coeffs={1: 0.3}))
+        sol = solve_boundary(p, 2000.0, cross_check=True)
+        assert sol.cross_residual < 1e-10
+        assert sol.slope0 == jacobi.propagator(p).slope(2000.0)
 
     def test_nan_disagreement_fails_the_cross_check(self, monkeypatch):
         monkeypatch.setattr(jacobi, "quad", lambda *args, **kwargs: (math.nan, 0.0))
@@ -705,6 +716,132 @@ class TestLaunch:
             assert exc.value.last_time == span[0]
             # the two first-step reads and one step attempt
             assert calls == [1, 1, len(jacobi._NODES)]
+
+
+# The step attempt in its list form, the one jacobi._pair writes out:
+# every stage sum, the update and the error terms a dot product over a full
+# row of scipy's DOP853 tableau, zero weights included. The package summed
+# with sum(map(mul, w, c)), which adds left to right from 0 up to Python
+# 3.11 (3.12 compensates); dot does so on every version.
+_ROWS = [row[:s] for s, row in enumerate(_dop853.A.tolist())]
+_B, _E3, _E5 = _dop853.B.tolist(), _dop853.E3.tolist(), _dop853.E5.tolist()
+
+
+def dot(w, c):
+    return reduce(add, map(mul, w, c), 0.0)
+
+
+def list_form_attempt(ev, t, y, f, h):
+    tol = jacobi.JACOBI_TOL
+    a, da, z, dz = y
+    kv = np.asarray(ev(t + h * jacobi._NODES), dtype=float).tolist()
+    # the stage derivatives of each component, stage by stage
+    ks = ka, kda, kz, kdz = [f[0]], [f[1]], [f[2]], [f[3]]
+    for row, k in zip(_ROWS[1:12], kv):
+        stage_a = a + dot(row, ka) * h
+        stage_z = z + dot(row, kz) * h
+        ka.append(da + dot(row, kda) * h)
+        kda.append(-k * stage_a)
+        kz.append(dz + dot(row, kdz) * h)
+        kdz.append(-k * stage_z)
+    y_new = [v + h * dot(_B, c) for v, c in zip(y, ks)]
+    f_new = jacobi._rate(kv[10], y_new)
+    e5 = e3 = 0.0
+    for v, w, c, r in zip(y, y_new, ks, f_new):
+        c.append(r)
+        sc = tol + max(abs(v), abs(w)) * tol
+        p, q = dot(_E5, c) / sc, dot(_E3, c) / sc
+        e5, e3 = e5 + p * p, e3 + q * q
+    err = (0.0 if e5 == 0 and e3 == 0
+           else abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * 4))
+    return y_new, f_new, err, (ks, kv[11:])
+
+
+def _bench_spline():
+    # the curvature along an orbit of the benchmark's torus (demo 05)
+    torus = ConformalTorus(phi=FourierSeries2D(cos_coeffs={(1, 0): 0.05}),
+                           b=FourierSeries2D(const=0.6, sin_coeffs={(0, 1): 0.2}))
+    return torus.profile(UnitTangent(0.3, 0.7, 1.1), 20.0, 1e-10, False)[0]
+
+
+def _callable(kappa, k_bound):
+    return AbstractProfile(kappa=kappa, k_bound=k_bound).curvature()
+
+
+class TestUnrolledLaunch:
+    """jacobi._pair writes out the stage sums of list_form_attempt with its
+    zero weights skipped, and callable profiles are read without
+    np.vectorize; both read bitwise what the list forms read."""
+
+    @staticmethod
+    def _launches(monkeypatch, read, attempt):
+        runs = []
+        launch = jacobi._launch
+
+        def recording(*args):
+            runs.append(launch(*args))
+            return runs[-1]
+
+        with monkeypatch.context() as mp:
+            mp.setattr(jacobi, "_launch", recording)
+            mp.setattr(jacobi, "_attempt", attempt)
+            read()
+        return runs
+
+    def _assert_bitwise(self, monkeypatch, read):
+        got = self._launches(monkeypatch, read, jacobi._attempt)
+        want = self._launches(monkeypatch, read, list_form_attempt)
+        assert len(got) == len(want) > 0
+        for run, ref in zip(got, want):
+            for name in ("t", "y", "F"):
+                assert getattr(run, name).tobytes() == getattr(ref, name).tobytes()
+            assert run.nfev == ref.nfev
+        return got
+
+    @pytest.mark.parametrize("span", [(0.0, 12.0), (11.0, -0.5)],
+                             ids=["forward", "backward"])
+    def test_fourier_launches(self, monkeypatch, span):
+        rng = rng_for("unrolled")
+        profiles = [family(rng) for family in (hyperbolic_profile, oscillatory_profile)]
+
+        def read():
+            for p in profiles:
+                for y0 in ([1.0, 0.0, 0.0, 1.0], [0.3, -1.2, 0.7, 0.4]):
+                    jacobi._launch(p.evaluator, y0, span)
+
+        self._assert_bitwise(monkeypatch, read)
+
+    def test_bench_torus_spline(self, monkeypatch):
+        p = _bench_spline()
+        self._assert_bitwise(monkeypatch, lambda: (
+            jacobi._launch(p.evaluator, [1.0, 0.0, 0.0, 1.0], (0.0, 20.0)),
+            jacobi._launch(p.evaluator, [1.0, 0.0, 0.0, 1.0], (20.0, 3.0))))
+
+    def test_half_wave_propagator(self, monkeypatch):
+        # fresh profiles, since each caches its propagator
+        runs = self._assert_bitwise(monkeypatch, lambda: jacobi.propagator(
+            _callable(lambda t: -max(0.0, math.sin(t)) ** 2, 1.0))(40.0))
+        assert len(runs) == 4  # the segments ending at 5, 10, 20 and 40
+
+    def test_segment_started_past_the_rescale_threshold(self, monkeypatch):
+        # lam = 20: the state passes 1e100 by t = 20, so the segment [20, 40]
+        # starts from the rescaled end state of [10, 20]
+        runs = self._assert_bitwise(monkeypatch, lambda: jacobi.propagator(
+            _callable(lambda t: -400.0 + 0.3 * math.sin(t), 21.0))(35.0))
+        assert np.max(np.abs(runs[-2].y[:, -1])) > jacobi.RESCALE_THRESHOLD
+        assert np.max(np.abs(runs[-1].y[:, 0])) < 1.0
+
+    @pytest.mark.parametrize("t", [
+        0.7, np.float64(-2.5), np.array(1.5), np.linspace(-1.0, 4.0, 7),
+        np.linspace(0.0, 6.0, 12).reshape(3, 4), np.empty(0), np.empty((2, 0)),
+    ], ids=["float", "float64", "0-d", "1-d", "2-d", "empty", "empty-2-d"])
+    def test_callable_read_matches_vectorize(self, t):
+        for kappa in (lambda s: -max(0.0, math.sin(s)) ** 2,
+                      lambda s: int(3.0 * s) - 4):  # int values
+            got = _callable(kappa, 5.0)(t)
+            want = np.vectorize(kappa, otypes=[float])(t)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestWorkBudget:
