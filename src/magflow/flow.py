@@ -71,7 +71,8 @@ class OrbitTrace:
             for i in range(0, len(self.t_samples), 2048):
                 block = [map(repr, np.asarray(c[i:i + 2048], dtype=float).tolist())
                          for c in cols]
-                fh.writelines(",".join(row) + "\r\n" for row in zip(*block))
+                fh.write("\r\n".join(map(",".join, zip(*block))))
+                fh.write("\r\n")
 
 
 # The Dormand-Prince 5(4) pair (J. Comput. Appl. Math. 6 (1980) 19) with the
@@ -103,6 +104,7 @@ _P = np.array([
     [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
     [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_SQRT3 = math.sqrt(3)
 
 
 def _rms(v) -> float:
@@ -235,14 +237,19 @@ def _rk45(f: Callable, y0, t_end: float, t_eval: np.ndarray, tol: float):
         yn = y + h * (_B1 * v1 + _B3 * v3 + _B4 * v4 + _B5 * v5 + _B6 * v6)
         thn = th + h * (_B1 * w1 + _B3 * w3 + _B4 * w4 + _B5 * w5 + _B6 * w6)
         k7 = u7, v7, w7 = f(xn, yn, thn)
-        err = _rms((
-            (_E1 * u1 + _E3 * u3 + _E4 * u4 + _E5 * u5 + _E6 * u6 + _E7 * u7)
-            * h / (tol + max(abs(x), abs(xn)) * tol),
-            (_E1 * v1 + _E3 * v3 + _E4 * v4 + _E5 * v5 + _E6 * v6 + _E7 * v7)
-            * h / (tol + max(abs(y), abs(yn)) * tol),
-            (_E1 * w1 + _E3 * w3 + _E4 * w4 + _E5 * w5 + _E6 * w6 + _E7 * w7)
-            * h / (tol + max(abs(th), abs(thn)) * tol)))
-        return (xn, yn, thn), k7, err, (t, h, state, (k1, k3, k4, k5, k6, k7))
+        ex = ((_E1 * u1 + _E3 * u3 + _E4 * u4 + _E5 * u5 + _E6 * u6 + _E7 * u7)
+              * h / (tol + max(abs(x), abs(xn)) * tol))
+        ey = ((_E1 * v1 + _E3 * v3 + _E4 * v4 + _E5 * v5 + _E6 * v6 + _E7 * v7)
+              * h / (tol + max(abs(y), abs(yn)) * tol))
+        et = ((_E1 * w1 + _E3 * w3 + _E4 * w4 + _E5 * w5 + _E6 * w6 + _E7 * w7)
+              * h / (tol + max(abs(th), abs(thn)) * tol))
+        # _rms written out: sum sees the same three squares in the same
+        # order, so the norm is bitwise _rms's, also under the compensated
+        # float sum of Python 3.12
+        err = math.sqrt(sum((ex * ex, ey * ey, et * et))) / _SQRT3
+        return (xn, yn, thn), k7, err, (t, h, x, y, th, u1, v1, w1, u3, v3, w3,
+                                        u4, v4, w4, u5, v5, w5, u6, v6, w6,
+                                        u7, v7, w7)
 
     ends, steps = [], []
 
@@ -256,8 +263,9 @@ def _rk45(f: Callable, y0, t_end: float, t_eval: np.ndarray, tol: float):
     # each sample is read from the dense output of the first step that ends
     # at or after it
     idx = np.searchsorted(ends, t_eval, side="left")
-    t0, hs, y_old, ks = (np.array(c) for c in zip(*steps))
-    q = np.einsum("ksj,sr->rjk", ks, _P)  # (4, components, steps)
+    rec = np.array(steps)  # (steps, 23): t, h, state, the six kept slopes
+    t0, hs, y_old = rec[:, 0], rec[:, 1], rec[:, 2:5]
+    q = np.einsum("ksj,sr->rjk", rec[:, 5:].reshape(-1, 6, 3), _P)  # (4, 3, steps)
     hs = hs[idx]
     p = np.cumprod(np.tile((t_eval - t0[idx]) / hs, (4, 1)), axis=0)  # x, ..., x**4
     ys = hs * sum(q[r][:, idx] * p[r] for r in range(4)) + y_old[idx].T
@@ -300,7 +308,7 @@ class CurvatureProfile:
     """Curvature along an orbit as a function of time.
 
     ``evaluator`` accepts scalars or arrays. ``k_bound`` is a k >= 0 with
-    kappa(t) > -k_bound**2 on the usable window [t_min, t_max]. Profiles
+    kappa(t) >= -k_bound**2 on the usable window [t_min, t_max]. Profiles
     built from a Fourier series (a constant is one without harmonics, or
     with omega = 0) have infinite windows and shift and reflect exactly;
     spline profiles are confined to their orbit window.

@@ -351,7 +351,7 @@ class AbstractProfile:
     """Model given only by a curvature profile along a notional orbit.
 
     ``kappa`` is a callable t -> curvature; ``k_bound`` is a declared k > 0
-    with kappa(t) > -k_bound**2. The declaration is trusted after a sample
+    with kappa(t) >= -k_bound**2. The declaration is trusted after a sample
     validation on any queried window; no certified global minimum is
     computed. chi and area are optional metadata. The model has no orbit
     equations and no intensity field, so the integral inequality does not

@@ -119,9 +119,13 @@ class TestOrbits:
             classify(flat_torus(), SamplingConfig(ensemble_count=1, horizon=horizon,
                                                   integration_tol=tol))
 
-    def test_csv_export(self, tmp_path):
-        # 5001 rows: more than two blocks of the writer
-        tr = integrate_orbit(flat_torus(1.0), UnitTangent(), 50.0, flow.DEFAULT_TOL)
+    # 2048 and 2049 rows sit on the edge of the writer's 2048-row blocks;
+    # 5001 rows take more than two blocks
+    @pytest.mark.parametrize("horizon, rows", [(20.47, 2048), (20.48, 2049),
+                                               (50.0, 5001)])
+    def test_csv_export(self, tmp_path, horizon, rows):
+        tr = integrate_orbit(flat_torus(1.0), UnitTangent(), horizon, flow.DEFAULT_TOL)
+        assert len(tr.t_samples) == rows
         tr.kappa_samples[:5] = [math.nan, math.inf, -math.inf, -0.0, 5e-324]
         path = tmp_path / "orbit.csv"
         tr.to_csv(path)
@@ -385,10 +389,13 @@ class TestUnrolledStages:
 
     @pytest.mark.parametrize("model, starts, horizon, tol", [
         (bench_torus(), bench_torus().ensemble(2, 0), 50.0, flow.DEFAULT_TOL),
+        # the benchmark's horizon: past t ~ 100 the chaotic orbit amplifies
+        # any roundoff to O(1), so this is the most sensitive case
+        (bench_torus(), bench_torus().ensemble(2, 11), 200.0, flow.DEFAULT_TOL),
         (rect_torus(), [UnitTangent(0.4, 0.1, 1.2)], 50.0, flow.DEFAULT_TOL),
         # criterion 13's flat chart
         (flat_torus(1.0), [UnitTangent(0.1, 0.8, 0.3)], 20 * math.pi, 1e-11),
-    ], ids=["bench", "rectangular", "flat"])
+    ], ids=["bench", "bench-200", "rectangular", "flat"])
     def test_orbits_match_the_list_form_bitwise(self, monkeypatch, model, starts,
                                                 horizon, tol):
         for v0 in starts:
