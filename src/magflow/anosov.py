@@ -19,6 +19,10 @@ The output is a numerical certificate over finitely many orbits with
 explicit margins, never a proof: the per-point quantifier over the whole
 unit tangent bundle is approximated by a low-discrepancy ensemble, plus
 the exactness of constant models where one orbit profile represents all.
+A periodic profile whose monodromy decides it (``jacobi.floquet``) has
+its conjugate scan, slopes and contraction rate read from that one
+period's integration, exact to its error; the fitted rate and the scans
+serve the rest.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .errors import ConjugatePointError, MagflowError
 from .flow import DEFAULT_TOL, CurvatureProfile, OrbitTrace, UnitTangent
 from .geometry import SurfaceModel
 from .green import GreenEstimate, green_slope
-from .jacobi import JacobiState, first_zero, integrate_jacobi, propagator
+from .jacobi import JacobiState, first_zero, floquet, integrate_jacobi, propagator
 
 SCHEMA_VERSION = 1
 
@@ -118,13 +122,17 @@ def contraction_fit(profile: CurvatureProfile,
 
     The norm is the Sasaki norm sqrt(J^2 + J'^2) of the solution with
     value one and the stable slope u+ of ``estimate``, read from the
-    profile's propagator (``integrate_jacobi``). A fitted rate at or below
+    profile's propagator (``integrate_jacobi``). A periodic profile whose
+    monodromy decides it (``floquet``) takes the exact rate c = log
+    lambda_u / T, and only the intercept and the residual are fitted with
+    it; any other profile fits c too. A rate at or below
     ``CONTRACTION_FLOOR`` is a certification failure (no usable
     contraction; the flat case fits c ~ 0). On a constant profile the
     window end W = CONTRACTION_WINDOW / max(1, |u+|) stays below the
     double-precision mixing horizon ~ -log(slope error)/(2|u+|), past which
-    the unstable component contaminates the solution; a varying profile
-    that turns more hyperbolic after t = 0 can reach that horizon before W.
+    the unstable component contaminates the solution; a spline or callable
+    profile that turns more hyperbolic after t = 0 can reach that horizon
+    before W.
     """
     if estimate.plus is None or not estimate.plus.converged:
         raise ValueError("contraction fit needs a converged stable slope")
@@ -136,9 +144,14 @@ def contraction_fit(profile: CurvatureProfile,
     # one read of the dense output for the fit and the bound
     norms = np.hypot(*trace.states(np.concatenate([ts, ts_all])))
     logn, norms_all = np.log(norms[:ts.size]), norms[ts.size:]
-    slope, intercept = np.polyfit(ts, logn, 1)
-    c = -float(slope)
-    resid = float(np.sqrt(np.mean((logn - (intercept + slope * ts)) ** 2)))
+    hill = floquet(profile)
+    if hill is None:
+        slope, intercept = np.polyfit(ts, logn, 1)
+        c = -float(slope)
+    else:
+        c = hill.log_growth / hill.period
+        intercept = np.mean(logn + c * ts)
+    resid = float(np.sqrt(np.mean((logn - (intercept - c * ts)) ** 2)))
     if c > 0:
         d = float(np.max(norms_all * np.exp(c * ts_all)))
         d = max(d, 1.0)

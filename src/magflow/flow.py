@@ -322,6 +322,10 @@ class CurvatureProfile:
     # jacobi.propagator's cache: the profile's fundamental-matrix propagator
     _propagator: Optional[object] = field(default=None, init=False, repr=False,
                                           compare=False)
+    # the profile a Fourier one is the time reflection of (``flipped``): its
+    # monodromy answers for this one's (jacobi.floquet)
+    _mirror: Optional["CurvatureProfile"] = field(default=None, init=False,
+                                                  repr=False, compare=False)
 
     def __call__(self, t):
         return self.evaluator(t)
@@ -372,7 +376,10 @@ class CurvatureProfile:
         time-reversed field along the reversed-intensity orbit."""
         if self.series is not None:
             refl = self.series.reflected()
-            return CurvatureProfile(evaluator=refl, k_bound=self.k_bound, series=refl)
+            out = CurvatureProfile(evaluator=refl, k_bound=self.k_bound, series=refl)
+            # frozen; like the propagator cache, the link is not a compared field
+            object.__setattr__(out, "_mirror", self)
+            return out
         ev = self.evaluator
         return CurvatureProfile(
             evaluator=lambda s: ev(-np.asarray(s, dtype=float)),

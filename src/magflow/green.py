@@ -14,6 +14,13 @@ two successive slopes differ by less than the tolerance; profiles whose
 slopes converge slower than the work budget allows are flagged, never
 extrapolated.
 
+A periodic (non-constant Fourier) profile whose monodromy decides it
+(``jacobi.floquet``: trace above 2, and a stable eigen-solution without a
+zero on one period) runs no schedule: its slope is the limit itself, the
+stable eigen-slope of the monodromy, returned as a converged side with the
+one r = T. A flipped profile reads its mirror's monodromy, so both sides
+share one integration. Other profiles run the schedule.
+
 The work budget counts curvature evaluations (``GreenSide.nfev``,
 ``Propagator.nfev_to``). A Fourier profile spends one period's
 evaluations, whatever r, and a constant one, read in closed form, none;
@@ -36,7 +43,7 @@ from .errors import (
     NumericalInconsistencyError,
 )
 from .flow import CurvatureProfile
-from .jacobi import FIRST_BREAK, first_zero, propagator
+from .jacobi import FIRST_BREAK, first_zero, floquet, propagator
 
 DEFAULT_GREEN_TOL = 1e-9
 R0 = FIRST_BREAK
@@ -103,7 +110,25 @@ def _run_schedule(profile: CurvatureProfile, tol: float) -> GreenSide:
     if r_limit < R0:
         raise InsufficientDataError("profile window too short for the slope "
                                     "schedule (ends at t = %g)" % r_limit)
+    hill = floquet(profile)
+    if hill is not None:
+        side = GreenSide(slope=hill.stable, converged=True, residual=0.0,
+                         r_schedule=[hill.period], slopes=[hill.stable],
+                         nfev=hill.nfev)
+    else:
+        side = _doubling(profile, tol, r_limit)
+    if side.converged and abs(side.slope) > profile.k_bound + SLOPE_BOUND_SLACK:
+        raise NumericalInconsistencyError(
+            "converged slope %g exceeds the curvature bound k = %g"
+            % (side.slope, profile.k_bound)
+        )
+    return side
 
+
+def _doubling(profile: CurvatureProfile, tol: float, r_limit: float) -> GreenSide:
+    """The boundary slopes on the doubling schedule R0, 2 R0, ... up to
+    r_limit, until two successive ones agree to tol or the work budget is
+    spent."""
     z = first_zero(profile, R0)
     if z is not None:
         raise ConjugatePointError(
@@ -149,16 +174,10 @@ def _run_schedule(profile: CurvatureProfile, tol: float) -> GreenSide:
             break
         r_prev, r = r, r_next
 
-    side = GreenSide(
+    return GreenSide(
         slope=slopes[-1], converged=converged, residual=residual,
         r_schedule=rs, slopes=slopes, nfev=nfev,
     )
-    if converged and abs(side.slope) > profile.k_bound + SLOPE_BOUND_SLACK:
-        raise NumericalInconsistencyError(
-            "converged slope %g exceeds the curvature bound k = %g"
-            % (side.slope, profile.k_bound)
-        )
-    return side
 
 
 def green_slope(profile: CurvatureProfile, direction: str,

@@ -20,10 +20,14 @@ read in closed form, with no launch; a solution with given data on a
 constant kappa < 0 reads its own closed form, because on the stable line
 the read ``A + u Z`` of the matrix cancels catastrophically. Any other
 Fourier profile is periodic, and its propagator integrates one period and
-reads every later time from the monodromy; spline and callable profiles
-are integrated as far as callers ask. One zero scan (``_first_root``)
-finds the conjugate point and the Riccati pole; it is skipped where the
-Sturm comparison theorem excludes a zero (``first_zero``).
+reads every later time from the monodromy M; spline and callable profiles
+are integrated as far as callers ask. Where tr M > 2 and the stable
+eigen-solution has no zero on the period, M decides the profile outright
+(Hill's equation, ``floquet``): no conjugate point, the slopes are its
+eigen-slopes and the contraction rate its exponent, and the time-reflected
+profile reads them from the same M. One zero scan (``_first_root``) finds
+the conjugate point and the Riccati pole; ``first_zero`` skips it where the
+Sturm comparison theorem or the monodromy excludes a zero.
 
 Every launch (``_launch``, called by ``Propagator`` alone) runs magflow's
 own DOP853 loop on [A, A', Z, Z'] at the one tolerance ``JACOBI_TOL``:
@@ -74,6 +78,10 @@ RESCALE_THRESHOLD = 1e100
 # this is 55x that.
 JACOBI_NFEV_BUDGET = 1_000_000
 SCAN_STEP = 0.01          # grid of the conjugate and blow-up scans
+# share of |A| + |u Z| that the stable eigen-solution A + u Z of a periodic
+# profile must clear for its sign to count (``_zero_free``): the sum is
+# good to about JACOBI_TOL of that scale
+HILL_SIGN_FLOOR = 1e-8
 # lam t past which a constant profile's propagator reads cosh = sinh =
 # exp(lam t) / 2 in stored scale; cosh overflows past 710
 HYPERBOLIC_SWITCH = 700.0
@@ -603,6 +611,82 @@ def propagator(profile: CurvatureProfile) -> Propagator:
     return profile._propagator
 
 
+@dataclass(frozen=True)
+class Floquet:
+    """A periodic profile's slopes and growth read from its monodromy: the
+    period T, the eigen-slopes at time zero of the stable solution J_s and
+    the unstable one J_u (J_s(t + T) = J_s(t) / lambda, J_u(t + T) =
+    lambda J_u(t)), log lambda with lambda > 1, and ``nfev``, the curvature
+    points the period's integration evaluated."""
+
+    period: float
+    stable: float
+    unstable: float
+    log_growth: float
+    nfev: int
+
+    def reflected(self) -> "Floquet":
+        """The readout of the time-reflected profile, whose monodromy
+        D M^-1 D = [Z', A', Z, A] (D = diag(1, -1)) has the eigen-slopes of
+        M with the sign changed and the roles swapped, and the same trace."""
+        return replace(self, stable=-self.unstable, unstable=-self.stable)
+
+
+def floquet(profile: CurvatureProfile) -> Optional[Floquet]:
+    """The monodromy readout of a non-constant Fourier profile, or None where
+    it does not decide the profile (and for any other profile).
+
+    With kappa of period T, J'' + kappa J = 0 is Hill's equation, and the
+    monodromy M = F(T) = [A, A', Z, Z'] decides it (Magnus and Winkler,
+    Hill's Equation, 1966): for tr M > 2 its eigen-solutions J = A + u Z
+    have the slopes u at zero that solve Z u**2 + (A - Z') u - A' = 0, the
+    stable one the smaller where Z > 0, and the equation is disconjugate on
+    the whole line iff J_s has no zero on [0, T] (``_zero_free``), since
+    J_s(t + T) is a positive multiple of J_s(t) and a solution without zeros
+    leaves every other at most one (Sturm separation). So None means
+    tr M <= 2, Z(T) <= 0, or a J_s whose sign has a zero or is not resolved.
+
+    M is read in stored scale (``Propagator._squares[0]``), so the slopes
+    stay exact where M overflows. A reflected profile (``flipped``) reads
+    its mirror's readout, reflected: one integration serves both.
+    """
+    if profile._mirror is not None:
+        mirrored = floquet(profile._mirror)
+        return None if mirrored is None else mirrored.reflected()
+    prop = propagator(profile)
+    if prop.period is None:
+        return None
+    prop.segment(math.inf)  # integrates the period and stores M
+    (a, da, z, dz), e = prop._squares[0]
+    tr, b = a + dz, a - dz
+    disc = b * b + 4.0 * z * da  # tr**2 - 4 det M, which roundoff may sink below 0
+    if not (tr > math.ldexp(2.0, -e) and z > 0.0 and disc > 0.0):
+        return None
+    root = math.sqrt(disc)
+    q = -0.5 * (b + math.copysign(root, b))  # the roots q / z, -da / q
+    stable, unstable = sorted((q / z, -da / q))
+    if not _zero_free(profile, prop, stable):
+        return None
+    return Floquet(period=prop.period, stable=stable, unstable=unstable,
+                   log_growth=math.log(0.5 * (tr + root)) + e * math.log(2.0),
+                   nfev=prop.nfev_to(prop.period))
+
+
+def _zero_free(profile: CurvatureProfile, prop: Propagator, u: float) -> bool:
+    """Whether the solution J = A + u Z of a periodic profile's propagator
+    is shown to have no zero on [0, T], J being an eigen-solution (J(t + T)
+    a positive multiple of J(t)): at once where ``kappa_ceiling`` <= 0, since
+    then no solution has two zeros; else from its signs on (0, T) at
+    ``_scan_step`` (no cell holds two zeros), each of which must clear
+    HILL_SIGN_FLOOR of |A| + |u Z|, the scale of the cancellation in the
+    sum."""
+    if profile.kappa_ceiling <= 0.0:
+        return True
+    ts = np.arange(0.0, prop.period, _scan_step(profile, SCAN_STEP))[1:]
+    (a, _da, z, _dz), _e = prop._stored(ts)
+    return bool(np.all(a + u * z > HILL_SIGN_FLOOR * (np.abs(a) + np.abs(u * z))))
+
+
 def _first_root(prop: Propagator, v: float, d: float, horizon: float,
                 step: float) -> tuple:
     """First zero on (0, horizon] of the solution J = v A + d Z of the
@@ -658,11 +742,12 @@ def first_zero(profile: CurvatureProfile, horizon: float,
     Where kappa <= K+ everywhere, the Sturm comparison theorem puts the
     first zero at or past pi / sqrt(K+) (Hartman, Ordinary Differential
     Equations, ch. XI). So a profile with K+ * horizon**2 < pi**2, K+ being
-    its ``kappa_ceiling``, has none, and the propagator is not read;
-    otherwise the scan steps by ``_scan_step``."""
+    its ``kappa_ceiling``, has none, and the propagator is not read. Nor has
+    a periodic profile that its monodromy shows disconjugate (``floquet``),
+    at any horizon; otherwise the scan steps by ``_scan_step``."""
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    if profile.kappa_ceiling * horizon**2 < math.pi**2:
+    if profile.kappa_ceiling * horizon**2 < math.pi**2 or floquet(profile) is not None:
         return None
     return _first_root(propagator(profile), 0.0, 1.0, horizon,
                        _scan_step(profile, step))[0]

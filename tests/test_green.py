@@ -72,15 +72,20 @@ class TestGreenSlope:
             assert est.gap >= -1e-8
 
     def test_monotone_schedule(self):
-        # strictly increasing until the increments saturate at roundoff
+        # strictly increasing until the increments saturate at roundoff. A
+        # Fourier profile reads its slope from the monodromy, so the schedule
+        # runs on the same curve read as a plain callable, and ends at the
+        # monodromy's slope
         rng = rng_for("monotone")
         for _ in range(5):
             p = hyperbolic_profile(rng)
-            side = green_slope(p, "+").plus
+            side = green_slope(CurvatureProfile(evaluator=p.series, k_bound=p.k_bound),
+                               "+").plus
             diffs = np.diff(side.slopes)
             assert np.all(diffs >= 0.0)
             assert np.all(diffs[np.abs(diffs) > 1e-14] > 0.0)
             assert diffs[0] > 0.0
+            assert side.slope == pytest.approx(green_slope(p, "+").u_plus0, abs=1e-9)
 
     def test_conjugate_point_blocks_schedule(self):
         with pytest.raises(ConjugatePointError):

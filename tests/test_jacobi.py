@@ -34,7 +34,8 @@ from magflow import (
 from magflow import jacobi
 from magflow.anosov import contraction_fit, growth_floor
 from magflow.green import green_both
-from families import hyperbolic_profile, oscillatory_profile, random_torus, rng_for
+from families import (hyperbolic_profile, negative_r_slope_limit, oscillatory_profile,
+                      random_torus, rng_for)
 
 P_NEG = CurvatureProfile.constant(-1.0)
 P_POS = CurvatureProfile.constant(1.0)
@@ -334,10 +335,11 @@ class TestPropagator:
         # the constant model's propagator is read in closed form
         classify(ConstantCurvature(K=-1.0, b=0.5, chi=-2, area=4 * math.pi))
         assert len(launches) == 0
+        # the period's launch answers for the reflected profile too
         classify(AbstractProfile(
             kappa=FourierSeries1D(const=-1.0, sin_coeffs={1: 0.3}), k_bound=1.2
         ))
-        assert len(launches) == 2
+        assert len(launches) == 1
 
     def test_every_launch_grows_a_propagator(self, monkeypatch):
         # one Jacobi integration per profile: the contraction fit and the
@@ -353,7 +355,7 @@ class TestPropagator:
         sine = classify(AbstractProfile(
             kappa=FourierSeries1D(const=-1.0, sin_coeffs={1: 0.3}), k_bound=1.2))
         assert sine.orbits[0].contraction.success
-        assert len(callers) == 2
+        assert len(callers) == 1
         half_wave = classify(AbstractProfile(
             kappa=lambda t: -max(0.0, math.sin(t)) ** 2, k_bound=1.0))
         assert half_wave.orbits[0].contraction is not None
@@ -481,6 +483,100 @@ class TestPeriodicPropagator:
             assert np.array_equal(first, second)
             assert [one.slope(r) for r in (5.0, 40.0, 1e4)] \
                 == [other.slope(r) for r in (1e4, 40.0, 5.0)][::-1]
+
+
+def _log_growth(m):
+    """log of the larger eigenvalue of the 2x2 matrix [[A, Z], [A', Z']]."""
+    a, da, z, dz = m
+    return math.log(max(abs(np.linalg.eigvals([[a, z], [da, dz]]))))
+
+
+class TestMonodromyReadout:
+    """A periodic profile reads its slopes, gap and contraction rate from the
+    monodromy M = F(T) when tr M > 2 and the stable eigen-solution has no
+    zero on one period (``jacobi.floquet``)."""
+
+    # Hill-zone profiles (kappa > 0 somewhere) with tr M > 2 whose stable
+    # eigen-solution has zeros: (series, tr M, first conjugate time)
+    HILL_ZONE = [
+        (FourierSeries1D(const=1.0, cos_coeffs={2: -1.0}), 4.8247, 2.514064745431625),
+        (FourierSeries1D(const=4.1, cos_coeffs={2: -2.0}), 2.1364, 1.5450481030160248),
+    ]
+
+    @pytest.mark.parametrize("series, trace, conjugate", HILL_ZONE)
+    def test_zero_free_check_is_what_keeps_the_verdict(self, monkeypatch, series,
+                                                       trace, conjugate):
+        p = CurvatureProfile.from_series(series)
+        m = _direct(p, np.array([2 * math.pi]))[:, 0]
+        assert m[0] + m[3] == pytest.approx(trace, abs=1e-4)
+        assert jacobi.floquet(p) is None
+        model = AbstractProfile(kappa=series, k_bound=2.0)
+        rep = classify(model)
+        assert rep.verdict == "NotAnosov"
+        assert rep.orbits[0].conjugate_time == pytest.approx(conjugate, rel=1e-9)
+        # the gate must be shown to fail: with the zero check forced to pass,
+        # the readout certifies a profile with conjugate points
+        monkeypatch.setattr(jacobi, "_zero_free", lambda *args: True)
+        assert classify(model).verdict == "NumericallyAnosov"
+
+    def test_matches_independent_routes(self):
+        rng = rng_for("monodromy-readout")
+        for _ in range(20):
+            p = hyperbolic_profile(rng)
+            hill = jacobi.floquet(p)
+            assert hill is not None
+            est = green_both(p)
+            assert (est.plus.r_schedule, est.minus.r_schedule) == ([hill.period],) * 2
+            assert est.u_minus0 == pytest.approx(negative_r_slope_limit(p), abs=1e-10)
+            assert est.u_plus0 == pytest.approx(
+                solve_boundary(p, 640.0, cross_check=False).slope0, abs=1e-10)
+            fit = contraction_fit(p, est)
+            want = _log_growth(_direct(p, np.array([hill.period]))[:, 0]) / hill.period
+            assert fit.c == pytest.approx(want, rel=1e-9)
+
+    def test_reflection_reads_the_mirror(self, monkeypatch):
+        # the flipped profile's readout equals that of a separate launch on
+        # the reflected series, and launches nothing of its own
+        rng = rng_for("monodromy-mirror")
+        for _ in range(10):
+            p = hyperbolic_profile(rng)
+            alone = jacobi.floquet(CurvatureProfile.from_series(p.series.reflected()))
+            jacobi.floquet(p)
+            with monkeypatch.context() as m:
+                m.setattr(jacobi, "_launch", None)
+                mirrored = jacobi.floquet(p.flipped())
+            assert mirrored.stable == pytest.approx(alone.stable, abs=1e-12)
+            assert mirrored.unstable == pytest.approx(alone.unstable, abs=1e-12)
+            assert mirrored.log_growth == pytest.approx(alone.log_growth, rel=1e-12)
+
+    def test_late_hyperbolic_profile_reads_the_exact_exponent(self):
+        # kappa(0) = -0.1, kappa(pi) = -2.3: the fit window [W / 10, W] sees
+        # a profile that turns more hyperbolic after t = 0
+        series = FourierSeries1D(const=-1.2, cos_coeffs={1: 1.1})
+        rep = classify(AbstractProfile(kappa=series, k_bound=math.sqrt(2.3 + 1e-9)))
+        assert rep.verdict == "NumericallyAnosov"
+        period = 2 * math.pi
+        m = _direct(CurvatureProfile.from_series(series), np.array([period]))[:, 0]
+        assert rep.orbits[0].contraction.c == pytest.approx(_log_growth(m) / period,
+                                                           rel=1e-9)
+
+    def test_strong_field(self):
+        # the exponent comes from M in stored scale, where A ~ exp(200 pi)
+        series = FourierSeries1D(const=-1e4, sin_coeffs={1: 0.3})
+        p = CurvatureProfile.from_series(series)
+        rep = classify(AbstractProfile(kappa=series, k_bound=p.k_bound))
+        assert rep.verdict == "NumericallyAnosov"
+        prop = jacobi.propagator(p)
+        prop.segment(math.inf)
+        mantissa, e = prop._squares[0]
+        want = (_log_growth(mantissa) + e * math.log(2.0)) / (2 * math.pi)
+        assert rep.orbits[0].contraction.c == pytest.approx(want, rel=1e-9)
+        # past the double range inside one launch segment: a typed failure
+        series = FourierSeries1D(const=-1.5e4, sin_coeffs={1: 0.3})
+        rep = classify(AbstractProfile(
+            kappa=series, k_bound=CurvatureProfile.from_series(series).k_bound))
+        assert rep.verdict == "Inconclusive"
+        assert rep.orbits[0].error.startswith("IntegrationFailure: ")
 
 
 CLOSED_FORM_KS = (4.0, 0.0, -1.0, -1e-300, -1e4)
