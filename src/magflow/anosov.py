@@ -36,7 +36,7 @@ import numpy as np
 
 from . import __version__ as _pkg_version
 from .errors import ConjugatePointError, MagflowError
-from .flow import DEFAULT_TOL, CurvatureProfile, OrbitTrace, UnitTangent
+from .flow import DEFAULT_TOL, SAMPLE_DT, CurvatureProfile, OrbitTrace, UnitTangent
 from .geometry import SurfaceModel
 from .green import GreenEstimate, green_slope
 from .jacobi import JacobiState, first_zero, floquet, integrate_jacobi, propagator
@@ -221,8 +221,8 @@ class SamplingConfig:
     def __post_init__(self):
         """Reject a config no classification can honour with one
         ValueError whose message leads with the field: an ensemble_count
-        that is not an integer >= 1, or a horizon or tolerance that is not
-        a finite positive number."""
+        that is not an integer >= 1, a horizon or tolerance that is not a
+        finite positive number, or a horizon whose sample grid is too long."""
         count = self.ensemble_count
         if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
             raise ValueError("ensemble_count must be an integer >= 1, got %r" % (count,))
@@ -230,6 +230,8 @@ class SamplingConfig:
             value = getattr(self, name)
             if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
                 raise ValueError("%s must be positive and finite, got %r" % (name, value))
+        if self.horizon / SAMPLE_DT >= np.iinfo(np.intp).max:
+            raise ValueError("horizon %r has too many orbit samples to index" % self.horizon)
 
 
 @dataclass

@@ -147,6 +147,13 @@ def _series_2d(spec, Lx, Ly, key):
     )
 
 
+def _model_error(exc: ValueError, kind: str) -> ConfigError:
+    """A model's ValueError as a ConfigError naming the key it leads with."""
+    head = str(exc).split()[0]
+    key = "model." + head if head in MODEL_KEYS[kind] else "model"
+    return ConfigError("%s: %s" % (key, exc), key)
+
+
 def build_model(spec: dict):
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("model.kind is required", "model.kind")
@@ -169,7 +176,7 @@ def build_model(spec: dict):
                 area=_number(spec["area"], "model.area"),
             )
         except ValueError as exc:
-            raise ConfigError("model: %s" % exc, "model")
+            raise _model_error(exc, kind) from None
     if kind == "torus":
         Lx = _number(spec.get("Lx", 1.0), "model.Lx")
         Ly = _number(spec.get("Ly", 1.0), "model.Ly")
@@ -179,7 +186,10 @@ def build_model(spec: dict):
         b = _series_2d(spec.get("b"), Lx, Ly, "model.b")
         if scale != 1.0:
             b = b.scaled(scale)
-        return ConformalTorus(phi=phi, b=b)
+        try:
+            return ConformalTorus(phi=phi, b=b)
+        except ValueError as exc:
+            raise _model_error(exc, kind) from None
     kspec = spec.get("kappa")
     if not isinstance(kspec, dict):
         raise ConfigError("model.kappa table is required for profile models",

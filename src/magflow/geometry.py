@@ -133,6 +133,8 @@ class ConstantCurvature:
             raise ValueError("K, b and area must be finite")
         if self.area <= 0:
             raise ValueError("area must be positive")
+        if not math.isfinite((abs(self.K) + self.b * self.b) * max(1.0, self.area)):
+            raise ValueError("b = %g takes K + b**2 or b**2 * area past the doubles" % self.b)
         residual = self.K * self.area - 2.0 * math.pi * self.chi
         if abs(residual) > GAUSS_BONNET_TOL:
             raise ValueError(
@@ -238,6 +240,9 @@ class ConformalTorus:
                                  "and amplitudes")
         if self.phi.Lx != self.b.Lx or self.phi.Ly != self.b.Ly:
             raise ValueError("phi and b must share the same periods")
+        extent = abs(self.phi.const) + sum(math.hypot(a, b) for *_mn, a, b in self.phi.modes)
+        if not 2.0 * extent < math.log(np.finfo(float).max):
+            raise ValueError("phi reaches |phi| = %g, where exp(2 |phi|) overflows" % extent)
 
     @property
     def Lx(self):
@@ -365,8 +370,8 @@ class AbstractProfile:
     closed_form_hyperbolic = False
 
     def __post_init__(self):
-        if self.k_bound < 0:
-            raise ValueError("k_bound must be nonnegative")
+        if not (self.k_bound >= 0 and math.isfinite(self.k_bound * self.k_bound)):
+            raise ValueError("k_bound must be nonnegative with a finite square: %r" % self.k_bound)
 
     def curvature(self) -> CurvatureProfile:
         """kappa as a curvature profile. A Fourier series stays one, so the

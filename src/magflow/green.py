@@ -15,8 +15,8 @@ slopes converge slower than the work budget allows are flagged, never
 extrapolated.
 
 A periodic (non-constant Fourier) profile whose monodromy decides it
-(``jacobi.floquet``: trace above 2, and a stable eigen-solution without a
-zero on one period) runs no schedule: its slope is the limit itself, the
+(``jacobi.floquet``: trace above 2, and a unit-slope solution without a
+zero on two periods) runs no schedule: its slope is the limit itself, the
 stable eigen-slope of the monodromy, returned as a converged side with the
 one r = T. A flipped profile reads its mirror's monodromy, so both sides
 share one integration. Other profiles run the schedule.

@@ -21,13 +21,13 @@ constant kappa < 0 reads its own closed form, because on the stable line
 the read ``A + u Z`` of the matrix cancels catastrophically. Any other
 Fourier profile is periodic, and its propagator integrates one period and
 reads every later time from the monodromy M; spline and callable profiles
-are integrated as far as callers ask. Where tr M > 2 and the stable
-eigen-solution has no zero on the period, M decides the profile outright
-(Hill's equation, ``floquet``): no conjugate point, the slopes are its
+are integrated as far as callers ask. Where tr M > 2 and the unit-slope
+solution has no zero on two periods, M decides the profile outright (Hill's
+equation, ``floquet``): no conjugate point, the slopes are its
 eigen-slopes and the contraction rate its exponent, and the time-reflected
-profile reads them from the same M. One zero scan (``_first_root``) finds
-the conjugate point and the Riccati pole; ``first_zero`` skips it where the
-Sturm comparison theorem or the monodromy excludes a zero.
+profile reads them from the same M. One zero scan (``_first_root``) serves
+that check, the conjugate point and the Riccati pole; ``first_zero`` skips
+it where the Sturm comparison theorem or the monodromy excludes a zero.
 
 Every launch (``_launch``, called by ``Propagator`` alone) runs magflow's
 own DOP853 loop on [A, A', Z, Z'] at the one tolerance ``JACOBI_TOL``:
@@ -78,10 +78,6 @@ RESCALE_THRESHOLD = 1e100
 # this is 55x that.
 JACOBI_NFEV_BUDGET = 1_000_000
 SCAN_STEP = 0.01          # grid of the conjugate and blow-up scans
-# share of |A| + |u Z| that the stable eigen-solution A + u Z of a periodic
-# profile must clear for its sign to count (``_zero_free``): the sum is
-# good to about JACOBI_TOL of that scale
-HILL_SIGN_FLOOR = 1e-8
 # lam t past which a constant profile's propagator reads cosh = sinh =
 # exp(lam t) / 2 in stored scale; cosh overflows past 710
 HYPERBOLIC_SWITCH = 700.0
@@ -475,6 +471,7 @@ class Propagator:
         # no reference to the profile itself, which caches the propagator
         self.evaluator = profile.evaluator
         self.const = profile.const_value
+        self.ceiling = profile.kappa_ceiling
         s = profile.series
         self.period = (2.0 * math.pi / abs(s.omega)
                        if s is not None and self.const is None else None)
@@ -492,6 +489,7 @@ class Propagator:
         # M**(2**j) and M**k, each as (mantissa, exponent)
         self._squares = []
         self._powers = {}
+        self.hill = None  # floquet's readout, formed where M is stored
 
     def _grow(self):
         t0 = self.breaks[-1]
@@ -503,6 +501,7 @@ class Propagator:
             self._squares.append((tuple(np.ldexp(y0, -f).tolist()), exp + f))
             self._segs.append((None, None, None, nfev))
             self.breaks.append(math.inf)
+            self.hill = _readout(self, nfev)
             return
         m = float(np.max(np.abs(y0)))
         if m > RESCALE_THRESHOLD:
@@ -636,19 +635,15 @@ def floquet(profile: CurvatureProfile) -> Optional[Floquet]:
     """The monodromy readout of a non-constant Fourier profile, or None where
     it does not decide the profile (and for any other profile).
 
-    With kappa of period T, J'' + kappa J = 0 is Hill's equation, and the
-    monodromy M = F(T) = [A, A', Z, Z'] decides it (Magnus and Winkler,
-    Hill's Equation, 1966): for tr M > 2 its eigen-solutions J = A + u Z
-    have the slopes u at zero that solve Z u**2 + (A - Z') u - A' = 0, the
-    stable one the smaller where Z > 0, and the equation is disconjugate on
-    the whole line iff J_s has no zero on [0, T] (``_zero_free``), since
-    J_s(t + T) is a positive multiple of J_s(t) and a solution without zeros
-    leaves every other at most one (Sturm separation). So None means
-    tr M <= 2, Z(T) <= 0, or a J_s whose sign has a zero or is not resolved.
-
-    M is read in stored scale (``Propagator._squares[0]``), so the slopes
-    stay exact where M overflows. A reflected profile (``flipped``) reads
-    its mirror's readout, reflected: one integration serves both.
+    With kappa of period T, J'' + kappa J = 0 is Hill's equation (Magnus and
+    Winkler, 1966). Where tr M > 2 for M = F(T) = [A, A', Z, Z'], the
+    eigen-solutions A + u Z have the slopes u with Z u**2 + (A - Z') u = A',
+    the stable one the smaller where Z(T) > 0. The equation is disconjugate
+    iff Z has no zero on (0, 2T] (Sturm separation: a zero of J_s at tau
+    recurs at tau + T with one of Z between, and a J_s without zeros leaves
+    Z none past 0), read by ``_first_root`` where ``kappa_ceiling`` > 0.
+    The readout is formed once, where the propagator stores M, in stored
+    scale; a reflected profile (``flipped``) reads its mirror's, reflected.
     """
     if profile._mirror is not None:
         mirrored = floquet(profile._mirror)
@@ -656,35 +651,25 @@ def floquet(profile: CurvatureProfile) -> Optional[Floquet]:
     prop = propagator(profile)
     if prop.period is None:
         return None
-    prop.segment(math.inf)  # integrates the period and stores M
+    prop.segment(math.inf)  # integrates the period and reads M
+    return prop.hill
+
+
+def _readout(prop: Propagator, nfev: int) -> Optional[Floquet]:
+    """``floquet``'s readout of a periodic propagator that holds M."""
     (a, da, z, dz), e = prop._squares[0]
     tr, b = a + dz, a - dz
     disc = b * b + 4.0 * z * da  # tr**2 - 4 det M, which roundoff may sink below 0
-    if not (tr > math.ldexp(2.0, -e) and z > 0.0 and disc > 0.0):
+    span = 2.0 * prop.period
+    if not (tr > math.ldexp(2.0, -e) and z > 0.0 and disc > 0.0) or (
+            prop.ceiling > 0.0 and _first_root(
+                prop, 0.0, 1.0, span, _scan_step(prop.ceiling, span))[0] is not None):
         return None
     root = math.sqrt(disc)
     q = -0.5 * (b + math.copysign(root, b))  # the roots q / z, -da / q
     stable, unstable = sorted((q / z, -da / q))
-    if not _zero_free(profile, prop, stable):
-        return None
     return Floquet(period=prop.period, stable=stable, unstable=unstable,
-                   log_growth=math.log(0.5 * (tr + root)) + e * math.log(2.0),
-                   nfev=prop.nfev_to(prop.period))
-
-
-def _zero_free(profile: CurvatureProfile, prop: Propagator, u: float) -> bool:
-    """Whether the solution J = A + u Z of a periodic profile's propagator
-    is shown to have no zero on [0, T], J being an eigen-solution (J(t + T)
-    a positive multiple of J(t)): at once where ``kappa_ceiling`` <= 0, since
-    then no solution has two zeros; else from its signs on (0, T) at
-    ``_scan_step`` (no cell holds two zeros), each of which must clear
-    HILL_SIGN_FLOOR of |A| + |u Z|, the scale of the cancellation in the
-    sum."""
-    if profile.kappa_ceiling <= 0.0:
-        return True
-    ts = np.arange(0.0, prop.period, _scan_step(profile, SCAN_STEP))[1:]
-    (a, _da, z, _dz), _e = prop._stored(ts)
-    return bool(np.all(a + u * z > HILL_SIGN_FLOOR * (np.abs(a) + np.abs(u * z))))
+                   log_growth=math.log(0.5 * (tr + root)) + e * math.log(2.0), nfev=nfev)
 
 
 def _first_root(prop: Propagator, v: float, d: float, horizon: float,
@@ -734,8 +719,7 @@ def _first_root(prop: Propagator, v: float, d: float, horizon: float,
     return float(brentq(g, lo, hi, xtol=1e-12 * hi)), before
 
 
-def first_zero(profile: CurvatureProfile, horizon: float,
-               step: float = SCAN_STEP) -> Optional[float]:
+def first_zero(profile: CurvatureProfile, horizon: float) -> Optional[float]:
     """First positive zero of the unit-slope solution Z on (0, horizon], or
     None when the solution keeps its sign (``_first_root``).
 
@@ -750,17 +734,16 @@ def first_zero(profile: CurvatureProfile, horizon: float,
     if profile.kappa_ceiling * horizon**2 < math.pi**2 or floquet(profile) is not None:
         return None
     return _first_root(propagator(profile), 0.0, 1.0, horizon,
-                       _scan_step(profile, step))[0]
+                       _scan_step(profile.kappa_ceiling, horizon))[0]
 
 
-def _scan_step(profile: CurvatureProfile, step: float) -> float:
-    """step, capped at pi / (2 sqrt(K+)) for a profile whose ``kappa_ceiling``
-    K+ is finite and positive: the zeros of any solution lie at least
-    pi / sqrt(K+) apart (Sturm), so no scan cell holds two of them."""
-    k_plus = profile.kappa_ceiling
-    if 0.0 < k_plus < math.inf:
-        return min(step, 0.5 * math.pi / math.sqrt(k_plus))
-    return step
+def _scan_step(k_plus: float, horizon: float) -> float:
+    """The step of a zero scan over (0, horizon]: SCAN_STEP, at most an
+    eighth of the horizon, and at most pi / (2 sqrt(K+)) where the curvature
+    ceiling K+ is finite and positive: the zeros of any solution lie at
+    least pi / sqrt(K+) apart (Sturm), so no scan cell holds two of them."""
+    cap = 0.5 * math.pi / math.sqrt(k_plus) if 0.0 < k_plus < math.inf else math.inf
+    return min(SCAN_STEP, horizon / 8.0, cap)
 
 
 @dataclass
@@ -798,7 +781,7 @@ def solve_boundary(profile: CurvatureProfile, r: float,
         flipped = solve_boundary(profile.flipped(), -r, cross_check)
         return replace(flipped, r=r, slope0=-flipped.slope0)
 
-    z = first_zero(profile, r, step=min(0.01, r / 8))
+    z = first_zero(profile, r)
     if z is not None and z < r * (1.0 - 1e-12):
         raise ConjugatePointError(
             "conjugate point at t = %.12g inside (0, %g)" % (z, r),

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .flow import CurvatureProfile
-from .jacobi import SCAN_STEP, _first_root, _local_time, _scan_step, propagator
+from .jacobi import _first_root, _local_time, _scan_step, propagator
 
 N_SAMPLES = 2001
 
@@ -34,8 +34,7 @@ class RiccatiTrace:
     The blow-up time is the first zero of the Jacobi solution A + Z u0,
     refined to 1e-12 relative. When it is set, the samples cover the span
     only up to the last conjugate-scan time before it, less than one scan
-    step (``SCAN_STEP``, or ``jacobi._scan_step`` on a strong field) short
-    of the pole.
+    step (``jacobi._scan_step``) short of the pole.
     """
 
     t_samples: np.ndarray
@@ -60,8 +59,8 @@ def integrate_riccati(profile: CurvatureProfile, u0: float, t_span: tuple) -> Ri
     if t1 == t0:
         return RiccatiTrace(np.full(N_SAMPLES, t0), np.full(N_SAMPLES, float(u0)), None)
     prop = propagator(local)
-    v0 = sign * u0
-    pole, s_end = _first_root(prop, 1.0, v0, abs(t1 - t0), _scan_step(local, SCAN_STEP))
+    v0, span = sign * u0, abs(t1 - t0)
+    pole, s_end = _first_root(prop, 1.0, v0, span, _scan_step(local.kappa_ceiling, span))
     ss = np.linspace(0.0, s_end, N_SAMPLES)
     j, dj = prop.carry(ss, v0)
     return RiccatiTrace(

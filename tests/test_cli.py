@@ -324,6 +324,33 @@ class TestRun:
         assert main([path]) == 1
         assert "model.area" in capsys.readouterr().err
 
+    # finite values past what the model or the sample grid can hold: each is
+    # refused before any allocation, where Python's float ** or numpy's
+    # linspace would otherwise raise untyped (k_bound**2, b**2,
+    # exp(-phi), a grid of 1e302 samples)
+    @pytest.mark.parametrize("cfg, key", [
+        ({"model": {"kind": "profile", "kappa": {"const": -1.0, "sin": {"1": 0.3}},
+                    "k_bound": 1e308}}, "model.k_bound"),
+        ({"model": {"kind": "constant", "K": -1.0, "b": 1e200, "chi": -2,
+                    "area": AREA}}, "model.b"),
+        (constant_config(Path("."), sweep={"parameter": "model.b",
+                                           "grid": [0.5, 1e154, 1e308]}), "model.b"),
+        ({"model": {"kind": "torus", "phi": {"const": -800}}}, "model.phi"),
+        ({"model": {"kind": "torus", "phi": {"const": 800}}}, "model.phi"),
+        (torus_config(Path("."), ensemble={"count": 1, "horizon": 1e300}),
+         "ensemble.horizon"),
+        (constant_config(Path("."), ensemble={"count": 1, "horizon": 1e300}),
+         "ensemble.horizon"),
+    ], ids=["k_bound", "b", "b_sweep", "phi_low", "phi_high", "torus_horizon",
+            "constant_horizon"])
+    def test_extreme_value_is_a_named_config_error(self, tmp_path, capsys, cfg, key):
+        cfg = dict(cfg, output_dir=str(tmp_path / "out"))
+        assert main([write_config(tmp_path, cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: %s: " % key)
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("override", [False, True], ids=["as-written", "override"])
     @pytest.mark.parametrize("malformed, key, words", [
         (lambda tmp: [1, 2], "", "top-level config must be an object"),

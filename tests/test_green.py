@@ -8,11 +8,16 @@ import pytest
 
 import magflow
 from magflow import (
+    AbstractProfile,
     ConjugatePointError,
     CurvatureProfile,
     FourierSeries1D,
     InsufficientDataError,
     JacobiState,
+    NumericalInconsistencyError,
+    classify,
+    first_zero,
+    green,
     green_both,
     green_slope,
     integrate_jacobi,
@@ -94,6 +99,63 @@ class TestGreenSlope:
     def test_direction_validation(self):
         with pytest.raises(ValueError):
             green_slope(P_NEG, "x")
+
+
+def _callable(kappa, k_bound):
+    """A callable profile (no series, no monodromy), read as
+    ``AbstractProfile.curvature`` reads one."""
+    return AbstractProfile(kappa=kappa, k_bound=k_bound).curvature()
+
+
+class TestScheduleGates:
+    """Each gate of the doubling schedule, reached on a profile built to
+    trip it."""
+
+    def test_conjugate_point_on_the_minus_side_is_the_orbit_verdict(self):
+        # kappa = -1 forward of zero and 4 behind it: the plus scan sees no
+        # zero, and the minus schedule's own scan finds the one at pi / 2
+        rep = classify(AbstractProfile(lambda t: 4.0 if t < 0 else -1.0, 1.0))
+        assert rep.verdict == "NotAnosov"
+        assert rep.orbits[0].conjugate_time == pytest.approx(math.pi / 2, rel=1e-9)
+        assert rep.orbits[0].u_plus is None
+
+    def test_zero_past_the_first_break_is_caught_on_the_grid(self):
+        # kappa = 4 behind t = -6: the minus side's zero at 6 + (pi - atan 2) / 2
+        # lies in (R0, 2 R0], where the 64-point guard names the first grid
+        # time past it, 5 + 26 * 5 / 64
+        kappa = lambda t: 4.0 if t < -6 else -1.0  # noqa: E731
+        true_zero = 6.0 + 0.5 * (math.pi - math.atan(2.0 * math.tanh(6.0)))
+        assert first_zero(_callable(kappa, 1.0).flipped(), 10.0) == pytest.approx(
+            true_zero, rel=1e-9)
+        assert true_zero == pytest.approx(7.0172, abs=1e-4)
+        rep = classify(AbstractProfile(kappa, 1.0))
+        assert rep.verdict == "NotAnosov"
+        assert rep.orbits[0].conjugate_time == 7.03125
+
+    def test_slope_past_the_declared_bound(self):
+        # kappa = -4 has the stable slope -2, past a declared k_bound of 0.5
+        # (which classify's sample validation refuses before any schedule)
+        with pytest.raises(NumericalInconsistencyError,
+                           match="slope -2 exceeds the curvature bound k = 0.5"):
+            green_slope(_callable(lambda t: -4.0, 0.5), "+")
+
+    def test_decreasing_slopes(self, monkeypatch):
+        monkeypatch.setattr(magflow.jacobi.Propagator, "slope", lambda self, r: -r)
+        with pytest.raises(NumericalInconsistencyError, match="decreased by 5 at r = 10"):
+            green_slope(_callable(lambda t: -1.0, 1.0), "+")
+
+    def test_work_budget_ends_the_schedule_unconverged(self, monkeypatch):
+        half_wave = lambda t: -max(0.0, math.sin(t)) ** 2  # noqa: E731
+        full = green_slope(_callable(half_wave, 1.0), "+").plus
+        assert full.converged and len(full.r_schedule) > 2
+        monkeypatch.setattr(green, "WORK_BUDGET", 1)
+        side = green_slope(_callable(half_wave, 1.0), "+").plus
+        assert not side.converged
+        assert side.r_schedule == [green.R0]
+        assert side.slope == full.slopes[0]
+        rep = classify(AbstractProfile(half_wave, 1.0))
+        assert rep.verdict == "Inconclusive"
+        assert rep.non_converged == [0]
 
 
 class TestFlipDuality:

@@ -18,7 +18,7 @@ import magflow
 
 ROOT = Path(__file__).resolve().parents[1]
 
-INVENTORY = 18
+INVENTORY = 17
 
 
 def knob_inventory(package_dir: Path) -> int:

@@ -123,11 +123,15 @@ class TestUnitSlope:
         assert first_zero(P_NEG, 50.0) is None
         # horizons shorter than half a scan step
         assert first_zero(P_NEG, 0.004) is None
-        assert first_zero(P_POS, 3.2, step=10.0) == pytest.approx(math.pi, abs=1e-9)
+        # a zero on a scan time, at the Sturm-capped step pi / 2 of K+ = 1
+        assert jacobi._first_root(jacobi.propagator(P_POS), 0.0, 1.0, 3.2,
+                                  0.5 * math.pi)[0] == pytest.approx(math.pi, abs=1e-9)
         # the same on a callable profile, whose scan step is not capped
         pos = CurvatureProfile(evaluator=lambda t: 1.0 + 0.0 * np.asarray(t), k_bound=0.0)
         assert first_zero(pos, 0.004) is None
-        assert first_zero(pos, 3.2, step=10.0) == pytest.approx(math.pi, abs=1e-9)
+        # one scan cell, the horizon alone, holding the zero
+        assert jacobi._first_root(jacobi.propagator(pos), 0.0, 1.0, 3.2,
+                                  10.0)[0] == pytest.approx(math.pi, abs=1e-9)
         # a zero less than half a step before the horizon
         assert first_zero(P_POS, 3.144) == pytest.approx(math.pi, abs=1e-9)
         with pytest.raises(ConjugatePointError):
@@ -493,8 +497,8 @@ def _log_growth(m):
 
 class TestMonodromyReadout:
     """A periodic profile reads its slopes, gap and contraction rate from the
-    monodromy M = F(T) when tr M > 2 and the stable eigen-solution has no
-    zero on one period (``jacobi.floquet``)."""
+    monodromy M = F(T) when tr M > 2 and the unit-slope solution Z has no
+    zero on (0, 2T] (``jacobi.floquet``, by Sturm separation)."""
 
     # Hill-zone profiles (kappa > 0 somewhere) with tr M > 2 whose stable
     # eigen-solution has zeros: (series, tr M, first conjugate time)
@@ -514,10 +518,48 @@ class TestMonodromyReadout:
         rep = classify(model)
         assert rep.verdict == "NotAnosov"
         assert rep.orbits[0].conjugate_time == pytest.approx(conjugate, rel=1e-9)
-        # the gate must be shown to fail: with the zero check forced to pass,
-        # the readout certifies a profile with conjugate points
-        monkeypatch.setattr(jacobi, "_zero_free", lambda *args: True)
+        # the gate must be shown to fail: with the readout's scan of Z skipped
+        # (as where the ceiling is <= 0), it certifies a profile with
+        # conjugate points
+        init = jacobi.Propagator.__init__
+
+        def no_ceiling(self, profile):
+            init(self, profile)
+            self.ceiling = 0.0
+
+        monkeypatch.setattr(jacobi.Propagator, "__init__", no_ceiling)
         assert classify(model).verdict == "NumericallyAnosov"
+
+    def test_cancelling_stable_solution_is_decided(self):
+        # tr M ~ 5.4e4: J_s = A + u_s Z cancels to ~1e-9 of its terms within
+        # the period, but Z, read as a component, shows no zero. The rate is
+        # the exact exponent log lambda_u / T; an independent scipy DOP853
+        # run at rtol 1e-13 gives 0.8665084912374, a polyfit on [1, 10] 1.2575
+        series = FourierSeries1D(const=-1.0, omega=0.5, cos_coeffs={1: 1.2})
+        p = CurvatureProfile.from_series(series)
+        period = 4 * math.pi
+        m = _direct(p, np.array([period]))[:, 0]
+        assert m[0] + m[3] == pytest.approx(5.3577e4, rel=1e-4)
+        assert jacobi.floquet(p) is not None
+        rep = classify(AbstractProfile(kappa=series, k_bound=p.k_bound))
+        assert rep.verdict == "NumericallyAnosov"
+        c = rep.orbits[0].contraction.c
+        assert c == pytest.approx(_log_growth(m) / period, rel=1e-9)
+        assert c == pytest.approx(0.8665084912374, rel=1e-9)
+
+    def test_classify_forms_the_readout_once(self, monkeypatch):
+        # first_zero, both slope sides (the minus one through the mirror)
+        # and the contraction fit share one readout and one scan of Z
+        calls = {"_readout": 0, "_first_root": 0}
+        for name in calls:
+            def counted(*args, _f=getattr(jacobi, name), _name=name):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(jacobi, name, counted)
+        series = FourierSeries1D(const=-0.6, cos_coeffs={1: 0.8})
+        rep = classify(AbstractProfile(kappa=series, k_bound=math.sqrt(1.4 + 1e-9)))
+        assert rep.verdict == "NumericallyAnosov"
+        assert calls == {"_readout": 1, "_first_root": 1}
 
     def test_matches_independent_routes(self):
         rng = rng_for("monodromy-readout")
