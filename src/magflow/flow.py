@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import InsufficientDataError, IntegrationFailure
 from .fourier import FourierSeries1D
@@ -406,6 +405,10 @@ class CurvatureProfile:
         between samples, exact at them), confined to the orbit window."""
         if len(orbit.t_samples) < 4:
             raise InsufficientDataError("need at least 4 samples for a cubic spline")
+        # imported here: chart models alone build splines, and scipy's
+        # import costs more than the rest of the package's
+        from scipy.interpolate import CubicSpline
+
         return CurvatureProfile(
             evaluator=CubicSpline(orbit.t_samples, orbit.kappa_samples),
             k_bound=_k_bound(float(np.min(orbit.kappa_samples))),

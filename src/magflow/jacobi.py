@@ -27,21 +27,25 @@ equation, ``floquet``): no conjugate point, the slopes are its
 eigen-slopes and the contraction rate its exponent, and the time-reflected
 profile reads them from the same M. One zero scan (``_first_root``) serves
 that check, the conjugate point and the Riccati pole; ``first_zero`` skips
-it where the Sturm comparison theorem or the monodromy excludes a zero.
+it where the Sturm comparison theorem or the monodromy excludes a zero. A
+sign change it finds is refined by ``_brent``, a port of scipy's Brent
+root finder that returns scipy's root bit for bit.
 
 Every launch (``_launch``, called by ``Propagator`` alone) runs magflow's
 own DOP853 loop on [A, A', Z, Z'] at the one tolerance ``JACOBI_TOL``:
-the Dormand-Prince 8(5,3) tableau is scipy's, the step control is the one
-``flow`` shares with the orbit loop, the curvature is read in one array
-call per step attempt, the stage sums of one pair (J, J') are written out
-over the tableau's nonzero weights (``_pair``, run on (A, A') and on
-(Z, Z')), and the dense output is kept as arrays. Results agree with
-scipy's DOP853 solver at roundoff level, not bitwise.
+the Dormand-Prince 8(5,3) tableau is ``_dop853``, a literal copy of
+scipy's, the step control is the one ``flow`` shares with the orbit loop,
+the curvature is read in one array call per step attempt, the stage sums
+of one pair (J, J') are written out over the tableau's nonzero weights
+(``_pair``, run on (A, A') and on (Z, Z')), and the dense output is kept
+as arrays. Results agree with scipy's DOP853 solver at roundoff level,
+not bitwise.
 
 The boundary solution is computed two independent ways (a shooting
 combination of fundamental solutions, and the reduction-of-order integral
 against the unit-slope solution) and the disagreement is reported as a
-first-class cross-check residual.
+first-class cross-check residual. That integral is scipy's ``quad``, the
+one scipy routine the module calls, imported where the cross-check runs.
 """
 
 from __future__ import annotations
@@ -54,10 +58,8 @@ from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.integrate._ivp import dop853_coefficients as _dop853
-from scipy.optimize import brentq
 
+from . import _dop853
 from .errors import (
     ConjugatePointError,
     InsufficientDataError,
@@ -78,6 +80,10 @@ RESCALE_THRESHOLD = 1e100
 # this is 55x that.
 JACOBI_NFEV_BUDGET = 1_000_000
 SCAN_STEP = 0.01          # grid of the conjugate and blow-up scans
+# Brent's root finder (``_brent``) at scipy's brentq defaults: relative
+# tolerance 4 eps and at most 100 iterations
+BRENT_RTOL = 4.0 * 2.0**-52
+BRENT_MAXITER = 100
 # lam t past which a constant profile's propagator reads cosh = sinh =
 # exp(lam t) / 2 in stored scale; cosh overflows past 710
 HYPERBOLIC_SWITCH = 700.0
@@ -138,11 +144,12 @@ class JacobiTrace:
 
 
 # The Dormand-Prince 8(5,3) pair with its 7th-order dense output (Hairer,
-# Norsett and Wanner, Solving ODEs I, sec. II.5-II.6), read from the module
-# scipy's DOP853 reads. Row s of A weights stages 0..s-1 for stage s; stage
-# 12 is the derivative at the step end, and stages 13-15 feed the dense
-# output only. One step attempt reads the curvature at the nodes of stages
-# 1-11 and 13-15; stage 11 sits at c = 1, so stage 12 reuses its value.
+# Norsett and Wanner, Solving ODEs I, sec. II.5-II.6), read from ``_dop853``,
+# a literal copy of the module scipy's DOP853 reads. Row s of A weights
+# stages 0..s-1 for stage s; stage 12 is the derivative at the step end, and
+# stages 13-15 feed the dense output only. One step attempt reads the
+# curvature at the nodes of stages 1-11 and 13-15; stage 11 sits at c = 1,
+# so stage 12 reuses its value.
 # ``_pair`` reads the nonzero weights alone: _A<s>_<i> of rows 1-11 of A
 # (column 1 of rows 3-11 and column 2 of rows 5-11 are zero), and _B<i>,
 # _E5_<i> and _E3_<i> of B, E5 and E3, which weight none of stages 1-4 and,
@@ -682,7 +689,7 @@ def _first_root(prop: Propagator, v: float, d: float, horizon: float,
     J is read in stored scale (``Propagator._stored``). The scan reads its
     signs at the multiples of ``step`` below the horizon and at the horizon
     itself, one propagator segment at a time, so integration stops at the
-    breakpoint past the first zero and nothing overflows; bisection refines
+    breakpoint past the first zero and nothing overflows; ``_brent`` refines
     a sign change to 1e-12 of the bracket's upper end, a relative tolerance,
     on J rescaled by the one power of two the scan read at that end.
     """
@@ -716,7 +723,78 @@ def _first_root(prop: Propagator, v: float, d: float, horizon: float,
         # from zero where J is positive there (the unit-slope solution
         # vanishes at zero itself)
         lo = 1e-8 if g(1e-8) > 0.0 else 0.0
-    return float(brentq(g, lo, hi, xtol=1e-12 * hi)), before
+    return _brent(g, lo, hi, 1e-12 * hi), before
+
+
+def _brent(f: Callable, lo: float, hi: float, xtol: float) -> float:
+    """A zero of f in the bracket [lo, hi], where f changes sign, to within
+    xtol + BRENT_RTOL |x| by Brent's method (Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 4): inverse quadratic
+    interpolation or the secant step where it makes good progress, else
+    bisection. A line-for-line port of scipy's ``brentq.c``, so it returns
+    scipy's ``brentq(f, lo, hi, xtol=xtol)`` bit for bit after the same
+    evaluations of f. Where scipy raises (f of one sign at both ends, f NaN,
+    or no convergence in BRENT_MAXITER iterations) it raises
+    ``NumericalInconsistencyError`` naming the bracket."""
+    xpre, xcur = float(lo), float(hi)
+    bracket = "root bracket [%r, %r]" % (xpre, xcur)
+
+    def at(x):
+        y = float(f(x))
+        if math.isnan(y):
+            raise NumericalInconsistencyError("%s: the function is NaN at %r" % (bracket, x))
+        return y
+
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = at(xpre), at(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise NumericalInconsistencyError("%s: the function has one sign at both ends "
+                                          "(%g, %g)" % (bracket, fpre, fcur))
+    for _ in range(BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                try:
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                except ZeroDivisionError:
+                    # f(xpre) = f(xblk), or the product underflows: C reads an
+                    # inf or a NaN here, which fails the test below
+                    stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = at(xcur)
+    raise NumericalInconsistencyError("%s: no convergence in %d iterations, last "
+                                      "x = %r" % (bracket, BRENT_MAXITER, xcur))
 
 
 def first_zero(profile: CurvatureProfile, horizon: float) -> Optional[float]:
@@ -814,6 +892,8 @@ def solve_boundary(profile: CurvatureProfile, r: float,
             # grid below it, down to t_lo, where |Z| is still small
             below = np.geomspace(t_lo, candidates[0], 9)[:-1]
             probes = [tp for tp in below if inv_z_sq(tp) >= 1e-10] or [t_lo]
+
+        from scipy.integrate import quad  # the one scipy import, for this check
 
         diffs = []
         for tp in probes:

@@ -7,11 +7,15 @@ figure ROADMAP records. The model-class dispatches in the modules that
 consume surface models and the ``solve_ivp`` call sites are pinned at zero,
 and the step control of the two Dormand-Prince loops at one copy. Every
 export has a caller in the program: the package, the demos, the benchmark
-or the acceptance criteria.
+or the acceptance criteria. scipy is imported only inside the three
+functions that use it, so no other path loads it.
 """
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import magflow
@@ -49,6 +53,71 @@ def test_no_module_calls_solve_ivp():
     # orbits run in flow._rk45, Jacobi launches in jacobi._launch
     for path in Path(magflow.__file__).parent.glob("*.py"):
         assert "solve_ivp" not in path.read_text(), path.name
+
+
+def _scipy_imports(tree) -> list:
+    """(enclosing def or class path, module) of every scipy import in a
+    module, the path being "" at module level."""
+    found = []
+
+    def visit(node, path):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            path = (path + "." if path else "") + node.name
+        if isinstance(node, ast.Import):
+            found.extend((path, a.name) for a in node.names if a.name.split(".")[0] == "scipy")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+            found.append((path, node.module))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path)
+
+    visit(tree, "")
+    return found
+
+
+def test_scipy_is_imported_only_where_it_runs():
+    # the cross-check quadrature of criterion 06, the spline through an
+    # orbit's samples and the version string of a written report; the
+    # DOP853 tableau (_dop853) and Brent's root finder (jacobi._brent) are
+    # the package's own
+    package = Path(magflow.__file__).parent
+    found = sorted((path.name, where, module) for path in package.glob("*.py")
+                   for where, module in _scipy_imports(ast.parse(path.read_text())))
+    assert found == [("anosov.py", "AnosovReport.to_dict", "scipy"),
+                     ("flow.py", "CurvatureProfile.from_orbit", "scipy.interpolate"),
+                     ("jacobi.py", "solve_boundary", "scipy.integrate")]
+
+
+def test_cold_paths_load_no_scipy(tmp_path):
+    # the CLI's import, classifications on a Fourier profile, a callable
+    # and a constant model, a constant sweep with b > 1 (conjugate points,
+    # so Brent's root finder runs) and the invariance residual
+    code = (
+        "import math, sys\n"
+        "import magflow.cli\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'import'\n"
+        "from magflow import (AbstractProfile, ConstantCurvature, CurvatureProfile,\n"
+        "                     FourierSeries1D, SamplingConfig, classify, invariance_residual)\n"
+        "series = FourierSeries1D(const=-1.0, sin_coeffs={1: 0.3})\n"
+        "cfg = SamplingConfig(ensemble_count=2)\n"
+        "assert classify(AbstractProfile(kappa=series, k_bound=1.2), cfg).verdict == 'NumericallyAnosov'\n"
+        "half_wave = AbstractProfile(kappa=lambda t: -max(0.0, math.sin(t)) ** 2, k_bound=1.0)\n"
+        "classify(half_wave, cfg)\n"
+        "classify(ConstantCurvature(K=-1.0, b=0.5, chi=-2, area=4 * math.pi), cfg)\n"
+        "assert magflow.cli.sweep({'model': {'kind': 'constant', 'K': -1.0, 'b': 1.0,\n"
+        "                                    'chi': -2, 'area': 4 * math.pi},\n"
+        "                          'ensemble': {'count': 2, 'horizon': 60.0},\n"
+        "                          'sweep': {'parameter': 'model.b', 'grid': [0.5, 1.2, 1.4]},\n"
+        "                          'output_dir': sys.argv[1]}) == 0\n"
+        "assert 'NotAnosov' in open(sys.argv[1] + '/summary.txt').read()\n"
+        "assert invariance_residual(CurvatureProfile.from_series(series), 1.0) < 1e-6\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+    )
+    src = os.path.dirname(os.path.dirname(magflow.__file__))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_one_step_controller():

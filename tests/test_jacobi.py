@@ -2,13 +2,14 @@ import itertools
 import math
 import sys
 import warnings
-from functools import reduce
+from functools import partial, reduce
 from operator import add, mul
 
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as _dop853
+from scipy.optimize import brentq
 
 from magflow import (
     AbstractProfile,
@@ -216,7 +217,10 @@ class TestBoundarySolution:
         assert sol.slope0 == jacobi.propagator(p).slope(2000.0)
 
     def test_nan_disagreement_fails_the_cross_check(self, monkeypatch):
-        monkeypatch.setattr(jacobi, "quad", lambda *args, **kwargs: (math.nan, 0.0))
+        # solve_boundary imports quad from scipy.integrate where it runs
+        import scipy.integrate
+
+        monkeypatch.setattr(scipy.integrate, "quad", lambda *args, **kwargs: (math.nan, 0.0))
         with pytest.raises(NumericalInconsistencyError, match="disagree by nan"):
             solve_boundary(P_NEG, 1.0, cross_check=True)
 
@@ -1003,3 +1007,134 @@ class TestWorkBudget:
         assert rep.verdict == "NotAnosov"  # chi = 0 decides the verdict
         assert rep.orbits[0].error.startswith(
             "IntegrationFailure: jacobi integration exceeded 20000 ")
+
+
+def _counted(f):
+    """f with a count of its evaluations in ``calls[0]``."""
+    calls = [0]
+
+    def g(x):
+        calls[0] += 1
+        return f(x)
+    return g, calls
+
+
+_PORT = jacobi._brent
+
+
+def _scipy_and_port(f, lo, hi, xtol):
+    """(outcome, evaluations) of scipy's brentq and of jacobi._brent on one
+    bracket at the iteration cap ``jacobi.BRENT_MAXITER``, the outcome being
+    the root or "failed": scipy's ValueError or RuntimeError, the port's
+    NumericalInconsistencyError."""
+    out = []
+    scipy_brentq = partial(brentq, xtol=xtol, maxiter=jacobi.BRENT_MAXITER)
+    for solve, errors in ((lambda g: scipy_brentq(g, lo, hi), (ValueError, RuntimeError)),
+                          (lambda g: _PORT(g, lo, hi, xtol), NumericalInconsistencyError)):
+        g, calls = _counted(f)
+        try:
+            got = solve(g)
+        except errors:
+            got = "failed"
+        out.append((got, calls[0]))
+    return out
+
+
+class TestBrent:
+    """jacobi._brent is a port of scipy's brentq.c and jacobi._dop853 a copy
+    of scipy's DOP853 tableau; both must return scipy's bits."""
+
+    def test_vendored_tableau_is_scipys(self):
+        from magflow import _dop853 as vendored
+
+        for name in ("C", "A", "B", "E3", "E5", "D"):
+            want = getattr(_dop853, name)
+            got = getattr(vendored, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+
+    def test_matches_brentq_on_random_brackets(self):
+        rng = rng_for("brent-random")
+        shapes = [
+            lambda r, c: lambda x: math.tan(c * (x - r)) / (1.0 + x * x),
+            lambda r, c: lambda x: c * (x - r) ** 3,
+            lambda r, c: lambda x: math.exp(c * (x - r)) - 1.0,
+            lambda r, c: lambda x: math.sin(c * x) + 0.3,  # may not change sign
+            lambda r, c: lambda x: (x - r) ** 9 - 1e-30,
+            lambda r, c: lambda x: math.copysign(abs(x - r) ** 0.1, x - r),
+            lambda r, c: lambda x: math.cos(c * x) * math.exp(-x),
+            # the extrapolation's denominator underflows to zero
+            lambda r, c: lambda x: 1e-160 * (math.exp(c * (x - r)) - 1.0),
+        ]
+        failed = 0
+        for i in range(800):
+            lo = rng.uniform(-5.0, 5.0)
+            hi = lo + 10.0 ** rng.uniform(-6.0, 1.0)
+            f = shapes[i % len(shapes)](rng.uniform(lo, hi), rng.uniform(0.1, 5.0))
+            xtol = 10.0 ** rng.uniform(-15.0, -3.0)
+            scipy_out, port_out = _scipy_and_port(f, lo, hi, xtol)
+            assert port_out == scipy_out, (i, lo, hi, xtol)
+            failed += scipy_out[0] == "failed"
+        assert 50 < failed < 350  # both branches are exercised
+
+    def test_matches_brentq_without_convergence(self, monkeypatch):
+        rng = rng_for("brent-maxiter")
+        failed = 0
+        for maxiter in (1, 2, 3, 5):
+            monkeypatch.setattr(jacobi, "BRENT_MAXITER", maxiter)
+            for _ in range(40):
+                lo = rng.uniform(-1.0, 0.5)
+                hi = lo + rng.uniform(0.5, 3.0)
+                r = rng.uniform(lo, hi)
+                f = lambda x, r=r: math.sinh(x - r) + 0.1 * (x - r) ** 3
+                xtol = 10.0 ** rng.uniform(-15.0, -8.0)
+                scipy_out, port_out = _scipy_and_port(f, lo, hi, xtol)
+                assert port_out == scipy_out, (maxiter, lo, hi, xtol)
+                failed += scipy_out[0] == "failed"
+        assert 40 < failed < 160
+
+    def test_matches_brentq_on_every_program_bracket(self, monkeypatch):
+        # every bracket _first_root bisects in a bench-torus classify, the
+        # constant models past b = 1 (K + b^2 > 0, conjugate points) and
+        # the two Hill-zone profiles
+        brackets = []
+
+        def record(f, lo, hi, xtol):
+            brackets.append(_scipy_and_port(f, lo, hi, xtol))
+            return _PORT(f, lo, hi, xtol)
+
+        monkeypatch.setattr(jacobi, "_brent", record)
+        torus = ConformalTorus(phi=FourierSeries2D(cos_coeffs={(1, 0): 0.05}),
+                               b=FourierSeries2D(const=0.6, sin_coeffs={(0, 1): 0.2}))
+        classify(torus, SamplingConfig(ensemble_count=16))
+        for b in (1.05, 1.1, 1.2, 1.3, 1.4):
+            classify(ConstantCurvature(K=-1.0, b=b, chi=-2, area=4 * math.pi),
+                     SamplingConfig(ensemble_count=4, horizon=60.0))
+        for series, _trace, _conjugate in TestMonodromyReadout.HILL_ZONE:
+            classify(AbstractProfile(kappa=series, k_bound=2.0))
+        assert len(brackets) >= 16 + 5 + 2
+        for scipy_out, port_out in brackets:
+            assert scipy_out[0] != "failed"
+            assert port_out == scipy_out
+
+    def test_failures_name_the_bracket(self):
+        with pytest.raises(NumericalInconsistencyError,
+                           match=r"root bracket \[1.0, 2.0\]: the function has one sign"):
+            jacobi._brent(lambda x: x * x, 1.0, 2.0, 1e-12)
+        with pytest.raises(NumericalInconsistencyError,
+                           match=r"root bracket \[-1.0, 2.0\]: the function is NaN at 2.0"):
+            jacobi._brent(lambda x: x if x < 2.0 else math.nan, -1.0, 2.0, 1e-12)
+        with pytest.raises(NumericalInconsistencyError,
+                           match=r"root bracket \[-1e\+300, 1e\+300\]: no convergence in 100 "):
+            # a jump at 0.5 in a bracket 2e300 wide: each iteration at most
+            # halves it, and 100 halvings leave it near 1e270
+            jacobi._brent(lambda x: 1.0 if x > 0.5 else -1.0, -1e300, 1e300, 1e-12)
+
+    def test_failure_is_recorded_on_the_orbit(self, monkeypatch):
+        monkeypatch.setattr(jacobi, "BRENT_MAXITER", 1)
+        rep = classify(AbstractProfile(kappa=FourierSeries1D(const=1.0), k_bound=0.0),
+                       SamplingConfig(ensemble_count=1))
+        assert rep.verdict == "Inconclusive"
+        assert rep.orbits[0].error.startswith(
+            "NumericalInconsistencyError: root bracket [")
+        assert "no convergence in 1 iterations" in rep.orbits[0].error
