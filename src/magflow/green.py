@@ -9,10 +9,13 @@ two bundles and flips the slope sign.
 
 The schedule below reads the boundary slope on a doubling sequence of r
 values from the profile's fundamental-matrix propagator, whose
-breakpoints are the default schedule points. Convergence is declared when
-two successive slopes differ by less than the tolerance; profiles whose
-slopes converge slower than the work budget allows are flagged, never
-extrapolated.
+breakpoints are the default schedule points. Before each read it asks the
+conjugate scan (``jacobi.first_zero``) whether the unit-slope solution
+vanishes on (0, r]; a zero there ends the schedule with a
+``ConjugatePointError`` at the exact conjugate time. Convergence is
+declared when two successive slopes differ by less than the tolerance;
+profiles whose slopes converge slower than the work budget allows are
+flagged, never extrapolated.
 
 A periodic (non-constant Fourier) profile whose monodromy decides it
 (``jacobi.floquet``: trace above 2, and a unit-slope solution without a
@@ -22,11 +25,10 @@ one r = T. A flipped profile reads its mirror's monodromy, so both sides
 share one integration. Other profiles run the schedule.
 
 The work budget counts curvature evaluations (``GreenSide.nfev``,
-``Propagator.nfev_to``). A Fourier profile spends one period's
-evaluations, whatever r, and a constant one, read in closed form, none;
-so ``WORK_BUDGET`` bounds only spline and callable profiles. For Fourier
-and constant ones ``R_CAP`` bounds the schedule, at a cost of O(log r)
-matrix products per read for a Fourier profile.
+``Propagator.nfev_to``), a periodic profile's period once per period the
+scan reads, so ``WORK_BUDGET`` bounds every profile but a constant one,
+read in closed form, whose slopes converge by themselves (the flat one, the
+slowest, at r near 1.3e9).
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
-
-import numpy as np
 
 from .errors import (
     ConjugatePointError,
@@ -47,7 +47,6 @@ from .jacobi import FIRST_BREAK, first_zero, floquet, propagator
 
 DEFAULT_GREEN_TOL = 1e-9
 R0 = FIRST_BREAK
-R_CAP = 5.0 * 2.0**31
 WORK_BUDGET = 3_000_000
 SLOPE_BOUND_SLACK = 1e-6
 MONOTONE_SLACK = 1e-10
@@ -56,8 +55,8 @@ MONOTONE_SLACK = 1e-10
 @dataclass
 class GreenSide:
     """One-sided slope estimate with its schedule diagnostics. ``nfev``
-    counts the propagator's curvature evaluations up to the last r,
-    one period's for a Fourier profile and none for a constant one."""
+    counts the propagator's curvature evaluations up to the last r
+    (``Propagator.nfev_to``), none for a constant profile."""
 
     slope: float
     converged: bool
@@ -106,17 +105,16 @@ class GreenEstimate:
 
 
 def _run_schedule(profile: CurvatureProfile, tol: float) -> GreenSide:
-    r_limit = min(R_CAP, profile.t_max)
-    if r_limit < R0:
+    if profile.t_max < R0:
         raise InsufficientDataError("profile window too short for the slope "
-                                    "schedule (ends at t = %g)" % r_limit)
+                                    "schedule (ends at t = %g)" % profile.t_max)
     hill = floquet(profile)
     if hill is not None:
         side = GreenSide(slope=hill.stable, converged=True, residual=0.0,
                          r_schedule=[hill.period], slopes=[hill.stable],
                          nfev=hill.nfev)
     else:
-        side = _doubling(profile, tol, r_limit)
+        side = _doubling(profile, tol)
     if side.converged and abs(side.slope) > profile.k_bound + SLOPE_BOUND_SLACK:
         raise NumericalInconsistencyError(
             "converged slope %g exceeds the curvature bound k = %g"
@@ -125,59 +123,35 @@ def _run_schedule(profile: CurvatureProfile, tol: float) -> GreenSide:
     return side
 
 
-def _doubling(profile: CurvatureProfile, tol: float, r_limit: float) -> GreenSide:
-    """The boundary slopes on the doubling schedule R0, 2 R0, ... up to
-    r_limit, until two successive ones agree to tol or the work budget is
-    spent."""
-    z = first_zero(profile, R0)
-    if z is not None:
-        raise ConjugatePointError(
-            "conjugate point at t = %.12g blocks the slope schedule" % z,
-            conjugate_time=z,
-        )
-
+def _doubling(profile: CurvatureProfile, tol: float) -> GreenSide:
+    """The boundary slopes on the doubling schedule R0, 2 R0, ... up to the
+    profile's window end, until two successive ones agree to tol or the
+    work budget is spent; a zero of the unit-slope solution before r
+    raises."""
     prop = propagator(profile)
-    r_prev, r = 0.0, R0
-    rs, slopes = [], []
-    converged = False
-    residual = math.inf
-
+    r, rs, slopes, residual = R0, [], [], math.inf
     while True:
-        seg = np.linspace(r_prev, r, 65)[1:]
-        zs = prop._stored(seg)[0][2]
-        if np.any(zs <= 0.0):
-            bad = float(seg[np.nonzero(zs <= 0.0)[0][0]])
+        z = first_zero(profile, r)
+        if z is not None:
             raise ConjugatePointError(
-                "conjugate point near t = %.6g on the schedule" % bad,
-                conjugate_time=bad,
+                "conjugate point at t = %.12g blocks the slope schedule" % z,
+                conjugate_time=z,
             )
-        s = prop.slope(r)
-        nfev = prop.nfev_to(r)
         rs.append(r)
-        slopes.append(s)
-
+        slopes.append(prop.slope(r))
         if len(slopes) >= 2:
-            step = s - slopes[-2]
+            step = slopes[-1] - slopes[-2]
             if step < -MONOTONE_SLACK:
                 raise NumericalInconsistencyError(
                     "slope sequence decreased by %g at r = %g" % (-step, r)
                 )
             residual = abs(step)
-            if residual < tol:
-                converged = True
-                break
-
-        if nfev > WORK_BUDGET:
-            break
-        r_next = min(2.0 * r, r_limit)
-        if r_next <= r * (1.0 + 1e-12):
-            break
-        r_prev, r = r, r_next
-
-    return GreenSide(
-        slope=slopes[-1], converged=converged, residual=residual,
-        r_schedule=rs, slopes=slopes, nfev=nfev,
-    )
+        nfev = prop.nfev_to(r)
+        r_next = min(2.0 * r, profile.t_max)
+        if residual < tol or nfev > WORK_BUDGET or r_next <= r * (1.0 + 1e-12):
+            return GreenSide(slope=slopes[-1], converged=residual < tol, residual=residual,
+                             r_schedule=rs, slopes=slopes, nfev=nfev)
+        r = r_next
 
 
 def green_slope(profile: CurvatureProfile, direction: str,

@@ -25,11 +25,12 @@ are integrated as far as callers ask. Where tr M > 2 and the unit-slope
 solution has no zero on two periods, M decides the profile outright (Hill's
 equation, ``floquet``): no conjugate point, the slopes are its
 eigen-slopes and the contraction rate its exponent, and the time-reflected
-profile reads them from the same M. One zero scan (``_first_root``) serves
-that check, the conjugate point and the Riccati pole; ``first_zero`` skips
-it where the Sturm comparison theorem or the monodromy excludes a zero. A
-sign change it finds is refined by ``_brent``, a port of scipy's Brent
-root finder that returns scipy's root bit for bit.
+profile reads them from the same M. One zero scan (``_first_root``), read
+at the propagator's knots, serves that check, the conjugate point and the
+Riccati pole; ``first_zero`` skips it where the Sturm comparison theorem or
+the monodromy excludes a zero. A sign change it finds is refined by
+``_brent``, a port of scipy's Brent root finder that returns scipy's root
+bit for bit.
 
 Every launch (``_launch``, called by ``Propagator`` alone) runs magflow's
 own DOP853 loop on [A, A', Z, Z'] at the one tolerance ``JACOBI_TOL``:
@@ -79,7 +80,6 @@ RESCALE_THRESHOLD = 1e100
 # propagator segment, [0, 5] on a torus spline profile, evaluates 9,270);
 # this is 55x that.
 JACOBI_NFEV_BUDGET = 1_000_000
-SCAN_STEP = 0.01          # grid of the conjugate and blow-up scans
 # Brent's root finder (``_brent``) at scipy's brentq defaults: relative
 # tolerance 4 eps and at most 100 iterations
 BRENT_RTOL = 4.0 * 2.0**-52
@@ -484,10 +484,10 @@ class Propagator:
                        if s is not None and self.const is None else None)
         self.t_end = profile.t_max if self.period is None else self.period
         self.breaks = [0.0]
-        # segment k ends at breaks[k]: (dense output, end state, scale
-        # exponent, total nfev); entry 0 holds the initial data, and a
-        # periodic profile's last entry, with no dense output, covers
-        # (T, inf) from the monodromy
+        # segment k ends at breaks[k]: (launch, end state, scale exponent,
+        # total nfev); entry 0 holds the initial data, and a periodic
+        # profile's last entry, with no launch, covers (T, inf) from the
+        # monodromy
         self._segs = [(None, np.array([1.0, 0.0, 0.0, 1.0]), 0, 0)]
         if self.const is not None:
             # one segment, read in closed form, covers every t >= 0
@@ -495,12 +495,13 @@ class Propagator:
             self._segs.append((None, None, None, 0))
         # M**(2**j) and M**k, each as (mantissa, exponent)
         self._squares = []
-        self._powers = {}
+        self._powers = {0: ((1.0, 0.0, 0.0, 1.0), 0)}
         self.hill = None  # floquet's readout, formed where M is stored
+        self.zero, self.scanned = None, 0.0  # see first_zero_of_z
 
     def _grow(self):
         t0 = self.breaks[-1]
-        _dense, y0, exp, nfev = self._segs[-1]
+        _run, y0, exp, nfev = self._segs[-1]
         if t0 >= self.t_end:
             if self.period is None:
                 raise InsufficientDataError("the profile window ends at t = %g" % t0)
@@ -519,7 +520,7 @@ class Propagator:
             t1 = self.period
         t1 = min(t1, self.t_end)
         sol = _launch(self.evaluator, y0, (t0, t1))
-        self._segs.append((sol.sol, sol.y[:, -1], exp, nfev + sol.nfev))
+        self._segs.append((sol, sol.y[:, -1], exp, nfev + sol.nfev))
         self.breaks.append(t1)
 
     def segment(self, t: float) -> int:
@@ -531,17 +532,14 @@ class Propagator:
 
     def _power(self, k: int):
         """M**k as (mantissa, exponent): the squares M**(2**j) of the set bits
-        of k multiplied in increasing j, so the result depends on k alone."""
+        of k multiplied in increasing j, so the result depends on k alone.
+        That is M**(k - 2**j) times M**(2**j) for the top bit j of k, so each
+        power costs one product once the lower ones are kept."""
         if k not in self._powers:
-            out = ((1.0, 0.0, 0.0, 1.0), 0)
-            j = 0
-            while k >> j:
-                if j == len(self._squares):
-                    self._squares.append(_compose(self._squares[-1], self._squares[-1]))
-                if (k >> j) & 1:
-                    out = _compose(out, self._squares[j])
-                j += 1
-            self._powers[k] = out
+            j = k.bit_length() - 1
+            while j >= len(self._squares):
+                self._squares.append(_compose(self._squares[-1], self._squares[-1]))
+            self._powers[k] = _compose(self._power(k - (1 << j)), self._squares[j])
         return self._powers[k]
 
     def _stored(self, t: np.ndarray):
@@ -554,9 +552,9 @@ class Propagator:
         y, e = np.empty((4, t.size)), np.zeros(t.size, dtype=int)
         for k in np.unique(ks):
             sel = ks == k
-            dense, _end, exp, _nfev = self._segs[k]
-            if dense is not None:
-                y[:, sel], e[sel] = dense(t[sel]), exp
+            run, _end, exp, _nfev = self._segs[k]
+            if run is not None:
+                y[:, sel], e[sel] = run.sol(t[sel]), exp
                 continue
             # t = n T + tau past the period: F(tau) M**n
             n = np.floor(t[sel] / self.period)
@@ -602,10 +600,51 @@ class Propagator:
         return float((a[0] * w - da[0]) / (dz[0] - z[0] * w))
 
     def nfev_to(self, t: float) -> int:
-        """Curvature points evaluated integrating up to t. A periodic
-        profile spends at most one period's, whatever t, and a constant
-        one none."""
-        return self._segs[self.segment(t)][3]
+        """Curvature points evaluated integrating up to t, a periodic
+        profile's period counted once per period up to t (a scan reads each),
+        and none for a constant profile."""
+        nfev = self._segs[self.segment(t)][3]
+        return nfev * math.ceil(t / self.period) if self.period and t > self.period else nfev
+
+    def _knots(self, horizon: float):
+        """The scan times of (0, horizon] in batches, the last one ending at
+        the horizon: the accepted step ends of each launched segment, then
+        past the period T the period's ones shifted by n T for n = 1 to 2, 3
+        to 6, 7 to 14, ...; on a constant k > 0 the multiples of
+        pi / (2 sqrt(k)), half the spacing of the zeros of any solution
+        (Sturm), batched alike; on a constant k <= 0, where a solution has at
+        most one zero, the horizon alone."""
+        k, n, cell = 1, 0, horizon
+        while self.const is None:
+            if k == len(self.breaks):
+                self._grow()
+            if self._segs[k][0] is None:  # past the period
+                n, cell = 1, self.period
+                break
+            ts = self._segs[k][0].t[1:]
+            if ts[-1] >= horizon:
+                yield np.append(ts[ts < horizon], horizon)
+                return
+            yield ts
+            k += 1
+        if self.const is not None and self.const > 0.0:
+            cell = 0.5 * math.pi / math.sqrt(self.const)
+        taus = np.concatenate([seg[0].t[1:] for seg in self._segs[1:k]] or [[cell]])
+        while True:
+            ts = (np.arange(n, 2 * n + 1)[:, None] * cell + taus).ravel()
+            if ts[-1] >= horizon:
+                yield np.append(ts[ts < horizon], horizon)
+                return
+            yield ts
+            n = 2 * n + 1
+
+    def first_zero_of_z(self, horizon: float) -> Optional[float]:
+        """The first zero of Z on (0, horizon] (``_first_root``), or None. The
+        answer is kept: a zero found answers every horizon, and a scan that
+        found none every horizon up to its own."""
+        if self.zero is None and horizon > self.scanned:
+            self.zero, self.scanned = _first_root(self, 0.0, 1.0, horizon), horizon
+        return self.zero if self.zero is not None and self.zero <= horizon else None
 
 
 def propagator(profile: CurvatureProfile) -> Propagator:
@@ -648,7 +687,8 @@ def floquet(profile: CurvatureProfile) -> Optional[Floquet]:
     the stable one the smaller where Z(T) > 0. The equation is disconjugate
     iff Z has no zero on (0, 2T] (Sturm separation: a zero of J_s at tau
     recurs at tau + T with one of Z between, and a J_s without zeros leaves
-    Z none past 0), read by ``_first_root`` where ``kappa_ceiling`` > 0.
+    Z none past 0), read by ``Propagator.first_zero_of_z`` where
+    ``kappa_ceiling`` > 0, which keeps a zero it finds for ``first_zero``.
     The readout is formed once, where the propagator stores M, in stored
     scale; a reflected profile (``flipped``) reads its mirror's, reflected.
     """
@@ -667,10 +707,8 @@ def _readout(prop: Propagator, nfev: int) -> Optional[Floquet]:
     (a, da, z, dz), e = prop._squares[0]
     tr, b = a + dz, a - dz
     disc = b * b + 4.0 * z * da  # tr**2 - 4 det M, which roundoff may sink below 0
-    span = 2.0 * prop.period
     if not (tr > math.ldexp(2.0, -e) and z > 0.0 and disc > 0.0) or (
-            prop.ceiling > 0.0 and _first_root(
-                prop, 0.0, 1.0, span, _scan_step(prop.ceiling, span))[0] is not None):
+            prop.ceiling > 0.0 and prop.first_zero_of_z(2.0 * prop.period) is not None):
         return None
     root = math.sqrt(disc)
     q = -0.5 * (b + math.copysign(root, b))  # the roots q / z, -da / q
@@ -679,51 +717,42 @@ def _readout(prop: Propagator, nfev: int) -> Optional[Floquet]:
                    log_growth=math.log(0.5 * (tr + root)) + e * math.log(2.0), nfev=nfev)
 
 
-def _first_root(prop: Propagator, v: float, d: float, horizon: float,
-                step: float) -> tuple:
+def _first_root(prop: Propagator, v: float, d: float, horizon: float) -> Optional[float]:
     """First zero on (0, horizon] of the solution J = v A + d Z of the
-    propagator ``prop``, positive just after time zero, with the last scan
-    time before it (0.0 in the first cell), or (None, horizon) when it keeps
-    its sign.
+    propagator ``prop``, positive just after time zero, or None.
 
-    J is read in stored scale (``Propagator._stored``). The scan reads its
-    signs at the multiples of ``step`` below the horizon and at the horizon
-    itself, one propagator segment at a time, so integration stops at the
-    breakpoint past the first zero and nothing overflows; ``_brent`` refines
-    a sign change to 1e-12 of the bracket's upper end, a relative tolerance,
-    on J rescaled by the one power of two the scan read at that end.
+    J is read in stored scale (``Propagator._stored``) at the propagator's
+    knots, one batch at a time, so integration stops at the breakpoint past
+    the first zero and nothing overflows. No solution changes sign twice
+    between two knots: a step the DOP853 control accepts resolves every
+    solution, all being combinations of A and Z; so the unit-slope solution,
+    zero at time zero, has no other zero before the first knot. ``_brent``
+    refines a sign change to 1e-12 of the bracket's upper end, a relative
+    tolerance, on J rescaled by the one power of two the scan read at that
+    end.
     """
     def j(ts):
         (a, _da, z, _dz), e = prop._stored(ts)
         return v * a + d * z, e
 
-    ts = np.arange(step, horizon, step)
-    ts = np.append(ts[ts < horizon], float(horizon))
-    vals, exps = np.empty(0), np.empty(0, dtype=int)
-    while len(vals) < len(ts) and not np.any(vals <= 0.0):
-        end = prop.breaks[prop.segment(ts[len(vals)])]
-        y, e = j(ts[len(vals):int(np.searchsorted(ts, end, side="right"))])
-        vals, exps = np.concatenate([vals, y]), np.concatenate([exps, e])
-    sign_change = np.nonzero(vals <= 0.0)[0]
-    if len(sign_change) == 0:
-        return None, float(horizon)
-    i = int(sign_change[0])
-    before = float(ts[i - 1]) if i > 0 else 0.0
+    lo = 0.0  # the last knot read before the sign change
+    for ts in prop._knots(horizon):
+        vals, exps = j(ts)
+        if np.any(vals <= 0.0):
+            break
+        lo = float(ts[-1])
+    else:
+        return None
+    i = int(np.argmax(vals <= 0.0))
+    lo, hi, scale = float(ts[i - 1]) if i else lo, float(ts[i]), int(exps[i])
     if vals[i] == 0.0:
-        return float(ts[i]), before
-    lo = before if i > 0 else 0.5 * ts[0]
-    hi = ts[i]
+        return hi
 
     def g(t):
         y, e = j(np.array([t]))
-        return math.ldexp(float(y[0]), int(e[0] - exps[i]))
+        return math.ldexp(float(y[0]), int(e[0]) - scale)
 
-    if g(lo) <= 0.0:
-        # zero sits inside the first scan cell: bracket it from 1e-8, or
-        # from zero where J is positive there (the unit-slope solution
-        # vanishes at zero itself)
-        lo = 1e-8 if g(1e-8) > 0.0 else 0.0
-    return _brent(g, lo, hi, 1e-12 * hi), before
+    return _brent(g, lo, hi, 1e-12 * hi)
 
 
 def _brent(f: Callable, lo: float, hi: float, xtol: float) -> float:
@@ -799,29 +828,19 @@ def _brent(f: Callable, lo: float, hi: float, xtol: float) -> float:
 
 def first_zero(profile: CurvatureProfile, horizon: float) -> Optional[float]:
     """First positive zero of the unit-slope solution Z on (0, horizon], or
-    None when the solution keeps its sign (``_first_root``).
+    None when the solution keeps its sign (``Propagator.first_zero_of_z``).
 
     Where kappa <= K+ everywhere, the Sturm comparison theorem puts the
     first zero at or past pi / sqrt(K+) (Hartman, Ordinary Differential
     Equations, ch. XI). So a profile with K+ * horizon**2 < pi**2, K+ being
     its ``kappa_ceiling``, has none, and the propagator is not read. Nor has
     a periodic profile that its monodromy shows disconjugate (``floquet``),
-    at any horizon; otherwise the scan steps by ``_scan_step``."""
+    at any horizon."""
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     if profile.kappa_ceiling * horizon**2 < math.pi**2 or floquet(profile) is not None:
         return None
-    return _first_root(propagator(profile), 0.0, 1.0, horizon,
-                       _scan_step(profile.kappa_ceiling, horizon))[0]
-
-
-def _scan_step(k_plus: float, horizon: float) -> float:
-    """The step of a zero scan over (0, horizon]: SCAN_STEP, at most an
-    eighth of the horizon, and at most pi / (2 sqrt(K+)) where the curvature
-    ceiling K+ is finite and positive: the zeros of any solution lie at
-    least pi / sqrt(K+) apart (Sturm), so no scan cell holds two of them."""
-    cap = 0.5 * math.pi / math.sqrt(k_plus) if 0.0 < k_plus < math.inf else math.inf
-    return min(SCAN_STEP, horizon / 8.0, cap)
+    return propagator(profile).first_zero_of_z(horizon)
 
 
 @dataclass

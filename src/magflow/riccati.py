@@ -10,7 +10,8 @@ A solution is read from the profile's Jacobi propagator rather than
 integrated: u = J'/J for the Jacobi solution J = A + u0 Z with slope u0,
 so u(t) = (A' + Z' u0) / (A + Z u0), the Moebius image of u0 under the
 fundamental matrix. It blows up exactly where J has its first zero,
-found by the zero scan the conjugate scan runs (``jacobi._first_root``).
+found by the zero scan the conjugate scan runs (``jacobi._first_root``),
+which reads J at the propagator's knots.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .flow import CurvatureProfile
-from .jacobi import _first_root, _local_time, _scan_step, propagator
+from .jacobi import _first_root, _local_time, propagator
 
 N_SAMPLES = 2001
 
@@ -32,9 +33,8 @@ class RiccatiTrace:
     """Sampled Riccati solution, with the blow-up time if one occurred.
 
     The blow-up time is the first zero of the Jacobi solution A + Z u0,
-    refined to 1e-12 relative. When it is set, the samples cover the span
-    only up to the last conjugate-scan time before it, less than one scan
-    step (``jacobi._scan_step``) short of the pole.
+    refined to 1e-12 relative. When it is set, the samples cover the
+    half-open span from the start up to the pole.
     """
 
     t_samples: np.ndarray
@@ -49,9 +49,9 @@ def integrate_riccati(profile: CurvatureProfile, u0: float, t_span: tuple) -> Ri
     The span is read in the local time s = sign (t - t0) of
     ``jacobi._local_time``, where the slope is sign u. Blow-up is not an
     error: it is the first zero of A + Z u0, found by the zero scan
-    ``jacobi._first_root`` that ``jacobi.first_zero`` runs, and the read
-    stops there. A point span returns its data alone, with no scan, even on
-    a window end. Reading past a spline profile's window raises
+    ``jacobi._first_root`` that ``jacobi.first_zero`` runs, and the samples
+    stop short of it. A point span returns its data alone, with no scan,
+    even on a window end. Reading past a spline profile's window raises
     ``InsufficientDataError``.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -60,8 +60,9 @@ def integrate_riccati(profile: CurvatureProfile, u0: float, t_span: tuple) -> Ri
         return RiccatiTrace(np.full(N_SAMPLES, t0), np.full(N_SAMPLES, float(u0)), None)
     prop = propagator(local)
     v0, span = sign * u0, abs(t1 - t0)
-    pole, s_end = _first_root(prop, 1.0, v0, span, _scan_step(local.kappa_ceiling, span))
-    ss = np.linspace(0.0, s_end, N_SAMPLES)
+    pole = _first_root(prop, 1.0, v0, span)
+    ss = (np.linspace(0.0, span, N_SAMPLES) if pole is None
+          else np.linspace(0.0, pole, N_SAMPLES, endpoint=False))
     j, dj = prop.carry(ss, v0)
     return RiccatiTrace(
         t_samples=t0 + sign * ss,

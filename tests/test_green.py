@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -121,8 +122,8 @@ class TestScheduleGates:
 
     def test_zero_past_the_first_break_is_caught_on_the_grid(self):
         # kappa = 4 behind t = -6: the minus side's zero at 6 + (pi - atan 2) / 2
-        # lies in (R0, 2 R0], where the 64-point guard names the first grid
-        # time past it, 5 + 26 * 5 / 64
+        # lies in (R0, 2 R0], where the schedule's scan of (0, 2 R0] refines
+        # it to the exact zero
         kappa = lambda t: 4.0 if t < -6 else -1.0  # noqa: E731
         true_zero = 6.0 + 0.5 * (math.pi - math.atan(2.0 * math.tanh(6.0)))
         assert first_zero(_callable(kappa, 1.0).flipped(), 10.0) == pytest.approx(
@@ -130,7 +131,45 @@ class TestScheduleGates:
         assert true_zero == pytest.approx(7.0172, abs=1e-4)
         rep = classify(AbstractProfile(kappa, 1.0))
         assert rep.verdict == "NotAnosov"
-        assert rep.orbits[0].conjugate_time == 7.03125
+        assert rep.orbits[0].conjugate_time == pytest.approx(true_zero, rel=1e-9)
+
+    @pytest.mark.parametrize("height", [4000.0, 7000.0, 9000.0])
+    def test_two_zeros_between_old_guard_samples_are_caught(self, height):
+        # a bump of width 0.03 behind t = -15.078: the minus side's unit-slope
+        # solution vanishes twice near s = 15.07 (at 15.06598 and 15.10565 for
+        # height 7000), both inside (15.0, 15.15625], one cell of a 64-point
+        # sign guard on (10, 20], which saw no sign change there
+        from scipy.integrate import solve_ivp
+        from scipy.optimize import brentq
+
+        kappa = lambda t: -1.0 + height * np.exp(-((t + 15.078) / 0.03) ** 2)  # noqa: E731
+        rep = classify(AbstractProfile(kappa, 1.0))
+        assert rep.verdict == "NotAnosov"
+        # the reference: a fine DOP853 run on the reflected profile, its
+        # dense output scanned every 1e-4 and the first zero refined
+        ref = solve_ivp(lambda s, y: [y[1], -kappa(-s) * y[0]], (0.0, 15.2), [0.0, 1.0],
+                        method="DOP853", rtol=1e-13, atol=1e-13, max_step=0.01,
+                        dense_output=True)
+        grid = np.arange(14.9, 15.2, 1e-4)
+        z = ref.sol(grid)[0]
+        i = int(np.nonzero(z <= 0.0)[0][0])
+        zero = brentq(lambda s: ref.sol(s)[0], grid[i - 1], grid[i], xtol=1e-14)
+        assert 15.0 < zero < 15.15625
+        assert rep.orbits[0].conjugate_time == pytest.approx(zero, rel=1e-9)
+
+    @pytest.mark.parametrize("kappa, verdict", [
+        (lambda t: 0.0, "NotAnosov"),  # criterion 12's flat profile
+        (FourierSeries1D(const=0.0, cos_coeffs={1: 1e-6}), "Inconclusive"),
+    ])
+    def test_schedules_end_within_bounded_work(self, kappa, verdict):
+        # the flat slopes converge at r near 1.3e9, read in closed form with
+        # a scan of no knot; 1e-6 cos t has its first conjugate point near
+        # t = 4.46e6, past the work budget, which counts each period the scan
+        # reads
+        start = time.perf_counter()
+        rep = classify(AbstractProfile(kappa=kappa, k_bound=0.5))
+        assert time.perf_counter() - start < 2.0
+        assert rep.verdict == verdict
 
     def test_slope_past_the_declared_bound(self):
         # kappa = -4 has the stable slope -2, past a declared k_bound of 0.5

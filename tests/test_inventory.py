@@ -23,6 +23,7 @@ import magflow
 ROOT = Path(__file__).resolve().parents[1]
 
 INVENTORY = 17
+EXPORTS = 40
 
 
 def knob_inventory(package_dir: Path) -> int:
@@ -162,12 +163,32 @@ def test_every_export_has_a_program_caller():
     used = set().union(*(_names_used(ast.parse(p.read_text())) for p in paths))
     exports = [name for name in magflow.__all__
                if not inspect.ismodule(getattr(magflow, name))]
+    assert len(exports) == EXPORTS
     assert [name for name in exports if name not in used] == []
 
 
 
 def _is_call(node, name: str) -> bool:
     return isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+
+
+def test_one_conjugate_point_finder():
+    # the slope schedule asks jacobi.first_zero, which scans at the
+    # propagator's knots: green reads no stored propagator values, the
+    # fixed scan grid and the schedule's cap on r are gone, and _doubling
+    # raises one ConjugatePointError
+    package = Path(magflow.__file__).parent
+    green = ast.parse((package / "green.py").read_text())
+    assert "_stored" not in _names_used(green)
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        defined = {node.name for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        assert not {"SCAN_STEP", "_scan_step", "R_CAP"} & (defined | _names_used(tree)), path.name
+    doubling = next(node for node in ast.walk(green)
+                    if isinstance(node, ast.FunctionDef) and node.name == "_doubling")
+    assert sum(isinstance(node, ast.Raise) and _is_call(node.exc, "ConjugatePointError")
+               for node in ast.walk(doubling)) == 1
 
 
 def test_no_vectorize_and_no_list_form_stage_sums():

@@ -122,18 +122,16 @@ class TestUnitSlope:
             math.pi / 2, abs=1e-9
         )
         assert first_zero(P_NEG, 50.0) is None
-        # horizons shorter than half a scan step
         assert first_zero(P_NEG, 0.004) is None
-        # a zero on a scan time, at the Sturm-capped step pi / 2 of K+ = 1
-        assert jacobi._first_root(jacobi.propagator(P_POS), 0.0, 1.0, 3.2,
-                                  0.5 * math.pi)[0] == pytest.approx(math.pi, abs=1e-9)
-        # the same on a callable profile, whose scan step is not capped
+        # a zero on a knot: the second multiple of pi / 2 for K+ = 1
+        assert jacobi._first_root(jacobi.propagator(P_POS), 0.0, 1.0,
+                                  3.2) == pytest.approx(math.pi, abs=1e-9)
+        # the same on a callable profile, scanned at its DOP853 step ends
         pos = CurvatureProfile(evaluator=lambda t: 1.0 + 0.0 * np.asarray(t), k_bound=0.0)
         assert first_zero(pos, 0.004) is None
-        # one scan cell, the horizon alone, holding the zero
-        assert jacobi._first_root(jacobi.propagator(pos), 0.0, 1.0, 3.2,
-                                  10.0)[0] == pytest.approx(math.pi, abs=1e-9)
-        # a zero less than half a step before the horizon
+        assert jacobi._first_root(jacobi.propagator(pos), 0.0, 1.0,
+                                  3.2) == pytest.approx(math.pi, abs=1e-9)
+        # a zero just before the horizon
         assert first_zero(P_POS, 3.144) == pytest.approx(math.pi, abs=1e-9)
         with pytest.raises(ConjugatePointError):
             solve_boundary(P_POS, 3.144, cross_check=False)
@@ -142,6 +140,52 @@ class TestUnitSlope:
         for k in (100.0**2 - 1.0, 5000.0**2):
             assert first_zero(CurvatureProfile.constant(k), 1.0) == pytest.approx(
                 math.pi / math.sqrt(k), rel=1e-12, abs=0.0)
+
+
+class TestKnotScan:
+    """_first_root reads the solution at the propagator's knots alone: the
+    accepted step ends of its launches, the period's step ends shifted by
+    whole periods past T, and the horizon."""
+
+    @staticmethod
+    def _scanned(monkeypatch):
+        batches = []
+        knots = jacobi.Propagator._knots
+
+        def counted(self, horizon):
+            for ts in knots(self, horizon):
+                batches.append(ts)
+                yield ts
+
+        monkeypatch.setattr(jacobi.Propagator, "_knots", counted)
+        return batches
+
+    def test_launched_segments_read_their_step_ends(self, monkeypatch):
+        batches = self._scanned(monkeypatch)
+        half_wave = lambda t: -max(0.0, math.sin(t)) ** 2  # noqa: E731
+        prop = jacobi.propagator(_callable(half_wave, 1.0))
+        assert jacobi._first_root(prop, 0.0, 1.0, 80.0) is None
+        ends = np.concatenate([seg[0].t[1:] for seg in prop._segs[1:]])
+        read = np.concatenate(batches)
+        assert read[-1] == 80.0
+        assert np.all(np.isin(read[:-1], ends))
+        assert read.size <= ends.size + 1
+        # a tenth of the 8000 times of a 0.01 grid
+        assert read.size < 800
+
+    def test_periods_past_t_read_the_period_step_ends(self, monkeypatch):
+        # 1e-6 cos t keeps Z positive far past these periods
+        p = CurvatureProfile.from_series(FourierSeries1D(const=0.0, cos_coeffs={1: 1e-6}))
+        prop = jacobi.propagator(p)
+        horizon = 10.5 * prop.period
+        batches = self._scanned(monkeypatch)
+        assert jacobi._first_root(prop, 0.0, 1.0, horizon) is None
+        ends = np.concatenate([seg[0].t[1:] for seg in prop._segs[1:-1]])
+        read = np.concatenate(batches)
+        assert read[-1] == horizon and np.all(np.diff(read) > 0.0)
+        assert read.size <= ends.size * math.ceil(horizon / prop.period) + 1
+        taus = read[:-1] - np.floor(read[:-1] / prop.period) * prop.period
+        assert np.all(np.min(np.abs(taus[:, None] - np.r_[0.0, ends]), axis=1) < 1e-9)
 
 
 def _solution(p, bs):
@@ -565,6 +609,22 @@ class TestMonodromyReadout:
         assert rep.verdict == "NumericallyAnosov"
         assert calls == {"_readout": 1, "_first_root": 1}
 
+    def test_a_conjugate_point_is_scanned_once(self, monkeypatch):
+        # the readout's scan of (0, 2T] finds the zero of 1 - cos 2t, and
+        # the conjugate scan of (0, 50] reads it from the propagator
+        found = []
+
+        def counted(*args, _f=jacobi._first_root):
+            found.append(_f(*args))
+            return found[-1]
+
+        monkeypatch.setattr(jacobi, "_first_root", counted)
+        series, _trace, conjugate = self.HILL_ZONE[0]
+        rep = classify(AbstractProfile(kappa=series, k_bound=2.0))
+        assert rep.verdict == "NotAnosov"
+        assert found == [rep.orbits[0].conjugate_time]
+        assert found[0] == pytest.approx(conjugate, rel=1e-12)
+
     def test_matches_independent_routes(self):
         rng = rng_for("monodromy-readout")
         for _ in range(20):
@@ -763,8 +823,8 @@ class TestSturmSkip:
         assert launches
 
     def test_strong_field_scans_find_the_first_zero(self):
-        # kappa = 2.5e7: zeros every pi / 5000 ~ 6.3e-4, finer than SCAN_STEP;
-        # the step capped at half that spacing holds one zero per cell
+        # kappa = 2.5e7: zeros every pi / 5000 ~ 6.3e-4; the knots, at half
+        # that spacing, hold one zero per cell
         k = 5000.0**2 - 1.0
         p = CurvatureProfile.constant(k)
         assert first_zero(p, 50.0) == pytest.approx(math.pi / math.sqrt(k), rel=1e-12)

@@ -196,11 +196,16 @@ class TestPropagatorReadout:
                 assert np.all(np.abs(tr.t_samples) < abs(zero))
 
     def test_pole_inside_first_scan_cell(self):
-        # u' = -u^2 from u0 < 0: pole at 1/|u0|, short of the first scan time
+        # u' = -u^2 from u0 < 0: pole at 1/|u0|, inside the one knot cell of
+        # a constant kappa = 0; the samples cover [0, pole) and follow the
+        # closed form u = u0 / (1 + u0 t)
         for u0 in (-1e3, -1e9):
             tr = integrate_riccati(P_ZERO, u0, (0.0, 5.0))
             assert tr.blowup_time == pytest.approx(1.0 / abs(u0), rel=1e-9)
-            assert tr.t_samples[-1] == 0.0 and tr.u_samples[-1] == u0
+            assert tr.t_samples[0] == 0.0 and tr.u_samples[0] == u0
+            assert tr.t_samples[-1] < tr.blowup_time
+            np.testing.assert_allclose(tr.u_samples, u0 / (1.0 + u0 * tr.t_samples),
+                                       rtol=1e-9)
 
     def test_spline_profile_reads_segmented_propagator(self):
         # the curvature along a torus orbit is a cubic spline on the orbit
