@@ -49,6 +49,7 @@ CONJUGATE_HORIZON = 50.0   # end of the conjugate scan and the kappa sampling
 WITNESS_WINDOW = 50.0      # bounded-field witness on [-window, window]
 WITNESS_BOUND = 1e3        # sup-norm a witness must stay below
 CONTRACTION_WINDOW = 10.0  # fit on [W / 10, W], W = this / max(1, |u+|)
+GROWTH_WINDOW = 20.0       # growth floor of Z on [1, this]
 CONTRACTION_FLOOR = 1e-6   # fitted rates at or below it fail the fit
 NEGATIVITY_EPS = 1e-8
 # a witness refutes only a gap within this many green_tol of zero; a larger
@@ -319,7 +320,7 @@ def analyze_orbit(model: SurfaceModel, v0: UnitTangent, orbit_id: int,
         res.u_plus, res.u_minus, res.gap = est.u_plus0, est.u_minus0, est.gap
         res.gap_converged = est.converged
         res.gap_residuals = (est.plus.residual, est.minus.residual)
-        res.growth_A = growth_floor(plus, min(20.0, plus.t_max))
+        res.growth_A = growth_floor(plus, min(GROWTH_WINDOW, plus.t_max))
 
         if res.gap_converged and res.gap < cfg.gap_margin:
             wit = bounded_jacobi_witness(plus, minus, cfg.gap_margin, est)

@@ -87,6 +87,8 @@ BRENT_MAXITER = 100
 # lam t past which a constant profile's propagator reads cosh = sinh =
 # exp(lam t) / 2 in stored scale; cosh overflows past 710
 HYPERBOLIC_SWITCH = 700.0
+# periods past T one batch of the zero scan covers at most: bounds its memory
+SCAN_PERIODS = 1024
 
 
 @dataclass(frozen=True)
@@ -441,15 +443,15 @@ def integrate_jacobi(profile: CurvatureProfile, state0: JacobiState,
     return JacobiTrace(sol, scale, sign, t0, t1)
 
 
-def _compose(p, q):
-    """The product of two fundamental matrices, each given as ([A, A', Z, Z']
-    mantissa, binary exponent), with the mantissa renormalised."""
-    (a1, da1, z1, dz1), e1 = p
-    (a2, da2, z2, dz2), e2 = q
-    y = (a1 * a2 + z1 * da2, da1 * a2 + dz1 * da2,
-         a1 * z2 + z1 * dz2, da1 * z2 + dz1 * dz2)
-    f = math.frexp(max(abs(v) for v in y))[1]
-    return tuple(math.ldexp(v, -f) for v in y), e1 + e2 + f
+def _product(p, q) -> tuple:
+    """The products of fundamental matrices p and q, each ([A, A', Z, Z']
+    mantissas of shape (4,) or (4, n), binary exponents), the mantissas
+    renormalised by the power of two that puts the largest entry in [0.5, 1)."""
+    ((a1, da1, z1, dz1), e1), ((a2, da2, z2, dz2), e2) = p, q
+    y = np.array([a1 * a2 + z1 * da2, da1 * a2 + dz1 * da2,
+                  a1 * z2 + z1 * dz2, da1 * z2 + dz1 * dz2])
+    f = np.frexp(abs(y).max(0))[1].astype(np.int64)
+    return np.ldexp(y, -f), e1 + e2 + f
 
 
 class Propagator:
@@ -470,8 +472,8 @@ class Propagator:
     the doubling would stop short of T / 2 before it (so periods up to
     2 * FIRST_BREAK take one launch). Every later time t = k T + tau reads
     F(tau) M**k with the monodromy M = F(T), since F(t + T) = F(t) M for a
-    periodic profile (Floquet). The powers M**k come from binary squaring
-    and are kept as a mantissa matrix and a binary exponent.
+    periodic profile (Floquet). The powers M**k come from binary squaring;
+    only the squares M**(2**j) are kept, as mantissas and an exponent.
     """
 
     def __init__(self, profile: CurvatureProfile):
@@ -493,9 +495,7 @@ class Propagator:
             # one segment, read in closed form, covers every t >= 0
             self.breaks.append(math.inf)
             self._segs.append((None, None, None, 0))
-        # M**(2**j) and M**k, each as (mantissa, exponent)
-        self._squares = []
-        self._powers = {0: ((1.0, 0.0, 0.0, 1.0), 0)}
+        self._squares = []  # M**(2**j) as (mantissa, exponent)
         self.hill = None  # floquet's readout, formed where M is stored
         self.zero, self.scanned = None, 0.0  # see first_zero_of_z
 
@@ -530,17 +530,18 @@ class Propagator:
             self._grow()
         return max(bisect.bisect_left(self.breaks, t), 1)
 
-    def _power(self, k: int):
-        """M**k as (mantissa, exponent): the squares M**(2**j) of the set bits
-        of k multiplied in increasing j, so the result depends on k alone.
-        That is M**(k - 2**j) times M**(2**j) for the top bit j of k, so each
-        power costs one product once the lower ones are kept."""
-        if k not in self._powers:
-            j = k.bit_length() - 1
-            while j >= len(self._squares):
-                self._squares.append(_compose(self._squares[-1], self._squares[-1]))
-            self._powers[k] = _compose(self._power(k - (1 << j)), self._squares[j])
-        return self._powers[k]
+    def _power(self, n: np.ndarray) -> tuple:
+        """M**n for each whole number of the array n, as (mantissas, shape (4,
+        n.size), exponents): the identity times the squares M**(2**j) of the
+        set bits of n in increasing j, so each power depends on its n alone."""
+        ns, inv = np.unique(n.astype(np.int64), return_inverse=True)
+        y, e = np.repeat([[1.0], [0.0], [0.0], [1.0]], ns.size, 1), np.zeros(ns.size, np.int64)
+        for j in range(int(ns[-1]).bit_length()):
+            if j == len(self._squares):
+                self._squares.append(_product(self._squares[-1], self._squares[-1]))
+            bit = (ns >> j) & 1 == 1
+            y[:, bit], e[bit] = _product((y[:, bit], e[bit]), self._squares[j])
+        return y[:, inv], e[inv]
 
     def _stored(self, t: np.ndarray):
         """[A, A', Z, Z'] at the times t >= 0 as stored values, shape (4, n),
@@ -555,17 +556,10 @@ class Propagator:
             run, _end, exp, _nfev = self._segs[k]
             if run is not None:
                 y[:, sel], e[sel] = run.sol(t[sel]), exp
-                continue
-            # t = n T + tau past the period: F(tau) M**n
-            n = np.floor(t[sel] / self.period)
-            tau = np.clip(t[sel] - n * self.period, 0.0, self.period)
-            (a, da, z, dz), e_tau = self._stored(tau)
-            ns, inv = np.unique(n, return_inverse=True)
-            powers = [self._power(int(v)) for v in ns]
-            pa, pda, pz, pdz = np.array([p[0] for p in powers])[inv].T
-            y[:, sel] = (a * pa + z * pda, da * pa + dz * pda,
-                         a * pz + z * pdz, da * pz + dz * pdz)
-            e[sel] = e_tau + np.array([p[1] for p in powers])[inv]
+            else:  # t = n T + tau past the period: F(tau) M**n
+                n = np.floor(t[sel] / self.period)
+                tau = np.clip(t[sel] - n * self.period, 0.0, self.period)
+                y[:, sel], e[sel] = _product(self._stored(tau), self._power(n))
         return y, e
 
     def __call__(self, ts) -> np.ndarray:
@@ -610,10 +604,10 @@ class Propagator:
         """The scan times of (0, horizon] in batches, the last one ending at
         the horizon: the accepted step ends of each launched segment, then
         past the period T the period's ones shifted by n T for n = 1 to 2, 3
-        to 6, 7 to 14, ...; on a constant k > 0 the multiples of
-        pi / (2 sqrt(k)), half the spacing of the zeros of any solution
-        (Sturm), batched alike; on a constant k <= 0, where a solution has at
-        most one zero, the horizon alone."""
+        to 6, 7 to 14, ... (SCAN_PERIODS periods at most); on a constant
+        k > 0 the multiples of pi / (2 sqrt(k)), half the spacing of the
+        zeros of any solution (Sturm), batched alike; on a constant k <= 0,
+        where a solution has at most one zero, the horizon alone."""
         k, n, cell = 1, 0, horizon
         while self.const is None:
             if k == len(self.breaks):
@@ -631,19 +625,20 @@ class Propagator:
             cell = 0.5 * math.pi / math.sqrt(self.const)
         taus = np.concatenate([seg[0].t[1:] for seg in self._segs[1:k]] or [[cell]])
         while True:
-            ts = (np.arange(n, 2 * n + 1)[:, None] * cell + taus).ravel()
+            top = min(2 * n, n + SCAN_PERIODS - 1)
+            ts = (np.arange(n, top + 1)[:, None] * cell + taus).ravel()
             if ts[-1] >= horizon:
                 yield np.append(ts[ts < horizon], horizon)
                 return
             yield ts
-            n = 2 * n + 1
+            n = top + 1
 
     def first_zero_of_z(self, horizon: float) -> Optional[float]:
         """The first zero of Z on (0, horizon] (``_first_root``), or None. The
         answer is kept: a zero found answers every horizon, and a scan that
-        found none every horizon up to its own."""
+        found none every horizon up to its own, past which the next resumes."""
         if self.zero is None and horizon > self.scanned:
-            self.zero, self.scanned = _first_root(self, 0.0, 1.0, horizon), horizon
+            self.zero, self.scanned = _first_root(self, 0.0, 1.0, self.scanned, horizon), horizon
         return self.zero if self.zero is not None and self.zero <= horizon else None
 
 
@@ -717,29 +712,33 @@ def _readout(prop: Propagator, nfev: int) -> Optional[Floquet]:
                    log_growth=math.log(0.5 * (tr + root)) + e * math.log(2.0), nfev=nfev)
 
 
-def _first_root(prop: Propagator, v: float, d: float, horizon: float) -> Optional[float]:
-    """First zero on (0, horizon] of the solution J = v A + d Z of the
-    propagator ``prop``, positive just after time zero, or None.
+def _first_root(prop: Propagator, v: float, d: float, after: float,
+                horizon: float) -> Optional[float]:
+    """First zero on (after, horizon] of the solution J = v A + d Z of the
+    propagator ``prop``, positive just after zero and on (0, after], or None.
 
     J is read in stored scale (``Propagator._stored``) at the propagator's
-    knots, one batch at a time, so integration stops at the breakpoint past
-    the first zero and nothing overflows. No solution changes sign twice
-    between two knots: a step the DOP853 control accepts resolves every
-    solution, all being combinations of A and Z; so the unit-slope solution,
-    zero at time zero, has no other zero before the first knot. ``_brent``
-    refines a sign change to 1e-12 of the bracket's upper end, a relative
-    tolerance, on J rescaled by the one power of two the scan read at that
-    end.
+    knots past ``after``, one batch at a time, so integration stops at the
+    breakpoint past the first zero and nothing overflows. No solution
+    changes sign twice between two knots: a step the DOP853 control accepts
+    resolves every solution, all being combinations of A and Z; so the
+    unit-slope solution, zero at time zero, has no other zero before the
+    first knot. ``_brent`` refines a sign change, bracketed by the knots of
+    a scan from zero, to 1e-12 of the bracket's upper end, a relative
+    tolerance, on J rescaled by the one power of two read at that end.
     """
     def j(ts):
         (a, _da, z, _dz), e = prop._stored(ts)
         return v * a + d * z, e
 
-    lo = 0.0  # the last knot read before the sign change
+    lo = 0.0  # the last knot before those read
     for ts in prop._knots(horizon):
-        vals, exps = j(ts)
-        if np.any(vals <= 0.0):
-            break
+        seen = int(np.searchsorted(ts, after, "right"))  # read by an earlier scan
+        if seen < ts.size:
+            lo, ts = float(ts[seen - 1]) if seen else lo, ts[seen:]
+            vals, exps = j(ts)
+            if np.any(vals <= 0.0):
+                break
         lo = float(ts[-1])
     else:
         return None

@@ -138,6 +138,12 @@ class TestContraction:
         fit = _fit(P_ZERO)
         assert not fit.success
         assert abs(fit.c) < 1e-3
+        # a zero slope, converged: the solution keeps the norm 1, with no
+        # decay to fit, and d is its largest norm
+        flat = green.GreenEstimate(plus=green.GreenSide(slope=0.0, converged=True,
+                                                        residual=0.0))
+        fit = contraction_fit(P_ZERO, flat)
+        assert (fit.c, fit.d, fit.success) == (0.0, 1.0, False)
 
     @pytest.mark.parametrize("K", [-1.0, -9.0, -12.0, -25.0, -100.0, -1e4])
     def test_window_ends_before_mixing(self, K):

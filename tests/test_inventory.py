@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 
 import magflow
+from magflow import CurvatureProfile, FourierSeries1D, jacobi
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -189,6 +190,22 @@ def test_one_conjugate_point_finder():
                     if isinstance(node, ast.FunctionDef) and node.name == "_doubling")
     assert sum(isinstance(node, ast.Raise) and _is_call(node.exc, "ConjugatePointError")
                for node in ast.walk(doubling)) == 1
+
+
+def test_one_matrix_product_and_no_power_cache():
+    # jacobi._product forms the squares of the monodromy M, its powers and
+    # the reads F(tau) M**n past the period; of these only the squares are
+    # kept, so a propagator read far past its period holds no dict of powers
+    package = Path(magflow.__file__).parent
+    tree = ast.parse((package / "jacobi.py").read_text())
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "_product" in defined and "_compose" not in defined
+    prop = jacobi.propagator(CurvatureProfile.from_series(
+        FourierSeries1D(const=-1.0, sin_coeffs={1: 0.3})))
+    for r in (1.0, 3.0 * prop.period, 1e4):
+        prop.slope(r)
+    assert len(prop._squares) > 10
+    assert [name for name, value in vars(prop).items() if isinstance(value, dict)] == []
 
 
 def test_no_vectorize_and_no_list_form_stage_sums():

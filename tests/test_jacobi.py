@@ -81,6 +81,9 @@ class TestIntegrate:
         p = oscillatory_profile(rng_for("slack"))
         tr = integrate_jacobi(p, JacobiState(1.0, 0.0), (0.0, 2.0))
         assert tr.at(-1e-13) == tr.at(0.0) and tr.at(2.0 + 1e-13) == tr.at(2.0)
+        # the propagator itself starts at time zero
+        with pytest.raises(ValueError, match="starts at time zero"):
+            jacobi.propagator(p)(np.array([1.0, -1e-13]))
 
     def test_read_past_the_double_range_is_typed(self):
         # cosh overflows past t = 710; the periodic profile grows as fast
@@ -123,13 +126,15 @@ class TestUnitSlope:
         )
         assert first_zero(P_NEG, 50.0) is None
         assert first_zero(P_NEG, 0.004) is None
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            first_zero(P_POS, 0.0)
         # a zero on a knot: the second multiple of pi / 2 for K+ = 1
-        assert jacobi._first_root(jacobi.propagator(P_POS), 0.0, 1.0,
+        assert jacobi._first_root(jacobi.propagator(P_POS), 0.0, 1.0, 0.0,
                                   3.2) == pytest.approx(math.pi, abs=1e-9)
         # the same on a callable profile, scanned at its DOP853 step ends
         pos = CurvatureProfile(evaluator=lambda t: 1.0 + 0.0 * np.asarray(t), k_bound=0.0)
         assert first_zero(pos, 0.004) is None
-        assert jacobi._first_root(jacobi.propagator(pos), 0.0, 1.0,
+        assert jacobi._first_root(jacobi.propagator(pos), 0.0, 1.0, 0.0,
                                   3.2) == pytest.approx(math.pi, abs=1e-9)
         # a zero just before the horizon
         assert first_zero(P_POS, 3.144) == pytest.approx(math.pi, abs=1e-9)
@@ -164,7 +169,7 @@ class TestKnotScan:
         batches = self._scanned(monkeypatch)
         half_wave = lambda t: -max(0.0, math.sin(t)) ** 2  # noqa: E731
         prop = jacobi.propagator(_callable(half_wave, 1.0))
-        assert jacobi._first_root(prop, 0.0, 1.0, 80.0) is None
+        assert jacobi._first_root(prop, 0.0, 1.0, 0.0, 80.0) is None
         ends = np.concatenate([seg[0].t[1:] for seg in prop._segs[1:]])
         read = np.concatenate(batches)
         assert read[-1] == 80.0
@@ -179,13 +184,60 @@ class TestKnotScan:
         prop = jacobi.propagator(p)
         horizon = 10.5 * prop.period
         batches = self._scanned(monkeypatch)
-        assert jacobi._first_root(prop, 0.0, 1.0, horizon) is None
+        assert jacobi._first_root(prop, 0.0, 1.0, 0.0, horizon) is None
         ends = np.concatenate([seg[0].t[1:] for seg in prop._segs[1:-1]])
         read = np.concatenate(batches)
         assert read[-1] == horizon and np.all(np.diff(read) > 0.0)
         assert read.size <= ends.size * math.ceil(horizon / prop.period) + 1
         taus = read[:-1] - np.floor(read[:-1] / prop.period) * prop.period
         assert np.all(np.min(np.abs(taus[:, None] - np.r_[0.0, ends]), axis=1) < 1e-9)
+
+    def test_longer_scans_resume_past_the_last(self, monkeypatch):
+        # the slope schedule of 1e-6 cos t asks each side's propagator for a
+        # zero of Z on (0, r] for r = 5, 10, 20, ...: every scan reads on from
+        # the last one's horizon, so each propagator's reads increase strictly
+        reads, scans, depth = {}, [], [0]
+        stored, first_root = jacobi.Propagator._stored, jacobi._first_root
+
+        def scan(prop, v, d, *rest):
+            scans.append(prop if (v, d) == (0.0, 1.0) else None)
+            try:
+                return first_root(prop, v, d, *rest)
+            finally:
+                scans.pop()
+
+        def counted(self, t):
+            if scans and scans[-1] is self and depth[0] == 0:  # not a read of F(tau)
+                reads.setdefault(id(self), []).append(np.array(t))
+            depth[0] += 1
+            try:
+                return stored(self, t)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(jacobi, "_first_root", scan)
+        monkeypatch.setattr(jacobi.Propagator, "_stored", counted)
+        series = FourierSeries1D(const=0.0, cos_coeffs={1: 1e-6})
+        rep = classify(AbstractProfile(
+            kappa=series, k_bound=CurvatureProfile.from_series(series).k_bound))
+        assert rep.verdict == "Inconclusive" and rep.orbits[0].conjugate_time is None
+        assert len(reads) == 2
+        for batches in reads.values():
+            read = np.concatenate(batches)
+            assert len(batches) > 20 and read[-1] > 1e5
+            assert np.all(np.diff(read) > 0.0)
+
+    def test_a_resumed_scan_finds_the_zero_of_a_scan_from_zero(self):
+        # the zero of Z at t = 104.6888663 lies just past the horizon 104.688,
+        # between two knots: the scan resumed there brackets it by those
+        # knots, as a scan from zero does, so Brent's method returns its root
+        series = FourierSeries1D(const=0.0009, cos_coeffs={1: 0.001})
+        fresh = jacobi.propagator(CurvatureProfile.from_series(series))
+        z = jacobi._first_root(fresh, 0.0, 1.0, 0.0, 160.0)
+        assert z == pytest.approx(104.68886630640438, rel=1e-12)
+        resumed = jacobi.propagator(CurvatureProfile.from_series(series))
+        assert [resumed.first_zero_of_z(r) for r in (50.0, 104.688)] == [None, None]
+        assert resumed.first_zero_of_z(160.0) == z
 
 
 def _solution(p, bs):
@@ -450,6 +502,41 @@ def _direct(p, ts):
     return jacobi._launch(p.evaluator, [1.0, 0.0, 0.0, 1.0], (0.0, float(ts[-1]))).sol(ts)
 
 
+def _compose(p, q):
+    """The scalar product of two fundamental matrices, each ([A, A', Z, Z']
+    mantissa, binary exponent), with the mantissa renormalised."""
+    (a1, da1, z1, dz1), e1 = p
+    (a2, da2, z2, dz2), e2 = q
+    y = (a1 * a2 + z1 * da2, da1 * a2 + dz1 * da2,
+         a1 * z2 + z1 * dz2, da1 * z2 + dz1 * dz2)
+    f = math.frexp(max(abs(v) for v in y))[1]
+    return tuple(math.ldexp(v, -f) for v in y), e1 + e2 + f
+
+
+class _ScalarPowers:
+    """M**k as (mantissa, exponent) by the scalar recursion, kept per k: the
+    squares M**(2**j) of the set bits of k multiplied in increasing j, as
+    M**(k - 2**j) times M**(2**j) for the top bit j of k."""
+
+    def __init__(self, m):
+        self.squares, self.powers = [m], {0: ((1.0, 0.0, 0.0, 1.0), 0)}
+
+    def __call__(self, k):
+        if k not in self.powers:
+            j = k.bit_length() - 1
+            while j >= len(self.squares):
+                self.squares.append(_compose(self.squares[-1], self.squares[-1]))
+            self.powers[k] = _compose(self(k - (1 << j)), self.squares[j])
+        return self.powers[k]
+
+
+def _normalised(y, e):
+    """Each entry of the stored values y (shape (4, n)) with the exponents e
+    as its frexp mantissa and its total binary exponent, zero for a zero."""
+    m, f = np.frexp(np.asarray(y, dtype=float))
+    return m, np.where(m != 0.0, f + np.asarray(e, dtype=np.int64), 0)
+
+
 class TestPeriodicPropagator:
     def test_route_follows_the_profile(self):
         series = FourierSeries1D(const=-1.0, omega=0.8, sin_coeffs={1: 0.3})
@@ -521,6 +608,32 @@ class TestPeriodicPropagator:
         np.testing.assert_allclose(da, 0.0, rtol=0, atol=1e-13)
         np.testing.assert_allclose(z, ts, rtol=1e-13, atol=1e-13)
         np.testing.assert_allclose(dz, 1.0, rtol=0, atol=1e-13)
+
+    def test_reads_past_the_period_match_the_scalar_powers(self):
+        # F(tau) M**n past T, from the powers of the scalar recursion and the
+        # product written out per entry: the same bits once normalised
+        rng = rng_for("periodic-powers")
+        for series in (FourierSeries1D(const=-50.0, omega=0.7, sin_coeffs={1: 3.0}),
+                       FourierSeries1D(const=0.0, cos_coeffs={1: 1e-6}),
+                       FourierSeries1D(const=1.0, cos_coeffs={2: -1.0}),
+                       FourierSeries1D(const=-1.0, sin_coeffs={1: 0.3}),
+                       FourierSeries1D(const=-0.6, omega=2.5, cos_coeffs={1: 0.8})):
+            prop = jacobi.propagator(CurvatureProfile.from_series(series))
+            prop.segment(math.inf)
+            power, period = _ScalarPowers(prop._squares[0]), prop.period
+            ts = np.sort(np.exp(rng.uniform(math.log(period), math.log(1e6), 300)))
+            want = []
+            for t in ts:
+                n = math.floor(t / period)
+                tau = min(max(t - n * period, 0.0), period)
+                (a, da, z, dz), e = prop._stored(np.array([tau]))
+                (pa, pda, pz, pdz), pe = power(n)
+                want.append(_normalised([a * pa + z * pda, da * pa + dz * pda,
+                                         a * pz + z * pdz, da * pz + dz * pdz], e + pe))
+            m, f = _normalised(*prop._stored(ts))
+            assert m.tobytes() == np.concatenate([w[0] for w in want], axis=1).tobytes()
+            assert np.array_equal(f, np.concatenate([w[1] for w in want], axis=1))
+            assert ts[-1] > 5e5
 
     def test_readouts_do_not_depend_on_request_order(self):
         rng = rng_for("periodic-order")
