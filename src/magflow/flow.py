@@ -302,6 +302,75 @@ def integrate_orbit(model, v0: UnitTangent, horizon: float,
     )
 
 
+def _tridiagonal(a, b, c, d):
+    """Solve a_i s_(i-1) + b_i s_i + c_i s_(i+1) = d_i, with a_0 = c_(n-1)
+    = 0, by odd-even cyclic reduction (Buzbee, Golub and Nielson, SIAM J.
+    Numer. Anal. 7 (1970) 627): each level eliminates the even unknowns from
+    the odd rows, halving the system, and reads them back from the odd
+    solution on the way up. Needs no pivoting on a strictly diagonally
+    dominant system, which every level keeps."""
+    n = len(b)
+    if n == 1:
+        return d / b
+    if n % 2 == 0:
+        # one identity row more, so that every odd row has two neighbours
+        a, b, c, d = (np.append(a, 0.0), np.append(b, 1.0), np.append(c, 0.0),
+                      np.append(d, 0.0))
+    lo, hi = -a[1::2] / b[:-1:2], -c[1::2] / b[2::2]
+    odd = _tridiagonal(lo * a[:-1:2], b[1::2] + lo * c[:-1:2] + hi * a[2::2],
+                       hi * c[2::2], d[1::2] + lo * d[:-1:2] + hi * d[2::2])
+    s = np.empty(len(b))
+    s[1::2] = odd
+    pad = np.concatenate(([0.0], odd, [0.0]))
+    s[::2] = (d[::2] - a[::2] * pad[:-1] - c[::2] * pad[1:]) / b[::2]
+    return s[:n]
+
+
+class _Spline:
+    """scipy's not-a-knot ``CubicSpline`` through (x, y), in numpy.
+
+    The knot slopes s solve scipy's tridiagonal system. Its not-a-knot rows
+    0 and n - 1 (the third derivative continuous across x_1 and x_(n-2))
+    are folded into rows 1 and n - 2 by one step of Gaussian elimination
+    each (factor 1), which leaves a strictly diagonally dominant system in
+    s_1 .. s_(n-2) for ``_tridiagonal``. Each piece is scipy's Hermite cubic
+    c0 u^3 + c1 u^2 + c2 u + c3 in u = t - x_i, its coefficients the rows of
+    ``c`` and summed in ``PPoly``'s order, so a knot reads its sample exactly
+    and the end pieces extrapolate. Agrees with scipy to roundoff; pickles.
+    """
+
+    def __init__(self, x, y):
+        self.x = x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        diag = 2 * (dx[:-1] + dx[1:])
+        rhs = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        w0, w1 = x[2] - x[0], x[-1] - x[-3]
+        r0 = ((dx[0] + 2 * w0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / w0
+        r1 = (dx[-1] ** 2 * slope[-2] + (2 * w1 + dx[-1]) * dx[-2] * slope[-1]) / w1
+        diag[0] -= w0
+        rhs[0] -= r0
+        diag[-1] -= w1
+        rhs[-1] -= r1
+        s = np.empty(len(x))
+        s[1:-1] = _tridiagonal(np.append(0.0, dx[2:]), diag,
+                               np.append(dx[:-2], 0.0), rhs)
+        s[0] = (r0 - w0 * s[1]) / dx[1]
+        s[-1] = (r1 - w1 * s[-2]) / dx[-2]
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        self.c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        x = self.x
+        i = x[1:-1].searchsorted(t, "right")
+        u = t - x[i]
+        c0, c1, c2, c3 = self.c
+        u2 = u * u
+        return np.asarray(((c3[i] + c2[i] * u) + c1[i] * u2) + c0[i] * (u2 * u))
+
+
 @dataclass(frozen=True)
 class CurvatureProfile:
     """Curvature along an orbit as a function of time.
@@ -401,16 +470,13 @@ class CurvatureProfile:
 
     @staticmethod
     def from_orbit(orbit: OrbitTrace) -> "CurvatureProfile":
-        """A cubic spline through the orbit's curvature samples (O(h^4)
-        between samples, exact at them), confined to the orbit window."""
+        """The not-a-knot cubic spline through the orbit's curvature samples
+        (``_Spline``: O(h^4) between samples, exact at them), confined to
+        the orbit window."""
         if len(orbit.t_samples) < 4:
             raise InsufficientDataError("need at least 4 samples for a cubic spline")
-        # imported here: chart models alone build splines, and scipy's
-        # import costs more than the rest of the package's
-        from scipy.interpolate import CubicSpline
-
         return CurvatureProfile(
-            evaluator=CubicSpline(orbit.t_samples, orbit.kappa_samples),
+            evaluator=_Spline(orbit.t_samples, orbit.kappa_samples),
             k_bound=_k_bound(float(np.min(orbit.kappa_samples))),
             t_min=float(orbit.t_samples[0]),
             t_max=float(orbit.t_samples[-1]),

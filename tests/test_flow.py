@@ -1,9 +1,11 @@
 import csv
 import math
+import pickle
 
 import numpy as np
 import pytest
 from scipy.integrate import RK45, solve_ivp
+from scipy.interpolate import CubicSpline
 
 from magflow import flow, jacobi
 from magflow import (
@@ -15,6 +17,7 @@ from magflow import (
     FourierSeries2D,
     InsufficientDataError,
     IntegrationFailure,
+    OrbitTrace,
     SamplingConfig,
     UnitTangent,
     classify,
@@ -408,6 +411,61 @@ class TestUnrolledStages:
             assert got.step_controls == want.step_controls
 
 
+class TestSpline:
+    """flow._Spline against scipy's not-a-knot CubicSpline, which it
+    replaced: the knot slopes agree to roundoff, and the pieces are read in
+    PPoly's order."""
+
+    @staticmethod
+    def _orbit(jitter):
+        tr = integrate_orbit(bench_torus(), UnitTangent(0.31, 0.47, 1.3), 20.0,
+                             flow.DEFAULT_TOL)
+        x = tr.t_samples.copy()
+        x[1:-1] += flow.SAMPLE_DT * np.random.default_rng(5).uniform(
+            -jitter, jitter, len(x) - 2)
+        return x, tr.kappa_samples
+
+    @staticmethod
+    def _assert_close(ours, ref, ts, y):
+        assert np.max(np.abs(ours(ts) - ref(ts))) <= 4e-15 * np.max(np.abs(y))
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.3], ids=["uniform", "jittered"])
+    def test_matches_scipy(self, jitter):
+        x, y = self._orbit(jitter)
+        ours, ref = flow._Spline(x, y), CubicSpline(x, y)
+        # a knot starts its piece, which reads the sample itself; the last
+        # knot ends the last piece, read like any time
+        assert ours(x[:-1]).tobytes() == ref(x[:-1]).tobytes() == y[:-1].tobytes()
+        rng = np.random.default_rng(6)
+        for ts in ((x[1:] + x[:-1]) / 2, rng.uniform(x[0], x[-1], 10_000), x[-1:],
+                   # past the window ends, where both extrapolate the end pieces
+                   np.linspace(x[0] - 5 * flow.SAMPLE_DT, x[0], 50, endpoint=False),
+                   np.linspace(x[-1], x[-1] + 5 * flow.SAMPLE_DT, 50)):
+            self._assert_close(ours, ref, ts, y)
+
+    @pytest.mark.parametrize("n", range(4, 12))
+    def test_small_systems_match_scipy(self, n):
+        # cyclic reduction halves systems of every parity down to one row
+        x = np.linspace(0.0, 1.0, n)
+        x[1:-1] += np.random.default_rng(n).uniform(-0.3, 0.3, n - 2) / (n - 1)
+        y = np.sin(4 * x)
+        ts = np.linspace(-0.1, 1.1, 241)
+        self._assert_close(flow._Spline(x, y), CubicSpline(x, y), ts, y)
+
+    def test_profile_reads_scalars_and_pickles(self):
+        tr = integrate_orbit(bench_torus(), UnitTangent(0.31, 0.47, 1.3), 5.0,
+                             flow.DEFAULT_TOL)
+        p = CurvatureProfile.from_orbit(tr)
+        v = p(3.7)
+        assert isinstance(v, np.ndarray) and v.shape == ()
+        assert abs(v - CubicSpline(tr.t_samples, tr.kappa_samples)(3.7)) < 1e-14
+        # a profile crosses to a worker process as a pickle
+        q = pickle.loads(pickle.dumps(p))
+        ts = np.linspace(0.0, 5.0, 333)
+        assert q(ts).tobytes() == p(ts).tobytes()
+        assert (q.k_bound, q.t_min, q.t_max) == (p.k_bound, p.t_min, p.t_max)
+
+
 class TestCurvatureProfiles:
     def test_constant_model_profile(self):
         m = ConstantCurvature(K=-1.0, b=0.5, chi=-2, area=4 * math.pi)
@@ -438,6 +496,10 @@ class TestCurvatureProfiles:
         m = random_torus(rng)
         with pytest.raises(InsufficientDataError):
             m.profile(UnitTangent(), 0.02, flow.DEFAULT_TOL, False)
+        for n in (1, 2, 3):
+            t = np.linspace(0.0, 0.01 * (n - 1), n)
+            with pytest.raises(InsufficientDataError):
+                CurvatureProfile.from_orbit(OrbitTrace(t, t, t, t, np.cos(t)))
 
     def test_series_k_bound_is_certified(self):
         # the minimum of a 4096-point grid over one period sat 1.9e-8 above

@@ -7,7 +7,7 @@ figure ROADMAP records. The model-class dispatches in the modules that
 consume surface models and the ``solve_ivp`` call sites are pinned at zero,
 and the step control of the two Dormand-Prince loops at one copy. Every
 export has a caller in the program: the package, the demos, the benchmark
-or the acceptance criteria. scipy is imported only inside the three
+or the acceptance criteria. scipy is imported only inside the two
 functions that use it, so no other path loads it.
 """
 
@@ -77,34 +77,38 @@ def _scipy_imports(tree) -> list:
 
 
 def test_scipy_is_imported_only_where_it_runs():
-    # the cross-check quadrature of criterion 06, the spline through an
-    # orbit's samples and the version string of a written report; the
-    # DOP853 tableau (_dop853) and Brent's root finder (jacobi._brent) are
-    # the package's own
+    # the cross-check quadrature of criterion 06 and the version string of
+    # a written report; the DOP853 tableau (_dop853), Brent's root finder
+    # (jacobi._brent) and the spline through an orbit's samples
+    # (flow._Spline) are the package's own
     package = Path(magflow.__file__).parent
     found = sorted((path.name, where, module) for path in package.glob("*.py")
                    for where, module in _scipy_imports(ast.parse(path.read_text())))
     assert found == [("anosov.py", "AnosovReport.to_dict", "scipy"),
-                     ("flow.py", "CurvatureProfile.from_orbit", "scipy.interpolate"),
                      ("jacobi.py", "solve_boundary", "scipy.integrate")]
 
 
 def test_cold_paths_load_no_scipy(tmp_path):
-    # the CLI's import, classifications on a Fourier profile, a callable
-    # and a constant model, a constant sweep with b > 1 (conjugate points,
-    # so Brent's root finder runs) and the invariance residual
+    # the CLI's import, classifications on a Fourier profile, a callable,
+    # a constant model and a torus (spline profiles), a constant sweep with
+    # b > 1 (conjugate points, so Brent's root finder runs) and the
+    # invariance residual
     code = (
         "import math, sys\n"
         "import magflow.cli\n"
         "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'import'\n"
-        "from magflow import (AbstractProfile, ConstantCurvature, CurvatureProfile,\n"
-        "                     FourierSeries1D, SamplingConfig, classify, invariance_residual)\n"
+        "from magflow import (AbstractProfile, ConformalTorus, ConstantCurvature,\n"
+        "                     CurvatureProfile, FourierSeries1D, FourierSeries2D,\n"
+        "                     SamplingConfig, classify, invariance_residual)\n"
         "series = FourierSeries1D(const=-1.0, sin_coeffs={1: 0.3})\n"
         "cfg = SamplingConfig(ensemble_count=2)\n"
         "assert classify(AbstractProfile(kappa=series, k_bound=1.2), cfg).verdict == 'NumericallyAnosov'\n"
         "half_wave = AbstractProfile(kappa=lambda t: -max(0.0, math.sin(t)) ** 2, k_bound=1.0)\n"
         "classify(half_wave, cfg)\n"
         "classify(ConstantCurvature(K=-1.0, b=0.5, chi=-2, area=4 * math.pi), cfg)\n"
+        "torus = ConformalTorus(phi=FourierSeries2D(cos_coeffs={(1, 0): 0.05}),\n"
+        "                       b=FourierSeries2D(const=0.6, sin_coeffs={(0, 1): 0.2}))\n"
+        "classify(torus, SamplingConfig(ensemble_count=1, horizon=20.0))\n"
         "assert magflow.cli.sweep({'model': {'kind': 'constant', 'K': -1.0, 'b': 1.0,\n"
         "                                    'chi': -2, 'area': 4 * math.pi},\n"
         "                          'ensemble': {'count': 2, 'horizon': 60.0},\n"

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as _dop853
+from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 from magflow import (
@@ -140,6 +141,25 @@ class TestUnitSlope:
         assert first_zero(P_POS, 3.144) == pytest.approx(math.pi, abs=1e-9)
         with pytest.raises(ConjugatePointError):
             solve_boundary(P_POS, 3.144, cross_check=False)
+
+    def test_spline_conjugate_times_match_an_independent_reference(self):
+        # scipy's CubicSpline through the same samples, scipy's DOP853 at
+        # 1e-13 and the event root it places by brentq. A DOP853 run follows
+        # a spline to about 1e-7 only (its third derivative jumps at every
+        # knot), which bounds the agreement
+        def crossing(t, y):
+            return y[0]
+
+        crossing.terminal, crossing.direction = True, -1
+        torus = _bench_torus()
+        for v0 in torus.ensemble(4, 0):
+            p, tr = torus.profile(v0, 20.0, 1e-10, True)
+            spline = CubicSpline(tr.t_samples, tr.kappa_samples)
+            ref = solve_ivp(lambda t, y: [y[1], -float(spline(t)) * y[0]], (0.0, 20.0),
+                            [0.0, 1.0], method="DOP853", rtol=1e-13, atol=1e-13,
+                            events=crossing)
+            assert ref.status == 1
+            assert abs(first_zero(p, 20.0) - ref.t_events[0][0]) < 1e-6
 
     def test_first_zero_is_refined_relative_to_the_bracket(self):
         for k in (100.0**2 - 1.0, 5000.0**2):
@@ -1072,11 +1092,15 @@ def list_form_attempt(ev, t, y, f, h):
     return y_new, f_new, err, (ks, kv[11:])
 
 
+def _bench_torus():
+    # the benchmark's torus (demo 05)
+    return ConformalTorus(phi=FourierSeries2D(cos_coeffs={(1, 0): 0.05}),
+                          b=FourierSeries2D(const=0.6, sin_coeffs={(0, 1): 0.2}))
+
+
 def _bench_spline():
-    # the curvature along an orbit of the benchmark's torus (demo 05)
-    torus = ConformalTorus(phi=FourierSeries2D(cos_coeffs={(1, 0): 0.05}),
-                           b=FourierSeries2D(const=0.6, sin_coeffs={(0, 1): 0.2}))
-    return torus.profile(UnitTangent(0.3, 0.7, 1.1), 20.0, 1e-10, False)[0]
+    # the curvature along an orbit of the benchmark's torus
+    return _bench_torus().profile(UnitTangent(0.3, 0.7, 1.1), 20.0, 1e-10, False)[0]
 
 
 def _callable(kappa, k_bound):
