@@ -19,7 +19,6 @@ from .errors import (
     MagflowError,
     NumericalInconsistencyError,
     ResolutionError,
-    UnsupportedQueryError,
 )
 from .fourier import FourierSeries1D, FourierSeries2D
 from .geometry import (

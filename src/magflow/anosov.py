@@ -85,10 +85,16 @@ def bounded_jacobi_witness(
     sign. With a healthy gap no direction can stay bounded in both time
     directions (only the stable line is bounded forward and only the
     unstable line backward), so None is returned.
+
+    None is returned too where the profile's certified ``kappa_ceiling`` K+
+    is negative: the cone u = 0 is then strictly invariant, and by Riccati
+    comparison the two slopes stay at least 2 sqrt(-K+) apart, so a gap
+    read below ``tol`` is the schedule's resolution limit (about 1/r on a
+    nearly flat profile), not a collapse.
     """
     if not estimate.converged:
         raise ValueError("witness search needs converged slope estimates")
-    if estimate.gap >= tol:
+    if estimate.gap >= tol or profile.kappa_ceiling < 0:
         return None
     window, u0 = WITNESS_WINDOW, estimate.u_plus0
     trace_f = integrate_jacobi(profile, JacobiState(1.0, u0), (0.0, window))
@@ -244,7 +250,6 @@ class OrbitResult:
     u_minus: Optional[float] = None
     gap: Optional[float] = None
     gap_converged: bool = False
-    gap_residuals: tuple = ()
     witness_sup: Optional[float] = None
     contraction: Optional[ContractionFit] = None
     kappa_min: Optional[float] = None
@@ -255,11 +260,10 @@ class OrbitResult:
     trace: Optional[OrbitTrace] = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
-        """The report entry: every field but ``trace`` and
-        ``gap_residuals``, and the contraction fit without ``norm_end``.
-        Not ``asdict``, which would deep-copy the trace arrays."""
-        d = {f.name: getattr(self, f.name) for f in fields(self)
-             if f.name not in ("trace", "gap_residuals")}
+        """The report entry: every field but ``trace``, and the contraction
+        fit without ``norm_end``. Not ``asdict``, which would deep-copy the
+        trace arrays."""
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "trace"}
         d["initial"] = list(self.initial)
         if self.contraction is not None:
             d["contraction"] = {f.name: getattr(self.contraction, f.name)
@@ -319,7 +323,6 @@ def analyze_orbit(model: SurfaceModel, v0: UnitTangent, orbit_id: int,
             return res
         res.u_plus, res.u_minus, res.gap = est.u_plus0, est.u_minus0, est.gap
         res.gap_converged = est.converged
-        res.gap_residuals = (est.plus.residual, est.minus.residual)
         res.growth_A = growth_floor(plus, min(GROWTH_WINDOW, plus.t_max))
 
         if res.gap_converged and res.gap < cfg.gap_margin:
@@ -369,8 +372,8 @@ def classify(model: SurfaceModel, cfg: Optional[SamplingConfig] = None,
                      if r.conjugate_time is None and r.gap is not None
                      and not r.gap_converged]
 
-    verdict, reason = _verdict(model.chi, model.closed_form_hyperbolic, inequality,
-                               results, cfg, errors, non_converged)
+    verdict, reason = _verdict(model.chi, inequality, results, cfg, errors,
+                               non_converged)
     return AnosovReport(
         verdict=verdict, reason=reason, inequality=inequality,
         negativity=negativity, orbits=results, margins=margins,
@@ -378,8 +381,7 @@ def classify(model: SurfaceModel, cfg: Optional[SamplingConfig] = None,
     )
 
 
-def _verdict(chi, closed_form_hyperbolic, inequality, results, cfg, errors,
-             non_converged):
+def _verdict(chi, inequality, results, cfg, errors, non_converged):
     if chi is not None and chi >= 0:
         return "NotAnosov", "euler characteristic >= 0"
     ineq_error = inequality.get("error") if inequality is not None else None
@@ -390,7 +392,7 @@ def _verdict(chi, closed_form_hyperbolic, inequality, results, cfg, errors,
         return "NotAnosov", "conjugate point at t = %.9g on orbit %d" % (
             conj[0].conjugate_time, conj[0].orbit_id,
         )
-    collapsed = [] if closed_form_hyperbolic else [
+    collapsed = [
         r for r in results
         if r.gap is not None and r.gap_converged and r.gap < cfg.gap_margin
         and r.gap <= UNRESOLVED_GAP_TOLS * cfg.green_tol

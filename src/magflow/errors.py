@@ -5,10 +5,6 @@ class MagflowError(Exception):
     """Base class for all package-specific failures."""
 
 
-class UnsupportedQueryError(MagflowError):
-    """Pointwise geometry was requested from a model that has none."""
-
-
 class ResolutionError(MagflowError):
     """Quadrature grid refinement hit its cap before the error tolerance."""
 

@@ -1,13 +1,13 @@
 """Unit tangent vectors, orbit integration and curvature profiles.
 
 A unit tangent vector is stored as (x, y, theta): a point in a chart of
-the surface and the frame angle of the velocity there. A surface model
-(``geometry.SurfaceModel``) supplies its orbit equations as a right-hand
-side on that triple and its deck step, which brings a state back into the
-fundamental domain; ``integrate_orbit`` runs them through one
-Dormand-Prince loop, whatever the surface. A ``CurvatureProfile`` is the
-curvature kappa read along one orbit as a function of time, which is all
-the Jacobi layer sees of the surface.
+the surface and the frame angle of the velocity there. A chart model
+supplies its orbit equations as a right-hand side on that triple and its
+deck step, which brings a state back into the fundamental domain;
+``integrate_orbit`` runs them through one Dormand-Prince loop, whatever
+the surface. A ``CurvatureProfile`` is the curvature kappa read along one
+orbit as a function of time, which is all the Jacobi layer sees of the
+surface.
 """
 
 from __future__ import annotations
@@ -276,6 +276,17 @@ def integrate_orbit(model, v0: UnitTangent, horizon: float,
                    tol: float) -> OrbitTrace:
     """Integrate the magnetic orbit of a surface model from v0 for the given
     time horizon.
+
+    A chart model gives three members for this, beyond the six of
+    ``geometry.SurfaceModel``:
+
+    * ``rhs()`` - the orbit equations, a function of three floats
+      (x, y, theta) returning the three derivatives as a tuple, built once
+      per orbit;
+    * ``reduce(v)`` - the deck step: ``v``, a ``UnitTangent`` of sample
+      arrays, brought into the fundamental domain;
+    * ``magnetic_curvature(v)`` - kappa at ``v``, on scalars or on arrays of
+      samples.
 
     Runs the adaptive Dormand-Prince 5(4) pair of ``_rk45`` on the model's
     ``rhs()`` at rtol = atol = tol; samples are read from its dense output on

@@ -56,9 +56,6 @@ class FourierSeries2D:
     def __call__(self, x, y):
         return self.jet(x, y)[0]
 
-    def laplacian(self, x, y):
-        return self.jet(x, y)[3]
-
     def scaled(self, c: float) -> "FourierSeries2D":
         """The series c * f, every amplitude multiplied by c."""
         return FourierSeries2D(

@@ -36,15 +36,15 @@ from typing import Callable, Optional, Protocol
 
 import numpy as np
 
-from .errors import InvalidProfileError, ResolutionError, UnsupportedQueryError
+from .errors import InvalidProfileError, ResolutionError
 from .flow import CurvatureProfile, UnitTangent, integrate_orbit
 from .fourier import FourierSeries1D, FourierSeries2D
 
 GAUSS_BONNET_TOL = 1e-9
-# the torus quadrature of the area, the Gauss-Bonnet residual and the
-# inequality: tensor trapezoid from QUADRATURE_N0 points a side (or more for
-# high modes), doubled until two grids agree within QUADRATURE_TOL, and a
-# ResolutionError past QUADRATURE_NMAX
+# the torus quadrature of the inequality: tensor trapezoid from
+# QUADRATURE_N0 points a side (or more for high modes), doubled until two
+# grids agree within QUADRATURE_TOL, and a ResolutionError past
+# QUADRATURE_NMAX
 QUADRATURE_TOL = 1e-8
 QUADRATURE_N0 = 128
 QUADRATURE_NMAX = 2048
@@ -74,23 +74,12 @@ class InequalityResult:
 
 
 class SurfaceModel(Protocol):
-    """What the certifier (``anosov.classify``) and ``flow.integrate_orbit``
-    ask of a surface. Implementations must be picklable for parallel runs."""
+    """What the certifier (``anosov.classify``) asks of a surface: these six
+    members and no other. A chart model also gives ``flow.integrate_orbit``
+    the members its docstring names. Implementations must be picklable for
+    parallel runs."""
 
     chi: Optional[int]  # Euler characteristic; None when unknown
-    # True when the flow is hyperbolic in closed form, so that no witness
-    # of a tiny sampled gap may refute it
-    closed_form_hyperbolic: bool
-
-    def rhs(self) -> Callable:
-        """The orbit equations: a function of three floats (x, y, theta)
-        returning the three derivatives as a tuple, built once per orbit."""
-
-    def reduce(self, v: UnitTangent) -> UnitTangent:
-        """The deck step: v (arrays of samples) in the fundamental domain."""
-
-    def magnetic_curvature(self, v: UnitTangent):
-        """kappa at v, on scalars or on arrays of samples."""
 
     def inequality(self) -> Optional[InequalityResult]:
         """The averaged-intensity inequality; None where it does not apply."""
@@ -141,27 +130,15 @@ class ConstantCurvature:
                 "inconsistent constant model: K*area - 2*pi*chi = %g" % residual
             )
 
-    @property
-    def closed_form_hyperbolic(self) -> bool:
-        # the schedule resolves a tiny gap only to about 1/r, so no witness
-        # may refute K + b**2 < 0
-        return self.K + self.b**2 < 0
-
     def rhs(self) -> Callable:
         return lambda x, y, theta: (0.0, 0.0, 0.0)
 
     def reduce(self, v: UnitTangent) -> UnitTangent:
         return v
 
-    def gaussian_curvature(self, x, y) -> float:
-        return self.K
-
     def magnetic_curvature(self, v: UnitTangent):
         # db vanishes identically for constant intensity
         return self.K + self.b**2 + 0.0 * np.asarray(v.theta, dtype=float)
-
-    def gauss_bonnet_residual(self) -> float:
-        return abs(self.K * self.area - 2.0 * math.pi * self.chi)
 
     def inequality(self) -> InequalityResult:
         return InequalityResult.of(self.b**2 * self.area, self.chi)
@@ -230,7 +207,6 @@ class ConformalTorus:
 
     phi: FourierSeries2D = field(default_factory=FourierSeries2D)
     b: FourierSeries2D = field(default_factory=FourierSeries2D)
-    closed_form_hyperbolic = False
 
     def __post_init__(self):
         for s in (self.phi, self.b):
@@ -288,11 +264,6 @@ class ConformalTorus:
         return UnitTangent(v.x - self.Lx * np.floor(v.x / self.Lx),
                            v.y - self.Ly * np.floor(v.y / self.Ly), v.theta)
 
-    def gaussian_curvature(self, x, y):
-        """-exp(-2*phi)*laplacian(phi), exact from the Fourier coefficients."""
-        p, _px, _py, lap = self.phi.jet(x, y)
-        return -np.exp(-2.0 * p) * lap
-
     def magnetic_curvature(self, v: UnitTangent):
         """K(x) - db(iv) + b(x)^2, where iv is the quarter turn of the unit
         velocity and db(iv) the derivative of the intensity along it, exact
@@ -302,15 +273,6 @@ class ConformalTorus:
         # iv has chart components exp(-phi)*(-sin(theta), cos(theta))
         db_iv = np.exp(-p) * (-bx * np.sin(v.theta) + by * np.cos(v.theta))
         return -np.exp(-2.0 * p) * lap - db_iv + bval**2
-
-    @property
-    def area(self) -> float:
-        return _refined_integral(self, lambda X, Y: np.exp(2.0 * self.phi(X, Y)))
-
-    def gauss_bonnet_residual(self) -> float:
-        """|integral of K - 2*pi*chi|. K*exp(2*phi) = -laplacian(phi), whose
-        cell integral vanishes identically, so this is pure quadrature error."""
-        return abs(_refined_integral(self, lambda X, Y: -self.phi.laplacian(X, Y)))
 
     def inequality(self) -> InequalityResult:
         return InequalityResult.of(
@@ -367,7 +329,6 @@ class AbstractProfile:
     k_bound: float
     chi: Optional[int] = None
     area: Optional[float] = None
-    closed_form_hyperbolic = False
 
     def __post_init__(self):
         if not (self.k_bound >= 0 and math.isfinite(self.k_bound * self.k_bound)):
@@ -401,13 +362,6 @@ class AbstractProfile:
                 "declared k_bound violated on [%g, %g]: min kappa = %g" % (t0, t1, kmin)
             )
         return kmin
-
-    def _no_geometry(self, *args):
-        raise UnsupportedQueryError("abstract-profile models have no pointwise "
-                                    "geometry and no orbit equations")
-
-    rhs = reduce = gaussian_curvature = magnetic_curvature = _no_geometry
-    gauss_bonnet_residual = _no_geometry
 
     def inequality(self) -> None:
         return None

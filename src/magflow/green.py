@@ -24,11 +24,11 @@ stable eigen-slope of the monodromy, returned as a converged side with the
 one r = T. A flipped profile reads its mirror's monodromy, so both sides
 share one integration. Other profiles run the schedule.
 
-The work budget counts curvature evaluations (``GreenSide.nfev``,
-``Propagator.nfev_to``), a periodic profile's period once per period the
-scan reads, so ``WORK_BUDGET`` bounds every profile but a constant one,
-read in closed form, whose slopes converge by themselves (the flat one, the
-slowest, at r near 1.3e9).
+The work budget counts curvature evaluations (``Propagator.nfev_to``), a
+periodic profile's period once per period the scan reads, so
+``WORK_BUDGET`` bounds every profile but a constant one, read in closed
+form, whose slopes converge by themselves (the flat one, the slowest, at r
+near 1.3e9).
 """
 
 from __future__ import annotations
@@ -54,16 +54,13 @@ MONOTONE_SLACK = 1e-10
 
 @dataclass
 class GreenSide:
-    """One-sided slope estimate with its schedule diagnostics. ``nfev``
-    counts the propagator's curvature evaluations up to the last r
-    (``Propagator.nfev_to``), none for a constant profile."""
+    """One-sided slope estimate with its schedule diagnostics."""
 
     slope: float
     converged: bool
     residual: float
     r_schedule: list = field(default_factory=list)
     slopes: list = field(default_factory=list)
-    nfev: int = 0
 
     def reflected(self) -> "GreenSide":
         """The stable side of a time-reflected profile read as the unstable
@@ -111,8 +108,7 @@ def _run_schedule(profile: CurvatureProfile, tol: float) -> GreenSide:
     hill = floquet(profile)
     if hill is not None:
         side = GreenSide(slope=hill.stable, converged=True, residual=0.0,
-                         r_schedule=[hill.period], slopes=[hill.stable],
-                         nfev=hill.nfev)
+                         r_schedule=[hill.period], slopes=[hill.stable])
     else:
         side = _doubling(profile, tol)
     if side.converged and abs(side.slope) > profile.k_bound + SLOPE_BOUND_SLACK:
@@ -150,7 +146,7 @@ def _doubling(profile: CurvatureProfile, tol: float) -> GreenSide:
         r_next = min(2.0 * r, profile.t_max)
         if residual < tol or nfev > WORK_BUDGET or r_next <= r * (1.0 + 1e-12):
             return GreenSide(slope=slopes[-1], converged=residual < tol, residual=residual,
-                             r_schedule=rs, slopes=slopes, nfev=nfev)
+                             r_schedule=rs, slopes=slopes)
         r = r_next
 
 

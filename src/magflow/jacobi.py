@@ -115,10 +115,6 @@ class JacobiTrace:
         self.t0 = t0
         self.t1 = t1
 
-    def at(self, t: float) -> JacobiState:
-        v, d = self.states(t)
-        return JacobiState(float(v), float(d))
-
     def states(self, ts) -> np.ndarray:
         """(J, J') at the times ts from one read of the solution. Raises
         ``InsufficientDataError`` naming the first of the times, in the
@@ -509,7 +505,7 @@ class Propagator:
             self._squares.append((tuple(np.ldexp(y0, -f).tolist()), exp + f))
             self._segs.append((None, None, None, nfev))
             self.breaks.append(math.inf)
-            self.hill = _readout(self, nfev)
+            self.hill = _readout(self)
             return
         m = float(np.max(np.abs(y0)))
         if m > RESCALE_THRESHOLD:
@@ -656,14 +652,12 @@ class Floquet:
     """A periodic profile's slopes and growth read from its monodromy: the
     period T, the eigen-slopes at time zero of the stable solution J_s and
     the unstable one J_u (J_s(t + T) = J_s(t) / lambda, J_u(t + T) =
-    lambda J_u(t)), log lambda with lambda > 1, and ``nfev``, the curvature
-    points the period's integration evaluated."""
+    lambda J_u(t)), and log lambda with lambda > 1."""
 
     period: float
     stable: float
     unstable: float
     log_growth: float
-    nfev: int
 
     def reflected(self) -> "Floquet":
         """The readout of the time-reflected profile, whose monodromy
@@ -697,7 +691,7 @@ def floquet(profile: CurvatureProfile) -> Optional[Floquet]:
     return prop.hill
 
 
-def _readout(prop: Propagator, nfev: int) -> Optional[Floquet]:
+def _readout(prop: Propagator) -> Optional[Floquet]:
     """``floquet``'s readout of a periodic propagator that holds M."""
     (a, da, z, dz), e = prop._squares[0]
     tr, b = a + dz, a - dz
@@ -709,7 +703,7 @@ def _readout(prop: Propagator, nfev: int) -> Optional[Floquet]:
     q = -0.5 * (b + math.copysign(root, b))  # the roots q / z, -da / q
     stable, unstable = sorted((q / z, -da / q))
     return Floquet(period=prop.period, stable=stable, unstable=unstable,
-                   log_growth=math.log(0.5 * (tr + root)) + e * math.log(2.0), nfev=nfev)
+                   log_growth=math.log(0.5 * (tr + root)) + e * math.log(2.0))
 
 
 def _first_root(prop: Propagator, v: float, d: float, after: float,

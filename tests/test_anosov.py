@@ -89,6 +89,18 @@ class TestWitness:
     def test_hyperbolic_has_no_witness(self):
         assert _witness(P_NEG) is None
 
+    def test_certified_negative_ceiling_has_no_witness(self):
+        # kappa = -1e-20: the gap reads below the margin, but K+ < 0 keeps
+        # the slopes 2e-10 apart; the same samples with no certified ceiling
+        # are searched, and the nearly constant field is found
+        p = CurvatureProfile.constant(-1e-20)
+        est = green_both(p)
+        assert est.converged and est.gap < 1e-4
+        assert bounded_jacobi_witness(p, p.flipped(), 1e-4, est) is None
+        sampled = CurvatureProfile(evaluator=p.evaluator, k_bound=p.k_bound)
+        w = bounded_jacobi_witness(sampled, sampled.flipped(), 1e-4, est)
+        assert w.sup_norm == pytest.approx(1.0, abs=1e-6)
+
     def test_horocycle_boundary_model(self):
         # constant curvature -1 with unit intensity: curvature along
         # orbits is identically zero, the constant field is the witness
@@ -275,10 +287,24 @@ class TestClassify:
 
     def test_nearly_flat_constant_model_is_not_refuted(self):
         # K + b**2 = -1e-300 < 0 is hyperbolic in closed form, though the
-        # schedule resolves its gap only as far as a flat profile's
+        # schedule resolves its gap only as far as a flat profile's: the
+        # certified ceiling K+ < 0 leaves no witness to search
         rep = classify(ConstantCurvature(K=-1e-300, b=0.0, chi=-2,
                                          area=4 * math.pi * 1e300))
-        assert rep.orbits[0].witness_sup is not None
+        assert rep.orbits[0].witness_sup is None
+        assert rep.verdict == "Inconclusive" and "margin" in rep.reason
+
+    def test_nearly_flat_negative_profile_is_not_refuted(self):
+        # the command line's {"const": -1e-20}, k_bound from the series: a
+        # constant negative kappa is hyperbolic in closed form, and its gap
+        # 1.5e-9, within 10 green_tol of zero, is the schedule's resolution
+        # limit, not a collapse
+        series = FourierSeries1D(const=-1e-20)
+        rep = classify(AbstractProfile(
+            kappa=series, k_bound=CurvatureProfile.from_series(series).k_bound))
+        o = rep.orbits[0]
+        assert o.gap_converged and o.gap < 10 * SamplingConfig().green_tol
+        assert o.witness_sup is None
         assert rep.verdict == "Inconclusive" and "margin" in rep.reason
 
     def test_negative_gap_is_recorded_without_witness(self, monkeypatch):
@@ -427,7 +453,7 @@ class TestVerdictLogic:
         from magflow.anosov import _verdict
 
         cfg = cfg or SamplingConfig()
-        return _verdict(chi, False, inequality, results, cfg,
+        return _verdict(chi, inequality, results, cfg,
                         [r for r in results if r.error],
                         [r.orbit_id for r in results
                          if r.conjugate_time is None and r.gap is not None
@@ -522,7 +548,6 @@ class DelegatingSurface:
     def __init__(self, inner):
         self.inner = inner
         self.chi = inner.chi
-        self.closed_form_hyperbolic = inner.closed_form_hyperbolic
 
     def rhs(self):
         return self.inner.rhs()

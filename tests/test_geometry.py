@@ -10,7 +10,6 @@ from magflow import (
     FourierSeries2D,
     ResolutionError,
     UnitTangent,
-    UnsupportedQueryError,
 )
 from magflow import geometry
 from families import random_torus, rng_for
@@ -21,12 +20,14 @@ def flat_torus(b_series=None):
 
 
 class TestGaussianCurvature:
+    """With b = 0 the magnetic curvature is the Gaussian curvature K."""
+
     def test_constant(self):
         m = ConstantCurvature(K=-1.0, b=0.0, chi=-2, area=4 * math.pi)
-        assert m.gaussian_curvature(0.3, 0.9) == -1.0
+        assert m.magnetic_curvature(UnitTangent(0.3, 0.9, 1.2)) == -1.0
 
     def test_flat(self):
-        assert flat_torus().gaussian_curvature(0.1, 0.7) == 0.0
+        assert flat_torus().magnetic_curvature(UnitTangent(0.1, 0.7, 2.0)) == 0.0
 
     def test_single_mode_against_symbolic_oracle(self):
         # phi = 0.1*cos(2 pi x); K(0,0) = -exp(-0.2) * lap(phi)(0,0)
@@ -34,9 +35,10 @@ class TestGaussianCurvature:
         torus = ConformalTorus(
             phi=FourierSeries2D(cos_coeffs={(1, 0): 0.1}), b=FourierSeries2D()
         )
-        assert torus.gaussian_curvature(0.0, 0.0) == pytest.approx(
-            3.2322194575542619, rel=1e-12
-        )
+        for th in (0.0, 1.0, 4.0):
+            assert torus.magnetic_curvature(UnitTangent(0.0, 0.0, th)) == pytest.approx(
+                3.2322194575542619, rel=1e-12
+            )
         # two modes on periods (1, 3), the (1, 2) mode with both amplitudes:
         # phi = 0.1 cos(u) + 0.05 cos(w) + 0.02 sin(w), u = 2 pi x,
         # w = 2 pi (x + 2 y / 3), differentiated by hand
@@ -55,9 +57,9 @@ class TestGaussianCurvature:
         jet = phi.jet(x, y)
         for got, want in zip(jet, oracle):
             assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
-        assert (phi(x, y), phi.laplacian(x, y)) == (jet[0], jet[3])
+        assert phi(x, y) == jet[0]
         torus = ConformalTorus(phi=phi, b=FourierSeries2D(Lx=1.0, Ly=3.0))
-        assert torus.gaussian_curvature(x, y) == pytest.approx(
+        assert torus.magnetic_curvature(UnitTangent(x, y, 0.4)) == pytest.approx(
             -math.exp(-2.0 * oracle[0]) * oracle[3], rel=1e-12
         )
 
@@ -70,13 +72,6 @@ class TestGaussianCurvature:
         flipped = ConformalTorus(phi=FourierSeries2D(Lx=2.0, Ly=3.0), b=b).flipped().b
         assert flipped.modes == tuple((m, n, -a, -c) for m, n, a, c in b.modes)
         assert flipped.const == -b.const
-
-    def test_abstract_profile_has_no_pointwise_geometry(self):
-        m = AbstractProfile(kappa=lambda t: -1.0, k_bound=1.1)
-        with pytest.raises(UnsupportedQueryError):
-            m.gaussian_curvature(0.0, 0.0)
-        with pytest.raises(UnsupportedQueryError):
-            m.magnetic_curvature(UnitTangent())
 
 
 class TestMagneticCurvature:
@@ -115,30 +110,12 @@ class TestMagneticCurvature:
 
 
 class TestGaussBonnet:
-    def test_constant_exact(self):
-        m = ConstantCurvature(K=-1.0, b=0.0, chi=-2, area=4 * math.pi)
-        assert m.gauss_bonnet_residual() == pytest.approx(0.0, abs=1e-12)
-
-    def test_flat_exact(self):
-        assert flat_torus().gauss_bonnet_residual() == 0.0
-
-    def test_random_tori(self):
-        rng = rng_for("gauss-bonnet")
-        for _ in range(5):
-            assert random_torus(rng).gauss_bonnet_residual() < 1e-6
-
     def test_inconsistent_constant_model_rejected(self):
         with pytest.raises(ValueError):
             ConstantCurvature(K=-1.0, b=0.0, chi=-2, area=10.0)
         # Gauss-Bonnet holds here; the infinite intensity must still be refused
         with pytest.raises(ValueError):
             ConstantCurvature(K=-1.0, b=math.inf, chi=-2, area=4 * math.pi)
-
-    def test_unreachable_tolerance_raises(self, monkeypatch):
-        monkeypatch.setattr(geometry, "QUADRATURE_TOL", 0.0)
-        rng = rng_for("resolution")
-        with pytest.raises(ResolutionError):
-            random_torus(rng).area
 
 
 class TestIntegralInequality:
@@ -168,6 +145,24 @@ class TestIntegralInequality:
             r = random_torus(rng, b_const=b_const).inequality()
             assert r.rhs == 0.0
             assert not r.passes
+
+    def test_unit_intensity_reads_the_area(self):
+        # with b = 1 the lhs is the integral of exp(2 phi), the area: the
+        # cell itself on a flat torus, and for phi = a cos(2 pi x) +
+        # c cos(2 pi y / 3) the product 3 I0(2a) I0(2c) of Bessel functions
+        one = FourierSeries2D(Lx=2.0, Ly=3.0, const=1.0)
+        r = ConformalTorus(phi=FourierSeries2D(Lx=2.0, Ly=3.0), b=one).inequality()
+        assert r.lhs == pytest.approx(6.0, rel=1e-14)
+        phi = FourierSeries2D(Ly=3.0, cos_coeffs={(1, 0): 0.1, (0, 1): 0.3})
+        r = ConformalTorus(phi=phi, b=FourierSeries2D(Ly=3.0, const=1.0)).inequality()
+        assert r.lhs == pytest.approx(3.0 * np.i0(0.2) * np.i0(0.6), rel=1e-12)
+        assert r.rhs == 0.0 and not r.passes
+
+    def test_unreachable_tolerance_raises(self, monkeypatch):
+        monkeypatch.setattr(geometry, "QUADRATURE_TOL", 0.0)
+        rng = rng_for("resolution")
+        with pytest.raises(ResolutionError):
+            random_torus(rng).inequality()
 
     def test_nonnegative_chi_never_passes(self):
         m = ConstantCurvature(K=1.0, b=0.0, chi=2, area=4 * math.pi)

@@ -6,12 +6,15 @@ parameters with a default plus any ``**kwargs``, plus the fields of
 figure ROADMAP records. The model-class dispatches in the modules that
 consume surface models and the ``solve_ivp`` call sites are pinned at zero,
 and the step control of the two Dormand-Prince loops at one copy. Every
-export has a caller in the program: the package, the demos, the benchmark
-or the acceptance criteria. scipy is imported only inside the two
-functions that use it, so no other path loads it.
+export, and every public method or property of an exported class, has a
+reader in the program: the package, the demos, the benchmark or the
+acceptance criteria. ``SurfaceModel`` holds the members the certifier
+reads and no other. scipy is imported only inside the two functions that
+use it, so no other path loads it.
 """
 
 import ast
+import functools
 import inspect
 import os
 import subprocess
@@ -24,7 +27,7 @@ from magflow import CurvatureProfile, FourierSeries1D, jacobi
 ROOT = Path(__file__).resolve().parents[1]
 
 INVENTORY = 17
-EXPORTS = 40
+EXPORTS = 39
 
 
 def knob_inventory(package_dir: Path) -> int:
@@ -159,17 +162,51 @@ def _names_used(tree) -> set:
     return used
 
 
+def _program_paths() -> list:
+    """The program files: the package, the demos, the benchmark and the
+    acceptance criteria."""
+    package = Path(magflow.__file__).parent
+    return [*package.glob("*.py"), *(ROOT / "demos").glob("*.py"),
+            *(ROOT / "perfbench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
+
+
 def test_every_export_has_a_program_caller():
     # unit tests alone do not keep a name in the package
-    package = Path(magflow.__file__).parent
-    paths = [p for p in package.glob("*.py") if p.name != "__init__.py"]
-    paths += [*(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py"),
-              ROOT / "tests" / "test_acceptance.py"]
+    paths = [p for p in _program_paths() if p.name != "__init__.py"]
     used = set().union(*(_names_used(ast.parse(p.read_text())) for p in paths))
     exports = [name for name in magflow.__all__
                if not inspect.ismodule(getattr(magflow, name))]
     assert len(exports) == EXPORTS
     assert [name for name in exports if name not in used] == []
+
+
+def test_every_public_method_has_a_program_reader():
+    # a method or property of an exported class is read as an attribute
+    # somewhere in the program, or it goes
+    read = {node.attr for p in _program_paths() for node in ast.walk(ast.parse(p.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    kinds = (property, functools.cached_property, staticmethod, classmethod)
+    unread = ["%s.%s" % (name, attr) for name in magflow.__all__
+              if inspect.isclass(getattr(magflow, name))
+              for attr, value in vars(getattr(magflow, name)).items()
+              if not attr.startswith("_") and attr not in read
+              and (inspect.isfunction(value) or isinstance(value, kinds))]
+    assert unread == []
+
+
+def test_surface_model_is_what_the_certifier_reads():
+    # the protocol's members are exactly the model.<name> reads of anosov;
+    # a chart model's orbit equations belong to flow.integrate_orbit
+    package = Path(magflow.__file__).parent
+    protocol = next(node for node in ast.walk(ast.parse((package / "geometry.py").read_text()))
+                    if isinstance(node, ast.ClassDef) and node.name == "SurfaceModel")
+    members = {node.target.id if isinstance(node, ast.AnnAssign) else node.name
+               for node in protocol.body
+               if isinstance(node, (ast.AnnAssign, ast.FunctionDef))}
+    read = {node.attr for node in ast.walk(ast.parse((package / "anosov.py").read_text()))
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "model"}
+    assert members == read == {"chi", "inequality", "kappa_extrema", "ensemble",
+                               "profile", "minus_profile"}
 
 
 

@@ -46,14 +46,15 @@ P_ZERO = CurvatureProfile.constant(0.0)
 
 class TestIntegrate:
     def test_decaying_exponential(self):
-        st = integrate_jacobi(P_NEG, JacobiState(1.0, -1.0), (0.0, 2.0)).at(2.0)
-        assert st.value == pytest.approx(math.exp(-2), rel=1e-10)
-        assert st.deriv == pytest.approx(-math.exp(-2), rel=1e-10)
+        value, deriv = integrate_jacobi(P_NEG, JacobiState(1.0, -1.0), (0.0, 2.0)).states(2.0)
+        assert value == pytest.approx(math.exp(-2), rel=1e-10)
+        assert deriv == pytest.approx(-math.exp(-2), rel=1e-10)
 
     def test_sine(self):
-        st = integrate_jacobi(P_POS, JacobiState(0.0, 1.0), (0.0, math.pi / 2)).at(math.pi / 2)
-        assert st.value == pytest.approx(1.0, rel=1e-11)
-        assert st.deriv == pytest.approx(0.0, abs=1e-11)
+        value, deriv = integrate_jacobi(P_POS, JacobiState(0.0, 1.0),
+                                        (0.0, math.pi / 2)).states(math.pi / 2)
+        assert value == pytest.approx(1.0, rel=1e-11)
+        assert deriv == pytest.approx(0.0, abs=1e-11)
 
     def test_flat_constant_solution(self):
         tr = integrate_jacobi(P_ZERO, JacobiState(1.0, 0.0), (0.0, 7.0))
@@ -72,16 +73,17 @@ class TestIntegrate:
 
     def test_zero_state_stays_zero(self):
         tr = integrate_jacobi(P_NEG, JacobiState(0.0, 0.0), (0.0, 5.0))
-        assert tr.at(3.0) == JacobiState(0.0, 0.0)
+        assert tr.states(3.0).tolist() == [0.0, 0.0]
 
     def test_query_outside_span_rejected(self):
         tr = integrate_jacobi(P_NEG, JacobiState(1.0, 0.0), (0.0, 2.0))
         with pytest.raises(ValueError):
-            tr.at(3.0)
+            tr.states(3.0)
         # less than 1e-12 outside, a propagator read gives the span's end
         p = oscillatory_profile(rng_for("slack"))
         tr = integrate_jacobi(p, JacobiState(1.0, 0.0), (0.0, 2.0))
-        assert tr.at(-1e-13) == tr.at(0.0) and tr.at(2.0 + 1e-13) == tr.at(2.0)
+        assert np.array_equal(tr.states(-1e-13), tr.states(0.0))
+        assert np.array_equal(tr.states(2.0 + 1e-13), tr.states(2.0))
         # the propagator itself starts at time zero
         with pytest.raises(ValueError, match="starts at time zero"):
             jacobi.propagator(p)(np.array([1.0, -1e-13]))
@@ -96,10 +98,10 @@ class TestIntegrate:
                 tr = integrate_jacobi(p, JacobiState(1.0, 0.0), (0.0, 1000.0))
                 with pytest.raises(InsufficientDataError,
                                    match="past the double range at t = 1000$"):
-                    tr.at(1000.0)
+                    tr.states(1000.0)
             # the exact stable line decays where sinh overflows
-            st = integrate_jacobi(P_NEG, JacobiState(1.0, -1.0), (0.0, 1000.0)).at(720.0)
-            assert (st.value, st.deriv) == pytest.approx(
+            st = integrate_jacobi(P_NEG, JacobiState(1.0, -1.0), (0.0, 1000.0)).states(720.0)
+            assert tuple(st) == pytest.approx(
                 (math.exp(-720.0), -math.exp(-720.0)), rel=1e-6)
             # an array read names its first time past the range, in the
             # direction of the span
@@ -270,13 +272,13 @@ class TestBoundarySolution:
     def test_flat_line(self):
         bs = solve_boundary(P_ZERO, 2.0, cross_check=True)
         sol = _solution(P_ZERO, bs)
-        assert sol.at(1.0).value == pytest.approx(0.5, abs=1e-11)
-        assert sol.at(0.0).value == pytest.approx(1.0, abs=1e-12)
-        assert sol.at(2.0).value == pytest.approx(0.0, abs=1e-9)
+        assert sol.values(1.0) == pytest.approx(0.5, abs=1e-11)
+        assert sol.values(0.0) == pytest.approx(1.0, abs=1e-12)
+        assert sol.values(2.0) == pytest.approx(0.0, abs=1e-9)
 
     def test_hyperbolic_closed_form(self):
         bs = solve_boundary(P_NEG, 1.0, cross_check=True)
-        assert _solution(P_NEG, bs).at(0.5).value == pytest.approx(
+        assert _solution(P_NEG, bs).values(0.5) == pytest.approx(
             math.sinh(0.5) / math.sinh(1.0), rel=1e-10
         )
 
@@ -286,15 +288,15 @@ class TestBoundarySolution:
             p = hyperbolic_profile(rng)
             r = 3.0 + 10.0 * rng.random()
             sol = _solution(p, solve_boundary(p, r, cross_check=True))
-            assert abs(sol.at(0.0).value - 1.0) < 1e-9
-            assert abs(sol.at(r).value) < 1e-9
+            assert abs(sol.values(0.0) - 1.0) < 1e-9
+            assert abs(sol.values(r)) < 1e-9
 
     def test_negative_r_branch(self):
         bs = solve_boundary(P_NEG, -1.0, cross_check=True)
         assert bs.slope0 == pytest.approx(1.0 / math.tanh(1.0), rel=1e-10)
         sol = _solution(P_NEG, bs)
-        assert sol.at(-1.0).value == pytest.approx(0.0, abs=1e-9)
-        assert sol.at(-0.5).value == pytest.approx(
+        assert sol.values(-1.0) == pytest.approx(0.0, abs=1e-9)
+        assert sol.values(-0.5) == pytest.approx(
             math.sinh(0.5) / math.sinh(1.0), rel=1e-9
         )
 
@@ -493,8 +495,8 @@ class TestPropagator:
         prop = jacobi.propagator(CurvatureProfile.from_series(series))
         assert np.array_equal(prop(0.0), [1.0, 0.0, 0.0, 1.0])
         st = integrate_jacobi(CurvatureProfile.from_series(series),
-                              JacobiState(0.3, -0.8), (0.0, 5.0)).at(0.0)
-        assert (st.value, st.deriv) == pytest.approx((0.3, -0.8), rel=1e-15)
+                              JacobiState(0.3, -0.8), (0.0, 5.0)).states(0.0)
+        assert tuple(st) == pytest.approx((0.3, -0.8), rel=1e-15)
 
     def test_readouts_do_not_depend_on_call_order(self):
         def slope_side(p):
@@ -816,6 +818,85 @@ class TestMonodromyReadout:
             kappa=series, k_bound=CurvatureProfile.from_series(series).k_bound))
         assert rep.verdict == "Inconclusive"
         assert rep.orbits[0].error.startswith("IntegrationFailure: ")
+
+
+def _mathieu(a: float, q: float) -> FourierSeries1D:
+    """Mathieu's kappa(t) = a - 2 q cos 2t, of period T = pi."""
+    return FourierSeries1D(const=a, omega=2.0, cos_coeffs={1: -2.0 * q})
+
+
+def _mathieu_trace(a: float, q: float) -> float:
+    """tr M of Mathieu's equation, M read from the propagator."""
+    prop = jacobi.propagator(CurvatureProfile.from_series(_mathieu(a, q)))
+    prop.segment(math.inf)
+    (m_a, _da, _z, m_dz), e = prop._squares[0]
+    return math.ldexp(m_a + m_dz, e)
+
+
+def _mathieu_classify(a: float, q: float):
+    series = _mathieu(a, q)
+    return classify(AbstractProfile(kappa=series,
+                                    k_bound=CurvatureProfile.from_series(series).k_bound))
+
+
+class TestMathieu:
+    """Mathieu's equation J'' + (a - 2q cos 2t) J = 0 against its published
+    stability boundaries (Abramowitz and Stegun 20.2.25; DLMF 28.6). Below
+    a0(q), tr M > 2 and the eigen-solutions have no zero; in tongue 1
+    (b1 < a < a1), tr M < -2; in tongue 2 (b2 < a < a2), tr M > 2 but the
+    stable solution has zeros, so only the Sturm gate of the readout
+    refutes it."""
+
+    @staticmethod
+    def _boundary(q, sign, lo, hi):
+        # Brent on tr M - sign * 2, where the series' bracket changes sign
+        return jacobi._brent(lambda a: _mathieu_trace(a, q) - 2.0 * sign, lo, hi, 1e-15)
+
+    @pytest.mark.parametrize("q, bound", [
+        # q = 0.05 and 0.1: the readout's own accuracy, past the next term
+        # (1.2e-16 and 1.2e-13); q = 0.2: the next term, 123707 q**10/104857600
+        (0.05, 6e-14), (0.1, 6e-14), (0.2, 1.21e-10)])
+    def test_a0_series(self, q, bound):
+        a0 = -q**2 / 2 + 7 * q**4 / 128 - 29 * q**6 / 2304 + 68687 * q**8 / 18874368
+        assert abs(self._boundary(q, 1, a0 - 1e-3, a0 + 1e-3) - a0) < bound
+
+    def test_tongue_boundaries(self):
+        # at q = 0.1: b1 and a1 within their next term 11 q**5/36864 = 3.0e-9
+        # (with the q**6 term, 8e-11, on top); a2 within its next term
+        # 1002401 q**6/79626240 = 1.26e-8; b2, whose next term is 3.6e-12,
+        # within the readout's accuracy on its shallow crossing (tr M moves
+        # by 3e-3 per unit of a there)
+        q = 0.1
+        b1 = 1 - q - q**2 / 8 + q**3 / 64 - q**4 / 1536
+        a1 = 1 + q - q**2 / 8 - q**3 / 64 - q**4 / 1536
+        b2 = 4 - q**2 / 12 + 5 * q**4 / 13824
+        a2 = 4 + 5 * q**2 / 12 - 763 * q**4 / 13824
+        mid1, mid2 = (b1 + a1) / 2, (b2 + a2) / 2
+        assert abs(self._boundary(q, -1, b1 - 0.05, mid1) - b1) < 3.1e-9
+        assert abs(self._boundary(q, -1, mid1, a1 + 0.05) - a1) < 3.1e-9
+        assert abs(self._boundary(q, 1, b2 - 2e-3, mid2) - b2) < 1e-10
+        assert abs(self._boundary(q, 1, mid2, a2 + 2e-3) - a2) < 1.3e-8
+
+    @pytest.mark.parametrize("q, a0", [
+        (1.0, -0.45513860), (5.0, -5.80004602), (10.0, -13.93697996)])
+    def test_verdict_flips_at_a0(self, q, a0):
+        # table values of a0(q), to 8 decimals
+        assert _mathieu_classify(a0 - 1e-4, q).verdict == "NumericallyAnosov"
+        assert _mathieu_classify(a0 + 1e-4, q).verdict == "NotAnosov"
+
+    def test_tongue_two_is_refuted_by_the_sturm_gate(self, monkeypatch):
+        # the middle of tongue 2 at q = 0.1: tr M - 2 = 3.9e-6, and the
+        # stable solution vanishes near pi / 2
+        q = 0.1
+        a = ((4 - q**2 / 12 + 5 * q**4 / 13824) + (4 + 5 * q**2 / 12 - 763 * q**4 / 13824)) / 2
+        assert _mathieu_trace(a, q) - 2.0 == pytest.approx(3.9e-6, rel=0.02)
+        rep = _mathieu_classify(a, q)
+        assert rep.verdict == "NotAnosov"
+        assert rep.orbits[0].conjugate_time == pytest.approx(1.5703221916, abs=1e-9)
+        # the gate must be shown to fail: a zero scan that finds no zero
+        # leaves the readout to decide the tongue, and the verdict moves
+        monkeypatch.setattr(jacobi.Propagator, "first_zero_of_z", lambda self, horizon: None)
+        assert _mathieu_classify(a, q).verdict != "NotAnosov"
 
 
 CLOSED_FORM_KS = (4.0, 0.0, -1.0, -1e-300, -1e4)
@@ -1191,7 +1272,7 @@ class TestWorkBudget:
         hyperbolic = CurvatureProfile(
             evaluator=FourierSeries1D(const=-1.0, sin_coeffs={1: 0.3}), k_bound=1.2)
         with pytest.raises(IntegrationFailure) as exc:
-            integrate_jacobi(hyperbolic, JacobiState(1.0, 0.0), (0.0, 50.0)).at(50.0)
+            integrate_jacobi(hyperbolic, JacobiState(1.0, 0.0), (0.0, 50.0)).states(50.0)
         assert "300 right-hand-side evaluations" in str(exc.value)
         assert 0.0 < exc.value.last_time < 50.0
 
