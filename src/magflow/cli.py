@@ -16,8 +16,8 @@ Fourier tables {"const": c, "cos": {"m,n": amp}, "sin": {...}}), and
 ``profile`` (kappa as a 1D Fourier table {"const": c, "omega": w,
 "cos": {"j": amp}, "sin": {...}} plus k_bound, by default
 ``CurvatureProfile.from_series``'s, read from the certified lower bound
-c - sum_j hypot(cos_j, sin_j)). Every model accepts an optional ``b_scale``
-multiplying the intensity.
+c - sum_j hypot(cos_j, sin_j), and an optional chi). Every model accepts
+an optional ``b_scale`` multiplying the intensity.
 
 Adding a ``sweep`` section {"parameter": "model.b", "grid": [...]} turns
 the run into a sweep: one classification per grid value, aggregated into
@@ -72,7 +72,7 @@ SECTION_KEYS["sweep"] = ("parameter", "grid")
 MODEL_KEYS = {
     "constant": ("K", "b", "chi", "area"),
     "torus": ("Lx", "Ly", "phi", "b"),
-    "profile": ("kappa", "k_bound", "chi", "area"),
+    "profile": ("kappa", "k_bound", "chi"),
 }
 log = logging.getLogger("magflow")
 
@@ -214,9 +214,8 @@ def build_model(spec: dict):
     else:
         k_bound = _number(spec["k_bound"], "model.k_bound")
     chi = _optional(spec.get("chi"), "model.chi", int)
-    area = _optional(spec.get("area"), "model.area", float)
     try:
-        model = AbstractProfile(kappa=series, k_bound=k_bound, chi=chi, area=area)
+        model = AbstractProfile(kappa=series, k_bound=k_bound, chi=chi)
         model.validate_window(*VALIDATION_WINDOW)
     except ValueError as exc:
         raise ConfigError("model.k_bound: %s" % exc, "model.k_bound")

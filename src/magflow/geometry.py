@@ -320,7 +320,7 @@ class AbstractProfile:
     ``kappa`` is a callable t -> curvature; ``k_bound`` is a declared k > 0
     with kappa(t) >= -k_bound**2. The declaration is trusted after a sample
     validation on any queried window; no certified global minimum is
-    computed. chi and area are optional metadata. The model has no orbit
+    computed. chi is optional metadata. The model has no orbit
     equations and no intensity field, so the integral inequality does not
     apply.
     """
@@ -328,7 +328,6 @@ class AbstractProfile:
     kappa: Callable[[float], float]
     k_bound: float
     chi: Optional[int] = None
-    area: Optional[float] = None
 
     def __post_init__(self):
         if not (self.k_bound >= 0 and math.isfinite(self.k_bound * self.k_bound)):

@@ -17,18 +17,17 @@ declared when two successive slopes differ by less than the tolerance;
 profiles whose slopes converge slower than the work budget allows are
 flagged, never extrapolated.
 
-A periodic (non-constant Fourier) profile whose monodromy decides it
-(``jacobi.floquet``: trace above 2, and a unit-slope solution without a
-zero on two periods) runs no schedule: its slope is the limit itself, the
-stable eigen-slope of the monodromy, returned as a converged side with the
-one r = T. A flipped profile reads its mirror's monodromy, so both sides
-share one integration. Other profiles run the schedule.
+A periodic (non-constant Fourier) profile runs no schedule. Where its
+monodromy decides it (``jacobi.floquet``: trace above 2, and a unit-slope
+solution without a zero on two periods), its slope is the stable
+eigen-slope, a converged side with the one r = T, and a flipped profile
+reads its mirror's monodromy; elsewhere it has a conjugate point, which
+``jacobi.first_zero`` reads at an infinite horizon. Other profiles run it.
 
-The work budget counts curvature evaluations (``Propagator.nfev_to``), a
-periodic profile's period once per period the scan reads, so
-``WORK_BUDGET`` bounds every profile but a constant one, read in closed
-form, whose slopes converge by themselves (the flat one, the slowest, at r
-near 1.3e9).
+The work budget counts curvature evaluations (``Propagator.nfev_to``), so
+``WORK_BUDGET`` bounds every schedule but a constant profile's, read in
+closed form, whose slopes converge by themselves (the flat one, the
+slowest, at r near 1.3e9).
 """
 
 from __future__ import annotations
@@ -109,8 +108,13 @@ def _run_schedule(profile: CurvatureProfile, tol: float) -> GreenSide:
     if hill is not None:
         side = GreenSide(slope=hill.stable, converged=True, residual=0.0,
                          r_schedule=[hill.period], slopes=[hill.stable])
-    else:
+    elif propagator(profile).period is None:
         side = _doubling(profile, tol)
+    else:
+        z = first_zero(profile, math.inf)
+        if z is None:
+            raise NumericalInconsistencyError("the monodromy decides no slope and no zero")
+        raise ConjugatePointError("conjugate point at t = %.12g" % z, conjugate_time=z)
     if side.converged and abs(side.slope) > profile.k_bound + SLOPE_BOUND_SLACK:
         raise NumericalInconsistencyError(
             "converged slope %g exceeds the curvature bound k = %g"

@@ -27,10 +27,10 @@ equation, ``floquet``): no conjugate point, the slopes are its
 eigen-slopes and the contraction rate its exponent, and the time-reflected
 profile reads them from the same M. One zero scan (``_first_root``), read
 at the propagator's knots, serves that check, the conjugate point and the
-Riccati pole; ``first_zero`` skips it where the Sturm comparison theorem or
-the monodromy excludes a zero. A sign change it finds is refined by
-``_brent``, a port of scipy's Brent root finder that returns scipy's root
-bit for bit.
+Riccati pole, reading past two periods only the one Floquet predicts
+(``_predict``); ``first_zero`` skips it where Sturm comparison or the
+monodromy excludes a zero. A sign change is refined by ``_brent``, a port
+of scipy's Brent root finder that returns scipy's root bit for bit.
 
 Every launch (``_launch``, called by ``Propagator`` alone) runs magflow's
 own DOP853 loop on [A, A', Z, Z'] at the one tolerance ``JACOBI_TOL``:
@@ -87,8 +87,6 @@ BRENT_MAXITER = 100
 # lam t past which a constant profile's propagator reads cosh = sinh =
 # exp(lam t) / 2 in stored scale; cosh overflows past 710
 HYPERBOLIC_SWITCH = 700.0
-# periods past T one batch of the zero scan covers at most: bounds its memory
-SCAN_PERIODS = 1024
 
 
 @dataclass(frozen=True)
@@ -493,7 +491,7 @@ class Propagator:
             self._segs.append((None, None, None, 0))
         self._squares = []  # M**(2**j) as (mantissa, exponent)
         self.hill = None  # floquet's readout, formed where M is stored
-        self.zero, self.scanned = None, 0.0  # see first_zero_of_z
+        self.zero = None  # see first_zero_of_z
 
     def _grow(self):
         t0 = self.breaks[-1]
@@ -590,26 +588,23 @@ class Propagator:
         return float((a[0] * w - da[0]) / (dz[0] - z[0] * w))
 
     def nfev_to(self, t: float) -> int:
-        """Curvature points evaluated integrating up to t, a periodic
-        profile's period counted once per period up to t (a scan reads each),
-        and none for a constant profile."""
-        nfev = self._segs[self.segment(t)][3]
-        return nfev * math.ceil(t / self.period) if self.period and t > self.period else nfev
+        """Curvature points evaluated integrating up to t, none for a constant
+        profile: the work count of the doubling schedule (``green``)."""
+        return self._segs[self.segment(t)][3]
 
     def _knots(self, horizon: float):
         """The scan times of (0, horizon] in batches, the last one ending at
-        the horizon: the accepted step ends of each launched segment, then
-        past the period T the period's ones shifted by n T for n = 1 to 2, 3
-        to 6, 7 to 14, ... (SCAN_PERIODS periods at most); on a constant
-        k > 0 the multiples of pi / (2 sqrt(k)), half the spacing of the
-        zeros of any solution (Sturm), batched alike; on a constant k <= 0,
-        where a solution has at most one zero, the horizon alone."""
-        k, n, cell = 1, 0, horizon
+        the horizon or at 2T: the accepted step ends of each launched
+        segment, then past the period T the period's ones shifted by T; on a
+        constant k > 0 the first three multiples of pi / (2 sqrt(k)), half
+        the spacing of the zeros of any solution (Sturm); on a constant
+        k <= 0, where a solution has at most one zero, the horizon alone."""
+        k, periods, cell = 1, [0], horizon
         while self.const is None:
             if k == len(self.breaks):
                 self._grow()
             if self._segs[k][0] is None:  # past the period
-                n, cell = 1, self.period
+                periods, cell = [1], self.period
                 break
             ts = self._segs[k][0].t[1:]
             if ts[-1] >= horizon:
@@ -618,23 +613,16 @@ class Propagator:
             yield ts
             k += 1
         if self.const is not None and self.const > 0.0:
-            cell = 0.5 * math.pi / math.sqrt(self.const)
+            periods, cell = [0, 1, 2], 0.5 * math.pi / math.sqrt(self.const)
         taus = np.concatenate([seg[0].t[1:] for seg in self._segs[1:k]] or [[cell]])
-        while True:
-            top = min(2 * n, n + SCAN_PERIODS - 1)
-            ts = (np.arange(n, top + 1)[:, None] * cell + taus).ravel()
-            if ts[-1] >= horizon:
-                yield np.append(ts[ts < horizon], horizon)
-                return
-            yield ts
-            n = top + 1
+        ts = (np.array(periods)[:, None] * cell + taus).ravel()
+        yield np.append(ts[ts < horizon], horizon) if ts[-1] >= horizon else ts
 
     def first_zero_of_z(self, horizon: float) -> Optional[float]:
-        """The first zero of Z on (0, horizon] (``_first_root``), or None. The
-        answer is kept: a zero found answers every horizon, and a scan that
-        found none every horizon up to its own, past which the next resumes."""
-        if self.zero is None and horizon > self.scanned:
-            self.zero, self.scanned = _first_root(self, 0.0, 1.0, self.scanned, horizon), horizon
+        """The first zero of Z on (0, horizon] (``_first_root``), or None. A
+        zero found is kept, and answers every horizon."""
+        if self.zero is None:
+            self.zero = _first_root(self, 0.0, 1.0, horizon)
         return self.zero if self.zero is not None and self.zero <= horizon else None
 
 
@@ -677,9 +665,10 @@ def floquet(profile: CurvatureProfile) -> Optional[Floquet]:
     iff Z has no zero on (0, 2T] (Sturm separation: a zero of J_s at tau
     recurs at tau + T with one of Z between, and a J_s without zeros leaves
     Z none past 0), read by ``Propagator.first_zero_of_z`` where
-    ``kappa_ceiling`` > 0, which keeps a zero it finds for ``first_zero``.
-    The readout is formed once, where the propagator stores M, in stored
-    scale; a reflected profile (``flipped``) reads its mirror's, reflected.
+    ``kappa_ceiling`` > 0, which keeps a zero it finds for ``first_zero``;
+    for |tr M| < 2 ``_predict`` finds one past 2T. The readout is formed
+    once, where the propagator stores M, in stored scale; a reflected
+    profile (``flipped``) reads its mirror's, reflected.
     """
     if profile._mirror is not None:
         mirrored = floquet(profile._mirror)
@@ -706,20 +695,22 @@ def _readout(prop: Propagator) -> Optional[Floquet]:
                    log_growth=math.log(0.5 * (tr + root)) + e * math.log(2.0))
 
 
-def _first_root(prop: Propagator, v: float, d: float, after: float,
-                horizon: float) -> Optional[float]:
-    """First zero on (after, horizon] of the solution J = v A + d Z of the
-    propagator ``prop``, positive just after zero and on (0, after], or None.
+def _first_root(prop: Propagator, v: float, d: float, horizon: float) -> Optional[float]:
+    """First zero on (0, horizon] of the solution J = v A + d Z of the
+    propagator ``prop``, positive just after zero, or None.
 
     J is read in stored scale (``Propagator._stored``) at the propagator's
-    knots past ``after``, one batch at a time, so integration stops at the
-    breakpoint past the first zero and nothing overflows. No solution
+    knots (``Propagator._knots``), one batch at a time, so integration stops
+    at the breakpoint past the first zero and nothing overflows. No solution
     changes sign twice between two knots: a step the DOP853 control accepts
     resolves every solution, all being combinations of A and Z; so the
     unit-slope solution, zero at time zero, has no other zero before the
-    first knot. ``_brent`` refines a sign change, bracketed by the knots of
-    a scan from zero, to 1e-12 of the bracket's upper end, a relative
-    tolerance, on J rescaled by the one power of two read at that end.
+    first knot. Past 2T a periodic profile reads periods n - 2 to n + 1
+    alone, n from ``_predict``, at the knots a read of every period would
+    read; a first period with J <= 0, or an elliptic window with no sign
+    change, raises ``NumericalInconsistencyError``. ``_brent`` refines a
+    sign change to 1e-12 of the bracket's upper end, a relative tolerance,
+    on J rescaled by the one power of two read at that end.
     """
     def j(ts):
         (a, _da, z, _dz), e = prop._stored(ts)
@@ -727,15 +718,27 @@ def _first_root(prop: Propagator, v: float, d: float, after: float,
 
     lo = 0.0  # the last knot before those read
     for ts in prop._knots(horizon):
-        seen = int(np.searchsorted(ts, after, "right"))  # read by an earlier scan
-        if seen < ts.size:
-            lo, ts = float(ts[seen - 1]) if seen else lo, ts[seen:]
-            vals, exps = j(ts)
-            if np.any(vals <= 0.0):
-                break
+        vals, exps = j(ts)
+        if np.any(vals <= 0.0):
+            break
         lo = float(ts[-1])
     else:
-        return None
+        if prop.period is None or horizon <= 2.0 * prop.period:
+            return None
+        n, taus, trace = _predict(prop, j)
+        if n is None:
+            return None
+        window = (np.arange(n - 2, n + 2)[:, None] * prop.period + taus).ravel()
+        ts = window if window[-1] < horizon else np.append(window[window < horizon], horizon)
+        vals, exps = j(ts)
+        below = vals <= 0.0
+        # no sign change: a zero past the horizon, or one tr M > 2 puts in noise
+        if not below.any() and (ts is not window or trace > 2.0):
+            return None
+        if not below.any() or below[:taus.size].any():
+            raise NumericalInconsistencyError(
+                "the reads of periods %d to %d do not confirm the zero that the "
+                "monodromy (tr M = %r) puts in period %d" % (n - 2, n + 1, trace, n))
     i = int(np.argmax(vals <= 0.0))
     lo, hi, scale = float(ts[i - 1]) if i else lo, float(ts[i]), int(exps[i])
     if vals[i] == 0.0:
@@ -746,6 +749,39 @@ def _first_root(prop: Propagator, v: float, d: float, after: float,
         return math.ldexp(float(y[0]), int(e[0]) - scale)
 
     return _brent(g, lo, hi, 1e-12 * hi)
+
+
+def _predict(prop: Propagator, j: Callable) -> tuple:
+    """(n, taus, tr M) for a J read in stored scale by ``j``, positive on
+    (0, 2T]: the period's step ends taus, and the first period n >= 2 with a
+    knot n T + tau where J <= 0 (None where J has no zero), from
+    q = J(T + tau) / J(tau) and J((n + 1) T + tau) = tr M J(n T + tau)
+    - J((n - 1) T + tau) (Cayley-Hamilton, det M = 1): J(n T + tau) is a
+    multiple of sin(n theta + psi) for tr M = 2 cos theta, and
+    a e^(n mu) + b e^(-n mu), with a zero only where q < e^-mu, for
+    tr M = 2 cosh mu. Only |tr M - 2| > JACOBI_TOL (|A(T)| + |Z'(T)|), the
+    trace's error, is decided; elsewhere, and where tr M <= -2 (Sturm
+    separation then puts a zero on (0, 2T]), NumericalInconsistencyError.
+    """
+    (a, da, z, dz), e = prop._squares[0]
+    tr, two, delta = a + dz, math.ldexp(2.0, -e), JACOBI_TOL * (abs(a) + abs(dz))
+    trace = math.ldexp(tr, e) if e < 1000 else math.copysign(math.inf, tr)
+    disc = (a - dz) ** 2 + 4.0 * z * da  # tr**2 - 4 det M
+    taus = np.concatenate([seg[0].t[1:] for seg in prop._segs[1:-1]])
+    x, f = j(np.concatenate([taus, prop.period + taus]))
+    q = np.ldexp(x[taus.size:] / x[:taus.size], f[taus.size:] - f[:taus.size])
+    if tr - two > delta and disc > 0.0:
+        mu = math.log(0.5 * (tr + math.sqrt(disc))) + e * math.log(2.0)
+        s = math.exp(-mu)
+        q = q[q < s]
+        n = 0.5 * (1.0 + (np.log(1.0 - q * s) - np.log(s - q)) / mu)
+    elif -two < tr < two - delta and disc < 0.0:
+        theta = math.atan2(math.sqrt(-disc), tr)
+        n = (math.pi - np.arctan2(math.sin(theta), q - math.cos(theta))) / theta
+    else:
+        raise NumericalInconsistencyError("the monodromy (tr M = %r, within its error "
+                                          "of 2 or at most -2) predicts no zero" % trace)
+    return (max(2, math.ceil(n.min())) if n.size else None), taus, trace
 
 
 def _brent(f: Callable, lo: float, hi: float, xtol: float) -> float:
@@ -825,13 +861,15 @@ def first_zero(profile: CurvatureProfile, horizon: float) -> Optional[float]:
 
     Where kappa <= K+ everywhere, the Sturm comparison theorem puts the
     first zero at or past pi / sqrt(K+) (Hartman, Ordinary Differential
-    Equations, ch. XI). So a profile with K+ * horizon**2 < pi**2, K+ being
-    its ``kappa_ceiling``, has none, and the propagator is not read. Nor has
-    a periodic profile that its monodromy shows disconjugate (``floquet``),
-    at any horizon."""
+    Equations, ch. XI). So a profile with K+ <= 0 or K+ * horizon**2 < pi**2,
+    K+ being its ``kappa_ceiling``, has none, and the propagator is not read.
+    Nor has a periodic profile that its monodromy shows disconjugate
+    (``floquet``), at any horizon; on any other the scan past 2T reads the
+    period ``_predict`` names, so every horizon costs about the same."""
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    if profile.kappa_ceiling * horizon**2 < math.pi**2 or floquet(profile) is not None:
+    k_plus = profile.kappa_ceiling
+    if k_plus <= 0.0 or k_plus * horizon**2 < math.pi**2 or floquet(profile) is not None:
         return None
     return propagator(profile).first_zero_of_z(horizon)
 

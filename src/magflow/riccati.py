@@ -60,7 +60,7 @@ def integrate_riccati(profile: CurvatureProfile, u0: float, t_span: tuple) -> Ri
         return RiccatiTrace(np.full(N_SAMPLES, t0), np.full(N_SAMPLES, float(u0)), None)
     prop = propagator(local)
     v0, span = sign * u0, abs(t1 - t0)
-    pole = _first_root(prop, 1.0, v0, 0.0, span)
+    pole = _first_root(prop, 1.0, v0, span)
     ss = (np.linspace(0.0, span, N_SAMPLES) if pole is None
           else np.linspace(0.0, pole, N_SAMPLES, endpoint=False))
     j, dj = prop.carry(ss, v0)

@@ -135,6 +135,9 @@ class TestConfigValidation:
         ({"ensemble": {"horizon": -1.0}}, "ensemble.horizon"),
         ({"tolerances": {"integration": 0}}, "tolerances.integration"),
         ({"tolerances": {"gap_margin": -1e-4}}, "tolerances.gap_margin"),
+        # a profile has no surface, so no area: a number there is refused too
+        ({"model": {"kind": "profile", "kappa": {"const": -1.0},
+                    "area": -5}}, "model.area"),
     ])
     def test_malformed_value_is_named(self, tmp_path, extra, key):
         with pytest.raises(ConfigError) as exc:

@@ -217,8 +217,9 @@ def _is_call(node, name: str) -> bool:
 def test_one_conjugate_point_finder():
     # the slope schedule asks jacobi.first_zero, which scans at the
     # propagator's knots: green reads no stored propagator values, the
-    # fixed scan grid and the schedule's cap on r are gone, and _doubling
-    # raises one ConjugatePointError
+    # fixed scan grid, the schedule's cap on r, the period batches past 2T
+    # and the resumed scan are gone, and _doubling raises one
+    # ConjugatePointError
     package = Path(magflow.__file__).parent
     green = ast.parse((package / "green.py").read_text())
     assert "_stored" not in _names_used(green)
@@ -226,7 +227,8 @@ def test_one_conjugate_point_finder():
         tree = ast.parse(path.read_text())
         defined = {node.name for node in ast.walk(tree)
                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-        assert not {"SCAN_STEP", "_scan_step", "R_CAP"} & (defined | _names_used(tree)), path.name
+        assert not ({"SCAN_STEP", "_scan_step", "R_CAP", "SCAN_PERIODS", "scanned"}
+                    & (defined | _names_used(tree))), path.name
     doubling = next(node for node in ast.walk(green)
                     if isinstance(node, ast.FunctionDef) and node.name == "_doubling")
     assert sum(isinstance(node, ast.Raise) and _is_call(node.exc, "ConjugatePointError")

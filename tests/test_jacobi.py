@@ -132,12 +132,12 @@ class TestUnitSlope:
         with pytest.raises(ValueError, match="horizon must be positive"):
             first_zero(P_POS, 0.0)
         # a zero on a knot: the second multiple of pi / 2 for K+ = 1
-        assert jacobi._first_root(jacobi.propagator(P_POS), 0.0, 1.0, 0.0,
+        assert jacobi._first_root(jacobi.propagator(P_POS), 0.0, 1.0,
                                   3.2) == pytest.approx(math.pi, abs=1e-9)
         # the same on a callable profile, scanned at its DOP853 step ends
         pos = CurvatureProfile(evaluator=lambda t: 1.0 + 0.0 * np.asarray(t), k_bound=0.0)
         assert first_zero(pos, 0.004) is None
-        assert jacobi._first_root(jacobi.propagator(pos), 0.0, 1.0, 0.0,
+        assert jacobi._first_root(jacobi.propagator(pos), 0.0, 1.0,
                                   3.2) == pytest.approx(math.pi, abs=1e-9)
         # a zero just before the horizon
         assert first_zero(P_POS, 3.144) == pytest.approx(math.pi, abs=1e-9)
@@ -171,8 +171,9 @@ class TestUnitSlope:
 
 class TestKnotScan:
     """_first_root reads the solution at the propagator's knots alone: the
-    accepted step ends of its launches, the period's step ends shifted by
-    whole periods past T, and the horizon."""
+    accepted step ends of its launches, on a periodic profile the period's
+    step ends shifted by T up to 2T and by whole periods in the window that
+    Floquet predicts past it, and the horizon."""
 
     @staticmethod
     def _scanned(monkeypatch):
@@ -191,7 +192,7 @@ class TestKnotScan:
         batches = self._scanned(monkeypatch)
         half_wave = lambda t: -max(0.0, math.sin(t)) ** 2  # noqa: E731
         prop = jacobi.propagator(_callable(half_wave, 1.0))
-        assert jacobi._first_root(prop, 0.0, 1.0, 0.0, 80.0) is None
+        assert jacobi._first_root(prop, 0.0, 1.0, 80.0) is None
         ends = np.concatenate([seg[0].t[1:] for seg in prop._segs[1:]])
         read = np.concatenate(batches)
         assert read[-1] == 80.0
@@ -200,66 +201,183 @@ class TestKnotScan:
         # a tenth of the 8000 times of a 0.01 grid
         assert read.size < 800
 
-    def test_periods_past_t_read_the_period_step_ends(self, monkeypatch):
-        # 1e-6 cos t keeps Z positive far past these periods
+    def test_periods_past_2t_read_the_predicted_window(self, monkeypatch):
+        # 1e-6 cos t keeps Z positive for 707,789 periods: the scan reads the
+        # step ends of (0, 2T] twice (the scan, then q for the prediction) and
+        # four whole periods, each at the period's step ends shifted by whole
+        # periods, besides Brent's single reads
         p = CurvatureProfile.from_series(FourierSeries1D(const=0.0, cos_coeffs={1: 1e-6}))
         prop = jacobi.propagator(p)
-        horizon = 10.5 * prop.period
-        batches = self._scanned(monkeypatch)
-        assert jacobi._first_root(prop, 0.0, 1.0, 0.0, horizon) is None
-        ends = np.concatenate([seg[0].t[1:] for seg in prop._segs[1:-1]])
-        read = np.concatenate(batches)
-        assert read[-1] == horizon and np.all(np.diff(read) > 0.0)
-        assert read.size <= ends.size * math.ceil(horizon / prop.period) + 1
-        taus = read[:-1] - np.floor(read[:-1] / prop.period) * prop.period
-        assert np.all(np.min(np.abs(taus[:, None] - np.r_[0.0, ends]), axis=1) < 1e-9)
-
-    def test_longer_scans_resume_past_the_last(self, monkeypatch):
-        # the slope schedule of 1e-6 cos t asks each side's propagator for a
-        # zero of Z on (0, r] for r = 5, 10, 20, ...: every scan reads on from
-        # the last one's horizon, so each propagator's reads increase strictly
-        reads, scans, depth = {}, [], [0]
-        stored, first_root = jacobi.Propagator._stored, jacobi._first_root
-
-        def scan(prop, v, d, *rest):
-            scans.append(prop if (v, d) == (0.0, 1.0) else None)
-            try:
-                return first_root(prop, v, d, *rest)
-            finally:
-                scans.pop()
+        reads, depth, stored = [], [0], jacobi.Propagator._stored
 
         def counted(self, t):
-            if scans and scans[-1] is self and depth[0] == 0:  # not a read of F(tau)
-                reads.setdefault(id(self), []).append(np.array(t))
+            if depth[0] == 0:  # not a read of F(tau) inside a read past T
+                reads.append(np.array(t))
             depth[0] += 1
             try:
                 return stored(self, t)
             finally:
                 depth[0] -= 1
 
-        monkeypatch.setattr(jacobi, "_first_root", scan)
         monkeypatch.setattr(jacobi.Propagator, "_stored", counted)
-        series = FourierSeries1D(const=0.0, cos_coeffs={1: 1e-6})
-        rep = classify(AbstractProfile(
-            kappa=series, k_bound=CurvatureProfile.from_series(series).k_bound))
-        assert rep.verdict == "Inconclusive" and rep.orbits[0].conjugate_time is None
-        assert len(reads) == 2
-        for batches in reads.values():
-            read = np.concatenate(batches)
-            assert len(batches) > 20 and read[-1] > 1e5
-            assert np.all(np.diff(read) > 0.0)
+        z = jacobi._first_root(prop, 0.0, 1.0, math.inf)
+        assert 707789 * prop.period < z <= 707790 * prop.period
+        ends = np.concatenate([seg[0].t[1:] for seg in prop._segs[1:-1]])
+        read = np.concatenate([t for t in reads if t.size > 1])
+        assert read.size == 8 * ends.size
+        taus = read - np.floor(read / prop.period) * prop.period
+        assert np.all(np.min(np.abs(taus[:, None] - np.r_[0.0, ends, prop.period]),
+                             axis=1) < 1e-8 * np.maximum(read, 1.0))
+        assert sum(t.size == 1 for t in reads) < 100
 
-    def test_a_resumed_scan_finds_the_zero_of_a_scan_from_zero(self):
-        # the zero of Z at t = 104.6888663 lies just past the horizon 104.688,
-        # between two knots: the scan resumed there brackets it by those
-        # knots, as a scan from zero does, so Brent's method returns its root
+    def test_horizons_short_of_a_far_zero_read_none(self):
+        # the zero of Z at t = 104.6888663, in period 16, lies just past the
+        # horizon 104.688, between two knots of the predicted window: a
+        # horizon short of it reads None, and a longer one the root that a
+        # read of every period brackets
         series = FourierSeries1D(const=0.0009, cos_coeffs={1: 0.001})
         fresh = jacobi.propagator(CurvatureProfile.from_series(series))
-        z = jacobi._first_root(fresh, 0.0, 1.0, 0.0, 160.0)
+        z = jacobi._first_root(fresh, 0.0, 1.0, 160.0)
         assert z == pytest.approx(104.68886630640438, rel=1e-12)
-        resumed = jacobi.propagator(CurvatureProfile.from_series(series))
-        assert [resumed.first_zero_of_z(r) for r in (50.0, 104.688)] == [None, None]
-        assert resumed.first_zero_of_z(160.0) == z
+        assert z == _every_period_root(fresh, 0.0, 1.0, 160.0)
+        prop = jacobi.propagator(CurvatureProfile.from_series(series))
+        assert [prop.first_zero_of_z(r) for r in (50.0, 104.688)] == [None, None]
+        assert prop.first_zero_of_z(160.0) == z
+
+
+def _every_period_root(prop, v, d, horizon):
+    """The first zero on (0, horizon] of J = v A + d Z of a periodic
+    propagator, read at every knot n T + tau up to the horizon (tau a step
+    end of the period) and refined by Brent's method as ``_first_root``
+    refines it: the reference for the window that Floquet predicts."""
+    prop.segment(math.inf)
+    taus = np.concatenate([seg[0].t[1:] for seg in prop._segs[1:-1]])
+    ts = (np.arange(math.ceil(horizon / prop.period))[:, None] * prop.period + taus).ravel()
+    ts = np.append(ts[ts < horizon], horizon)
+    (a, _da, z, _dz), e = prop._stored(ts)
+    below = np.flatnonzero(v * a + d * z <= 0.0)
+    if below.size == 0:
+        return None
+    i = below[0]
+    lo, hi, scale = (ts[i - 1] if i else 0.0), ts[i], int(e[i])
+
+    def g(t):
+        (a, _da, z, _dz), e = prop._stored(np.array([t]))
+        return math.ldexp(float(v * a[0] + d * z[0]), int(e[0]) - scale)
+
+    return hi if g(hi) == 0.0 else jacobi._brent(g, float(lo), float(hi), 1e-12 * hi)
+
+
+class TestFloquetZero:
+    """Past 2T the zero scan reads the period that Floquet's closed form
+    predicts from the monodromy's trace (``jacobi._predict``), decided only
+    outside the margin JACOBI_TOL (|A(T)| + |Z'(T)|)."""
+
+    @pytest.mark.parametrize("eps, bound", [
+        (1e-3, 1e-5), (1e-4, 1e-5), (1e-5, 1e-5),
+        # the trace's error amplified by 1 / (2 - tr M), about 2e-11 here
+        (1e-6, 2e-3)])
+    def test_small_cosine_is_mathieu_at_a_zero(self, eps, bound):
+        # kappa = eps cos t is Mathieu's equation with a = 0, q = -2 eps: its
+        # mean curvature is eps**2 / 2, so eps t* tends to sqrt(2) pi
+        p = CurvatureProfile.from_series(FourierSeries1D(const=0.0, cos_coeffs={1: eps}))
+        t = first_zero(p, math.inf)
+        assert eps * t == pytest.approx(math.sqrt(2.0) * math.pi, rel=bound)
+
+    def test_nearly_constant_profile(self):
+        p = CurvatureProfile.from_series(FourierSeries1D(const=1e-12, cos_coeffs={1: 1e-20}))
+        assert first_zero(p, math.inf) == pytest.approx(math.pi / 1e-6, rel=1e-9)
+
+    def test_window_matches_a_read_of_every_period(self):
+        # Z and the Riccati solutions J = A + u0 Z, on elliptic profiles with
+        # a small mean and on hyperbolic ones, u0 down to 1e-9 below the
+        # stable slope included: the same root, bit for bit
+        rng = rng_for("floquet-window")
+        cases = []
+        for _ in range(12):
+            c0 = 10.0 ** rng.uniform(-3.5, -2.0)
+            series = FourierSeries1D(const=c0, omega=rng.uniform(0.5, 2.0),
+                                     cos_coeffs={1: c0 * rng.uniform(-1.0, 1.0)},
+                                     sin_coeffs={2: c0 * rng.uniform(-0.5, 0.5)})
+            p = CurvatureProfile.from_series(series)
+            cases += [(p, 0.0, 1.0)] + [(p, 1.0, u0) for u0 in rng.uniform(-0.02, 0.5, 3)]
+        for _ in range(12):
+            p = hyperbolic_profile(rng)
+            stable = jacobi.floquet(p).stable
+            cases += [(p, 1.0, stable - du * max(1.0, abs(stable)))
+                      for du in (1e-9, 10.0 ** rng.uniform(-8.0, 0.0))]
+        found = 0
+        for p, v, d in cases:
+            prop = jacobi.propagator(p)
+            for horizon in prop.period * rng.uniform(2.0, 50.0, 2):
+                z = jacobi._first_root(prop, v, d, horizon)
+                assert z == _every_period_root(prop, v, d, horizon)
+                found += z is not None and z > 2.0 * prop.period
+        assert found > 60
+
+    def test_mathieu_just_past_a0(self):
+        # q = 0.1, a = a0(q) + da: tr M = 2 - O(da), so the first conjugate
+        # time scales as 1 / sqrt(da); at da = 1e-10 it lies 1e5 periods out
+        q = 0.1
+        scaled = []
+        for da in (1e-4, 1e-6, 1e-8, 1e-10):
+            rep = _mathieu_classify(_mathieu_a0(q) + da, q)
+            assert rep.verdict == "NotAnosov"
+            scaled.append(rep.orbits[0].conjugate_time * math.sqrt(da))
+        assert max(scaled) - min(scaled) < 1e-3 * min(scaled)
+
+    def test_margin_keeps_a_noisy_trace_undecided(self, monkeypatch):
+        # tr M - 2 reads -1.34e-13 where it is +3.9e-15 (hyperbolic, |c| T**2):
+        # inside the margin the scan raises the typed error, which names the
+        # trace; with no margin it reports a conjugate point that is not there
+        series = FourierSeries1D(const=-1e-16, cos_coeffs={1: 1e-12}, sin_coeffs={2: 5e-13})
+        rep = _series_classify(series)
+        assert rep.verdict == "Inconclusive"
+        assert rep.orbits[0].error.startswith(
+            "NumericalInconsistencyError: the monodromy (tr M = 1.99999999999")
+        predict = jacobi._predict
+
+        def no_margin(prop, j):
+            with monkeypatch.context() as m:
+                m.setattr(jacobi, "JACOBI_TOL", 0.0)
+                return predict(prop, j)
+
+        monkeypatch.setattr(jacobi, "_predict", no_margin)
+        assert _series_classify(series).verdict == "NotAnosov"
+
+    def test_nonpositive_ceiling_has_no_conjugate_point(self):
+        # K+ <= 0 excludes a zero at every horizon, the infinite one included
+        # (K+ * inf**2 is NaN at K+ = 0); -1e-20 + 1e-21 cos t reads tr M = 2
+        # exactly, so the monodromy decides neither slopes nor a zero
+        series = FourierSeries1D(const=-1e-20, cos_coeffs={1: 1e-21})
+        p = CurvatureProfile.from_series(series)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert first_zero(p, math.inf) is None
+            assert first_zero(P_ZERO, math.inf) is None
+        assert jacobi.floquet(p) is None
+        rep = _series_classify(series)
+        assert rep.verdict == "Inconclusive" and rep.orbits[0].conjugate_time is None
+        assert rep.orbits[0].error.startswith("NumericalInconsistencyError")
+
+    @pytest.mark.parametrize("shift", [-3, 3])
+    def test_a_shifted_prediction_is_caught(self, monkeypatch, shift):
+        # a window three periods early shows no sign change, and one three
+        # periods late reads J <= 0 in its first period: the orbit records
+        # the typed error and no other zero
+        predict = jacobi._predict
+
+        def shifted(prop, j):
+            n, taus, trace = predict(prop, j)
+            return n + shift, taus, trace
+
+        monkeypatch.setattr(jacobi, "_predict", shifted)
+        rep = _series_classify(FourierSeries1D(const=0.0, cos_coeffs={1: 1e-3}))
+        assert rep.verdict == "Inconclusive"
+        assert rep.orbits[0].conjugate_time is None
+        assert rep.orbits[0].error.startswith(
+            "NumericalInconsistencyError: the reads of periods %d to %d do not confirm"
+            % (705 + shift, 708 + shift))
 
 
 def _solution(p, bs):
@@ -833,10 +951,18 @@ def _mathieu_trace(a: float, q: float) -> float:
     return math.ldexp(m_a + m_dz, e)
 
 
-def _mathieu_classify(a: float, q: float):
-    series = _mathieu(a, q)
+def _mathieu_a0(q: float) -> float:
+    """The first stability boundary a0(q) (Abramowitz and Stegun 20.2.25)."""
+    return -q**2 / 2 + 7 * q**4 / 128 - 29 * q**6 / 2304 + 68687 * q**8 / 18874368
+
+
+def _series_classify(series: FourierSeries1D):
     return classify(AbstractProfile(kappa=series,
                                     k_bound=CurvatureProfile.from_series(series).k_bound))
+
+
+def _mathieu_classify(a: float, q: float):
+    return _series_classify(_mathieu(a, q))
 
 
 class TestMathieu:
@@ -857,7 +983,7 @@ class TestMathieu:
         # (1.2e-16 and 1.2e-13); q = 0.2: the next term, 123707 q**10/104857600
         (0.05, 6e-14), (0.1, 6e-14), (0.2, 1.21e-10)])
     def test_a0_series(self, q, bound):
-        a0 = -q**2 / 2 + 7 * q**4 / 128 - 29 * q**6 / 2304 + 68687 * q**8 / 18874368
+        a0 = _mathieu_a0(q)
         assert abs(self._boundary(q, 1, a0 - 1e-3, a0 + 1e-3) - a0) < bound
 
     def test_tongue_boundaries(self):
