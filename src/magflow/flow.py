@@ -4,8 +4,12 @@ A unit tangent vector is stored as (x, y, theta): a point in a chart of
 the surface and the frame angle of the velocity there. A chart model
 supplies its orbit equations as a right-hand side on that triple and its
 deck step, which brings a state back into the fundamental domain;
-``integrate_orbit`` runs them through one Dormand-Prince loop, whatever
-the surface. A ``CurvatureProfile`` is the curvature kappa read along one
+``integrate_orbit`` runs them through one DOP853 loop (``_integrate``),
+whatever the surface, and reads its samples from the 7th-order dense
+output. This module holds what that loop shares with the Jacobi launches
+of ``jacobi``: the written-out weights of the one tableau, ``_dop853``, the
+one step controller (``_first_step``, ``_march``) and the one dense-output
+type (``_Run``). A ``CurvatureProfile`` is the curvature kappa read along one
 orbit as a function of time, which is all the Jacobi layer sees of the
 surface.
 """
@@ -13,19 +17,22 @@ surface.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
+from . import _dop853
 from .errors import InsufficientDataError, IntegrationFailure
 from .fourier import FourierSeries1D
 
 DEFAULT_TOL = 1e-10
 SAMPLE_DT = 0.01
-# right-hand-side evaluations one orbit integration may spend: the RK45 step
-# shrinks like 1/|b|, so a strong field would otherwise run without end. A
-# horizon-200 orbit of the benchmark torus takes at most ~32,000.
+# right-hand-side evaluations one orbit integration may spend, the dense
+# output's included: the DOP853 step shrinks like 1/|b|, so a strong field
+# would otherwise run without end. A horizon-200 orbit of the benchmark
+# torus takes at most ~26,000.
 ORBIT_NFEV_BUDGET = 500_000
 # added under the square root of every k_bound read from a minimum
 K_MARGIN = 1e-9
@@ -74,46 +81,89 @@ class OrbitTrace:
                 fh.write("\r\n")
 
 
-# The Dormand-Prince 5(4) pair (J. Comput. Appl. Math. 6 (1980) 19) with the
-# coefficients, step control and 4th-order dense output of scipy's RK45
-# (Shampine, Math. Comp. 46 (1986) 135). The orbit equations are autonomous,
-# so the nodes c_i never enter. The second stage has weight zero in the
-# solution, the error estimate and the dense output, so it is left out of
-# those sums.
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
-                                -5103 / 18656)
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (-71 / 57600, 71 / 16695, -71 / 1920,
-                                17253 / 339200, -22 / 525, 1 / 40)
-# dense output y(t + x h) = y + h * sum_r Q_r x**(r + 1), Q = K^T P; the rows
-# of P for stages 1, 3, 4, 5, 6, 7
-_P = np.array([
-    [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
-     -12715105075 / 11282082432],
-    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
-     87487479700 / 32700410799],
-    [0, -1754552775 / 470086768, 14199869525 / 1410260304,
-     -10690763975 / 1880347072],
-    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
-     701980252875 / 199316789632],
-    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
+# The Dormand-Prince 8(5,3) pair with its 7th-order dense output (Hairer,
+# Norsett and Wanner, Solving ODEs I, sec. II.5-II.6), read from ``_dop853``,
+# a literal copy of the module scipy's DOP853 reads: the one tableau of both
+# loops, the orbits' (``_integrate``) and the Jacobi launches'
+# (``jacobi._launch``). Row s of A weights stages 0..s-1 for stage s; stage
+# 12 is the derivative at the step end, its row the 8th-order weights B, and
+# stages 13-15 feed the dense output only. The written-out stage sums read
+# the nonzero weights alone: _A<s>_<i> of rows 1-11 and 13-15 of A (column 1
+# of rows 3-15 and column 2 of rows 5-15 are zero), and _B<i>, _E5_<i> and
+# _E3_<i> of B, E5 and E3, which weight none of stages 1-4 and, for E5 and
+# E3, not stage 12. Nor does the dense output, so an orbit step keeps
+# stages 0 and 5-15 alone (_DENSE_STAGES).
+((_A1_0,), (_A2_0, _A2_1), (_A3_0, _A3_2), (_A4_0, _A4_2, _A4_3),
+ (_A5_0, _A5_3, _A5_4), (_A6_0, _A6_3, _A6_4, _A6_5),
+ (_A7_0, _A7_3, _A7_4, _A7_5, _A7_6), (_A8_0, _A8_3, _A8_4, _A8_5, _A8_6, _A8_7),
+ (_A9_0, _A9_3, _A9_4, _A9_5, _A9_6, _A9_7, _A9_8),
+ (_A10_0, _A10_3, _A10_4, _A10_5, _A10_6, _A10_7, _A10_8, _A10_9),
+ (_A11_0, _A11_3, _A11_4, _A11_5, _A11_6, _A11_7, _A11_8, _A11_9, _A11_10),
+ (_B0, _B5, _B6, _B7, _B8, _B9, _B10, _B11),
+ (_A13_0, _A13_6, _A13_7, _A13_8, _A13_9, _A13_10, _A13_11, _A13_12),
+ (_A14_0, _A14_5, _A14_6, _A14_7, _A14_10, _A14_11, _A14_12, _A14_13),
+ (_A15_0, _A15_5, _A15_6, _A15_7, _A15_8, _A15_12, _A15_13, _A15_14)) = [
+    [w for w in row[:s] if w != 0.0] for s, row in enumerate(_dop853.A.tolist()[1:], 1)]
+((_E5_0, _E5_5, _E5_6, _E5_7, _E5_8, _E5_9, _E5_10, _E5_11),
+ (_E3_0, _E3_5, _E3_6, _E3_7, _E3_8, _E3_9, _E3_10, _E3_11)) = [
+    [w for w in v.tolist() if w != 0.0] for v in (_dop853.E5, _dop853.E3)]
+_DENSE_STAGES = [0, *range(5, 16)]
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-_SQRT3 = math.sqrt(3)
 
 
 def _rms(v) -> float:
     return math.sqrt(sum(x * x for x in v)) / math.sqrt(len(v))
 
 
-# One step control for both Dormand-Prince loops, the orbits' (_rk45) and
-# the Jacobi launches' (jacobi._launch). It is scipy's, which apart from the
-# order of the error estimator does not depend on the tableau (Hairer,
-# Norsett and Wanner, Solving ODEs I, sec. II.4).
+@dataclass(frozen=True)
+class _Run:
+    """One dense DOP853 run: the step ends ``t`` in integration order, the
+    states ``y`` there (shape (n, steps + 1)), the dense-output coefficients
+    ``F`` of every step (shape (7, n, steps)), ``nfev``, the right-hand-side
+    evaluations spent, and the rejected step attempts."""
+
+    t: np.ndarray
+    y: np.ndarray
+    F: np.ndarray
+    nfev: int
+    rejected: int
+
+    @staticmethod
+    def dense(t, y, k, nfev: int, rejected: int) -> "_Run":
+        """The run with step ends t, states y and the 16 stage derivatives
+        k of every accepted step (shape (16, n, steps)), its coefficients
+        scipy's (dy, h f_old - dy, 2 dy - h (f_old + f_new), h D K), h being
+        each step's t_new - t as the loop took it."""
+        h = np.diff(t)
+        dy = y[:, 1:] - y[:, :-1]
+        F = np.concatenate([[dy, h * k[0] - dy, 2 * dy - h * (k[12] + k[0])],
+                            h * np.tensordot(_dop853.D, k, 1)])
+        return _Run(t, y, F, nfev, rejected)
+
+    def sol(self, ts) -> np.ndarray:
+        """The state at the time ts (shape (n,)) or times ts (shape (n, m)).
+
+        Each time is read from the step that ends at or after it in the
+        direction of integration, by Horner's rule in x and 1 - x on the
+        step's coefficients, as scipy's ``Dop853DenseOutput`` does; a time
+        on a step end reads that end state."""
+        tq = np.atleast_1d(np.asarray(ts, dtype=float))
+        d = 1.0 if self.t[-1] >= self.t[0] else -1.0
+        i = np.minimum(np.searchsorted(d * self.t[1:], d * tq), self.F.shape[2] - 1)
+        t0, t1 = self.t[i], self.t[i + 1]
+        x = (tq - t0) / (t1 - t0)
+        powers = (x, 1.0 - x)
+        out = self.F[6][:, i] * x
+        for j in range(5, -1, -1):
+            out += self.F[j][:, i]
+            out *= powers[j % 2]
+        out = np.where(tq == t1, self.y[:, i + 1], out + self.y[:, i])
+        return out[:, 0] if np.ndim(ts) == 0 else out
+
+
+# One step control for both loops. It is scipy's, which apart from the order
+# of the error estimator does not depend on the tableau (Hairer, Norsett and
+# Wanner, Solving ODEs I, sec. II.4).
 
 def _first_step(rate: Callable, t: float, y: list, f: list, span: float,
                 order: int, tol: float) -> float:
@@ -137,22 +187,22 @@ def _first_step(rate: Callable, t: float, y: list, f: list, span: float,
 
 
 def _march(attempt: Callable, keep: Callable, t: float, t_end: float, y: list,
-           f: list, h_abs: float, nfev: int, cost: int, budget: int, order: int,
-           what: str) -> tuple:
+           f: list, h_abs: float, nfev: int, cost: int, keep_cost: int,
+           budget: int, order: int, what: str) -> tuple:
     """Step from the state y (derivative f) at t to t_end, in either
     direction, starting with the step size h_abs.
 
     ``attempt(t, y, f, h)`` takes one step of signed size h and returns
     (y_new, f_new, err, stages), err being the error norm against the
     tolerance; each attempt costs ``cost`` evaluations. ``keep(t_new,
-    y_new, stages)`` stores an accepted step. A step is accepted at
-    err < 1, and the next one is scaled by 0.9 * err**(-1/(order + 1))
-    clipped to [0.2, 10], with no growth right after a rejection. Raises
-    ``IntegrationFailure``, its message beginning with ``what``, when the
-    step falls below 10 float spacings of t, at the first non-finite error
-    estimate, or before an attempt would take the evaluations past
-    ``budget``. Returns the evaluations spent, nfev included, and the
-    number of rejected attempts.
+    y_new, stages)`` stores an accepted step and costs ``keep_cost``. A
+    step is accepted at err < 1, and the next one is scaled by
+    0.9 * err**(-1/(order + 1)) clipped to [0.2, 10], with no growth right
+    after a rejection. Raises ``IntegrationFailure``, its message beginning
+    with ``what``, when the step falls below 10 float spacings of t, at the
+    first non-finite error estimate, or before an attempt and its keeping
+    would take the evaluations past ``budget``. Returns the evaluations
+    spent, nfev included, and the number of rejected attempts.
     """
     d = -1.0 if t_end < t else 1.0
     exponent, rejected = -1 / (order + 1), 0
@@ -165,7 +215,7 @@ def _march(attempt: Callable, keep: Callable, t: float, t_end: float, y: list,
                 raise IntegrationFailure(
                     "%s integration failed: the step size fell below the "
                     "spacing of floats at t = %.6g" % (what, t), last_time=t)
-            if nfev + cost > budget:
+            if nfev + cost + keep_cost > budget:
                 raise IntegrationFailure(
                     "%s integration exceeded %d right-hand-side evaluations at "
                     "t = %.6g" % (what, budget, t), last_time=t)
@@ -189,87 +239,148 @@ def _march(attempt: Callable, keep: Callable, t: float, t_end: float, y: list,
             after_rejection = True
             rejected += 1
         keep(t_new, y_new, stages)
+        nfev += keep_cost
         t, y, f = t_new, y_new, f_new
     return nfev, rejected
 
 
-def _rk45(f: Callable, y0, t_end: float, t_eval: np.ndarray, tol: float):
-    """Integrate the autonomous system (x, y, theta)' = f(x, y, theta) from
-    y0 at time 0 to t_end and read it at the increasing times ``t_eval`` in
-    [0, t_end].
+def _integrate(f: Callable, y0, t_end: float, tol: float) -> _Run:
+    """One dense DOP853 run of the autonomous system (x, y, theta)' =
+    f(x, y, theta) from y0 at time 0 to t_end > 0.
 
     ``f`` maps three floats to a 3-tuple of floats. The step control is
-    scipy's RK45 with rtol = atol = tol, run by ``_first_step`` and
-    ``_march`` for an error estimator of order 4; the error norm is the RMS
-    norm scaled by tol + tol * max(|y|, |y_new|). The stage sums, the update
-    and the error estimate are written out per component on Python floats,
-    so the results agree with scipy's to roundoff, not bitwise. Fails as
-    ``_march`` does, the budget being ``ORBIT_NFEV_BUDGET``. Returns the
-    samples, shape (3, len(t_eval)), and the step statistics.
+    scipy's DOP853 with rtol = atol = tol, run by ``_first_step`` and
+    ``_march`` for an error estimator of order 7, and its error norm is
+    scipy's, with the scale tol + tol * max(|y|, |y_new|). The stage sums,
+    the update, the error terms and the three dense-output stages of each
+    accepted step are written out per component on Python floats over the
+    tableau's nonzero weights, so the results agree with scipy's to
+    roundoff, not bitwise. f is called twice for the first step, 12 times
+    per step attempt and 3 times per accepted step, and the run fails as
+    ``_march`` does, the budget being ``ORBIT_NFEV_BUDGET``.
     """
     y = [float(v) for v in y0]
-    k1 = f(*y)
-    h_abs = _first_step(lambda t, v: f(*v), 0.0, y, k1, t_end, 4, tol)
+    k0 = f(*y)
+    h_abs = _first_step(lambda t, v: f(*v), 0.0, y, k0, t_end, 7, tol)
 
-    def attempt(t, state, k1, h):
-        # (u_j, v_j, w_j) is the slope of stage j; each component's sum keeps
-        # the operation order and association of the stage-vector form, so
-        # the steps are bitwise those of a loop over the components
+    def attempt(t, state, k0, h):
+        # (u_s, v_s, w_s) is the slope of stage s; each component's sum keeps
+        # the operation order and association of the stage-vector form
         x, y, th = state
-        u1, v1, w1 = k1
-        u2, v2, w2 = f(x + (_A21 * u1) * h, y + (_A21 * v1) * h,
-                       th + (_A21 * w1) * h)
-        k3 = u3, v3, w3 = f(x + (_A31 * u1 + _A32 * u2) * h,
-                            y + (_A31 * v1 + _A32 * v2) * h,
-                            th + (_A31 * w1 + _A32 * w2) * h)
-        k4 = u4, v4, w4 = f(x + (_A41 * u1 + _A42 * u2 + _A43 * u3) * h,
-                            y + (_A41 * v1 + _A42 * v2 + _A43 * v3) * h,
-                            th + (_A41 * w1 + _A42 * w2 + _A43 * w3) * h)
-        k5 = u5, v5, w5 = f(x + (_A51 * u1 + _A52 * u2 + _A53 * u3 + _A54 * u4) * h,
-                            y + (_A51 * v1 + _A52 * v2 + _A53 * v3 + _A54 * v4) * h,
-                            th + (_A51 * w1 + _A52 * w2 + _A53 * w3 + _A54 * w4) * h)
-        k6 = u6, v6, w6 = f(
-            x + (_A61 * u1 + _A62 * u2 + _A63 * u3 + _A64 * u4 + _A65 * u5) * h,
-            y + (_A61 * v1 + _A62 * v2 + _A63 * v3 + _A64 * v4 + _A65 * v5) * h,
-            th + (_A61 * w1 + _A62 * w2 + _A63 * w3 + _A64 * w4 + _A65 * w5) * h)
-        xn = x + h * (_B1 * u1 + _B3 * u3 + _B4 * u4 + _B5 * u5 + _B6 * u6)
-        yn = y + h * (_B1 * v1 + _B3 * v3 + _B4 * v4 + _B5 * v5 + _B6 * v6)
-        thn = th + h * (_B1 * w1 + _B3 * w3 + _B4 * w4 + _B5 * w5 + _B6 * w6)
-        k7 = u7, v7, w7 = f(xn, yn, thn)
-        ex = ((_E1 * u1 + _E3 * u3 + _E4 * u4 + _E5 * u5 + _E6 * u6 + _E7 * u7)
-              * h / (tol + max(abs(x), abs(xn)) * tol))
-        ey = ((_E1 * v1 + _E3 * v3 + _E4 * v4 + _E5 * v5 + _E6 * v6 + _E7 * v7)
-              * h / (tol + max(abs(y), abs(yn)) * tol))
-        et = ((_E1 * w1 + _E3 * w3 + _E4 * w4 + _E5 * w5 + _E6 * w6 + _E7 * w7)
-              * h / (tol + max(abs(th), abs(thn)) * tol))
-        # _rms written out: sum sees the same three squares in the same
-        # order, so the norm is bitwise _rms's, also under the compensated
-        # float sum of Python 3.12
-        err = math.sqrt(sum((ex * ex, ey * ey, et * et))) / _SQRT3
-        return (xn, yn, thn), k7, err, (t, h, x, y, th, u1, v1, w1, u3, v3, w3,
-                                        u4, v4, w4, u5, v5, w5, u6, v6, w6,
-                                        u7, v7, w7)
+        u0, v0, w0 = k0
+        u1, v1, w1 = f(x + (_A1_0 * u0) * h, y + (_A1_0 * v0) * h, th + (_A1_0 * w0) * h)
+        u2, v2, w2 = f(x + (_A2_0 * u0 + _A2_1 * u1) * h, y + (_A2_0 * v0 + _A2_1 * v1) * h,
+                       th + (_A2_0 * w0 + _A2_1 * w1) * h)
+        u3, v3, w3 = f(x + (_A3_0 * u0 + _A3_2 * u2) * h, y + (_A3_0 * v0 + _A3_2 * v2) * h,
+                       th + (_A3_0 * w0 + _A3_2 * w2) * h)
+        u4, v4, w4 = f(x + (_A4_0 * u0 + _A4_2 * u2 + _A4_3 * u3) * h,
+                       y + (_A4_0 * v0 + _A4_2 * v2 + _A4_3 * v3) * h,
+                       th + (_A4_0 * w0 + _A4_2 * w2 + _A4_3 * w3) * h)
+        u5, v5, w5 = f(x + (_A5_0 * u0 + _A5_3 * u3 + _A5_4 * u4) * h,
+                       y + (_A5_0 * v0 + _A5_3 * v3 + _A5_4 * v4) * h,
+                       th + (_A5_0 * w0 + _A5_3 * w3 + _A5_4 * w4) * h)
+        u6, v6, w6 = f(x + (_A6_0 * u0 + _A6_3 * u3 + _A6_4 * u4 + _A6_5 * u5) * h,
+                       y + (_A6_0 * v0 + _A6_3 * v3 + _A6_4 * v4 + _A6_5 * v5) * h,
+                       th + (_A6_0 * w0 + _A6_3 * w3 + _A6_4 * w4 + _A6_5 * w5) * h)
+        u7, v7, w7 = f(
+            x + (_A7_0 * u0 + _A7_3 * u3 + _A7_4 * u4 + _A7_5 * u5 + _A7_6 * u6) * h,
+            y + (_A7_0 * v0 + _A7_3 * v3 + _A7_4 * v4 + _A7_5 * v5 + _A7_6 * v6) * h,
+            th + (_A7_0 * w0 + _A7_3 * w3 + _A7_4 * w4 + _A7_5 * w5 + _A7_6 * w6) * h)
+        u8, v8, w8 = f(
+            x + (_A8_0 * u0 + _A8_3 * u3 + _A8_4 * u4 + _A8_5 * u5 + _A8_6 * u6
+                 + _A8_7 * u7) * h,
+            y + (_A8_0 * v0 + _A8_3 * v3 + _A8_4 * v4 + _A8_5 * v5 + _A8_6 * v6
+                 + _A8_7 * v7) * h,
+            th + (_A8_0 * w0 + _A8_3 * w3 + _A8_4 * w4 + _A8_5 * w5 + _A8_6 * w6
+                  + _A8_7 * w7) * h)
+        u9, v9, w9 = f(
+            x + (_A9_0 * u0 + _A9_3 * u3 + _A9_4 * u4 + _A9_5 * u5 + _A9_6 * u6
+                 + _A9_7 * u7 + _A9_8 * u8) * h,
+            y + (_A9_0 * v0 + _A9_3 * v3 + _A9_4 * v4 + _A9_5 * v5 + _A9_6 * v6
+                 + _A9_7 * v7 + _A9_8 * v8) * h,
+            th + (_A9_0 * w0 + _A9_3 * w3 + _A9_4 * w4 + _A9_5 * w5 + _A9_6 * w6
+                  + _A9_7 * w7 + _A9_8 * w8) * h)
+        u10, v10, w10 = f(
+            x + (_A10_0 * u0 + _A10_3 * u3 + _A10_4 * u4 + _A10_5 * u5 + _A10_6 * u6
+                 + _A10_7 * u7 + _A10_8 * u8 + _A10_9 * u9) * h,
+            y + (_A10_0 * v0 + _A10_3 * v3 + _A10_4 * v4 + _A10_5 * v5 + _A10_6 * v6
+                 + _A10_7 * v7 + _A10_8 * v8 + _A10_9 * v9) * h,
+            th + (_A10_0 * w0 + _A10_3 * w3 + _A10_4 * w4 + _A10_5 * w5 + _A10_6 * w6
+                  + _A10_7 * w7 + _A10_8 * w8 + _A10_9 * w9) * h)
+        u11, v11, w11 = f(
+            x + (_A11_0 * u0 + _A11_3 * u3 + _A11_4 * u4 + _A11_5 * u5 + _A11_6 * u6
+                 + _A11_7 * u7 + _A11_8 * u8 + _A11_9 * u9 + _A11_10 * u10) * h,
+            y + (_A11_0 * v0 + _A11_3 * v3 + _A11_4 * v4 + _A11_5 * v5 + _A11_6 * v6
+                 + _A11_7 * v7 + _A11_8 * v8 + _A11_9 * v9 + _A11_10 * v10) * h,
+            th + (_A11_0 * w0 + _A11_3 * w3 + _A11_4 * w4 + _A11_5 * w5 + _A11_6 * w6
+                  + _A11_7 * w7 + _A11_8 * w8 + _A11_9 * w9 + _A11_10 * w10) * h)
+        xn = x + h * (_B0 * u0 + _B5 * u5 + _B6 * u6 + _B7 * u7 + _B8 * u8
+                      + _B9 * u9 + _B10 * u10 + _B11 * u11)
+        yn = y + h * (_B0 * v0 + _B5 * v5 + _B6 * v6 + _B7 * v7 + _B8 * v8
+                      + _B9 * v9 + _B10 * v10 + _B11 * v11)
+        thn = th + h * (_B0 * w0 + _B5 * w5 + _B6 * w6 + _B7 * w7 + _B8 * w8
+                        + _B9 * w9 + _B10 * w10 + _B11 * w11)
+        k12 = u12, v12, w12 = f(xn, yn, thn)
+        sc = tol + max(abs(x), abs(xn)) * tol
+        x5 = (_E5_0 * u0 + _E5_5 * u5 + _E5_6 * u6 + _E5_7 * u7 + _E5_8 * u8
+              + _E5_9 * u9 + _E5_10 * u10 + _E5_11 * u11) / sc
+        x3 = (_E3_0 * u0 + _E3_5 * u5 + _E3_6 * u6 + _E3_7 * u7 + _E3_8 * u8
+              + _E3_9 * u9 + _E3_10 * u10 + _E3_11 * u11) / sc
+        sc = tol + max(abs(y), abs(yn)) * tol
+        y5 = (_E5_0 * v0 + _E5_5 * v5 + _E5_6 * v6 + _E5_7 * v7 + _E5_8 * v8
+              + _E5_9 * v9 + _E5_10 * v10 + _E5_11 * v11) / sc
+        y3 = (_E3_0 * v0 + _E3_5 * v5 + _E3_6 * v6 + _E3_7 * v7 + _E3_8 * v8
+              + _E3_9 * v9 + _E3_10 * v10 + _E3_11 * v11) / sc
+        sc = tol + max(abs(th), abs(thn)) * tol
+        t5 = (_E5_0 * w0 + _E5_5 * w5 + _E5_6 * w6 + _E5_7 * w7 + _E5_8 * w8
+              + _E5_9 * w9 + _E5_10 * w10 + _E5_11 * w11) / sc
+        t3 = (_E3_0 * w0 + _E3_5 * w5 + _E3_6 * w6 + _E3_7 * w7 + _E3_8 * w8
+              + _E3_9 * w9 + _E3_10 * w10 + _E3_11 * w11) / sc
+        e5, e3 = x5 * x5 + y5 * y5 + t5 * t5, x3 * x3 + y3 * y3 + t3 * t3
+        err = 0.0 if e5 == 0 and e3 == 0 else abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * 3)
+        return (xn, yn, thn), k12, err, (h, x, y, th, u0, v0, w0, u5, v5, w5, u6, v6, w6,
+                                         u7, v7, w7, u8, v8, w8, u9, v9, w9, u10, v10, w10,
+                                         u11, v11, w11, u12, v12, w12)
 
-    ends, steps = [], []
+    # per accepted step: its end time and end state, and the slopes of
+    # stages 0 and 5-15 as packed doubles
+    ts, ys, ks = [0.0], array("d", y), array("d")
 
-    def keep(t_new, y_new, step):
-        ends.append(t_new)
-        steps.append(step)
+    def keep(t_new, y_new, stages):
+        (h, x, y, th, u0, v0, w0, u5, v5, w5, u6, v6, w6, u7, v7, w7, u8, v8, w8,
+         u9, v9, w9, u10, v10, w10, u11, v11, w11, u12, v12, w12) = stages
+        u13, v13, w13 = f(
+            x + (_A13_0 * u0 + _A13_6 * u6 + _A13_7 * u7 + _A13_8 * u8 + _A13_9 * u9
+                 + _A13_10 * u10 + _A13_11 * u11 + _A13_12 * u12) * h,
+            y + (_A13_0 * v0 + _A13_6 * v6 + _A13_7 * v7 + _A13_8 * v8 + _A13_9 * v9
+                 + _A13_10 * v10 + _A13_11 * v11 + _A13_12 * v12) * h,
+            th + (_A13_0 * w0 + _A13_6 * w6 + _A13_7 * w7 + _A13_8 * w8 + _A13_9 * w9
+                  + _A13_10 * w10 + _A13_11 * w11 + _A13_12 * w12) * h)
+        u14, v14, w14 = f(
+            x + (_A14_0 * u0 + _A14_5 * u5 + _A14_6 * u6 + _A14_7 * u7 + _A14_10 * u10
+                 + _A14_11 * u11 + _A14_12 * u12 + _A14_13 * u13) * h,
+            y + (_A14_0 * v0 + _A14_5 * v5 + _A14_6 * v6 + _A14_7 * v7 + _A14_10 * v10
+                 + _A14_11 * v11 + _A14_12 * v12 + _A14_13 * v13) * h,
+            th + (_A14_0 * w0 + _A14_5 * w5 + _A14_6 * w6 + _A14_7 * w7 + _A14_10 * w10
+                  + _A14_11 * w11 + _A14_12 * w12 + _A14_13 * w13) * h)
+        u15, v15, w15 = f(
+            x + (_A15_0 * u0 + _A15_5 * u5 + _A15_6 * u6 + _A15_7 * u7 + _A15_8 * u8
+                 + _A15_12 * u12 + _A15_13 * u13 + _A15_14 * u14) * h,
+            y + (_A15_0 * v0 + _A15_5 * v5 + _A15_6 * v6 + _A15_7 * v7 + _A15_8 * v8
+                 + _A15_12 * v12 + _A15_13 * v13 + _A15_14 * v14) * h,
+            th + (_A15_0 * w0 + _A15_5 * w5 + _A15_6 * w6 + _A15_7 * w7 + _A15_8 * w8
+                  + _A15_12 * w12 + _A15_13 * w13 + _A15_14 * w14) * h)
+        ts.append(t_new)
+        ys.extend(y_new)
+        ks.extend(stages[4:])
+        ks.extend((u13, v13, w13, u14, v14, w14, u15, v15, w15))
 
-    nfev, rejected = _march(attempt, keep, 0.0, t_end, y, k1, h_abs, 2, 6,
-                            ORBIT_NFEV_BUDGET, 4, "orbit")
-
-    # each sample is read from the dense output of the first step that ends
-    # at or after it
-    idx = np.searchsorted(ends, t_eval, side="left")
-    rec = np.array(steps)  # (steps, 23): t, h, state, the six kept slopes
-    t0, hs, y_old = rec[:, 0], rec[:, 1], rec[:, 2:5]
-    q = np.einsum("ksj,sr->rjk", rec[:, 5:].reshape(-1, 6, 3), _P)  # (4, 3, steps)
-    hs = hs[idx]
-    p = np.cumprod(np.tile((t_eval - t0[idx]) / hs, (4, 1)), axis=0)  # x, ..., x**4
-    ys = hs * sum(q[r][:, idx] * p[r] for r in range(4)) + y_old[idx].T
-    return ys, {"nfev": nfev, "accepted_steps": len(steps),
-                "rejected_steps": rejected}
+    nfev, rejected = _march(attempt, keep, 0.0, t_end, y, k0, h_abs, 2, 12, 3,
+                            ORBIT_NFEV_BUDGET, 7, "orbit")
+    t, y = np.array(ts), np.frombuffer(ys).reshape(-1, 3).T
+    k = np.zeros((16, 3, t.size - 1))
+    k[_DENSE_STAGES] = np.frombuffer(ks).reshape(-1, 12, 3).transpose(1, 2, 0)
+    return _Run.dense(t, y, k, nfev, rejected)
 
 
 def integrate_orbit(model, v0: UnitTangent, horizon: float,
@@ -288,28 +399,30 @@ def integrate_orbit(model, v0: UnitTangent, horizon: float,
     * ``magnetic_curvature(v)`` - kappa at ``v``, on scalars or on arrays of
       samples.
 
-    Runs the adaptive Dormand-Prince 5(4) pair of ``_rk45`` on the model's
-    ``rhs()`` at rtol = atol = tol; samples are read from its dense output on
-    a uniform grid of spacing ``SAMPLE_DT`` and brought into the fundamental
-    domain by the model's ``reduce`` at readout, so no drift accumulates in
-    the stored samples. Past ``ORBIT_NFEV_BUDGET`` right-hand-side
-    evaluations the integration stops with an ``IntegrationFailure``. A
-    horizon or tolerance that is not positive and finite is a ``ValueError``.
+    Runs the adaptive DOP853 loop of ``_integrate`` on the model's ``rhs()``
+    at rtol = atol = tol; samples are read from its 7th-order dense output
+    on a uniform grid of spacing ``SAMPLE_DT`` and brought into the
+    fundamental domain by the model's ``reduce`` at readout, so no drift
+    accumulates in the stored samples. Past ``ORBIT_NFEV_BUDGET``
+    right-hand-side evaluations the integration stops with an
+    ``IntegrationFailure``. A horizon or tolerance that is not positive and
+    finite is a ``ValueError``.
     """
     for name, value in (("horizon", horizon), ("tol", tol)):
         if not 0 < value < math.inf:
             raise ValueError("%s must be positive and finite, got %r" % (name, value))
     t_eval = np.linspace(0.0, horizon, int(round(horizon / SAMPLE_DT)) + 1)
-    samples, stats = _rk45(model.rhs(), (v0.x, v0.y, v0.theta), horizon,
-                           t_eval, tol)
-    v = model.reduce(UnitTangent(*samples))
+    run = _integrate(model.rhs(), (v0.x, v0.y, v0.theta), horizon, tol)
+    v = model.reduce(UnitTangent(*run.sol(t_eval)))
     return OrbitTrace(
         t_samples=t_eval,
         xs=v.x,
         ys=v.y,
         thetas=v.theta,
         kappa_samples=model.magnetic_curvature(v),
-        step_controls={"tol": tol, "sample_dt": SAMPLE_DT, **stats},
+        step_controls={"tol": tol, "sample_dt": SAMPLE_DT, "nfev": run.nfev,
+                       "accepted_steps": run.t.size - 1,
+                       "rejected_steps": run.rejected},
     )
 
 

@@ -33,14 +33,15 @@ monodromy excludes a zero. A sign change is refined by ``_brent``, a port
 of scipy's Brent root finder that returns scipy's root bit for bit.
 
 Every launch (``_launch``, called by ``Propagator`` alone) runs magflow's
-own DOP853 loop on [A, A', Z, Z'] at the one tolerance ``JACOBI_TOL``:
-the Dormand-Prince 8(5,3) tableau is ``_dop853``, a literal copy of
-scipy's, the step control is the one ``flow`` shares with the orbit loop,
-the curvature is read in one array call per step attempt, the stage sums
-of one pair (J, J') are written out over the tableau's nonzero weights
-(``_pair``, run on (A, A') and on (Z, Z')), and the dense output is kept
-as arrays. Results agree with scipy's DOP853 solver at roundoff level,
-not bitwise.
+own DOP853 loop on [A, A', Z, Z'] at the one tolerance ``JACOBI_TOL``. It
+shares with the orbit loop of ``flow`` the Dormand-Prince 8(5,3) tableau
+(``_dop853``, a literal copy of scipy's, its nonzero weights named in
+``flow``), the step control and the dense-output type ``flow._Run``. The
+curvature is read in one array call per step attempt, the stage sums of
+one pair (J, J') are written out over the tableau's nonzero weights
+(``_pair``, run on (A, A') and on (Z, Z')), and the dense-output stages of
+the accepted steps are formed in one array pass. Results agree with
+scipy's DOP853 solver at roundoff level, not bitwise.
 
 The boundary solution is computed two independent ways (a shooting
 combination of fundamental solutions, and the reduction-of-order integral
@@ -66,7 +67,15 @@ from .errors import (
     InsufficientDataError,
     NumericalInconsistencyError,
 )
-from .flow import CurvatureProfile, _first_step, _march
+from .flow import (
+    _A1_0, _A2_0, _A2_1, _A3_0, _A3_2, _A4_0, _A4_2, _A4_3, _A5_0, _A5_3, _A5_4, _A6_0,
+    _A6_3, _A6_4, _A6_5, _A7_0, _A7_3, _A7_4, _A7_5, _A7_6, _A8_0, _A8_3, _A8_4, _A8_5,
+    _A8_6, _A8_7, _A9_0, _A9_3, _A9_4, _A9_5, _A9_6, _A9_7, _A9_8, _A10_0, _A10_3,
+    _A10_4, _A10_5, _A10_6, _A10_7, _A10_8, _A10_9, _A11_0, _A11_3, _A11_4, _A11_5,
+    _A11_6, _A11_7, _A11_8, _A11_9, _A11_10, _B0, _B5, _B6, _B7, _B8, _B9, _B10, _B11,
+    _E3_0, _E3_5, _E3_6, _E3_7, _E3_8, _E3_9, _E3_10, _E3_11, _E5_0, _E5_5, _E5_6,
+    _E5_7, _E5_8, _E5_9, _E5_10, _E5_11, CurvatureProfile, _first_step, _march, _Run,
+)
 
 JACOBI_TOL = 1e-12
 CROSS_CHECK_TOL = 1e-7
@@ -139,68 +148,16 @@ class JacobiTrace:
         return self.states(ts)[1]
 
 
-# The Dormand-Prince 8(5,3) pair with its 7th-order dense output (Hairer,
-# Norsett and Wanner, Solving ODEs I, sec. II.5-II.6), read from ``_dop853``,
-# a literal copy of the module scipy's DOP853 reads. Row s of A weights
-# stages 0..s-1 for stage s; stage 12 is the derivative at the step end, and
-# stages 13-15 feed the dense output only. One step attempt reads the
-# curvature at the nodes of stages 1-11 and 13-15; stage 11 sits at c = 1,
-# so stage 12 reuses its value.
-# ``_pair`` reads the nonzero weights alone: _A<s>_<i> of rows 1-11 of A
-# (column 1 of rows 3-11 and column 2 of rows 5-11 are zero), and _B<i>,
-# _E5_<i> and _E3_<i> of B, E5 and E3, which weight none of stages 1-4 and,
-# for E5 and E3, not stage 12.
+# One DOP853 step attempt reads the curvature at the nodes of stages 1-11
+# and 13-15 (``flow``'s tableau, ``_dop853``); stage 11 sits at c = 1, so
+# stage 12 reuses its value.
 _NODES = _dop853.C[[*range(1, 12), 13, 14, 15]]
-((_A1_0,), (_A2_0, _A2_1), (_A3_0, _A3_2), (_A4_0, _A4_2, _A4_3),
- (_A5_0, _A5_3, _A5_4), (_A6_0, _A6_3, _A6_4, _A6_5),
- (_A7_0, _A7_3, _A7_4, _A7_5, _A7_6), (_A8_0, _A8_3, _A8_4, _A8_5, _A8_6, _A8_7),
- (_A9_0, _A9_3, _A9_4, _A9_5, _A9_6, _A9_7, _A9_8),
- (_A10_0, _A10_3, _A10_4, _A10_5, _A10_6, _A10_7, _A10_8, _A10_9),
- (_A11_0, _A11_3, _A11_4, _A11_5, _A11_6, _A11_7, _A11_8, _A11_9, _A11_10)) = [
-    [w for w in row[:s] if w != 0.0] for s, row in enumerate(_dop853.A.tolist()[1:12], 1)]
-((_B0, _B5, _B6, _B7, _B8, _B9, _B10, _B11),
- (_E5_0, _E5_5, _E5_6, _E5_7, _E5_8, _E5_9, _E5_10, _E5_11),
- (_E3_0, _E3_5, _E3_6, _E3_7, _E3_8, _E3_9, _E3_10, _E3_11)) = [
-    [w for w in v.tolist() if w != 0.0] for v in (_dop853.B, _dop853.E5, _dop853.E3)]
 
 
 def _rate(k, v):
     """y' for J'' + k J = 0 on the stacked pairs y = (A, A', Z, Z'): a list,
     or an array of shape (4, m) with k of shape (m,)."""
     return [v[1], -k * v[0], v[3], -k * v[2]]
-
-
-@dataclass(frozen=True)
-class _Run:
-    """One ``_launch``: the step ends ``t`` in integration order, the states
-    ``y`` there (shape (4, steps + 1)), the dense-output coefficients ``F``
-    of every step (shape (7, 4, steps)) and ``nfev``, the curvature points
-    evaluated."""
-
-    t: np.ndarray
-    y: np.ndarray
-    F: np.ndarray
-    nfev: int
-
-    def sol(self, ts) -> np.ndarray:
-        """The state at the time ts (shape (4,)) or times ts (shape (4, m)).
-
-        Each time is read from the step that ends at or after it in the
-        direction of integration, by Horner's rule in x and 1 - x on the
-        step's coefficients, as scipy's ``Dop853DenseOutput`` does; a time
-        on a step end reads that end state."""
-        tq = np.atleast_1d(np.asarray(ts, dtype=float))
-        d = 1.0 if self.t[-1] >= self.t[0] else -1.0
-        i = np.minimum(np.searchsorted(d * self.t[1:], d * tq), self.F.shape[2] - 1)
-        t0, t1 = self.t[i], self.t[i + 1]
-        x = (tq - t0) / (t1 - t0)
-        powers = (x, 1.0 - x)
-        out = self.F[6][:, i] * x
-        for j in range(5, -1, -1):
-            out += self.F[j][:, i]
-            out *= powers[j % 2]
-        out = np.where(tq == t1, self.y[:, i + 1], out + self.y[:, i])
-        return out[:, 0] if np.ndim(ts) == 0 else out
 
 
 def _pair(j, dj, p0, q0, h, kv, e5, e3):
@@ -322,22 +279,17 @@ def _launch(ev: Callable, y0, t_span: tuple) -> _Run:
         ts.append(t_new)
         ys.extend(y_new)
 
-    nfev, _rejected = _march(partial(_attempt, ev), keep, t, t_end, y, f, h_abs, 2,
-                             len(_NODES), JACOBI_NFEV_BUDGET, 7, "jacobi")
+    nfev, rejected = _march(partial(_attempt, ev), keep, t, t_end, y, f, h_abs, 2,
+                            len(_NODES), 0, JACOBI_NFEV_BUDGET, 7, "jacobi")
 
-    # the dense output of every accepted step in one array pass: stages
-    # 13-15, then scipy's coefficients (dy, h f_old - dy,
-    # 2 dy - h (f_old + f_new), h D K)
+    # the dense-output stages 13-15 of every accepted step in one array pass
     ts, y = np.array(ts), np.frombuffer(ys).reshape(-1, 4).T  # y: (4, steps + 1)
     h = np.diff(ts)  # each step's t_new - t, as the loop took it
     k = list(np.frombuffer(ks_all).reshape(-1, 4, 13).transpose(2, 1, 0))
     for s, kappa in zip((13, 14, 15), np.frombuffer(kx).reshape(-1, 3).T):
         stage = y[:, :-1] + h * np.tensordot(_dop853.A[s, :s], k, 1)
         k.append(np.array(_rate(kappa, stage)))
-    dy = y[:, 1:] - y[:, :-1]
-    F = np.concatenate([[dy, h * k[0] - dy, 2 * dy - h * (k[12] + k[0])],
-                        h * np.tensordot(_dop853.D, k, 1)])
-    return _Run(ts, y, F, nfev)
+    return _Run.dense(ts, y, k, nfev, rejected)
 
 
 def _constant_matrix(k: float, t: np.ndarray) -> tuple:
@@ -594,24 +546,30 @@ class Propagator:
 
     def _knots(self, horizon: float):
         """The scan times of (0, horizon] in batches, the last one ending at
-        the horizon or at 2T: the accepted step ends of each launched
-        segment, then past the period T the period's ones shifted by T; on a
-        constant k > 0 the first three multiples of pi / (2 sqrt(k)), half
-        the spacing of the zeros of any solution (Sturm); on a constant
-        k <= 0, where a solution has at most one zero, the horizon alone."""
+        the horizon or at 2T: the accepted step ends of the segments
+        launched already, in one batch, then those of each segment launched
+        for the scan, one batch each, then past the period T the period's
+        ones shifted by T; on a constant k > 0 the first three multiples of
+        pi / (2 sqrt(k)), half the spacing of the zeros of any solution
+        (Sturm); on a constant k <= 0, where a solution has at most one
+        zero, the horizon alone. So a rescan to a longer horizon reads what
+        it has read before in one batch."""
         k, periods, cell = 1, [0], horizon
         while self.const is None:
             if k == len(self.breaks):
                 self._grow()
-            if self._segs[k][0] is None:  # past the period
+            j = k
+            while j < len(self._segs) and self._segs[j][0] is not None:
+                j += 1
+            if j == k:  # past the period
                 periods, cell = [1], self.period
                 break
-            ts = self._segs[k][0].t[1:]
+            ts = np.concatenate([seg[0].t[1:] for seg in self._segs[k:j]])
             if ts[-1] >= horizon:
                 yield np.append(ts[ts < horizon], horizon)
                 return
             yield ts
-            k += 1
+            k = j
         if self.const is not None and self.const > 0.0:
             periods, cell = [0, 1, 2], 0.5 * math.pi / math.sqrt(self.const)
         taus = np.concatenate([seg[0].t[1:] for seg in self._segs[1:k]] or [[cell]])

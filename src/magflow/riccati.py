@@ -22,8 +22,9 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import InsufficientDataError
 from .flow import CurvatureProfile
-from .jacobi import _first_root, _local_time, propagator
+from .jacobi import JACOBI_TOL, _first_root, _local_time, propagator
 
 N_SAMPLES = 2001
 
@@ -52,7 +53,10 @@ def integrate_riccati(profile: CurvatureProfile, u0: float, t_span: tuple) -> Ri
     ``jacobi._first_root`` that ``jacobi.first_zero`` runs, and the samples
     stop short of it. A point span returns its data alone, with no scan,
     even on a window end. Reading past a spline profile's window raises
-    ``InsufficientDataError``.
+    ``InsufficientDataError``, and so does a sample before the pole where
+    |A + u0 Z| <= JACOBI_TOL (|A| + |u0 Z|) in stored scale: J is lost to
+    the roundoff of its terms there, as on a start at a computed stable
+    slope past the mixing horizon, and a sign change it shows is noise.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     local, sign = _local_time(profile, t0, t1)
@@ -63,7 +67,13 @@ def integrate_riccati(profile: CurvatureProfile, u0: float, t_span: tuple) -> Ri
     pole = _first_root(prop, 1.0, v0, span)
     ss = (np.linspace(0.0, span, N_SAMPLES) if pole is None
           else np.linspace(0.0, pole, N_SAMPLES, endpoint=False))
-    j, dj = prop.carry(ss, v0)
+    (a, da, z, dz), _e = prop._stored(ss)
+    j, dj = a + z * v0, da + dz * v0
+    lost = np.abs(j) <= JACOBI_TOL * (np.abs(a) + np.abs(z * v0))
+    if lost.any():
+        raise InsufficientDataError(
+            "the Riccati solution is lost to cancellation at t = %g: A + u0 Z is "
+            "within the roundoff of its terms" % (t0 + sign * ss[np.argmax(lost)]))
     return RiccatiTrace(
         t_samples=t0 + sign * ss,
         u_samples=sign * (dj / j),

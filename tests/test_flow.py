@@ -1,10 +1,13 @@
 import csv
 import math
 import pickle
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 import pytest
-from scipy.integrate import RK45, solve_ivp
+from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as _dop853
 from scipy.interpolate import CubicSpline
 
 from magflow import flow, jacobi
@@ -153,8 +156,7 @@ class TestOrbits:
 
 def _blow_up():
     # x' = x**2 from x(0) = 1 blows up at t = 1
-    flow._rk45(lambda x, y, theta: (x * x, 0.0, 0.0), (1.0, 0.0, 0.0), 2.0,
-               np.array([0.0, 2.0]), 1e-10)
+    flow._integrate(lambda x, y, theta: (x * x, 0.0, 0.0), (1.0, 0.0, 0.0), 2.0, 1e-10)
 
 
 def _stiff_launch(d):
@@ -166,8 +168,8 @@ def _stiff_launch(d):
 
 
 def _nan_orbit():
-    flow._rk45(lambda x, y, theta: (math.nan, 0.0, 0.0), (1.0, 0.0, 0.0), 2.0,
-               np.array([0.0, 2.0]), 1e-10)
+    flow._integrate(lambda x, y, theta: (math.nan, 0.0, 0.0), (1.0, 0.0, 0.0), 2.0,
+                    1e-10)
 
 
 def _nan_launch():
@@ -195,7 +197,7 @@ class TestFailureRules:
     (flow._march): the same three rules, in the same words."""
 
     @pytest.mark.parametrize("what, failing, rule, first, last", [
-        ("orbit", lambda mp: _blow_up(), UNDERFLOW, 1.0 - 1e-9, 1.0),
+        ("orbit", lambda mp: _blow_up(), UNDERFLOW, 1.0 - 1e-9, 1.0 + 1e-9),
         ("jacobi", lambda mp: _stiff_launch(1.0), UNDERFLOW, 2.0 ** 50, 2.0 ** 50),
         ("jacobi", lambda mp: _stiff_launch(-1.0), UNDERFLOW, 2.0 ** 50, 2.0 ** 50),
         ("orbit", lambda mp: _nan_orbit(), NON_FINITE, 0.0, 0.0),
@@ -243,11 +245,14 @@ def jet_rhs(model):
 
 
 class TestRK45:
-    def test_matches_scipy_rk45(self):
+    """The orbit loop, flow._integrate, against scipy's DOP853 solver; the
+    class keeps the name of the RK45 loop it replaced."""
+
+    def test_matches_scipy_dop853(self):
         m, v0 = bench_torus(), UnitTangent(0.31, 0.47, 1.3)
         tr = integrate_orbit(m, v0, 20.0, flow.DEFAULT_TOL)
         sol = solve_ivp(jet_rhs(m), (0.0, 20.0), [v0.x, v0.y, v0.theta],
-                        method="RK45", rtol=flow.DEFAULT_TOL,
+                        method="DOP853", rtol=flow.DEFAULT_TOL,
                         atol=flow.DEFAULT_TOL, t_eval=tr.t_samples)
         assert sol.success
         for ours, ref, L in ((tr.xs, sol.y[0], m.Lx), (tr.ys, sol.y[1], m.Ly)):
@@ -256,13 +261,15 @@ class TestRK45:
         assert np.max(np.abs(tr.thetas - sol.y[2])) < 1e-9
         sc = tr.step_controls
         assert abs(sc["nfev"] - sol.nfev) <= 0.02 * sol.nfev
-        # the first-step probe, then six evaluations per attempted step
-        assert sc["nfev"] == 2 + 6 * (sc["accepted_steps"] + sc["rejected_steps"])
+        # the first-step probe, 12 evaluations per attempted step and the
+        # three dense-output stages of each accepted one
+        assert sc["nfev"] == 2 + 12 * (sc["accepted_steps"] + sc["rejected_steps"]) + (
+            3 * sc["accepted_steps"])
 
     def test_step_control_matches_scipy_with_rejections(self):
         # Euler's equations of a free rigid body with moments of inertia
         # 0.5, 2 and 3 (the EULR problem of Hairer, Norsett and Wanner,
-        # sec. II.10, without its forcing) reject 33 steps at tol 1e-6, so the
+        # sec. II.10, without its forcing) reject 8 steps at tol 1e-6, so the
         # rejection path and the no-growth rule after a rejection are
         # exercised; the motion is periodic, not chaotic, so roundoff stays
         # small
@@ -271,12 +278,31 @@ class TestRK45:
 
         y0, T = (0.0, 1.0, 1.0), 20.0
         ts = np.linspace(0.0, T, 101)
-        ys, stats = flow._rk45(f, y0, T, ts, 1e-6)
-        sol = solve_ivp(lambda t, y: f(*y), (0.0, T), y0, method="RK45",
+        run = flow._integrate(f, y0, T, 1e-6)
+        sol = solve_ivp(lambda t, y: f(*y), (0.0, T), y0, method="DOP853",
                         rtol=1e-6, atol=1e-6, t_eval=ts)
-        assert stats["rejected_steps"] > 20
-        assert abs(stats["nfev"] - sol.nfev) <= 0.01 * sol.nfev
-        assert np.max(np.abs(ys - sol.y)) < 1e-7
+        assert run.rejected > 5
+        assert abs(run.nfev - sol.nfev) <= 0.01 * sol.nfev
+        assert np.max(np.abs(run.sol(ts) - sol.y)) < 1e-10
+
+    def test_nfev_counts_every_call_within_the_budget(self, monkeypatch):
+        # the dense-output stages are evaluations too: nfev is the number of
+        # calls, and the budget bounds them all
+        calls = []
+        rhs = bench_torus().rhs()
+
+        def counted(x, y, theta):
+            calls.append(x)
+            return rhs(x, y, theta)
+
+        run = flow._integrate(counted, (0.31, 0.47, 1.3), 20.0, flow.DEFAULT_TOL)
+        assert run.nfev == len(calls) == 2576
+        for budget in (2575, 2000, 1000, 17, 16):
+            calls.clear()
+            monkeypatch.setattr(flow, "ORBIT_NFEV_BUDGET", budget)
+            with pytest.raises(IntegrationFailure, match="exceeded %d" % budget):
+                flow._integrate(counted, (0.31, 0.47, 1.3), 20.0, flow.DEFAULT_TOL)
+            assert budget - 15 < len(calls) <= budget
 
     def test_scalar_rhs_matches_array_jet(self):
         m = rect_torus()
@@ -289,11 +315,12 @@ class TestRK45:
 
     def test_step_underflow_raises(self):
         # x' = x**2 from x(0) = 1 blows up at t = 1: the step falls below
-        # 10 ulp(t) just before it
+        # 10 ulp(t) at the blow-up time as the loop resolves it, to within
+        # its tolerance (scipy's DOP853 stops at 1 + 2.2e-11 too)
         with pytest.raises(IntegrationFailure) as exc:
             _blow_up()
         assert "step size" in str(exc.value)
-        assert 1.0 - 1e-9 <= exc.value.last_time <= 1.0
+        assert abs(exc.value.last_time - 1.0) <= 1e-9
 
     def test_non_finite_error_stops_at_once(self):
         calls = []
@@ -303,11 +330,11 @@ class TestRK45:
             return (math.nan, 0.0, 0.0)
 
         with pytest.raises(IntegrationFailure) as exc:
-            flow._rk45(f, (1.0, 0.0, 0.0), 2.0, np.array([0.0, 2.0]), 1e-10)
+            flow._integrate(f, (1.0, 0.0, 0.0), 2.0, 1e-10)
         assert "non-finite" in str(exc.value)
         assert exc.value.last_time == 0.0
         # the first-step probe and one attempted step
-        assert len(calls) == 8
+        assert len(calls) == 2 + 12
 
     def test_flow_does_not_use_solve_ivp(self):
         assert not hasattr(flow, "solve_ivp")
@@ -325,70 +352,67 @@ class TestRK45:
             ConformalTorus(**kw)
 
 
-# scipy's RK45 tableau, an independent copy of flow's
-_A = RK45.A.tolist()
-A21 = _A[1][0]
-A31, A32 = _A[2][:2]
-A41, A42, A43 = _A[3][:3]
-A51, A52, A53, A54 = _A[4][:4]
-A61, A62, A63, A64, A65 = _A[5]
-B1, _, B3, B4, B5, B6 = RK45.B.tolist()
-E1, _, E3, E4, E5, E6, E7 = RK45.E.tolist()
-P = RK45.P[[0, 2, 3, 4, 5, 6]]
+# The orbit loop in its list form, the one flow._integrate writes out: every
+# stage sum, the update and the error terms a dot product over a full row
+# of scipy's DOP853 tableau (an independent copy of magflow's _dop853), zero
+# weights included, added left to right from 0.0 on every Python version.
+_ROWS = [row[:s] for s, row in enumerate(_dop853.A.tolist())]
+_E3, _E5 = _dop853.E3.tolist(), _dop853.E5.tolist()
 
 
-def list_rk45(f, y0, t_end, t_eval, tol):
-    """The orbit loop in its generic form: every stage sum, the update and
-    the error estimate a list comprehension over the components, driven by
-    flow._first_step and flow._march and read out from the same dense
-    output."""
+def dot(w, c):
+    return reduce(add, map(mul, w, c), 0.0)
+
+
+def list_integrate(f, y0, t_end, tol):
+    """flow._integrate with each stage a list comprehension over the
+    components and the full rows of A, driven by flow._first_step and
+    flow._march, its dense output formed by flow._Run.dense."""
     def g(y):
-        return f(*y)
+        return list(f(*y))
 
     y = [float(v) for v in y0]
-    k1 = g(y)
-    h_abs = flow._first_step(lambda t, v: g(v), 0.0, y, k1, t_end, 4, tol)
+    k0 = g(y)
+    h_abs = flow._first_step(lambda t, v: g(v), 0.0, y, k0, t_end, 7, tol)
 
-    def attempt(t, y, k1, h):
-        k2 = g([v + (A21 * a) * h for v, a in zip(y, k1)])
-        k3 = g([v + (A31 * a + A32 * b) * h for v, a, b in zip(y, k1, k2)])
-        k4 = g([v + (A41 * a + A42 * b + A43 * c) * h
-                for v, a, b, c in zip(y, k1, k2, k3)])
-        k5 = g([v + (A51 * a + A52 * b + A53 * c + A54 * d) * h
-                for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
-        k6 = g([v + (A61 * a + A62 * b + A63 * c + A64 * d + A65 * e) * h
-                for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
-        y_new = [v + h * (B1 * a + B3 * c + B4 * d + B5 * e + B6 * q)
-                 for v, a, c, d, e, q in zip(y, k1, k3, k4, k5, k6)]
-        k7 = g(y_new)
-        err = flow._rms([(E1 * a + E3 * c + E4 * d + E5 * e + E6 * q + E7 * k)
-                         * h / (tol + max(abs(v), abs(w)) * tol)
-                         for v, w, a, c, d, e, q, k
-                         in zip(y, y_new, k1, k3, k4, k5, k6, k7)])
-        return y_new, k7, err, (t, h, y, (k1, k3, k4, k5, k6, k7))
+    def attempt(t, y, k0, h):
+        ks = [[k] for k in k0]  # the stage slopes of each component
+        for row in _ROWS[1:12]:
+            for c, k in zip(ks, g([v + dot(row, c) * h for v, c in zip(y, ks)])):
+                c.append(k)
+        y_new = [v + h * dot(_ROWS[12], c) for v, c in zip(y, ks)]
+        f_new = g(y_new)
+        e5 = e3 = 0.0
+        for v, w, c, k in zip(y, y_new, ks, f_new):
+            c.append(k)
+            sc = tol + max(abs(v), abs(w)) * tol
+            p, q = dot(_E5, c) / sc, dot(_E3, c) / sc
+            e5, e3 = e5 + p * p, e3 + q * q
+        err = (0.0 if e5 == 0 and e3 == 0
+               else abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * 3))
+        return y_new, f_new, err, (h, y, ks)
 
-    ends, steps = [], []
+    ts, ys, steps = [0.0], [y], []
 
     def keep(t_new, y_new, step):
-        ends.append(t_new)
-        steps.append(step)
+        h, y, ks = step
+        for row in _ROWS[13:]:
+            for c, k in zip(ks, g([v + dot(row, c) * h for v, c in zip(y, ks)])):
+                c.append(k)
+        ts.append(t_new)
+        ys.append(y_new)
+        steps.append(ks)
 
-    nfev, rejected = flow._march(attempt, keep, 0.0, t_end, y, k1, h_abs, 2, 6,
-                                 flow.ORBIT_NFEV_BUDGET, 4, "orbit")
-    idx = np.searchsorted(ends, t_eval, side="left")
-    t0, hs, y_old, ks = (np.array(c) for c in zip(*steps))
-    q = np.einsum("ksj,sr->rjk", ks, P)
-    hs = hs[idx]
-    p = np.cumprod(np.tile((t_eval - t0[idx]) / hs, (4, 1)), axis=0)
-    ys = hs * sum(q[r][:, idx] * p[r] for r in range(4)) + y_old[idx].T
-    return ys, {"nfev": nfev, "accepted_steps": len(steps),
-                "rejected_steps": rejected}
+    nfev, rejected = flow._march(attempt, keep, 0.0, t_end, y, k0, h_abs, 2, 12, 3,
+                                 flow.ORBIT_NFEV_BUDGET, 7, "orbit")
+    k = np.array(steps).transpose(2, 1, 0)  # (16 stages, 3 components, steps)
+    return flow._Run.dense(np.array(ts), np.array(ys).T, k, nfev, rejected)
 
 
 class TestUnrolledStages:
-    """flow._rk45 writes the stages out per component of (x, y, theta) in
-    the order and association of the generic form, so its orbits are
-    bitwise those of list_rk45."""
+    """flow._integrate writes the stages out per component of (x, y, theta)
+    over the nonzero weights, in the order and association of the generic
+    form, so its orbits are bitwise those of list_integrate."""
 
     @pytest.mark.parametrize("model, starts, horizon, tol", [
         (bench_torus(), bench_torus().ensemble(2, 0), 50.0, flow.DEFAULT_TOL),
@@ -404,7 +428,7 @@ class TestUnrolledStages:
         for v0 in starts:
             got = integrate_orbit(model, v0, horizon, tol)
             with monkeypatch.context() as mp:
-                mp.setattr(flow, "_rk45", list_rk45)
+                mp.setattr(flow, "_integrate", list_integrate)
                 want = integrate_orbit(model, v0, horizon, tol)
             for name in ("t_samples", "xs", "ys", "thetas", "kappa_samples"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes()

@@ -5,24 +5,26 @@ parameters with a default plus any ``**kwargs``, plus the fields of
 ``SamplingConfig``. A new default changes the count, and with it the
 figure ROADMAP records. The model-class dispatches in the modules that
 consume surface models and the ``solve_ivp`` call sites are pinned at zero,
-and the step control of the two Dormand-Prince loops at one copy. Every
-export, and every public method or property of an exported class, has a
-reader in the program: the package, the demos, the benchmark or the
-acceptance criteria. ``SurfaceModel`` holds the members the certifier
-reads and no other. scipy is imported only inside the two functions that
-use it, so no other path loads it.
+the step control of the two DOP853 loops at one copy, and the tableau and
+its dense-output reader at one each. Every export, and every public method
+or property of an exported class, has a reader in the program: the
+package, the demos, the benchmark or the acceptance criteria.
+``SurfaceModel`` holds the members the certifier reads and no other. scipy
+is imported only inside the two functions that use it, so no other path
+loads it.
 """
 
 import ast
 import functools
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import magflow
-from magflow import CurvatureProfile, FourierSeries1D, jacobi
+from magflow import CurvatureProfile, FourierSeries1D, _dop853, flow, jacobi
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -55,7 +57,7 @@ def test_no_module_decides_by_the_class_of_a_model():
 
 
 def test_no_module_calls_solve_ivp():
-    # orbits run in flow._rk45, Jacobi launches in jacobi._launch
+    # orbits run in flow._integrate, Jacobi launches in jacobi._launch
     for path in Path(magflow.__file__).parent.glob("*.py"):
         assert "solve_ivp" not in path.read_text(), path.name
 
@@ -130,7 +132,7 @@ def test_cold_paths_load_no_scipy(tmp_path):
 
 
 def test_one_step_controller():
-    # flow._first_step and flow._march serve both flow._rk45 and
+    # flow._first_step and flow._march serve both flow._integrate and
     # jacobi._launch: one first-step choice, one raise per failure rule
     package = Path(magflow.__file__).parent
     texts = [path.read_text() for path in package.glob("*.py")]
@@ -141,6 +143,44 @@ def test_one_step_controller():
     for name in ("_SAFETY", "_MIN_FACTOR", "_MAX_FACTOR", "_rms", "_ERROR_EXPONENT"):
         assert name not in jacobi
     assert "_ERROR_EXPONENT" not in (package / "flow.py").read_text()
+
+
+def test_one_tableau_and_one_dense_output():
+    # both loops step on _dop853: every written-out weight is one of its
+    # nonzero entries, named for its place (_A13_6 is A[13, 6], _E5_0 is
+    # E5[0]) and defined in flow alone, the RK45 pair (_rk45, _P, _E7) is
+    # gone, and one class reads a dense output (flow._Run.sol)
+    pattern = re.compile(r"_(A(\d+)_(\d+)|B(\d+)|E([35])_(\d+))")
+    weights = {name: value for name, value in vars(flow).items() if pattern.fullmatch(name)}
+    assert len(weights) == 98
+    for name, value in weights.items():
+        m = pattern.fullmatch(name)
+        if m[2]:
+            want = _dop853.A[int(m[2]), int(m[3])]
+        elif m[4]:
+            want = _dop853.B[int(m[4])]
+        else:
+            want = getattr(_dop853, "E" + m[5])[int(m[6])]
+        assert value == want != 0.0, name
+    for name in ("_rk45", "_P", "_E7", "_A21", "_B1"):
+        assert not hasattr(flow, name), name
+    package = Path(magflow.__file__).parent
+    readers = []
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        # no module but _dop853 spells out a weight
+        if path.name != "_dop853.py":
+            assigned = {t.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                        for target in node.targets for t in ast.walk(target)
+                        if isinstance(t, ast.Name)}
+            assert not {name for name in assigned if pattern.fullmatch(name)} - (
+                set(weights) if path.name == "flow.py" else set()), path.name
+        readers += ["%s.%s" % (path.stem, node.name) for node in ast.walk(tree)
+                    if isinstance(node, ast.ClassDef)
+                    and any(isinstance(f, ast.FunctionDef) and f.name == "sol"
+                            for f in node.body)]
+    assert readers == ["flow._Run"]
+    assert jacobi._Run is flow._Run
 
 
 def _names_used(tree) -> set:

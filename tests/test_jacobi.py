@@ -245,6 +245,26 @@ class TestKnotScan:
         assert prop.first_zero_of_z(160.0) == z
 
 
+    def test_rescans_read_the_launched_segments_in_one_batch(self, monkeypatch):
+        # the slope schedule of the half-wave asks first_zero at each doubled
+        # r, and a scan that finds no zero is run again to the next horizon:
+        # each rescan reads the segments launched already in one batch (35
+        # batches and 47 reads of _stored when each segment was its own)
+        batches = self._scanned(monkeypatch)
+        reads, stored = [], jacobi.Propagator._stored
+
+        def counted(self, t):
+            reads.append(t)
+            return stored(self, t)
+
+        monkeypatch.setattr(jacobi.Propagator, "_stored", counted)
+        half_wave = AbstractProfile(kappa=lambda t: -max(0.0, math.sin(t)) ** 2,
+                                    k_bound=1.0)
+        report = classify(half_wave, SamplingConfig(ensemble_count=1))
+        assert report.verdict == "NumericallyAnosov"
+        assert (len(batches), len(reads)) == (19, 31)
+
+
 def _every_period_root(prop, v, d, horizon):
     """The first zero on (0, horizon] of J = v A + d Z of a periodic
     propagator, read at every knot n T + tau up to the horizon (tau a step

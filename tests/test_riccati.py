@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.optimize import brentq
 
 from magflow import (
     CurvatureProfile,
+    FourierSeries1D,
     InsufficientDataError,
     JacobiState,
     UnitTangent,
@@ -17,6 +19,7 @@ from magflow import (
     integrate_riccati,
 )
 from magflow import jacobi, riccati
+from magflow.green import green_both
 from families import hyperbolic_profile, oscillatory_profile, random_torus, rng_for
 
 P_NEG = CurvatureProfile.constant(-1.0)
@@ -319,3 +322,30 @@ class TestPropagatorReadout:
             np.testing.assert_array_equal(tr.u_samples, ref.u_samples)
             np.testing.assert_allclose(tr.t_samples, 1.0 + ref.t_samples,
                                        rtol=0, atol=1e-14)
+
+    def test_cancelled_samples_raise_instead_of_a_noise_pole(self):
+        # the tenth hyperbolic profile drawn from default_rng(11), from its
+        # computed stable slope: past the mixing horizon A + u0 Z cancels to
+        # roundoff (to exactly 0 at 12 samples), and the zero scan reads a
+        # "pole" at 21.95 in the noise. The samples name the first time the
+        # cancellation reaches JACOBI_TOL of the terms instead, with no
+        # numpy warning; starts 1e-9 off the slope, and the backward span,
+        # read as before
+        r = np.random.default_rng(11)
+        for _ in range(10):
+            c0 = -r.uniform(0.3, 1.0)
+            amp, w = 0.25 * abs(c0), r.uniform(0.5, 2.0)
+            a, b = amp * r.uniform(-1.0, 1.0), amp * r.uniform(-1.0, 1.0)
+        p = CurvatureProfile.from_series(
+            FourierSeries1D(const=c0, omega=w, cos_coeffs={1: a}, sin_coeffs={1: b}))
+        span = 20.0 * 2.0 * math.pi / w
+        u0 = green_both(p).u_plus0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InsufficientDataError, match=r"cancellation at t = 15\.7"):
+                integrate_riccati(p, u0, (0.0, span))
+            for u, pole in ((u0 + 1e-9, None), (u0 - 1e-9, pytest.approx(11.94, abs=0.01))):
+                tr = integrate_riccati(p, u, (0.0, span))
+                assert tr.blowup_time == pole
+                assert np.all(np.isfinite(tr.u_samples))
+            assert integrate_riccati(p, u0, (span, 0.0)).blowup_time is None
