@@ -19,10 +19,10 @@ The output is a numerical certificate over finitely many orbits with
 explicit margins, never a proof: the per-point quantifier over the whole
 unit tangent bundle is approximated by a low-discrepancy ensemble, plus
 the exactness of constant models where one orbit profile represents all.
-A periodic profile whose monodromy decides it (``jacobi.floquet``) has
-its conjugate scan, slopes and contraction rate read from that one
-period's integration, exact to its error; the fitted rate and the scans
-serve the rest.
+A periodic profile whose monodromy decides it once the reads reach its
+period (``jacobi.floquet``) has its slopes and contraction rate read from
+that one period's integration, exact to its error; the rest, long periods
+included, are read from the doubling schedule, the fitted rate and the scans.
 """
 
 from __future__ import annotations
@@ -130,11 +130,11 @@ def contraction_fit(profile: CurvatureProfile,
     The norm is the Sasaki norm sqrt(J^2 + J'^2) of the solution with
     value one and the stable slope u+ of ``estimate``, read from the
     profile's propagator (``integrate_jacobi``). A periodic profile whose
-    monodromy decides it (``floquet``) takes the exact rate c = log
-    lambda_u / T, and only the intercept and the residual are fitted with
-    it; any other profile fits c too. A rate at or below
-    ``CONTRACTION_FLOOR`` is a certification failure (no usable
-    contraction; the flat case fits c ~ 0). On a constant profile the
+    monodromy the schedule read and found decisive (``floquet`` at horizon
+    0) takes the exact rate c = log lambda_u / T, fitting only the intercept
+    and residual; others, a long period converged on before T too, fit c.
+    A rate at or below ``CONTRACTION_FLOOR`` is a certification failure (no
+    usable contraction; the flat case fits c ~ 0). On a constant profile the
     window end W = CONTRACTION_WINDOW / max(1, |u+|) stays below the
     double-precision mixing horizon ~ -log(slope error)/(2|u+|), past which
     the unstable component contaminates the solution; a spline or callable
@@ -151,7 +151,7 @@ def contraction_fit(profile: CurvatureProfile,
     # one read of the dense output for the fit and the bound
     norms = np.hypot(*trace.states(np.concatenate([ts, ts_all])))
     logn, norms_all = np.log(norms[:ts.size]), norms[ts.size:]
-    hill = floquet(profile)
+    hill = floquet(profile, 0.0)
     if hill is None:
         slope, intercept = np.polyfit(ts, logn, 1)
         c = -float(slope)

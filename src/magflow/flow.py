@@ -178,7 +178,8 @@ def _first_step(rate: Callable, t: float, y: list, f: list, span: float,
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, abs(span))
     f1 = rate(t + h0 * d, [v + h0 * d * k for v, k in zip(y, f)])
-    d2 = _rms([(a - k) / sc for a, k, sc in zip(f1, f, scale)]) / h0
+    # h0 is 0 where |f| is past the double range, and so is the step returned
+    d2 = _rms([(a - k) / sc for a, k, sc in zip(f1, f, scale)]) / h0 if h0 else math.inf
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:

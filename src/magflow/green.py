@@ -17,12 +17,11 @@ declared when two successive slopes differ by less than the tolerance;
 profiles whose slopes converge slower than the work budget allows are
 flagged, never extrapolated.
 
-A periodic (non-constant Fourier) profile runs no schedule. Where its
-monodromy decides it (``jacobi.floquet``: trace above 2, and a unit-slope
-solution without a zero on two periods), its slope is the stable
-eigen-slope, a converged side with the one r = T, and a flipped profile
-reads its mirror's monodromy; elsewhere it has a conjugate point, which
-``jacobi.first_zero`` reads at an infinite horizon. Other profiles run it.
+A periodic (non-constant Fourier) profile ends it once the reads reach its
+period T, before any convergence test: with its stable eigen-slope where
+its monodromy decides it (``jacobi.floquet``), a converged side with the
+one r = T, else with its conjugate point, read at an infinite horizon. A
+flipped profile reads its mirror's monodromy.
 
 The work budget counts curvature evaluations (``Propagator.nfev_to``), so
 ``WORK_BUDGET`` bounds every schedule but a constant profile's, read in
@@ -42,7 +41,7 @@ from .errors import (
     NumericalInconsistencyError,
 )
 from .flow import CurvatureProfile
-from .jacobi import FIRST_BREAK, first_zero, floquet, propagator
+from .jacobi import FIRST_BREAK, first_zero, floquet, monodromy, propagator
 
 DEFAULT_GREEN_TOL = 1e-9
 R0 = FIRST_BREAK
@@ -104,47 +103,38 @@ def _run_schedule(profile: CurvatureProfile, tol: float) -> GreenSide:
     if profile.t_max < R0:
         raise InsufficientDataError("profile window too short for the slope "
                                     "schedule (ends at t = %g)" % profile.t_max)
-    hill = floquet(profile)
-    if hill is not None:
-        side = GreenSide(slope=hill.stable, converged=True, residual=0.0,
-                         r_schedule=[hill.period], slopes=[hill.stable])
-    elif propagator(profile).period is None:
-        side = _doubling(profile, tol)
-    else:
-        z = first_zero(profile, math.inf)
-        if z is None:
-            raise NumericalInconsistencyError("the monodromy decides no slope and no zero")
-        raise ConjugatePointError("conjugate point at t = %.12g" % z, conjugate_time=z)
+    side = _doubling(profile, tol)
     if side.converged and abs(side.slope) > profile.k_bound + SLOPE_BOUND_SLACK:
-        raise NumericalInconsistencyError(
-            "converged slope %g exceeds the curvature bound k = %g"
-            % (side.slope, profile.k_bound)
-        )
+        raise NumericalInconsistencyError("converged slope %g exceeds the curvature "
+                                          "bound k = %g" % (side.slope, profile.k_bound))
     return side
 
 
 def _doubling(profile: CurvatureProfile, tol: float) -> GreenSide:
     """The boundary slopes on the doubling schedule R0, 2 R0, ... up to the
-    profile's window end, until two successive ones agree to tol or the
-    work budget is spent; a zero of the unit-slope solution before r
-    raises."""
+    profile's window end, until two agree to tol, the work budget is spent or
+    the monodromy is held (see above); a zero of Z before r raises."""
     prop = propagator(profile)
     r, rs, slopes, residual = R0, [], [], math.inf
     while True:
-        z = first_zero(profile, r)
+        held = monodromy(profile, r) is not None
+        hill = floquet(profile, r)
+        if hill is not None:
+            return GreenSide(slope=hill.stable, converged=True, residual=0.0,
+                             r_schedule=[hill.period], slopes=[hill.stable])
+        z = first_zero(profile, math.inf if held else r)
         if z is not None:
-            raise ConjugatePointError(
-                "conjugate point at t = %.12g blocks the slope schedule" % z,
-                conjugate_time=z,
-            )
+            raise ConjugatePointError("conjugate point at t = %.12g blocks the slope "
+                                      "schedule" % z, conjugate_time=z)
+        if held:
+            raise NumericalInconsistencyError("the monodromy decides no slope and no zero")
         rs.append(r)
         slopes.append(prop.slope(r))
         if len(slopes) >= 2:
             step = slopes[-1] - slopes[-2]
             if step < -MONOTONE_SLACK:
-                raise NumericalInconsistencyError(
-                    "slope sequence decreased by %g at r = %g" % (-step, r)
-                )
+                raise NumericalInconsistencyError("slope sequence decreased by %g at "
+                                                  "r = %g" % (-step, r))
             residual = abs(step)
         nfev = prop.nfev_to(r)
         r_next = min(2.0 * r, profile.t_max)

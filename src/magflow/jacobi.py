@@ -18,19 +18,18 @@ profile, so each profile is integrated once. A constant profile (a
 Fourier series without harmonics, or with omega = 0) has its propagator
 read in closed form, with no launch; a solution with given data on a
 constant kappa < 0 reads its own closed form, because on the stable line
-the read ``A + u Z`` of the matrix cancels catastrophically. Any other
-Fourier profile is periodic, and its propagator integrates one period and
-reads every later time from the monodromy M; spline and callable profiles
-are integrated as far as callers ask. Where tr M > 2 and the unit-slope
-solution has no zero on two periods, M decides the profile outright (Hill's
-equation, ``floquet``): no conjugate point, the slopes are its
-eigen-slopes and the contraction rate its exponent, and the time-reflected
-profile reads them from the same M. One zero scan (``_first_root``), read
-at the propagator's knots, serves that check, the conjugate point and the
-Riccati pole, reading past two periods only the one Floquet predicts
-(``_predict``); ``first_zero`` skips it where Sturm comparison or the
-monodromy excludes a zero. A sign change is refined by ``_brent``, a port
-of scipy's Brent root finder that returns scipy's root bit for bit.
+the read ``A + u Z`` of the matrix cancels catastrophically. Every other
+profile is integrated only as far as its reads reach. Any other Fourier
+profile is periodic: once the reads reach its period T, later times read
+the monodromy M (``monodromy``), which may decide the profile outright
+(Hill's equation, ``floquet``): no conjugate point, the slopes its
+eigen-slopes and the contraction rate its exponent, for the time-reflected
+profile too. One zero scan (``_first_root``), read at the propagator's
+knots, serves that check, the conjugate point and the Riccati pole,
+reading past two periods only the one Floquet predicts (``_predict``);
+``first_zero`` skips it where Sturm comparison or the monodromy excludes a
+zero. A sign change is refined by ``_brent``, a port of scipy's Brent root
+finder that returns scipy's root bit for bit.
 
 Every launch (``_launch``, called by ``Propagator`` alone) runs magflow's
 own DOP853 loop on [A, A', Z, Z'] at the one tolerance ``JACOBI_TOL``. It
@@ -414,7 +413,7 @@ class Propagator:
 
     A Fourier profile that is not constant has the exact period
     T = 2*pi/|omega| (kappa(t + T) = kappa(t)) and is integrated over
-    [0, T] only, and the last segment of the period runs on to T whenever
+    [0, T] at most, and the last segment of the period runs on to T whenever
     the doubling would stop short of T / 2 before it (so periods up to
     2 * FIRST_BREAK take one launch). Every later time t = k T + tau reads
     F(tau) M**k with the monodromy M = F(T), since F(t + T) = F(t) M for a
@@ -461,13 +460,16 @@ class Propagator:
         if m > RESCALE_THRESHOLD:
             e = math.frexp(m)[1]
             y0, exp = np.ldexp(y0, -e), exp + e
-        t1 = 2.0 * t0 if t0 > 0.0 else FIRST_BREAK
-        if self.period is not None and 2.0 * t1 > self.period:
-            t1 = self.period
-        t1 = min(t1, self.t_end)
+        t1 = self._next_break(t0)
         sol = _launch(self.evaluator, y0, (t0, t1))
         self._segs.append((sol, sol.y[:, -1], exp, nfev + sol.nfev))
         self.breaks.append(t1)
+
+    def _next_break(self, t0: float) -> float:
+        t1 = 2.0 * t0 if t0 > 0.0 else FIRST_BREAK
+        if self.period is not None and 2.0 * t1 > self.period:
+            t1 = self.period
+        return min(t1, self.t_end)
 
     def segment(self, t: float) -> int:
         """Index k of the segment (breaks[k - 1], breaks[k]] holding the time
@@ -605,16 +607,24 @@ class Floquet:
     unstable: float
     log_growth: float
 
-    def reflected(self) -> "Floquet":
-        """The readout of the time-reflected profile, whose monodromy
-        D M^-1 D = [Z', A', Z, A] (D = diag(1, -1)) has the eigen-slopes of
-        M with the sign changed and the roles swapped, and the same trace."""
-        return replace(self, stable=-self.unstable, unstable=-self.stable)
+
+def monodromy(profile: CurvatureProfile, horizon: float) -> Optional[Propagator]:
+    """The propagator (a reflected profile's mirror's) of a non-constant
+    Fourier profile of period T once the breakpoint that holds min(horizon,
+    T) is T: grown to T, it reads M = F(T). Else None, launching nothing."""
+    prop = propagator(profile if profile._mirror is None else profile._mirror)
+    t = prop.breaks[-1]
+    while prop.period is not None and t < min(horizon, prop.period):
+        t = prop._next_break(t)
+    if prop.period is None or t < prop.period:
+        return None
+    prop.segment(math.inf)  # reads M and forms floquet's readout
+    return prop
 
 
-def floquet(profile: CurvatureProfile) -> Optional[Floquet]:
-    """The monodromy readout of a non-constant Fourier profile, or None where
-    it does not decide the profile (and for any other profile).
+def floquet(profile: CurvatureProfile, horizon: float) -> Optional[Floquet]:
+    """The monodromy readout (``monodromy``) of a non-constant Fourier
+    profile, or None where M is not held or does not decide the profile.
 
     With kappa of period T, J'' + kappa J = 0 is Hill's equation (Magnus and
     Winkler, 1966). Where tr M > 2 for M = F(T) = [A, A', Z, Z'], the
@@ -625,17 +635,15 @@ def floquet(profile: CurvatureProfile) -> Optional[Floquet]:
     Z none past 0), read by ``Propagator.first_zero_of_z`` where
     ``kappa_ceiling`` > 0, which keeps a zero it finds for ``first_zero``;
     for |tr M| < 2 ``_predict`` finds one past 2T. The readout is formed
-    once, where the propagator stores M, in stored scale; a reflected
-    profile (``flipped``) reads its mirror's, reflected.
+    once, where the propagator reads M, in stored scale. A reflected profile
+    (``flipped``) reads its mirror's, negated and swapped: its monodromy is
+    D M^-1 D = [Z', A', Z, A], D = diag(1, -1).
     """
-    if profile._mirror is not None:
-        mirrored = floquet(profile._mirror)
-        return None if mirrored is None else mirrored.reflected()
-    prop = propagator(profile)
-    if prop.period is None:
-        return None
-    prop.segment(math.inf)  # integrates the period and reads M
-    return prop.hill
+    prop = monodromy(profile, horizon)
+    hill = None if prop is None else prop.hill
+    if hill is None or profile._mirror is None:
+        return hill
+    return replace(hill, stable=-hill.unstable, unstable=-hill.stable)
 
 
 def _readout(prop: Propagator) -> Optional[Floquet]:
@@ -821,13 +829,13 @@ def first_zero(profile: CurvatureProfile, horizon: float) -> Optional[float]:
     first zero at or past pi / sqrt(K+) (Hartman, Ordinary Differential
     Equations, ch. XI). So a profile with K+ <= 0 or K+ * horizon**2 < pi**2,
     K+ being its ``kappa_ceiling``, has none, and the propagator is not read.
-    Nor has a periodic profile that its monodromy shows disconjugate
-    (``floquet``), at any horizon; on any other the scan past 2T reads the
-    period ``_predict`` names, so every horizon costs about the same."""
+    Nor has one whose monodromy, held once reads to the horizon reach the
+    period, shows it disconjugate (``floquet``); on any other the scan past
+    2T reads the period ``_predict`` names, so every horizon costs about the same."""
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     k_plus = profile.kappa_ceiling
-    if k_plus <= 0.0 or k_plus * horizon**2 < math.pi**2 or floquet(profile) is not None:
+    if k_plus <= 0.0 or k_plus * horizon**2 < math.pi**2 or floquet(profile, horizon) is not None:
         return None
     return propagator(profile).first_zero_of_z(horizon)
 

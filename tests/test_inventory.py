@@ -275,6 +275,17 @@ def test_one_conjugate_point_finder():
                for node in ast.walk(doubling)) == 1
 
 
+def test_one_slope_schedule():
+    # every profile runs green._doubling, where the monodromy is one way the
+    # schedule ends: _run_schedule has no route of its own for a periodic
+    # profile
+    package = Path(magflow.__file__).parent
+    green = ast.parse((package / "green.py").read_text())
+    run = next(node for node in ast.walk(green)
+               if isinstance(node, ast.FunctionDef) and node.name == "_run_schedule")
+    assert not {"floquet", "period"} & _names_used(run)
+
+
 def test_one_matrix_product_and_no_power_cache():
     # jacobi._product forms the squares of the monodromy M, its powers and
     # the reads F(tau) M**n past the period; of these only the squares are

@@ -323,7 +323,7 @@ class TestFloquetZero:
             cases += [(p, 0.0, 1.0)] + [(p, 1.0, u0) for u0 in rng.uniform(-0.02, 0.5, 3)]
         for _ in range(12):
             p = hyperbolic_profile(rng)
-            stable = jacobi.floquet(p).stable
+            stable = jacobi.floquet(p, math.inf).stable
             cases += [(p, 1.0, stable - du * max(1.0, abs(stable)))
                       for du in (1e-9, 10.0 ** rng.uniform(-8.0, 0.0))]
         found = 0
@@ -375,7 +375,7 @@ class TestFloquetZero:
             warnings.simplefilter("error")
             assert first_zero(p, math.inf) is None
             assert first_zero(P_ZERO, math.inf) is None
-        assert jacobi.floquet(p) is None
+        assert jacobi.floquet(p, math.inf) is None
         rep = _series_classify(series)
         assert rep.verdict == "Inconclusive" and rep.orbits[0].conjugate_time is None
         assert rep.orbits[0].error.startswith("NumericalInconsistencyError")
@@ -834,7 +834,7 @@ class TestMonodromyReadout:
         p = CurvatureProfile.from_series(series)
         m = _direct(p, np.array([2 * math.pi]))[:, 0]
         assert m[0] + m[3] == pytest.approx(trace, abs=1e-4)
-        assert jacobi.floquet(p) is None
+        assert jacobi.floquet(p, math.inf) is None
         model = AbstractProfile(kappa=series, k_bound=2.0)
         rep = classify(model)
         assert rep.verdict == "NotAnosov"
@@ -861,7 +861,7 @@ class TestMonodromyReadout:
         period = 4 * math.pi
         m = _direct(p, np.array([period]))[:, 0]
         assert m[0] + m[3] == pytest.approx(5.3577e4, rel=1e-4)
-        assert jacobi.floquet(p) is not None
+        assert jacobi.floquet(p, math.inf) is not None
         rep = classify(AbstractProfile(kappa=series, k_bound=p.k_bound))
         assert rep.verdict == "NumericallyAnosov"
         c = rep.orbits[0].contraction.c
@@ -902,7 +902,7 @@ class TestMonodromyReadout:
         rng = rng_for("monodromy-readout")
         for _ in range(20):
             p = hyperbolic_profile(rng)
-            hill = jacobi.floquet(p)
+            hill = jacobi.floquet(p, math.inf)
             assert hill is not None
             est = green_both(p)
             assert (est.plus.r_schedule, est.minus.r_schedule) == ([hill.period],) * 2
@@ -919,14 +919,37 @@ class TestMonodromyReadout:
         rng = rng_for("monodromy-mirror")
         for _ in range(10):
             p = hyperbolic_profile(rng)
-            alone = jacobi.floquet(CurvatureProfile.from_series(p.series.reflected()))
-            jacobi.floquet(p)
+            alone = jacobi.floquet(CurvatureProfile.from_series(p.series.reflected()), math.inf)
+            jacobi.floquet(p, math.inf)
             with monkeypatch.context() as m:
                 m.setattr(jacobi, "_launch", None)
-                mirrored = jacobi.floquet(p.flipped())
+                mirrored = jacobi.floquet(p.flipped(), math.inf)
             assert mirrored.stable == pytest.approx(alone.stable, abs=1e-12)
             assert mirrored.unstable == pytest.approx(alone.unstable, abs=1e-12)
             assert mirrored.log_growth == pytest.approx(alone.log_growth, rel=1e-12)
+
+    def test_no_read_forces_the_period(self, monkeypatch):
+        # T = 2 pi 1e5: floquet at horizon 5 launches nothing (the breakpoint
+        # holding 5 is not T), the mirror's neither, and the conjugate scan
+        # to 5 launches [0, 5] alone, where the Sturm bracket
+        # [pi / sqrt(1.5), pi / sqrt(0.5)] holds the zero
+        launched = []
+
+        def recorded(ev, y0, t_span, _f=jacobi._launch):
+            launched.append(tuple(t_span))
+            return _f(ev, y0, t_span)
+
+        monkeypatch.setattr(jacobi, "_launch", recorded)
+        p = CurvatureProfile.from_series(
+            FourierSeries1D(const=1.0, omega=1e-5, cos_coeffs={1: 0.5}))
+        assert jacobi.floquet(p, 5.0) is None
+        assert jacobi.floquet(p.flipped(), 5.0) is None
+        assert launched == []
+        t = first_zero(p, 5.0)
+        assert math.pi / math.sqrt(1.5) <= t <= math.pi / math.sqrt(0.5)
+        assert launched == [(0.0, 5.0)]
+        assert first_zero(CurvatureProfile.from_series(p.series), 5.0) == t
+        assert launched == [(0.0, 5.0)] * 2
 
     def test_late_hyperbolic_profile_reads_the_exact_exponent(self):
         # kappa(0) = -0.1, kappa(pi) = -2.3: the fit window [W / 10, W] sees
