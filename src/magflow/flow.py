@@ -496,11 +496,28 @@ class _Spline:
         return np.asarray(((c3[i] + c2[i] * u) + c1[i] * u2) + c0[i] * (u2 * u))
 
 
+class _Pointwise:
+    """A curvature read one time at a time: ``at`` takes a list of times to
+    the list of their values as floats, and a call reads the times of an
+    array through it, as a float array of the array's shape (0-d for a
+    scalar)."""
+
+    def __init__(self, at: Callable):
+        self.at = at
+
+    def __call__(self, t):
+        return np.array(self.at(np.ravel(t).tolist()), dtype=float).reshape(np.shape(t))
+
+
 @dataclass(frozen=True)
 class CurvatureProfile:
     """Curvature along an orbit as a function of time.
 
-    ``evaluator`` accepts scalars or arrays. ``k_bound`` is a k >= 0 with
+    ``evaluator`` accepts scalars or arrays. That of a Fourier series and
+    that of a callable (``_Pointwise``, which ``shifted`` and ``flipped``
+    keep) also read a list of times as a list of floats (``at``), bitwise
+    their array read, which the Jacobi launch uses; a spline has its array
+    read alone. ``k_bound`` is a k >= 0 with
     kappa(t) >= -k_bound**2 on the usable window [t_min, t_max]. Profiles
     built from a Fourier series (a constant is one without harmonics, or
     with omega = 0) have infinite windows and shift and reflect exactly;
@@ -557,8 +574,10 @@ class CurvatureProfile:
             sh = self.series.shifted(t0)
             return CurvatureProfile(evaluator=sh, k_bound=self.k_bound, series=sh)
         ev = self.evaluator
+        at = ev.at if isinstance(ev, _Pointwise) else None
         return CurvatureProfile(
-            evaluator=lambda s: ev(t0 + np.asarray(s, dtype=float)),
+            evaluator=(lambda s: ev(t0 + np.asarray(s, dtype=float))) if at is None
+            else _Pointwise(lambda ss: at([t0 + s for s in ss])),
             k_bound=self.k_bound,
             t_min=self.t_min - t0,
             t_max=self.t_max - t0,
@@ -574,8 +593,10 @@ class CurvatureProfile:
             object.__setattr__(out, "_mirror", self)
             return out
         ev = self.evaluator
+        at = ev.at if isinstance(ev, _Pointwise) else None
         return CurvatureProfile(
-            evaluator=lambda s: ev(-np.asarray(s, dtype=float)),
+            evaluator=(lambda s: ev(-np.asarray(s, dtype=float))) if at is None
+            else _Pointwise(lambda ss: at([-s for s in ss])),
             k_bound=self.k_bound,
             t_min=-self.t_max,
             t_max=-self.t_min,

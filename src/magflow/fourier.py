@@ -105,6 +105,21 @@ class FourierSeries1D:
             out = out + a * np.cos(w) + b * np.sin(w)
         return out
 
+    def at(self, ts) -> list:
+        """f at each time of the list ts, as a list of floats: ``__call__``'s
+        sums in its order, with ``math.cos`` and ``math.sin`` in place of
+        numpy's, which read the same doubles. An infinite argument, where
+        ``math`` raises and numpy reads NaN, is read by ``__call__``."""
+        cos, sin = math.cos, math.sin
+        out = [self.const + 0.0 * t for t in ts]
+        try:
+            for j, a, b in self.harmonics:
+                jw = j * self.omega
+                out = [v + a * cos(jw * t) + b * sin(jw * t) for v, t in zip(out, ts)]
+        except ValueError:
+            return self(ts).tolist()
+        return out
+
     def shifted(self, t0):
         """The series t -> f(t0 + t), again as a finite Fourier series."""
         cos_out, sin_out = {}, {}

@@ -37,7 +37,7 @@ from typing import Callable, Optional, Protocol
 import numpy as np
 
 from .errors import InvalidProfileError, ResolutionError
-from .flow import CurvatureProfile, UnitTangent, integrate_orbit
+from .flow import CurvatureProfile, UnitTangent, _Pointwise, integrate_orbit
 from .fourier import FourierSeries1D, FourierSeries2D
 
 GAUSS_BONNET_TOL = 1e-9
@@ -335,24 +335,29 @@ class AbstractProfile:
 
     def curvature(self) -> CurvatureProfile:
         """kappa as a curvature profile. A Fourier series stays one, so the
-        profile shifts and reflects exactly and is read in one array call;
-        any other callable is called once per time, on the Python numbers
-        of ``np.ravel(t).tolist()``, and its values are read as a float
-        array of t's shape (0-d for a scalar t), bitwise what
+        profile shifts and reflects exactly; any other callable is called
+        once per time, on a Python number, each value read by ``float``
+        (``flow._Pointwise``): a list of times reads as a list, which is
+        the Jacobi launch's read, and an array as a float array of its
+        shape (0-d for a scalar), the values bitwise what
         ``np.vectorize(kappa, otypes=[float])`` reads."""
         kappa = self.kappa
         if isinstance(kappa, FourierSeries1D):
             return CurvatureProfile(evaluator=kappa, k_bound=self.k_bound, series=kappa)
         return CurvatureProfile(
-            evaluator=lambda t: np.array([kappa(s) for s in np.ravel(t).tolist()],
-                                         dtype=float).reshape(np.shape(t)),
+            evaluator=_Pointwise(lambda ts: [float(kappa(s)) for s in ts]),
             k_bound=self.k_bound,
         )
 
     def validate_window(self, t0: float, t1: float):
         """Minimum of 2048 samples of kappa on [t0, t1]; raises
-        InvalidProfileError on a non-finite sample or a violated bound."""
-        samples = self.curvature()(np.linspace(t0, t1, 2048))
+        InvalidProfileError on a sample that ``float`` cannot read, a
+        non-finite sample or a violated bound."""
+        try:
+            samples = self.curvature()(np.linspace(t0, t1, 2048))
+        except (TypeError, ValueError) as exc:
+            raise InvalidProfileError("kappa is not a real number on [%g, %g]: %s"
+                                      % (t0, t1, exc)) from None
         if not np.all(np.isfinite(samples)):
             raise InvalidProfileError("kappa is not finite on [%g, %g]" % (t0, t1))
         kmin = float(np.min(samples))
@@ -366,8 +371,12 @@ class AbstractProfile:
         return None
 
     def kappa_extrema(self) -> tuple:
-        """(min, max) of 4096 samples of kappa on [0, 100]."""
-        vals = self.curvature()(np.linspace(0.0, 100.0, 4096))
+        """(min, max) of 4096 samples of kappa on [0, 100]; NaN where a
+        sample is no real number, which ``validate_window`` reports."""
+        try:
+            vals = self.curvature()(np.linspace(0.0, 100.0, 4096))
+        except (TypeError, ValueError):
+            return math.nan, math.nan
         return float(np.min(vals)), float(np.max(vals))
 
     def ensemble(self, count: int, seed: int) -> list:

@@ -35,12 +35,16 @@ Every launch (``_launch``, called by ``Propagator`` alone) runs magflow's
 own DOP853 loop on [A, A', Z, Z'] at the one tolerance ``JACOBI_TOL``. It
 shares with the orbit loop of ``flow`` the Dormand-Prince 8(5,3) tableau
 (``_dop853``, a literal copy of scipy's, its nonzero weights named in
-``flow``), the step control and the dense-output type ``flow._Run``. The
-curvature is read in one array call per step attempt, the stage sums of
-one pair (J, J') are written out over the tableau's nonzero weights
-(``_pair``, run on (A, A') and on (Z, Z')), and the dense-output stages of
-the accepted steps are formed in one array pass. Results agree with
-scipy's DOP853 solver at roundoff level, not bitwise.
+``flow``), the step control and the dense-output type ``flow._Run``. A
+step attempt reads the curvature at its 14 node times as Python floats, in
+one list read, with no numpy call: a Fourier series from ``math.cos`` and
+``math.sin`` (``FourierSeries1D.at``), a callable once per node
+(``flow._Pointwise``), each bitwise its array read, and a spline through
+its array read. The stage sums of one pair (J, J') are written out over
+the tableau's nonzero weights (``_pair``, run on (A, A') and on (Z, Z')),
+and the dense-output stages of the accepted steps are formed in one array
+pass. Results agree with scipy's DOP853 solver at roundoff level, not
+bitwise.
 
 The boundary solution is computed two independent ways (a shooting
 combination of fundamental solutions, and the reduction-of-order integral
@@ -73,8 +77,10 @@ from .flow import (
     _A10_4, _A10_5, _A10_6, _A10_7, _A10_8, _A10_9, _A11_0, _A11_3, _A11_4, _A11_5,
     _A11_6, _A11_7, _A11_8, _A11_9, _A11_10, _B0, _B5, _B6, _B7, _B8, _B9, _B10, _B11,
     _E3_0, _E3_5, _E3_6, _E3_7, _E3_8, _E3_9, _E3_10, _E3_11, _E5_0, _E5_5, _E5_6,
-    _E5_7, _E5_8, _E5_9, _E5_10, _E5_11, CurvatureProfile, _first_step, _march, _Run,
+    _E5_7, _E5_8, _E5_9, _E5_10, _E5_11, CurvatureProfile, _first_step, _march,
+    _Pointwise, _Run,
 )
+from .fourier import FourierSeries1D
 
 JACOBI_TOL = 1e-12
 CROSS_CHECK_TOL = 1e-7
@@ -149,8 +155,10 @@ class JacobiTrace:
 
 # One DOP853 step attempt reads the curvature at the nodes of stages 1-11
 # and 13-15 (``flow``'s tableau, ``_dop853``); stage 11 sits at c = 1, so
-# stage 12 reuses its value.
+# stage 12 reuses its value. ``_attempt`` forms the node times from the
+# Python floats of _NODE_LIST.
 _NODES = _dop853.C[[*range(1, 12), 13, 14, 15]]
+_NODE_LIST = _NODES.tolist()
 
 
 def _rate(k, v):
@@ -231,15 +239,16 @@ def _pair(j, dj, p0, q0, h, kv, e5, e3):
             e5 + u * u, e3 + w * w)
 
 
-def _attempt(ev: Callable, t: float, y, f, h: float) -> tuple:
+def _attempt(read: Callable, t: float, y, f, h: float) -> tuple:
     """One DOP853 step attempt of signed size h from the state y = [A, A',
     Z, Z'] with derivative f at t, for ``flow._march``: (y_new, f_new, err,
     stages), stages being the 13 stage slopes of each component and the
     curvature at the three dense-output nodes. kappa does not depend on the
-    state, so the attempt reads ``ev`` once, at the 14 nodes of its stages,
-    and runs ``_pair`` on (A, A') and then on (Z, Z'); err is the combined
-    5th/3rd-order error norm."""
-    kv = np.asarray(ev(t + h * _NODES), dtype=float).tolist()
+    state, so the attempt reads it once, with the list reader ``read`` of
+    ``_launch``, at the 14 node times t + h c of its stages, formed as
+    Python floats, and runs ``_pair`` on (A, A') and then on (Z, Z'); err
+    is the combined 5th/3rd-order error norm. No numpy call is made."""
+    kv = read([t + h * c for c in _NODE_LIST])
     a, da, ka, kda, e5, e3 = _pair(y[0], y[1], f[0], f[1], h, kv, 0.0, 0.0)
     z, dz, kz, kdz, e5, e3 = _pair(y[2], y[3], f[2], f[3], h, kv, e5, e3)
     err = (0.0 if e5 == 0 and e3 == 0
@@ -254,16 +263,22 @@ def _launch(ev: Callable, y0, t_span: tuple) -> _Run:
 
     The step control is scipy's DOP853 at rtol = atol = JACOBI_TOL, run by
     ``flow._first_step`` and ``flow._march`` for an error estimator of order
-    7, with ``_attempt`` taking the steps. The stage sums are written out
-    per pair on Python floats (``_pair``), and the dense output of the
-    accepted steps is formed in one array pass at the end, so the results
-    agree with scipy's to roundoff, not bitwise. Fails as ``flow._march``
-    does, the budget being ``JACOBI_NFEV_BUDGET`` curvature points.
+    7, with ``_attempt`` taking the steps. kappa is read at lists of times
+    as lists of floats: a Fourier series and a callable profile's
+    ``flow._Pointwise`` read them themselves (their ``at``), bitwise their
+    array reads, and any other evaluator (a spline) reads them as an array.
+    The stage sums are written out per pair on Python floats (``_pair``),
+    and the dense output of the accepted steps is formed in one array pass
+    at the end, so the results agree with scipy's to roundoff, not bitwise.
+    Fails as ``flow._march`` does, the budget being ``JACOBI_NFEV_BUDGET``
+    curvature points.
     """
+    read = (ev.at if isinstance(ev, (FourierSeries1D, _Pointwise))
+            else lambda ts: np.asarray(ev(np.array(ts)), dtype=float).tolist())
     t, t_end = float(t_span[0]), float(t_span[1])
     y = [float(v) for v in y0]
-    f = _rate(float(ev(t)), y)
-    h_abs = _first_step(lambda s, v: _rate(float(ev(s)), v), t, y, f, t_end - t, 7,
+    f = _rate(read([t])[0], y)
+    h_abs = _first_step(lambda s, v: _rate(read([s])[0], v), t, y, f, t_end - t, 7,
                         JACOBI_TOL)
 
     # per accepted step: its end time and end state, and the stage
@@ -278,7 +293,7 @@ def _launch(ev: Callable, y0, t_span: tuple) -> _Run:
         ts.append(t_new)
         ys.extend(y_new)
 
-    nfev, rejected = _march(partial(_attempt, ev), keep, t, t_end, y, f, h_abs, 2,
+    nfev, rejected = _march(partial(_attempt, read), keep, t, t_end, y, f, h_abs, 2,
                             len(_NODES), 0, JACOBI_NFEV_BUDGET, 7, "jacobi")
 
     # the dense-output stages 13-15 of every accepted step in one array pass
@@ -481,8 +496,11 @@ class Propagator:
     def _power(self, n: np.ndarray) -> tuple:
         """M**n for each whole number of the array n, as (mantissas, shape (4,
         n.size), exponents): the identity times the squares M**(2**j) of the
-        set bits of n in increasing j, so each power depends on its n alone."""
-        ns, inv = np.unique(n.astype(np.int64), return_inverse=True)
+        set bits of n in increasing j, so each power depends on its n alone.
+        Several n are formed once per distinct value."""
+        ns, inv = n.astype(np.int64), slice(None)
+        if n.size > 1:
+            ns, inv = np.unique(ns, return_inverse=True)
         y, e = np.repeat([[1.0], [0.0], [0.0], [1.0]], ns.size, 1), np.zeros(ns.size, np.int64)
         for j in range(int(ns[-1]).bit_length()):
             if j == len(self._squares):
@@ -499,7 +517,7 @@ class Propagator:
         last = self.segment(float(t.max()))
         ks = np.clip(np.searchsorted(self.breaks, t), 1, last)
         y, e = np.empty((4, t.size)), np.zeros(t.size, dtype=int)
-        for k in np.unique(ks):
+        for k in (ks if t.size == 1 else np.unique(ks)):
             sel = ks == k
             run, _end, exp, _nfev = self._segs[k]
             if run is not None:
@@ -831,13 +849,24 @@ def first_zero(profile: CurvatureProfile, horizon: float) -> Optional[float]:
     K+ being its ``kappa_ceiling``, has none, and the propagator is not read.
     Nor has one whose monodromy, held once reads to the horizon reach the
     period, shows it disconjugate (``floquet``); on any other the scan past
-    2T reads the period ``_predict`` names, so every horizon costs about the same."""
+    2T reads the period ``_predict`` names, so every horizon costs about the
+    same. Where the period spans more than one segment, a first read scans
+    the first segment before ``floquet`` launches the rest, and a zero there
+    answers."""
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     k_plus = profile.kappa_ceiling
-    if k_plus <= 0.0 or k_plus * horizon**2 < math.pi**2 or floquet(profile, horizon) is not None:
+    if k_plus <= 0.0 or k_plus * horizon**2 < math.pi**2:
         return None
-    return propagator(profile).first_zero_of_z(horizon)
+    prop = propagator(profile)
+    first = prop._next_break(0.0)
+    if len(prop.breaks) == 1 and prop.period is not None and first < prop.period:
+        z = prop.first_zero_of_z(min(horizon, first))
+        if z is not None or horizon <= first:
+            return z
+    if floquet(profile, horizon) is not None:
+        return None
+    return prop.first_zero_of_z(horizon)
 
 
 @dataclass

@@ -560,3 +560,62 @@ class TestCurvatureProfiles:
                                    p.evaluator(ts + 2.0), atol=1e-14)
         np.testing.assert_allclose(p.flipped().evaluator(ts),
                                    p.evaluator(-ts), atol=1e-14)
+
+
+class TestListReaders:
+    """The Jacobi launch reads kappa at lists of times as lists of floats
+    (``at``): a Fourier series from ``math.cos`` and ``math.sin``, a
+    callable once per time, shifts and reflections composed on the list.
+    Each reads bitwise what the array read of the same profile reads."""
+
+    TIMES = [0.0, -0.0, 1e-300, 0.37, -2.5, 17.25, -123.456, 5e3 + 1 / 3,
+             -1e6, 1e6, 1e6 + 0.1, -1e6 - 2.7]
+
+    @staticmethod
+    def _bitwise(got, want):
+        assert all(type(v) is float for v in got)
+        assert np.array(got).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+    def test_fourier_series(self):
+        rng = rng_for("list-reader")
+        ts = self.TIMES + rng.uniform(-50.0, 50.0, 200).tolist()
+        for _ in range(20):
+            n = int(rng.integers(0, 5))
+            series = FourierSeries1D(
+                const=float(rng.normal()), omega=float(rng.uniform(0.01, 3.0)),
+                cos_coeffs={j: float(rng.normal()) for j in range(1, n + 1)},
+                sin_coeffs={j: float(rng.normal()) for j in range(1, n + 2, 2)})
+            p = CurvatureProfile.from_series(series)
+            t0 = float(rng.uniform(-20.0, 20.0))
+            for q in (p, p.shifted(t0), p.flipped(), p.shifted(t0).flipped(),
+                      p.flipped().shifted(t0)):
+                self._bitwise(q.evaluator.at(ts), q.evaluator(np.array(ts)))
+
+    def test_fourier_series_at_an_infinite_time(self):
+        # math.cos raises at inf where np.cos reads NaN: read as the array
+        series = FourierSeries1D(const=1.0, cos_coeffs={1: 1.0})
+        with np.errstate(invalid="ignore"):
+            got = series.at([math.inf, 0.0])
+        assert math.isnan(got[0]) and got[1] == 2.0
+
+    @pytest.mark.parametrize("kappa", [
+        lambda t: -max(0.0, math.sin(t)) ** 2,
+        lambda t: 3 if t > 1.0 else -2,
+        lambda t: np.float32(math.cos(t)),
+        lambda t: np.float64(t) * 1e-3 - 0.5,
+    ], ids=["half-wave", "int", "float32", "float64"])
+    def test_callables(self, kappa):
+        p = AbstractProfile(kappa=kappa, k_bound=2.0).curvature()
+        ts = np.array(self.TIMES + rng_for("list-reader").uniform(-50.0, 50.0, 200).tolist())
+        t0, t1 = 3.7, -11.25
+        # each composed profile and its times, the array read of numpy's
+        # time arithmetic through np.vectorize
+        cases = [(p, ts), (p.shifted(t0), t0 + ts), (p.flipped(), -ts),
+                 (p.shifted(t0).flipped(), t0 + -ts),
+                 (p.flipped().shifted(t1), -(t1 + ts)),
+                 (p.shifted(t0).flipped().shifted(t1), t0 + -(t1 + ts))]
+        read = np.vectorize(kappa, otypes=[float])
+        for q, times in cases:
+            self._bitwise(q.evaluator.at(ts.tolist()), read(times))
+            self._bitwise(q.evaluator(ts).tolist(), read(times))
+            assert q.evaluator(ts[3]).shape == ()

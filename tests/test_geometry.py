@@ -8,8 +8,10 @@ from magflow import (
     ConformalTorus,
     ConstantCurvature,
     FourierSeries2D,
+    InvalidProfileError,
     ResolutionError,
     UnitTangent,
+    classify,
 )
 from magflow import geometry
 from families import random_torus, rng_for
@@ -182,3 +184,14 @@ class TestAbstractProfileModel:
         m = AbstractProfile(kappa=lambda t: math.nan, k_bound=1.0)
         with pytest.raises(ValueError):
             m.validate_window(0.0, 10.0)
+
+    @pytest.mark.parametrize("value", [None, "x", 1j], ids=["none", "str", "complex"])
+    def test_sample_that_is_no_real_number_is_typed(self, value):
+        # each sample is read by float(): what it cannot read is an invalid
+        # profile, and classify records it on the orbit
+        m = AbstractProfile(kappa=lambda t: value, k_bound=1.0)
+        with pytest.raises(InvalidProfileError, match="not a real number"):
+            m.validate_window(0.0, 10.0)
+        rep = classify(m)
+        assert rep.verdict == "Inconclusive"
+        assert rep.orbits[0].error.startswith("InvalidProfileError: kappa is not a real number")

@@ -302,6 +302,17 @@ def test_one_matrix_product_and_no_power_cache():
     assert [name for name, value in vars(prop).items() if isinstance(value, dict)] == []
 
 
+def test_the_step_attempt_makes_no_numpy_call():
+    # a Jacobi step attempt reads kappa at its 14 nodes as Python floats
+    # (jacobi._attempt) and writes its stage sums out on them (jacobi._pair)
+    package = Path(magflow.__file__).parent
+    tree = ast.parse((package / "jacobi.py").read_text())
+    for name in ("_attempt", "_pair"):
+        node = next(node for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef) and node.name == name)
+        assert not {"np", "numpy", "_NODES"} & _names_used(node), name
+
+
 def test_no_vectorize_and_no_list_form_stage_sums():
     # callable profiles are read by one list comprehension
     # (AbstractProfile.curvature), and jacobi._pair writes the DOP853 stage

@@ -1205,6 +1205,32 @@ class TestSturmSkip:
         assert first_zero(q, 50.0) is None
         assert launches
 
+    def test_long_period_scans_its_first_segment_first(self, monkeypatch):
+        # 1e4 (1 + 0.5 cos 0.1 t): the period 20 pi spans the segments [0, 5],
+        # [5, 10], [10, 20] and [20, 20 pi], and the scan to 50 would force
+        # all of them; the zero, in Sturm's bracket [pi / sqrt(1.5e4),
+        # pi / sqrt(1e4)], lies in the first, which alone is launched
+        launches = self._counted(monkeypatch)
+        p = CurvatureProfile.from_series(
+            FourierSeries1D(const=1e4, omega=0.1, cos_coeffs={1: 5e3}))
+        t = first_zero(p, 50.0)
+        assert launches == [(0.0, 5.0)]
+        assert math.pi / math.sqrt(1.5e4) <= t <= math.pi / math.sqrt(1e4)
+        assert t == pytest.approx(0.02565100057895667, rel=1e-12)
+        assert abs(_direct(p, np.array([t]))[2, 0]) < 1e-9
+
+    def test_strong_long_period_reads_its_conjugate_point(self):
+        # 1e6 (1 + 0.5 cos 0.1 t): launched over its whole period first, the
+        # profile spent the Jacobi budget (1e6 curvature points) before any
+        # zero was read, and the verdict was Inconclusive; the first segment
+        # holds the zero, in Sturm's bracket
+        series = FourierSeries1D(const=1e6, omega=0.1, cos_coeffs={1: 5e5})
+        rep = classify(AbstractProfile(kappa=series, k_bound=0.0))
+        assert rep.verdict == "NotAnosov"
+        assert rep.orbits[0].error is None
+        t = rep.orbits[0].conjugate_time
+        assert math.pi / math.sqrt(1.5e6) <= t <= math.pi / math.sqrt(1e6)
+
     def test_strong_field_scans_find_the_first_zero(self):
         # kappa = 2.5e7: zeros every pi / 5000 ~ 6.3e-4; the knots, at half
         # that spacing, hold one zero per cell
