@@ -30,7 +30,7 @@ print()
 for i, theta0 in enumerate((0.0, 1.3, 2.6)):
     v0 = UnitTangent(0.1 * i, 0.2, theta0)
     # the curvature profile along the orbit and the orbit trace it was read from
-    profile, orbit = torus.profile(v0, horizon=40.0, tol=1e-10, keep=True)
+    profile, orbit = torus.profile(v0, horizon=40.0, keep=True)
     kappa = orbit.kappa_samples
     print(
         "orbit %d  theta0=%.1f  curvature along orbit: min %+.4f  mean %+.4f  "

@@ -5,10 +5,10 @@ Verdict logic over a sampled orbit ensemble:
 * ``NotAnosov`` as soon as a structural obstruction is confirmed: Euler
   characteristic >= 0, failure of the strict averaged-intensity
   inequality, a conjugate point on any sampled orbit, or a collapsed
-  transversality gap (within UNRESOLVED_GAP_TOLS * green_tol of zero)
-  confirmed by a bounded transverse field.
+  transversality gap (within UNRESOLVED_GAP_TOLS * DEFAULT_GREEN_TOL of
+  zero) confirmed by a bounded transverse field.
 * ``NumericallyAnosov`` only when every sampled orbit has a converged
-  transversality gap above the margin, the stable contraction fit
+  transversality gap above GAP_MARGIN, the stable contraction fit
   succeeds everywhere, and the integral inequality passes (or does not
   apply for profile-only models).
 * ``Inconclusive`` otherwise, carrying the reason: a recorded error on
@@ -35,16 +35,17 @@ from typing import Optional
 import numpy as np
 
 from . import __version__ as _pkg_version
-from .errors import ConjugatePointError, MagflowError
-from .flow import DEFAULT_TOL, SAMPLE_DT, CurvatureProfile, OrbitTrace, UnitTangent
+from .errors import ConjugatePointError, InsufficientDataError, MagflowError
+from .flow import SAMPLE_DT, CurvatureProfile, OrbitTrace, UnitTangent
 from .geometry import SurfaceModel
-from .green import GreenEstimate, green_slope
+from .green import DEFAULT_GREEN_TOL, GreenEstimate, green_slope
 from .jacobi import JacobiState, first_zero, floquet, integrate_jacobi, propagator
 
 SCHEMA_VERSION = 1
 
-# fixed analysis windows and thresholds; the witness ones are reported in
-# AnosovReport.margins
+# fixed analysis windows and thresholds; the gap margin, the slope-schedule
+# tolerance and the witness ones are reported in AnosovReport.margins
+GAP_MARGIN = 1e-4          # a certified gap exceeds it
 CONJUGATE_HORIZON = 50.0   # end of the conjugate scan and the kappa sampling
 WITNESS_WINDOW = 50.0      # bounded-field witness on [-window, window]
 WITNESS_BOUND = 1e3        # sup-norm a witness must stay below
@@ -52,8 +53,8 @@ CONTRACTION_WINDOW = 10.0  # fit on [W / 10, W], W = this / max(1, |u+|)
 GROWTH_WINDOW = 20.0       # growth floor of Z on [1, this]
 CONTRACTION_FLOOR = 1e-6   # fitted rates at or below it fail the fit
 NEGATIVITY_EPS = 1e-8
-# a witness refutes only a gap within this many green_tol of zero; a larger
-# gap is resolved from zero, and below the margin it is Inconclusive
+# a witness refutes only a gap within this many DEFAULT_GREEN_TOL of zero; a
+# larger gap is resolved from zero, and below the margin it is Inconclusive
 UNRESOLVED_GAP_TOLS = 10.0
 
 
@@ -71,12 +72,11 @@ class Witness:
 def bounded_jacobi_witness(
     profile: CurvatureProfile,
     minus: CurvatureProfile,
-    tol: float,
     estimate: GreenEstimate,
 ) -> Optional[Witness]:
     """Search for a nontrivial bounded transverse field.
 
-    When the transversality gap of ``estimate`` falls below ``tol`` the
+    When the transversality gap of ``estimate`` falls below ``GAP_MARGIN`` the
     stable and unstable lines coincide to working accuracy, and the stable
     direction integrated across [-WITNESS_WINDOW, WITNESS_WINDOW] exhibits
     the bounded field directly. The backward half is read forward along
@@ -89,12 +89,12 @@ def bounded_jacobi_witness(
     None is returned too where the profile's certified ``kappa_ceiling`` K+
     is negative: the cone u = 0 is then strictly invariant, and by Riccati
     comparison the two slopes stay at least 2 sqrt(-K+) apart, so a gap
-    read below ``tol`` is the schedule's resolution limit (about 1/r on a
+    read below the margin is the schedule's resolution limit (about 1/r on a
     nearly flat profile), not a collapse.
     """
     if not estimate.converged:
         raise ValueError("witness search needs converged slope estimates")
-    if estimate.gap >= tol or profile.kappa_ceiling < 0:
+    if estimate.gap >= GAP_MARGIN or profile.kappa_ceiling < 0:
         return None
     window, u0 = WITNESS_WINDOW, estimate.u_plus0
     trace_f = integrate_jacobi(profile, JacobiState(1.0, u0), (0.0, window))
@@ -139,7 +139,9 @@ def contraction_fit(profile: CurvatureProfile,
     double-precision mixing horizon ~ -log(slope error)/(2|u+|), past which
     the unstable component contaminates the solution; a spline or callable
     profile that turns more hyperbolic after t = 0 can reach that horizon
-    before W.
+    before W. Where a norm on [0, W] reads exactly zero, the solution is
+    lost to the cancellation of its terms, and ``InsufficientDataError``
+    names the first such time.
     """
     if estimate.plus is None or not estimate.plus.converged:
         raise ValueError("contraction fit needs a converged stable slope")
@@ -149,7 +151,13 @@ def contraction_fit(profile: CurvatureProfile,
     ts = np.linspace(window / 10.0, window, 181)
     ts_all = np.linspace(0.0, window, 201)
     # one read of the dense output for the fit and the bound
-    norms = np.hypot(*trace.states(np.concatenate([ts, ts_all])))
+    t_read = np.concatenate([ts, ts_all])
+    norms = np.hypot(*trace.states(t_read))
+    lost = norms == 0.0
+    if lost.any():
+        raise InsufficientDataError(
+            "the stable solution is lost to cancellation at t = %g: its norm "
+            "reads 0" % np.min(t_read[lost]))
     logn, norms_all = np.log(norms[:ts.size]), norms[ts.size:]
     hill = floquet(profile, 0.0)
     if hill is None:
@@ -216,27 +224,27 @@ def negativity_criterion(model: SurfaceModel, kappa_mins: list) -> dict:
 
 @dataclass
 class SamplingConfig:
-    """Knobs for the ensemble certifier; defaults match the report schema."""
+    """The ensemble the certifier samples; defaults match the report
+    schema. The tolerances and the gap margin are module constants."""
 
     ensemble_count: int = 64
     seed: int = 0
     horizon: float = 200.0
-    integration_tol: float = DEFAULT_TOL
-    green_tol: float = 1e-9
-    gap_margin: float = 1e-4
 
     def __post_init__(self):
         """Reject a config no classification can honour with one
         ValueError whose message leads with the field: an ensemble_count
-        that is not an integer >= 1, a horizon or tolerance that is not a
-        finite positive number, or a horizon whose sample grid is too long."""
-        count = self.ensemble_count
-        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
-            raise ValueError("ensemble_count must be an integer >= 1, got %r" % (count,))
-        for name in ("horizon", "integration_tol", "green_tol", "gap_margin"):
+        that is not an integer >= 1, a seed that is not an integer >= 0, a
+        horizon that is not a finite positive number, or a horizon whose
+        sample grid is too long."""
+        for name, least in (("ensemble_count", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
-                raise ValueError("%s must be positive and finite, got %r" % (name, value))
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or value < least):
+                raise ValueError("%s must be an integer >= %d, got %r" % (name, least, value))
+        horizon = self.horizon
+        if not (isinstance(horizon, numbers.Real) and math.isfinite(horizon) and horizon > 0):
+            raise ValueError("horizon must be positive and finite, got %r" % (horizon,))
         if self.horizon / SAMPLE_DT >= np.iinfo(np.intp).max:
             raise ValueError("horizon %r has too many orbit samples to index" % self.horizon)
 
@@ -300,8 +308,7 @@ def analyze_orbit(model: SurfaceModel, v0: UnitTangent, orbit_id: int,
     With ``keep_trace`` the result carries the plus orbit's trace."""
     res = OrbitResult(orbit_id=orbit_id, initial=(v0.x, v0.y, v0.theta))
     try:
-        plus, trace = model.profile(v0, cfg.horizon, cfg.integration_tol,
-                                    keep_trace)
+        plus, trace = model.profile(v0, cfg.horizon, keep_trace)
         if keep_trace:
             res.trace = trace
         res.kappa_min, res.kappa_max = profile_extrema(plus)
@@ -312,11 +319,11 @@ def analyze_orbit(model: SurfaceModel, v0: UnitTangent, orbit_id: int,
 
         # the minus profile is the time reflection of the plus one, so its
         # stable side is the unstable side at the orbit's base point
-        minus = model.minus_profile(v0, plus, cfg.horizon, cfg.integration_tol)
+        minus = model.minus_profile(v0, plus, cfg.horizon)
         try:
             est = GreenEstimate(
-                plus=green_slope(plus, "+", tol=cfg.green_tol).plus,
-                minus=green_slope(minus, "+", tol=cfg.green_tol).plus.reflected(),
+                plus=green_slope(plus, "+").plus,
+                minus=green_slope(minus, "+").plus.reflected(),
             )
         except ConjugatePointError as exc:
             res.conjugate_time = exc.conjugate_time
@@ -325,8 +332,8 @@ def analyze_orbit(model: SurfaceModel, v0: UnitTangent, orbit_id: int,
         res.gap_converged = est.converged
         res.growth_A = growth_floor(plus, min(GROWTH_WINDOW, plus.t_max))
 
-        if res.gap_converged and res.gap < cfg.gap_margin:
-            wit = bounded_jacobi_witness(plus, minus, cfg.gap_margin, est)
+        if res.gap_converged and res.gap < GAP_MARGIN:
+            wit = bounded_jacobi_witness(plus, minus, est)
             if wit is not None:
                 res.witness_sup = wit.sup_norm
         elif res.gap_converged:
@@ -358,8 +365,8 @@ def classify(model: SurfaceModel, cfg: Optional[SamplingConfig] = None,
     negativity = negativity_criterion(model, [r.kappa_min for r in results])
 
     margins = {
-        "gap_margin": cfg.gap_margin,
-        "green_tol": cfg.green_tol,
+        "gap_margin": GAP_MARGIN,
+        "green_tol": DEFAULT_GREEN_TOL,
         "witness_window": WITNESS_WINDOW,
         "witness_bound": WITNESS_BOUND,
         "ensemble_count": len(states),
@@ -372,8 +379,7 @@ def classify(model: SurfaceModel, cfg: Optional[SamplingConfig] = None,
                      if r.conjugate_time is None and r.gap is not None
                      and not r.gap_converged]
 
-    verdict, reason = _verdict(model.chi, inequality, results, cfg, errors,
-                               non_converged)
+    verdict, reason = _verdict(model.chi, inequality, results, errors, non_converged)
     return AnosovReport(
         verdict=verdict, reason=reason, inequality=inequality,
         negativity=negativity, orbits=results, margins=margins,
@@ -381,7 +387,7 @@ def classify(model: SurfaceModel, cfg: Optional[SamplingConfig] = None,
     )
 
 
-def _verdict(chi, inequality, results, cfg, errors, non_converged):
+def _verdict(chi, inequality, results, errors, non_converged):
     if chi is not None and chi >= 0:
         return "NotAnosov", "euler characteristic >= 0"
     ineq_error = inequality.get("error") if inequality is not None else None
@@ -394,8 +400,8 @@ def _verdict(chi, inequality, results, cfg, errors, non_converged):
         )
     collapsed = [
         r for r in results
-        if r.gap is not None and r.gap_converged and r.gap < cfg.gap_margin
-        and r.gap <= UNRESOLVED_GAP_TOLS * cfg.green_tol
+        if r.gap is not None and r.gap_converged and r.gap < GAP_MARGIN
+        and r.gap <= UNRESOLVED_GAP_TOLS * DEFAULT_GREEN_TOL
         and r.witness_sup is not None and r.witness_sup <= WITNESS_BOUND
     ]
     if collapsed:
@@ -415,7 +421,7 @@ def _verdict(chi, inequality, results, cfg, errors, non_converged):
     if not results:
         return "Inconclusive", "empty orbit ensemble"
     bad = [r.orbit_id for r in results
-           if not (r.gap is not None and r.gap_converged and r.gap > cfg.gap_margin)]
+           if not (r.gap is not None and r.gap_converged and r.gap > GAP_MARGIN)]
     if bad:
         return "Inconclusive", "gap margin not established on orbits %s" % bad[:8]
     bad = [r.orbit_id for r in results
@@ -424,7 +430,7 @@ def _verdict(chi, inequality, results, cfg, errors, non_converged):
         return "Inconclusive", "contraction fit failed on orbits %s" % bad[:8]
     return "NumericallyAnosov", (
         "all %d sampled orbits: converged gap > %g, stable contraction confirmed"
-        % (len(results), cfg.gap_margin)
+        % (len(results), GAP_MARGIN)
     )
 
 

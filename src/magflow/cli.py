@@ -6,8 +6,6 @@ A run is declared in a JSON file::
       "model": {"kind": "constant", "K": -1.0, "b": 0.5,
                 "chi": -2, "area": 12.566370614359172},
       "ensemble": {"count": 64, "seed": 0, "horizon": 200.0},
-      "tolerances": {"integration": 1e-10, "green": 1e-9,
-                     "gap_margin": 1e-4},
       "output_dir": "out"
     }
 
@@ -25,10 +23,12 @@ the run into a sweep: one classification per grid value, aggregated into
 outside ``CONFIG_KEYS`` at the top level (``analyses``, say), outside
 ``SECTION_KEYS`` in a section or outside its kind's ``MODEL_KEYS`` (and
 ``b_scale``) in the model is a ConfigError naming it, and so is a
-mistyped sweep parameter. So is a top level that is not an object (key
-``""``), an ``output_dir`` that is not a string, an ``export_orbits``
-that is not a boolean, and a value ``SamplingConfig`` rejects (a horizon
-or tolerance that is not positive, an ensemble count below one).
+mistyped sweep parameter; the tolerances and the gap margin are module
+constants, so a ``tolerances`` section is an unknown key too. So is a top
+level that is not an object (key ``""``), an ``output_dir`` that is not a
+string, an ``export_orbits`` that is not a boolean, and a value
+``SamplingConfig`` rejects (a horizon that is not positive, an ensemble
+count below one, a negative seed).
 The verdict of a run and the summary lines of a sweep go to the
 ``magflow`` logger at INFO; ``-v`` prints them on stdout. Exit status: 0
 when a verdict was reached (either way), 2 when Inconclusive, 1 on
@@ -53,22 +53,19 @@ from .flow import CurvatureProfile
 from .fourier import FourierSeries1D, FourierSeries2D
 from .geometry import VALIDATION_WINDOW, AbstractProfile, ConformalTorus, ConstantCurvature
 
-CONFIG_KEYS = ("model", "ensemble", "tolerances", "sweep", "output_dir",
-               "export_orbits", "export_orbit_limit")
-# the config section, key and kind of number of each SamplingConfig field
+CONFIG_KEYS = ("model", "ensemble", "sweep", "output_dir", "export_orbits",
+               "export_orbit_limit")
+# the ensemble key and kind of number of each SamplingConfig field
 SAMPLING_KEYS = {
-    "ensemble_count": ("ensemble", "count", int),
-    "seed": ("ensemble", "seed", int),
-    "horizon": ("ensemble", "horizon", float),
-    "integration_tol": ("tolerances", "integration", float),
-    "green_tol": ("tolerances", "green", float),
-    "gap_margin": ("tolerances", "gap_margin", float),
+    "ensemble_count": ("count", int),
+    "seed": ("seed", int),
+    "horizon": ("horizon", float),
 }
 # the keys inside each section; a model takes its kind's keys and b_scale
-SECTION_KEYS = {section: tuple(name for s, name, _kind in SAMPLING_KEYS.values()
-                               if s == section)
-                for section in ("ensemble", "tolerances")}
-SECTION_KEYS["sweep"] = ("parameter", "grid")
+SECTION_KEYS = {
+    "ensemble": tuple(name for name, _kind in SAMPLING_KEYS.values()),
+    "sweep": ("parameter", "grid"),
+}
 MODEL_KEYS = {
     "constant": ("K", "b", "chi", "area"),
     "torus": ("Lx", "Ly", "phi", "b"),
@@ -223,21 +220,17 @@ def build_model(spec: dict):
 
 
 def build_sampling(cfg: dict) -> SamplingConfig:
-    """The run's SamplingConfig, each field read from its key in
+    """The run's SamplingConfig, each field read from its ensemble key in
     SAMPLING_KEYS. SamplingConfig checks the values itself; its ValueError,
     which leads with the field, becomes a ConfigError naming that field's
     key."""
-    sections = {name: _table(cfg.get(name), name, SECTION_KEYS[name])
-                for name in ("ensemble", "tolerances")}
-    values = {}
-    for field, (section, name, kind) in SAMPLING_KEYS.items():
-        if name in sections[section]:
-            values[field] = _number(sections[section][name],
-                                    "%s.%s" % (section, name), kind)
+    ensemble = _table(cfg.get("ensemble"), "ensemble", SECTION_KEYS["ensemble"])
+    values = {field: _number(ensemble[name], "ensemble." + name, kind)
+              for field, (name, kind) in SAMPLING_KEYS.items() if name in ensemble}
     try:
         return SamplingConfig(**values)
     except ValueError as exc:
-        key = "%s.%s" % SAMPLING_KEYS[str(exc).split()[0]][:2]
+        key = "ensemble." + SAMPLING_KEYS[str(exc).split()[0]][0]
         raise ConfigError("%s: %s" % (key, exc), key) from None
 
 

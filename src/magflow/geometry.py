@@ -37,7 +37,7 @@ from typing import Callable, Optional, Protocol
 import numpy as np
 
 from .errors import InvalidProfileError, ResolutionError
-from .flow import CurvatureProfile, UnitTangent, _Pointwise, integrate_orbit
+from .flow import DEFAULT_TOL, CurvatureProfile, UnitTangent, _Pointwise, integrate_orbit
 from .fourier import FourierSeries1D, FourierSeries2D
 
 GAUSS_BONNET_TOL = 1e-9
@@ -90,14 +90,13 @@ class SurfaceModel(Protocol):
     def ensemble(self, count: int, seed: int) -> list:
         """Start vectors of the sampled orbits (``UnitTangent``)."""
 
-    def profile(self, v0: UnitTangent, horizon: float, tol: float,
-                keep: bool) -> tuple:
+    def profile(self, v0: UnitTangent, horizon: float, keep: bool) -> tuple:
         """(the curvature profile along the orbit from v0, its ``OrbitTrace``
         or None); ``keep`` asks for a trace even where the profile needs
-        none."""
+        none. Orbits are integrated at ``flow.DEFAULT_TOL``."""
 
     def minus_profile(self, v0: UnitTangent, plus: CurvatureProfile,
-                      horizon: float, tol: float) -> CurvatureProfile:
+                      horizon: float) -> CurvatureProfile:
         """The time reflection of ``plus``: the curvature along the
         reversed-intensity orbit from the flipped vector."""
 
@@ -151,11 +150,11 @@ class ConstantCurvature:
         # one orbit represents all: the curvature readout is constant on SM
         return [UnitTangent(0.0, 0.0, 0.0)]
 
-    def profile(self, v0, horizon, tol, keep) -> tuple:
-        trace = integrate_orbit(self, v0, horizon, tol) if keep else None
+    def profile(self, v0, horizon, keep) -> tuple:
+        trace = integrate_orbit(self, v0, horizon, DEFAULT_TOL) if keep else None
         return CurvatureProfile.constant(self.K + self.b**2), trace
 
-    def minus_profile(self, v0, plus, horizon, tol) -> CurvatureProfile:
+    def minus_profile(self, v0, plus, horizon) -> CurvatureProfile:
         return plus.flipped()
 
 
@@ -304,13 +303,13 @@ class ConformalTorus:
         """The companion system with the sign of the intensity reversed."""
         return ConformalTorus(self.phi, self.b.scaled(-1.0))
 
-    def profile(self, v0, horizon, tol, keep) -> tuple:
-        trace = integrate_orbit(self, v0, horizon, tol)
+    def profile(self, v0, horizon, keep) -> tuple:
+        trace = integrate_orbit(self, v0, horizon, DEFAULT_TOL)
         return CurvatureProfile.from_orbit(trace), trace
 
-    def minus_profile(self, v0, plus, horizon, tol) -> CurvatureProfile:
+    def minus_profile(self, v0, plus, horizon) -> CurvatureProfile:
         flipped = UnitTangent(v0.x, v0.y, v0.theta + math.pi)
-        return self.flipped().profile(flipped, horizon, tol, False)[0]
+        return self.flipped().profile(flipped, horizon, False)[0]
 
 
 @dataclass(frozen=True)
@@ -383,9 +382,9 @@ class AbstractProfile:
         # a profile model has only its one notional orbit
         return [UnitTangent(0.0, 0.0, 0.0)]
 
-    def profile(self, v0, horizon, tol, keep) -> tuple:
+    def profile(self, v0, horizon, keep) -> tuple:
         self.validate_window(*VALIDATION_WINDOW)
         return self.curvature(), None
 
-    def minus_profile(self, v0, plus, horizon, tol) -> CurvatureProfile:
+    def minus_profile(self, v0, plus, horizon) -> CurvatureProfile:
         return plus.flipped()

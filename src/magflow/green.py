@@ -13,9 +13,9 @@ breakpoints are the default schedule points. Before each read it asks the
 conjugate scan (``jacobi.first_zero``) whether the unit-slope solution
 vanishes on (0, r]; a zero there ends the schedule with a
 ``ConjugatePointError`` at the exact conjugate time. Convergence is
-declared when two successive slopes differ by less than the tolerance;
-profiles whose slopes converge slower than the work budget allows are
-flagged, never extrapolated.
+declared when two successive slopes differ by less than
+``DEFAULT_GREEN_TOL``; profiles whose slopes converge slower than the work
+budget allows are flagged, never extrapolated.
 
 A periodic (non-constant Fourier) profile ends it once the reads reach its
 period T, before any convergence test: with its stable eigen-slope where
@@ -99,21 +99,22 @@ class GreenEstimate:
         return bool(sides) and all(s.converged for s in sides)
 
 
-def _run_schedule(profile: CurvatureProfile, tol: float) -> GreenSide:
+def _run_schedule(profile: CurvatureProfile) -> GreenSide:
     if profile.t_max < R0:
         raise InsufficientDataError("profile window too short for the slope "
                                     "schedule (ends at t = %g)" % profile.t_max)
-    side = _doubling(profile, tol)
+    side = _doubling(profile)
     if side.converged and abs(side.slope) > profile.k_bound + SLOPE_BOUND_SLACK:
         raise NumericalInconsistencyError("converged slope %g exceeds the curvature "
                                           "bound k = %g" % (side.slope, profile.k_bound))
     return side
 
 
-def _doubling(profile: CurvatureProfile, tol: float) -> GreenSide:
+def _doubling(profile: CurvatureProfile) -> GreenSide:
     """The boundary slopes on the doubling schedule R0, 2 R0, ... up to the
-    profile's window end, until two agree to tol, the work budget is spent or
-    the monodromy is held (see above); a zero of Z before r raises."""
+    profile's window end, until two agree to DEFAULT_GREEN_TOL, the work
+    budget is spent or the monodromy is held (see above); a zero of Z
+    before r raises."""
     prop = propagator(profile)
     r, rs, slopes, residual = R0, [], [], math.inf
     while True:
@@ -138,30 +139,30 @@ def _doubling(profile: CurvatureProfile, tol: float) -> GreenSide:
             residual = abs(step)
         nfev = prop.nfev_to(r)
         r_next = min(2.0 * r, profile.t_max)
-        if residual < tol or nfev > WORK_BUDGET or r_next <= r * (1.0 + 1e-12):
-            return GreenSide(slope=slopes[-1], converged=residual < tol, residual=residual,
+        converged = residual < DEFAULT_GREEN_TOL
+        if converged or nfev > WORK_BUDGET or r_next <= r * (1.0 + 1e-12):
+            return GreenSide(slope=slopes[-1], converged=converged, residual=residual,
                              r_schedule=rs, slopes=slopes)
         r = r_next
 
 
-def green_slope(profile: CurvatureProfile, direction: str,
-                tol: float = DEFAULT_GREEN_TOL) -> GreenEstimate:
+def green_slope(profile: CurvatureProfile, direction: str) -> GreenEstimate:
     """Estimate the stable ('+') or unstable ('-') slope at time zero.
 
     The unstable side always goes through the time reflection and reuses
     the monotone forward schedule, so both sides share one code path and
-    one set of tolerances.
+    one tolerance.
     """
     if direction not in ("+", "-"):
         raise ValueError("direction must be '+' or '-'")
     if direction == "+":
-        return GreenEstimate(plus=_run_schedule(profile, tol))
-    return GreenEstimate(minus=_run_schedule(profile.flipped(), tol).reflected())
+        return GreenEstimate(plus=_run_schedule(profile))
+    return GreenEstimate(minus=_run_schedule(profile.flipped()).reflected())
 
 
 def green_both(profile: CurvatureProfile) -> GreenEstimate:
-    """Both slopes at DEFAULT_GREEN_TOL; a converged pair with a negative
-    gap raises (``GreenEstimate``)."""
+    """Both slopes; a converged pair with a negative gap raises
+    (``GreenEstimate``)."""
     return GreenEstimate(plus=green_slope(profile, "+").plus,
                          minus=green_slope(profile, "-").minus)
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from magflow import (
     integrate_orbit,
     negativity_criterion,
 )
-from magflow import anosov, green, jacobi
+from magflow import anosov, flow, green, jacobi
 from magflow.anosov import WITNESS_WINDOW, growth_floor
 from families import hyperbolic_profile, oscillatory_profile, random_torus, rng_for
 
@@ -72,7 +73,7 @@ class TestGap:
 
 
 def _witness(p):
-    return bounded_jacobi_witness(p, p.flipped(), 1e-4, green_both(p))
+    return bounded_jacobi_witness(p, p.flipped(), green_both(p))
 
 
 def _fit(p):
@@ -96,16 +97,16 @@ class TestWitness:
         p = CurvatureProfile.constant(-1e-20)
         est = green_both(p)
         assert est.converged and est.gap < 1e-4
-        assert bounded_jacobi_witness(p, p.flipped(), 1e-4, est) is None
+        assert bounded_jacobi_witness(p, p.flipped(), est) is None
         sampled = CurvatureProfile(evaluator=p.evaluator, k_bound=p.k_bound)
-        w = bounded_jacobi_witness(sampled, sampled.flipped(), 1e-4, est)
+        w = bounded_jacobi_witness(sampled, sampled.flipped(), est)
         assert w.sup_norm == pytest.approx(1.0, abs=1e-6)
 
     def test_horocycle_boundary_model(self):
         # constant curvature -1 with unit intensity: curvature along
         # orbits is identically zero, the constant field is the witness
         m = ConstantCurvature(K=-1.0, b=1.0, chi=-2, area=AREA)
-        w = _witness(m.profile(UnitTangent(), 1.0, 1e-10, False)[0])
+        w = _witness(m.profile(UnitTangent(), 1.0, False)[0])
         assert w is not None
         assert w.sup_norm == pytest.approx(1.0, abs=1e-6)
 
@@ -115,11 +116,11 @@ class TestWitness:
         flat = CurvatureProfile(evaluator=lambda t: 0.0 * np.asarray(t), k_bound=0.5,
                                 t_min=0.0, t_max=WITNESS_WINDOW)
         est = green_both(P_ZERO)
-        w = bounded_jacobi_witness(flat, flat, 1e-4, est)
+        w = bounded_jacobi_witness(flat, flat, est)
         assert w.sup_norm == pytest.approx(1.0, abs=1e-6)
         assert np.max(np.abs(w.values - 1.0)) < 1e-6
         with pytest.raises(InsufficientDataError, match="window ends"):
-            bounded_jacobi_witness(flat, flat.flipped(), 1e-4, est)
+            bounded_jacobi_witness(flat, flat.flipped(), est)
 
     def test_equivalence_with_gap(self):
         # healthy gap: every direction between the slopes grows past any
@@ -177,6 +178,23 @@ class TestContraction:
         assert rep.verdict == "NumericallyAnosov"
         assert rep.orbits[0].contraction.c == pytest.approx(5.0, rel=0.01)
 
+    def test_stable_solution_lost_to_cancellation_is_inconclusive(self):
+        # -60 + 80 cos 10t turns hyperbolic after t = 0 (kappa falls to
+        # -140 against u+**2 near 13), so the fit window reaches past the
+        # mixing horizon and A + u+ Z reads exactly 0 there: a certificate
+        # would rest on log 0, a NaN residual and a zero end norm
+        series = FourierSeries1D(const=-60.0, omega=10.0, cos_coeffs={1: 80.0})
+        model = AbstractProfile(kappa=series,
+                                k_bound=CurvatureProfile.from_series(series).k_bound)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = classify(model)
+        o = rep.orbits[0]
+        assert o.error.startswith("InsufficientDataError: the stable solution is "
+                                  "lost to cancellation at t = ")
+        assert o.contraction is None
+        assert rep.verdict == "Inconclusive" and rep.reason == o.error
+
 
 class TestSturmSign:
     def test_any_transverse_direction_flips_sign_between_conjugate_points(self):
@@ -196,7 +214,7 @@ class TestNegativity:
     def _criterion(m):
         from magflow.anosov import profile_extrema
 
-        plus = m.profile(UnitTangent(), 1.0, 1e-10, False)[0]
+        plus = m.profile(UnitTangent(), 1.0, False)[0]
         return negativity_criterion(m, [profile_extrema(plus)[0]])
 
     def test_negative_constant(self):
@@ -303,7 +321,7 @@ class TestClassify:
         rep = classify(AbstractProfile(
             kappa=series, k_bound=CurvatureProfile.from_series(series).k_bound))
         o = rep.orbits[0]
-        assert o.gap_converged and o.gap < 10 * SamplingConfig().green_tol
+        assert o.gap_converged and o.gap < 10 * green.DEFAULT_GREEN_TOL
         assert o.witness_sup is None
         assert rep.verdict == "Inconclusive" and "margin" in rep.reason
 
@@ -356,14 +374,14 @@ class TestClassify:
     @pytest.mark.parametrize("name, value", [
         ("horizon", math.nan),
         ("ensemble_count", 0),
-        ("integration_tol", 0.0),
-        ("gap_margin", -1.0),
-        ("green_tol", 0.0),
+        ("seed", -1),
+        ("seed", 1.5),
+        ("seed", True),
     ])
     def test_invalid_sampling_config_is_named(self, model, name, value):
-        # unchecked, the first four reported NumericallyAnosov (the model
-        # has no orbit equations to reject them) and green_tol = 0
-        # Inconclusive, none naming the field
+        # unchecked, each reported NumericallyAnosov (the model has no orbit
+        # equations to reject them, and its one orbit ignores the seed),
+        # none naming the field
         with pytest.raises(ValueError, match="^%s " % name):
             classify(model, SamplingConfig(**{name: value}))
 
@@ -449,12 +467,10 @@ class TestGrowthFloor:
 class TestVerdictLogic:
     """Aggregation invariants, exercised on synthetic orbit records."""
 
-    def _verdict(self, results, chi=-2, inequality=None, cfg=None):
+    def _verdict(self, results, chi=-2, inequality=None):
         from magflow.anosov import _verdict
 
-        cfg = cfg or SamplingConfig()
-        return _verdict(chi, inequality, results, cfg,
-                        [r for r in results if r.error],
+        return _verdict(chi, inequality, results, [r for r in results if r.error],
                         [r.orbit_id for r in results
                          if r.conjugate_time is None and r.gap is not None
                          and not r.gap_converged])
@@ -567,13 +583,13 @@ class DelegatingSurface:
     def ensemble(self, count, seed):
         return self.inner.ensemble(count, seed)
 
-    def profile(self, v0, horizon, tol, keep):
+    def profile(self, v0, horizon, keep):
         # the trace is integrated from this model's own members
-        trace = integrate_orbit(self, v0, horizon, tol) if keep else None
-        return self.inner.profile(v0, horizon, tol, False)[0], trace
+        trace = integrate_orbit(self, v0, horizon, flow.DEFAULT_TOL) if keep else None
+        return self.inner.profile(v0, horizon, False)[0], trace
 
-    def minus_profile(self, v0, plus, horizon, tol):
-        return self.inner.minus_profile(v0, plus, horizon, tol)
+    def minus_profile(self, v0, plus, horizon):
+        return self.inner.minus_profile(v0, plus, horizon)
 
 
 class TestSurfaceProtocol:

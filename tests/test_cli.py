@@ -59,12 +59,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             build_model({"kind": "sphere"})
 
-    def test_nonpositive_tolerance(self, tmp_path):
-        cfg = constant_config(tmp_path, tolerances={"green": 0.0})
-        with pytest.raises(ConfigError) as exc:
-            validate_config(cfg)
-        assert exc.value.key == "tolerances.green"
-
     def test_zero_count(self, tmp_path):
         cfg = constant_config(tmp_path, ensemble={"count": 0})
         with pytest.raises(ConfigError):
@@ -116,7 +110,9 @@ class TestConfigValidation:
         ({"tolerance": {"green": 1e-8}}, "tolerance"),
         # and so is one inside a section
         ({"ensemble": {"count": 4, "cuont": 8}}, "ensemble.cuont"),
-        ({"tolerances": {"gren": 1e-8}}, "tolerances.gren"),
+        # the tolerances and the gap margin are module constants
+        ({"tolerances": {"integration": 1e-10, "green": 1e-9, "gap_margin": 1e-4}},
+         "tolerances"),
         ({"sweep": {"parameter": "model.b", "grid": [0.2], "step": 0.1}}, "sweep.step"),
         ({"model": {"kind": "constant", "K": -1.0, "b": 0.5, "chi": -2,
                     "area": AREA, "k": 1.0}}, "model.k"),
@@ -133,8 +129,8 @@ class TestConfigValidation:
         # values SamplingConfig refuses, named by their config keys
         ({"ensemble": {"count": 0}}, "ensemble.count"),
         ({"ensemble": {"horizon": -1.0}}, "ensemble.horizon"),
-        ({"tolerances": {"integration": 0}}, "tolerances.integration"),
-        ({"tolerances": {"gap_margin": -1e-4}}, "tolerances.gap_margin"),
+        ({"ensemble": {"seed": -3}}, "ensemble.seed"),
+        ({"ensemble": {"seed": True}}, "ensemble.seed"),
         # a profile has no surface, so no area: a number there is refused too
         ({"model": {"kind": "profile", "kappa": {"const": -1.0},
                     "area": -5}}, "model.area"),
@@ -178,7 +174,6 @@ class TestConfigValidation:
         cfg = constant_config(
             tmp_path,
             ensemble={"count": 3, "seed": 7, "horizon": 50.0},
-            tolerances={"integration": 1e-9, "green": 1e-8, "gap_margin": 1e-3},
         )
         built, default = build_sampling(cfg), SamplingConfig()
         for f in dataclasses.fields(SamplingConfig):
@@ -447,7 +442,7 @@ class TestExport:
             for i, v0 in enumerate(states):
                 direct = tmp_path / "direct.csv"
                 flow.integrate_orbit(model, v0, sampling.horizon,
-                                     sampling.integration_tol).to_csv(direct)
+                                     flow.DEFAULT_TOL).to_csv(direct)
                 assert (outdir / ("orbit_%03d.csv" % i)).read_bytes() == direct.read_bytes()
 
     def test_export_limit_bounds_the_kept_traces(self, tmp_path, monkeypatch):

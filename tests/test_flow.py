@@ -121,9 +121,10 @@ class TestOrbits:
         match = "%s must be positive and finite" % name
         with pytest.raises(ValueError, match=match):
             integrate_orbit(flat_torus(), UnitTangent(), horizon, tol)
-        with pytest.raises(ValueError, match=match):
-            classify(flat_torus(), SamplingConfig(ensemble_count=1, horizon=horizon,
-                                                  integration_tol=tol))
+        # a classification sets no tolerance: its orbits run at flow.DEFAULT_TOL
+        if name == "horizon":
+            with pytest.raises(ValueError, match=match):
+                classify(flat_torus(), SamplingConfig(ensemble_count=1, horizon=horizon))
 
     # 2048 and 2049 rows sit on the edge of the writer's 2048-row blocks;
     # 5001 rows take more than two blocks
@@ -493,25 +494,25 @@ class TestSpline:
 class TestCurvatureProfiles:
     def test_constant_model_profile(self):
         m = ConstantCurvature(K=-1.0, b=0.5, chi=-2, area=4 * math.pi)
-        p = m.profile(UnitTangent(), 1.0, flow.DEFAULT_TOL, False)[0]
+        p = m.profile(UnitTangent(), 1.0, False)[0]
         assert float(p.evaluator(3.7)) == pytest.approx(-0.75, abs=1e-15)
         assert p.const_value is not None
 
     def test_flat_circle_profile(self):
-        p, _ = flat_torus(1.0).profile(UnitTangent(), 5.0, flow.DEFAULT_TOL, False)
+        p, _ = flat_torus(1.0).profile(UnitTangent(), 5.0, False)
         assert float(p.evaluator(2.3)) == pytest.approx(1.0, abs=1e-10)
 
     def test_abstract_passthrough(self):
         m = AbstractProfile(kappa=lambda t: -1.0 + 0.3 * math.sin(t),
                             k_bound=math.sqrt(1.3))
-        p = m.profile(UnitTangent(), 1.0, flow.DEFAULT_TOL, False)[0]
+        p = m.profile(UnitTangent(), 1.0, False)[0]
         assert float(p.evaluator(1.5)) == pytest.approx(-1.0 + 0.3 * math.sin(1.5))
         assert p.k_bound >= math.sqrt(1.3) - 1e-12
 
     def test_spline_reproduces_samples(self):
         rng = rng_for("fidelity")
         m = random_torus(rng)
-        p, tr = m.profile(UnitTangent(0.3, 0.6, 2.0), 8.0, flow.DEFAULT_TOL, True)
+        p, tr = m.profile(UnitTangent(0.3, 0.6, 2.0), 8.0, True)
         vals = p.evaluator(tr.t_samples)
         assert np.max(np.abs(vals - tr.kappa_samples)) < 1e-13
 
@@ -519,7 +520,7 @@ class TestCurvatureProfiles:
         rng = rng_for("short")
         m = random_torus(rng)
         with pytest.raises(InsufficientDataError):
-            m.profile(UnitTangent(), 0.02, flow.DEFAULT_TOL, False)
+            m.profile(UnitTangent(), 0.02, False)
         for n in (1, 2, 3):
             t = np.linspace(0.0, 0.01 * (n - 1), n)
             with pytest.raises(InsufficientDataError):

@@ -28,7 +28,7 @@ from magflow import CurvatureProfile, FourierSeries1D, _dop853, flow, jacobi
 
 ROOT = Path(__file__).resolve().parents[1]
 
-INVENTORY = 17
+INVENTORY = 13
 EXPORTS = 39
 
 

@@ -26,9 +26,9 @@ import math
 
 import pytest
 
-from magflow import AbstractProfile, CurvatureProfile, FourierSeries1D, SamplingConfig, classify
+from magflow import AbstractProfile, CurvatureProfile, FourierSeries1D, classify, green
 
-GREEN_TOL = SamplingConfig().green_tol
+GREEN_TOL = green.DEFAULT_GREEN_TOL
 OMEGAS = (1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0)
 # the root finder refines a conjugate time to 1e-12 relative, on solutions
 # integrated at 1e-12; this covers both with room
@@ -129,9 +129,10 @@ KNOWN_FAULTS = {
     # at every s >= 10 the fit window [W / 10, W], W = 10 / |u+|, reaches
     # past the double-precision mixing horizon, since kappa falls to
     # -1.4 s**2 << -u+**2; whether A + u+ Z then reads exactly 0 there, and
-    # its log warns, is decided by roundoff, so some scales pass
-    "turns_hyperbolic": (10.0, pytest.mark.xfail(raises=RuntimeWarning, reason=(
-        "the contraction fit reads the stable solution past the mixing horizon"))),
+    # the fit raises, is decided by roundoff, so some scales pass
+    "turns_hyperbolic": (10.0, pytest.mark.xfail(raises=AssertionError, reason=(
+        "the contraction fit reads the stable solution past the mixing horizon, "
+        "where it is lost to cancellation (InsufficientDataError)"))),
     # kappa ~ -1e4 s**2 / 1e4: the launch overflows inside one segment
     "slow_hyperbolic": (1e2, pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
         "a Jacobi launch overflows inside one segment (IntegrationFailure)"))),
