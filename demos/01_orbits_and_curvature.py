@@ -7,15 +7,7 @@ we read off the combined curvature (Gaussian term, intensity gradient
 term, squared intensity) that drives the transverse linearization.
 """
 
-import numpy as np
-
-from magflow import (
-    ConformalTorus,
-    FourierSeries2D,
-    UnitTangent,
-    flow,
-    integrate_orbit,
-)
+from magflow import ConformalTorus, FourierSeries2D, UnitTangent
 
 # a torus with two metric bumps and a tilted intensity pattern
 torus = ConformalTorus(
@@ -30,7 +22,7 @@ print()
 for i, theta0 in enumerate((0.0, 1.3, 2.6)):
     v0 = UnitTangent(0.1 * i, 0.2, theta0)
     # the curvature profile along the orbit and the orbit trace it was read from
-    profile, orbit = torus.profile(v0, horizon=40.0, keep=True)
+    profile, orbit = torus.profile(v0, horizon=40.0)
     kappa = orbit.kappa_samples
     print(
         "orbit %d  theta0=%.1f  curvature along orbit: min %+.4f  mean %+.4f  "
@@ -41,6 +33,3 @@ for i, theta0 in enumerate((0.0, 1.3, 2.6)):
 
 print()
 print("wrote orbit_demo_*.csv (columns t, x, y, theta, kappa)")
-print("unit-speed parameterization is structural: defect =",
-      integrate_orbit(torus, UnitTangent(), 5.0, flow.DEFAULT_TOL)
-      .unit_speed_defect())

@@ -305,10 +305,10 @@ class AnosovReport:
 def analyze_orbit(model: SurfaceModel, v0: UnitTangent, orbit_id: int,
                   cfg: SamplingConfig, keep_trace: bool) -> OrbitResult:
     """Full per-orbit pipeline: conjugate scan, gap, witness, contraction.
-    With ``keep_trace`` the result carries the plus orbit's trace."""
+    With ``keep_trace`` the result carries the plus orbit's trace, if any."""
     res = OrbitResult(orbit_id=orbit_id, initial=(v0.x, v0.y, v0.theta))
     try:
-        plus, trace = model.profile(v0, cfg.horizon, keep_trace)
+        plus, trace = model.profile(v0, cfg.horizon)
         if keep_trace:
             res.trace = trace
         res.kappa_min, res.kappa_max = profile_extrema(plus)

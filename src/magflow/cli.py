@@ -12,10 +12,11 @@ A run is declared in a JSON file::
 Model kinds: ``constant`` (K, b, chi, area), ``torus`` (Lx, Ly, phi, b as
 Fourier tables {"const": c, "cos": {"m,n": amp}, "sin": {...}}), and
 ``profile`` (kappa as a 1D Fourier table {"const": c, "omega": w,
-"cos": {"j": amp}, "sin": {...}} plus k_bound, by default
+"cos": {"j": amp}, "sin": {...}} and an optional chi; its k_bound is
 ``CurvatureProfile.from_series``'s, read from the certified lower bound
-c - sum_j hypot(cos_j, sin_j), and an optional chi). Every model accepts
-an optional ``b_scale`` multiplying the intensity.
+c - sum_j hypot(cos_j, sin_j), and a table the model cannot be built from
+is a ConfigError naming ``model.kappa``). Every model accepts an optional
+``b_scale`` multiplying the intensity.
 
 Adding a ``sweep`` section {"parameter": "model.b", "grid": [...]} turns
 the run into a sweep: one classification per grid value, aggregated into
@@ -23,16 +24,18 @@ the run into a sweep: one classification per grid value, aggregated into
 outside ``CONFIG_KEYS`` at the top level (``analyses``, say), outside
 ``SECTION_KEYS`` in a section or outside its kind's ``MODEL_KEYS`` (and
 ``b_scale``) in the model is a ConfigError naming it, and so is a
-mistyped sweep parameter; the tolerances and the gap margin are module
-constants, so a ``tolerances`` section is an unknown key too. So is a top
-level that is not an object (key ``""``), an ``output_dir`` that is not a
-string, an ``export_orbits`` that is not a boolean, and a value
-``SamplingConfig`` rejects (a horizon that is not positive, an ensemble
-count below one, a negative seed).
+mistyped sweep parameter; the tolerances, the gap margin and the export
+limit ``EXPORT_ORBIT_LIMIT`` are module constants and a profile's k_bound
+is derived, so ``tolerances``, ``export_orbit_limit`` and ``model.k_bound``
+are unknown keys too. So is a top level that is not an object (key
+``""``), an ``output_dir`` that is not a string, an ``export_orbits``
+that is not a boolean, and a value ``SamplingConfig`` rejects (a horizon
+that is not positive, an ensemble count below one, a negative seed).
 The verdict of a run and the summary lines of a sweep go to the
 ``magflow`` logger at INFO; ``-v`` prints them on stdout. Exit status: 0
 when a verdict was reached (either way), 2 when Inconclusive, 1 on
-configuration or I/O errors.
+configuration or I/O errors. Only a torus has orbits, so only a torus run
+writes orbit CSVs.
 """
 
 from __future__ import annotations
@@ -53,8 +56,9 @@ from .flow import CurvatureProfile
 from .fourier import FourierSeries1D, FourierSeries2D
 from .geometry import VALIDATION_WINDOW, AbstractProfile, ConformalTorus, ConstantCurvature
 
-CONFIG_KEYS = ("model", "ensemble", "sweep", "output_dir", "export_orbits",
-               "export_orbit_limit")
+CONFIG_KEYS = ("model", "ensemble", "sweep", "output_dir", "export_orbits")
+# the orbit traces a run exports, unless export_orbits is false
+EXPORT_ORBIT_LIMIT = 8
 # the ensemble key and kind of number of each SamplingConfig field
 SAMPLING_KEYS = {
     "ensemble_count": ("count", int),
@@ -69,7 +73,7 @@ SECTION_KEYS = {
 MODEL_KEYS = {
     "constant": ("K", "b", "chi", "area"),
     "torus": ("Lx", "Ly", "phi", "b"),
-    "profile": ("kappa", "k_bound", "chi"),
+    "profile": ("kappa", "chi"),
 }
 log = logging.getLogger("magflow")
 
@@ -206,16 +210,13 @@ def build_model(spec: dict):
     if series.omega == 0 and (series.cos_coeffs or series.sin_coeffs):
         raise ConfigError("model.kappa.omega must be nonzero for a series "
                           "with harmonics", "model.kappa.omega")
-    if spec.get("k_bound") is None:
-        k_bound = CurvatureProfile.from_series(series).k_bound
-    else:
-        k_bound = _number(spec["k_bound"], "model.k_bound")
     chi = _optional(spec.get("chi"), "model.chi", int)
     try:
-        model = AbstractProfile(kappa=series, k_bound=k_bound, chi=chi)
+        model = AbstractProfile(kappa=series, chi=chi,
+                                k_bound=CurvatureProfile.from_series(series).k_bound)
         model.validate_window(*VALIDATION_WINDOW)
     except ValueError as exc:
-        raise ConfigError("model.k_bound: %s" % exc, "model.k_bound")
+        raise ConfigError("model.kappa: %s" % exc, "model.kappa") from None
     return model
 
 
@@ -242,16 +243,13 @@ def _output_dir(cfg: dict) -> Path:
 
 
 def _exports(cfg: dict) -> int:
-    """The orbit traces a run exports: export_orbit_limit of them, or none
+    """The orbit traces a run exports: EXPORT_ORBIT_LIMIT of them, or none
     when export_orbits is false."""
     export = cfg.get("export_orbits", True)
     if not isinstance(export, bool):
         raise ConfigError("export_orbits must be true or false, got %r" % (export,),
                           "export_orbits")
-    limit = _number(cfg.get("export_orbit_limit", 8), "export_orbit_limit", int)
-    if limit < 0:
-        raise ConfigError("export_orbit_limit must be >= 0", "export_orbit_limit")
-    return limit if export else 0
+    return EXPORT_ORBIT_LIMIT if export else 0
 
 
 def _build(cfg: dict) -> tuple:
@@ -325,13 +323,14 @@ def _write_summary(path: Path, lines):
 def run(cfg: dict, workers: int = 1) -> int:
     """Single classification run; writes report.json, summary.txt and
     per-orbit CSV series into the output directory. The CSVs are the
-    traces classify integrated, for the first export_orbit_limit orbits.
-    The verdict goes to the ``magflow`` logger at INFO."""
+    traces classify integrated, for the first ``EXPORT_ORBIT_LIMIT``
+    orbits of a torus (no other model has orbits). The verdict goes to the
+    ``magflow`` logger at INFO."""
     model, sampling, _ = validate_config(cfg)
     outdir = _output_dir(cfg)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    # a profile model has no orbit, so it keeps no trace
+    # a constant or profile model has no orbit, so it keeps no trace
     report = classify(model, sampling, workers=workers, keep_traces=_exports(cfg))
 
     payload = {

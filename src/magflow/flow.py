@@ -62,12 +62,6 @@ class OrbitTrace:
     def state(self, i: int) -> UnitTangent:
         return UnitTangent(float(self.xs[i]), float(self.ys[i]), float(self.thetas[i]))
 
-    def unit_speed_defect(self) -> float:
-        # the (x, y, theta) parameterization is unit speed identically;
-        # report the roundoff of the trig identity as the defect
-        c, s = np.cos(self.thetas), np.sin(self.thetas)
-        return float(np.max(np.abs(c * c + s * s - 1.0)))
-
     def to_csv(self, path):
         # the bytes csv.writer gives (no float repr needs quoting), formatted
         # in blocks of rows so the Python floats never hold a whole column
@@ -386,8 +380,9 @@ def _integrate(f: Callable, y0, t_end: float, tol: float) -> _Run:
 
 def integrate_orbit(model, v0: UnitTangent, horizon: float,
                    tol: float) -> OrbitTrace:
-    """Integrate the magnetic orbit of a surface model from v0 for the given
-    time horizon.
+    """Integrate the magnetic orbit of a chart model (``ConformalTorus``;
+    a constant or profile model has no orbit equations) from v0 for the
+    given time horizon.
 
     A chart model gives three members for this, beyond the six of
     ``geometry.SurfaceModel``:

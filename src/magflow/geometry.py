@@ -7,7 +7,8 @@ model.
   constant Gaussian curvature, constant magnetic intensity, Euler
   characteristic and area. Genus >= 2 surfaces enter this way; all the
   dynamics downstream depend only on the curvature seen along orbits, so
-  no fundamental-domain geometry is needed, and one orbit stands for all.
+  the model has no chart and no orbit equations, and one profile stands
+  for all.
 * ``ConformalTorus`` - a flat-chart torus with metric exp(2*phi)*(dx^2+dy^2),
   where phi and the magnetic intensity b are finite Fourier series. All
   derivatives of the data are exact.
@@ -75,9 +76,9 @@ class InequalityResult:
 
 class SurfaceModel(Protocol):
     """What the certifier (``anosov.classify``) asks of a surface: these six
-    members and no other. A chart model also gives ``flow.integrate_orbit``
-    the members its docstring names. Implementations must be picklable for
-    parallel runs."""
+    members and no other. A chart model (``ConformalTorus``) also gives
+    ``flow.integrate_orbit`` the members its docstring names; it is the only
+    kind with orbits. Implementations must be picklable for parallel runs."""
 
     chi: Optional[int]  # Euler characteristic; None when unknown
 
@@ -90,10 +91,10 @@ class SurfaceModel(Protocol):
     def ensemble(self, count: int, seed: int) -> list:
         """Start vectors of the sampled orbits (``UnitTangent``)."""
 
-    def profile(self, v0: UnitTangent, horizon: float, keep: bool) -> tuple:
-        """(the curvature profile along the orbit from v0, its ``OrbitTrace``
-        or None); ``keep`` asks for a trace even where the profile needs
-        none. Orbits are integrated at ``flow.DEFAULT_TOL``."""
+    def profile(self, v0: UnitTangent, horizon: float) -> tuple:
+        """(the curvature profile along the orbit from v0, its ``OrbitTrace``);
+        the trace is None for a model without orbits. Orbits are integrated
+        at ``flow.DEFAULT_TOL``."""
 
     def minus_profile(self, v0: UnitTangent, plus: CurvatureProfile,
                       horizon: float) -> CurvatureProfile:
@@ -106,9 +107,9 @@ class ConstantCurvature:
     """Closed oriented surface with constant curvature and intensity.
 
     The Gauss-Bonnet identity K*area = 2*pi*chi must hold, which pins the
-    area once (K, chi) are chosen. The orbit equations are the zero field:
-    the model has no chart, and the curvature readout is K + b**2 on all of
-    the unit tangent bundle.
+    area once (K, chi) are chosen. The model has no chart and no orbit
+    equations: the curvature readout is K + b**2 on all of the unit tangent
+    bundle.
     """
 
     K: float
@@ -129,16 +130,6 @@ class ConstantCurvature:
                 "inconsistent constant model: K*area - 2*pi*chi = %g" % residual
             )
 
-    def rhs(self) -> Callable:
-        return lambda x, y, theta: (0.0, 0.0, 0.0)
-
-    def reduce(self, v: UnitTangent) -> UnitTangent:
-        return v
-
-    def magnetic_curvature(self, v: UnitTangent):
-        # db vanishes identically for constant intensity
-        return self.K + self.b**2 + 0.0 * np.asarray(v.theta, dtype=float)
-
     def inequality(self) -> InequalityResult:
         return InequalityResult.of(self.b**2 * self.area, self.chi)
 
@@ -150,9 +141,8 @@ class ConstantCurvature:
         # one orbit represents all: the curvature readout is constant on SM
         return [UnitTangent(0.0, 0.0, 0.0)]
 
-    def profile(self, v0, horizon, keep) -> tuple:
-        trace = integrate_orbit(self, v0, horizon, DEFAULT_TOL) if keep else None
-        return CurvatureProfile.constant(self.K + self.b**2), trace
+    def profile(self, v0, horizon) -> tuple:
+        return CurvatureProfile.constant(self.K + self.b**2), None
 
     def minus_profile(self, v0, plus, horizon) -> CurvatureProfile:
         return plus.flipped()
@@ -303,13 +293,13 @@ class ConformalTorus:
         """The companion system with the sign of the intensity reversed."""
         return ConformalTorus(self.phi, self.b.scaled(-1.0))
 
-    def profile(self, v0, horizon, keep) -> tuple:
+    def profile(self, v0, horizon) -> tuple:
         trace = integrate_orbit(self, v0, horizon, DEFAULT_TOL)
         return CurvatureProfile.from_orbit(trace), trace
 
     def minus_profile(self, v0, plus, horizon) -> CurvatureProfile:
         flipped = UnitTangent(v0.x, v0.y, v0.theta + math.pi)
-        return self.flipped().profile(flipped, horizon, False)[0]
+        return self.flipped().profile(flipped, horizon)[0]
 
 
 @dataclass(frozen=True)
@@ -351,9 +341,11 @@ class AbstractProfile:
     def validate_window(self, t0: float, t1: float):
         """Minimum of 2048 samples of kappa on [t0, t1]; raises
         InvalidProfileError on a sample that ``float`` cannot read, a
-        non-finite sample or a violated bound."""
+        non-finite sample (an overflowing sum included, read without a
+        warning) or a violated bound."""
         try:
-            samples = self.curvature()(np.linspace(t0, t1, 2048))
+            with np.errstate(over="ignore", invalid="ignore"):
+                samples = self.curvature()(np.linspace(t0, t1, 2048))
         except (TypeError, ValueError) as exc:
             raise InvalidProfileError("kappa is not a real number on [%g, %g]: %s"
                                       % (t0, t1, exc)) from None
@@ -371,9 +363,11 @@ class AbstractProfile:
 
     def kappa_extrema(self) -> tuple:
         """(min, max) of 4096 samples of kappa on [0, 100]; NaN where a
-        sample is no real number, which ``validate_window`` reports."""
+        sample is no real number, and a non-finite value where the sum
+        overflows, which ``validate_window`` reports."""
         try:
-            vals = self.curvature()(np.linspace(0.0, 100.0, 4096))
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals = self.curvature()(np.linspace(0.0, 100.0, 4096))
         except (TypeError, ValueError):
             return math.nan, math.nan
         return float(np.min(vals)), float(np.max(vals))
@@ -382,7 +376,7 @@ class AbstractProfile:
         # a profile model has only its one notional orbit
         return [UnitTangent(0.0, 0.0, 0.0)]
 
-    def profile(self, v0, horizon, keep) -> tuple:
+    def profile(self, v0, horizon) -> tuple:
         self.validate_window(*VALIDATION_WINDOW)
         return self.curvature(), None
 

@@ -11,6 +11,7 @@ from magflow import (
     ConstantCurvature,
     CurvatureProfile,
     FourierSeries1D,
+    FourierSeries2D,
     InsufficientDataError,
     JacobiState,
     SamplingConfig,
@@ -106,7 +107,7 @@ class TestWitness:
         # constant curvature -1 with unit intensity: curvature along
         # orbits is identically zero, the constant field is the witness
         m = ConstantCurvature(K=-1.0, b=1.0, chi=-2, area=AREA)
-        w = _witness(m.profile(UnitTangent(), 1.0, False)[0])
+        w = _witness(m.profile(UnitTangent(), 1.0)[0])
         assert w is not None
         assert w.sup_norm == pytest.approx(1.0, abs=1e-6)
 
@@ -214,7 +215,7 @@ class TestNegativity:
     def _criterion(m):
         from magflow.anosov import profile_extrema
 
-        plus = m.profile(UnitTangent(), 1.0, False)[0]
+        plus = m.profile(UnitTangent(), 1.0)[0]
         return negativity_criterion(m, [profile_extrema(plus)[0]])
 
     def test_negative_constant(self):
@@ -583,10 +584,12 @@ class DelegatingSurface:
     def ensemble(self, count, seed):
         return self.inner.ensemble(count, seed)
 
-    def profile(self, v0, horizon, keep):
-        # the trace is integrated from this model's own members
-        trace = integrate_orbit(self, v0, horizon, flow.DEFAULT_TOL) if keep else None
-        return self.inner.profile(v0, horizon, False)[0], trace
+    def profile(self, v0, horizon):
+        # a chart model's trace is integrated from this model's own members
+        plus, trace = self.inner.profile(v0, horizon)
+        if trace is not None:
+            trace = integrate_orbit(self, v0, horizon, flow.DEFAULT_TOL)
+        return plus, trace
 
     def minus_profile(self, v0, plus, horizon):
         return self.inner.minus_profile(v0, plus, horizon)
@@ -603,6 +606,18 @@ class TestSurfaceProtocol:
         cfg = SamplingConfig(horizon=30.0)
         got, want = classify(outer, cfg, keep_traces=1), classify(inner, cfg, keep_traces=1)
         assert got.to_dict() == want.to_dict()
-        for name in ("t_samples", "xs", "ys", "thetas", "kappa_samples"):
-            np.testing.assert_array_equal(getattr(got.orbits[0].trace, name),
-                                          getattr(want.orbits[0].trace, name))
+        # a constant model has no orbit, so neither keeps a trace
+        assert got.orbits[0].trace is None and want.orbits[0].trace is None
+
+    def test_a_fourth_chart_surface_keeps_the_traces_of_the_model_it_wraps(self):
+        # the traces run through the wrapper's rhs, reduce and
+        # magnetic_curvature, each delegated to the torus
+        inner = ConformalTorus(phi=FourierSeries2D(cos_coeffs={(1, 0): 0.05}),
+                               b=FourierSeries2D(const=0.6, sin_coeffs={(0, 1): 0.2}))
+        outer = DelegatingSurface(inner)
+        cfg = SamplingConfig(ensemble_count=2, horizon=20.0)
+        got, want = classify(outer, cfg, keep_traces=2), classify(inner, cfg, keep_traces=2)
+        assert got.to_dict() == want.to_dict()
+        for g, w in zip(got.orbits, want.orbits, strict=True):
+            for name in ("t_samples", "xs", "ys", "thetas", "kappa_samples"):
+                np.testing.assert_array_equal(getattr(g.trace, name), getattr(w.trace, name))

@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from magflow import (AbstractProfile, ConfigError, NumericalInconsistencyError,
-                     SamplingConfig, anosov, classify, cli, flow, geometry)
+from magflow import (AbstractProfile, ConfigError, CurvatureProfile, FourierSeries1D,
+                     NumericalInconsistencyError, SamplingConfig, anosov, classify, cli,
+                     flow, geometry)
 from magflow.cli import build_model, build_sampling, main, run, sweep, validate_config
 
 AREA = 4 * math.pi
@@ -81,13 +82,16 @@ class TestConfigValidation:
                     "area": AREA}}, "model.K"),
         ({"model": {"kind": "constant", "K": -1.0, "b": math.inf, "chi": -2,
                     "area": AREA}}, "model.b"),
-        ({"export_orbit_limit": "x"}, "export_orbit_limit"),
+        # the export limit is cli.EXPORT_ORBIT_LIMIT, so the key is unknown
+        # whatever its value
+        ({"export_orbit_limit": 8}, "export_orbit_limit"),
         ({"export_orbit_limit": -1}, "export_orbit_limit"),
+        # a profile's k_bound is derived from its table: a declared bound is
+        # an unknown key, and so is a null one, which used to mean "derive"
         ({"model": {"kind": "profile", "kappa": {"const": -1.0},
-                    "k_bound": -1}}, "model.k_bound"),
-        # min kappa = -1.5 lies below -k_bound**2 = -0.25
-        ({"model": {"kind": "profile", "kappa": {"const": -1.0, "sin": {"1": 0.5}},
-                    "k_bound": 0.5}}, "model.k_bound"),
+                    "k_bound": 1.0}}, "model.k_bound"),
+        ({"model": {"kind": "profile", "kappa": {"const": -1.0},
+                    "k_bound": None}}, "model.k_bound"),
         ({"model": {"kind": "profile", "kappa": {"const": -1.0},
                     "chi": "x"}}, "model.chi"),
         ({"model": {"kind": "profile", "kappa": {"const": -1.0},
@@ -118,7 +122,7 @@ class TestConfigValidation:
                     "area": AREA, "k": 1.0}}, "model.k"),
         ({"model": {"kind": "torus", "phii": {"cos": {"1,0": 0.1}}}}, "model.phii"),
         ({"model": {"kind": "torus", "phi": {"coss": {"1,0": 0.1}}}}, "model.phi.coss"),
-        # a typo of k_bound would fall back to the sampled bound
+        # nor is a bound taken under another spelling
         ({"model": {"kind": "profile", "kappa": {"const": -1.0},
                     "k_bond": 1.5}}, "model.k_bond"),
         ({"model": {"kind": "profile", "kappa": {"const": -1.0, "omgea": 2.0}}},
@@ -215,6 +219,14 @@ class TestConfigValidation:
                             "kappa": {"const": -806384158.3129885, "sin": {"1": 0.3}}})
         assert prof.k_bound**2 >= 806384158.3129885 + 0.3
 
+    def test_profile_k_bound_is_the_series_bound(self):
+        table = {"const": -0.8, "omega": 0.7, "cos": {"1": 0.2}, "sin": {"2": 0.1}}
+        series = FourierSeries1D(const=-0.8, omega=0.7, cos_coeffs={1: 0.2},
+                                 sin_coeffs={2: 0.1})
+        prof = build_model({"kind": "profile", "kappa": table, "chi": -2})
+        assert prof.kappa == series and prof.chi == -2
+        assert prof.k_bound == CurvatureProfile.from_series(series).k_bound
+
 
 class TestRun:
     def test_anosov_run(self, tmp_path):
@@ -224,7 +236,8 @@ class TestRun:
         payload = json.loads((tmp_path / "out" / "report.json").read_text())
         assert payload["report"]["verdict"] == "NumericallyAnosov"
         assert (tmp_path / "out" / "summary.txt").exists()
-        assert (tmp_path / "out" / "orbit_000.csv").exists()
+        # a constant model has no orbit, so no trace is written
+        assert orbit_csvs(tmp_path / "out") == []
 
     def test_torus_run_reports_topology(self, tmp_path):
         cfg = {
@@ -324,11 +337,11 @@ class TestRun:
 
     # finite values past what the model or the sample grid can hold: each is
     # refused before any allocation, where Python's float ** or numpy's
-    # linspace would otherwise raise untyped (k_bound**2, b**2,
-    # exp(-phi), a grid of 1e302 samples)
+    # linspace would otherwise raise untyped (the k_bound**2 of a table
+    # whose lower bound is -inf, b**2, exp(-phi), a grid of 1e302 samples)
     @pytest.mark.parametrize("cfg, key", [
-        ({"model": {"kind": "profile", "kappa": {"const": -1.0, "sin": {"1": 0.3}},
-                    "k_bound": 1e308}}, "model.k_bound"),
+        ({"model": {"kind": "profile", "kappa": {"const": -1e308, "cos": {"1": 1e308}}}},
+         "model.kappa"),
         ({"model": {"kind": "constant", "K": -1.0, "b": 1e200, "chi": -2,
                     "area": AREA}}, "model.b"),
         (constant_config(Path("."), sweep={"parameter": "model.b",
@@ -348,6 +361,15 @@ class TestRun:
         assert err.startswith("config error: %s: " % key)
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_overflowing_kappa_table_is_a_named_config_error(self, tmp_path, capsys):
+        # 1e308 + 1e308 cos t overflows on the sample grid: the window check
+        # reads the samples as not finite, with no RuntimeWarning on the way
+        cfg = {"model": {"kind": "profile", "kappa": {"const": 1e308, "cos": {"1": 1e308}}},
+               "output_dir": str(tmp_path / "out")}
+        assert main([write_config(tmp_path, cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: model.kappa: kappa is not finite on [0, 100]\n")
 
     @pytest.mark.parametrize("override", [False, True], ids=["as-written", "override"])
     @pytest.mark.parametrize("malformed, key, words", [
@@ -432,18 +454,16 @@ class TestExport:
             "orbit_000.csv", "orbit_001.csv", "orbit_002.csv"]
 
     def test_csvs_match_a_direct_integration(self, tmp_path):
-        for cfg in (torus_config(tmp_path, "torus"),
-                    constant_config(tmp_path)):
-            assert run(cfg) == 0
-            outdir = Path(cfg["output_dir"])
-            model, sampling, _ = validate_config(cfg)
-            states = model.ensemble(sampling.ensemble_count, sampling.seed)
-            assert len(orbit_csvs(outdir)) == len(states)
-            for i, v0 in enumerate(states):
-                direct = tmp_path / "direct.csv"
-                flow.integrate_orbit(model, v0, sampling.horizon,
-                                     flow.DEFAULT_TOL).to_csv(direct)
-                assert (outdir / ("orbit_%03d.csv" % i)).read_bytes() == direct.read_bytes()
+        cfg, outdir = torus_config(tmp_path), tmp_path / "out"
+        assert run(cfg) == 0
+        model, sampling, _ = validate_config(cfg)
+        states = model.ensemble(sampling.ensemble_count, sampling.seed)
+        assert len(orbit_csvs(outdir)) == len(states)
+        for i, v0 in enumerate(states):
+            direct = tmp_path / "direct.csv"
+            flow.integrate_orbit(model, v0, sampling.horizon,
+                                 flow.DEFAULT_TOL).to_csv(direct)
+            assert (outdir / ("orbit_%03d.csv" % i)).read_bytes() == direct.read_bytes()
 
     def test_export_limit_bounds_the_kept_traces(self, tmp_path, monkeypatch):
         reports, kept = [], []
@@ -456,7 +476,8 @@ class TestExport:
             return report
 
         monkeypatch.setattr(cli, "classify", spy)
-        assert run(torus_config(tmp_path, export_orbit_limit=1)) == 0
+        monkeypatch.setattr(cli, "EXPORT_ORBIT_LIMIT", 1)
+        assert run(torus_config(tmp_path)) == 0
         assert kept == [[True, False, False]]
         assert orbit_csvs(tmp_path / "out") == ["orbit_000.csv"]
         # written traces are dropped

@@ -61,18 +61,6 @@ class TestOrbits:
         assert np.max(np.minimum(dy, 1.0 - dy)) < 1e-9
         assert np.max(np.abs(tr.kappa_samples - 1.0)) < 1e-12
 
-    def test_constant_model_degenerate_trace(self):
-        m = ConstantCurvature(K=-1.0, b=0.5, chi=-2, area=4 * math.pi)
-        tr = integrate_orbit(m, UnitTangent(0, 0, 0.3), 3.0, flow.DEFAULT_TOL)
-        assert np.all(tr.kappa_samples == -0.75)
-        assert np.all(tr.thetas == 0.3)
-
-    def test_unit_speed_defect(self):
-        rng = rng_for("speed")
-        tr = integrate_orbit(random_torus(rng), UnitTangent(0.1, 0.2, 0.5), 100.0,
-                             tol=1e-10)
-        assert tr.unit_speed_defect() < 1e-10
-
     def test_kappa_samples_match_pointwise_curvature(self):
         rng = rng_for("kappa-match")
         m = random_torus(rng)
@@ -494,25 +482,25 @@ class TestSpline:
 class TestCurvatureProfiles:
     def test_constant_model_profile(self):
         m = ConstantCurvature(K=-1.0, b=0.5, chi=-2, area=4 * math.pi)
-        p = m.profile(UnitTangent(), 1.0, False)[0]
+        p = m.profile(UnitTangent(), 1.0)[0]
         assert float(p.evaluator(3.7)) == pytest.approx(-0.75, abs=1e-15)
         assert p.const_value is not None
 
     def test_flat_circle_profile(self):
-        p, _ = flat_torus(1.0).profile(UnitTangent(), 5.0, False)
+        p, _ = flat_torus(1.0).profile(UnitTangent(), 5.0)
         assert float(p.evaluator(2.3)) == pytest.approx(1.0, abs=1e-10)
 
     def test_abstract_passthrough(self):
         m = AbstractProfile(kappa=lambda t: -1.0 + 0.3 * math.sin(t),
                             k_bound=math.sqrt(1.3))
-        p = m.profile(UnitTangent(), 1.0, False)[0]
+        p = m.profile(UnitTangent(), 1.0)[0]
         assert float(p.evaluator(1.5)) == pytest.approx(-1.0 + 0.3 * math.sin(1.5))
         assert p.k_bound >= math.sqrt(1.3) - 1e-12
 
     def test_spline_reproduces_samples(self):
         rng = rng_for("fidelity")
         m = random_torus(rng)
-        p, tr = m.profile(UnitTangent(0.3, 0.6, 2.0), 8.0, True)
+        p, tr = m.profile(UnitTangent(0.3, 0.6, 2.0), 8.0)
         vals = p.evaluator(tr.t_samples)
         assert np.max(np.abs(vals - tr.kappa_samples)) < 1e-13
 
@@ -520,7 +508,7 @@ class TestCurvatureProfiles:
         rng = rng_for("short")
         m = random_torus(rng)
         with pytest.raises(InsufficientDataError):
-            m.profile(UnitTangent(), 0.02, False)
+            m.profile(UnitTangent(), 0.02)
         for n in (1, 2, 3):
             t = np.linspace(0.0, 0.01 * (n - 1), n)
             with pytest.raises(InsufficientDataError):

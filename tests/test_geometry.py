@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from magflow import (
     AbstractProfile,
     ConformalTorus,
     ConstantCurvature,
+    FourierSeries1D,
     FourierSeries2D,
     InvalidProfileError,
     ResolutionError,
@@ -26,7 +28,7 @@ class TestGaussianCurvature:
 
     def test_constant(self):
         m = ConstantCurvature(K=-1.0, b=0.0, chi=-2, area=4 * math.pi)
-        assert m.magnetic_curvature(UnitTangent(0.3, 0.9, 1.2)) == -1.0
+        assert m.profile(UnitTangent(0.3, 0.9, 1.2), 1.0)[0].const_value == -1.0
 
     def test_flat(self):
         assert flat_torus().magnetic_curvature(UnitTangent(0.1, 0.7, 2.0)) == 0.0
@@ -80,7 +82,7 @@ class TestMagneticCurvature:
     def test_constant_hyperbolic_boundary_is_flat(self):
         m = ConstantCurvature(K=-1.0, b=1.0, chi=-2, area=4 * math.pi)
         for th in (0.0, 1.0, 2.5):
-            assert m.magnetic_curvature(UnitTangent(0, 0, th)) == 0.0
+            assert m.profile(UnitTangent(0, 0, th), 1.0)[0].const_value == 0.0
 
     def test_sine_intensity_at_origin(self):
         # b = sin(2 pi x); at the origin b = 0 and grad b = (2 pi, 0)
@@ -195,3 +197,14 @@ class TestAbstractProfileModel:
         rep = classify(m)
         assert rep.verdict == "Inconclusive"
         assert rep.orbits[0].error.startswith("InvalidProfileError: kappa is not a real number")
+
+    def test_overflowing_samples_are_typed(self):
+        # 1e308 + 1e308 cos t overflows on the sample grid: both reads take
+        # the samples without a RuntimeWarning, and the window check names them
+        m = AbstractProfile(kappa=FourierSeries1D(const=1e308, cos_coeffs={1: 1e308}),
+                            k_bound=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = classify(m)
+        assert rep.verdict == "Inconclusive"
+        assert rep.orbits[0].error == "InvalidProfileError: kappa is not finite on [0, 100]"

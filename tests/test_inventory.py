@@ -3,10 +3,12 @@
 The knob inventory is, over every ``def`` in ``src/magflow/*.py``, the
 parameters with a default plus any ``**kwargs``, plus the fields of
 ``SamplingConfig``. A new default changes the count, and with it the
-figure ROADMAP records. The model-class dispatches in the modules that
-consume surface models and the ``solve_ivp`` call sites are pinned at zero,
-the step control of the two DOP853 loops at one copy, and the tableau and
-its dense-output reader at one each. Every export, and every public method
+figure ROADMAP records; so does a new run-config key (``cli.CONFIG_KEYS``
+plus every ``SECTION_KEYS`` and ``MODEL_KEYS`` entry). The model-class
+dispatches in the modules that consume surface models and the
+``solve_ivp`` call sites are pinned at zero, the step control of the two
+DOP853 loops at one copy, and the tableau and its dense-output reader at
+one each. Every export, and every public method
 or property of an exported class, has a reader in the program: the
 package, the demos, the benchmark or the acceptance criteria.
 ``SurfaceModel`` holds the members the certifier reads and no other. scipy
@@ -24,12 +26,13 @@ import sys
 from pathlib import Path
 
 import magflow
-from magflow import CurvatureProfile, FourierSeries1D, _dop853, flow, jacobi
+from magflow import CurvatureProfile, FourierSeries1D, _dop853, cli, flow, jacobi
 
 ROOT = Path(__file__).resolve().parents[1]
 
 INVENTORY = 13
 EXPORTS = 39
+CONFIG_KEYS = 20
 
 
 def knob_inventory(package_dir: Path) -> int:
@@ -47,6 +50,13 @@ def knob_inventory(package_dir: Path) -> int:
 
 def test_knob_inventory():
     assert knob_inventory(Path(magflow.__file__).parent) == INVENTORY
+
+
+def test_config_key_count():
+    # a key whose value the code derives (a profile's k_bound) or that no
+    # program caller sets (export_orbit_limit) is not one
+    keys = [cli.CONFIG_KEYS, *cli.SECTION_KEYS.values(), *cli.MODEL_KEYS.values()]
+    assert sum(map(len, keys)) == CONFIG_KEYS
 
 
 def test_no_module_decides_by_the_class_of_a_model():

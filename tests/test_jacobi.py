@@ -155,7 +155,7 @@ class TestUnitSlope:
         crossing.terminal, crossing.direction = True, -1
         torus = _bench_torus()
         for v0 in torus.ensemble(4, 0):
-            p, tr = torus.profile(v0, 20.0, True)
+            p, tr = torus.profile(v0, 20.0)
             spline = CubicSpline(tr.t_samples, tr.kappa_samples)
             ref = solve_ivp(lambda t, y: [y[1], -float(spline(t)) * y[0]], (0.0, 20.0),
                             [0.0, 1.0], method="DOP853", rtol=1e-13, atol=1e-13,
@@ -709,11 +709,11 @@ class TestPeriodicPropagator:
         # an abstract profile keeps its series, and with it the exact
         # reflection and the periodic route
         prof = AbstractProfile(kappa=series, k_bound=1.2).profile(
-            UnitTangent(), 1.0, False)[0]
+            UnitTangent(), 1.0)[0]
         assert prof.series == series and prof.flipped().series == series.reflected()
         assert jacobi.propagator(prof.flipped()).period is not None
         callable_prof = AbstractProfile(kappa=series.__call__, k_bound=1.2).profile(
-            UnitTangent(), 1.0, False)[0]
+            UnitTangent(), 1.0)[0]
         assert jacobi.propagator(callable_prof).period is None
 
     def test_harmonic_free_series_is_the_constant(self):
@@ -727,7 +727,7 @@ class TestPeriodicPropagator:
         ts = np.linspace(0.0, 2000.0, 4001)
         for p in (CurvatureProfile.from_series(series),
                   AbstractProfile(kappa=series, k_bound=1.0).profile(
-                      UnitTangent(), 1.0, False)[0],
+                      UnitTangent(), 1.0)[0],
                   CurvatureProfile.from_series(zero_freq)):
             assert p.const_value == -0.7
             prop = jacobi.propagator(p)
@@ -1178,7 +1178,7 @@ class TestSturmSkip:
         assert np.max(p(ts)) <= p.kappa_ceiling
         assert CurvatureProfile.constant(0.25).kappa_ceiling == 0.25
         torus = random_torus(rng_for("ceiling")).profile(
-            UnitTangent(0.1, 0.2, 0.5), 2.0, False)[0]
+            UnitTangent(0.1, 0.2, 0.5), 2.0)[0]
         assert torus.kappa_ceiling == math.inf
 
     def test_certified_profile_skips_the_scan(self, monkeypatch):
@@ -1259,7 +1259,7 @@ def _launch_cases():
     rng = rng_for("launch-oracle")
     profiles = [family(rng) for family in (hyperbolic_profile, oscillatory_profile)
                 for _ in range(2)]
-    profiles.append(random_torus(rng).profile(UnitTangent(0.1, 0.2, 0.5), 12.0, False)[0])
+    profiles.append(random_torus(rng).profile(UnitTangent(0.1, 0.2, 0.5), 12.0)[0])
     for p in profiles:
         for y0 in ([1.0, -0.4, 0.0, 0.0], [1.0, 0.0, 0.0, 1.0]):
             for span in ((1.0, 11.5), (11.0, 0.5)):
@@ -1375,7 +1375,7 @@ def _bench_torus():
 
 def _bench_spline():
     # the curvature along an orbit of the benchmark's torus
-    return _bench_torus().profile(UnitTangent(0.3, 0.7, 1.1), 20.0, False)[0]
+    return _bench_torus().profile(UnitTangent(0.3, 0.7, 1.1), 20.0)[0]
 
 
 def _callable(kappa, k_bound):

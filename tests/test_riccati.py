@@ -268,7 +268,7 @@ class TestPropagatorReadout:
         # own tolerance; the readout is 1.2e-7, 3.1e-6 and 1.2e-6 from it
         rng = rng_for("readout-spline")
         model = random_torus(rng)
-        p, orbit = model.profile(UnitTangent(0.1, 0.2, 0.5), 25.0, True)
+        p, orbit = model.profile(UnitTangent(0.1, 0.2, 0.5), 25.0)
         assert p.series is None and p.t_max == 25.0
         for u0, span in ((0.2, (0.0, 20.0)), (0.0, (3.0, 24.0)),
                          (-0.3, (20.0, 2.0))):
@@ -286,7 +286,7 @@ class TestPropagatorReadout:
         # the window end is named in the caller's time, not in that of the
         # shifted or flipped profile the read goes through
         model = random_torus(rng_for("readout-spline"))
-        p, orbit = model.profile(UnitTangent(0.1, 0.2, 0.5), 25.0, True)
+        p, orbit = model.profile(UnitTangent(0.1, 0.2, 0.5), 25.0)
         for span, end in (((24.0, 26.0), "ends at t = 25$"),
                           ((20.0, 30.0), "ends at t = 25$"),
                           ((1.0, -1.0), "starts at t = 0$")):
@@ -307,7 +307,7 @@ class TestPropagatorReadout:
     def test_point_span_on_the_window_end(self):
         # a point span returns its data, with no scan past the window end
         model = random_torus(rng_for("readout-spline"))
-        p, _ = model.profile(UnitTangent(0.1, 0.2, 0.5), 25.0, False)
+        p, _ = model.profile(UnitTangent(0.1, 0.2, 0.5), 25.0)
         tr = integrate_riccati(p, 0.3, (25.0, 25.0))
         assert tr.blowup_time is None
         assert np.array_equal(tr.t_samples, np.full(riccati.N_SAMPLES, 25.0))
