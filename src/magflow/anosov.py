@@ -37,16 +37,17 @@ import numpy as np
 from . import __version__ as _pkg_version
 from .errors import ConjugatePointError, InsufficientDataError, MagflowError
 from .flow import SAMPLE_DT, CurvatureProfile, OrbitTrace, UnitTangent
-from .geometry import SurfaceModel
+from .geometry import CONJUGATE_HORIZON, SurfaceModel
 from .green import DEFAULT_GREEN_TOL, GreenEstimate, green_slope
 from .jacobi import JacobiState, first_zero, floquet, integrate_jacobi, propagator
 
 SCHEMA_VERSION = 1
 
 # fixed analysis windows and thresholds; the gap margin, the slope-schedule
-# tolerance and the witness ones are reported in AnosovReport.margins
+# tolerance and the witness ones are reported in AnosovReport.margins. The
+# end of the conjugate scan, CONJUGATE_HORIZON, is geometry's, since a chart
+# model's first orbit window is the one that holds it
 GAP_MARGIN = 1e-4          # a certified gap exceeds it
-CONJUGATE_HORIZON = 50.0   # end of the conjugate scan and the kappa sampling
 WITNESS_WINDOW = 50.0      # bounded-field witness on [-window, window]
 WITNESS_BOUND = 1e3        # sup-norm a witness must stay below
 CONTRACTION_WINDOW = 10.0  # fit on [W / 10, W], W = this / max(1, |u+|)
@@ -305,7 +306,14 @@ class AnosovReport:
 def analyze_orbit(model: SurfaceModel, v0: UnitTangent, orbit_id: int,
                   cfg: SamplingConfig, keep_trace: bool) -> OrbitResult:
     """Full per-orbit pipeline: conjugate scan, gap, witness, contraction.
-    With ``keep_trace`` the result carries the plus orbit's trace, if any."""
+    With ``keep_trace`` the result carries the plus orbit's trace, if any,
+    as far as the analysis integrated it (``classify`` finishes it).
+
+    The extrema and the scan read the profile the model gives, which for a
+    chart model covers the first orbit window only
+    (``geometry.ANALYSIS_WINDOW``). Where the scan finds no conjugate point,
+    the orbit is integrated on to the horizon, and the rest of the analysis
+    reads the profile of the whole trace."""
     res = OrbitResult(orbit_id=orbit_id, initial=(v0.x, v0.y, v0.theta))
     try:
         plus, trace = model.profile(v0, cfg.horizon)
@@ -316,6 +324,8 @@ def analyze_orbit(model: SurfaceModel, v0: UnitTangent, orbit_id: int,
         res.conjugate_time = first_zero(plus, min(CONJUGATE_HORIZON, plus.t_max))
         if res.conjugate_time is not None:
             return res
+        if trace is not None and trace.finish():
+            plus = CurvatureProfile.from_orbit(trace)
 
         # the minus profile is the time reflection of the plus one, so its
         # stable side is the unstable side at the orbit's base point
@@ -343,10 +353,28 @@ def analyze_orbit(model: SurfaceModel, v0: UnitTangent, orbit_id: int,
     return res
 
 
+def _orbit_job(model: SurfaceModel, v0: UnitTangent, orbit_id: int,
+               cfg: SamplingConfig, keep_trace: bool) -> OrbitResult:
+    """``classify``'s job for one orbit: ``analyze_orbit``, then a kept
+    trace integrated on to the horizon, in the same process. A failure there
+    drops the trace and is the orbit's error, as it would have been had the
+    orbit been integrated to the horizon first."""
+    res = analyze_orbit(model, v0, orbit_id, cfg, keep_trace)
+    if res.trace is not None:
+        try:
+            res.trace.finish()
+        except MagflowError as exc:
+            res.trace, res.error = None, "%s: %s" % (type(exc).__name__, exc)
+    return res
+
+
 def classify(model: SurfaceModel, cfg: Optional[SamplingConfig] = None,
              workers: int = 1, keep_traces: int = 0) -> AnosovReport:
     """Run the full certification pipeline and aggregate the verdict. The
-    orbits with id below ``keep_traces`` keep their ``OrbitResult.trace``."""
+    orbits with id below ``keep_traces`` keep their ``OrbitResult.trace``,
+    integrated to the horizon: each is finished after its analysis, which
+    may have stopped it at the first orbit window, so the trace is that of
+    one run to the horizon whatever the analysis read."""
     cfg = cfg or SamplingConfig()
 
     try:
@@ -360,7 +388,7 @@ def classify(model: SurfaceModel, cfg: Optional[SamplingConfig] = None,
 
     states = model.ensemble(cfg.ensemble_count, cfg.seed)
     jobs = [(model, v0, i, cfg, i < keep_traces) for i, v0 in enumerate(states)]
-    results = _map_jobs(analyze_orbit, jobs, workers)
+    results = _map_jobs(_orbit_job, jobs, workers)
 
     negativity = negativity_criterion(model, [r.kappa_min for r in results])
 

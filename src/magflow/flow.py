@@ -6,7 +6,8 @@ supplies its orbit equations as a right-hand side on that triple and its
 deck step, which brings a state back into the fundamental domain;
 ``integrate_orbit`` runs them through one DOP853 loop (``_integrate``),
 whatever the surface, and reads its samples from the 7th-order dense
-output. This module holds what that loop shares with the Jacobi launches
+output; the loop can stop short of the horizon and resume from the
+controller's state (``OrbitTrace.finish``). This module holds what that loop shares with the Jacobi launches
 of ``jacobi``: the written-out weights of the one tableau, ``_dop853``, the
 one step controller (``_first_step``, ``_march``) and the one dense-output
 type (``_Run``). A ``CurvatureProfile`` is the curvature kappa read along one
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -50,7 +52,9 @@ class UnitTangent:
 
 @dataclass
 class OrbitTrace:
-    """A sampled unit-speed magnetic orbit with its curvature readout."""
+    """A sampled unit-speed magnetic orbit with its curvature readout; one
+    that ``integrate_orbit`` stopped short of its horizon holds the samples
+    up to the stop until ``finish`` is called."""
 
     t_samples: np.ndarray
     xs: np.ndarray
@@ -58,9 +62,36 @@ class OrbitTrace:
     thetas: np.ndarray
     kappa_samples: np.ndarray
     step_controls: dict = field(default_factory=dict)
+    # the rest of an orbit stopped short of its horizon (``integrate_orbit``'s
+    # stop): a call that integrates it on and returns its whole trace, or the
+    # exception that call raised
+    _rest: Optional[object] = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def state(self, i: int) -> UnitTangent:
         return UnitTangent(float(self.xs[i]), float(self.ys[i]), float(self.thetas[i]))
+
+    def finish(self) -> bool:
+        """Integrate an orbit that stopped short of its horizon on to the
+        horizon (``integrate_orbit``), and hold its whole trace: the samples
+        and step counts of one run to the horizon. True where it did so,
+        False where the trace reaches its horizon already. A failure raises,
+        as a run to the horizon would have, leaves the trace stopped, and is
+        raised again by every later call. Until it is finished, a stopped
+        trace holds the loop's state, which does not pickle."""
+        rest = self._rest
+        if isinstance(rest, Exception):
+            raise rest
+        if rest is None:
+            return False
+        try:
+            whole = rest()
+        except Exception as exc:
+            self._rest = exc
+            raise
+        vars(self).update(vars(whole))
+        self._rest = None
+        return True
 
     def to_csv(self, path):
         # the bytes csv.writer gives (no float repr needs quoting), formatted
@@ -181,11 +212,13 @@ def _first_step(rate: Callable, t: float, y: list, f: list, span: float,
     return min(100 * h0, h1, abs(span))
 
 
-def _march(attempt: Callable, keep: Callable, t: float, t_end: float, y: list,
-           f: list, h_abs: float, nfev: int, cost: int, keep_cost: int,
-           budget: int, order: int, what: str) -> tuple:
-    """Step from the state y (derivative f) at t to t_end, in either
-    direction, starting with the step size h_abs.
+def _march(attempt: Callable, keep: Callable, state: tuple, t_end: float,
+           stop: float, cost: int, keep_cost: int, budget: int, order: int,
+           what: str) -> tuple:
+    """Step from ``state`` = (t, y, f, h_abs, nfev, rejected), the state y
+    with derivative f at t, the next step size, the evaluations spent and
+    the rejected attempts so far, towards t_end, in either direction, until
+    a step ends at or past ``stop`` (t_end itself, or a time before it).
 
     ``attempt(t, y, f, h)`` takes one step of signed size h and returns
     (y_new, f_new, err, stages), err being the error norm against the
@@ -193,15 +226,17 @@ def _march(attempt: Callable, keep: Callable, t: float, t_end: float, y: list,
     y_new, stages)`` stores an accepted step and costs ``keep_cost``. A
     step is accepted at err < 1, and the next one is scaled by
     0.9 * err**(-1/(order + 1)) clipped to [0.2, 10], with no growth right
-    after a rejection. Raises ``IntegrationFailure``, its message beginning
-    with ``what``, when the step falls below 10 float spacings of t, at the
-    first non-finite error estimate, or before an attempt and its keeping
-    would take the evaluations past ``budget``. Returns the evaluations
-    spent, nfev included, and the number of rejected attempts.
+    after a rejection; only t_end clips a step, so a march resumed from the
+    state it returns takes the steps of one march to t_end. Raises
+    ``IntegrationFailure``, its message beginning with ``what``, when the
+    step falls below 10 float spacings of t, at the first non-finite error
+    estimate, or before an attempt and its keeping would take the
+    evaluations past ``budget``. Returns the state where it stopped.
     """
+    t, y, f, h_abs, nfev, rejected = state
     d = -1.0 if t_end < t else 1.0
-    exponent, rejected = -1 / (order + 1), 0
-    while d * (t - t_end) < 0:
+    exponent = -1 / (order + 1)
+    while d * (t - stop) < 0:
         min_step = 10 * abs(math.nextafter(t, d * math.inf) - t)
         h_abs = max(h_abs, min_step)
         after_rejection = False
@@ -236,12 +271,16 @@ def _march(attempt: Callable, keep: Callable, t: float, t_end: float, y: list,
         keep(t_new, y_new, stages)
         nfev += keep_cost
         t, y, f = t_new, y_new, f_new
-    return nfev, rejected
+    return t, y, f, h_abs, nfev, rejected
 
 
-def _integrate(f: Callable, y0, t_end: float, tol: float) -> _Run:
-    """One dense DOP853 run of the autonomous system (x, y, theta)' =
-    f(x, y, theta) from y0 at time 0 to t_end > 0.
+def _integrate(f: Callable, y0, t_end: float, tol: float) -> Callable:
+    """A dense DOP853 run of the autonomous system (x, y, theta)' =
+    f(x, y, theta) from y0 at time 0 to t_end > 0, taken in stages: returns
+    ``advance(stop)``, which steps on until a step ends at or past ``stop``
+    (at most t_end) and returns the ``_Run`` of every step so far. Only
+    t_end clips a step, so the steps are those of one run to t_end
+    whatever the stops, and a run advanced to t_end is that run.
 
     ``f`` maps three floats to a 3-tuple of floats. The step control is
     scipy's DOP853 with rtol = atol = tol, run by ``_first_step`` and
@@ -250,9 +289,10 @@ def _integrate(f: Callable, y0, t_end: float, tol: float) -> _Run:
     the update, the error terms and the three dense-output stages of each
     accepted step are written out per component on Python floats over the
     tableau's nonzero weights, so the results agree with scipy's to
-    roundoff, not bitwise. f is called twice for the first step, 12 times
-    per step attempt and 3 times per accepted step, and the run fails as
-    ``_march`` does, the budget being ``ORBIT_NFEV_BUDGET``.
+    roundoff, not bitwise. f is called twice for the first step, here, 12
+    times per step attempt and 3 times per accepted step, and the run fails
+    as ``_march`` does, the budget being ``ORBIT_NFEV_BUDGET`` over all its
+    stages.
     """
     y = [float(v) for v in y0]
     k0 = f(*y)
@@ -370,19 +410,27 @@ def _integrate(f: Callable, y0, t_end: float, tol: float) -> _Run:
         ks.extend(stages[4:])
         ks.extend((u13, v13, w13, u14, v14, w14, u15, v15, w15))
 
-    nfev, rejected = _march(attempt, keep, 0.0, t_end, y, k0, h_abs, 2, 12, 3,
-                            ORBIT_NFEV_BUDGET, 7, "orbit")
-    t, y = np.array(ts), np.frombuffer(ys).reshape(-1, 3).T
-    k = np.zeros((16, 3, t.size - 1))
-    k[_DENSE_STAGES] = np.frombuffer(ks).reshape(-1, 12, 3).transpose(1, 2, 0)
-    return _Run.dense(t, y, k, nfev, rejected)
+    state = (0.0, y, k0, h_abs, 2, 0)
+
+    def advance(stop: float) -> _Run:
+        nonlocal state
+        state = _march(attempt, keep, state, t_end, stop, 12, 3, ORBIT_NFEV_BUDGET, 7,
+                       "orbit")
+        # the states are copied: a view of ys would keep a later stage from
+        # growing it
+        t, y = np.array(ts), np.array(ys).reshape(-1, 3).T
+        k = np.zeros((16, 3, t.size - 1))
+        k[_DENSE_STAGES] = np.frombuffer(ks).reshape(-1, 12, 3).transpose(1, 2, 0)
+        return _Run.dense(t, y, k, state[4], state[5])
+
+    return advance
 
 
-def integrate_orbit(model, v0: UnitTangent, horizon: float,
-                   tol: float) -> OrbitTrace:
+def integrate_orbit(model, v0: UnitTangent, horizon: float, tol: float,
+                    stop: float) -> OrbitTrace:
     """Integrate the magnetic orbit of a chart model (``ConformalTorus``;
     a constant or profile model has no orbit equations) from v0 for the
-    given time horizon.
+    given time horizon, stopping first at ``stop``.
 
     A chart model gives three members for this, beyond the six of
     ``geometry.SurfaceModel``:
@@ -396,30 +444,45 @@ def integrate_orbit(model, v0: UnitTangent, horizon: float,
       samples.
 
     Runs the adaptive DOP853 loop of ``_integrate`` on the model's ``rhs()``
-    at rtol = atol = tol; samples are read from its 7th-order dense output
-    on a uniform grid of spacing ``SAMPLE_DT`` and brought into the
-    fundamental domain by the model's ``reduce`` at readout, so no drift
-    accumulates in the stored samples. Past ``ORBIT_NFEV_BUDGET``
-    right-hand-side evaluations the integration stops with an
-    ``IntegrationFailure``. A horizon or tolerance that is not positive and
-    finite is a ``ValueError``.
+    at rtol = atol = tol towards the horizon; samples are read from its
+    7th-order dense output on the uniform grid of spacing ``SAMPLE_DT`` over
+    [0, horizon] and brought into the fundamental domain by the model's
+    ``reduce`` at readout, so no drift accumulates in the stored samples.
+    Where ``stop`` falls before the horizon, the loop stops at the first
+    step that reaches the first grid time at or past it, and the trace holds
+    the samples up to that time; ``OrbitTrace.finish`` resumes the loop to
+    the horizon, and the whole trace is then the one a stop at the horizon
+    gives, bit for bit. Past ``ORBIT_NFEV_BUDGET`` right-hand-side
+    evaluations over both stages the integration stops with an
+    ``IntegrationFailure``. A horizon, tolerance or stop that is not
+    positive and finite is a ``ValueError``.
     """
-    for name, value in (("horizon", horizon), ("tol", tol)):
+    for name, value in (("horizon", horizon), ("tol", tol), ("stop", stop)):
         if not 0 < value < math.inf:
             raise ValueError("%s must be positive and finite, got %r" % (name, value))
     t_eval = np.linspace(0.0, horizon, int(round(horizon / SAMPLE_DT)) + 1)
-    run = _integrate(model.rhs(), (v0.x, v0.y, v0.theta), horizon, tol)
-    v = model.reduce(UnitTangent(*run.sol(t_eval)))
-    return OrbitTrace(
-        t_samples=t_eval,
-        xs=v.x,
-        ys=v.y,
-        thetas=v.theta,
-        kappa_samples=model.magnetic_curvature(v),
-        step_controls={"tol": tol, "sample_dt": SAMPLE_DT, "nfev": run.nfev,
-                       "accepted_steps": run.t.size - 1,
-                       "rejected_steps": run.rejected},
-    )
+    # the first sample at or past the stop
+    last = min(int(np.searchsorted(t_eval, stop)), t_eval.size - 1)
+    advance = _integrate(model.rhs(), (v0.x, v0.y, v0.theta), horizon, tol)
+
+    def sampled(ts):
+        run = advance(float(ts[-1]))
+        v = model.reduce(UnitTangent(*run.sol(ts)))
+        return OrbitTrace(
+            t_samples=ts,
+            xs=v.x,
+            ys=v.y,
+            thetas=v.theta,
+            kappa_samples=model.magnetic_curvature(v),
+            step_controls={"tol": tol, "sample_dt": SAMPLE_DT, "nfev": run.nfev,
+                           "accepted_steps": run.t.size - 1,
+                           "rejected_steps": run.rejected},
+        )
+
+    trace = sampled(t_eval[:last + 1])
+    if last + 1 < t_eval.size:
+        trace._rest = partial(sampled, t_eval)
+    return trace
 
 
 def _tridiagonal(a, b, c, d):

@@ -40,8 +40,15 @@ import numpy as np
 from .errors import InvalidProfileError, ResolutionError
 from .flow import DEFAULT_TOL, CurvatureProfile, UnitTangent, _Pointwise, integrate_orbit
 from .fourier import FourierSeries1D, FourierSeries2D
+from .jacobi import FIRST_BREAK
 
 GAUSS_BONNET_TOL = 1e-9
+# the end of the conjugate scan and of the kappa sampling (``anosov``)
+CONJUGATE_HORIZON = 50.0
+# the first window of a chart model's orbit (``ConformalTorus.profile``):
+# the propagator breakpoint FIRST_BREAK * 2**k that holds CONJUGATE_HORIZON,
+# where the last Jacobi segment the scan launches ends
+ANALYSIS_WINDOW = FIRST_BREAK * 2.0 ** math.ceil(math.log2(CONJUGATE_HORIZON / FIRST_BREAK))
 # the torus quadrature of the inequality: tensor trapezoid from
 # QUADRATURE_N0 points a side (or more for high modes), doubled until two
 # grids agree within QUADRATURE_TOL, and a ResolutionError past
@@ -94,7 +101,9 @@ class SurfaceModel(Protocol):
     def profile(self, v0: UnitTangent, horizon: float) -> tuple:
         """(the curvature profile along the orbit from v0, its ``OrbitTrace``);
         the trace is None for a model without orbits. Orbits are integrated
-        at ``flow.DEFAULT_TOL``."""
+        at ``flow.DEFAULT_TOL``, and may stop short of the horizon: the
+        profile then covers the trace's window, and ``OrbitTrace.finish``
+        integrates the orbit on to the horizon."""
 
     def minus_profile(self, v0: UnitTangent, plus: CurvatureProfile,
                       horizon: float) -> CurvatureProfile:
@@ -294,12 +303,21 @@ class ConformalTorus:
         return ConformalTorus(self.phi, self.b.scaled(-1.0))
 
     def profile(self, v0, horizon) -> tuple:
-        trace = integrate_orbit(self, v0, horizon, DEFAULT_TOL)
+        """The orbit integrated only to ``ANALYSIS_WINDOW`` (or the horizon,
+        if sooner), which is all its analysis reads where the scan finds a
+        conjugate point, and the spline through those samples. The samples
+        are those of the run to the horizon, and the trace's ``finish``
+        integrates the rest."""
+        trace = integrate_orbit(self, v0, horizon, DEFAULT_TOL,
+                                min(horizon, ANALYSIS_WINDOW))
         return CurvatureProfile.from_orbit(trace), trace
 
     def minus_profile(self, v0, plus, horizon) -> CurvatureProfile:
+        """The reversed-intensity orbit from the flipped vector, integrated
+        to the horizon."""
         flipped = UnitTangent(v0.x, v0.y, v0.theta + math.pi)
-        return self.flipped().profile(flipped, horizon)[0]
+        return CurvatureProfile.from_orbit(
+            integrate_orbit(self.flipped(), flipped, horizon, DEFAULT_TOL, horizon))
 
 
 @dataclass(frozen=True)

@@ -293,8 +293,9 @@ def _launch(ev: Callable, y0, t_span: tuple) -> _Run:
         ts.append(t_new)
         ys.extend(y_new)
 
-    nfev, rejected = _march(partial(_attempt, read), keep, t, t_end, y, f, h_abs, 2,
-                            len(_NODES), 0, JACOBI_NFEV_BUDGET, 7, "jacobi")
+    *_end, nfev, rejected = _march(partial(_attempt, read), keep, (t, y, f, h_abs, 2, 0),
+                                   t_end, t_end, len(_NODES), 0, JACOBI_NFEV_BUDGET, 7,
+                                   "jacobi")
 
     # the dense-output stages 13-15 of every accepted step in one array pass
     ts, y = np.array(ts), np.frombuffer(ys).reshape(-1, 4).T  # y: (4, steps + 1)

@@ -258,7 +258,7 @@ def test_criterion_13_flat_chart_orbit_oracle():
     torus = ConformalTorus(phi=FourierSeries2D(), b=FourierSeries2D(const=1.0))
     th0, x0, y0 = 0.3, 0.1, 0.8
     horizon = 10 * 2 * math.pi
-    tr = integrate_orbit(torus, UnitTangent(x0, y0, th0), horizon, tol=1e-11)
+    tr = integrate_orbit(torus, UnitTangent(x0, y0, th0), horizon, tol=1e-11, stop=horizon)
     ts = tr.t_samples
     theta_err = float(np.max(np.abs(tr.thetas - (th0 + ts))))
     dx = np.abs(tr.xs - (x0 + np.sin(th0 + ts) - math.sin(th0))) % 1.0

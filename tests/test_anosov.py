@@ -13,6 +13,7 @@ from magflow import (
     FourierSeries1D,
     FourierSeries2D,
     InsufficientDataError,
+    IntegrationFailure,
     JacobiState,
     SamplingConfig,
     UnitTangent,
@@ -26,7 +27,7 @@ from magflow import (
     integrate_orbit,
     negativity_criterion,
 )
-from magflow import anosov, flow, green, jacobi
+from magflow import anosov, flow, geometry, green, jacobi
 from magflow.anosov import WITNESS_WINDOW, growth_floor
 from families import hyperbolic_profile, oscillatory_profile, random_torus, rng_for
 
@@ -588,7 +589,8 @@ class DelegatingSurface:
         # a chart model's trace is integrated from this model's own members
         plus, trace = self.inner.profile(v0, horizon)
         if trace is not None:
-            trace = integrate_orbit(self, v0, horizon, flow.DEFAULT_TOL)
+            trace = integrate_orbit(self, v0, horizon, flow.DEFAULT_TOL,
+                                    float(trace.t_samples[-1]))
         return plus, trace
 
     def minus_profile(self, v0, plus, horizon):
@@ -621,3 +623,109 @@ class TestSurfaceProtocol:
         for g, w in zip(got.orbits, want.orbits, strict=True):
             for name in ("t_samples", "xs", "ys", "thetas", "kappa_samples"):
                 np.testing.assert_array_equal(getattr(g.trace, name), getattr(w.trace, name))
+
+
+def demo_torus():
+    # demo 05's torus, the one torus_cli runs
+    return ConformalTorus(phi=FourierSeries2D(cos_coeffs={(1, 0): 0.05}),
+                          b=FourierSeries2D(const=0.6, sin_coeffs={(0, 1): 0.2}))
+
+
+def weak_field_torus():
+    # kappa = b**2 = 1e-4 on the flat torus: the first zero is near pi / 0.01,
+    # past a horizon of 200
+    return ConformalTorus(phi=FourierSeries2D(), b=FourierSeries2D(const=0.01))
+
+
+def fail_past_the_window(monkeypatch, m, v0):
+    """Set the orbit budget between the evaluations that take the orbit from
+    v0 to t = 80 and to 200; return the error a run to 200 records."""
+    first, whole = (integrate_orbit(m, v0, 200.0, flow.DEFAULT_TOL, stop)
+                    .step_controls["nfev"] for stop in (80.0, 200.0))
+    monkeypatch.setattr(flow, "ORBIT_NFEV_BUDGET", (first + whole) // 2)
+    with pytest.raises(IntegrationFailure) as exc:
+        integrate_orbit(m, v0, 200.0, flow.DEFAULT_TOL, 200.0)
+    return "IntegrationFailure: %s" % exc.value
+
+
+class TestAnalysisWindow:
+    """A chart orbit is integrated to geometry.ANALYSIS_WINDOW (t = 80, the
+    propagator breakpoint that holds the scan's end) before its analysis,
+    and on to the horizon only where the scan finds no conjugate point."""
+
+    def test_the_window_ends_the_scan(self):
+        # a scan to CONJUGATE_HORIZON that finds no zero launches its last
+        # Jacobi segment up to ANALYSIS_WINDOW, the end of the first window
+        assert geometry.CONJUGATE_HORIZON == anosov.CONJUGATE_HORIZON == 50.0
+        hyperbolic = CurvatureProfile(evaluator=lambda t: np.full(np.shape(t), -1.0),
+                                      k_bound=1.0, t_max=1e3)
+        assert first_zero(hyperbolic, geometry.CONJUGATE_HORIZON) is None
+        assert jacobi.propagator(hyperbolic).breaks[-1] == geometry.ANALYSIS_WINDOW == 80.0
+
+    def test_the_analysis_does_not_depend_on_the_horizon(self):
+        m = demo_torus()
+        for i, v0 in enumerate(m.ensemble(8, 0)):
+            res = {h: anosov.analyze_orbit(m, v0, i, SamplingConfig(horizon=h), True)
+                   for h in (80.0, 200.0, 400.0)}
+            assert res[80.0].to_dict() == res[200.0].to_dict() == res[400.0].to_dict()
+            assert res[200.0].conjugate_time is not None
+            # the kept trace is the analysis's: stopped at t = 80, with the
+            # steps of a run to 80 at most two more, whatever the horizon
+            steps = {h: r.trace.step_controls["accepted_steps"] for h, r in res.items()}
+            assert all(r.trace.t_samples[-1] == 80.0 for r in res.values())
+            assert res[200.0].trace.step_controls == res[400.0].trace.step_controls
+            assert steps[80.0] <= steps[200.0] <= steps[80.0] + 2
+
+    def test_an_orbit_without_an_early_conjugate_point_reads_the_whole_horizon(self):
+        # the analysis resumes the orbit to 200 and reads the whole window,
+        # as it did when every orbit ran to the horizon first (a window of
+        # 80 reads u+ = -0.0097121...)
+        m = weak_field_torus()
+        res = anosov.analyze_orbit(m, m.ensemble(1, 0)[0], 0, SamplingConfig(horizon=200.0),
+                                   True)
+        assert res.to_dict() == {
+            "orbit_id": 0, "initial": [0.5, 1 / 3, 0.4 * math.pi],
+            "conjugate_time": None, "u_plus": 0.004576575543600938,
+            "u_minus": -0.004576575543600938, "gap": -0.009153151087201876,
+            "gap_converged": False, "witness_sup": None, "contraction": None,
+            "kappa_min": 0.0001, "kappa_max": 0.0001, "growth_A": 1.0, "error": None}
+        assert res.trace.t_samples[-1] == 200.0 and not res.trace.finish()
+
+    def test_kept_traces_are_whole_in_every_worker(self):
+        m, cfg = demo_torus(), SamplingConfig(ensemble_count=2, horizon=100.0)
+        serial = classify(m, cfg, keep_traces=2)
+        parallel = classify(m, cfg, workers=2, keep_traces=2)
+        assert serial.to_dict() == parallel.to_dict()
+        for s, p, v0 in zip(serial.orbits, parallel.orbits, m.ensemble(2, 0), strict=True):
+            assert s.conjugate_time is not None
+            direct = integrate_orbit(m, v0, 100.0, flow.DEFAULT_TOL, 100.0)
+            for name in ("t_samples", "xs", "ys", "thetas", "kappa_samples"):
+                assert (getattr(s.trace, name).tobytes() == getattr(p.trace, name).tobytes()
+                        == getattr(direct, name).tobytes())
+            assert s.trace.step_controls == p.trace.step_controls == direct.step_controls
+
+    def test_a_failure_past_the_window(self, monkeypatch):
+        m, cfg = demo_torus(), SamplingConfig(ensemble_count=1, horizon=200.0)
+        error = fail_past_the_window(monkeypatch, m, m.ensemble(1, 0)[0])
+        # kept, the trace cannot be finished: the orbit records the error a
+        # run to the horizon records, and keeps no trace
+        kept = classify(m, cfg, keep_traces=1).orbits[0]
+        assert kept.error == error and kept.trace is None
+        # not kept, the orbit is read to t = 80 alone, where the scan finds
+        # its conjugate point; the kept one reports it too
+        free = classify(m, cfg).orbits[0]
+        assert free.error is None and free.conjugate_time is not None
+        assert kept.conjugate_time == free.conjugate_time
+
+    def test_a_failure_where_the_analysis_resumes(self, monkeypatch):
+        # the weak-field orbit has no conjugate point, so its analysis
+        # resumes it past t = 80, where the budget runs out: the error a run
+        # to the horizon records, and no trace, kept or not
+        m, cfg = weak_field_torus(), SamplingConfig(ensemble_count=1, horizon=200.0)
+        error = fail_past_the_window(monkeypatch, m, m.ensemble(1, 0)[0])
+        for keep in (0, 1):
+            orbit = classify(m, cfg, keep_traces=keep).orbits[0]
+            assert orbit.error == error
+            assert orbit.trace is None and orbit.conjugate_time is None
+            # the extrema read [0, 50], which the first stage integrated
+            assert orbit.kappa_min == orbit.kappa_max == 0.0001

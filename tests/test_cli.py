@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from magflow import (AbstractProfile, ConfigError, CurvatureProfile, FourierSeries1D,
-                     NumericalInconsistencyError, SamplingConfig, anosov, classify, cli,
-                     flow, geometry)
+                     IntegrationFailure, NumericalInconsistencyError, SamplingConfig,
+                     anosov, classify, cli, flow, geometry)
 from magflow.cli import build_model, build_sampling, main, run, sweep, validate_config
 
 AREA = 4 * math.pi
@@ -461,8 +461,8 @@ class TestExport:
         assert len(orbit_csvs(outdir)) == len(states)
         for i, v0 in enumerate(states):
             direct = tmp_path / "direct.csv"
-            flow.integrate_orbit(model, v0, sampling.horizon,
-                                 flow.DEFAULT_TOL).to_csv(direct)
+            flow.integrate_orbit(model, v0, sampling.horizon, flow.DEFAULT_TOL,
+                                 sampling.horizon).to_csv(direct)
             assert (outdir / ("orbit_%03d.csv" % i)).read_bytes() == direct.read_bytes()
 
     def test_export_limit_bounds_the_kept_traces(self, tmp_path, monkeypatch):
@@ -491,6 +491,27 @@ class TestExport:
         for name in names:
             assert ((tmp_path / "serial" / name).read_bytes()
                     == (tmp_path / "parallel" / name).read_bytes())
+
+    def test_a_failure_past_the_analysis_window(self, tmp_path, monkeypatch, capsys):
+        # one orbit to 200, whose scan finds its conjugate point before t = 80,
+        # and a budget between the evaluations that reach 80 and the horizon:
+        # the export's finish fails as a run to the horizon does, and the run
+        # reports it like any orbit error, with no CSV and no traceback
+        cfg = torus_config(tmp_path, ensemble={"count": 1, "seed": 0, "horizon": 200.0})
+        model, _sampling, _ = validate_config(cfg)
+        v0 = model.ensemble(1, 0)[0]
+        first, whole = (flow.integrate_orbit(model, v0, 200.0, flow.DEFAULT_TOL, stop)
+                        .step_controls["nfev"] for stop in (80.0, 200.0))
+        monkeypatch.setattr(flow, "ORBIT_NFEV_BUDGET", (first + whole) // 2)
+        with pytest.raises(IntegrationFailure) as exc:
+            flow.integrate_orbit(model, v0, 200.0, flow.DEFAULT_TOL, 200.0)
+        assert main([write_config(tmp_path, cfg)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        orbit = json.loads((tmp_path / "out" / "report.json").read_text())[
+            "report"]["orbits"][0]
+        assert orbit["error"] == "IntegrationFailure: %s" % exc.value
+        assert orbit["conjugate_time"] is not None
+        assert orbit_csvs(tmp_path / "out") == []
 
     def test_report_has_no_trace(self, tmp_path):
         assert run(torus_config(tmp_path)) == 0

@@ -41,7 +41,7 @@ def torus_distance(a, b, L=1.0):
 class TestOrbits:
     def test_flat_geodesic_is_a_line(self):
         tr = integrate_orbit(flat_torus(0.0), UnitTangent(0.0, 0.0, 0.0), 5.0,
-                             tol=1e-11)
+                             tol=1e-11, stop=5.0)
         assert np.max(np.abs(tr.thetas)) < 1e-12
         d = np.abs(tr.xs - tr.t_samples % 1.0) % 1.0
         assert np.max(np.minimum(d, 1.0 - d)) < 1e-9
@@ -52,7 +52,7 @@ class TestOrbits:
         # theta = theta0 + t, x = x0 + sin(theta0+t) - sin(theta0)
         th0, x0, y0 = 0.7, 0.2, 0.9
         tr = integrate_orbit(flat_torus(1.0), UnitTangent(x0, y0, th0), 4 * math.pi,
-                             tol=1e-11)
+                             tol=1e-11, stop=4 * math.pi)
         ts = tr.t_samples
         assert np.max(np.abs(tr.thetas - (th0 + ts))) < 1e-9
         dx = np.abs(tr.xs - (x0 + np.sin(th0 + ts) - math.sin(th0))) % 1.0
@@ -64,7 +64,7 @@ class TestOrbits:
     def test_kappa_samples_match_pointwise_curvature(self):
         rng = rng_for("kappa-match")
         m = random_torus(rng)
-        tr = integrate_orbit(m, UnitTangent(0.4, 0.1, 1.2), 5.0, flow.DEFAULT_TOL)
+        tr = integrate_orbit(m, UnitTangent(0.4, 0.1, 1.2), 5.0, flow.DEFAULT_TOL, 5.0)
         for i in range(len(tr.t_samples)):
             assert tr.kappa_samples[i] == pytest.approx(
                 m.magnetic_curvature(tr.state(i)), abs=1e-12
@@ -77,11 +77,11 @@ class TestOrbits:
         m = random_torus(rng, b_const=0.5)
         v0 = UnitTangent(0.1, 0.25, 0.6)
         T = 10.0
-        tr = integrate_orbit(m, v0, T, tol=1e-12)
+        tr = integrate_orbit(m, v0, T, tol=1e-12, stop=T)
         end = tr.state(len(tr.t_samples) - 1)
         back = integrate_orbit(
             m.flipped(), UnitTangent(end.x, end.y, end.theta + math.pi),
-            T, tol=1e-12,
+            T, tol=1e-12, stop=T,
         )
         fin = back.state(len(back.t_samples) - 1)
         dth = abs((fin.theta - (v0.theta + math.pi)) % (2 * math.pi))
@@ -92,7 +92,7 @@ class TestOrbits:
 
     def test_horizon_must_be_positive(self):
         with pytest.raises(ValueError):
-            integrate_orbit(flat_torus(), UnitTangent(), -1.0, flow.DEFAULT_TOL)
+            integrate_orbit(flat_torus(), UnitTangent(), -1.0, flow.DEFAULT_TOL, 1.0)
 
     @pytest.mark.parametrize("name, horizon, tol", [
         ("horizon", 0.0, flow.DEFAULT_TOL),
@@ -108,7 +108,7 @@ class TestOrbits:
         # error norm, or (tol < 0) runs with |tol|
         match = "%s must be positive and finite" % name
         with pytest.raises(ValueError, match=match):
-            integrate_orbit(flat_torus(), UnitTangent(), horizon, tol)
+            integrate_orbit(flat_torus(), UnitTangent(), horizon, tol, 1.0)
         # a classification sets no tolerance: its orbits run at flow.DEFAULT_TOL
         if name == "horizon":
             with pytest.raises(ValueError, match=match):
@@ -119,7 +119,8 @@ class TestOrbits:
     @pytest.mark.parametrize("horizon, rows", [(20.47, 2048), (20.48, 2049),
                                                (50.0, 5001)])
     def test_csv_export(self, tmp_path, horizon, rows):
-        tr = integrate_orbit(flat_torus(1.0), UnitTangent(), horizon, flow.DEFAULT_TOL)
+        tr = integrate_orbit(flat_torus(1.0), UnitTangent(), horizon, flow.DEFAULT_TOL,
+                             horizon)
         assert len(tr.t_samples) == rows
         tr.kappa_samples[:5] = [math.nan, math.inf, -math.inf, -0.0, 5e-324]
         path = tmp_path / "orbit.csv"
@@ -138,14 +139,14 @@ class TestOrbits:
     def test_work_budget_stops_the_integration(self, monkeypatch):
         monkeypatch.setattr(flow, "ORBIT_NFEV_BUDGET", 200)
         with pytest.raises(IntegrationFailure) as exc:
-            integrate_orbit(flat_torus(1.0), UnitTangent(), 200.0, flow.DEFAULT_TOL)
+            integrate_orbit(flat_torus(1.0), UnitTangent(), 200.0, flow.DEFAULT_TOL, 200.0)
         assert 0.0 < exc.value.last_time < 200.0
         assert "200 right-hand-side evaluations" in str(exc.value)
 
 
 def _blow_up():
     # x' = x**2 from x(0) = 1 blows up at t = 1
-    flow._integrate(lambda x, y, theta: (x * x, 0.0, 0.0), (1.0, 0.0, 0.0), 2.0, 1e-10)
+    flow._integrate(lambda x, y, theta: (x * x, 0.0, 0.0), (1.0, 0.0, 0.0), 2.0, 1e-10)(2.0)
 
 
 def _stiff_launch(d):
@@ -158,7 +159,7 @@ def _stiff_launch(d):
 
 def _nan_orbit():
     flow._integrate(lambda x, y, theta: (math.nan, 0.0, 0.0), (1.0, 0.0, 0.0), 2.0,
-                    1e-10)
+                    1e-10)(2.0)
 
 
 def _nan_launch():
@@ -168,7 +169,7 @@ def _nan_launch():
 
 def _long_orbit(monkeypatch):
     monkeypatch.setattr(flow, "ORBIT_NFEV_BUDGET", 200)
-    integrate_orbit(flat_torus(1.0), UnitTangent(), 200.0, flow.DEFAULT_TOL)
+    integrate_orbit(flat_torus(1.0), UnitTangent(), 200.0, flow.DEFAULT_TOL, 200.0)
 
 
 def _long_launch(monkeypatch):
@@ -233,13 +234,13 @@ def jet_rhs(model):
     return rhs
 
 
-class TestRK45:
-    """The orbit loop, flow._integrate, against scipy's DOP853 solver; the
-    class keeps the name of the RK45 loop it replaced."""
+class TestOrbitLoop:
+    """The orbit loop, flow._integrate, against scipy's DOP853 solver, and
+    its failure rules and work count."""
 
     def test_matches_scipy_dop853(self):
         m, v0 = bench_torus(), UnitTangent(0.31, 0.47, 1.3)
-        tr = integrate_orbit(m, v0, 20.0, flow.DEFAULT_TOL)
+        tr = integrate_orbit(m, v0, 20.0, flow.DEFAULT_TOL, 20.0)
         sol = solve_ivp(jet_rhs(m), (0.0, 20.0), [v0.x, v0.y, v0.theta],
                         method="DOP853", rtol=flow.DEFAULT_TOL,
                         atol=flow.DEFAULT_TOL, t_eval=tr.t_samples)
@@ -267,7 +268,7 @@ class TestRK45:
 
         y0, T = (0.0, 1.0, 1.0), 20.0
         ts = np.linspace(0.0, T, 101)
-        run = flow._integrate(f, y0, T, 1e-6)
+        run = flow._integrate(f, y0, T, 1e-6)(T)
         sol = solve_ivp(lambda t, y: f(*y), (0.0, T), y0, method="DOP853",
                         rtol=1e-6, atol=1e-6, t_eval=ts)
         assert run.rejected > 5
@@ -284,13 +285,13 @@ class TestRK45:
             calls.append(x)
             return rhs(x, y, theta)
 
-        run = flow._integrate(counted, (0.31, 0.47, 1.3), 20.0, flow.DEFAULT_TOL)
+        run = flow._integrate(counted, (0.31, 0.47, 1.3), 20.0, flow.DEFAULT_TOL)(20.0)
         assert run.nfev == len(calls) == 2576
         for budget in (2575, 2000, 1000, 17, 16):
             calls.clear()
             monkeypatch.setattr(flow, "ORBIT_NFEV_BUDGET", budget)
             with pytest.raises(IntegrationFailure, match="exceeded %d" % budget):
-                flow._integrate(counted, (0.31, 0.47, 1.3), 20.0, flow.DEFAULT_TOL)
+                flow._integrate(counted, (0.31, 0.47, 1.3), 20.0, flow.DEFAULT_TOL)(20.0)
             assert budget - 15 < len(calls) <= budget
 
     def test_scalar_rhs_matches_array_jet(self):
@@ -319,7 +320,7 @@ class TestRK45:
             return (math.nan, 0.0, 0.0)
 
         with pytest.raises(IntegrationFailure) as exc:
-            flow._integrate(f, (1.0, 0.0, 0.0), 2.0, 1e-10)
+            flow._integrate(f, (1.0, 0.0, 0.0), 2.0, 1e-10)(2.0)
         assert "non-finite" in str(exc.value)
         assert exc.value.last_time == 0.0
         # the first-step probe and one attempted step
@@ -341,6 +342,72 @@ class TestRK45:
             ConformalTorus(**kw)
 
 
+class TestResumedLoop:
+    """An orbit stopped short of its horizon and finished is one run to the
+    horizon: the controller keeps t_end at the horizon, hands its state on,
+    and counts the budget over both stages."""
+
+    WHOLE = {"tol": flow.DEFAULT_TOL, "sample_dt": flow.SAMPLE_DT, "nfev": 25_664,
+             "accepted_steps": 1_378, "rejected_steps": 416}
+
+    def test_stop_at_80_and_resume_to_200(self):
+        # the CI orbit of the demo-05 torus
+        m, v0 = bench_torus(), UnitTangent(0.31, 0.47, 1.3)
+        whole = integrate_orbit(m, v0, 200.0, flow.DEFAULT_TOL, 200.0)
+        assert whole.step_controls == self.WHOLE
+        assert not whole.finish()
+        stopped = integrate_orbit(m, v0, 200.0, flow.DEFAULT_TOL, 80.0)
+        # the first 8,001 samples of the horizon's grid, from the steps that
+        # reach t = 80: 10,127 of the 25,664 evaluations
+        assert stopped.t_samples.tobytes() == whole.t_samples[:8001].tobytes()
+        assert stopped.step_controls["nfev"] == 10_127
+        assert stopped.step_controls["accepted_steps"] < 600
+        # the dense output's last columns may be summed in another order
+        # (one matrix product forms them), so the samples of the last steps
+        # agree to roundoff
+        for name in ("xs", "ys", "thetas", "kappa_samples"):
+            np.testing.assert_allclose(getattr(stopped, name),
+                                       getattr(whole, name)[:8001], rtol=0, atol=1e-13)
+        assert stopped.finish()
+        for name in ("t_samples", "xs", "ys", "thetas", "kappa_samples"):
+            assert getattr(stopped, name).tobytes() == getattr(whole, name).tobytes()
+        assert stopped.step_controls == self.WHOLE
+        assert not stopped.finish()
+        # a finished trace crosses to a worker process as a pickle
+        assert pickle.loads(pickle.dumps(stopped)).t_samples[-1] == 200.0
+
+    def test_a_stop_between_samples_keeps_the_next_one(self):
+        m, v0 = bench_torus(), UnitTangent(0.31, 0.47, 1.3)
+        grid = np.linspace(0.0, 20.0, 2001)
+        assert integrate_orbit(m, v0, 20.0, flow.DEFAULT_TOL, 7.005).t_samples[-1] == grid[701]
+        # a stop past the horizon runs the whole orbit
+        tr = integrate_orbit(m, v0, 20.0, flow.DEFAULT_TOL, 50.0)
+        assert tr.t_samples.tobytes() == grid.tobytes() and not tr.finish()
+
+    def test_the_budget_counts_both_stages(self, monkeypatch):
+        m, v0 = bench_torus(), UnitTangent(0.31, 0.47, 1.3)
+        # between the 10,127 evaluations that reach t = 80 and the 25,664
+        # that reach the horizon
+        monkeypatch.setattr(flow, "ORBIT_NFEV_BUDGET", 18_000)
+        with pytest.raises(IntegrationFailure) as want:
+            integrate_orbit(m, v0, 200.0, flow.DEFAULT_TOL, 200.0)
+        stopped = integrate_orbit(m, v0, 200.0, flow.DEFAULT_TOL, 80.0)
+        with pytest.raises(IntegrationFailure) as got:
+            stopped.finish()
+        assert str(got.value) == str(want.value)
+        assert "exceeded 18000 right-hand-side evaluations" in str(got.value)
+        assert got.value.last_time == want.value.last_time > 80.0
+        # the failed trace stays stopped at t = 80, and fails again
+        with pytest.raises(IntegrationFailure) as again:
+            stopped.finish()
+        assert again.value is got.value and stopped.t_samples[-1] == 80.0
+
+    def test_stop_must_be_positive_and_finite(self):
+        for stop in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="stop must be positive and finite"):
+                integrate_orbit(flat_torus(1.0), UnitTangent(), 5.0, flow.DEFAULT_TOL, stop)
+
+
 # The orbit loop in its list form, the one flow._integrate writes out: every
 # stage sum, the update and the error terms a dot product over a full row
 # of scipy's DOP853 tableau (an independent copy of magflow's _dop853), zero
@@ -356,7 +423,8 @@ def dot(w, c):
 def list_integrate(f, y0, t_end, tol):
     """flow._integrate with each stage a list comprehension over the
     components and the full rows of A, driven by flow._first_step and
-    flow._march, its dense output formed by flow._Run.dense."""
+    flow._march, its dense output formed by flow._Run.dense: returns its
+    ``advance(stop)``."""
     def g(y):
         return list(f(*y))
 
@@ -392,10 +460,16 @@ def list_integrate(f, y0, t_end, tol):
         ys.append(y_new)
         steps.append(ks)
 
-    nfev, rejected = flow._march(attempt, keep, 0.0, t_end, y, k0, h_abs, 2, 12, 3,
-                                 flow.ORBIT_NFEV_BUDGET, 7, "orbit")
-    k = np.array(steps).transpose(2, 1, 0)  # (16 stages, 3 components, steps)
-    return flow._Run.dense(np.array(ts), np.array(ys).T, k, nfev, rejected)
+    state = (0.0, y, k0, h_abs, 2, 0)
+
+    def advance(stop):
+        nonlocal state
+        state = flow._march(attempt, keep, state, t_end, stop, 12, 3,
+                            flow.ORBIT_NFEV_BUDGET, 7, "orbit")
+        k = np.array(steps).transpose(2, 1, 0)  # (16 stages, 3 components, steps)
+        return flow._Run.dense(np.array(ts), np.array(ys).T, k, *state[4:])
+
+    return advance
 
 
 class TestUnrolledStages:
@@ -415,10 +489,10 @@ class TestUnrolledStages:
     def test_orbits_match_the_list_form_bitwise(self, monkeypatch, model, starts,
                                                 horizon, tol):
         for v0 in starts:
-            got = integrate_orbit(model, v0, horizon, tol)
+            got = integrate_orbit(model, v0, horizon, tol, horizon)
             with monkeypatch.context() as mp:
                 mp.setattr(flow, "_integrate", list_integrate)
-                want = integrate_orbit(model, v0, horizon, tol)
+                want = integrate_orbit(model, v0, horizon, tol, horizon)
             for name in ("t_samples", "xs", "ys", "thetas", "kappa_samples"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
             assert got.step_controls == want.step_controls
@@ -432,7 +506,7 @@ class TestSpline:
     @staticmethod
     def _orbit(jitter):
         tr = integrate_orbit(bench_torus(), UnitTangent(0.31, 0.47, 1.3), 20.0,
-                             flow.DEFAULT_TOL)
+                             flow.DEFAULT_TOL, 20.0)
         x = tr.t_samples.copy()
         x[1:-1] += flow.SAMPLE_DT * np.random.default_rng(5).uniform(
             -jitter, jitter, len(x) - 2)
@@ -467,7 +541,7 @@ class TestSpline:
 
     def test_profile_reads_scalars_and_pickles(self):
         tr = integrate_orbit(bench_torus(), UnitTangent(0.31, 0.47, 1.3), 5.0,
-                             flow.DEFAULT_TOL)
+                             flow.DEFAULT_TOL, 5.0)
         p = CurvatureProfile.from_orbit(tr)
         v = p(3.7)
         assert isinstance(v, np.ndarray) and v.shape == ()
