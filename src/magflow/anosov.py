@@ -37,16 +37,15 @@ import numpy as np
 from . import __version__ as _pkg_version
 from .errors import ConjugatePointError, InsufficientDataError, MagflowError
 from .flow import SAMPLE_DT, CurvatureProfile, OrbitTrace, UnitTangent
-from .geometry import CONJUGATE_HORIZON, SurfaceModel
+from .geometry import SurfaceModel
 from .green import DEFAULT_GREEN_TOL, GreenEstimate, green_slope
 from .jacobi import JacobiState, first_zero, floquet, integrate_jacobi, propagator
 
 SCHEMA_VERSION = 1
 
 # fixed analysis windows and thresholds; the gap margin, the slope-schedule
-# tolerance and the witness ones are reported in AnosovReport.margins. The
-# end of the conjugate scan, CONJUGATE_HORIZON, is geometry's, since a chart
-# model's first orbit window is the one that holds it
+# tolerance and the witness ones are reported in AnosovReport.margins
+CONJUGATE_HORIZON = 50.0   # end of the conjugate scan and the kappa sampling
 GAP_MARGIN = 1e-4          # a certified gap exceeds it
 WITNESS_WINDOW = 50.0      # bounded-field witness on [-window, window]
 WITNESS_BOUND = 1e3        # sup-norm a witness must stay below
@@ -202,7 +201,9 @@ def growth_floor(profile: CurvatureProfile, window: float) -> float:
 
 def profile_extrema(profile: CurvatureProfile) -> tuple:
     """(min, max) of 1001 samples of the profile on [0, CONJUGATE_HORIZON]
-    (cut at the profile's window end)."""
+    (cut at the profile's window end): the read that takes an orbit
+    profile's orbit to CONJUGATE_HORIZON plus ``flow.SPLINE_MARGIN``, where
+    the analysis of an orbit with an early conjugate point stops."""
     ts = np.linspace(0.0, min(CONJUGATE_HORIZON, profile.t_max), 1001)
     kv = np.asarray(profile.evaluator(ts), dtype=float)
     return float(np.min(kv)), float(np.max(kv))
@@ -309,11 +310,14 @@ def analyze_orbit(model: SurfaceModel, v0: UnitTangent, orbit_id: int,
     With ``keep_trace`` the result carries the plus orbit's trace, if any,
     as far as the analysis integrated it (``classify`` finishes it).
 
-    The extrema and the scan read the profile the model gives, which for a
-    chart model covers the first orbit window only
-    (``geometry.ANALYSIS_WINDOW``). Where the scan finds no conjugate point,
-    the orbit is integrated on to the horizon, and the rest of the analysis
-    reads the profile of the whole trace."""
+    Every stage reads the one profile the model gives. A chart model's
+    orbit is integrated only as far as the stages read it, plus
+    ``flow.SPLINE_MARGIN``: to CONJUGATE_HORIZON for the extrema, to the end
+    of each Jacobi segment the scan and the schedules launch. The minus
+    profile is made only once the plus schedule has ended without a
+    conjugate point, and its orbit is integrated as far as its own schedule
+    and the witness read. So no integration past what the analysis reads
+    can fail it."""
     res = OrbitResult(orbit_id=orbit_id, initial=(v0.x, v0.y, v0.theta))
     try:
         plus, trace = model.profile(v0, cfg.horizon)
@@ -324,17 +328,14 @@ def analyze_orbit(model: SurfaceModel, v0: UnitTangent, orbit_id: int,
         res.conjugate_time = first_zero(plus, min(CONJUGATE_HORIZON, plus.t_max))
         if res.conjugate_time is not None:
             return res
-        if trace is not None and trace.finish():
-            plus = CurvatureProfile.from_orbit(trace)
 
-        # the minus profile is the time reflection of the plus one, so its
-        # stable side is the unstable side at the orbit's base point
-        minus = model.minus_profile(v0, plus, cfg.horizon)
         try:
-            est = GreenEstimate(
-                plus=green_slope(plus, "+").plus,
-                minus=green_slope(minus, "+").plus.reflected(),
-            )
+            stable = green_slope(plus, "+").plus
+            # the minus profile is the time reflection of the plus one, so
+            # its stable side is the unstable side at the orbit's base point
+            minus = model.minus_profile(v0, plus, cfg.horizon)
+            est = GreenEstimate(plus=stable,
+                                minus=green_slope(minus, "+").plus.reflected())
         except ConjugatePointError as exc:
             res.conjugate_time = exc.conjugate_time
             return res
@@ -373,8 +374,8 @@ def classify(model: SurfaceModel, cfg: Optional[SamplingConfig] = None,
     """Run the full certification pipeline and aggregate the verdict. The
     orbits with id below ``keep_traces`` keep their ``OrbitResult.trace``,
     integrated to the horizon: each is finished after its analysis, which
-    may have stopped it at the first orbit window, so the trace is that of
-    one run to the horizon whatever the analysis read."""
+    integrated it only as far as it read, so the trace is that of one run
+    to the horizon whatever the analysis read."""
     cfg = cfg or SamplingConfig()
 
     try:

@@ -7,12 +7,13 @@ deck step, which brings a state back into the fundamental domain;
 ``integrate_orbit`` runs them through one DOP853 loop (``_integrate``),
 whatever the surface, and reads its samples from the 7th-order dense
 output; the loop can stop short of the horizon and resume from the
-controller's state (``OrbitTrace.finish``). This module holds what that loop shares with the Jacobi launches
-of ``jacobi``: the written-out weights of the one tableau, ``_dop853``, the
-one step controller (``_first_step``, ``_march``) and the one dense-output
-type (``_Run``). A ``CurvatureProfile`` is the curvature kappa read along one
-orbit as a function of time, which is all the Jacobi layer sees of the
-surface.
+controller's state (``OrbitTrace.advance``). This module holds what that
+loop shares with the Jacobi launches of ``jacobi``: the written-out weights
+of the one tableau, ``_dop853``, the one step controller (``_first_step``,
+``_march``) and the one dense-output type (``_Run``). A
+``CurvatureProfile`` is the curvature kappa read along one orbit as a
+function of time, which is all the Jacobi layer sees of the surface; that of
+a chart orbit grows its orbit as far as it is read (``_OrbitKappa``).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -38,6 +38,15 @@ SAMPLE_DT = 0.01
 ORBIT_NFEV_BUDGET = 500_000
 # added under the square root of every k_bound read from a minimum
 K_MARGIN = 1e-9
+# how far past the latest time read a chart orbit is integrated
+# (``_OrbitKappa``): a stopped run's last samples differ from the whole
+# run's at roundoff (BLAS sums the dense output's last columns in another
+# order), and appending knots to the not-a-knot spline moves the bits of its
+# last pieces only. Over 24 orbits of three tori stopped at 51, 81 and 161,
+# the samples differed within 0.28 of the stop and the spline pieces within
+# 0.25 (about 25 knots), so a margin of 100 knots keeps every read below it
+# final (tests/test_flow.py, TestGrowingProfile)
+SPLINE_MARGIN = 1.0
 
 
 @dataclass(frozen=True)
@@ -54,7 +63,7 @@ class UnitTangent:
 class OrbitTrace:
     """A sampled unit-speed magnetic orbit with its curvature readout; one
     that ``integrate_orbit`` stopped short of its horizon holds the samples
-    up to the stop until ``finish`` is called."""
+    up to the stop until ``advance`` or ``finish`` integrates it on."""
 
     t_samples: np.ndarray
     xs: np.ndarray
@@ -63,35 +72,44 @@ class OrbitTrace:
     kappa_samples: np.ndarray
     step_controls: dict = field(default_factory=dict)
     # the rest of an orbit stopped short of its horizon (``integrate_orbit``'s
-    # stop): a call that integrates it on and returns its whole trace, or the
-    # exception that call raised
+    # stop): a call that integrates it on to a later stop and returns its
+    # trace up to there and whether that is the horizon, or the exception
+    # that call raised
     _rest: Optional[object] = field(default=None, init=False, repr=False,
                                     compare=False)
 
     def state(self, i: int) -> UnitTangent:
         return UnitTangent(float(self.xs[i]), float(self.ys[i]), float(self.thetas[i]))
 
-    def finish(self) -> bool:
+    def advance(self, stop: float) -> bool:
         """Integrate an orbit that stopped short of its horizon on to the
-        horizon (``integrate_orbit``), and hold its whole trace: the samples
-        and step counts of one run to the horizon. True where it did so,
-        False where the trace reaches its horizon already. A failure raises,
-        as a run to the horizon would have, leaves the trace stopped, and is
-        raised again by every later call. Until it is finished, a stopped
-        trace holds the loop's state, which does not pickle."""
+        first sample time at or past ``stop`` (at most the horizon,
+        ``integrate_orbit``), and hold its trace up to there: the steps are
+        those of one run to the horizon, and the samples that run's below
+        the last few tenths of a time unit. True where it did so, False
+        where the trace reaches the stop or its horizon already. A failure
+        raises, as a run to the horizon would have, leaves the trace where
+        it stopped, and is raised again by every later call that would
+        integrate. Until it reaches its horizon, a trace holds the loop's
+        state, which does not pickle."""
         rest = self._rest
+        if rest is None or stop <= self.t_samples[-1]:
+            return False
         if isinstance(rest, Exception):
             raise rest
-        if rest is None:
-            return False
         try:
-            whole = rest()
+            grown, whole = rest(stop)
         except Exception as exc:
             self._rest = exc
             raise
-        vars(self).update(vars(whole))
-        self._rest = None
+        vars(self).update(vars(grown))
+        self._rest = None if whole else rest
         return True
+
+    def finish(self) -> bool:
+        """``advance`` to the horizon: the whole trace, samples and step
+        counts, of one run to the horizon, for export."""
+        return self.advance(math.inf)
 
     def to_csv(self, path):
         # the bytes csv.writer gives (no float repr needs quoting), formatted
@@ -450,22 +468,23 @@ def integrate_orbit(model, v0: UnitTangent, horizon: float, tol: float,
     ``reduce`` at readout, so no drift accumulates in the stored samples.
     Where ``stop`` falls before the horizon, the loop stops at the first
     step that reaches the first grid time at or past it, and the trace holds
-    the samples up to that time; ``OrbitTrace.finish`` resumes the loop to
-    the horizon, and the whole trace is then the one a stop at the horizon
-    gives, bit for bit. Past ``ORBIT_NFEV_BUDGET`` right-hand-side
-    evaluations over both stages the integration stops with an
-    ``IntegrationFailure``. A horizon, tolerance or stop that is not
-    positive and finite is a ``ValueError``.
+    the samples up to that time; ``OrbitTrace.advance`` resumes the loop to
+    a later stop and ``OrbitTrace.finish`` to the horizon, and the whole
+    trace is then the one a stop at the horizon gives, bit for bit. Past
+    ``ORBIT_NFEV_BUDGET`` right-hand-side evaluations over all its stages
+    the integration stops with an ``IntegrationFailure``. A horizon,
+    tolerance or stop that is not positive and finite is a ``ValueError``.
     """
     for name, value in (("horizon", horizon), ("tol", tol), ("stop", stop)):
         if not 0 < value < math.inf:
             raise ValueError("%s must be positive and finite, got %r" % (name, value))
     t_eval = np.linspace(0.0, horizon, int(round(horizon / SAMPLE_DT)) + 1)
-    # the first sample at or past the stop
-    last = min(int(np.searchsorted(t_eval, stop)), t_eval.size - 1)
     advance = _integrate(model.rhs(), (v0.x, v0.y, v0.theta), horizon, tol)
 
-    def sampled(ts):
+    def sampled(stop):
+        # the samples up to the first grid time at or past the stop, and
+        # whether that is the horizon
+        ts = t_eval[:min(int(np.searchsorted(t_eval, stop)), t_eval.size - 1) + 1]
         run = advance(float(ts[-1]))
         v = model.reduce(UnitTangent(*run.sol(ts)))
         return OrbitTrace(
@@ -477,11 +496,11 @@ def integrate_orbit(model, v0: UnitTangent, horizon: float, tol: float,
             step_controls={"tol": tol, "sample_dt": SAMPLE_DT, "nfev": run.nfev,
                            "accepted_steps": run.t.size - 1,
                            "rejected_steps": run.rejected},
-        )
+        ), ts.size == t_eval.size
 
-    trace = sampled(t_eval[:last + 1])
-    if last + 1 < t_eval.size:
-        trace._rest = partial(sampled, t_eval)
+    trace, whole = sampled(stop)
+    if not whole:
+        trace._rest = sampled
     return trace
 
 
@@ -554,6 +573,66 @@ class _Spline:
         return np.asarray(((c3[i] + c2[i] * u) + c1[i] * u2) + c0[i] * (u2 * u))
 
 
+class _OrbitKappa:
+    """kappa along a chart orbit as far as it has been read: the
+    ``_Spline`` through the samples of its trace, whose orbit is integrated
+    on (``OrbitTrace.advance``) as reads ask for it.
+
+    ``cover(t)`` makes every read up to t final: it integrates the orbit on
+    to t + SPLINE_MARGIN (at most to the horizon) and rebuilds the spline
+    through the longer trace. Appending knots leaves the pieces more than
+    SPLINE_MARGIN below the new end with their bits, so a read up to
+    ``final``, the trace's end less the margin (or any time, once the trace
+    reaches its horizon), is that of the spline through the whole trace,
+    whatever was read before. A read past ``final`` covers its latest time
+    first, so no read extrapolates the end piece while the orbit can still
+    grow. ``k_bound`` is read from the samples integrated so far.
+    """
+
+    def __init__(self, trace: OrbitTrace):
+        self.trace = trace
+        self._build()
+
+    def _build(self):
+        tr = self.trace
+        if len(tr.t_samples) < 4:
+            raise InsufficientDataError("need at least 4 samples for a cubic spline")
+        self.spline = _Spline(tr.t_samples, tr.kappa_samples)
+        self.final = math.inf if tr._rest is None else float(tr.t_samples[-1]) - SPLINE_MARGIN
+
+    def cover(self, t: float):
+        if t > self.final:
+            self.trace.advance(t + SPLINE_MARGIN)
+            self._build()
+
+    @property
+    def k_bound(self) -> float:
+        return _k_bound(float(np.min(self.trace.kappa_samples)))
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        if t.size and t.max() > self.final:
+            self.cover(float(t.max()))
+        return self.spline(t)
+
+
+class _KBound:
+    """The ``k_bound`` field of ``CurvatureProfile``: the value the profile
+    was built with, except for an orbit profile (``_OrbitKappa``), whose
+    bound is read from its evaluator at each access, over the samples its
+    orbit has been integrated to so far. It raises on the class, so the
+    field has no default."""
+
+    def __get__(self, profile, owner) -> float:
+        if profile is None:
+            raise AttributeError("k_bound")
+        ev = profile.evaluator
+        return ev.k_bound if isinstance(ev, _OrbitKappa) else profile.__dict__["_k_bound"]
+
+    def __set__(self, profile, value: float):
+        profile.__dict__["_k_bound"] = value
+
+
 class _Pointwise:
     """A curvature read one time at a time: ``at`` takes a list of times to
     the list of their values as floats, and a call reads the times of an
@@ -576,14 +655,15 @@ class CurvatureProfile:
     keep) also read a list of times as a list of floats (``at``), bitwise
     their array read, which the Jacobi launch uses; a spline has its array
     read alone. ``k_bound`` is a k >= 0 with
-    kappa(t) >= -k_bound**2 on the usable window [t_min, t_max]. Profiles
-    built from a Fourier series (a constant is one without harmonics, or
-    with omega = 0) have infinite windows and shift and reflect exactly;
-    spline profiles are confined to their orbit window.
+    kappa(t) >= -k_bound**2 on the usable window [t_min, t_max]; on an orbit
+    profile, over the part of the window its orbit has been integrated to
+    (``_KBound``). Profiles built from a Fourier series (a constant is one
+    without harmonics, or with omega = 0) have infinite windows and shift
+    and reflect exactly; spline profiles are confined to their orbit window.
     """
 
     evaluator: Callable
-    k_bound: float
+    k_bound: float = _KBound()
     t_min: float = -math.inf
     t_max: float = math.inf
     series: Optional[FourierSeries1D] = None
@@ -673,18 +753,16 @@ class CurvatureProfile:
         )
 
     @staticmethod
-    def from_orbit(orbit: OrbitTrace) -> "CurvatureProfile":
+    def from_orbit(orbit: OrbitTrace, t_max: float) -> "CurvatureProfile":
         """The not-a-knot cubic spline through the orbit's curvature samples
         (``_Spline``: O(h^4) between samples, exact at them), confined to
-        the orbit window."""
-        if len(orbit.t_samples) < 4:
-            raise InsufficientDataError("need at least 4 samples for a cubic spline")
-        return CurvatureProfile(
-            evaluator=_Spline(orbit.t_samples, orbit.kappa_samples),
-            k_bound=_k_bound(float(np.min(orbit.kappa_samples))),
-            t_min=float(orbit.t_samples[0]),
-            t_max=float(orbit.t_samples[-1]),
-        )
+        the orbit window [0, t_max], t_max being the horizon of an orbit
+        ``integrate_orbit`` stopped short of it. Reads integrate such an
+        orbit on as far as they reach (``_OrbitKappa``), and each reads the
+        spline through the whole trace."""
+        ev = _OrbitKappa(orbit)
+        return CurvatureProfile(evaluator=ev, k_bound=ev.k_bound,
+                                t_min=float(orbit.t_samples[0]), t_max=t_max)
 
 
 def _k_bound(kmin: float) -> float:

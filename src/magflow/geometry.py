@@ -38,17 +38,11 @@ from typing import Callable, Optional, Protocol
 import numpy as np
 
 from .errors import InvalidProfileError, ResolutionError
-from .flow import DEFAULT_TOL, CurvatureProfile, UnitTangent, _Pointwise, integrate_orbit
+from .flow import (DEFAULT_TOL, SPLINE_MARGIN, CurvatureProfile, UnitTangent, _Pointwise,
+                   integrate_orbit)
 from .fourier import FourierSeries1D, FourierSeries2D
-from .jacobi import FIRST_BREAK
 
 GAUSS_BONNET_TOL = 1e-9
-# the end of the conjugate scan and of the kappa sampling (``anosov``)
-CONJUGATE_HORIZON = 50.0
-# the first window of a chart model's orbit (``ConformalTorus.profile``):
-# the propagator breakpoint FIRST_BREAK * 2**k that holds CONJUGATE_HORIZON,
-# where the last Jacobi segment the scan launches ends
-ANALYSIS_WINDOW = FIRST_BREAK * 2.0 ** math.ceil(math.log2(CONJUGATE_HORIZON / FIRST_BREAK))
 # the torus quadrature of the inequality: tensor trapezoid from
 # QUADRATURE_N0 points a side (or more for high modes), doubled until two
 # grids agree within QUADRATURE_TOL, and a ResolutionError past
@@ -99,16 +93,17 @@ class SurfaceModel(Protocol):
         """Start vectors of the sampled orbits (``UnitTangent``)."""
 
     def profile(self, v0: UnitTangent, horizon: float) -> tuple:
-        """(the curvature profile along the orbit from v0, its ``OrbitTrace``);
-        the trace is None for a model without orbits. Orbits are integrated
-        at ``flow.DEFAULT_TOL``, and may stop short of the horizon: the
-        profile then covers the trace's window, and ``OrbitTrace.finish``
-        integrates the orbit on to the horizon."""
+        """(the curvature profile along the orbit from v0 on [0, horizon],
+        its ``OrbitTrace``); the trace is None for a model without orbits.
+        Orbits are integrated at ``flow.DEFAULT_TOL``, and only as far as
+        the profile is read (``CurvatureProfile.from_orbit``):
+        ``OrbitTrace.finish`` integrates the orbit on to the horizon."""
 
     def minus_profile(self, v0: UnitTangent, plus: CurvatureProfile,
                       horizon: float) -> CurvatureProfile:
         """The time reflection of ``plus``: the curvature along the
-        reversed-intensity orbit from the flipped vector."""
+        reversed-intensity orbit from the flipped vector, integrated as far
+        as it is read."""
 
 
 @dataclass(frozen=True)
@@ -303,21 +298,20 @@ class ConformalTorus:
         return ConformalTorus(self.phi, self.b.scaled(-1.0))
 
     def profile(self, v0, horizon) -> tuple:
-        """The orbit integrated only to ``ANALYSIS_WINDOW`` (or the horizon,
-        if sooner), which is all its analysis reads where the scan finds a
-        conjugate point, and the spline through those samples. The samples
-        are those of the run to the horizon, and the trace's ``finish``
-        integrates the rest."""
-        trace = integrate_orbit(self, v0, horizon, DEFAULT_TOL,
-                                min(horizon, ANALYSIS_WINDOW))
-        return CurvatureProfile.from_orbit(trace), trace
+        """The spline through the curvature samples of the orbit from v0,
+        on the window [0, horizon], and the orbit's trace. The orbit is
+        integrated to SPLINE_MARGIN here and then only as far as the profile
+        is read, plus that margin (``CurvatureProfile.from_orbit``); its
+        samples are those of the run to the horizon, and the trace's
+        ``finish`` integrates the rest."""
+        trace = integrate_orbit(self, v0, horizon, DEFAULT_TOL, SPLINE_MARGIN)
+        return CurvatureProfile.from_orbit(trace, horizon), trace
 
     def minus_profile(self, v0, plus, horizon) -> CurvatureProfile:
-        """The reversed-intensity orbit from the flipped vector, integrated
-        to the horizon."""
+        """The profile of the reversed-intensity orbit from the flipped
+        vector, integrated as far as it is read."""
         flipped = UnitTangent(v0.x, v0.y, v0.theta + math.pi)
-        return CurvatureProfile.from_orbit(
-            integrate_orbit(self.flipped(), flipped, horizon, DEFAULT_TOL, horizon))
+        return self.flipped().profile(flipped, horizon)[0]
 
 
 @dataclass(frozen=True)

@@ -78,7 +78,7 @@ from .flow import (
     _A11_6, _A11_7, _A11_8, _A11_9, _A11_10, _B0, _B5, _B6, _B7, _B8, _B9, _B10, _B11,
     _E3_0, _E3_5, _E3_6, _E3_7, _E3_8, _E3_9, _E3_10, _E3_11, _E5_0, _E5_5, _E5_6,
     _E5_7, _E5_8, _E5_9, _E5_10, _E5_11, CurvatureProfile, _first_step, _march,
-    _Pointwise, _Run,
+    _OrbitKappa, _Pointwise, _Run,
 )
 from .fourier import FourierSeries1D
 
@@ -423,7 +423,9 @@ class Propagator:
     integrated segment by segment, only as far as callers ask, between the
     fixed breakpoints 0, FIRST_BREAK * 2**k (capped at the profile's window
     end), so every readout is a pure function of the profile whatever
-    the order of requests. An end state past RESCALE_THRESHOLD is divided
+    the order of requests. An orbit profile's orbit is integrated past the
+    end of each segment before the segment is launched (``_grow``), so each
+    segment is launched once. An end state past RESCALE_THRESHOLD is divided
     by a power of two before the next segment, and readouts multiply it
     back exactly.
 
@@ -461,6 +463,9 @@ class Propagator:
         self.zero = None  # see first_zero_of_z
 
     def _grow(self):
+        """Launch the next segment, an orbit profile's orbit covering its end
+        first (``flow._OrbitKappa.cover``); past a periodic profile's period,
+        store the monodromy instead."""
         t0 = self.breaks[-1]
         _run, y0, exp, nfev = self._segs[-1]
         if t0 >= self.t_end:
@@ -477,7 +482,13 @@ class Propagator:
             e = math.frexp(m)[1]
             y0, exp = np.ldexp(y0, -e), exp + e
         t1 = self._next_break(t0)
-        sol = _launch(self.evaluator, y0, (t0, t1))
+        ev = self.evaluator
+        if isinstance(ev, _OrbitKappa):
+            # the orbit is integrated past the segment's end first, so the
+            # launch reads final pieces of the spline alone
+            ev.cover(t1)
+            ev = ev.spline
+        sol = _launch(ev, y0, (t0, t1))
         self._segs.append((sol, sol.y[:, -1], exp, nfev + sol.nfev))
         self.breaks.append(t1)
 

@@ -586,12 +586,13 @@ class DelegatingSurface:
         return self.inner.ensemble(count, seed)
 
     def profile(self, v0, horizon):
-        # a chart model's trace is integrated from this model's own members
+        # a chart model's profile is read from an orbit integrated from this
+        # model's own members
         plus, trace = self.inner.profile(v0, horizon)
-        if trace is not None:
-            trace = integrate_orbit(self, v0, horizon, flow.DEFAULT_TOL,
-                                    float(trace.t_samples[-1]))
-        return plus, trace
+        if trace is None:
+            return plus, None
+        trace = integrate_orbit(self, v0, horizon, flow.DEFAULT_TOL, flow.SPLINE_MARGIN)
+        return CurvatureProfile.from_orbit(trace, horizon), trace
 
     def minus_profile(self, v0, plus, horizon):
         return self.inner.minus_profile(v0, plus, horizon)
@@ -637,30 +638,76 @@ def weak_field_torus():
     return ConformalTorus(phi=FourierSeries2D(), b=FourierSeries2D(const=0.01))
 
 
-def fail_past_the_window(monkeypatch, m, v0):
+def baseline_weak_torus():
+    # ROADMAP's Baseline weak-field torus: of ensemble(16, 0), orbits 8, 11
+    # and 13 meet no conjugate point by t = 50, and the plus schedules find
+    # theirs at t = 99.04, 58.17 and 75.89
+    return ConformalTorus(phi=FourierSeries2D(cos_coeffs={(1, 0): 0.15}),
+                          b=FourierSeries2D(const=0.02, sin_coeffs={(0, 1): 0.01}))
+
+
+def fail_past(monkeypatch, m, v0, stop):
     """Set the orbit budget between the evaluations that take the orbit from
-    v0 to t = 80 and to 200; return the error a run to 200 records."""
-    first, whole = (integrate_orbit(m, v0, 200.0, flow.DEFAULT_TOL, stop)
-                    .step_controls["nfev"] for stop in (80.0, 200.0))
+    v0 to ``stop`` and to 200; return the error a run to 200 records."""
+    first, whole = (integrate_orbit(m, v0, 200.0, flow.DEFAULT_TOL, t)
+                    .step_controls["nfev"] for t in (stop, 200.0))
     monkeypatch.setattr(flow, "ORBIT_NFEV_BUDGET", (first + whole) // 2)
     with pytest.raises(IntegrationFailure) as exc:
         integrate_orbit(m, v0, 200.0, flow.DEFAULT_TOL, 200.0)
     return "IntegrationFailure: %s" % exc.value
 
 
+class Launches:
+    """The Jacobi segments each orbit profile launches (``jacobi._launch``
+    under ``Propagator._grow``), and the traces of the orbits the torus
+    integrates (``geometry.integrate_orbit``), the plus orbit's first."""
+
+    def __init__(self, monkeypatch):
+        self.spans, self.traces, self._grown = {}, [], None
+        grow, launch, orbit = jacobi.Propagator._grow, jacobi._launch, geometry.integrate_orbit
+
+        def growing(prop):
+            self._grown = self.spans.setdefault(id(prop), [])
+            grow(prop)
+
+        def launching(ev, y0, span):
+            self._grown.append(tuple(span))
+            return launch(ev, y0, span)
+
+        def integrating(model, *args):
+            self.traces.append(orbit(model, *args))
+            return self.traces[-1]
+
+        monkeypatch.setattr(jacobi.Propagator, "_grow", growing)
+        monkeypatch.setattr(jacobi, "_launch", launching)
+        monkeypatch.setattr(geometry, "integrate_orbit", integrating)
+
+    def clear(self):
+        self.spans.clear()
+        self.traces.clear()
+
+
 class TestAnalysisWindow:
-    """A chart orbit is integrated to geometry.ANALYSIS_WINDOW (t = 80, the
-    propagator breakpoint that holds the scan's end) before its analysis,
-    and on to the horizon only where the scan finds no conjugate point."""
+    """A chart orbit is integrated only as far as its analysis reads, plus
+    flow.SPLINE_MARGIN: to t = 51 for the extrema on [0, 50], and past the
+    end of each Jacobi segment the scan and the schedules launch."""
 
     def test_the_window_ends_the_scan(self):
         # a scan to CONJUGATE_HORIZON that finds no zero launches its last
-        # Jacobi segment up to ANALYSIS_WINDOW, the end of the first window
-        assert geometry.CONJUGATE_HORIZON == anosov.CONJUGATE_HORIZON == 50.0
+        # Jacobi segment up to 80, so an orbit with no conjugate point by
+        # t = 40 is integrated to 81, and the others to 51
+        assert anosov.CONJUGATE_HORIZON == 50.0 and not hasattr(geometry, "ANALYSIS_WINDOW")
         hyperbolic = CurvatureProfile(evaluator=lambda t: np.full(np.shape(t), -1.0),
                                       k_bound=1.0, t_max=1e3)
-        assert first_zero(hyperbolic, geometry.CONJUGATE_HORIZON) is None
-        assert jacobi.propagator(hyperbolic).breaks[-1] == geometry.ANALYSIS_WINDOW == 80.0
+        assert first_zero(hyperbolic, anosov.CONJUGATE_HORIZON) is None
+        assert jacobi.propagator(hyperbolic).breaks[-1] == 80.0
+        m = demo_torus()
+        for i, v0 in enumerate(m.ensemble(8, 0)):
+            res = anosov.analyze_orbit(m, v0, i, SamplingConfig(horizon=200.0), True)
+            end = 51.0 if res.conjugate_time < 40.0 else 81.0
+            assert res.trace.t_samples[-1] == end
+            assert (res.trace.step_controls
+                    == integrate_orbit(m, v0, 200.0, flow.DEFAULT_TOL, end).step_controls)
 
     def test_the_analysis_does_not_depend_on_the_horizon(self):
         m = demo_torus()
@@ -669,17 +716,17 @@ class TestAnalysisWindow:
                    for h in (80.0, 200.0, 400.0)}
             assert res[80.0].to_dict() == res[200.0].to_dict() == res[400.0].to_dict()
             assert res[200.0].conjugate_time is not None
-            # the kept trace is the analysis's: stopped at t = 80, with the
-            # steps of a run to 80 at most two more, whatever the horizon
-            steps = {h: r.trace.step_controls["accepted_steps"] for h, r in res.items()}
-            assert all(r.trace.t_samples[-1] == 80.0 for r in res.values())
-            assert res[200.0].trace.step_controls == res[400.0].trace.step_controls
-            assert steps[80.0] <= steps[200.0] <= steps[80.0] + 2
+            # the kept trace is the analysis's, whatever the horizon
+            for name in ("t_samples", "xs", "ys", "thetas", "kappa_samples"):
+                assert len({getattr(r.trace, name).tobytes() for r in res.values()}) == 1
+            assert (res[80.0].trace.step_controls == res[200.0].trace.step_controls
+                    == res[400.0].trace.step_controls)
 
     def test_an_orbit_without_an_early_conjugate_point_reads_the_whole_horizon(self):
-        # the analysis resumes the orbit to 200 and reads the whole window,
-        # as it did when every orbit ran to the horizon first (a window of
-        # 80 reads u+ = -0.0097121...)
+        # no conjugate point before 200 and slopes that converge like 1/r:
+        # both schedules read to the window's end, so both orbits are
+        # integrated to the horizon, as they were when every orbit ran to
+        # the horizon first (a window of 80 reads u+ = -0.0097121...)
         m = weak_field_torus()
         res = anosov.analyze_orbit(m, m.ensemble(1, 0)[0], 0, SamplingConfig(horizon=200.0),
                                    True)
@@ -706,26 +753,71 @@ class TestAnalysisWindow:
 
     def test_a_failure_past_the_window(self, monkeypatch):
         m, cfg = demo_torus(), SamplingConfig(ensemble_count=1, horizon=200.0)
-        error = fail_past_the_window(monkeypatch, m, m.ensemble(1, 0)[0])
+        error = fail_past(monkeypatch, m, m.ensemble(1, 0)[0], 51.0)
         # kept, the trace cannot be finished: the orbit records the error a
         # run to the horizon records, and keeps no trace
         kept = classify(m, cfg, keep_traces=1).orbits[0]
         assert kept.error == error and kept.trace is None
-        # not kept, the orbit is read to t = 80 alone, where the scan finds
+        # not kept, the orbit is read to t = 51 alone, where the scan finds
         # its conjugate point; the kept one reports it too
         free = classify(m, cfg).orbits[0]
         assert free.error is None and free.conjugate_time is not None
         assert kept.conjugate_time == free.conjugate_time
 
     def test_a_failure_where_the_analysis_resumes(self, monkeypatch):
-        # the weak-field orbit has no conjugate point, so its analysis
-        # resumes it past t = 80, where the budget runs out: the error a run
-        # to the horizon records, and no trace, kept or not
+        # the flat weak-field orbit has no conjugate point, and its schedules
+        # read the whole window: a budget that runs out past t = 81 runs out
+        # inside the reads, so the orbit records the error a run to the
+        # horizon records, and no trace, kept or not
         m, cfg = weak_field_torus(), SamplingConfig(ensemble_count=1, horizon=200.0)
-        error = fail_past_the_window(monkeypatch, m, m.ensemble(1, 0)[0])
+        error = fail_past(monkeypatch, m, m.ensemble(1, 0)[0], 81.0)
         for keep in (0, 1):
             orbit = classify(m, cfg, keep_traces=keep).orbits[0]
             assert orbit.error == error
             assert orbit.trace is None and orbit.conjugate_time is None
-            # the extrema read [0, 50], which the first stage integrated
+            # the extrema read [0, 50], which the orbit holds
             assert orbit.kappa_min == orbit.kappa_max == 0.0001
+
+    def test_a_failure_past_the_reads_hides_no_conjugate_point(self, monkeypatch):
+        # the plus schedules of these orbits find their conjugate points in
+        # the segments [40, 80] and [80, 160], and read the orbit to 81 and
+        # 161 alone: a budget that runs out past those reads, before the
+        # horizon, may not replace the conjugate point with an orbit error
+        m, cfg = baseline_weak_torus(), SamplingConfig(horizon=200.0)
+        states = m.ensemble(16, 0)
+        for i, stop, want in ((11, 81.0, 58.17482134700672), (13, 81.0, 75.89112857595438),
+                              (8, 161.0, 99.04104360450137)):
+            with monkeypatch.context() as patch:
+                fail_past(patch, m, states[i], stop)
+                res = anosov.analyze_orbit(m, states[i], i, cfg, False)
+            assert res.error is None and res.conjugate_time == want
+
+    def test_each_segment_is_launched_once(self, monkeypatch):
+        m, cfg = baseline_weak_torus(), SamplingConfig(horizon=200.0)
+        seen = Launches(monkeypatch)
+        for i, v0 in enumerate(m.ensemble(16, 0)):
+            seen.clear()
+            res = anosov.analyze_orbit(m, v0, i, cfg, True)
+            # one profile: the plus schedules meet a conjugate point, so no
+            # minus orbit is integrated
+            assert res.conjugate_time is not None and seen.traces == [res.trace]
+            (spans,) = seen.spans.values()
+            assert len(set(spans)) == len(spans) and spans[0] == (0.0, 5.0)
+            # the orbit ends SPLINE_MARGIN past the extrema's end or past
+            # the last segment, whichever is later
+            end = max(anosov.CONJUGATE_HORIZON, spans[-1][1]) + flow.SPLINE_MARGIN
+            assert res.trace.t_samples[-1] == end
+
+    def test_a_minus_orbit_is_integrated_as_far_as_its_schedule_reads(self, monkeypatch):
+        # the geodesic along x = 1/2, where the curvature is about -8: both
+        # schedules converge by r = 10, so the minus orbit ends one margin
+        # past its last segment, and the plus one past the scan's
+        m = ConformalTorus(phi=FourierSeries2D(cos_coeffs={(1, 0): 0.15}))
+        seen = Launches(monkeypatch)
+        res = anosov.analyze_orbit(m, UnitTangent(0.5, 0.0, math.pi / 2), 0,
+                                   SamplingConfig(horizon=200.0), True)
+        assert res.conjugate_time is None and res.gap_converged and res.gap > 5.0
+        plus, minus = seen.spans.values()
+        assert plus[-1] == (40.0, 80.0) and minus == [(0.0, 5.0), (5.0, 10.0)]
+        assert [t.t_samples[-1] for t in seen.traces] == [81.0, 11.0]
+        assert seen.traces[0] is res.trace

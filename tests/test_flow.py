@@ -408,6 +408,100 @@ class TestResumedLoop:
                 integrate_orbit(flat_torus(1.0), UnitTangent(), 5.0, flow.DEFAULT_TOL, stop)
 
 
+class TestGrowingProfile:
+    """A chart orbit's profile integrates its orbit as far as it is read,
+    plus flow.SPLINE_MARGIN, and every read is that of the spline through
+    the whole trace."""
+
+    TORI = {
+        "demo05": (0.05, 0.6, 0.2),
+        # the Baseline bench and weak-field tori of ROADMAP
+        "bench": (0.1, 0.4, 0.2),
+        "weak": (0.15, 0.02, 0.01),
+    }
+
+    @staticmethod
+    def torus(phi, b0, b1):
+        return ConformalTorus(phi=FourierSeries2D(cos_coeffs={(1, 0): phi}),
+                              b=FourierSeries2D(const=b0, sin_coeffs={(0, 1): b1}))
+
+    @pytest.mark.parametrize("name", sorted(TORI))
+    def test_a_grown_trace_is_a_prefix_of_the_whole_run(self, name):
+        # The dense output's coefficients are formed by one matrix product,
+        # whose BLAS kernel sums the last few columns in another order, so a
+        # stopped run's last samples and the spline pieces they reach can
+        # move at roundoff. Over these 24 orbits and stops the samples
+        # differed within 0.28 of the stop and the spline pieces within
+        # 0.25 (OpenBLAS 0.3.31, Haswell kernel): SPLINE_MARGIN = 1.0 is 4x
+        # the widest, and the reads of a profile end that far below its
+        # orbit's end.
+        m = self.torus(*self.TORI[name])
+        for v0 in m.ensemble(8, 0):
+            whole = integrate_orbit(m, v0, 200.0, flow.DEFAULT_TOL, 200.0)
+            spline = flow._Spline(whole.t_samples, whole.kappa_samples)
+            grown = integrate_orbit(m, v0, 200.0, flow.DEFAULT_TOL, 51.0)
+            for stop in (51.0, 81.0, 161.0):
+                assert grown.advance(stop) == (stop > 51.0)
+                n = grown.t_samples.size
+                assert grown.t_samples[-1] == stop and n == round(stop / flow.SAMPLE_DT) + 1
+                below = grown.t_samples < stop - 0.5
+                for f in ("xs", "ys", "thetas", "kappa_samples"):
+                    assert (getattr(grown, f)[below].tobytes()
+                            == getattr(whole, f)[:n][below].tobytes())
+                # the pieces that start at or below stop - SPLINE_MARGIN
+                ours = flow._Spline(grown.t_samples, grown.kappa_samples)
+                k = int(np.count_nonzero(ours.x <= stop - flow.SPLINE_MARGIN))
+                assert ours.c[:, :k].tobytes() == spline.c[:, :k].tobytes()
+            assert grown.finish()
+            for f in ("t_samples", "xs", "ys", "thetas", "kappa_samples"):
+                assert getattr(grown, f).tobytes() == getattr(whole, f).tobytes()
+            assert grown.step_controls == whole.step_controls
+
+    def test_reads_grow_the_orbit_first(self):
+        m, v0 = self.torus(*self.TORI["bench"]), UnitTangent(0.31, 0.47, 1.3)
+        whole = integrate_orbit(m, v0, 40.0, flow.DEFAULT_TOL, 40.0)
+        spline = flow._Spline(whole.t_samples, whole.kappa_samples)
+        p, trace = m.profile(v0, 40.0)
+        ev = p.evaluator
+        # integrated to the margin, and read as far as the margin below it
+        assert (p.t_min, p.t_max) == (0.0, 40.0)
+        assert trace.t_samples[-1] == flow.SPLINE_MARGIN and ev.final == 0.0
+        ts = np.linspace(0.0, 12.5, 301)
+        assert p(ts).tobytes() == spline(ts).tobytes()
+        assert trace.t_samples[-1] == 13.5 and ev.final == 12.5
+        # a read below the final time integrates nothing
+        assert p(3.0).tobytes() == spline(3.0).tobytes() and trace.t_samples[-1] == 13.5
+        # a shifted or flipped profile reads through the same orbit, which
+        # grows before any read past its final time
+        assert p.shifted(10.0)(np.array([5.0, 10.0])).tobytes() == spline(
+            np.array([15.0, 20.0])).tobytes()
+        assert trace.t_samples[-1] == 21.0
+        assert p.shifted(25.0).flipped()(2.0).tobytes() == spline(23.0).tobytes()
+        assert trace.t_samples[-1] == 24.0
+        # k_bound is read over the samples integrated so far
+        assert p.k_bound == flow._k_bound(float(np.min(whole.kappa_samples[:2401])))
+        # a cover past the horizon integrates the whole orbit, and the end
+        # piece then reads what the spline through the whole trace reads
+        ev.cover(45.0)
+        assert ev.final == math.inf and not trace.finish()
+        ts = np.linspace(0.0, 40.5, 801)
+        assert p(ts).tobytes() == spline(ts).tobytes()
+        assert p.k_bound == flow._k_bound(float(np.min(whole.kappa_samples)))
+
+    def test_a_failed_growth_fails_every_read_past_its_final_time(self, monkeypatch):
+        m, v0 = self.torus(*self.TORI["bench"]), UnitTangent(0.31, 0.47, 1.3)
+        p, trace = m.profile(v0, 200.0)
+        p(np.linspace(0.0, 20.0, 11))
+        monkeypatch.setattr(flow, "ORBIT_NFEV_BUDGET", trace.step_controls["nfev"] + 1_000)
+        for _ in range(2):
+            with pytest.raises(IntegrationFailure, match="exceeded"):
+                p(30.0)
+        # the reads the orbit holds are final, and read on
+        assert trace.t_samples[-1] == 21.0 and p(20.0) == p.evaluator.spline(20.0)
+        with pytest.raises(IntegrationFailure):
+            trace.finish()
+
+
 # The orbit loop in its list form, the one flow._integrate writes out: every
 # stage sum, the update and the error terms a dot product over a full row
 # of scipy's DOP853 tableau (an independent copy of magflow's _dop853), zero
@@ -542,7 +636,7 @@ class TestSpline:
     def test_profile_reads_scalars_and_pickles(self):
         tr = integrate_orbit(bench_torus(), UnitTangent(0.31, 0.47, 1.3), 5.0,
                              flow.DEFAULT_TOL, 5.0)
-        p = CurvatureProfile.from_orbit(tr)
+        p = CurvatureProfile.from_orbit(tr, 5.0)
         v = p(3.7)
         assert isinstance(v, np.ndarray) and v.shape == ()
         assert abs(v - CubicSpline(tr.t_samples, tr.kappa_samples)(3.7)) < 1e-14
@@ -575,6 +669,7 @@ class TestCurvatureProfiles:
         rng = rng_for("fidelity")
         m = random_torus(rng)
         p, tr = m.profile(UnitTangent(0.3, 0.6, 2.0), 8.0)
+        tr.finish()  # the orbit is integrated only as far as it is read
         vals = p.evaluator(tr.t_samples)
         assert np.max(np.abs(vals - tr.kappa_samples)) < 1e-13
 
@@ -586,7 +681,7 @@ class TestCurvatureProfiles:
         for n in (1, 2, 3):
             t = np.linspace(0.0, 0.01 * (n - 1), n)
             with pytest.raises(InsufficientDataError):
-                CurvatureProfile.from_orbit(OrbitTrace(t, t, t, t, np.cos(t)))
+                CurvatureProfile.from_orbit(OrbitTrace(t, t, t, t, np.cos(t)), t[-1])
 
     def test_series_k_bound_is_certified(self):
         # the minimum of a 4096-point grid over one period sat 1.9e-8 above

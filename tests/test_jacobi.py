@@ -156,6 +156,7 @@ class TestUnitSlope:
         torus = _bench_torus()
         for v0 in torus.ensemble(4, 0):
             p, tr = torus.profile(v0, 20.0)
+            tr.finish()  # the whole orbit, which the profile integrates as it reads
             spline = CubicSpline(tr.t_samples, tr.kappa_samples)
             ref = solve_ivp(lambda t, y: [y[1], -float(spline(t)) * y[0]], (0.0, 20.0),
                             [0.0, 1.0], method="DOP853", rtol=1e-13, atol=1e-13,
@@ -1259,7 +1260,10 @@ def _launch_cases():
     rng = rng_for("launch-oracle")
     profiles = [family(rng) for family in (hyperbolic_profile, oscillatory_profile)
                 for _ in range(2)]
-    profiles.append(random_torus(rng).profile(UnitTangent(0.1, 0.2, 0.5), 12.0)[0])
+    torus = random_torus(rng).profile(UnitTangent(0.1, 0.2, 0.5), 12.0)[0]
+    # the whole orbit, so that the spline's knots are those of every read
+    torus.evaluator.cover(torus.t_max)
+    profiles.append(torus)
     for p in profiles:
         for y0 in ([1.0, -0.4, 0.0, 0.0], [1.0, 0.0, 0.0, 1.0]):
             for span in ((1.0, 11.5), (11.0, 0.5)):
@@ -1289,7 +1293,7 @@ class TestLaunch:
         for p, y0, span in _launch_cases():
             if p.series is not None:
                 continue
-            knots = p.evaluator.x
+            knots = p.evaluator.spline.x
             inner = knots[(knots > min(span)) & (knots < max(span))]
             ends = [span[0], *(inner if span[1] > span[0] else inner[::-1]), span[1]]
             states = [np.array(y0)]
