@@ -80,11 +80,11 @@ def bounded_jacobi_witness(
     stable and unstable lines coincide to working accuracy, and the stable
     direction integrated across [-WITNESS_WINDOW, WITNESS_WINDOW] exhibits
     the bounded field directly. The backward half is read forward along
-    ``minus``, the time reflection of ``profile`` (the curvature along the
-    reversed-intensity orbit for a chart model), where the slope changes
-    sign. With a healthy gap no direction can stay bounded in both time
-    directions (only the stable line is bounded forward and only the
-    unstable line backward), so None is returned.
+    ``minus``, the time reflection of ``profile`` (for a chart model the
+    backward leg of the same orbit), where the slope changes sign. With a
+    healthy gap no direction can stay bounded in both time directions (only
+    the stable line is bounded forward and only the unstable line
+    backward), so None is returned.
 
     None is returned too where the profile's certified ``kappa_ceiling`` K+
     is negative: the cone u = 0 is then strictly invariant, and by Riccati
@@ -314,10 +314,10 @@ def analyze_orbit(model: SurfaceModel, v0: UnitTangent, orbit_id: int,
     orbit is integrated only as far as the stages read it, plus
     ``flow.SPLINE_MARGIN``: to CONJUGATE_HORIZON for the extrema, to the end
     of each Jacobi segment the scan and the schedules launch. The minus
-    profile is made only once the plus schedule has ended without a
-    conjugate point, and its orbit is integrated as far as its own schedule
-    and the witness read. So no integration past what the analysis reads
-    can fail it."""
+    profile, ``plus.flipped()``, is read only once the plus schedule has
+    ended without a conjugate point: a chart orbit's backward leg is
+    integrated as far as its schedule and the witness read. So no
+    integration past what the analysis reads can fail it."""
     res = OrbitResult(orbit_id=orbit_id, initial=(v0.x, v0.y, v0.theta))
     try:
         plus, trace = model.profile(v0, cfg.horizon)
@@ -333,7 +333,7 @@ def analyze_orbit(model: SurfaceModel, v0: UnitTangent, orbit_id: int,
             stable = green_slope(plus, "+").plus
             # the minus profile is the time reflection of the plus one, so
             # its stable side is the unstable side at the orbit's base point
-            minus = model.minus_profile(v0, plus, cfg.horizon)
+            minus = plus.flipped()
             est = GreenEstimate(plus=stable,
                                 minus=green_slope(minus, "+").plus.reflected())
         except ConjugatePointError as exc:

@@ -13,7 +13,7 @@ of the one tableau, ``_dop853``, the one step controller (``_first_step``,
 ``_march``) and the one dense-output type (``_Run``). A
 ``CurvatureProfile`` is the curvature kappa read along one orbit as a
 function of time, which is all the Jacobi layer sees of the surface; that of
-a chart orbit grows its orbit as far as it is read (``_OrbitKappa``).
+a chart orbit reads its two legs, each grown as far as read (``_OrbitKappa``).
 """
 
 from __future__ import annotations
@@ -21,12 +21,14 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import _dop853
-from .errors import InsufficientDataError, IntegrationFailure
+from .errors import (InsufficientDataError, IntegrationFailure,
+                     NumericalInconsistencyError)
 from .fourier import FourierSeries1D
 
 DEFAULT_TOL = 1e-10
@@ -38,11 +40,11 @@ SAMPLE_DT = 0.01
 ORBIT_NFEV_BUDGET = 500_000
 # added under the square root of every k_bound read from a minimum
 K_MARGIN = 1e-9
-# how far past the latest time read a chart orbit is integrated
-# (``_OrbitKappa``): a stopped run's last samples differ from the whole
+# how far past the latest time read each leg of a chart orbit is integrated
+# (``_LegKappa``): a stopped run's last samples differ from the whole
 # run's at roundoff (BLAS sums the dense output's last columns in another
-# order), and appending knots to the not-a-knot spline moves the bits of its
-# last pieces only. Over 24 orbits of three tori stopped at 51, 81 and 161,
+# order), and appending knots to the not-a-knot spline moves the reads of
+# its last pieces only. Over 24 orbits of three tori stopped at 51, 81 and 161,
 # the samples differed within 0.28 of the stop and the spline pieces within
 # 0.25 (about 25 knots), so a margin of 100 knots keeps every read below it
 # final (tests/test_flow.py, TestGrowingProfile)
@@ -294,11 +296,11 @@ def _march(attempt: Callable, keep: Callable, state: tuple, t_end: float,
 
 def _integrate(f: Callable, y0, t_end: float, tol: float) -> Callable:
     """A dense DOP853 run of the autonomous system (x, y, theta)' =
-    f(x, y, theta) from y0 at time 0 to t_end > 0, taken in stages: returns
-    ``advance(stop)``, which steps on until a step ends at or past ``stop``
-    (at most t_end) and returns the ``_Run`` of every step so far. Only
-    t_end clips a step, so the steps are those of one run to t_end
-    whatever the stops, and a run advanced to t_end is that run.
+    f(x, y, theta) from y0 at time 0 to t_end, forward or backward, taken in
+    stages: returns ``advance(stop)``, which steps on until a step ends at
+    or past ``stop`` (at most t_end) and returns the ``_Run`` of every step
+    so far. Only t_end clips a step, so the steps are those of one run to
+    t_end whatever the stops, and a run advanced to t_end is that run.
 
     ``f`` maps three floats to a 3-tuple of floats. The step control is
     scipy's DOP853 with rtol = atol = tol, run by ``_first_step`` and
@@ -450,7 +452,7 @@ def integrate_orbit(model, v0: UnitTangent, horizon: float, tol: float,
     a constant or profile model has no orbit equations) from v0 for the
     given time horizon, stopping first at ``stop``.
 
-    A chart model gives three members for this, beyond the six of
+    A chart model gives three members for this, beyond the five of
     ``geometry.SurfaceModel``:
 
     * ``rhs()`` - the orbit equations, a function of three floats
@@ -478,15 +480,23 @@ def integrate_orbit(model, v0: UnitTangent, horizon: float, tol: float,
     for name, value in (("horizon", horizon), ("tol", tol), ("stop", stop)):
         if not 0 < value < math.inf:
             raise ValueError("%s must be positive and finite, got %r" % (name, value))
-    t_eval = np.linspace(0.0, horizon, int(round(horizon / SAMPLE_DT)) + 1)
-    advance = _integrate(model.rhs(), (v0.x, v0.y, v0.theta), horizon, tol)
+    return _leg(model, v0, horizon, tol, stop)
+
+
+def _leg(model, v0: UnitTangent, end: float, tol: float, stop: float) -> OrbitTrace:
+    """``integrate_orbit``'s trace of the orbit from v0 towards the signed
+    time ``end``, backward in time for end < 0; its samples, its stops and
+    their times are those |t| along the leg."""
+    d = math.copysign(1.0, end)
+    t_eval = np.linspace(0.0, abs(end), int(round(abs(end) / SAMPLE_DT)) + 1)
+    advance = _integrate(model.rhs(), (v0.x, v0.y, v0.theta), end, tol)
 
     def sampled(stop):
         # the samples up to the first grid time at or past the stop, and
         # whether that is the horizon
         ts = t_eval[:min(int(np.searchsorted(t_eval, stop)), t_eval.size - 1) + 1]
-        run = advance(float(ts[-1]))
-        v = model.reduce(UnitTangent(*run.sol(ts)))
+        run = advance(d * float(ts[-1]))
+        v = model.reduce(UnitTangent(*run.sol(d * ts)))
         return OrbitTrace(
             t_samples=ts,
             xs=v.x,
@@ -573,55 +583,86 @@ class _Spline:
         return np.asarray(((c3[i] + c2[i] * u) + c1[i] * u2) + c0[i] * (u2 * u))
 
 
-class _OrbitKappa:
-    """kappa along a chart orbit as far as it has been read: the
-    ``_Spline`` through the samples of its trace, whose orbit is integrated
-    on (``OrbitTrace.advance``) as reads ask for it.
+class _LegKappa:
+    """kappa along one leg of a chart orbit as far as it has been read: the
+    ``_Spline`` through the curvature samples of the leg's trace, taken at
+    the times |t| along it; ``start(stop)`` integrates the leg to its first
+    stop, at its first read.
 
-    ``cover(t)`` makes every read up to t final: it integrates the orbit on
-    to t + SPLINE_MARGIN (at most to the horizon) and rebuilds the spline
-    through the longer trace. Appending knots leaves the pieces more than
+    ``cover(t)`` makes every read of the leg up to t final: it integrates
+    the leg on to t + SPLINE_MARGIN (at most to the horizon,
+    ``OrbitTrace.advance``) and rebuilds the spline through the longer
+    trace. Appending knots leaves the reads of the pieces more than
     SPLINE_MARGIN below the new end with their bits, so a read up to
     ``final``, the trace's end less the margin (or any time, once the trace
     reaches its horizon), is that of the spline through the whole trace,
-    whatever was read before. A read past ``final`` covers its latest time
-    first, so no read extrapolates the end piece while the orbit can still
-    grow. ``k_bound`` is read from the samples integrated so far.
+    whatever was read before. A growth that moves a piece below the old
+    ``final`` by more than 2**-60 of its reads (a sample moved at roundoff:
+    a BLAS kernel that sums the dense output's last columns wider than the
+    margin) raises ``NumericalInconsistencyError`` and keeps the old
+    spline; the far knots' pull, which decays by 0.27 per knot, moves only
+    coefficients no read sees (the zeros of a constant stretch of kappa). A
+    read past ``final`` covers its latest time first, so no read
+    extrapolates the end piece while the leg can still grow.
     """
 
-    def __init__(self, trace: OrbitTrace):
-        self.trace = trace
-        self._build()
-
-    def _build(self):
-        tr = self.trace
-        if len(tr.t_samples) < 4:
-            raise InsufficientDataError("need at least 4 samples for a cubic spline")
-        self.spline = _Spline(tr.t_samples, tr.kappa_samples)
-        self.final = math.inf if tr._rest is None else float(tr.t_samples[-1]) - SPLINE_MARGIN
+    def __init__(self, start: Callable):
+        self.start, self.trace, self.spline, self.final = start, None, None, -math.inf
 
     def cover(self, t: float):
-        if t > self.final:
-            self.trace.advance(t + SPLINE_MARGIN)
-            self._build()
+        if t <= self.final:
+            return
+        if self.trace is None:
+            self.trace = self.start(t + SPLINE_MARGIN)
+        tr = self.trace
+        tr.advance(t + SPLINE_MARGIN)
+        if len(tr.t_samples) < 4:
+            raise InsufficientDataError("need at least 4 samples for a cubic spline")
+        old, spline = self.spline, _Spline(tr.t_samples, tr.kappa_samples)
+        if old is not None:
+            # each coefficient weighted by its largest term in a read of its piece
+            k = int(np.count_nonzero(old.x <= self.final))
+            w = np.diff(old.x[:k + 1]) ** np.arange(3.0, -1.0, -1.0)[:, None]
+            moved = (np.abs(spline.c[:, :k] - old.c[:, :k]) * w).sum(0)
+            if np.any(moved > 2.0 ** -60 * (np.abs(old.c[:, :k]) * w).sum(0)):
+                raise NumericalInconsistencyError(
+                    "growing the orbit to t = %g moved the spline below t = %g, "
+                    "where reads were final" % (tr.t_samples[-1], self.final))
+        self.spline = spline
+        self.final = math.inf if tr._rest is None else float(tr.t_samples[-1]) - SPLINE_MARGIN
 
-    @property
-    def k_bound(self) -> float:
-        return _k_bound(float(np.min(self.trace.kappa_samples)))
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
+    def __call__(self, t: np.ndarray):
         if t.size and t.max() > self.final:
             self.cover(float(t.max()))
         return self.spline(t)
 
 
+class _OrbitKappa:
+    """kappa along a chart orbit: a read at t >= 0 reads the ``_LegKappa``
+    ``ahead`` at t, one at t < 0 the leg ``behind`` at -t, and ``flipped``
+    swaps them. ``k_bound`` is read from the leg ahead's samples so far."""
+
+    def __init__(self, ahead: _LegKappa, behind: _LegKappa):
+        self.ahead, self.behind = ahead, behind
+
+    @property
+    def k_bound(self) -> float:
+        self.ahead.cover(0.0)
+        return _k_bound(float(np.min(self.ahead.trace.kappa_samples)))
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        if (t < 0).any():
+            return np.where(t < 0, self.behind(np.maximum(-t, 0)), self.ahead(np.maximum(t, 0)))
+        return self.ahead(t)
+
+
 class _KBound:
     """The ``k_bound`` field of ``CurvatureProfile``: the value the profile
     was built with, except for an orbit profile (``_OrbitKappa``), whose
-    bound is read from its evaluator at each access, over the samples its
-    orbit has been integrated to so far. It raises on the class, so the
-    field has no default."""
+    bound is read from its evaluator at each access, over the samples of
+    the leg it reads forward of 0 integrated so far. It raises on the class,
+    so the field has no default."""
 
     def __get__(self, profile, owner) -> float:
         if profile is None:
@@ -656,7 +697,7 @@ class CurvatureProfile:
     their array read, which the Jacobi launch uses; a spline has its array
     read alone. ``k_bound`` is a k >= 0 with
     kappa(t) >= -k_bound**2 on the usable window [t_min, t_max]; on an orbit
-    profile, over the part of the window its orbit has been integrated to
+    profile, over the part of its leg forward of 0 integrated so far
     (``_KBound``). Profiles built from a Fourier series (a constant is one
     without harmonics, or with omega = 0) have infinite windows and shift
     and reflect exactly; spline profiles are confined to their orbit window.
@@ -723,7 +764,8 @@ class CurvatureProfile:
 
     def flipped(self) -> "CurvatureProfile":
         """The profile s -> kappa(-s), the curvature seen by the
-        time-reversed field along the reversed-intensity orbit."""
+        time-reversed field along the reversed-intensity orbit; of an orbit
+        profile, the profile of the orbit's backward leg, on its spline."""
         if self.series is not None:
             refl = self.series.reflected()
             out = CurvatureProfile(evaluator=refl, k_bound=self.k_bound, series=refl)
@@ -732,13 +774,13 @@ class CurvatureProfile:
             return out
         ev = self.evaluator
         at = ev.at if isinstance(ev, _Pointwise) else None
-        return CurvatureProfile(
-            evaluator=(lambda s: ev(-np.asarray(s, dtype=float))) if at is None
-            else _Pointwise(lambda ss: at([-s for s in ss])),
-            k_bound=self.k_bound,
-            t_min=-self.t_max,
-            t_max=-self.t_min,
-        )
+        if isinstance(ev, _OrbitKappa):
+            refl = _OrbitKappa(ev.behind, ev.ahead)
+        else:
+            refl = ((lambda s: ev(-np.asarray(s, dtype=float))) if at is None
+                    else _Pointwise(lambda ss: at([-s for s in ss])))
+        return CurvatureProfile(evaluator=refl, k_bound=self.k_bound,
+                                t_min=-self.t_max, t_max=-self.t_min)
 
     @staticmethod
     def constant(value: float) -> "CurvatureProfile":
@@ -753,16 +795,15 @@ class CurvatureProfile:
         )
 
     @staticmethod
-    def from_orbit(orbit: OrbitTrace, t_max: float) -> "CurvatureProfile":
-        """The not-a-knot cubic spline through the orbit's curvature samples
-        (``_Spline``: O(h^4) between samples, exact at them), confined to
-        the orbit window [0, t_max], t_max being the horizon of an orbit
-        ``integrate_orbit`` stopped short of it. Reads integrate such an
-        orbit on as far as they reach (``_OrbitKappa``), and each reads the
-        spline through the whole trace."""
-        ev = _OrbitKappa(orbit)
-        return CurvatureProfile(evaluator=ev, k_bound=ev.k_bound,
-                                t_min=float(orbit.t_samples[0]), t_max=t_max)
+    def from_orbit(model, v0: UnitTangent, horizon: float) -> "CurvatureProfile":
+        """kappa along the orbit of a chart model from v0 on [-horizon,
+        horizon]: on each leg the not-a-knot cubic spline through its
+        samples (``_Spline``: O(h^4) between samples, exact at them), the leg
+        integrated at DEFAULT_TOL as far as it is read (``_LegKappa``), the
+        forward one (``integrate_orbit``) to SPLINE_MARGIN at once."""
+        ev = _OrbitKappa(_LegKappa(partial(integrate_orbit, model, v0, horizon, DEFAULT_TOL)),
+                         _LegKappa(partial(_leg, model, v0, -horizon, DEFAULT_TOL)))
+        return CurvatureProfile(evaluator=ev, k_bound=ev.k_bound, t_min=-horizon, t_max=horizon)
 
 
 def _k_bound(kmin: float) -> float:

@@ -38,8 +38,7 @@ from typing import Callable, Optional, Protocol
 import numpy as np
 
 from .errors import InvalidProfileError, ResolutionError
-from .flow import (DEFAULT_TOL, SPLINE_MARGIN, CurvatureProfile, UnitTangent, _Pointwise,
-                   integrate_orbit)
+from .flow import CurvatureProfile, UnitTangent, _Pointwise
 from .fourier import FourierSeries1D, FourierSeries2D
 
 GAUSS_BONNET_TOL = 1e-9
@@ -76,7 +75,7 @@ class InequalityResult:
 
 
 class SurfaceModel(Protocol):
-    """What the certifier (``anosov.classify``) asks of a surface: these six
+    """What the certifier (``anosov.classify``) asks of a surface: these five
     members and no other. A chart model (``ConformalTorus``) also gives
     ``flow.integrate_orbit`` the members its docstring names; it is the only
     kind with orbits. Implementations must be picklable for parallel runs."""
@@ -93,17 +92,11 @@ class SurfaceModel(Protocol):
         """Start vectors of the sampled orbits (``UnitTangent``)."""
 
     def profile(self, v0: UnitTangent, horizon: float) -> tuple:
-        """(the curvature profile along the orbit from v0 on [0, horizon],
-        its ``OrbitTrace``); the trace is None for a model without orbits.
-        Orbits are integrated at ``flow.DEFAULT_TOL``, and only as far as
-        the profile is read (``CurvatureProfile.from_orbit``):
-        ``OrbitTrace.finish`` integrates the orbit on to the horizon."""
-
-    def minus_profile(self, v0: UnitTangent, plus: CurvatureProfile,
-                      horizon: float) -> CurvatureProfile:
-        """The time reflection of ``plus``: the curvature along the
-        reversed-intensity orbit from the flipped vector, integrated as far
-        as it is read."""
+        """(the curvature profile along the orbit from v0, its
+        ``OrbitTrace``); the trace is None for a model without orbits. A
+        chart orbit's profile reads both legs, each only as far as it is
+        read (``CurvatureProfile.from_orbit``), its reflection the backward
+        leg; the trace is the forward leg's, which ``OrbitTrace.finish`` ends."""
 
 
 @dataclass(frozen=True)
@@ -147,9 +140,6 @@ class ConstantCurvature:
 
     def profile(self, v0, horizon) -> tuple:
         return CurvatureProfile.constant(self.K + self.b**2), None
-
-    def minus_profile(self, v0, plus, horizon) -> CurvatureProfile:
-        return plus.flipped()
 
 
 def _scalar_modes(series) -> tuple:
@@ -293,25 +283,13 @@ class ConformalTorus:
                             _halton(i, 5) * 2.0 * math.pi)
                 for i in range(seed + 1, seed + count + 1)]
 
-    def flipped(self) -> "ConformalTorus":
-        """The companion system with the sign of the intensity reversed."""
-        return ConformalTorus(self.phi, self.b.scaled(-1.0))
-
     def profile(self, v0, horizon) -> tuple:
-        """The spline through the curvature samples of the orbit from v0,
-        on the window [0, horizon], and the orbit's trace. The orbit is
-        integrated to SPLINE_MARGIN here and then only as far as the profile
-        is read, plus that margin (``CurvatureProfile.from_orbit``); its
-        samples are those of the run to the horizon, and the trace's
-        ``finish`` integrates the rest."""
-        trace = integrate_orbit(self, v0, horizon, DEFAULT_TOL, SPLINE_MARGIN)
-        return CurvatureProfile.from_orbit(trace, horizon), trace
-
-    def minus_profile(self, v0, plus, horizon) -> CurvatureProfile:
-        """The profile of the reversed-intensity orbit from the flipped
-        vector, integrated as far as it is read."""
-        flipped = UnitTangent(v0.x, v0.y, v0.theta + math.pi)
-        return self.flipped().profile(flipped, horizon)[0]
+        """The profile of the orbit from v0 on [-horizon, horizon]
+        (``CurvatureProfile.from_orbit``: each leg integrated only as far as
+        it is read, plus ``flow.SPLINE_MARGIN``) and the forward leg's trace,
+        whose ``finish`` integrates the rest."""
+        p = CurvatureProfile.from_orbit(self, v0, horizon)
+        return p, p.evaluator.ahead.trace
 
 
 @dataclass(frozen=True)
@@ -391,6 +369,3 @@ class AbstractProfile:
     def profile(self, v0, horizon) -> tuple:
         self.validate_window(*VALIDATION_WINDOW)
         return self.curvature(), None
-
-    def minus_profile(self, v0, plus, horizon) -> CurvatureProfile:
-        return plus.flipped()

@@ -423,7 +423,7 @@ class Propagator:
     integrated segment by segment, only as far as callers ask, between the
     fixed breakpoints 0, FIRST_BREAK * 2**k (capped at the profile's window
     end), so every readout is a pure function of the profile whatever
-    the order of requests. An orbit profile's orbit is integrated past the
+    the order of requests. An orbit profile's leg is integrated past the
     end of each segment before the segment is launched (``_grow``), so each
     segment is launched once. An end state past RESCALE_THRESHOLD is divided
     by a power of two before the next segment, and readouts multiply it
@@ -464,7 +464,7 @@ class Propagator:
 
     def _grow(self):
         """Launch the next segment, an orbit profile's orbit covering its end
-        first (``flow._OrbitKappa.cover``); past a periodic profile's period,
+        first (``flow._LegKappa.cover``); past a periodic profile's period,
         store the monodromy instead."""
         t0 = self.breaks[-1]
         _run, y0, exp, nfev = self._segs[-1]
@@ -484,10 +484,10 @@ class Propagator:
         t1 = self._next_break(t0)
         ev = self.evaluator
         if isinstance(ev, _OrbitKappa):
-            # the orbit is integrated past the segment's end first, so the
-            # launch reads final pieces of the spline alone
-            ev.cover(t1)
-            ev = ev.spline
+            # the leg ahead is integrated past the segment's end first, so
+            # the launch reads final pieces of its spline alone
+            ev.ahead.cover(t1)
+            ev = ev.ahead.spline
         sol = _launch(ev, y0, (t0, t1))
         self._segs.append((sol, sol.y[:, -1], exp, nfev + sol.nfev))
         self.breaks.append(t1)

@@ -112,9 +112,9 @@ class TestWitness:
         assert w is not None
         assert w.sup_norm == pytest.approx(1.0, abs=1e-6)
 
-    def test_backward_half_reads_the_minus_profile(self):
-        # a chart model's profiles cover [0, horizon] only: the backward half
-        # is read forward along the minus profile, never before t = 0
+    def test_backward_half_reads_the_flipped_profile(self):
+        # on a profile whose window starts at 0, the backward half is read
+        # forward along the minus profile, never before t = 0
         flat = CurvatureProfile(evaluator=lambda t: 0.0 * np.asarray(t), k_bound=0.5,
                                 t_min=0.0, t_max=WITNESS_WINDOW)
         est = green_both(P_ZERO)
@@ -406,37 +406,39 @@ class TestEnsemble:
 
 
 class TestReversedOrbit:
-    """The reversed-intensity orbit is integrated only for the gap."""
+    """The backward leg of an orbit, which the minus profile reads, is
+    integrated only for the gap."""
 
-    def _integrations_per_orbit(self, monkeypatch, horizon):
-        from magflow import ConformalTorus, FourierSeries2D, geometry
+    def _legs(self, monkeypatch, horizon):
+        from magflow import ConformalTorus, FourierSeries2D
 
-        calls = []
-        real = geometry.integrate_orbit
+        ends = []
+        real = flow._integrate
 
-        def counted(*args, **kwargs):
-            calls.append(args[1])
-            return real(*args, **kwargs)
+        def counted(f, y0, t_end, tol):
+            ends.append(t_end)
+            return real(f, y0, t_end, tol)
 
-        monkeypatch.setattr(geometry, "integrate_orbit", counted)
+        monkeypatch.setattr(flow, "_integrate", counted)
         # flat torus, b = 0.5: kappa = 0.25 everywhere, conjugate time 2 pi
         torus = ConformalTorus(phi=FourierSeries2D(), b=FourierSeries2D(const=0.5))
         rep = classify(torus, SamplingConfig(ensemble_count=2, horizon=horizon))
         assert len(rep.orbits) == 2
-        return rep, len(calls) / 2
+        return rep, ends
 
     def test_conjugate_point_skips_reversed_orbit(self, monkeypatch):
-        rep, per_orbit = self._integrations_per_orbit(monkeypatch, 200.0)
+        rep, ends = self._legs(monkeypatch, 200.0)
         for o in rep.orbits:
             assert o.conjugate_time == pytest.approx(2 * math.pi, abs=1e-6)
-        assert per_orbit == 1
+        assert ends == [200.0, 200.0]
 
     def test_reversed_orbit_without_conjugate_point(self, monkeypatch):
         # a window of 6 < 2 pi holds no conjugate point, so the gap stage
-        # integrates the reversed orbit (and then finds the window too short)
-        rep, per_orbit = self._integrations_per_orbit(monkeypatch, 6.0)
+        # integrates each orbit's backward leg (and then finds the window
+        # too short)
+        rep, ends = self._legs(monkeypatch, 6.0)
         assert all(o.conjugate_time is None for o in rep.orbits)
-        assert per_orbit == 2
+        assert ends == [6.0, -6.0, 6.0, -6.0]
 
 
 class TestGrowthFloor:
@@ -591,11 +593,8 @@ class DelegatingSurface:
         plus, trace = self.inner.profile(v0, horizon)
         if trace is None:
             return plus, None
-        trace = integrate_orbit(self, v0, horizon, flow.DEFAULT_TOL, flow.SPLINE_MARGIN)
-        return CurvatureProfile.from_orbit(trace, horizon), trace
-
-    def minus_profile(self, v0, plus, horizon):
-        return self.inner.minus_profile(v0, plus, horizon)
+        plus = CurvatureProfile.from_orbit(self, v0, horizon)
+        return plus, plus.evaluator.ahead.trace
 
 
 class TestSurfaceProtocol:
@@ -659,12 +658,13 @@ def fail_past(monkeypatch, m, v0, stop):
 
 class Launches:
     """The Jacobi segments each orbit profile launches (``jacobi._launch``
-    under ``Propagator._grow``), and the traces of the orbits the torus
-    integrates (``geometry.integrate_orbit``), the plus orbit's first."""
+    under ``Propagator._grow``), and the traces of the orbit legs the torus
+    integrates (``flow._leg``), the forward leg's first."""
 
     def __init__(self, monkeypatch):
         self.spans, self.traces, self._grown = {}, [], None
-        grow, launch, orbit = jacobi.Propagator._grow, jacobi._launch, geometry.integrate_orbit
+        self.ends, self.readers = [], set()
+        grow, launch, orbit = jacobi.Propagator._grow, jacobi._launch, flow._leg
 
         def growing(prop):
             self._grown = self.spans.setdefault(id(prop), [])
@@ -672,19 +672,22 @@ class Launches:
 
         def launching(ev, y0, span):
             self._grown.append(tuple(span))
+            self.readers.add(type(ev))
             return launch(ev, y0, span)
 
-        def integrating(model, *args):
-            self.traces.append(orbit(model, *args))
+        def integrating(model, v0, end, *args):
+            self.ends.append(end)
+            self.traces.append(orbit(model, v0, end, *args))
             return self.traces[-1]
 
         monkeypatch.setattr(jacobi.Propagator, "_grow", growing)
         monkeypatch.setattr(jacobi, "_launch", launching)
-        monkeypatch.setattr(geometry, "integrate_orbit", integrating)
+        monkeypatch.setattr(flow, "_leg", integrating)
 
     def clear(self):
         self.spans.clear()
         self.traces.clear()
+        self.ends.clear()
 
 
 class TestAnalysisWindow:
@@ -799,7 +802,7 @@ class TestAnalysisWindow:
             seen.clear()
             res = anosov.analyze_orbit(m, v0, i, cfg, True)
             # one profile: the plus schedules meet a conjugate point, so no
-            # minus orbit is integrated
+            # backward leg is integrated
             assert res.conjugate_time is not None and seen.traces == [res.trace]
             (spans,) = seen.spans.values()
             assert len(set(spans)) == len(spans) and spans[0] == (0.0, 5.0)
@@ -810,8 +813,9 @@ class TestAnalysisWindow:
 
     def test_a_minus_orbit_is_integrated_as_far_as_its_schedule_reads(self, monkeypatch):
         # the geodesic along x = 1/2, where the curvature is about -8: both
-        # schedules converge by r = 10, so the minus orbit ends one margin
-        # past its last segment, and the plus one past the scan's
+        # schedules converge by r = 10, so the backward leg, which the minus
+        # profile reads, ends one margin past its last segment, and the
+        # forward one past the scan's
         m = ConformalTorus(phi=FourierSeries2D(cos_coeffs={(1, 0): 0.15}))
         seen = Launches(monkeypatch)
         res = anosov.analyze_orbit(m, UnitTangent(0.5, 0.0, math.pi / 2), 0,
@@ -820,4 +824,6 @@ class TestAnalysisWindow:
         plus, minus = seen.spans.values()
         assert plus[-1] == (40.0, 80.0) and minus == [(0.0, 5.0), (5.0, 10.0)]
         assert [t.t_samples[-1] for t in seen.traces] == [81.0, 11.0]
-        assert seen.traces[0] is res.trace
+        assert seen.traces[0] is res.trace and seen.ends == [200.0, -200.0]
+        # both profiles launch on their leg's spline, not through a reflection
+        assert seen.readers == {flow._Spline}

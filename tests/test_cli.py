@@ -443,7 +443,7 @@ class TestExport:
             calls.append(args[1])
             return real(*args)
 
-        for module in (geometry, anosov, cli):
+        for module in (flow, geometry, anosov, cli):
             if hasattr(module, "integrate_orbit"):
                 monkeypatch.setattr(module, "integrate_orbit", counted)
         assert run(torus_config(tmp_path)) == 0

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import math
 import pickle
 from functools import reduce
@@ -6,11 +7,11 @@ from operator import add, mul
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import cumulative_trapezoid, solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as _dop853
 from scipy.interpolate import CubicSpline
 
-from magflow import flow, jacobi
+from magflow import anosov, flow, jacobi
 from magflow import (
     AbstractProfile,
     ConformalTorus,
@@ -20,6 +21,7 @@ from magflow import (
     FourierSeries2D,
     InsufficientDataError,
     IntegrationFailure,
+    NumericalInconsistencyError,
     OrbitTrace,
     SamplingConfig,
     UnitTangent,
@@ -71,20 +73,18 @@ class TestOrbits:
             )
 
     def test_reversibility_through_intensity_flip(self):
-        # forward under (g, b), then forward under (g, -b) from the flipped
-        # endpoint, lands back on the flipped start
+        # the orbit under (g, -b) from the flipped vector is the orbit under
+        # (g, b) run backward in time (flow._leg to a negative end): the
+        # backward leg from the forward end state lands back on the start
         rng = rng_for("reversible")
         m = random_torus(rng, b_const=0.5)
         v0 = UnitTangent(0.1, 0.25, 0.6)
         T = 10.0
         tr = integrate_orbit(m, v0, T, tol=1e-12, stop=T)
-        end = tr.state(len(tr.t_samples) - 1)
-        back = integrate_orbit(
-            m.flipped(), UnitTangent(end.x, end.y, end.theta + math.pi),
-            T, tol=1e-12, stop=T,
-        )
+        back = flow._leg(m, tr.state(len(tr.t_samples) - 1), -T, 1e-12, T)
+        assert back.t_samples.tobytes() == tr.t_samples.tobytes()
         fin = back.state(len(back.t_samples) - 1)
-        dth = abs((fin.theta - (v0.theta + math.pi)) % (2 * math.pi))
+        dth = abs((fin.theta - v0.theta) % (2 * math.pi))
         dth = min(dth, 2 * math.pi - dth)
         assert torus_distance(fin.x, v0.x) < 1e-7
         assert torus_distance(fin.y, v0.y) < 1e-7
@@ -435,11 +435,13 @@ class TestGrowingProfile:
         # 0.25 (OpenBLAS 0.3.31, Haswell kernel): SPLINE_MARGIN = 1.0 is 4x
         # the widest, and the reads of a profile end that far below its
         # orbit's end.
+        # The backward leg (flow._leg to -200), which the minus profile
+        # reads, grows alike.
         m = self.torus(*self.TORI[name])
-        for v0 in m.ensemble(8, 0):
-            whole = integrate_orbit(m, v0, 200.0, flow.DEFAULT_TOL, 200.0)
+        for v0, end in itertools.product(m.ensemble(8, 0), (200.0, -200.0)):
+            whole = flow._leg(m, v0, end, flow.DEFAULT_TOL, 200.0)
             spline = flow._Spline(whole.t_samples, whole.kappa_samples)
-            grown = integrate_orbit(m, v0, 200.0, flow.DEFAULT_TOL, 51.0)
+            grown = flow._leg(m, v0, end, flow.DEFAULT_TOL, 51.0)
             for stop in (51.0, 81.0, 161.0):
                 assert grown.advance(stop) == (stop > 51.0)
                 n = grown.t_samples.size
@@ -463,12 +465,14 @@ class TestGrowingProfile:
         spline = flow._Spline(whole.t_samples, whole.kappa_samples)
         p, trace = m.profile(v0, 40.0)
         ev = p.evaluator
-        # integrated to the margin, and read as far as the margin below it
-        assert (p.t_min, p.t_max) == (0.0, 40.0)
-        assert trace.t_samples[-1] == flow.SPLINE_MARGIN and ev.final == 0.0
+        # integrated to the margin, and read as far as the margin below it;
+        # the backward leg is integrated at its first read
+        assert (p.t_min, p.t_max) == (-40.0, 40.0) and ev.ahead.trace is trace
+        assert trace.t_samples[-1] == flow.SPLINE_MARGIN and ev.ahead.final == 0.0
+        assert ev.behind.trace is None
         ts = np.linspace(0.0, 12.5, 301)
         assert p(ts).tobytes() == spline(ts).tobytes()
-        assert trace.t_samples[-1] == 13.5 and ev.final == 12.5
+        assert trace.t_samples[-1] == 13.5 and ev.ahead.final == 12.5
         # a read below the final time integrates nothing
         assert p(3.0).tobytes() == spline(3.0).tobytes() and trace.t_samples[-1] == 13.5
         # a shifted or flipped profile reads through the same orbit, which
@@ -482,11 +486,47 @@ class TestGrowingProfile:
         assert p.k_bound == flow._k_bound(float(np.min(whole.kappa_samples[:2401])))
         # a cover past the horizon integrates the whole orbit, and the end
         # piece then reads what the spline through the whole trace reads
-        ev.cover(45.0)
-        assert ev.final == math.inf and not trace.finish()
+        ev.ahead.cover(45.0)
+        assert ev.ahead.final == math.inf and not trace.finish()
         ts = np.linspace(0.0, 40.5, 801)
         assert p(ts).tobytes() == spline(ts).tobytes()
         assert p.k_bound == flow._k_bound(float(np.min(whole.kappa_samples)))
+        # reads before the start are the backward leg's, which grows alike;
+        # the flipped profile reads that leg forward of 0, and its k_bound
+        # is read from that leg's samples
+        back = flow._leg(m, v0, -40.0, flow.DEFAULT_TOL, 40.0)
+        behind = flow._Spline(back.t_samples, back.kappa_samples)
+        minus = p.flipped()
+        assert minus.evaluator.ahead is ev.behind and minus.evaluator.behind is ev.ahead
+        assert (minus.t_min, minus.t_max) == (-40.0, 40.0)
+        early = np.linspace(0.0, 12.5, 301)
+        assert p(-early).tobytes() == minus(early).tobytes() == behind(early).tobytes()
+        assert ev.behind.trace.t_samples[-1] == 13.5
+        assert minus.k_bound == flow._k_bound(float(np.min(back.kappa_samples[:1351])))
+        # a read on both sides of the start reads each leg
+        both = np.linspace(-12.0, 12.0, 97)
+        assert p(both).tobytes() == np.where(both < 0, behind(-both), spline(both)).tobytes()
+        assert minus(both).tobytes() == p(-both).tobytes()
+
+    def test_a_growth_that_moves_a_final_piece_raises(self, monkeypatch):
+        # With a margin of five knots (the leg's first stop must hold four
+        # samples, so not 0), appending knots moves the not-a-knot spline's
+        # pieces below the old final time: each growth of either leg
+        # raises, keeps the old spline, and the orbit's analysis records it.
+        monkeypatch.setattr(flow, "SPLINE_MARGIN", 0.05)
+        m, v0 = self.torus(*self.TORI["bench"]), UnitTangent(0.31, 0.47, 1.3)
+        p, trace = m.profile(v0, 200.0)
+        for q in (p, p.flipped()):
+            ev = q.evaluator.ahead
+            q(0.0)
+            spline, final = ev.spline, ev.final
+            for _ in range(2):
+                with pytest.raises(NumericalInconsistencyError, match="moved the spline"):
+                    q(10.0)
+            assert ev.spline is spline and ev.final == final < 0.05
+            assert ev.trace.t_samples[-1] == 10.05
+        res = anosov.analyze_orbit(m, v0, 0, SamplingConfig(horizon=200.0), False)
+        assert res.error.startswith("NumericalInconsistencyError: growing the orbit")
 
     def test_a_failed_growth_fails_every_read_past_its_final_time(self, monkeypatch):
         m, v0 = self.torus(*self.TORI["bench"]), UnitTangent(0.31, 0.47, 1.3)
@@ -497,9 +537,124 @@ class TestGrowingProfile:
             with pytest.raises(IntegrationFailure, match="exceeded"):
                 p(30.0)
         # the reads the orbit holds are final, and read on
-        assert trace.t_samples[-1] == 21.0 and p(20.0) == p.evaluator.spline(20.0)
+        assert trace.t_samples[-1] == 21.0 and p(20.0) == p.evaluator.ahead.spline(20.0)
         with pytest.raises(IntegrationFailure):
             trace.finish()
+
+
+def christoffel_mutant(rhs):
+    """``ConformalTorus.rhs`` with the sign of its Christoffel term flipped."""
+    def mutant(self):
+        f, b = rhs(self), self.b
+
+        def g(x, y, theta):
+            u, v, w = f(x, y, theta)
+            bv = float(b(x, y))
+            return u, v, bv - (w - bv)
+        return g
+    return mutant
+
+
+def db_mutant(curvature):
+    """``ConformalTorus.magnetic_curvature`` with the sign of db(iv) flipped."""
+    def mutant(self, v):
+        p = self.phi.jet(v.x, v.y)[0]
+        _b, bx, by, _lap = self.b.jet(v.x, v.y)
+        return curvature(self, v) + 2.0 * np.exp(-p) * (-bx * np.sin(v.theta)
+                                                        + by * np.cos(v.theta))
+    return mutant
+
+
+class TestFlowOracles:
+    """The reduction to J'' + kappa J = 0 and the orbit equations, checked
+    against the flow itself on both legs of an orbit: a mutant of the
+    Christoffel term of ``ConformalTorus.rhs`` or of the sign of db(iv) in
+    ``magnetic_curvature`` fails each check."""
+
+    EPS = 1e-6
+    # on t <= 1 and t <= 10; the central difference below reads at most
+    # 2.6e-9 and 1.3e-7 on the bench torus
+    BOUNDS = (1e-8, 1e-6)
+
+    @staticmethod
+    def bench():
+        return ConformalTorus(phi=FourierSeries2D(cos_coeffs={(1, 0): 0.1}),
+                              b=FourierSeries2D(const=0.4, sin_coeffs={(0, 1): 0.2}))
+
+    def variation(self, m, v0) -> list:
+        """For the forward leg read along ``plus`` and the backward leg read
+        along ``plus.flipped()``: max |sep - J| / max |J| on t <= 1 and on
+        t <= 10. sep is the perpendicular separation e^phi (-dx sin theta +
+        dy cos theta) / (2 EPS) of the orbits from theta + EPS and
+        theta - EPS at tol 1e-12, and J the Jacobi field with J(0) = 0,
+        J'(0) = 1: Z of plus forward, and J(-s) = -Z(s) of its reflection."""
+        plus = m.profile(v0, 10.0)[0]
+        out = []
+        for d, prof in ((1.0, plus), (-1.0, plus.flipped())):
+            base, hi, lo = (flow._leg(m, UnitTangent(v0.x, v0.y, v0.theta + e), 10.0 * d,
+                                      1e-12, 10.0) for e in (0.0, self.EPS, -self.EPS))
+            dx, dy = ((a - b + L / 2) % L - L / 2 for a, b, L in ((hi.xs, lo.xs, m.Lx),
+                                                                  (hi.ys, lo.ys, m.Ly)))
+            sep = (np.exp(m.phi(base.xs, base.ys)) * (-dx * np.sin(base.thetas)
+                                                      + dy * np.cos(base.thetas))
+                   / (2 * self.EPS))
+            j = d * jacobi.integrate_jacobi(prof, jacobi.JacobiState(0.0, 1.0),
+                                            (0.0, 10.0)).values(base.t_samples)
+            for window in (1.0, 10.0):
+                k = base.t_samples <= window
+                out.append(float(np.max(np.abs(sep[k] - j[k])) / np.max(np.abs(j[k]))))
+        return out
+
+    def starts(self):
+        return [*self.bench().ensemble(4, 0), UnitTangent(0.31, 0.47, 1.3)]
+
+    def test_jacobi_fields_are_the_orbits_own_variation_on_both_legs(self):
+        m = self.bench()
+        for v0 in self.starts():
+            fwd1, fwd10, back1, back10 = self.variation(m, v0)
+            assert max(fwd1, back1) < self.BOUNDS[0]
+            assert max(fwd10, back10) < self.BOUNDS[1]
+
+    @pytest.mark.parametrize("name, mutant", [
+        ("rhs", christoffel_mutant), ("magnetic_curvature", db_mutant)])
+    def test_a_mutant_orbit_or_curvature_fails_the_variation(self, monkeypatch, name,
+                                                             mutant):
+        monkeypatch.setattr(ConformalTorus, name, mutant(getattr(ConformalTorus, name)))
+        m = self.bench()
+        for v0 in self.starts():
+            fwd1, _fwd10, back1, _back10 = self.variation(m, v0)
+            assert min(fwd1, back1) > 100 * self.BOUNDS[0]
+
+    @staticmethod
+    def clairaut_drifts(horizon) -> list:
+        """max |p(t) - p(0)| on each leg of two orbits of a torus whose phi
+        and b depend on x alone, where p = e^phi sin(theta) - a(x) with
+        a' = b e^{2 phi}, x unreduced, is conserved; the legs are those the
+        profile reads, grown to the horizon."""
+        m = ConformalTorus(phi=FourierSeries2D(cos_coeffs={(1, 0): 0.2, (2, 0): 0.05}),
+                           b=FourierSeries2D(const=0.5, cos_coeffs={(1, 0): 0.3}))
+        grid = np.linspace(0.0, 1.0, 100_001)
+        cell = cumulative_trapezoid(m.b(grid, 0.0 * grid) * np.exp(2 * m.phi(grid, 0.0 * grid)),
+                                    grid, initial=0.0)
+        drifts = []
+        for v0 in m.ensemble(2, 0):
+            p = m.profile(v0, horizon)[0]
+            p(np.array([-horizon, horizon]))
+            for leg in (p.evaluator.ahead.trace, p.evaluator.behind.trace):
+                assert leg.t_samples[-1] == horizon
+                step = np.diff(leg.xs)
+                x = leg.xs[0] + np.concatenate([[0.0], np.cumsum(step - np.round(step))])
+                n = np.floor(x)
+                a = n * cell[-1] + np.interp(x - n, grid, cell)
+                q = np.exp(m.phi(leg.xs, leg.ys)) * np.sin(leg.thetas) - a
+                drifts.append(float(np.max(np.abs(q - q[0]))))
+        return drifts
+
+    def test_the_magnetic_clairaut_integral_is_conserved_on_both_legs(self, monkeypatch):
+        # 3.6e-8 to 7.9e-8 at horizon 200 (flow.DEFAULT_TOL)
+        assert max(self.clairaut_drifts(200.0)) < 2e-7
+        monkeypatch.setattr(ConformalTorus, "rhs", christoffel_mutant(ConformalTorus.rhs))
+        assert min(self.clairaut_drifts(20.0)) > 1e-3
 
 
 # The orbit loop in its list form, the one flow._integrate writes out: every
@@ -634,15 +789,15 @@ class TestSpline:
         self._assert_close(flow._Spline(x, y), CubicSpline(x, y), ts, y)
 
     def test_profile_reads_scalars_and_pickles(self):
-        tr = integrate_orbit(bench_torus(), UnitTangent(0.31, 0.47, 1.3), 5.0,
-                             flow.DEFAULT_TOL, 5.0)
-        p = CurvatureProfile.from_orbit(tr, 5.0)
+        p, tr = bench_torus().profile(UnitTangent(0.31, 0.47, 1.3), 5.0)
         v = p(3.7)
         assert isinstance(v, np.ndarray) and v.shape == ()
         assert abs(v - CubicSpline(tr.t_samples, tr.kappa_samples)(3.7)) < 1e-14
-        # a profile crosses to a worker process as a pickle
+        # a profile whose legs reach the horizon crosses to a worker process
+        # as a pickle
+        ts = np.linspace(-5.0, 5.0, 333)
+        p(ts)
         q = pickle.loads(pickle.dumps(p))
-        ts = np.linspace(0.0, 5.0, 333)
         assert q(ts).tobytes() == p(ts).tobytes()
         assert (q.k_bound, q.t_min, q.t_max) == (p.k_bound, p.t_min, p.t_max)
 
@@ -681,7 +836,7 @@ class TestCurvatureProfiles:
         for n in (1, 2, 3):
             t = np.linspace(0.0, 0.01 * (n - 1), n)
             with pytest.raises(InsufficientDataError):
-                CurvatureProfile.from_orbit(OrbitTrace(t, t, t, t, np.cos(t)), t[-1])
+                flow._LegKappa(lambda stop: OrbitTrace(t, t, t, t, np.cos(t))).cover(0.0)
 
     def test_series_k_bound_is_certified(self):
         # the minimum of a 4096-point grid over one period sat 1.9e-8 above

@@ -73,9 +73,6 @@ class TestGaussianCurvature:
         assert b.scaled(2.0) == FourierSeries2D(
             Lx=2.0, Ly=3.0, const=0.8, cos_coeffs={(1, 0): 0.6},
             sin_coeffs={(0, 1): -0.4, (1, 1): 0.2})
-        flipped = ConformalTorus(phi=FourierSeries2D(Lx=2.0, Ly=3.0), b=b).flipped().b
-        assert flipped.modes == tuple((m, n, -a, -c) for m, n, a, c in b.modes)
-        assert flipped.const == -b.const
 
 
 class TestMagneticCurvature:

@@ -255,8 +255,7 @@ def test_surface_model_is_what_the_certifier_reads():
                if isinstance(node, (ast.AnnAssign, ast.FunctionDef))}
     read = {node.attr for node in ast.walk(ast.parse((package / "anosov.py").read_text()))
             if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "model"}
-    assert members == read == {"chi", "inequality", "kappa_extrema", "ensemble",
-                               "profile", "minus_profile"}
+    assert members == read == {"chi", "inequality", "kappa_extrema", "ensemble", "profile"}
 
 
 

@@ -1262,7 +1262,7 @@ def _launch_cases():
                 for _ in range(2)]
     torus = random_torus(rng).profile(UnitTangent(0.1, 0.2, 0.5), 12.0)[0]
     # the whole orbit, so that the spline's knots are those of every read
-    torus.evaluator.cover(torus.t_max)
+    torus.evaluator.ahead.cover(torus.t_max)
     profiles.append(torus)
     for p in profiles:
         for y0 in ([1.0, -0.4, 0.0, 0.0], [1.0, 0.0, 0.0, 1.0]):
@@ -1293,7 +1293,7 @@ class TestLaunch:
         for p, y0, span in _launch_cases():
             if p.series is not None:
                 continue
-            knots = p.evaluator.spline.x
+            knots = p.evaluator.ahead.spline.x
             inner = knots[(knots > min(span)) & (knots < max(span))]
             ends = [span[0], *(inner if span[1] > span[0] else inner[::-1]), span[1]]
             states = [np.array(y0)]

@@ -276,9 +276,9 @@ class TestPropagatorReadout:
             cells = knot_reference(p, orbit.t_samples, u0, span)
             assert knot_error(tr, cells) < 1e-5
             assert tr.blowup_time == pytest.approx(knot_zero(cells), abs=1e-7)
-        # spans read past the window [0, 25], where the spline would
-        # extrapolate
-        for span in ((24.0, 26.0), (20.0, 30.0), (1.0, -1.0), (0.0, -1.0)):
+        # spans read past the window [-25, 25], where the splines of the
+        # two legs would extrapolate
+        for span in ((24.0, 26.0), (20.0, 30.0), (1.0, -26.0), (0.0, -30.0)):
             with pytest.raises(InsufficientDataError):
                 integrate_riccati(p, 0.0, span)
 
@@ -289,13 +289,13 @@ class TestPropagatorReadout:
         p, orbit = model.profile(UnitTangent(0.1, 0.2, 0.5), 25.0)
         for span, end in (((24.0, 26.0), "ends at t = 25$"),
                           ((20.0, 30.0), "ends at t = 25$"),
-                          ((1.0, -1.0), "starts at t = 0$")):
+                          ((1.0, -26.0), "starts at t = -25$")):
             with pytest.raises(InsufficientDataError, match=end):
                 integrate_riccati(p, 0.0, span)
-        # integrate_jacobi is confined to the window too: the spline would
-        # extrapolate far outside the curvature the orbit sees
-        assert p.evaluator(-2.0) < 10 * float(np.min(orbit.kappa_samples))
-        for span, end in (((0.0, -2.0), "starts at t = 0$"),
+        # integrate_jacobi is confined to the window too, whose times before
+        # 0 the orbit's backward leg reads
+        assert p.evaluator(-2.0) == p.flipped().evaluator(2.0)
+        for span, end in (((0.0, -26.0), "starts at t = -25$"),
                           ((10.0, 26.0), "ends at t = 25$")):
             with pytest.raises(InsufficientDataError, match=end):
                 integrate_jacobi(p, JacobiState(1.0, 0.0), span)
